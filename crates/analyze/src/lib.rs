@@ -21,8 +21,8 @@
 //!
 //! Severity policy: a rule is Error **only** when the learner guarantees the
 //! property for everything it outputs (see DESIGN.md §11), so "learned on
-//! this build" implies "verifies clean". Set `AUTOBIAS_VERIFY=0` to disable
-//! the verifier at every boundary ([`enabled`]).
+//! this build" implies "verifies clean". The verifier always runs; there is
+//! no switch to turn it off.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -60,16 +60,6 @@ pub fn register() {
         obs::metrics::register(&CHECKS_TOTAL);
         obs::metrics::register(&FINDINGS_TOTAL);
     });
-}
-
-/// Whether verification is enabled. On by default; `AUTOBIAS_VERIFY=0`
-/// (or `off`/`false`) disables the verifier at every boundary — the gate
-/// CI's byte-identity check flips.
-pub fn enabled() -> bool {
-    !matches!(
-        std::env::var("AUTOBIAS_VERIFY").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    )
 }
 
 #[cfg(test)]
@@ -307,14 +297,5 @@ mode publication(-, +)
         assert!(report.fired(Rule::ModelParseError));
         assert_eq!(report.findings[0].line, Some(1));
         assert!(report.has_errors());
-    }
-
-    #[test]
-    fn verify_gate_reads_environment() {
-        // Cannot mutate the process environment safely in tests; just check
-        // the default-on behaviour against the current environment.
-        if std::env::var("AUTOBIAS_VERIFY").is_err() {
-            assert!(enabled());
-        }
     }
 }

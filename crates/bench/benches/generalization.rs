@@ -1,6 +1,5 @@
-//! Bench: the armg operator (paper §2.3.2) — blocking-atom search strategy
-//! ablation (binary search vs linear scan) and armg cost vs bottom-clause
-//! size.
+//! Bench: the armg operator (paper §2.3.2) — blocking-atom binary search and
+//! armg cost vs bottom-clause size.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
@@ -8,7 +7,7 @@ use autobias::bias::parse::parse_bias;
 use autobias::bottom::{BcConfig, SamplingStrategy};
 use autobias::coverage::CoverageEngine;
 use autobias::example::TrainingSet;
-use autobias::generalize::{armg, blocking_atom, blocking_atom_linear};
+use autobias::generalize::{armg, blocking_atom};
 use autobias::subsume::SubsumeConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::uw::{generate, UwConfig};
@@ -47,9 +46,6 @@ fn bench_blocking_atom(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("binary_search", |b| {
         b.iter(|| black_box(blocking_atom(black_box(&clause), &engine, target)))
-    });
-    group.bench_function("linear_scan", |b| {
-        b.iter(|| black_box(blocking_atom_linear(black_box(&clause), &engine, target)))
     });
     group.finish();
 }

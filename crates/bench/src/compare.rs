@@ -38,10 +38,11 @@ const GATED_COUNTERS: [&str; 7] = [
     // pipeline was on; a fresh run where it reads zero has silently lost
     // EXPLAIN ANALYZE (and the estimate-accuracy feedback loop with it).
     "autobias_plan_estimate_qerror_count",
-    // The bitset subsumption engine and the constraint-driven beam pruner
+    // The bitset subsumption search and the constraint-driven beam pruner
     // (DESIGN.md §15): a baseline that exercised them but a fresh run that
-    // reads zero means the run silently fell back to the legacy engine or
-    // lost pruning — the coverage.theta phase tolerance assumes both.
+    // reads zero means the run silently lost domain accounting, component
+    // splitting, or pruning — the coverage.theta phase tolerance assumes all
+    // three.
     "autobias_core_subsume_domain_words_total",
     "autobias_core_subsume_components_split_total",
     "autobias_core_candidates_pruned_by_constraint_total",

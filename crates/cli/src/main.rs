@@ -341,19 +341,16 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
             (def, stats, None)
         }
     };
-    // Post-learn verification (observational: stderr only, never alters the
-    // model output — AUTOBIAS_VERIFY=0 must be byte-identical).
-    if analyze::enabled() {
-        let verdict = analyze::check_definition(&ds.db, &def, Some(&bias));
-        if !verdict.is_clean() {
-            eprint!("{}", verdict.render_text());
-        }
-        if verdict.has_errors() {
-            return Err(format!(
-                "learned definition failed static verification: {}",
-                verdict.summary()
-            ));
-        }
+    // Post-learn verification (stderr only, never alters the model output).
+    let verdict = analyze::check_definition(&ds.db, &def, Some(&bias));
+    if !verdict.is_clean() {
+        eprint!("{}", verdict.render_text());
+    }
+    if verdict.has_errors() {
+        return Err(format!(
+            "learned definition failed static verification: {}",
+            verdict.summary()
+        ));
     }
     // Serving readiness: compile the learned definition the same way the
     // registry will at model load, so `--profile` / `--report-out` surface
@@ -439,22 +436,15 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
             // and run the plan soundness pass (AB2xx) offline, so CI catches
             // a plan the serve path would refuse before deployment.
             if let Some((definition, _)) = parsed {
-                if plan::enabled() && analyze::enabled() {
+                if plan::enabled() {
                     let compiled = plan::compile_definition(
                         &ds.db,
                         &definition,
                         &plan::CompileConfig::default(),
                     );
                     // The compile-boundary report covers every produced
-                    // plan, including any the verifier declined; the
-                    // offline re-run is the fallback when the boundary
-                    // pass was disabled at compile time.
-                    match compiled.verify_report() {
-                        Some(vr) => report.merge(vr.clone()),
-                        None => {
-                            report.merge(plan::verify_definition(&ds.db, &definition, &compiled));
-                        }
-                    }
+                    // plan, including any the verifier declined.
+                    report.merge(compiled.verify_report().clone());
                 }
             }
             report

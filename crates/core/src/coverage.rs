@@ -12,8 +12,8 @@
 //!   share one memo entry — and, crucially, one *answer*: θ-subsumption is
 //!   approximate and its randomized search depends on literal order, so two
 //!   α-variants could otherwise get different answers. Canonicalizing on the
-//!   cached **and** uncached paths makes `AUTOBIAS_COVERAGE_CACHE=0` a true
-//!   no-op on learned output;
+//!   cached **and** uncached paths makes `LearnerConfig::coverage_memo` a
+//!   true no-op on learned output;
 //! - positive coverage is tracked per clause as a lazily-filled [`Bitset`]
 //!   pair (`known`, `covered`): only the requested-but-unknown examples are
 //!   tested, and a fully-known request is a pure cache hit;
@@ -27,11 +27,12 @@ use crate::bottom::{build_bottom_clause, BcConfig, BottomClause, GroundClause};
 use crate::clause::Clause;
 use crate::example::TrainingSet;
 use crate::instrument;
+use crate::learn::LearnerConfig;
 use crate::subsume::{theta_subsumes, SubsumeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relstore::{Database, FxHashMap};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// A fixed-length bit vector over example indices, backed by `u64` blocks.
 /// Replaces the `Vec<usize>` index lists previously threaded through
@@ -193,12 +194,15 @@ const CANON_MAX_LITERALS: usize = 512;
 /// Negative counting proceeds in fixed chunks of this many examples between
 /// cutoff checks. A fixed chunk (rather than "one chunk per worker") keeps
 /// the set of examples actually tested — and therefore every observable
-/// count — independent of `AUTOBIAS_THREADS`.
+/// count — independent of the worker-thread count.
 const NEG_CHUNK: usize = 256;
 
 #[derive(Debug, Default)]
 struct CoverageMemo {
     map: FxHashMap<Clause, MemoEntry>,
+    /// Queries answered from the table (this engine's share of
+    /// `instrument::COVERAGE_CACHE_HITS`).
+    hits: u64,
 }
 
 impl CoverageMemo {
@@ -231,13 +235,16 @@ pub struct CoverageEngine {
     /// Ground BCs for the negatives (their variable-ized form is never needed).
     pub neg: Vec<GroundClause>,
     scfg: SubsumeConfig,
-    /// Canonical-clause memo table; `None` when `AUTOBIAS_COVERAGE_CACHE=0`
-    /// (read once at build time).
+    /// Worker threads for every parallel map this engine runs.
+    threads: usize,
+    /// Canonical-clause memo table; `None` when the memo is switched off
+    /// (`LearnerConfig::coverage_memo`).
     memo: Option<Mutex<CoverageMemo>>,
 }
 
 impl CoverageEngine {
-    /// Builds ground BCs for every example in `train`, in parallel.
+    /// Builds ground BCs for every example in `train`, in parallel, with the
+    /// default worker-thread count and the memo on.
     pub fn build(
         db: &Database,
         bias: &LanguageBias,
@@ -246,20 +253,42 @@ impl CoverageEngine {
         scfg: SubsumeConfig,
         seed: u64,
     ) -> Self {
-        let pos = parallel_map(&train.pos, |i, e| {
+        let cfg = LearnerConfig {
+            bc: *bc_cfg,
+            subsume: scfg,
+            seed,
+            ..LearnerConfig::default()
+        };
+        Self::for_learner(db, bias, train, &cfg)
+    }
+
+    /// Builds the engine a learner configured by `cfg` runs on: its BC
+    /// settings, subsumption budget and seed, worker threads, and memo
+    /// switch.
+    pub fn for_learner(
+        db: &Database,
+        bias: &LanguageBias,
+        train: &TrainingSet,
+        cfg: &LearnerConfig,
+    ) -> Self {
+        let (threads, seed, bc_cfg) = (cfg.threads, cfg.seed, &cfg.bc);
+        let pos = parallel_map(threads, &train.pos, |i, e| {
             let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9));
             build_bottom_clause(db, bias, e, bc_cfg, &mut rng)
         });
-        let neg = parallel_map(&train.neg, |i, e| {
+        let neg = parallel_map(threads, &train.neg, |i, e| {
             let mut rng =
                 StdRng::seed_from_u64(seed ^ 0xdead_beef ^ (i as u64).wrapping_mul(0x9e37_79b9));
             build_bottom_clause(db, bias, e, bc_cfg, &mut rng).ground
         });
-        let memo = coverage_cache_enabled().then(|| Mutex::new(CoverageMemo::default()));
+        let memo = cfg
+            .coverage_memo
+            .then(|| Mutex::new(CoverageMemo::default()));
         Self {
             pos,
             neg,
-            scfg,
+            scfg: cfg.subsume,
+            threads,
             memo,
         }
     }
@@ -269,9 +298,16 @@ impl CoverageEngine {
         &self.scfg
     }
 
-    /// Whether the coverage memo is active (see `AUTOBIAS_COVERAGE_CACHE`).
+    /// Whether the coverage memo is active (see `LearnerConfig::coverage_memo`).
     pub fn cache_enabled(&self) -> bool {
         self.memo.is_some()
+    }
+
+    /// Number of coverage queries answered from the memo so far.
+    pub fn memo_hits(&self) -> u64 {
+        self.memo
+            .as_ref()
+            .map_or(0, |m| m.lock().expect("coverage memo poisoned").hits)
     }
 
     /// Number of canonical clauses currently memoized.
@@ -364,13 +400,14 @@ impl CoverageEngine {
                     match memo.get_or_insert(canon, self.pos.len()) {
                         Some(e) => {
                             let missing = candidates.and_not(&e.pos_known);
+                            covered.push(e.pos_covered.intersect(candidates));
                             if missing.count_ones() == 0 {
                                 instrument::COVERAGE_CACHE_HITS.bump();
+                                memo.hits += 1;
                             } else {
                                 instrument::COVERAGE_CACHE_MISSES.bump();
                                 pairs.extend(missing.ones().map(|i| (ci, i)));
                             }
-                            covered.push(e.pos_covered.intersect(candidates));
                         }
                         None => {
                             // Table full and key absent: evaluate uncached.
@@ -395,7 +432,9 @@ impl CoverageEngine {
             }
             return covered;
         }
-        let hits = parallel_map(&pairs, |_, &(ci, i)| self.covers_pos(&canons[ci], i));
+        let hits = parallel_map(self.threads, &pairs, |_, &(ci, i)| {
+            self.covers_pos(&canons[ci], i)
+        });
         for (&(ci, i), &hit) in pairs.iter().zip(hits.iter()) {
             if hit {
                 covered[ci].set(i);
@@ -438,11 +477,13 @@ impl CoverageEngine {
                     // An exact count answers any query.
                     Some(n @ NegCount::Exact(_)) => {
                         instrument::COVERAGE_CACHE_HITS.bump();
+                        memo.hits += 1;
                         return n;
                     }
                     // A lower bound answers only cutoffs it already exceeds.
                     Some(n @ NegCount::AtLeast(lb)) if cutoff.is_some_and(|c| lb > c) => {
                         instrument::COVERAGE_CACHE_HITS.bump();
+                        memo.hits += 1;
                         return n;
                     }
                     _ => {}
@@ -477,7 +518,7 @@ impl CoverageEngine {
         let mut start = 0usize;
         while start < total {
             let end = (start + NEG_CHUNK).min(total);
-            count += parallel_map_range(start, end, |i| self.covers_neg(canon, i))
+            count += parallel_map_range(self.threads, start, end, |i| self.covers_neg(canon, i))
                 .into_iter()
                 .filter(|&b| b)
                 .count();
@@ -501,37 +542,41 @@ impl CoverageEngine {
     }
 }
 
-/// Whether the coverage memo is enabled: the `AUTOBIAS_COVERAGE_CACHE`
-/// environment variable, where `0` disables it (the escape hatch used by CI
-/// to keep the uncached path green). Read at engine build time.
-pub fn coverage_cache_enabled() -> bool {
-    std::env::var("AUTOBIAS_COVERAGE_CACHE").map_or(true, |v| v.trim() != "0")
-}
-
-/// Worker threads used by the crate's parallel map: the `AUTOBIAS_THREADS`
-/// environment variable when set to a positive integer (clamped to ≥1, no
-/// upper bound — deliberate, so operators can oversubscribe or pin to 1 for
-/// deterministic profiling), otherwise `available_parallelism` capped at 8.
-/// Read per call so a resident server picks up changes without restart.
+/// The default worker-thread count: `AUTOBIAS_THREADS` when it is a
+/// non-negative integer (clamped to ≥1), otherwise `available_parallelism`
+/// capped at 8. Read once per process; a learner overrides it through
+/// `LearnerConfig::threads`.
 pub fn worker_threads() -> usize {
-    if let Ok(v) = std::env::var("AUTOBIAS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("AUTOBIAS_THREADS")
+            .ok()
+            .and_then(|v| parse_threads(&v))
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+                    .min(8)
+            })
+    })
 }
 
-/// Maps `f` over `items` with indices, in parallel when the collection is
-/// large enough to amortize thread spawn cost.
+/// Parses an `AUTOBIAS_THREADS` value: a non-negative integer, surrounding
+/// whitespace tolerated, clamped to ≥1 with no upper bound (operators may
+/// oversubscribe, or pin to 1 for deterministic profiling). `None` for
+/// anything else.
+fn parse_threads(v: &str) -> Option<usize> {
+    v.trim().parse::<usize>().ok().map(|n| n.max(1))
+}
+
+/// Maps `f` over `items` with indices on up to `threads` workers, in
+/// parallel when the collection is large enough to amortize thread spawn
+/// cost.
 pub(crate) fn parallel_map<T: Sync, U: Send>(
+    threads: usize,
     items: &[T],
     f: impl Fn(usize, &T) -> U + Sync,
 ) -> Vec<U> {
-    let threads = worker_threads();
     if threads <= 1 || items.len() < 16 {
         return items.iter().enumerate().map(|(i, e)| f(i, e)).collect();
     }
@@ -558,12 +603,12 @@ pub(crate) fn parallel_map<T: Sync, U: Send>(
 /// sibling of [`parallel_map`], so callers counting over `0..n` no longer
 /// allocate an index `Vec` per call.
 pub(crate) fn parallel_map_range<U: Send>(
+    threads: usize,
     start: usize,
     end: usize,
     f: impl Fn(usize) -> U + Sync,
 ) -> Vec<U> {
     let len = end.saturating_sub(start);
-    let threads = worker_threads();
     if threads <= 1 || len < 16 {
         return (start..end).map(f).collect();
     }
@@ -703,12 +748,6 @@ mode publication(-, +)
                 Literal::new(publ, vec![v(7), v(0)]),
             ],
         );
-        if !eng.cache_enabled() {
-            // Running under AUTOBIAS_COVERAGE_CACHE=0 (CI's uncached pass):
-            // there is no memo to assert about, and cache transparency is
-            // covered by the integration suites.
-            return;
-        }
         let hits0 = instrument::COVERAGE_CACHE_HITS.get();
         let first = eng.score(&clause, &[0, 1]);
         assert_eq!(eng.memo_len(), 1);
@@ -788,7 +827,7 @@ mode publication(-, +)
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
-        let out = parallel_map(&items, |i, &x| {
+        let out = parallel_map(4, &items, |i, &x| {
             assert_eq!(i, x);
             x * 2
         });
@@ -797,45 +836,37 @@ mode publication(-, +)
 
     #[test]
     fn parallel_map_range_matches_sequential() {
-        let out = parallel_map_range(10, 310, |i| i * 3);
-        assert_eq!(out, (10..310).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(parallel_map_range(5, 5, |i| i), Vec::<usize>::new());
+        for threads in [1, 3, 16] {
+            let out = parallel_map_range(threads, 10, 310, |i| i * 3);
+            assert_eq!(out, (10..310).map(|i| i * 3).collect::<Vec<_>>());
+            assert_eq!(
+                parallel_map_range(threads, 5, 5, |i| i),
+                Vec::<usize>::new()
+            );
+        }
     }
 
-    /// `AUTOBIAS_THREADS` overrides the worker count (clamped to ≥1) and
-    /// garbage values fall back to the hardware default. The variable is
-    /// read per call, so the override applies immediately.
+    /// `AUTOBIAS_THREADS` values: clamped to ≥1, no upper bound,
+    /// whitespace tolerated, garbage rejected (the default then applies).
     #[test]
-    fn worker_threads_honours_env_override() {
-        let default = {
-            std::env::remove_var("AUTOBIAS_THREADS");
-            worker_threads()
-        };
-        assert!((1..=8).contains(&default));
+    fn parse_threads_clamps_and_rejects_garbage() {
+        assert_eq!(parse_threads("3"), Some(3));
+        assert_eq!(parse_threads("32"), Some(32));
+        assert_eq!(parse_threads("0"), Some(1));
+        assert_eq!(parse_threads(" 2 "), Some(2));
+        assert_eq!(parse_threads("\t8\n"), Some(8));
+        assert_eq!(parse_threads("not-a-number"), None);
+        assert_eq!(parse_threads("-1"), None);
+        assert_eq!(parse_threads(""), None);
+        assert!(worker_threads() >= 1);
+    }
 
-        std::env::set_var("AUTOBIAS_THREADS", "3");
-        assert_eq!(worker_threads(), 3);
-        // Oversubscription is allowed.
-        std::env::set_var("AUTOBIAS_THREADS", "32");
-        assert_eq!(worker_threads(), 32);
-        // Clamped to at least one worker.
-        std::env::set_var("AUTOBIAS_THREADS", "0");
-        assert_eq!(worker_threads(), 1);
-        // Whitespace tolerated; garbage falls back to the default.
-        std::env::set_var("AUTOBIAS_THREADS", " 2 ");
-        assert_eq!(worker_threads(), 2);
-        std::env::set_var("AUTOBIAS_THREADS", "not-a-number");
-        assert_eq!(worker_threads(), default);
-        std::env::remove_var("AUTOBIAS_THREADS");
-
-        // parallel_map still works under a forced single thread…
-        std::env::set_var("AUTOBIAS_THREADS", "1");
+    /// One worker and many workers map to the same output.
+    #[test]
+    fn parallel_map_is_thread_count_independent() {
         let items: Vec<usize> = (0..40).collect();
-        let seq = parallel_map(&items, |_, &x| x + 1);
-        // …and under forced oversubscription.
-        std::env::set_var("AUTOBIAS_THREADS", "16");
-        let par = parallel_map(&items, |_, &x| x + 1);
-        std::env::remove_var("AUTOBIAS_THREADS");
+        let seq = parallel_map(1, &items, |_, &x| x + 1);
+        let par = parallel_map(16, &items, |_, &x| x + 1);
         assert_eq!(seq, par);
     }
 }

@@ -72,23 +72,6 @@ pub fn blocking_atom(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -
     Some(hi - 1) // zero-based index of the blocking literal
 }
 
-/// Linear-scan variant of [`blocking_atom`], kept for the `generalization`
-/// bench's ablation: the binary search does `O(log n)` coverage tests per
-/// removal, the scan does `O(n)`.
-pub fn blocking_atom_linear(
-    clause: &Clause,
-    engine: &CoverageEngine,
-    pos_idx: usize,
-) -> Option<usize> {
-    for len in 1..=clause.body.len() {
-        let prefix = Clause::new(clause.head.clone(), clause.body[..len].to_vec());
-        if !engine.covers_pos(&prefix, pos_idx) {
-            return Some(len - 1);
-        }
-    }
-    None
-}
-
 /// Applies armg: generalizes `clause` until it covers positive `pos_idx`.
 /// Returns `None` if generalization degenerates to an empty body (the clause
 /// would cover everything — never useful as a candidate).
@@ -140,13 +123,6 @@ pub fn reduce_clause(clause: &Clause, engine: &CoverageEngine) -> Clause {
     current
 }
 
-/// Whether constraint-driven beam pruning is enabled: the `AUTOBIAS_PRUNE`
-/// environment variable, where `0` disables it (the escape hatch CI uses to
-/// prove the pruned and unpruned paths learn byte-identical definitions).
-pub fn constraint_pruning_enabled() -> bool {
-    std::env::var("AUTOBIAS_PRUNE").map_or(true, |v| v.trim() != "0")
-}
-
 /// Cap on stored constraints per kind: consults are linear scans, so the
 /// store must stay small. Beam runs produce at most a few hundred rejected
 /// candidates, so the cap is generous; overflow silently stops harvesting
@@ -183,8 +159,9 @@ const CONSTRAINT_STORE_CAP: usize = 4096;
 /// only shrinks, and negative bounds are against the fixed negatives.
 ///
 /// Every prune has a provably identical outcome to the test it skips, so
-/// learned output is bit-for-bit independent of `AUTOBIAS_PRUNE`; the
-/// `AUTOBIAS_PRUNE=0|1` byte-identity suite pins that transparency on UW.
+/// learned output is bit-for-bit independent of
+/// `LearnerConfig::constraint_pruning`; the UW byte-identity suite pins that
+/// transparency.
 #[derive(Debug, Default)]
 pub struct ConstraintStore {
     enabled: bool,
@@ -203,15 +180,16 @@ pub struct ConstraintStore {
 }
 
 impl ConstraintStore {
-    /// A store honouring `AUTOBIAS_PRUNE` (read once at creation).
+    /// An empty store that harvests and prunes.
     pub fn new() -> Self {
         Self {
-            enabled: constraint_pruning_enabled(),
+            enabled: true,
             ..Self::default()
         }
     }
 
-    /// A store that never prunes nor harvests (`AUTOBIAS_PRUNE=0` behavior).
+    /// A store that never prunes nor harvests: the unpruned reference path
+    /// (`LearnerConfig::constraint_pruning` off).
     pub fn disabled() -> Self {
         Self::default()
     }
@@ -771,10 +749,7 @@ mode publication(-, +)
 
     #[test]
     fn zero_pos_constraint_dooms_specialisations_only() {
-        let mut store = ConstraintStore {
-            enabled: true,
-            ..ConstraintStore::default()
-        };
+        let mut store = ConstraintStore::new();
         store.harvest_zero_pos(&star_clause(&[1, 2]));
         // Specialisation (superset body): provably zero positives.
         assert!(store.implies_zero_pos(&star_clause(&[1, 2, 3])));
@@ -788,10 +763,7 @@ mode publication(-, +)
 
     #[test]
     fn neg_bound_flows_to_generalisations_and_upgrades_in_place() {
-        let mut store = ConstraintStore {
-            enabled: true,
-            ..ConstraintStore::default()
-        };
+        let mut store = ConstraintStore::new();
         // Truncated bound on the specific clause.
         store.harvest_neg_bound(&star_clause(&[1, 2, 3]), 4, false);
         // Generalisations (subset bodies) inherit the bound...
@@ -845,10 +817,7 @@ mode publication(-, +)
             .0
         };
         let without = run(&mut ConstraintStore::disabled());
-        let mut store = ConstraintStore {
-            enabled: true,
-            ..ConstraintStore::default()
-        };
+        let mut store = ConstraintStore::new();
         let with = run(&mut store);
         // Run twice with the same warm store: re-encounters answered from it.
         let with_warm = run(&mut store);

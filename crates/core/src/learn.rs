@@ -4,7 +4,7 @@
 use crate::bias::LanguageBias;
 use crate::bottom::BcConfig;
 use crate::clause::{Clause, Definition};
-use crate::coverage::{Bitset, CoverageEngine};
+use crate::coverage::{worker_threads, Bitset, CoverageEngine};
 use crate::example::TrainingSet;
 use crate::generalize::{learn_clause, ConstraintStore, GenConfig};
 use crate::subsume::SubsumeConfig;
@@ -60,6 +60,16 @@ pub struct LearnerConfig {
     /// coverage, far more readable clauses. Off by default to keep timing
     /// comparable with the paper's pipeline.
     pub reduce_clauses: bool,
+    /// Worker threads for BC construction and coverage testing. Learned
+    /// definitions do not depend on it.
+    pub threads: usize,
+    /// Memoize coverage per canonical clause (DESIGN.md §10). Off is the
+    /// uncached reference path; learned definitions do not depend on it.
+    pub coverage_memo: bool,
+    /// Prune beam candidates through the constraint store before coverage
+    /// testing (DESIGN.md §15). Off is the unpruned reference path; learned
+    /// definitions do not depend on it.
+    pub constraint_pruning: bool,
 }
 
 impl Default for LearnerConfig {
@@ -73,6 +83,9 @@ impl Default for LearnerConfig {
             seed: 0xC0FFEE,
             time_budget: None,
             reduce_clauses: false,
+            threads: worker_threads(),
+            coverage_memo: true,
+            constraint_pruning: true,
         }
     }
 }
@@ -95,6 +108,10 @@ pub struct LearnStats {
     pub rejected_clauses: usize,
     /// Total ground-BC literals built (a proxy for sampling effort).
     pub ground_literals: usize,
+    /// Coverage queries answered from this run's memo.
+    pub cache_hits: u64,
+    /// Beam candidates answered or dropped by this run's constraint store.
+    pub pruned_by_constraint: usize,
 }
 
 /// The sequential covering learner.
@@ -176,14 +193,7 @@ impl Learner {
         let t0 = Instant::now();
         let engine = {
             let _bc_sp = obs::span!("learn.bc_build");
-            CoverageEngine::build(
-                db,
-                bias,
-                train,
-                &self.cfg.bc,
-                self.cfg.subsume,
-                self.cfg.seed,
-            )
+            CoverageEngine::for_learner(db, bias, train, &self.cfg)
         };
         stats.bc_time = t0.elapsed();
         stats.ground_literals = engine.pos.iter().map(|b| b.ground.len()).sum::<usize>()
@@ -204,7 +214,11 @@ impl Learner {
         // Failure constraints persist across covering iterations: the
         // uncovered set only shrinks, so zero-positive claims stay valid,
         // and negative lower bounds are against the fixed negative set.
-        let mut constraints = ConstraintStore::new();
+        let mut constraints = if self.cfg.constraint_pruning {
+            ConstraintStore::new()
+        } else {
+            ConstraintStore::disabled()
+        };
 
         while !uncovered.is_empty() && definition.len() < self.cfg.max_clauses {
             if cancel.load(Ordering::Relaxed) {
@@ -242,6 +256,7 @@ impl Learner {
                 candidates_pruned: cstats.candidates_pruned,
                 armg_calls: cstats.armg_calls,
             });
+            stats.pruned_by_constraint += cstats.candidates_pruned_by_constraint;
 
             let uncovered_mask = Bitset::from_indices(train.pos.len(), &uncovered);
             let covered_mask = engine.covered_pos_mask(&clause, &uncovered_mask);
@@ -305,6 +320,7 @@ impl Learner {
 
         stats.search_time = t1.elapsed();
         stats.uncovered_pos = uncovered.len();
+        stats.cache_hits = engine.memo_hits();
         if sp.is_active() {
             sp.note("clauses", definition.len() as u64);
             sp.note("rejected_clauses", stats.rejected_clauses as u64);
@@ -324,14 +340,7 @@ impl Learner {
         train: &TrainingSet,
     ) -> (Definition, LearnStats, Vec<bool>, Vec<bool>) {
         let (def, stats) = self.learn(db, bias, train);
-        let engine = CoverageEngine::build(
-            db,
-            bias,
-            train,
-            &self.cfg.bc,
-            self.cfg.subsume,
-            self.cfg.seed,
-        );
+        let engine = CoverageEngine::for_learner(db, bias, train, &self.cfg);
         let pos_cov = (0..train.pos.len())
             .map(|i| def.clauses.iter().any(|c| engine.covers_pos(c, i)))
             .collect();

@@ -85,18 +85,12 @@ pub mod prelude {
         parse_clause, parse_clause_frozen, parse_definition, parse_definition_frozen,
         ClauseParseError,
     };
-    pub use crate::coverage::{
-        coverage_cache_enabled, worker_threads, Bitset, CoverageEngine, NegCount,
-    };
+    pub use crate::coverage::{worker_threads, Bitset, CoverageEngine, NegCount};
     pub use crate::eval::{cross_validate, evaluate_definition, kfold_splits, CvResult, Metrics};
     pub use crate::example::{parse_arg_tuple, Example, TrainingSet};
-    pub use crate::generalize::{
-        armg, constraint_pruning_enabled, learn_clause, reduce_clause, ConstraintStore, GenConfig,
-    };
+    pub use crate::generalize::{armg, learn_clause, reduce_clause, ConstraintStore, GenConfig};
     pub use crate::learn::{LearnStats, Learner, LearnerConfig, MinCriterion};
     pub use crate::query::{clause_covers, definition_covers, QueryConfig};
     pub use crate::semijoin_tree::{SemijoinTree, SjNode};
-    pub use crate::subsume::{
-        subsume_engine, theta_subsumes, theta_subsumes_with, SubsumeConfig, SubsumeEngine,
-    };
+    pub use crate::subsume::{theta_subsumes, SubsumeConfig};
 }

@@ -8,28 +8,24 @@
 //! *approximate*: it may report "not covered" for a covered example when the
 //! search budget runs out, never the reverse.
 //!
-//! Two engines implement the search (DESIGN.md §15):
+//! The search (DESIGN.md §15) is a forward-checking CSP over word-parallel
+//! `u64` bitset domains. Each body literal's candidate set (ground literals
+//! of the same relation compatible with its constants and the head binding)
+//! becomes a bitset; assigning a literal intersects the domains of every
+//! unassigned literal sharing a *newly bound* variable with an on-the-fly
+//! compatibility mask computed over currently-set bits only. Literals are
+//! chosen smallest-domain-first (MRV over maintained popcounts), the body is
+//! decomposed into connected components over unbound variables (each solved
+//! independently, so restarts never re-explore a solved component), and each
+//! component runs a cheap forward-checking-only pass before escalating to
+//! maintained arc consistency (MAC) with the remaining per-call node budget.
 //!
-//! - **bitset** (default): a forward-checking CSP over word-parallel `u64`
-//!   bitset domains. Each body literal's candidate set (ground literals of
-//!   the same relation compatible with its constants and the head binding)
-//!   becomes a bitset; assigning a literal intersects the domains of every
-//!   unassigned literal sharing a *newly bound* variable with an on-the-fly
-//!   compatibility mask computed over currently-set bits only. Literals are
-//!   chosen smallest-domain-first (MRV over maintained popcounts), the body
-//!   is decomposed into connected components over unbound variables (each
-//!   solved independently, so restarts never re-explore a solved
-//!   component), and each component runs a cheap forward-checking-only
-//!   pass before escalating to maintained arc consistency (MAC) with the
-//!   remaining per-call node budget.
-//! - **legacy** (`AUTOBIAS_SUBSUME=legacy`): the original randomized
-//!   backtracker with per-candidate-list rescans, kept as the differential
-//!   oracle's second implementation (`tests/differential_subsume.rs`).
-//!
-//! Both engines draw restart permutations from a private [`StdRng`] seeded
-//! by a hash of the clause and the ground example, so the answer is a pure
-//! function of `(clause, ground, cfg)` — engine-internal ordering never
-//! shifts a caller's RNG stream (the seed-stability gap fixed in PR 9).
+//! Restart permutations come from a private [`StdRng`] seeded by a hash of
+//! the clause and the ground example, so the answer is a pure function of
+//! `(clause, ground, cfg)` — search-internal ordering never shifts a
+//! caller's RNG stream. Exact SPJ evaluation ([`crate::query::clause_covers`])
+//! is the reference the differential suite (`tests/differential_subsume.rs`)
+//! checks this search against.
 //!
 //! ```
 //! use autobias::bottom::{GroundClause, GroundLiteral};
@@ -62,7 +58,7 @@ use crate::bottom::GroundClause;
 use crate::clause::{Clause, Literal, Term, VarId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use relstore::Const;
 
 /// Search budget for one subsumption test.
@@ -97,43 +93,9 @@ impl SubsumeConfig {
     }
 }
 
-/// Which subsumption implementation answers a test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubsumeEngine {
-    /// Forward-checking CSP over word-parallel bitset domains (default).
-    Bitset,
-    /// The original randomized backtracker with candidate-list rescans.
-    Legacy,
-}
-
-/// The engine selected by the `AUTOBIAS_SUBSUME` environment variable:
-/// `legacy` picks the original backtracker, anything else (including unset)
-/// the bitset CSP. Read per call, matching [`crate::coverage::worker_threads`],
-/// so a resident server honours changes without rebuild. Both engines compute
-/// the same relation; the differential suite (`tests/differential_subsume.rs`)
-/// and the byte-identity transparency tests pin that equivalence.
-pub fn subsume_engine() -> SubsumeEngine {
-    match std::env::var("AUTOBIAS_SUBSUME") {
-        Ok(v) if v.trim() == "legacy" => SubsumeEngine::Legacy,
-        _ => SubsumeEngine::Bitset,
-    }
-}
-
 /// Whether `clause` θ-subsumes `ground` — i.e. whether the clause covers the
-/// ground BC's example (Definition 2.4 via the §5 reduction), using the
-/// engine selected by `AUTOBIAS_SUBSUME`.
+/// ground BC's example (Definition 2.4 via the §5 reduction).
 pub fn theta_subsumes(clause: &Clause, ground: &GroundClause, cfg: &SubsumeConfig) -> bool {
-    theta_subsumes_with(subsume_engine(), clause, ground, cfg)
-}
-
-/// [`theta_subsumes`] with an explicit engine — the entry point the
-/// differential oracle uses to compare implementations directly.
-pub fn theta_subsumes_with(
-    engine: SubsumeEngine,
-    clause: &Clause,
-    ground: &GroundClause,
-    cfg: &SubsumeConfig,
-) -> bool {
     crate::instrument::SUBSUMPTION_TESTS.bump();
     let prep = match prepare(clause, ground) {
         Prep::Refuted => return false,
@@ -144,10 +106,7 @@ pub fn theta_subsumes_with(
     // and the example, never from caller state: the answer is a pure
     // function of the inputs, identical no matter which tests ran before.
     let mut rng = StdRng::seed_from_u64(derive_seed(clause, ground));
-    match engine {
-        SubsumeEngine::Bitset => bitset_subsumes(clause, ground, cfg, &prep, &mut rng),
-        SubsumeEngine::Legacy => legacy_subsumes(clause, ground, cfg, &prep, &mut rng),
-    }
+    bitset_subsumes(clause, ground, cfg, &prep, &mut rng)
 }
 
 /// FNV-1a accumulator for the per-test RNG seed; deliberately hand-rolled so
@@ -202,7 +161,7 @@ fn derive_seed(clause: &Clause, ground: &GroundClause) -> u64 {
     h.0
 }
 
-/// Search-independent preparation shared by both engines.
+/// Search-independent preparation: head binding, candidate lists, components.
 enum Prep {
     /// Definitively not covered (head mismatch or an empty candidate list).
     Refuted,
@@ -242,7 +201,7 @@ impl Prepared {
         &self.lbv_flat[self.lbv_off[v] as usize..self.lbv_off[v + 1] as usize]
     }
 
-    /// Per-literal candidate-list slices, for engines that index by literal.
+    /// Per-literal candidate-list slices, indexed by body literal.
     fn cand_slices(&self) -> Vec<&[u32]> {
         self.cand_of
             .iter()
@@ -593,8 +552,7 @@ impl<'a> BitsetSearch<'a> {
     }
 
     /// Resets domains and counts to their pristine (head-bound) state.
-    /// The node budget is deliberately *not* reset: for the bitset engine
-    /// `node_limit` bounds the work of the whole call (all components, all
+    /// The node budget is deliberately *not* reset: `node_limit` bounds the work of the whole call (all components, all
     /// restarts, propagation included), which caps the worst-case latency
     /// of refutation-heavy tests. Budget exhaustion still only ever yields
     /// a conservative "not covered".
@@ -1106,216 +1064,12 @@ fn bitset_subsumes(
     covered
 }
 
-// ---------------------------------------------------------------------------
-// Legacy engine: randomized backtracker with candidate-list rescans.
-// ---------------------------------------------------------------------------
-
-fn legacy_subsumes(
-    clause: &Clause,
-    ground: &GroundClause,
-    cfg: &SubsumeConfig,
-    prep: &Prepared,
-    rng: &mut StdRng,
-) -> bool {
-    let mut search = LegacySearch {
-        clause,
-        ground,
-        cfg,
-        static_cands: prep.cand_slices(),
-        prep,
-        active: Vec::new(),
-        nodes: 0,
-    };
-    'component: for comp in &prep.components {
-        search.active.clone_from(comp);
-        for _attempt in 0..=cfg.max_restarts {
-            search.nodes = 0;
-            let mut b = prep.binding.clone();
-            let mut assigned = vec![true; clause.body.len()];
-            for &li in comp {
-                assigned[li] = false;
-            }
-            // counts[li] = current number of consistent candidates; the
-            // static lists already reflect the head binding.
-            let mut counts: Vec<usize> = search.static_cands.iter().map(|c| c.len()).collect();
-            match search.solve(&mut b, &mut assigned, &mut counts, rng) {
-                Outcome::Found => continue 'component,
-                Outcome::Exhausted => return false, // complete: truly no θ
-                Outcome::Cutoff => continue,        // retry, new random order
-            }
-        }
-        return false; // budget exhausted on this component
-    }
-    true
-}
-
-struct LegacySearch<'a> {
-    clause: &'a Clause,
-    ground: &'a GroundClause,
-    cfg: &'a SubsumeConfig,
-    /// Per-literal candidates matching relation, constants, and the head
-    /// binding — the search re-filters these by later variable bindings.
-    static_cands: Vec<&'a [u32]>,
-    /// Prepared state (CSR var → literals map for forward-checking targets).
-    prep: &'a Prepared,
-    /// Literal indices of the component currently being solved; the MRV
-    /// scan only looks at these.
-    active: Vec<usize>,
-    nodes: usize,
-}
-
-impl LegacySearch<'_> {
-    /// Candidates of body literal `li` consistent with `binding`.
-    fn candidates(&self, li: usize, binding: &[Option<Const>]) -> Vec<u32> {
-        let lit = &self.clause.body[li];
-        self.static_cands[li]
-            .iter()
-            .copied()
-            .filter(|&gi| self.matches(lit, gi, binding))
-            .collect()
-    }
-
-    fn count_candidates(&self, li: usize, binding: &[Option<Const>]) -> usize {
-        let lit = &self.clause.body[li];
-        self.static_cands[li]
-            .iter()
-            .filter(|&&gi| self.matches(lit, gi, binding))
-            .count()
-    }
-
-    fn matches(&self, lit: &Literal, gi: u32, binding: &[Option<Const>]) -> bool {
-        let g = &self.ground.body[gi as usize];
-        debug_assert_eq!(lit.args.len(), g.vals.len());
-        lit.args.iter().zip(g.vals.iter()).all(|(t, &gv)| match *t {
-            Term::Const(c) => c == gv,
-            Term::Var(v) => binding[v.index()].is_none_or(|b| b == gv),
-        })
-    }
-
-    fn solve<R: Rng>(
-        &mut self,
-        binding: &mut [Option<Const>],
-        assigned: &mut [bool],
-        counts: &mut [usize],
-        rng: &mut R,
-    ) -> Outcome {
-        self.nodes += 1;
-        if self.nodes > self.cfg.node_limit {
-            return Outcome::Cutoff;
-        }
-        // MRV over maintained counts: integer scan of the active component.
-        let mut best: Option<(usize, usize)> = None;
-        for &li in &self.active {
-            if assigned[li] {
-                continue;
-            }
-            let c = counts[li];
-            if best.is_none_or(|(_, b)| c < b) {
-                best = Some((li, c));
-                if c <= 1 {
-                    break;
-                }
-            }
-        }
-        let Some((li, _)) = best else {
-            return Outcome::Found; // all literals assigned
-        };
-        let mut cands = self.candidates(li, binding);
-        if cands.is_empty() {
-            return Outcome::Exhausted;
-        }
-        cands.shuffle(rng);
-
-        assigned[li] = true;
-        let mut saw_cutoff = false;
-        'cand: for gi in cands {
-            // Extend the binding; remember which vars we set for undo.
-            let mut trail: Vec<VarId> = Vec::new();
-            {
-                let lit = &self.clause.body[li];
-                let g = &self.ground.body[gi as usize];
-                for (t, &gv) in lit.args.iter().zip(g.vals.iter()) {
-                    if let Term::Var(v) = *t {
-                        match binding[v.index()] {
-                            None => {
-                                binding[v.index()] = Some(gv);
-                                trail.push(v);
-                            }
-                            Some(b) if b == gv => {}
-                            Some(_) => {
-                                for v in trail {
-                                    binding[v.index()] = None;
-                                }
-                                continue 'cand;
-                            }
-                        }
-                    }
-                }
-            }
-            // Forward checking: recompute counts only for unassigned
-            // literals touching a newly bound variable.
-            let mut count_trail: Vec<(usize, usize)> = Vec::new();
-            let mut dead_end = false;
-            'fc: for &v in &trail {
-                for &ljr in self.prep.lits_of_var(v.index()) {
-                    let lj = ljr as usize;
-                    if assigned[lj] || count_trail.iter().any(|&(k, _)| k == lj) {
-                        continue;
-                    }
-                    let new_count = self.count_candidates(lj, binding);
-                    count_trail.push((lj, counts[lj]));
-                    counts[lj] = new_count;
-                    if new_count == 0 {
-                        dead_end = true;
-                        break 'fc;
-                    }
-                }
-            }
-            if !dead_end {
-                match self.solve(binding, assigned, counts, rng) {
-                    Outcome::Found => return Outcome::Found,
-                    Outcome::Cutoff => saw_cutoff = true,
-                    Outcome::Exhausted => {}
-                }
-            }
-            for (lj, old) in count_trail {
-                counts[lj] = old;
-            }
-            for v in trail {
-                binding[v.index()] = None;
-            }
-            if self.nodes > self.cfg.node_limit {
-                assigned[li] = false;
-                return Outcome::Cutoff;
-            }
-        }
-        assigned[li] = false;
-        if saw_cutoff {
-            Outcome::Cutoff
-        } else {
-            Outcome::Exhausted
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bottom::GroundLiteral;
     use crate::example::Example;
     use relstore::RelId;
-
-    const ENGINES: [SubsumeEngine; 2] = [SubsumeEngine::Bitset, SubsumeEngine::Legacy];
-
-    /// Runs the test body once per engine, asserting both agree.
-    fn subsumes_both(clause: &Clause, ground: &GroundClause, cfg: &SubsumeConfig) -> bool {
-        let answers: Vec<bool> = ENGINES
-            .iter()
-            .map(|&e| theta_subsumes_with(e, clause, ground, cfg))
-            .collect();
-        assert_eq!(answers[0], answers[1], "engines disagree");
-        answers[0]
-    }
 
     fn v(n: u32) -> Term {
         Term::Var(VarId(n))
@@ -1351,7 +1105,7 @@ mod tests {
                 Literal::new(RelId(1), vec![v(2)]),
             ],
         );
-        assert!(subsumes_both(
+        assert!(theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1365,7 +1119,7 @@ mod tests {
             Literal::new(RelId(9), vec![v(0), v(1)]),
             vec![Literal::new(RelId(0), vec![v(1), v(2)])],
         );
-        assert!(!subsumes_both(
+        assert!(!theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1382,12 +1136,12 @@ mod tests {
             Literal::new(RelId(9), vec![Term::Const(c(7)), v(0)]),
             vec![],
         );
-        assert!(subsumes_both(
+        assert!(theta_subsumes(
             &clause_ok,
             &chain_ground(),
             &SubsumeConfig::default()
         ));
-        assert!(!subsumes_both(
+        assert!(!theta_subsumes(
             &clause_bad,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1398,14 +1152,14 @@ mod tests {
     fn repeated_head_var_requires_equal_constants() {
         // t(x,x) can't cover example t(1,2).
         let clause = Clause::new(Literal::new(RelId(9), vec![v(0), v(0)]), vec![]);
-        assert!(!subsumes_both(
+        assert!(!theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
         ));
         // But covers t(1,1).
         let ground = GroundClause::new(Example::new(RelId(9), vec![c(1), c(1)]), vec![]);
-        assert!(subsumes_both(&clause, &ground, &SubsumeConfig::default()));
+        assert!(theta_subsumes(&clause, &ground, &SubsumeConfig::default()));
     }
 
     #[test]
@@ -1419,12 +1173,12 @@ mod tests {
             Literal::new(RelId(9), vec![v(0), v(1)]),
             vec![Literal::new(RelId(0), vec![v(0), Term::Const(c(11))])],
         );
-        assert!(subsumes_both(
+        assert!(theta_subsumes(
             &ok,
             &chain_ground(),
             &SubsumeConfig::default()
         ));
-        assert!(!subsumes_both(
+        assert!(!theta_subsumes(
             &bad,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1442,7 +1196,7 @@ mod tests {
                 Literal::new(RelId(0), vec![v(3), v(1)]),
             ],
         );
-        assert!(subsumes_both(
+        assert!(theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1459,7 +1213,7 @@ mod tests {
                 Literal::new(RelId(0), vec![v(0), v(3)]),
             ],
         );
-        assert!(subsumes_both(
+        assert!(theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1473,7 +1227,7 @@ mod tests {
             Literal::new(RelId(9), vec![v(0), v(1)]),
             vec![Literal::new(RelId(0), vec![v(2), v(2)])],
         );
-        assert!(!subsumes_both(
+        assert!(!theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1483,19 +1237,19 @@ mod tests {
             Example::new(RelId(9), vec![c(1), c(2)]),
             vec![glit(0, &[1, 10]), glit(0, &[7, 7])],
         );
-        assert!(subsumes_both(&clause, &ground, &SubsumeConfig::default()));
+        assert!(theta_subsumes(&clause, &ground, &SubsumeConfig::default()));
     }
 
     #[test]
     fn wrong_relation_or_arity_in_head_fails_fast() {
         let clause = Clause::new(Literal::new(RelId(8), vec![v(0), v(1)]), vec![]);
-        assert!(!subsumes_both(
+        assert!(!theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
         ));
         let clause = Clause::new(Literal::new(RelId(9), vec![v(0)]), vec![]);
-        assert!(!subsumes_both(
+        assert!(!theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1505,7 +1259,7 @@ mod tests {
     #[test]
     fn empty_body_always_covers_matching_head() {
         let clause = Clause::new(Literal::new(RelId(9), vec![v(0), v(1)]), vec![]);
-        assert!(subsumes_both(
+        assert!(theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1535,7 +1289,7 @@ mod tests {
                 Literal::new(RelId(1), vec![v(2)]),
             ],
         );
-        assert!(subsumes_both(&clause, &ground, &SubsumeConfig::default()));
+        assert!(theta_subsumes(&clause, &ground, &SubsumeConfig::default()));
     }
 
     #[test]
@@ -1550,7 +1304,7 @@ mod tests {
             node_limit: 0, // no search budget at all
             max_restarts: 0,
         };
-        assert!(!subsumes_both(&clause, &chain_ground(), &cfg));
+        assert!(!theta_subsumes(&clause, &chain_ground(), &cfg));
     }
 
     #[test]
@@ -1575,7 +1329,7 @@ mod tests {
                 Literal::new(RelId(1), vec![v(2)]),
             ],
         );
-        assert!(subsumes_both(&clause, &ground, &SubsumeConfig::default()));
+        assert!(theta_subsumes(&clause, &ground, &SubsumeConfig::default()));
     }
 
     #[test]
@@ -1589,7 +1343,7 @@ mod tests {
                 Literal::new(RelId(1), vec![v(2)]),
             ],
         );
-        assert!(subsumes_both(
+        assert!(theta_subsumes(
             &good,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1612,9 +1366,7 @@ mod tests {
             max_restarts: 1,
         };
         // Either true (found fast) or false (budget) — just must terminate.
-        for e in ENGINES {
-            let _ = theta_subsumes_with(e, &clause, &chain_ground(), &cfg);
-        }
+        let _ = theta_subsumes(&clause, &chain_ground(), &cfg);
     }
 
     /// The answer is a pure function of `(clause, ground, cfg)`: repeated
@@ -1637,17 +1389,12 @@ mod tests {
             vec![Literal::new(RelId(1), vec![v(2)])],
         );
         let cfg = SubsumeConfig::default();
-        for e in ENGINES {
-            let alone = theta_subsumes_with(e, &clause, &chain_ground(), &cfg);
-            // Interleave unrelated tests; the answer must not move.
-            for _ in 0..5 {
-                let _ = theta_subsumes_with(e, &other, &chain_ground(), &cfg);
-            }
-            assert_eq!(
-                theta_subsumes_with(e, &clause, &chain_ground(), &cfg),
-                alone
-            );
+        let alone = theta_subsumes(&clause, &chain_ground(), &cfg);
+        // Interleave unrelated tests; the answer must not move.
+        for _ in 0..5 {
+            let _ = theta_subsumes(&other, &chain_ground(), &cfg);
         }
+        assert_eq!(theta_subsumes(&clause, &chain_ground(), &cfg), alone);
     }
 
     /// Multi-component clause: two independent chains that must both be
@@ -1666,7 +1413,7 @@ mod tests {
                 Literal::new(RelId(1), vec![v(4)]),
             ],
         );
-        assert!(subsumes_both(
+        assert!(theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()
@@ -1676,25 +1423,7 @@ mod tests {
             Example::new(RelId(9), vec![c(1), c(2)]),
             vec![glit(0, &[1, 10]), glit(0, &[10, 2])],
         );
-        assert!(!subsumes_both(&clause, &ground, &SubsumeConfig::default()));
-    }
-
-    #[test]
-    fn engine_selection_reads_env() {
-        // Not set / unknown → bitset; "legacy" → legacy. (Uses a save/restore
-        // rather than a lock: this is the only test in this binary touching
-        // AUTOBIAS_SUBSUME.)
-        let saved = std::env::var("AUTOBIAS_SUBSUME").ok();
-        std::env::remove_var("AUTOBIAS_SUBSUME");
-        assert_eq!(subsume_engine(), SubsumeEngine::Bitset);
-        std::env::set_var("AUTOBIAS_SUBSUME", "legacy");
-        assert_eq!(subsume_engine(), SubsumeEngine::Legacy);
-        std::env::set_var("AUTOBIAS_SUBSUME", "bitset");
-        assert_eq!(subsume_engine(), SubsumeEngine::Bitset);
-        match saved {
-            Some(v) => std::env::set_var("AUTOBIAS_SUBSUME", v),
-            None => std::env::remove_var("AUTOBIAS_SUBSUME"),
-        }
+        assert!(!theta_subsumes(&clause, &ground, &SubsumeConfig::default()));
     }
 
     #[test]
@@ -1707,8 +1436,7 @@ mod tests {
                 Literal::new(RelId(1), vec![v(2)]),
             ],
         );
-        assert!(theta_subsumes_with(
-            SubsumeEngine::Bitset,
+        assert!(theta_subsumes(
             &clause,
             &chain_ground(),
             &SubsumeConfig::default()

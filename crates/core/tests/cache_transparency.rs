@@ -1,13 +1,10 @@
 //! The coverage cache and the worker-thread count are *transparent*: with
-//! the same seed and data, learning with `AUTOBIAS_COVERAGE_CACHE=0` (memo
-//! disabled) or with any `AUTOBIAS_THREADS` value must produce a definition
-//! identical to the default run. The memo only changes *when* subsumption
-//! tests run, never their answers; the monotone negative cutoff only skips
-//! candidates that could never enter the beam (see DESIGN.md §10).
-//!
-//! These tests mutate process environment variables, so they live in their
-//! own integration-test binary (own process) and serialize on [`ENV_LOCK`]
-//! against the test harness's thread pool.
+//! the same seed and data, learning with the memo off
+//! (`LearnerConfig::coverage_memo`) or with any `LearnerConfig::threads`
+//! value must produce a definition identical to the default run. The memo
+//! only changes *when* subsumption tests run, never their answers; the
+//! monotone negative cutoff only skips candidates that could never enter the
+//! beam (see DESIGN.md §10).
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 #![cfg(not(miri))] // proptest-heavy: hundreds of cases, far too slow under miri
@@ -17,9 +14,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relstore::Database;
-use std::sync::Mutex;
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const BIAS_TEXT: &str = "
 pred r(T1, T1)
@@ -70,33 +64,26 @@ fn build_world(seed: u64, n_chains: usize, n_noise: usize) -> (Database, Trainin
     (db, TrainingSet::new(pos, neg))
 }
 
-/// Runs one full learning pass with `var` set to `value` (or unset), under
-/// the env lock, restoring the previous value afterwards.
-fn learn_with_env(
-    var: &str,
-    value: Option<&str>,
-    seed: u64,
-    db: &Database,
-    train: &TrainingSet,
-) -> Definition {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let saved = std::env::var(var).ok();
-    match value {
-        Some(v) => std::env::set_var(var, v),
-        None => std::env::remove_var(var),
-    }
+/// Runs one full learning pass with `cfg` (the seed is filled in).
+fn learn(cfg: LearnerConfig, seed: u64, db: &Database, train: &TrainingSet) -> Definition {
     let t = db.rel_id("t").unwrap();
     let bias = parse_bias(db, t, BIAS_TEXT).unwrap();
-    let learner = Learner::new(LearnerConfig {
-        seed,
+    let learner = Learner::new(LearnerConfig { seed, ..cfg });
+    learner.learn(db, &bias, train).0
+}
+
+fn with_memo(coverage_memo: bool) -> LearnerConfig {
+    LearnerConfig {
+        coverage_memo,
         ..LearnerConfig::default()
-    });
-    let (definition, _) = learner.learn(db, &bias, train);
-    match saved {
-        Some(v) => std::env::set_var(var, &v),
-        None => std::env::remove_var(var),
     }
-    definition
+}
+
+fn with_threads(threads: usize) -> LearnerConfig {
+    LearnerConfig {
+        threads,
+        ..LearnerConfig::default()
+    }
 }
 
 proptest! {
@@ -110,8 +97,8 @@ proptest! {
         n_noise in 0usize..8,
     ) {
         let (db, train) = build_world(seed, n_chains, n_noise);
-        let cached = learn_with_env("AUTOBIAS_COVERAGE_CACHE", None, seed, &db, &train);
-        let uncached = learn_with_env("AUTOBIAS_COVERAGE_CACHE", Some("0"), seed, &db, &train);
+        let cached = learn(with_memo(true), seed, &db, &train);
+        let uncached = learn(with_memo(false), seed, &db, &train);
         prop_assert_eq!(
             &cached,
             &uncached,
@@ -135,8 +122,8 @@ proptest! {
         n_noise in 0usize..8,
     ) {
         let (db, train) = build_world(seed, n_chains, n_noise);
-        let one = learn_with_env("AUTOBIAS_THREADS", Some("1"), seed, &db, &train);
-        let eight = learn_with_env("AUTOBIAS_THREADS", Some("8"), seed, &db, &train);
+        let one = learn(with_threads(1), seed, &db, &train);
+        let eight = learn(with_threads(8), seed, &db, &train);
         prop_assert_eq!(
             &one,
             &eight,
@@ -149,32 +136,28 @@ proptest! {
     }
 }
 
-/// The escape hatch really disables the memo (and the default enables it):
+/// The config field really disables the memo (and the default enables it):
 /// checked through the engine directly so a wiring regression can't hide
 /// behind identical learning output.
 #[test]
-fn escape_hatch_controls_engine_cache() {
-    let _guard = ENV_LOCK.lock().unwrap();
+fn memo_field_controls_engine_cache() {
     let (db, train) = build_world(11, 3, 0);
     let t = db.rel_id("t").unwrap();
     let bias = parse_bias(&db, t, BIAS_TEXT).unwrap();
-    let build = || {
-        CoverageEngine::build(
-            &db,
-            &bias,
-            &train,
-            &BcConfig::default(),
-            SubsumeConfig::default(),
-            7,
-        )
-    };
-    let saved = std::env::var("AUTOBIAS_COVERAGE_CACHE").ok();
-    std::env::remove_var("AUTOBIAS_COVERAGE_CACHE");
-    assert!(build().cache_enabled());
-    std::env::set_var("AUTOBIAS_COVERAGE_CACHE", "0");
-    assert!(!build().cache_enabled());
-    match saved {
-        Some(v) => std::env::set_var("AUTOBIAS_COVERAGE_CACHE", &v),
-        None => std::env::remove_var("AUTOBIAS_COVERAGE_CACHE"),
-    }
+    let build = |cfg: &LearnerConfig| CoverageEngine::for_learner(&db, &bias, &train, cfg);
+    assert!(build(&LearnerConfig::default()).cache_enabled());
+    assert!(build(&with_memo(true)).cache_enabled());
+    assert!(!build(&with_memo(false)).cache_enabled());
+    let six_arg = CoverageEngine::build(
+        &db,
+        &bias,
+        &train,
+        &BcConfig::default(),
+        SubsumeConfig::default(),
+        7,
+    );
+    assert!(
+        six_arg.cache_enabled(),
+        "the plain constructor keeps the memo on"
+    );
 }

@@ -1,9 +1,8 @@
-//! Differential test oracle for the θ-subsumption *engines*: on randomly
-//! generated databases, the bitset forward-checking CSP and the legacy
-//! randomized backtracker must return identical answers with an unbounded
-//! budget, and both must agree with exact SPJ evaluation against full
-//! depth-2 ground bottom clauses — three independent implementations of
-//! coverage pinned against each other (paper §5).
+//! Differential test oracle for θ-subsumption: on randomly generated
+//! databases, the bitset forward-checking CSP with an unbounded budget must
+//! agree with exact SPJ evaluation against full depth-2 ground bottom
+//! clauses, and a budgeted search may only ever lose "covered" answers,
+//! never invent them (paper §5).
 //!
 //! The clause generator chains literals mode-by-mode (as in
 //! `differential_coverage.rs`), which also produces bodies that split into
@@ -161,11 +160,10 @@ fn full_bc(world: &World, example: &Example, rng: &mut StdRng) -> GroundClause {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The three-way differential property: for every (clause, example)
-    /// pair, the bitset CSP, the legacy backtracker (both unbounded), and
-    /// exact SPJ evaluation return the same answer.
+    /// The differential property: for every (clause, example) pair, the
+    /// unbounded subsumption search and exact SPJ evaluation agree.
     #[test]
-    fn engines_agree_with_each_other_and_spj(
+    fn subsumption_agrees_with_spj(
         seed in 0u64..u64::MAX / 2,
         n_consts in 4usize..9,
         n_r in 0usize..14,
@@ -178,20 +176,9 @@ proptest! {
         for example in &world.examples {
             let bc = full_bc(&world, example, &mut rng);
             for clause in &world.clauses {
-                let bitset = theta_subsumes_with(SubsumeEngine::Bitset, clause, &bc, &scfg);
-                let legacy = theta_subsumes_with(SubsumeEngine::Legacy, clause, &bc, &scfg);
-                let spj = clause_covers(&world.db, clause, example, &qcfg);
                 prop_assert_eq!(
-                    bitset,
-                    legacy,
-                    "seed {}: engines disagree on {} for {}",
-                    world.seed,
-                    example.render(&world.db),
-                    clause.render(&world.db)
-                );
-                prop_assert_eq!(
-                    bitset,
-                    spj,
+                    theta_subsumes(clause, &bc, &scfg),
+                    clause_covers(&world.db, clause, example, &qcfg),
                     "seed {}: subsumption vs SPJ on {} for {}",
                     world.seed,
                     example.render(&world.db),
@@ -201,12 +188,10 @@ proptest! {
         }
     }
 
-    /// Budgeted searches stay one-sided in both engines: any "covered" from
-    /// a tightly budgeted run is confirmed by the unbounded legacy search,
-    /// and a clause the unbounded search accepts is never reported covered
-    /// differently by the two budgeted engines' *positive* answers.
+    /// Budgeted searches stay one-sided: any "covered" from a tightly
+    /// budgeted run is confirmed by exact SPJ evaluation.
     #[test]
-    fn budgets_are_one_sided_in_both_engines(
+    fn budgets_are_one_sided(
         seed in 0u64..u64::MAX / 2,
         n_consts in 4usize..9,
         n_r in 0usize..14,
@@ -215,22 +200,20 @@ proptest! {
     ) {
         let world = build_world(seed, n_consts, n_r, n_s);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0b1d);
+        let qcfg = QueryConfig::default();
         let tight = SubsumeConfig { node_limit, max_restarts: 1 };
-        let full = SubsumeConfig::unbounded();
         for example in &world.examples {
             let bc = full_bc(&world, example, &mut rng);
             for clause in &world.clauses {
-                let truth = theta_subsumes_with(SubsumeEngine::Legacy, clause, &bc, &full);
-                for engine in [SubsumeEngine::Bitset, SubsumeEngine::Legacy] {
-                    if theta_subsumes_with(engine, clause, &bc, &tight) {
-                        prop_assert!(
-                            truth,
-                            "seed {}: {:?} returned a false \"covered\" under budget {}",
-                            world.seed,
-                            engine,
-                            node_limit
-                        );
-                    }
+                if theta_subsumes(clause, &bc, &tight) {
+                    prop_assert!(
+                        clause_covers(&world.db, clause, example, &qcfg),
+                        "seed {}: false \"covered\" under budget {} on {} for {}",
+                        world.seed,
+                        node_limit,
+                        example.render(&world.db),
+                        clause.render(&world.db)
+                    );
                 }
             }
         }
@@ -239,11 +222,11 @@ proptest! {
 
 /// Directed decomposition test: a body that splits into three independent
 /// components once the head binds — two satisfiable, one not — must be
-/// rejected by both engines, and becomes accepted in both when the failing
-/// component is dropped. Guards the per-component conjunction: solving
-/// components independently must still require *every* component.
+/// rejected, and becomes accepted when the failing component is dropped.
+/// Guards the per-component conjunction: solving components independently
+/// must still require *every* component.
 #[test]
-fn decomposition_preserves_the_conjunction_in_both_engines() {
+fn decomposition_preserves_the_conjunction() {
     let mut db = Database::new();
     let r = db.add_relation("r", &["a", "b"]);
     let s = db.add_relation("s", &["a", "b"]);
@@ -292,16 +275,14 @@ fn decomposition_preserves_the_conjunction_in_both_engines() {
         ],
     );
     let cfg = SubsumeConfig::unbounded();
-    for engine in [SubsumeEngine::Bitset, SubsumeEngine::Legacy] {
-        assert!(
-            !theta_subsumes_with(engine, &failing, &ground, &cfg),
-            "{engine:?} accepted a clause whose third component fails"
-        );
-        assert!(
-            theta_subsumes_with(engine, &passing, &ground, &cfg),
-            "{engine:?} rejected a clause with two satisfiable components"
-        );
-    }
+    assert!(
+        !theta_subsumes(&failing, &ground, &cfg),
+        "accepted a clause whose third component fails"
+    );
+    assert!(
+        theta_subsumes(&passing, &ground, &cfg),
+        "rejected a clause with two satisfiable components"
+    );
 }
 
 /// Integration-level seed stability: the answer for a (clause, ground BC)
@@ -321,27 +302,22 @@ fn answers_do_not_depend_on_test_history() {
         node_limit: 50,
         max_restarts: 2,
     };
-    let run = |engine: SubsumeEngine| -> Vec<bool> {
+    let run = || -> Vec<bool> {
         let mut out = Vec::new();
         for bc in &bcs {
             for clause in &world.clauses {
-                out.push(theta_subsumes_with(engine, clause, bc, &cfg));
+                out.push(theta_subsumes(clause, bc, &cfg));
             }
         }
         out
     };
-    for engine in [SubsumeEngine::Bitset, SubsumeEngine::Legacy] {
-        let fresh = run(engine);
-        // Burn-in: interleave unrelated tests, then re-ask in reverse order.
-        for clause in world.clauses.iter().rev() {
-            for bc in bcs.iter().rev() {
-                theta_subsumes_with(engine, clause, bc, &cfg);
-            }
+    let fresh = run();
+    // Burn-in: interleave unrelated tests, then re-ask in reverse order.
+    for clause in world.clauses.iter().rev() {
+        for bc in bcs.iter().rev() {
+            theta_subsumes(clause, bc, &cfg);
         }
-        let again = run(engine);
-        assert_eq!(
-            fresh, again,
-            "{engine:?} gave history-dependent answers under a budget"
-        );
     }
+    let again = run();
+    assert_eq!(fresh, again, "history-dependent answers under a budget");
 }

@@ -274,9 +274,8 @@ impl CompiledClause {
 pub struct CompiledDefinition {
     plans: Vec<CompiledClause>,
     declined: Vec<(usize, Declined)>,
-    /// Findings from the soundness pass run at compile time; `None` when
-    /// the verifier was disabled (`AUTOBIAS_VERIFY=0`).
-    verify: Option<analyze::Report>,
+    /// Findings from the soundness pass run at compile time.
+    verify: analyze::Report,
 }
 
 impl CompiledDefinition {
@@ -309,10 +308,9 @@ impl CompiledDefinition {
     /// The soundness-verification report accumulated while compiling
     /// ([`crate::verify`]): findings for every clause that produced a plan,
     /// including plans subsequently declined as
-    /// [`Declined::FailedVerification`]. `None` means the verifier was
-    /// disabled (`AUTOBIAS_VERIFY=0`) and no plan was checked.
-    pub fn verify_report(&self) -> Option<&analyze::Report> {
-        self.verify.as_ref()
+    /// [`Declined::FailedVerification`].
+    pub fn verify_report(&self) -> &analyze::Report {
+        &self.verify
     }
 
     /// Whether any *compiled* clause covers `args` (Horn-definition
@@ -360,8 +358,7 @@ impl CompiledDefinition {
 ///
 /// This is the compile boundary every load path funnels through (serve
 /// registry scans, model uploads, learn-job completions, CLI explain), so
-/// soundness verification happens here: unless `AUTOBIAS_VERIFY=0`, each
-/// plan runs through [`crate::verify::verify_clause`] and a plan with Error
+/// soundness verification happens here: each plan runs through [`crate::verify::verify_clause`] and a plan with Error
 /// findings is declined as [`Declined::FailedVerification`] — counted on
 /// [`crate::PLAN_VERIFY_REJECTS`] and served by the interpreter, never
 /// executed. The accumulated findings are kept on the result
@@ -372,10 +369,7 @@ pub fn compile_definition(
     cfg: &CompileConfig,
 ) -> CompiledDefinition {
     crate::register();
-    let mut out = CompiledDefinition {
-        verify: analyze::enabled().then(analyze::Report::default),
-        ..CompiledDefinition::default()
-    };
+    let mut out = CompiledDefinition::default();
     for (i, clause) in definition.clauses.iter().enumerate() {
         match compile_clause(db, clause, cfg) {
             Ok(plan) => out.admit(db, i, clause, plan),
@@ -389,25 +383,22 @@ pub fn compile_definition(
 }
 
 impl CompiledDefinition {
-    /// Admission point for one freshly compiled plan: when the verifier is
-    /// on (`self.verify` is `Some`), runs [`crate::verify::verify_clause`],
-    /// records the findings, and declines plans with Error findings to the
-    /// interpreter. Separate from [`compile_definition`]'s loop so tests
+    /// Admission point for one freshly compiled plan: runs
+    /// [`crate::verify::verify_clause`], records the findings, and declines
+    /// plans with Error findings to the interpreter. Separate from [`compile_definition`]'s loop so tests
     /// can drive it with hand-mutated plans — through the public API the
     /// compiler's own output never takes the reject branch.
     pub(crate) fn admit(&mut self, db: &Database, i: usize, clause: &Clause, plan: CompiledClause) {
-        if let Some(acc) = self.verify.as_mut() {
-            let found = crate::verify::verify_clause(db, clause, &plan, i);
-            let rejected = found.has_errors();
-            let summary = found.summary();
-            acc.merge(found);
-            if rejected {
-                crate::PLAN_VERIFY_REJECTS.bump();
-                crate::PLAN_FALLBACK.bump();
-                self.declined
-                    .push((i, Declined::FailedVerification(summary)));
-                return;
-            }
+        let found = crate::verify::verify_clause(db, clause, &plan, i);
+        let rejected = found.has_errors();
+        let summary = found.summary();
+        self.verify.merge(found);
+        if rejected {
+            crate::PLAN_VERIFY_REJECTS.bump();
+            crate::PLAN_FALLBACK.bump();
+            self.declined
+                .push((i, Declined::FailedVerification(summary)));
+            return;
         }
         crate::PLAN_COMPILED.bump();
         self.plans.push(plan);
@@ -663,10 +654,7 @@ mod tests {
             .unwrap();
         plan.variants[0].steps[si].barrier = true;
 
-        let mut out = CompiledDefinition {
-            verify: Some(analyze::Report::default()),
-            ..CompiledDefinition::default()
-        };
+        let mut out = CompiledDefinition::default();
         let rejects_before = crate::PLAN_VERIFY_REJECTS.get();
         out.admit(&db, 0, &clause, plan);
         assert_eq!(out.num_compiled(), 0);
@@ -677,8 +665,7 @@ mod tests {
         ));
         assert!(out.declined()[0].1.to_string().contains("AB207"));
         assert_eq!(crate::PLAN_VERIFY_REJECTS.get(), rejects_before + 1);
-        let report = out.verify_report().unwrap();
-        assert!(report.has_errors());
+        assert!(out.verify_report().has_errors());
 
         // A sound plan through the same gate is admitted and leaves the
         // reject counter alone.

@@ -39,9 +39,8 @@
 //! Error — the compiler guarantees these properties for everything it
 //! emits, so any finding means a compiler bug or a hand-mutated plan).
 //! [`compile_definition`](crate::compile_definition) runs this pass at every
-//! compile boundary when the verifier is enabled (`AUTOBIAS_VERIFY`): a plan
-//! that fails is declined to interpreter fallback and counted on
-//! [`crate::PLAN_VERIFY_REJECTS`] — a compiler bug degrades to slower
+//! compile boundary: a plan that fails is declined to interpreter fallback
+//! and counted on [`crate::PLAN_VERIFY_REJECTS`] — a compiler bug degrades to slower
 //! serving, never to a wrong answer.
 
 use crate::compile::{Access, CompiledClause, CompiledDefinition, Key, Op, MAX_SLOTS, MAX_STEPS};

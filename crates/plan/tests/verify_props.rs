@@ -102,13 +102,12 @@ proptest! {
     ) {
         let (db, definition, examples) = build_world(seed, n_consts, n_r, n_s);
         let compiled = compile_definition(&db, &definition, &CompileConfig::default());
-        if let Some(report) = compiled.verify_report() {
-            prop_assert!(
-                !report.has_errors(),
-                "seed {seed}: compile-time verification flagged compiler output:\n{}",
-                report.render_text()
-            );
-        }
+        let report = compiled.verify_report();
+        prop_assert!(
+            !report.has_errors(),
+            "seed {seed}: compile-time verification flagged compiler output:\n{}",
+            report.render_text()
+        );
         prop_assert!(
             !compiled
                 .declined()
@@ -174,9 +173,8 @@ fn known_world_verifies_clean() {
     };
     let compiled = compile_definition(&db, &definition, &CompileConfig::default());
     assert!(compiled.is_fully_compiled());
-    if let Some(report) = compiled.verify_report() {
-        assert!(report.is_clean(), "{}", report.render_text());
-    }
+    let report = compiled.verify_report();
+    assert!(report.is_clean(), "{}", report.render_text());
     let report = plan::verify_definition(&db, &definition, &compiled);
     assert!(report.is_clean(), "{}", report.render_text());
 }

@@ -534,16 +534,14 @@ fn run_learn(
     // Learned models are verified observationally (warnings logged, never
     // rejected): the learner's own invariants make Error findings a bug, and
     // a partial model from a cancelled job is still worth serving.
-    if analyze::enabled() {
-        let verdict = analyze::check_definition(&ds.db, &def, Some(&bias));
-        if !verdict.is_clean() {
-            obs::warn!(
-                "job {} model {}: verifier found {}",
-                job.id,
-                job.model_name,
-                verdict.summary()
-            );
-        }
+    let verdict = analyze::check_definition(&ds.db, &def, Some(&bias));
+    if !verdict.is_clean() {
+        obs::warn!(
+            "job {} model {}: verifier found {}",
+            job.id,
+            job.model_name,
+            verdict.summary()
+        );
     }
 
     let clauses = def.len();

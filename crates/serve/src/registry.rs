@@ -156,13 +156,11 @@ impl ModelRegistry {
                     // Same admission bar as `POST /models/{name}`: a model
                     // with Error-severity lint findings (disconnected
                     // literals, unbound head variables) does not load.
-                    if analyze::enabled() {
-                        let verdict = analyze::check_definition(db, &definition, None);
-                        if verdict.has_errors() {
-                            crate::metrics::MODEL_REJECTIONS.bump();
-                            report.errors.push((fname, verdict.summary()));
-                            continue;
-                        }
+                    let verdict = analyze::check_definition(db, &definition, None);
+                    if verdict.has_errors() {
+                        crate::metrics::MODEL_REJECTIONS.bump();
+                        report.errors.push((fname, verdict.summary()));
+                        continue;
                     }
                     let entry = ModelEntry::new(
                         db,
@@ -179,7 +177,7 @@ impl ModelRegistry {
                     if let Some(report_) = entry
                         .plan
                         .as_ref()
-                        .and_then(plan::CompiledDefinition::verify_report)
+                        .map(plan::CompiledDefinition::verify_report)
                     {
                         if report_.has_errors() {
                             crate::metrics::MODEL_REJECTIONS.bump();

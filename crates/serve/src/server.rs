@@ -580,12 +580,8 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
         );
     }
     let (report, parsed) = analyze::check_model_source(&state.ds.db, body, None);
-    let rejected = if analyze::enabled() {
-        report.has_errors()
-    } else {
-        parsed.is_none() // parse failures reject even with the verifier off
-    };
-    if rejected {
+    let Some((definition, unknown_constants)) = parsed.filter(|_| !report.has_errors()) else {
+        // Parse failures are Error findings too, so this is one 422 path.
         crate::metrics::MODEL_REJECTIONS.bump();
         return Routed::json(
             Endpoint::Models,
@@ -593,11 +589,6 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
             "Unprocessable Entity",
             format!("{}\n", report.to_json()),
         );
-    }
-    let Some((definition, unknown_constants)) = parsed else {
-        // Verifier off and unparsable was handled above; this is the
-        // verifier-on, parse-ok path only.
-        unreachable!("parse success required for admission");
     };
     if definition.clauses.is_empty() {
         return Routed::json(
@@ -622,7 +613,7 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
     if let Some(verify) = entry
         .plan
         .as_ref()
-        .and_then(plan::CompiledDefinition::verify_report)
+        .map(plan::CompiledDefinition::verify_report)
     {
         if verify.has_errors() {
             crate::metrics::MODEL_REJECTIONS.bump();

@@ -73,12 +73,6 @@ fn rejections_from_metrics(addr: SocketAddr) -> u64 {
 
 #[test]
 fn upload_admission_and_rejection() {
-    if !analyze::enabled() {
-        // The admission bar *is* the static verifier; under AUTOBIAS_VERIFY=0
-        // (the CI reference-path matrix) uploads are deliberately accepted
-        // unchecked, so there is nothing to reject here.
-        return;
-    }
     let (data, models) = setup_dirs("upload");
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
