@@ -485,7 +485,7 @@ mod tests {
         assert!(compare(&base, &doc(7), &CompareConfig::default())
             .unwrap()
             .passed());
-        // Zero means AUTOBIAS_PLAN_STATS was (accidentally) off under load.
+        // Zero means no batch tallied its plan steps under load.
         let out = compare(&base, &doc(0), &CompareConfig::default()).unwrap();
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(

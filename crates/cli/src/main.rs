@@ -355,9 +355,9 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
     // Serving readiness: compile the learned definition the same way the
     // registry will at model load, so `--profile` / `--report-out` surface
     // `plan.compile` timings and any interpreter-fallback clauses show up
-    // now rather than at first serve. Observational only — the model text
-    // is identical with AUTOBIAS_COMPILE=0.
-    if plan::enabled() {
+    // now rather than at first serve. Observational only: the model text
+    // does not depend on it.
+    {
         let mut sp = obs::span!("plan.compile");
         let compiled = plan::compile_definition(&ds.db, &def, &plan::CompileConfig::default());
         sp.note("compiled", compiled.num_compiled() as u64);
@@ -436,16 +436,11 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
             // and run the plan soundness pass (AB2xx) offline, so CI catches
             // a plan the serve path would refuse before deployment.
             if let Some((definition, _)) = parsed {
-                if plan::enabled() {
-                    let compiled = plan::compile_definition(
-                        &ds.db,
-                        &definition,
-                        &plan::CompileConfig::default(),
-                    );
-                    // The compile-boundary report covers every produced
-                    // plan, including any the verifier declined.
-                    report.merge(compiled.verify_report().clone());
-                }
+                let compiled =
+                    plan::compile_definition(&ds.db, &definition, &plan::CompileConfig::default());
+                // The compile-boundary report covers every produced plan,
+                // including any the verifier declined.
+                report.merge(compiled.verify_report().clone());
             }
             report
         }
@@ -540,24 +535,20 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
 
 /// `autobias explain`: EXPLAIN for a model file — how each clause would be
 /// evaluated at serving time. Compiles the definition exactly the way the
-/// server's registry does at model load; `AUTOBIAS_COMPILE=0` shows every
-/// clause falling back to the interpreter. `--verify` re-runs the plan
+/// server's registry does at model load. `--verify` re-runs the plan
 /// soundness pass offline and appends its verdict (text) or a `verify`
 /// object (JSON) to the document.
 fn cmd_explain(args: &Args) -> Result<(), String> {
     let path = args.get_str("--model").ok_or("missing --model FILE")?;
     let mut ds = load(args)?;
     let def = load_model(args, &mut ds)?;
-    let compiled = plan::enabled()
-        .then(|| plan::compile_definition(&ds.db, &def, &plan::CompileConfig::default()));
-    let verify = args.has("--verify").then(|| match compiled.as_ref() {
-        Some(c) => plan::verify_definition(&ds.db, &def, c),
-        // Compilation off: no plans, nothing to prove.
-        None => analyze::Report::default(),
-    });
+    let compiled = plan::compile_definition(&ds.db, &def, &plan::CompileConfig::default());
+    let verify = args
+        .has("--verify")
+        .then(|| plan::verify_definition(&ds.db, &def, &compiled));
     if args.has("--json") {
         let name = Path::new(path).file_stem().and_then(|s| s.to_str());
-        let mut doc = plan::explain::explain(&ds.db, name, &def, compiled.as_ref(), None);
+        let mut doc = plan::explain::explain(&ds.db, name, &def, &compiled, None);
         if let (Some(report), obs::json::Json::Obj(fields)) = (&verify, &mut doc) {
             let parsed = obs::json::Json::parse(&report.to_json())
                 .map_err(|e| format!("rendering verify report: {e}"))?;
@@ -565,16 +556,13 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         }
         println!("{doc}");
     } else {
-        print!(
-            "{}",
-            plan::explain_text(&ds.db, &def, compiled.as_ref(), None)
-        );
+        print!("{}", plan::explain_text(&ds.db, &def, &compiled, None));
         if let Some(report) = &verify {
             if report.is_clean() {
-                let plans = compiled
-                    .as_ref()
-                    .map_or(0, plan::CompiledDefinition::num_compiled);
-                println!("verify: clean ({plans} plan(s) proved equivalent to their clauses)");
+                println!(
+                    "verify: clean ({} plan(s) proved equivalent to their clauses)",
+                    compiled.num_compiled()
+                );
             } else {
                 print!("{}", report.render_text());
             }
@@ -595,7 +583,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         models_dir: PathBuf::from(models),
         threads: args.get("--threads", 4usize),
         access_log: args.get_str("--access-log").map(PathBuf::from),
-        ..autobias_serve::ServeConfig::default()
+        // Read once per boot: `AUTOBIAS_TRACE=0` serves untraced.
+        request_trace: std::env::var("AUTOBIAS_TRACE").map_or(true, |v| v != "0"),
     };
     let (handle, report) = autobias_serve::serve(&cfg)?;
     for (file, e) in &report.errors {

@@ -17,8 +17,7 @@
 //! A clause appears exactly once, whichever engine serves it: compiled
 //! clauses carry their variants, access paths, residual ops, and
 //! compile-time estimates; declined clauses carry the
-//! [`Declined`](crate::Declined) reason; with compilation disabled every
-//! clause is rendered as interpreted. Passing an [`Analyzed`] view (a
+//! [`Declined`](crate::Declined) reason. Passing an [`Analyzed`] view (a
 //! [`BatchTally`] snapshot from [`crate::stats::PlanStats`]) upgrades
 //! EXPLAIN to EXPLAIN ANALYZE: each step gains `entries`, `candidates`,
 //! `emitted`, `rejected`, the mean observed candidate count, and its
@@ -54,26 +53,30 @@ fn op_text(db: &Database, op: &Op) -> String {
     }
 }
 
-/// Builds the EXPLAIN document as a [`Json`] tree. `compiled` is `None`
-/// when plan compilation is disabled; `analyzed` upgrades to EXPLAIN
-/// ANALYZE.
+/// Why the compiler declined clause `ci`, or `None` when it compiled.
+fn declined_reason(compiled: &CompiledDefinition, ci: usize) -> Option<String> {
+    compiled
+        .declined()
+        .iter()
+        .find(|(i, _)| *i == ci)
+        .map(|(_, why)| why.to_string())
+}
+
+/// Builds the EXPLAIN document as a [`Json`] tree; `analyzed` upgrades to
+/// EXPLAIN ANALYZE.
 pub fn explain(
     db: &Database,
     model: Option<&str>,
     definition: &Definition,
-    compiled: Option<&CompiledDefinition>,
+    compiled: &CompiledDefinition,
     analyzed: Option<Analyzed<'_>>,
 ) -> Json {
     let mut top: Vec<(String, Json)> = vec![("explain_version".into(), num(EXPLAIN_VERSION))];
     if let Some(name) = model {
         top.push(("model".into(), Json::Str(name.to_string())));
     }
-    let (num_compiled, num_declined) = match compiled {
-        Some(c) => (c.num_compiled(), c.num_declined()),
-        None => (0, definition.clauses.len()),
-    };
-    top.push(("compiled".into(), num(num_compiled as u64)));
-    top.push(("fallback".into(), num(num_declined as u64)));
+    top.push(("compiled".into(), num(compiled.num_compiled() as u64)));
+    top.push(("fallback".into(), num(compiled.num_declined() as u64)));
     top.push(("analyze".into(), Json::Bool(analyzed.is_some())));
     if let Some(a) = analyzed {
         top.push(("batches".into(), num(a.batches)));
@@ -86,24 +89,13 @@ pub fn explain(
             ("clause".into(), num(ci as u64)),
             ("text".into(), Json::Str(clause.render(db))),
         ];
-        let declined_reason = compiled.map_or_else(
-            || Some("plan compilation disabled (AUTOBIAS_COMPILE=0)".to_string()),
-            |c| {
-                c.declined()
-                    .iter()
-                    .find(|(i, _)| *i == ci)
-                    .map(|(_, why)| why.to_string())
-            },
-        );
-        if let Some(reason) = declined_reason {
+        if let Some(reason) = declined_reason(compiled, ci) {
             obj.push(("engine".into(), Json::Str("interpreted".into())));
             obj.push(("reason".into(), Json::Str(reason)));
             clauses.push(Json::Obj(obj));
             continue;
         }
-        let plan = &compiled
-            .expect("declined_reason is None only with plans")
-            .plans()[plan_idx];
+        let plan = &compiled.plans()[plan_idx];
         let ctally = analyzed.map(|a| &a.tally.clauses[plan_idx]);
         plan_idx += 1;
         obj.push(("engine".into(), Json::Str("compiled".into())));
@@ -188,7 +180,7 @@ pub fn explain_json(
     db: &Database,
     model: Option<&str>,
     definition: &Definition,
-    compiled: Option<&CompiledDefinition>,
+    compiled: &CompiledDefinition,
     analyzed: Option<Analyzed<'_>>,
 ) -> String {
     explain(db, model, definition, compiled, analyzed).to_string()
@@ -198,16 +190,14 @@ pub fn explain_json(
 pub fn explain_text(
     db: &Database,
     definition: &Definition,
-    compiled: Option<&CompiledDefinition>,
+    compiled: &CompiledDefinition,
     analyzed: Option<Analyzed<'_>>,
 ) -> String {
     let mut out = String::new();
-    let (nc, nd) = match compiled {
-        Some(c) => (c.num_compiled(), c.num_declined()),
-        None => (0, definition.clauses.len()),
-    };
     out.push_str(&format!(
-        "plan: {nc} clause(s) compiled, {nd} interpreted\n"
+        "plan: {} clause(s) compiled, {} interpreted\n",
+        compiled.num_compiled(),
+        compiled.num_declined()
     ));
     if let Some(a) = analyzed {
         out.push_str(&format!("analyze: {} batch(es) observed\n", a.batches));
@@ -215,22 +205,11 @@ pub fn explain_text(
     let mut plan_idx = 0usize;
     for (ci, clause) in definition.clauses.iter().enumerate() {
         out.push_str(&format!("clause {ci}: {}\n", clause.render(db)));
-        let declined_reason = compiled.map_or_else(
-            || Some("plan compilation disabled (AUTOBIAS_COMPILE=0)".to_string()),
-            |c| {
-                c.declined()
-                    .iter()
-                    .find(|(i, _)| *i == ci)
-                    .map(|(_, why)| why.to_string())
-            },
-        );
-        if let Some(reason) = declined_reason {
+        if let Some(reason) = declined_reason(compiled, ci) {
             out.push_str(&format!("  engine: interpreted — {reason}\n"));
             continue;
         }
-        let plan = &compiled
-            .expect("declined_reason is None only with plans")
-            .plans()[plan_idx];
+        let plan = &compiled.plans()[plan_idx];
         let ctally = analyzed.map(|a| &a.tally.clauses[plan_idx]);
         plan_idx += 1;
         match ctally {
@@ -338,7 +317,7 @@ mod tests {
         assert_eq!(compiled.num_compiled(), 1);
         assert_eq!(compiled.num_declined(), 1);
 
-        let json = explain_json(&db, Some("uw"), &def, Some(&compiled), None);
+        let json = explain_json(&db, Some("uw"), &def, &compiled, None);
         let parsed = Json::parse(&json).expect("explain emits valid JSON");
         assert_eq!(parsed.to_string(), json, "canonical rendering round-trips");
         assert_eq!(
@@ -369,7 +348,7 @@ mod tests {
             .unwrap()
             .contains("literals"));
 
-        let text = explain_text(&db, &def, Some(&compiled), None);
+        let text = explain_text(&db, &def, &compiled, None);
         assert!(text.contains("engine: compiled"));
         assert!(text.contains("engine: interpreted — 40 body literals"));
         assert!(text.contains("probe publication"));
@@ -392,7 +371,7 @@ mod tests {
             tally: &tally,
             batches: 1,
         };
-        let json = explain_json(&db, None, &def, Some(&compiled), Some(analyzed));
+        let json = explain_json(&db, None, &def, &compiled, Some(analyzed));
         let parsed = Json::parse(&json).unwrap();
         assert_eq!(parsed.to_string(), json, "analyze JSON round-trips too");
         assert_eq!(parsed.get("analyze").unwrap().as_bool(), Some(true));
@@ -407,24 +386,7 @@ mod tests {
         assert!(s0.get("entries").unwrap().as_f64().unwrap() >= 1.0);
         assert!(s0.get("qerror").unwrap().as_f64().unwrap() >= 1.0);
 
-        let text = explain_text(&db, &def, Some(&compiled), Some(analyzed));
+        let text = explain_text(&db, &def, &compiled, Some(analyzed));
         assert!(text.contains("qerror="));
-    }
-
-    #[test]
-    fn disabled_compilation_renders_all_clauses_interpreted() {
-        let (db, def) = setup();
-        let json = explain_json(&db, None, &def, None, None);
-        let parsed = Json::parse(&json).unwrap();
-        assert_eq!(parsed.get("compiled").unwrap().as_f64(), Some(0.0));
-        for c in parsed.get("clauses").unwrap().as_arr().unwrap() {
-            assert_eq!(c.get("engine").unwrap().as_str(), Some("interpreted"));
-            assert!(c
-                .get("reason")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .contains("disabled"));
-        }
     }
 }

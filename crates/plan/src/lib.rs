@@ -29,10 +29,6 @@
 //! boundary — a plan that fails the proof is declined to the interpreter
 //! and counted on [`PLAN_VERIFY_REJECTS`], so even a compiler bug can make
 //! serving slower but never wrong.
-//!
-//! Setting `AUTOBIAS_COMPILE=0` disables compilation globally ([`enabled`]),
-//! which is how the serve-level byte-identity tests drive both engines
-//! through the same HTTP surface.
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
@@ -87,11 +83,4 @@ pub fn register() {
         obs::metrics::register(&PLAN_FALLBACK);
         obs::metrics::register(&PLAN_VERIFY_REJECTS);
     });
-}
-
-/// Whether plan compilation is enabled (`AUTOBIAS_COMPILE` unset or not
-/// `"0"`). Read per call, not cached, so differential tests can toggle the
-/// engines within one process.
-pub fn enabled() -> bool {
-    std::env::var("AUTOBIAS_COMPILE").map_or(true, |v| v != "0")
 }

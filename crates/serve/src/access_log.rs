@@ -19,6 +19,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use crate::trace::PredictInfo;
 use obs::json::Json;
 
 /// Default rotation threshold.
@@ -39,15 +40,8 @@ pub struct AccessRecord<'a> {
     pub status: u16,
     /// Wall-clock latency in microseconds.
     pub latency_us: u64,
-    /// Model that served a prediction, if this was one.
-    pub model: Option<&'a str>,
-    /// `"compiled"` or `"interpreted"`, for predictions.
-    pub engine: Option<&'static str>,
-    /// Tuples in a prediction batch.
-    pub tuples: Option<u64>,
-    /// Plan-tally totals for a compiled prediction:
-    /// (entries, candidates, rejected, backtracks, node-limit hits).
-    pub plan: Option<(u64, u64, u64, u64, u64)>,
+    /// The batch, when the request was a served prediction.
+    pub predict: Option<&'a PredictInfo>,
     /// Tail-sampler verdict (`"error"`, `"slow"`, …) when the trace was
     /// kept.
     pub kept: Option<&'static str>,
@@ -64,26 +58,29 @@ impl AccessRecord<'_> {
             ("status".to_string(), Json::Num(self.status as f64)),
             ("latency_us".to_string(), Json::Num(self.latency_us as f64)),
         ];
-        if let Some(model) = self.model {
-            m.push(("model".to_string(), Json::Str(model.to_string())));
-        }
-        if let Some(engine) = self.engine {
-            m.push(("engine".to_string(), Json::Str(engine.to_string())));
-        }
-        if let Some(tuples) = self.tuples {
-            m.push(("tuples".to_string(), Json::Num(tuples as f64)));
-        }
-        if let Some((entries, candidates, rejected, backtracks, node_limit_hits)) = self.plan {
+        if let Some(p) = self.predict {
+            m.push(("model".to_string(), Json::Str(p.model.clone())));
+            m.push((
+                "engine".to_string(),
+                Json::Str(PredictInfo::ENGINE.to_string()),
+            ));
+            m.push(("tuples".to_string(), Json::Num(p.tuples as f64)));
             m.push((
                 "plan".to_string(),
                 Json::Obj(vec![
-                    ("entries".to_string(), Json::Num(entries as f64)),
-                    ("candidates".to_string(), Json::Num(candidates as f64)),
-                    ("rejected".to_string(), Json::Num(rejected as f64)),
-                    ("backtracks".to_string(), Json::Num(backtracks as f64)),
+                    ("entries".to_string(), Json::Num(p.plan.entries as f64)),
+                    (
+                        "candidates".to_string(),
+                        Json::Num(p.plan.candidates as f64),
+                    ),
+                    ("rejected".to_string(), Json::Num(p.plan.rejected as f64)),
+                    (
+                        "backtracks".to_string(),
+                        Json::Num(p.plan.backtracks as f64),
+                    ),
                     (
                         "node_limit_hits".to_string(),
-                        Json::Num(node_limit_hits as f64),
+                        Json::Num(p.plan.node_limit_hits as f64),
                     ),
                 ]),
             ));
@@ -188,10 +185,19 @@ mod tests {
             path: "/predict",
             status: 200,
             latency_us: 742,
-            model: Some("uw_coauthor"),
-            engine: Some("compiled"),
-            tuples: Some(3),
-            plan: Some((4, 12, 2, 1, 0)),
+            predict: Some(&PredictInfo {
+                model: "uw_coauthor".to_string(),
+                tuples: 3,
+                interpreter_fallback: false,
+                plan: plan::TallyTotals {
+                    entries: 4,
+                    candidates: 12,
+                    rejected: 2,
+                    backtracks: 1,
+                    node_limit_hits: 0,
+                },
+                max_qerror: None,
+            }),
             kept: Some("slow"),
         });
         log.log(&AccessRecord {
@@ -212,6 +218,7 @@ mod tests {
             Some("cafe0000000000000000000000000003")
         );
         assert_eq!(first.get("model").unwrap().as_str(), Some("uw_coauthor"));
+        assert_eq!(first.get("engine").unwrap().as_str(), Some("compiled"));
         assert_eq!(
             first.path(&["plan", "candidates"]).unwrap().as_f64(),
             Some(12.0)

@@ -322,13 +322,13 @@ impl JobManager {
                 }));
                 let elapsed = t0.elapsed().as_secs_f64();
                 if let Some(traces) = &traces {
-                    traces.keep(
+                    traces.keep(crate::trace::StoredTrace::new(
                         "job",
                         0,
                         t0.elapsed().as_micros() as u64,
                         crate::trace::KeepReason::Job,
                         ctx.finish(),
-                    );
+                    ));
                 }
                 match result {
                     Ok(Ok(outcome)) => worker_job.set_status(|s| {
@@ -340,8 +340,8 @@ impl JobManager {
                         s.elapsed_secs = Some(elapsed);
                         s.bc_secs = Some(outcome.bc_secs);
                         s.search_secs = Some(outcome.search_secs);
-                        s.plan_compiled = outcome.plan_compiled;
-                        s.plan_fallback = outcome.plan_fallback;
+                        s.plan_compiled = Some(outcome.plan_compiled);
+                        s.plan_fallback = Some(outcome.plan_fallback);
                     }),
                     Ok(Err(msg)) => worker_job.set_status(|s| {
                         s.state = JobState::Failed;
@@ -417,8 +417,8 @@ struct LearnOutcome {
     uncovered_pos: usize,
     bc_secs: f64,
     search_secs: f64,
-    plan_compiled: Option<usize>,
-    plan_fallback: Option<usize>,
+    plan_compiled: usize,
+    plan_fallback: usize,
 }
 
 /// Fans the learner's progress stream out to the job's live status fields,
@@ -554,21 +554,17 @@ fn run_learn(
     // Compile-at-insert happens before the report is finished, so the
     // `plan.compile` span shows up in the archived run's phase table.
     let entry = ModelEntry::new(&ds.db, job.model_name.clone(), def, vec![], Some(path));
-    let (plan_compiled, plan_fallback) = match entry.plan.as_ref() {
-        Some(p) => (Some(p.num_compiled()), Some(p.num_declined())),
-        None => (None, None),
-    };
-    if let Some(p) = entry.plan.as_ref() {
-        report.set_plan(obs::PlanReport {
-            compiled_clauses: p.num_compiled(),
-            fallback_clauses: p.num_declined(),
-            declined: p
-                .declined()
-                .iter()
-                .map(|(i, why)| format!("clause {i}: {why}"))
-                .collect(),
-        });
-    }
+    let (plan_compiled, plan_fallback) = (entry.plan.num_compiled(), entry.plan.num_declined());
+    report.set_plan(obs::PlanReport {
+        compiled_clauses: plan_compiled,
+        fallback_clauses: plan_fallback,
+        declined: entry
+            .plan
+            .declined()
+            .iter()
+            .map(|(i, why)| format!("clause {i}: {why}"))
+            .collect(),
+    });
     registry.insert(entry);
     if let Some(ledger) = ledger {
         let json = report.finish().to_json();

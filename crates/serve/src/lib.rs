@@ -30,8 +30,10 @@
 //!   (W3C `traceparent` in, `x-autobias-trace-id` out); requests that
 //!   error, fall back to the interpreter, or land above a rolling latency
 //!   threshold keep their full span tree in a bounded store behind
-//!   `GET /debug/traces` ([`trace`]), and an optional JSONL access log
-//!   ([`access_log`]) carries one correlated line per request.
+//!   `GET /debug/traces` ([`trace`]); `GET /debug/slow` is the same store's
+//!   kept predictions, worst latency first, with their batch context. An
+//!   optional JSONL access log ([`access_log`]) carries one correlated line
+//!   per request.
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 #![warn(missing_docs)]
@@ -45,7 +47,6 @@ pub mod metrics;
 pub mod pool;
 pub mod registry;
 pub mod server;
-pub mod slow;
 pub mod trace;
 
 pub use server::{serve, ServeConfig, ServerHandle};

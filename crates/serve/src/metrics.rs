@@ -72,11 +72,11 @@ pub static PREDICT_TUPLES: obs::metrics::Counter = obs::metrics::Counter::new(
     "Tuples classified by POST /predict (compiled and interpreted paths).",
 );
 
-/// Tuples that went through the clause interpreter instead of a compiled
-/// plan — because compilation is disabled, or a clause was declined.
+/// Tuples no compiled plan covered that then ran the model's declined
+/// clauses through the clause interpreter.
 pub static PREDICT_INTERPRETED_TUPLES: obs::metrics::Counter = obs::metrics::Counter::new(
     "autobias_predict_interpreted_tuples_total",
-    "Predict tuple evaluations that used the interpreter (compilation off or clause declined).",
+    "Predict tuple evaluations that ran declined clauses through the interpreter.",
 );
 
 /// Predict batches where runtime variant selection chose between multiple
@@ -178,7 +178,7 @@ pub enum Endpoint {
     Runs,
     /// `GET /models/{name}/plan` (EXPLAIN / EXPLAIN ANALYZE)
     Plan,
-    /// `GET /debug/slow` (the slow-request flight recorder)
+    /// `GET /debug/slow` and `GET /debug/traces` (the trace store's views)
     Debug,
     /// `POST /shutdown`
     Shutdown,

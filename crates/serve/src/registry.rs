@@ -29,16 +29,15 @@ pub struct ModelEntry {
     pub unknown_constants: Vec<String>,
     /// Source path, when the model came from a file.
     pub source: Option<PathBuf>,
-    /// Evaluation plans compiled at load time ([`plan::compile_definition`]);
-    /// `None` when compilation is disabled (`AUTOBIAS_COMPILE=0`). Predict
-    /// requests evaluate compiled clauses through the plans and any declined
-    /// clauses through the interpreter.
-    pub plan: Option<plan::CompiledDefinition>,
+    /// Evaluation plans compiled at load time ([`plan::compile_definition`]).
+    /// Predict requests evaluate compiled clauses through the plans and any
+    /// declined clauses through the interpreter.
+    pub plan: plan::CompiledDefinition,
     /// Lock-free runtime statistics for the compiled plans, shaped like
     /// `plan` and aggregated across predict batches (EXPLAIN ANALYZE,
     /// q-error metrics). Lives and dies with the entry, so rotated models
     /// can never leak stale series.
-    pub stats: Option<plan::PlanStats>,
+    pub stats: plan::PlanStats,
 }
 
 impl ModelEntry {
@@ -54,20 +53,17 @@ impl ModelEntry {
         unknown_constants: Vec<String>,
         source: Option<PathBuf>,
     ) -> Self {
-        let compiled = if plan::enabled() {
-            let mut sp = obs::span!("plan.compile");
-            let compiled =
-                plan::compile_definition(db, &definition, &plan::CompileConfig::default());
-            sp.note("compiled", compiled.num_compiled() as u64);
-            sp.note("declined", compiled.num_declined() as u64);
-            for (i, why) in compiled.declined() {
-                obs::warn!("model {name}: clause {i} declined by plan compiler ({why}), interpreter fallback");
-            }
-            Some(compiled)
-        } else {
-            None
-        };
-        let stats = compiled.as_ref().map(plan::PlanStats::for_definition);
+        let mut sp = obs::span!("plan.compile");
+        let compiled = plan::compile_definition(db, &definition, &plan::CompileConfig::default());
+        sp.note("compiled", compiled.num_compiled() as u64);
+        sp.note("declined", compiled.num_declined() as u64);
+        for (i, why) in compiled.declined() {
+            obs::warn!(
+                "model {name}: clause {i} declined by plan compiler ({why}), interpreter fallback"
+            );
+        }
+        drop(sp);
+        let stats = plan::PlanStats::for_definition(&compiled);
         Self {
             name,
             definition,
@@ -174,18 +170,13 @@ impl ModelRegistry {
                     // would still be correct — but a verifier error means a
                     // compiler bug or tampered artifact, and the admission
                     // bar for those is the same as for AB1xx lint errors.
-                    if let Some(report_) = entry
-                        .plan
-                        .as_ref()
-                        .map(plan::CompiledDefinition::verify_report)
-                    {
-                        if report_.has_errors() {
-                            crate::metrics::MODEL_REJECTIONS.bump();
-                            report
-                                .errors
-                                .push((fname, format!("plan verification: {}", report_.summary())));
-                            continue;
-                        }
+                    let verify = entry.plan.verify_report();
+                    if verify.has_errors() {
+                        crate::metrics::MODEL_REJECTIONS.bump();
+                        report
+                            .errors
+                            .push((fname, format!("plan verification: {}", verify.summary())));
+                        continue;
                     }
                     next.insert(stem.to_string(), Arc::new(entry));
                 }
@@ -313,7 +304,7 @@ mod tests {
         let (reg, report) = ModelRegistry::open(&db, &dir).unwrap();
         assert_eq!(report.loaded, vec!["coauthor"]);
         let entry = reg.get("coauthor").unwrap();
-        let compiled = entry.plan.as_ref().expect("compilation on by default");
+        let compiled = &entry.plan;
         assert_eq!(compiled.num_compiled(), 1);
         assert!(compiled.is_fully_compiled());
         std::fs::remove_dir_all(&dir).ok();

@@ -20,9 +20,9 @@ use crate::ledger::RunLedger;
 use crate::metrics::{Endpoint, GaugeSample, Metrics};
 use crate::pool::WorkerPool;
 use crate::registry::{ModelEntry, ModelRegistry};
-use crate::trace::TraceStore;
+use crate::trace::{PredictInfo, StoredTrace, TraceStore};
 use autobias::example::parse_arg_tuple;
-use autobias::query::{clause_covers_args, definition_covers_args, EvalScratch, QueryConfig};
+use autobias::query::{clause_covers_args, EvalScratch, QueryConfig};
 use datasets::io::load_dataset;
 use datasets::Dataset;
 use relstore::ConstResolver;
@@ -48,8 +48,9 @@ pub struct ServeConfig {
     /// JSONL access log path (`--access-log FILE`); `None` disables.
     pub access_log: Option<PathBuf>,
     /// Per-request tracing (traceparent in, `x-autobias-trace-id` out,
-    /// tail-sampled span trees). On by default; `AUTOBIAS_TRACE=0` or the
-    /// bench harness turn it off to measure the untraced fast path.
+    /// tail-sampled span trees, the `/debug/slow` view). On by default;
+    /// `autobias serve` turns it off under `AUTOBIAS_TRACE=0`, and the bench
+    /// harnesses turn it off to measure the untraced fast path.
     pub request_trace: bool,
 }
 
@@ -61,7 +62,7 @@ impl Default for ServeConfig {
             models_dir: PathBuf::from("models"),
             threads: 4,
             access_log: None,
-            request_trace: std::env::var("AUTOBIAS_TRACE").map_or(true, |v| v != "0"),
+            request_trace: true,
         }
     }
 }
@@ -72,20 +73,11 @@ struct AppState {
     jobs: JobManager,
     ledger: Arc<RunLedger>,
     metrics: Metrics,
-    slow: crate::slow::SlowRing,
     traces: Arc<TraceStore>,
     access_log: Option<AccessLog>,
     request_trace: bool,
     shutting_down: AtomicBool,
     addr: SocketAddr,
-}
-
-/// Whether /predict batches collect per-operator plan statistics
-/// (`AUTOBIAS_PLAN_STATS` unset or not `"0"`; default on). Read once per
-/// process — the Off path costs this one cached load per batch.
-fn plan_stats_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("AUTOBIAS_PLAN_STATS").map_or(true, |v| v != "0"))
 }
 
 /// A running server; dropping the handle does not stop it — send
@@ -145,7 +137,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<(ServerHandle, crate::registry::Reload
         jobs: JobManager::new(),
         ledger: Arc::new(ledger),
         metrics: Metrics::new(),
-        slow: crate::slow::SlowRing::from_env(),
         traces: Arc::new(TraceStore::open(Some(cfg.models_dir.join("traces")))),
         access_log,
         request_trace: cfg.request_trace,
@@ -282,13 +273,20 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
         let route_name = crate::metrics::endpoint_name(r.endpoint);
         // Tail sampling: the finished tree is kept only when the request is
         // worth a postmortem (error / interpreter fallback / slow outlier).
+        // A kept prediction carries its batch context for `/debug/slow`;
+        // the argument sample is cut from the body only now, so requests
+        // that are not kept pay nothing for it.
         let mut kept_reason = None;
         if let Some(ctx) = trace {
             let fallback = r.predict.as_ref().is_some_and(|p| p.interpreter_fallback);
             if let Some(reason) = state.traces.keep_reason(r.status, fallback, latency_us) {
-                state
-                    .traces
-                    .keep(route_name, r.status, latency_us, reason, ctx.finish());
+                state.traces.keep(StoredTrace {
+                    predict: r.predict.clone(),
+                    args_sample: r.predict.as_ref().map_or_else(String::new, |_| {
+                        crate::trace::truncate_sample(&first_tuple(&req.body))
+                    }),
+                    ..StoredTrace::new(route_name, r.status, latency_us, reason, ctx.finish())
+                });
                 kept_reason = Some(reason);
             }
         }
@@ -300,10 +298,7 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
                 path: &req.path,
                 status: r.status,
                 latency_us,
-                model: r.predict.as_ref().map(|p| p.model.as_str()),
-                engine: r.predict.as_ref().map(|p| p.engine),
-                tuples: r.predict.as_ref().map(|p| p.tuples),
-                plan: r.predict.as_ref().and_then(|p| p.plan),
+                predict: r.predict.as_ref(),
                 kept: kept_reason.map(crate::trace::KeepReason::as_str),
             });
         }
@@ -326,21 +321,6 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
             return;
         }
     }
-}
-
-/// Prediction context surfaced out of [`handle_predict`] so the connection
-/// loop can correlate the access-log line and the tail sampler's keep
-/// decision with what the batch actually did.
-struct PredictInfo {
-    model: String,
-    engine: &'static str,
-    tuples: u64,
-    /// A compiled model's declined clauses ran through the interpreter for
-    /// at least one tuple — one of the tail sampler's keep triggers.
-    interpreter_fallback: bool,
-    /// Plan-tally totals when stats were collected:
-    /// (entries, candidates, rejected, backtracks, node-limit hits).
-    plan: Option<(u64, u64, u64, u64, u64)>,
 }
 
 /// A routed response. Most routes speak `text/plain`; the model-upload
@@ -453,7 +433,7 @@ endpoints:
   POST /models/{name}      upload a model (verified; 422 + JSON diagnostics on Error findings)
   GET  /models/{name}/plan EXPLAIN the model's compiled plans as JSON (?analyze=1 adds runtime stats)
   POST /predict            body: `model NAME` then one CSV tuple per line
-  GET  /debug/slow         worst-latency /predict batches (bounded ring, JSON)
+  GET  /debug/slow         kept /predict traces, worst latency first (JSON; empty with tracing off)
   GET  /debug/traces       tail-sampled request traces (newest first, JSON)
   GET  /debug/traces/{id}  one kept span tree (?format=chrome for a chrome-trace export)
   POST /jobs/learn         start a background learning job (key value lines)
@@ -468,9 +448,9 @@ endpoints:
 
 fn route(state: &Arc<AppState>, req: &Request, trace_id: Option<&str>) -> Routed {
     // JSON-speaking routes are intercepted before the plain-text router:
-    // model upload, plan EXPLAIN, and the debug recorders (slow ring, trace
-    // store). The predict path is intercepted too so its batch context
-    // (model, engine, fallback, plan totals) reaches the connection loop.
+    // model upload, plan EXPLAIN, and the trace store's debug views. The
+    // predict path is intercepted too so its batch context (model,
+    // fallback, plan totals) reaches the connection loop.
     if matches!(req.method.as_str(), "POST" | "PUT") {
         if let Some(name) = req.path.strip_prefix("/models/") {
             return handle_model_upload(state, name, &req.body);
@@ -509,7 +489,7 @@ fn route(state: &Arc<AppState>, req: &Request, trace_id: Option<&str>) -> Routed
                 Endpoint::Debug,
                 200,
                 "OK",
-                format!("{}\n", state.slow.to_json()),
+                format!("{}\n", state.traces.slow_json()),
             );
         }
         if req.path == "/debug/traces" {
@@ -610,20 +590,15 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
         unknown_constants,
         Some(path.clone()),
     );
-    if let Some(verify) = entry
-        .plan
-        .as_ref()
-        .map(plan::CompiledDefinition::verify_report)
-    {
-        if verify.has_errors() {
-            crate::metrics::MODEL_REJECTIONS.bump();
-            return Routed::json(
-                Endpoint::Models,
-                422,
-                "Unprocessable Entity",
-                format!("{}\n", verify.to_json()),
-            );
-        }
+    let verify = entry.plan.verify_report();
+    if verify.has_errors() {
+        crate::metrics::MODEL_REJECTIONS.bump();
+        return Routed::json(
+            Endpoint::Models,
+            422,
+            "Unprocessable Entity",
+            format!("{}\n", verify.to_json()),
+        );
     }
     let text = if body.ends_with('\n') {
         body.to_string()
@@ -669,14 +644,7 @@ fn handle_plan(state: &Arc<AppState>, name: &str, query: &str) -> Routed {
     let want_analyze = query
         .split('&')
         .any(|kv| kv == "analyze=1" || kv == "analyze=true");
-    // `plan.enabled()` is consulted here like on the predict path, so a
-    // server running with AUTOBIAS_COMPILE=0 explains every clause as
-    // interpreted even if the entry was compiled at load.
-    let compiled = entry.plan.as_ref().filter(|_| plan::enabled());
-    let snapshot = match (want_analyze, compiled, entry.stats.as_ref()) {
-        (true, Some(_), Some(stats)) => Some((stats.snapshot(), stats.batches())),
-        _ => None,
-    };
+    let snapshot = want_analyze.then(|| (entry.stats.snapshot(), entry.stats.batches()));
     let analyzed = snapshot.as_ref().map(|(tally, batches)| plan::Analyzed {
         tally,
         batches: *batches,
@@ -685,7 +653,7 @@ fn handle_plan(state: &Arc<AppState>, name: &str, query: &str) -> Routed {
         &state.ds.db,
         Some(name),
         &entry.definition,
-        compiled,
+        &entry.plan,
         analyzed,
     );
     Routed::json(Endpoint::Plan, 200, "OK", format!("{json}\n"))
@@ -736,12 +704,10 @@ fn route_text(state: &Arc<AppState>, req: &Request) -> (Endpoint, u16, &'static 
                 .registry
                 .list()
                 .iter()
-                .filter_map(|m| {
-                    m.plan.as_ref().map(|p| crate::metrics::ModelPlanSample {
-                        name: m.name.clone(),
-                        compiled: p.num_compiled() as u64,
-                        fallback: p.num_declined() as u64,
-                    })
+                .map(|m| crate::metrics::ModelPlanSample {
+                    name: m.name.clone(),
+                    compiled: m.plan.num_compiled() as u64,
+                    fallback: m.plan.num_declined() as u64,
                 })
                 .collect();
             (
@@ -924,16 +890,28 @@ fn render_job(job: &crate::jobs::Job) -> String {
     out
 }
 
+/// The first tuple line of a `/predict` body (the line after `model NAME`),
+/// rendered the way the response echoes it.
+fn first_tuple(body: &str) -> String {
+    let line = body
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .nth(1)
+        .unwrap_or_default();
+    parse_arg_tuple(line).map_or_else(|_| line.to_string(), |fields| fields.join(","))
+}
+
 /// `POST /predict` body: a `model NAME` line, then one comma-separated tuple
 /// per line. The response has one `TUPLE\tpositive|negative` line per input
 /// tuple, in order.
 ///
 /// The whole batch is parsed up front into one flat constants buffer, then
-/// evaluated in one pass: through the model's compiled plans when it has
-/// them (declined clauses fall back to the interpreter per tuple), else
-/// entirely through the interpreter with scratch buffers reused across
-/// tuples. Both paths produce byte-identical responses — the differential
-/// suite holds them to that.
+/// evaluated in one pass: each tuple runs the model's compiled plans first,
+/// and only a tuple no compiled clause covers runs the clauses the compiler
+/// declined, through the interpreter with scratch buffers reused across
+/// tuples. The verdicts equal the interpreter's over the whole definition —
+/// the differential suites hold them to that.
 fn handle_predict(
     state: &Arc<AppState>,
     body: &str,
@@ -1012,102 +990,45 @@ fn handle_predict(
 
     let qcfg = QueryConfig::default();
     let mut verdicts = vec![false; echo.len()];
-    // `plan.enabled()` is consulted at request time too, so flipping
-    // `AUTOBIAS_COMPILE=0` exercises the interpreted path even against a
-    // registry entry that was compiled at load.
-    let compiled = entry.plan.as_ref().filter(|_| plan::enabled());
+    let plans = &entry.plan;
     crate::metrics::PREDICT_TUPLES.add(echo.len() as u64);
-    let t_batch = Instant::now();
-    let engine;
-    let mut ops = crate::slow::SlowOpSummary::default();
-    let mut plan_totals = None;
-    let mut interpreter_fallback = false;
-    if let Some(plans) = compiled {
-        engine = "compiled";
-        let mut sp = obs::span!("predict.compiled_batch");
-        let mut scratch = EvalScratch::default();
-        let mut exec = plan::ExecScratch::default();
-        let mut interpreted = 0u64;
-        // One plain-counter tally for the whole batch, flushed into the
-        // model's atomics once at the end; with stats off the tally is
-        // never built and the hot loop is the exact pre-stats code path.
-        let stats = entry.stats.as_ref().filter(|_| plan_stats_enabled());
-        let mut tally = stats.map(|_| plan::BatchTally::for_definition(plans));
-        for (t, verdict) in verdicts.iter_mut().enumerate() {
-            let args = &consts[t * arity..(t + 1) * arity];
-            let mut covered = match tally.as_mut() {
-                Some(tally) => plans.covers_compiled_tallied(db, args, &mut exec, tally),
-                None => plans.covers_compiled_with(db, args, &mut exec),
-            };
-            // Clauses the compiler declined still participate in the
-            // definition's disjunction — interpret them for tuples no
-            // compiled clause covered.
-            if !covered && !plans.is_fully_compiled() {
-                interpreted += 1;
-                covered = plans.declined().iter().any(|&(i, _)| {
-                    clause_covers_args(
-                        db,
-                        &entry.definition.clauses[i],
-                        rel,
-                        args,
-                        &qcfg,
-                        &mut scratch,
-                    )
-                });
-            }
-            *verdict = covered;
+    let mut sp = obs::span!("predict.compiled_batch");
+    let mut scratch = EvalScratch::default();
+    let mut exec = plan::ExecScratch::default();
+    let mut interpreted = 0u64;
+    // One plain-counter tally for the whole batch, flushed into the model's
+    // atomics once at the end.
+    let mut tally = plan::BatchTally::for_definition(plans);
+    for (t, verdict) in verdicts.iter_mut().enumerate() {
+        let args = &consts[t * arity..(t + 1) * arity];
+        let mut covered = plans.covers_compiled_tallied(db, args, &mut exec, &mut tally);
+        // Clauses the compiler declined still participate in the
+        // definition's disjunction — interpret them for tuples no compiled
+        // clause covered.
+        if !covered && !plans.is_fully_compiled() {
+            interpreted += 1;
+            covered = plans.declined().iter().any(|&(i, _)| {
+                clause_covers_args(
+                    db,
+                    &entry.definition.clauses[i],
+                    rel,
+                    args,
+                    &qcfg,
+                    &mut scratch,
+                )
+            });
         }
-        sp.note("tuples", echo.len() as u64);
-        crate::metrics::PREDICT_INTERPRETED_TUPLES.add(interpreted);
-        interpreter_fallback = interpreted > 0;
-        if let (Some(stats), Some(tally)) = (stats, tally.as_ref()) {
-            stats.absorb(tally);
-            let q_errors = plan::step_q_errors(plans, tally);
-            for &q in &q_errors {
-                crate::metrics::observe_qerror_traced(q, trace_id);
-            }
-            crate::metrics::PLAN_VARIANT_SELECTIONS.add(tally.multi_variant_selections());
-            let totals = tally.totals();
-            ops.entries = totals.entries;
-            ops.candidates = totals.candidates;
-            ops.rejected = totals.rejected;
-            ops.backtracks = totals.backtracks;
-            ops.node_limit_hits = totals.node_limit_hits;
-            plan_totals = Some((
-                totals.entries,
-                totals.candidates,
-                totals.rejected,
-                totals.backtracks,
-                totals.node_limit_hits,
-            ));
-            ops.max_qerror = q_errors
-                .iter()
-                .copied()
-                .fold(None, |m, q| Some(m.map_or(q, |m: f64| m.max(q))));
-        }
-    } else {
-        engine = "interpreted";
-        let mut sp = obs::span!("predict.interpreted_batch");
-        let mut scratch = EvalScratch::default();
-        for (t, verdict) in verdicts.iter_mut().enumerate() {
-            let args = &consts[t * arity..(t + 1) * arity];
-            *verdict =
-                definition_covers_args(db, &entry.definition, rel, args, &qcfg, &mut scratch);
-        }
-        sp.note("tuples", echo.len() as u64);
-        crate::metrics::PREDICT_INTERPRETED_TUPLES.add(echo.len() as u64);
+        *verdict = covered;
     }
-    // Offer the batch to the slow-request flight recorder; on the common
-    // path (ring full of slower batches) this is one relaxed load.
-    state.slow.record(
-        t_batch.elapsed().as_micros() as u64,
-        name,
-        engine,
-        trace_id.unwrap_or(""),
-        echo.len(),
-        &echo[0],
-        ops,
-    );
+    sp.note("tuples", echo.len() as u64);
+    crate::metrics::PREDICT_INTERPRETED_TUPLES.add(interpreted);
+    entry.stats.absorb(&tally);
+    let q_errors = plan::step_q_errors(plans, &tally);
+    for &q in &q_errors {
+        crate::metrics::observe_qerror_traced(q, trace_id);
+    }
+    crate::metrics::PLAN_VARIANT_SELECTIONS.add(tally.multi_variant_selections());
+    drop(sp);
 
     let mut out = String::with_capacity(echo.len() * 24);
     for (fields, covered) in echo.iter().zip(&verdicts) {
@@ -1118,10 +1039,10 @@ fn handle_predict(
     }
     let info = PredictInfo {
         model: name.to_string(),
-        engine,
         tuples: echo.len() as u64,
-        interpreter_fallback,
-        plan: plan_totals,
+        interpreter_fallback: interpreted > 0,
+        plan: tally.totals(),
+        max_qerror: q_errors.into_iter().reduce(f64::max),
     };
     Ok((out, info))
 }

@@ -1,4 +1,5 @@
-//! Tail-sampled trace store behind `GET /debug/traces`.
+//! Tail-sampled trace store behind `GET /debug/traces` and
+//! `GET /debug/slow`.
 //!
 //! Every request records its span tree into an [`obs::trace::TraceCtx`];
 //! keeping every tree would be wasteful, so this store samples from the
@@ -12,12 +13,15 @@
 //!   don't archive every request (`AUTOBIAS_TRACE_SLOW_US` pins the floor,
 //!   which CI uses to force-keep requests).
 //!
-//! Kept traces live in a bounded in-memory deque (newest first; capacity
-//! `AUTOBIAS_TRACE_CAP`, default [`TraceStore::DEFAULT_CAP`]) and, when the
-//! store is opened with a directory, as JSON documents on disk — both the
-//! span tree (`<trace_id>.json`) and the chrome-trace export
-//! (`<trace_id>.chrome.json`, loadable in Perfetto) — pruned oldest-first
-//! past `AUTOBIAS_TRACE_DISK_CAP` pairs.
+//! Kept traces live in a bounded in-memory deque (newest first, at most
+//! [`TraceStore::DEFAULT_CAP`]) and, when the store is opened with a
+//! directory, as JSON documents on disk — both the span tree
+//! (`<trace_id>.json`) and the chrome-trace export (`<trace_id>.chrome.json`,
+//! loadable in Perfetto) — pruned oldest-first past
+//! [`TraceStore::DEFAULT_DISK_CAP`] pairs. A kept `/predict` request also
+//! carries its batch context ([`PredictInfo`] plus a sample of the first
+//! tuple), which `GET /debug/slow` renders worst latency first: one record
+//! per retained request, two views.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -52,6 +56,31 @@ impl KeepReason {
     }
 }
 
+/// What one `/predict` batch did: handed from the predict handler to the
+/// access log and, when the tail sampler keeps the request, stored on its
+/// [`StoredTrace`].
+#[derive(Debug, Clone)]
+pub struct PredictInfo {
+    /// Model that served the batch.
+    pub model: String,
+    /// Tuples in the batch.
+    pub tuples: u64,
+    /// A declined clause ran through the interpreter for at least one tuple
+    /// — one of the tail sampler's keep triggers.
+    pub interpreter_fallback: bool,
+    /// Plan-tally totals of the batch's compiled clauses.
+    pub plan: plan::TallyTotals,
+    /// Worst per-step q-error in the batch, if any compiled step ran.
+    pub max_qerror: Option<f64>,
+}
+
+impl PredictInfo {
+    /// The `engine` label of access-log lines and `/debug/slow` entries.
+    /// Every batch runs the compiled loop; declined clauses are interpreted
+    /// inside it.
+    pub const ENGINE: &'static str = "compiled";
+}
+
 /// One retained trace with its request context.
 #[derive(Debug, Clone)]
 pub struct StoredTrace {
@@ -65,6 +94,50 @@ pub struct StoredTrace {
     pub reason: KeepReason,
     /// The finished span tree.
     pub tree: TraceTree,
+    /// The batch a `/predict` request served (`None` for other routes and
+    /// for rejected predictions).
+    pub predict: Option<PredictInfo>,
+    /// The first tuple of a `/predict` body, cut to [`ARGS_SAMPLE_MAX`]
+    /// bytes (empty for other routes).
+    pub args_sample: String,
+}
+
+impl StoredTrace {
+    /// A trace with no `/predict` context.
+    pub fn new(
+        route: &'static str,
+        status: u16,
+        latency_us: u64,
+        reason: KeepReason,
+        tree: TraceTree,
+    ) -> Self {
+        Self {
+            route,
+            status,
+            latency_us,
+            reason,
+            tree,
+            predict: None,
+            args_sample: String::new(),
+        }
+    }
+}
+
+/// `StoredTrace::args_sample` is cut to this many bytes.
+pub const ARGS_SAMPLE_MAX: usize = 120;
+
+/// Cuts `tuple` to at most [`ARGS_SAMPLE_MAX`] bytes on a char boundary,
+/// marking a cut with `…`.
+pub fn truncate_sample(tuple: &str) -> String {
+    let mut sample = String::with_capacity(tuple.len().min(ARGS_SAMPLE_MAX + 3));
+    for ch in tuple.chars() {
+        if sample.len() + ch.len_utf8() > ARGS_SAMPLE_MAX {
+            sample.push('…');
+            break;
+        }
+        sample.push(ch);
+    }
+    sample
 }
 
 /// Bounded tail-sampling trace store; one per server.
@@ -93,26 +166,25 @@ const EWMA_SHIFT: u32 = 4;
 const SLOW_MULTIPLIER: u64 = 4;
 
 impl TraceStore {
-    /// Default in-memory retention.
+    /// In-memory retention.
     pub const DEFAULT_CAP: usize = 64;
-    /// Default on-disk retention (pairs of tree + chrome documents).
+    /// On-disk retention (pairs of tree + chrome documents).
     pub const DEFAULT_DISK_CAP: usize = 256;
     /// Default slow floor: below this latency nothing is kept as "slow"
     /// regardless of the rolling mean.
     pub const DEFAULT_SLOW_FLOOR_US: u64 = 10_000;
 
-    /// A store sized from the environment, optionally persisting kept
-    /// traces under `dir` (created on first write).
+    /// An empty store, optionally persisting kept traces under `dir`
+    /// (created on first write). The slow floor is `AUTOBIAS_TRACE_SLOW_US`
+    /// when set, read once here.
     pub fn open(dir: Option<PathBuf>) -> Self {
-        let cap = env_usize("AUTOBIAS_TRACE_CAP", Self::DEFAULT_CAP).clamp(1, 4096);
-        let disk_cap = env_usize("AUTOBIAS_TRACE_DISK_CAP", Self::DEFAULT_DISK_CAP).clamp(1, 65536);
         let slow_floor_us = std::env::var("AUTOBIAS_TRACE_SLOW_US")
             .ok()
             .and_then(|v| v.trim().parse::<u64>().ok())
             .unwrap_or(Self::DEFAULT_SLOW_FLOOR_US);
         Self {
-            cap,
-            disk_cap,
+            cap: Self::DEFAULT_CAP,
+            disk_cap: Self::DEFAULT_DISK_CAP,
             dir,
             entries: Mutex::new(VecDeque::new()),
             disk_files: Mutex::new(VecDeque::new()),
@@ -178,22 +250,8 @@ impl TraceStore {
     /// [`keep_reason`](TraceStore::keep_reason), or kept unconditionally
     /// for jobs). Evicts the oldest in-memory entry past the cap and prunes
     /// on-disk documents past the disk cap.
-    pub fn keep(
-        &self,
-        route: &'static str,
-        status: u16,
-        latency_us: u64,
-        reason: KeepReason,
-        tree: TraceTree,
-    ) {
+    pub fn keep(&self, stored: StoredTrace) {
         self.kept.fetch_add(1, Ordering::Relaxed);
-        let stored = StoredTrace {
-            route,
-            status,
-            latency_us,
-            reason,
-            tree,
-        };
         self.persist(&stored);
         let mut entries = self.entries.lock().expect("trace store poisoned");
         entries.push_front(stored);
@@ -260,6 +318,49 @@ impl TraceStore {
         .to_string()
     }
 
+    /// The `GET /debug/slow` body: the retained `/predict` requests that
+    /// served a batch, worst latency first, each with its batch context and
+    /// the trace id that resolves at `GET /debug/traces/{id}`.
+    pub fn slow_json(&self) -> String {
+        let entries = self.entries.lock().expect("trace store poisoned");
+        let mut kept: Vec<(&StoredTrace, &PredictInfo)> = entries
+            .iter()
+            .filter_map(|t| Some((t, t.predict.as_ref()?)))
+            .collect();
+        // Stable sort over the newest-first deque: ties list newest first.
+        kept.sort_by_key(|(t, _)| std::cmp::Reverse(t.latency_us));
+        let slow = kept
+            .into_iter()
+            .map(|(t, p)| {
+                Json::Obj(vec![
+                    ("latency_us".into(), Json::Num(t.latency_us as f64)),
+                    ("model".into(), Json::Str(p.model.clone())),
+                    ("engine".into(), Json::Str(PredictInfo::ENGINE.to_string())),
+                    ("trace_id".into(), Json::Str(t.tree.trace_id.clone())),
+                    ("tuples".into(), Json::Num(p.tuples as f64)),
+                    ("args_sample".into(), Json::Str(t.args_sample.clone())),
+                    ("entries".into(), Json::Num(p.plan.entries as f64)),
+                    ("candidates".into(), Json::Num(p.plan.candidates as f64)),
+                    ("rejected".into(), Json::Num(p.plan.rejected as f64)),
+                    ("backtracks".into(), Json::Num(p.plan.backtracks as f64)),
+                    (
+                        "node_limit_hits".into(),
+                        Json::Num(p.plan.node_limit_hits as f64),
+                    ),
+                    (
+                        "max_qerror".into(),
+                        p.max_qerror.map_or(Json::Null, Json::Num),
+                    ),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("cap".into(), Json::Num(self.cap as f64)),
+            ("slow".into(), Json::Arr(slow)),
+        ])
+        .to_string()
+    }
+
     /// The `GET /debug/traces/{id}` body: the stored span tree with its
     /// request context, from memory or (for evicted traces) from disk.
     /// `None` when the id was never kept or has been pruned everywhere.
@@ -306,13 +407,6 @@ fn stored_trace_json(t: &StoredTrace) -> Json {
         ("reason".into(), Json::Str(t.reason.as_str().to_string())),
         ("tree".into(), t.tree.to_json()),
     ])
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(default)
 }
 
 #[cfg(test)]
@@ -393,7 +487,13 @@ mod tests {
         for _ in 0..6 {
             let tree = tree_with_one_span("test.store_span");
             ids.push(tree.trace_id.clone());
-            s.keep("predict", 200, 123, KeepReason::Slow, tree);
+            s.keep(StoredTrace::new(
+                "predict",
+                200,
+                123,
+                KeepReason::Slow,
+                tree,
+            ));
         }
         let listed = Json::parse(&s.list_json()).unwrap();
         let traces = listed.get("traces").unwrap().as_arr().unwrap();
@@ -420,6 +520,75 @@ mod tests {
     }
 
     #[test]
+    fn slow_view_lists_kept_predictions_worst_first() {
+        let s = fresh_store();
+        let predict = |latency_us: u64, model: &str| {
+            let mut t = StoredTrace::new(
+                "predict",
+                200,
+                latency_us,
+                KeepReason::Slow,
+                tree_with_one_span("test.slow_span"),
+            );
+            t.predict = Some(PredictInfo {
+                model: model.to_string(),
+                tuples: 3,
+                interpreter_fallback: false,
+                plan: plan::TallyTotals {
+                    entries: 4,
+                    candidates: 12,
+                    rejected: 2,
+                    backtracks: 1,
+                    node_limit_hits: 0,
+                },
+                max_qerror: Some(2.5),
+            });
+            t.args_sample = truncate_sample(&"x".repeat(500));
+            t
+        };
+        s.keep(predict(20, "fast"));
+        s.keep(StoredTrace::new(
+            "metrics",
+            500,
+            90,
+            KeepReason::Error,
+            tree_with_one_span("test.other_span"),
+        ));
+        s.keep(predict(50, "worst"));
+        s.keep(predict(30, "middle"));
+
+        let json = s.slow_json();
+        let parsed = Json::parse(&json).unwrap();
+        assert_eq!(parsed.to_string(), json, "canonical rendering");
+        assert_eq!(parsed.get("cap").unwrap().as_f64(), Some(4.0));
+        let slow = parsed.get("slow").unwrap().as_arr().unwrap();
+        let models: Vec<_> = slow
+            .iter()
+            .map(|e| e.get("model").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(models, ["worst", "middle", "fast"], "predict traces only");
+        let worst = &slow[0];
+        assert_eq!(worst.get("latency_us").unwrap().as_f64(), Some(50.0));
+        assert_eq!(worst.get("engine").unwrap().as_str(), Some("compiled"));
+        assert_eq!(worst.get("candidates").unwrap().as_f64(), Some(12.0));
+        assert_eq!(worst.get("max_qerror").unwrap().as_f64(), Some(2.5));
+        assert!(worst.get("seq").is_none(), "the trace id is the identity");
+        let id = worst.get("trace_id").unwrap().as_str().unwrap();
+        assert!(s.get_json(id).is_some(), "entry resolves as a kept trace");
+        let sample = worst.get("args_sample").unwrap().as_str().unwrap();
+        assert!(sample.len() <= ARGS_SAMPLE_MAX + '…'.len_utf8());
+        assert!(sample.ends_with('…'));
+    }
+
+    #[test]
+    fn truncate_sample_cuts_on_a_char_boundary() {
+        assert_eq!(truncate_sample("s1,p1"), "s1,p1");
+        let cut = truncate_sample(&"é".repeat(100));
+        assert!(cut.ends_with('…'));
+        assert_eq!(cut.chars().count(), ARGS_SAMPLE_MAX / 2 + 1);
+    }
+
+    #[test]
     fn disk_persistence_survives_memory_eviction_and_prunes() {
         let dir = std::env::temp_dir().join(format!(
             "autobias-trace-store-{}-{}",
@@ -432,7 +601,7 @@ mod tests {
         for _ in 0..6 {
             let tree = tree_with_one_span("test.disk_span");
             ids.push(tree.trace_id.clone());
-            s.keep("predict", 500, 9, KeepReason::Error, tree);
+            s.keep(StoredTrace::new("predict", 500, 9, KeepReason::Error, tree));
         }
         // disk_cap = 2: only the newest two pairs remain on disk.
         let remaining: Vec<_> = std::fs::read_dir(&dir)

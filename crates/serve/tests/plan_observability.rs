@@ -1,15 +1,17 @@
 //! End-to-end plan observability: `GET /models/{name}/plan` (EXPLAIN),
-//! `?analyze=1` (EXPLAIN ANALYZE with live per-operator counters),
-//! the slow-request flight recorder on `GET /debug/slow`, and the
-//! q-error / per-model plan series on `GET /metrics`.
-//!
-//! One `#[test]`: the engine toggle and the stats gate are process env
-//! vars, so parallel tests in this binary would race them.
+//! `?analyze=1` (EXPLAIN ANALYZE with live per-operator counters), the
+//! q-error / per-model plan series on `GET /metrics`, and a model whose
+//! declined clause is served by the interpreter — its verdicts, its
+//! interpreter counter, its kept trace, and its `GET /debug/slow` entry.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
+use autobias::clause_text::parse_definition_frozen;
+use autobias::query::{definition_covers_args, EvalScratch, QueryConfig};
+use autobias_serve::trace::TraceStore;
 use autobias_serve::{serve, ServeConfig};
 use datasets::io::save_dataset;
+use datasets::Dataset;
 use obs::json::Json;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -78,10 +80,7 @@ fn sample_value(metrics: &str, name: &str) -> f64 {
 }
 
 #[test]
-fn explain_analyze_slow_ring_and_metrics() {
-    // Both toggles must start in their default (on) state.
-    std::env::remove_var("AUTOBIAS_COMPILE");
-    std::env::remove_var("AUTOBIAS_PLAN_STATS");
+fn explain_analyze_and_metrics() {
     let (data, models) = setup_dirs("plan_obs");
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -122,13 +121,8 @@ fn explain_analyze_slow_ring_and_metrics() {
 
     // --- drive a real /predict batch so the tallies move ---
     let ds = datasets::io::load_dataset(&data).expect("load");
-    let mut tuples = String::new();
-    let mut n_tuples = 0usize;
-    for e in ds.pos.iter().chain(ds.neg.iter()) {
-        let fields: Vec<&str> = e.args.iter().map(|&c| ds.db.const_name(c)).collect();
-        tuples.push_str(&format!("{}\n", fields.join(",")));
-        n_tuples += 1;
-    }
+    let tuples = example_tuples(&ds);
+    let n_tuples = tuples.lines().count();
     assert!(n_tuples >= 20, "want a real batch, got {n_tuples}");
     let payload = format!("model coauthor\n{tuples}");
     let (status, verdicts) = request(addr, "POST", "/predict", &payload);
@@ -168,18 +162,6 @@ fn explain_analyze_slow_ring_and_metrics() {
     assert_eq!(entered, evals, "every eval enters exactly one variant");
     assert!(first_steps[0].get("avg_candidates").is_some());
 
-    // --- slow ring captured the batch ---
-    let (status, body) = request(addr, "GET", "/debug/slow", "");
-    assert_eq!(status, 200, "{body}");
-    let slow = Json::parse(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
-    let entries = slow.get("slow").unwrap().as_arr().unwrap();
-    assert!(!entries.is_empty(), "the predict batch must be recorded");
-    let worst = &entries[0];
-    assert_eq!(worst.get("model").unwrap().as_str(), Some("coauthor"));
-    assert_eq!(worst.get("engine").unwrap().as_str(), Some("compiled"));
-    assert_eq!(worst.get("tuples").unwrap().as_f64(), Some(n_tuples as f64));
-    assert!(worst.get("entries").unwrap().as_f64().unwrap() > 0.0);
-
     // --- metrics: q-error histogram and per-model plan series ---
     let (status, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
@@ -200,24 +182,131 @@ fn explain_analyze_slow_ring_and_metrics() {
         "{metrics}"
     );
 
-    // --- stats gated off: predictions identical, counters frozen ---
-    let before = analyzed.get("batches").unwrap().as_f64().unwrap();
-    std::env::set_var("AUTOBIAS_PLAN_STATS", "0");
-    // The gate is cached per process after first use; a fresh server
-    // process would honor it. Here we only assert the response shape is
-    // unaffected by the env var at request time.
-    let (status, again) = request(addr, "POST", "/predict", &payload);
-    std::env::remove_var("AUTOBIAS_PLAN_STATS");
+    let (status, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
-    assert_eq!(again, verdicts, "stats toggling never changes verdicts");
-    let (_, body) = request(addr, "GET", "/models/coauthor/plan?analyze=1", "");
-    let after = Json::parse(&body)
-        .unwrap()
-        .get("batches")
-        .unwrap()
-        .as_f64()
-        .unwrap();
-    assert!(after >= before, "batch counter is monotone");
+    handle.join();
+    let _ = std::fs::remove_dir_all(data.parent().unwrap());
+}
+
+/// Every example of `ds` as a `/predict` tuple line, positives first.
+fn example_tuples(ds: &Dataset) -> String {
+    ds.pos
+        .iter()
+        .chain(ds.neg.iter())
+        .map(|e| {
+            let fields: Vec<&str> = e.args.iter().map(|&c| ds.db.const_name(c)).collect();
+            format!("{}\n", fields.join(","))
+        })
+        .collect()
+}
+
+/// The interpreter's `/predict` response for [`example_tuples`]: the model
+/// text parsed against the dataset, each tuple evaluated by
+/// `definition_covers_args`, rendered the way the server renders verdicts.
+fn interpreter_reference(ds: &Dataset, model_text: &str) -> String {
+    let (def, _) = parse_definition_frozen(&ds.db, model_text).expect("model parses");
+    let qcfg = QueryConfig::default();
+    let mut scratch = EvalScratch::default();
+    let examples = ds.pos.iter().chain(ds.neg.iter());
+    examples
+        .zip(example_tuples(ds).lines())
+        .map(|(e, tuple)| {
+            let covered =
+                definition_covers_args(&ds.db, &def, ds.target, &e.args, &qcfg, &mut scratch);
+            let verdict = if covered { "positive" } else { "negative" };
+            format!("{tuple}\t{verdict}\n")
+        })
+        .collect()
+}
+
+/// A model mixing one compilable clause with one the compiler declines:
+/// the second clause has 33 body literals, one past `plan::MAX_STEPS`.
+fn mixed_model() -> String {
+    let mut body = vec!["ta(v3, x, v4)"; plan::compile::MAX_STEPS];
+    body.push("taughtBy(v3, y, v4)");
+    format!("{COAUTHOR_MODEL}advisedBy(x, y) ← {}\n", body.join(", "))
+}
+
+#[test]
+fn declined_clause_is_served_by_the_interpreter_and_kept() {
+    let (data, models) = setup_dirs("plan_fallback");
+    let mixed = mixed_model();
+    std::fs::write(models.join("mixed.model"), &mixed).unwrap();
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        data_dir: data.clone(),
+        models_dir: models.clone(),
+        threads: 2,
+        access_log: None,
+        request_trace: true,
+    };
+    let (handle, report) = serve(&cfg).expect("server boots");
+    assert_eq!(
+        report.loaded,
+        vec!["coauthor", "mixed"],
+        "{:?}",
+        report.errors
+    );
+    let addr = handle.addr();
+
+    let (status, body) = request(addr, "GET", "/models/mixed/plan", "");
+    assert_eq!(status, 200, "{body}");
+    let explain = Json::parse(&body).unwrap();
+    assert_eq!(explain.get("compiled").unwrap().as_f64(), Some(1.0));
+    assert_eq!(explain.get("fallback").unwrap().as_f64(), Some(1.0));
+
+    // The declined clause must decide some verdicts, or the check below
+    // could pass with the interpreter never consulted.
+    let ds = datasets::io::load_dataset(&data).expect("load");
+    let reference = interpreter_reference(&ds, &mixed);
+    let positives = |r: &str| r.lines().filter(|l| l.ends_with("\tpositive")).count();
+    assert!(
+        positives(&reference) > positives(&interpreter_reference(&ds, COAUTHOR_MODEL)),
+        "the declined clause covers tuples the compiled one does not"
+    );
+
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let interpreted_before = sample_value(&metrics, "autobias_predict_interpreted_tuples_total");
+    let tuples = example_tuples(&ds);
+    let n_tuples = tuples.lines().count();
+    let (status, served) = request(addr, "POST", "/predict", &format!("model mixed\n{tuples}"));
+    assert_eq!(status, 200, "{served}");
+    assert_eq!(served, reference, "served verdicts equal the interpreter's");
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert!(
+        sample_value(&metrics, "autobias_predict_interpreted_tuples_total") > interpreted_before,
+        "tuples no compiled plan covered ran the declined clause"
+    );
+
+    // The fallback request is tail-kept, and `/debug/slow` lists it with
+    // its batch context under the trace id that resolves in the store.
+    let (status, body) = request(addr, "GET", "/debug/slow", "");
+    assert_eq!(status, 200, "{body}");
+    let slow = Json::parse(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    assert_eq!(
+        slow.get("cap").unwrap().as_f64(),
+        Some(TraceStore::DEFAULT_CAP as f64)
+    );
+    let entries = slow.get("slow").unwrap().as_arr().unwrap();
+    let entry = entries
+        .iter()
+        .find(|e| e.get("model").unwrap().as_str() == Some("mixed"))
+        .unwrap_or_else(|| panic!("fallback batch listed: {body}"));
+    assert_eq!(entry.get("engine").unwrap().as_str(), Some("compiled"));
+    assert_eq!(entry.get("tuples").unwrap().as_f64(), Some(n_tuples as f64));
+    assert!(entry.get("entries").unwrap().as_f64().unwrap() > 0.0);
+    assert!(entry.get("candidates").unwrap().as_f64().unwrap() > 0.0);
+    let first = tuples.lines().next().unwrap();
+    assert_eq!(entry.get("args_sample").unwrap().as_str(), Some(first));
+    let id = entry.get("trace_id").unwrap().as_str().unwrap();
+    let (status, body) = request(addr, "GET", &format!("/debug/traces/{id}"), "");
+    assert_eq!(status, 200, "{body}");
+    let trace = Json::parse(&body).unwrap();
+    assert_eq!(
+        trace.get("reason").unwrap().as_str(),
+        Some("interpreter_fallback")
+    );
+    assert_eq!(trace.get("route").unwrap().as_str(), Some("predict"));
 
     let (status, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);

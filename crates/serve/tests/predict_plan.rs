@@ -1,21 +1,22 @@
-//! End-to-end equivalence of the two /predict evaluation engines, and the
-//! keep-alive request loop.
+//! End-to-end equivalence of served `/predict` verdicts with the clause
+//! interpreter, and the keep-alive request loop.
 //!
 //! Boots real servers over a UW dataset and asserts that `/predict`
-//! responses are **byte-identical** with compiled plans on
-//! (`AUTOBIAS_COMPILE` unset) and off (`AUTOBIAS_COMPILE=0`), for both a
-//! hand-written model and a model learned by a background job, across 1 and
-//! 8 worker threads. Also drives several requests down one keep-alive
-//! connection and checks the reuse counter on `/metrics`.
-//!
-//! Everything runs in ONE `#[test]` because the compile toggle is a process
-//! env var: parallel tests in this binary would race it.
+//! responses are **byte-identical** to a reference computed in process:
+//! the model file parsed against the loaded dataset and every tuple
+//! evaluated by `definition_covers_args`. Covers a hand-written model and a
+//! model learned by a background job, across 1 and 8 worker threads. Also
+//! drives several requests down one keep-alive connection and checks the
+//! reuse counter on `/metrics`.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
+use autobias::clause_text::parse_definition_frozen;
+use autobias::query::{definition_covers_args, EvalScratch, QueryConfig};
 use autobias_serve::http::read_response_head;
 use autobias_serve::{serve, ServeConfig};
 use datasets::io::save_dataset;
+use datasets::Dataset;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -127,21 +128,45 @@ fn sample_value(metrics: &str, name: &str) -> f64 {
         .unwrap_or_else(|e| panic!("unparsable value for {name}: {e}"))
 }
 
+/// Every example of `ds` as a `/predict` tuple line, positives first.
+fn example_tuples(ds: &Dataset) -> String {
+    ds.pos
+        .iter()
+        .chain(ds.neg.iter())
+        .map(|e| {
+            let fields: Vec<&str> = e.args.iter().map(|&c| ds.db.const_name(c)).collect();
+            format!("{}\n", fields.join(","))
+        })
+        .collect()
+}
+
+/// The interpreter's `/predict` response for [`example_tuples`]: the model
+/// text parsed against the dataset, each tuple evaluated by
+/// `definition_covers_args`, rendered the way the server renders verdicts.
+fn interpreter_reference(ds: &Dataset, model_text: &str) -> String {
+    let (def, _) = parse_definition_frozen(&ds.db, model_text).expect("model parses");
+    let qcfg = QueryConfig::default();
+    let mut scratch = EvalScratch::default();
+    let examples = ds.pos.iter().chain(ds.neg.iter());
+    examples
+        .zip(example_tuples(ds).lines())
+        .map(|(e, tuple)| {
+            let covered =
+                definition_covers_args(&ds.db, &def, ds.target, &e.args, &qcfg, &mut scratch);
+            let verdict = if covered { "positive" } else { "negative" };
+            format!("{tuple}\t{verdict}\n")
+        })
+        .collect()
+}
+
 #[test]
-fn compiled_and_interpreted_predict_are_byte_identical() {
-    // The toggle must start in its default state regardless of the shell.
-    std::env::remove_var("AUTOBIAS_COMPILE");
+fn served_predictions_match_the_interpreter_byte_for_byte() {
     let (data, models) = setup_dirs("predict_plan");
 
     // Batch body: every positive and negative example of the dataset.
     let ds = datasets::io::load_dataset(&data).expect("load");
-    let mut tuples = String::new();
-    let mut n_tuples = 0usize;
-    for e in ds.pos.iter().chain(ds.neg.iter()) {
-        let fields: Vec<&str> = e.args.iter().map(|&c| ds.db.const_name(c)).collect();
-        tuples.push_str(&format!("{}\n", fields.join(",")));
-        n_tuples += 1;
-    }
+    let tuples = example_tuples(&ds);
+    let n_tuples = tuples.lines().count();
     assert!(n_tuples >= 20, "want a real batch, got {n_tuples}");
 
     // --- learn a UW model through a job on a 1-thread server ---
@@ -180,15 +205,23 @@ fn compiled_and_interpreted_predict_are_byte_identical() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    // --- the differential matrix: 2 models × 2 engines × {1,8} threads ---
-    // `plan::enabled()` is consulted per request, so toggling the env var
-    // against one running server flips the engine under the same registry
-    // snapshot — the strongest form of "output-transparent".
+    // --- the interpreter reference, computed in process per model ---
+    let references: Vec<(&str, String)> = ["coauthor", "learned"]
+        .into_iter()
+        .map(|model| {
+            let text = std::fs::read_to_string(models.join(format!("{model}.model"))).unwrap();
+            (model, interpreter_reference(&ds, &text))
+        })
+        .collect();
+    let coauthor = &references[0].1;
+    assert!(coauthor.lines().any(|l| l.ends_with("\tpositive")));
+    assert!(coauthor.lines().any(|l| l.ends_with("\tnegative")));
+
+    // --- the differential matrix: 2 models × {1,8} threads ---
     let mut handles = vec![handle];
-    let mut baselines: Vec<(String, String)> = Vec::new(); // (model, response)
     for threads in [1usize, 8] {
-        let (handle, addr) = if threads == 1 {
-            (None, addr)
+        let addr = if threads == 1 {
+            addr
         } else {
             let cfg = ServeConfig {
                 addr: "127.0.0.1:0".to_string(),
@@ -201,39 +234,23 @@ fn compiled_and_interpreted_predict_are_byte_identical() {
             let (h, report) = serve(&cfg).expect("8-thread server boots");
             assert_eq!(report.loaded, vec!["coauthor", "learned"]);
             let addr = h.addr();
-            (Some(h), addr)
-        };
-        for model in ["coauthor", "learned"] {
-            let body = format!("model {model}\n{tuples}");
-            let (status, compiled) = request(addr, "POST", "/predict", &body);
-            assert_eq!(status, 200, "{compiled}");
-            assert_eq!(compiled.lines().count(), n_tuples);
-            std::env::set_var("AUTOBIAS_COMPILE", "0");
-            let (status, interpreted) = request(addr, "POST", "/predict", &body);
-            std::env::remove_var("AUTOBIAS_COMPILE");
-            assert_eq!(status, 200, "{interpreted}");
-            assert_eq!(
-                compiled, interpreted,
-                "engines must be byte-identical (model {model}, {threads} thread(s))"
-            );
-            baselines.push((model.to_string(), compiled));
-        }
-        if let Some(h) = handle {
             handles.push(h);
+            addr
+        };
+        for (model, reference) in &references {
+            let (status, served) = request(
+                addr,
+                "POST",
+                "/predict",
+                &format!("model {model}\n{tuples}"),
+            );
+            assert_eq!(status, 200, "{served}");
+            assert_eq!(
+                &served, reference,
+                "served verdicts must equal the interpreter's (model {model}, {threads} thread(s))"
+            );
         }
     }
-    // Same verdicts across thread counts, and not vacuously one-sided.
-    for (model, response) in &baselines {
-        let first = &baselines
-            .iter()
-            .find(|(m, _)| m == model)
-            .expect("baseline")
-            .1;
-        assert_eq!(response, first, "thread counts disagree for {model}");
-    }
-    let coauthor = &baselines[0].1;
-    assert!(coauthor.lines().any(|l| l.ends_with("\tpositive")));
-    assert!(coauthor.lines().any(|l| l.ends_with("\tnegative")));
 
     // --- keep-alive: several requests down one connection ---
     let mut ka = KeepAliveClient::connect(addr);
@@ -254,20 +271,14 @@ fn compiled_and_interpreted_predict_are_byte_identical() {
         "4 follow-up requests rode the same connection"
     );
     assert!(sample_value(&metrics, "autobias_http_connections_total") >= 1.0);
-    // Plan compilation happened at load (coauthor + learned), and predict
-    // traffic split across the two engines.
+    // Plan compilation happened at load (coauthor + learned), and every
+    // batch ran under the compiled-batch span.
     assert!(sample_value(&metrics, "autobias_plan_compiled_total") >= 2.0);
     assert!(sample_value(&metrics, "autobias_predict_tuples_total") > 0.0);
-    assert!(
-        sample_value(&metrics, "autobias_predict_interpreted_tuples_total") > 0.0,
-        "the AUTOBIAS_COMPILE=0 round went through the interpreter"
-    );
     assert!(
         metrics.contains("autobias_phase_duration_seconds_count{phase=\"predict.compiled_batch\"}"),
         "compiled batches record their span:\n{metrics}"
     );
-    assert!(metrics
-        .contains("autobias_phase_duration_seconds_count{phase=\"predict.interpreted_batch\"}"));
     assert!(metrics.contains("autobias_phase_duration_seconds_count{phase=\"plan.compile\"}"));
 
     // A client asking to close is honored.
