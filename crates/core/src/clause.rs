@@ -131,25 +131,51 @@ impl Clause {
     ///
     /// Literals with no variables at all (fully ground) are treated as
     /// connected — they constrain the clause globally.
+    ///
+    /// One worklist pass over a variable → literal index: each variable
+    /// reached from the head is expanded once, each literal included once.
     pub fn head_connected_indices(&self) -> Vec<usize> {
-        let head_vars: FxHashSet<VarId> = self.head.vars().collect();
-        let mut connected_vars = head_vars;
-        let mut included = vec![false; self.body.len()];
-        // Fixpoint: a literal is connected if it shares a var with the
-        // connected set; its vars then join the set.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (i, lit) in self.body.iter().enumerate() {
-                if included[i] {
+        let num_vars = self.num_vars() as usize;
+        // Var → literals, CSR (a literal repeating a var is listed twice;
+        // the `included` check makes the repeat a no-op).
+        let mut off = vec![0u32; num_vars + 1];
+        for v in self.body.iter().flat_map(Literal::vars) {
+            off[v.index() + 1] += 1;
+        }
+        for v in 0..num_vars {
+            off[v + 1] += off[v];
+        }
+        let mut flat = vec![0u32; off[num_vars] as usize];
+        let mut cursor: Vec<u32> = off[..num_vars].to_vec();
+        for (li, lit) in self.body.iter().enumerate() {
+            for v in lit.vars() {
+                flat[cursor[v.index()] as usize] = li as u32;
+                cursor[v.index()] += 1;
+            }
+        }
+        let mut included: Vec<bool> = self
+            .body
+            .iter()
+            .map(|l| l.vars().next().is_none())
+            .collect();
+        let mut reached = vec![false; num_vars];
+        let mut work: Vec<VarId> = Vec::new();
+        for v in self.head.vars() {
+            if !reached[v.index()] {
+                reached[v.index()] = true;
+                work.push(v);
+            }
+        }
+        while let Some(v) = work.pop() {
+            for &li in &flat[off[v.index()] as usize..off[v.index() + 1] as usize] {
+                if included[li as usize] {
                     continue;
                 }
-                let lit_vars: Vec<VarId> = lit.vars().collect();
-                if lit_vars.is_empty() || lit_vars.iter().any(|v| connected_vars.contains(v)) {
-                    included[i] = true;
-                    changed = true;
-                    for v in lit_vars {
-                        connected_vars.insert(v);
+                included[li as usize] = true;
+                for w in self.body[li as usize].vars() {
+                    if !reached[w.index()] {
+                        reached[w.index()] = true;
+                        work.push(w);
                     }
                 }
             }
@@ -208,16 +234,24 @@ impl Clause {
     /// Returns the number of literals dropped.
     pub fn prune_unconnected(&mut self) -> usize {
         let keep = self.head_connected_indices();
-        if keep.len() == self.body.len() {
-            return 0;
-        }
         let dropped = self.body.len() - keep.len();
-        let mut new_body = Vec::with_capacity(keep.len());
-        for i in keep {
-            new_body.push(self.body[i].clone());
-        }
-        self.body = new_body;
+        self.keep_body(&keep);
         dropped
+    }
+
+    /// Keeps only the body literals at the ascending indices `keep`,
+    /// preserving their order.
+    pub(crate) fn keep_body(&mut self, keep: &[usize]) {
+        if keep.len() == self.body.len() {
+            return;
+        }
+        let mut next = keep.iter().copied().peekable();
+        let mut i = 0usize;
+        self.body.retain(|_| {
+            let kept = next.next_if_eq(&i).is_some();
+            i += 1;
+            kept
+        });
     }
 
     /// Renders the clause in the paper's notation.
@@ -427,6 +461,77 @@ mod tests {
             vec![Literal::new(stud, vec![v(0)])],
         );
         assert_eq!(clause.render(&db), "advisedBy(x, y) ← student(x)");
+    }
+
+    /// Reference head-connectivity as a fixpoint: sweep the body until no
+    /// literal joins the connected set.
+    fn head_connected_fixpoint(clause: &Clause) -> Vec<usize> {
+        let mut connected_vars: FxHashSet<VarId> = clause.head.vars().collect();
+        let mut included = vec![false; clause.body.len()];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (i, lit) in clause.body.iter().enumerate() {
+                if included[i] {
+                    continue;
+                }
+                let lit_vars: Vec<VarId> = lit.vars().collect();
+                if lit_vars.is_empty() || lit_vars.iter().any(|v| connected_vars.contains(v)) {
+                    included[i] = true;
+                    changed = true;
+                    connected_vars.extend(lit_vars);
+                }
+            }
+        }
+        (0..clause.body.len()).filter(|&i| included[i]).collect()
+    }
+
+    /// Term code below 8 is a variable id, otherwise a constant.
+    fn term_of(code: u32) -> Term {
+        if code < 8 {
+            v(code)
+        } else {
+            Term::Const(Const(code))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The worklist pass returns the same index set as the fixpoint, on
+        /// random clauses with repeated variables, constants, ground
+        /// literals, and head constants.
+        #[test]
+        fn head_connected_worklist_matches_fixpoint(
+            head in proptest::collection::vec(0u32..10, 0..4),
+            body in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..4), 0..12),
+        ) {
+            let clause = Clause::new(
+                Literal::new(RelId(9), head.into_iter().map(term_of).collect::<Vec<_>>()),
+                body.into_iter()
+                    .enumerate()
+                    .map(|(i, args)| {
+                        Literal::new(RelId(i as u32 % 3), args.into_iter().map(term_of).collect::<Vec<_>>())
+                    })
+                    .collect(),
+            );
+            proptest::prop_assert_eq!(
+                clause.head_connected_indices(),
+                head_connected_fixpoint(&clause)
+            );
+        }
+    }
+
+    #[test]
+    fn keep_body_keeps_listed_literals_in_order() {
+        let lit = |r| Literal::new(RelId(r), vec![v(0)]);
+        let mut clause = Clause::new(lit(9), (0..5).map(lit).collect());
+        clause.keep_body(&[0, 2, 3]);
+        assert_eq!(clause.body, vec![lit(0), lit(2), lit(3)]);
+        clause.keep_body(&[0, 1, 2]);
+        assert_eq!(clause.len(), 3);
+        clause.keep_body(&[]);
+        assert!(clause.is_empty());
     }
 
     #[test]

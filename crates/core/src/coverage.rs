@@ -32,7 +32,7 @@ use crate::subsume::{theta_subsumes, SubsumeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relstore::{Database, FxHashMap};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A fixed-length bit vector over example indices, backed by `u64` blocks.
 /// Replaces the `Vec<usize>` index lists previously threaded through
@@ -238,7 +238,10 @@ pub struct CoverageEngine {
     /// Worker threads for every parallel map this engine runs.
     threads: usize,
     /// Canonical-clause memo table; `None` when the memo is switched off
-    /// (`LearnerConfig::coverage_memo`).
+    /// (`LearnerConfig::coverage_memo`). Every update made under the lock
+    /// is a few bit sets or one stored count, none of which can stop
+    /// halfway and leave a wrong answer behind, so a lock poisoned by a
+    /// panic elsewhere is taken over instead of failing every later query.
     memo: Option<Mutex<CoverageMemo>>,
 }
 
@@ -307,14 +310,14 @@ impl CoverageEngine {
     pub fn memo_hits(&self) -> u64 {
         self.memo
             .as_ref()
-            .map_or(0, |m| m.lock().expect("coverage memo poisoned").hits)
+            .map_or(0, |m| m.lock().unwrap_or_else(PoisonError::into_inner).hits)
     }
 
     /// Number of canonical clauses currently memoized.
     pub fn memo_len(&self) -> usize {
-        self.memo
-            .as_ref()
-            .map_or(0, |m| m.lock().expect("coverage memo poisoned").map.len())
+        self.memo.as_ref().map_or(0, |m| {
+            m.lock().unwrap_or_else(PoisonError::into_inner).map.len()
+        })
     }
 
     /// The canonical form used as the memo key — and as the clause actually
@@ -330,10 +333,10 @@ impl CoverageEngine {
     }
 
     /// Whether `clause` covers positive example `i`. Raw single-example
-    /// test: no canonicalization, no memo — armg's prefix probes land here
-    /// and are effectively never repeated. The subsumption engine derives
-    /// its own restart RNG from `(clause, example)`, so the answer is a pure
-    /// function of the inputs — no per-call RNG to thread.
+    /// test: no canonicalization, no memo (armg tests its prefix clauses
+    /// through [`crate::subsume::PrefixProbe`] instead). The subsumption
+    /// engine derives its own restart RNG from `(clause, example)`, so the
+    /// answer is a pure function of the inputs — no per-call RNG to thread.
     pub fn covers_pos(&self, clause: &Clause, i: usize) -> bool {
         theta_subsumes(clause, &self.pos[i].ground, &self.scfg)
     }
@@ -395,7 +398,7 @@ impl CoverageEngine {
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         match &self.memo {
             Some(m) => {
-                let mut memo = m.lock().expect("coverage memo poisoned");
+                let mut memo = m.lock().unwrap_or_else(PoisonError::into_inner);
                 for (ci, canon) in canons.iter().enumerate() {
                     match memo.get_or_insert(canon, self.pos.len()) {
                         Some(e) => {
@@ -441,7 +444,7 @@ impl CoverageEngine {
             }
         }
         if let Some(m) = &self.memo {
-            let mut memo = m.lock().expect("coverage memo poisoned");
+            let mut memo = m.lock().unwrap_or_else(PoisonError::into_inner);
             for (&(ci, i), &hit) in pairs.iter().zip(hits.iter()) {
                 if let Some(e) = memo.map.get_mut(&canons[ci]) {
                     e.pos_known.set(i);
@@ -471,7 +474,7 @@ impl CoverageEngine {
     pub fn count_neg_budget(&self, clause: &Clause, cutoff: Option<usize>) -> NegCount {
         let canon = self.canonical(clause);
         if let Some(m) = &self.memo {
-            let mut memo = m.lock().expect("coverage memo poisoned");
+            let mut memo = m.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(e) = memo.map.get_mut(&canon) {
                 match e.neg {
                     // An exact count answers any query.
@@ -493,7 +496,7 @@ impl CoverageEngine {
         }
         let result = self.neg_count_raw(&canon, cutoff);
         if let Some(m) = &self.memo {
-            let mut memo = m.lock().expect("coverage memo poisoned");
+            let mut memo = m.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(e) = memo.get_or_insert(&canon, self.pos.len()) {
                 e.neg = Some(match (e.neg, result) {
                     // Never replace an exact count, never lower a bound.
@@ -795,6 +798,40 @@ mode publication(-, +)
                 assert_eq!(budgeted, NegCount::Exact(exact));
             }
         }
+    }
+
+    /// A panic while the memo lock is held poisons it; scoring afterwards
+    /// still works, answers from the surviving entries, and matches a fresh
+    /// engine.
+    #[test]
+    fn poisoned_memo_lock_still_scores() {
+        let (db, eng, _) = engine();
+        use crate::clause::{Literal, Term, VarId};
+        let publ = db.rel_id("publication").unwrap();
+        let adv = db.rel_id("advisedBy").unwrap();
+        let v = |n| Term::Var(VarId(n));
+        let clause = Clause::new(
+            Literal::new(adv, vec![v(0), v(1)]),
+            vec![
+                Literal::new(publ, vec![v(2), v(0)]),
+                Literal::new(publ, vec![v(2), v(1)]),
+            ],
+        );
+        let expected = engine().1.score(&clause, &[0, 1]);
+        assert_eq!(eng.score(&clause, &[0, 1]), expected);
+        let memo = eng.memo.as_ref().unwrap();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = memo.lock().unwrap();
+                panic!("panic while holding the coverage memo lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && memo.is_poisoned());
+        let hits = eng.memo_hits();
+        assert_eq!(eng.score(&clause, &[0, 1]), expected);
+        assert!(eng.memo_hits() > hits, "the memo still answers");
+        assert_eq!(eng.memo_len(), 1);
     }
 
     #[test]

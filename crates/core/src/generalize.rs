@@ -9,6 +9,7 @@
 
 use crate::clause::{Clause, Literal};
 use crate::coverage::CoverageEngine;
+use crate::subsume::PrefixProbe;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::hash::{Hash, Hasher};
@@ -49,21 +50,27 @@ impl Default for GenConfig {
 ///
 /// Prefix coverage is antitone in the prefix length (literals only constrain),
 /// so a binary search over prefix lengths finds the blocking atom with
-/// `O(log n)` subsumption tests.
+/// `O(log n)` subsumption tests, all sharing one [`PrefixProbe`].
 pub fn blocking_atom(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<usize> {
-    let prefix_covers = |len: usize| {
-        let prefix = Clause::new(clause.head.clone(), clause.body[..len].to_vec());
-        engine.covers_pos(&prefix, pos_idx)
-    };
-    if prefix_covers(clause.body.len()) {
+    let mut probe = PrefixProbe::new(clause, &engine.pos[pos_idx].ground);
+    let cfg = engine.subsume_config();
+    search_blocking_atom(clause.body.len(), |len| probe.covers(len, cfg))
+}
+
+/// The blocking-atom binary search over prefix lengths `0..=n`, asking
+/// `covers(len)` whether the prefix of length `len` covers the example.
+/// Returns the zero-based index of the blocking literal, or `None` when the
+/// full prefix (`n`) covers.
+fn search_blocking_atom(n: usize, mut covers: impl FnMut(usize) -> bool) -> Option<usize> {
+    if covers(n) {
         return None;
     }
     // Invariant: prefix of length `lo` covers, prefix of length `hi` does not.
     let mut lo = 0usize;
-    let mut hi = clause.body.len();
+    let mut hi = n;
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if prefix_covers(mid) {
+        if covers(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -75,16 +82,53 @@ pub fn blocking_atom(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -
 /// Applies armg: generalizes `clause` until it covers positive `pos_idx`.
 /// Returns `None` if generalization degenerates to an empty body (the clause
 /// would cover everything — never useful as a candidate).
+///
+/// Each step's binary search ends with `lo` = the blocking index: the prefix
+/// `body[..lo]` was proven (by a test that answered "covered", or trivially
+/// for `lo = 0`) to cover the example. Removing the blocking literal keeps
+/// that prefix in place, and head-connectivity pruning only deletes
+/// literals, so the first `proven` literals of the next clause — those the
+/// pruning kept from the proven prefix — form a sub-body of a clause known
+/// to cover the example, and cover it too. Probes of length `≤ proven`
+/// therefore answer "covered" without a test. The binary search still asks
+/// the same lengths in the same order; a skipped test could only have
+/// answered "not covered" through budget exhaustion, so the reuse never
+/// claims "covered" wrongly.
 pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<Clause> {
+    let mut sp = obs::span!("learn.armg");
+    let ground = &engine.pos[pos_idx].ground;
+    let cfg = engine.subsume_config();
     let mut current = clause.clone();
-    while let Some(block) = blocking_atom(&current, engine, pos_idx) {
+    let mut proven = 0usize;
+    let (mut steps, mut probes, mut proven_probes) = (0u64, 0u64, 0u64);
+    let result = loop {
+        let mut probe = PrefixProbe::new(&current, ground);
+        let block = search_blocking_atom(current.body.len(), |len| {
+            if len <= proven {
+                proven_probes += 1;
+                return true;
+            }
+            probes += 1;
+            probe.covers(len, cfg)
+        });
+        let Some(block) = block else {
+            break Some(current);
+        };
+        steps += 1;
         current.body.remove(block);
-        current.prune_unconnected();
+        let kept = current.head_connected_indices();
+        proven = kept.partition_point(|&i| i < block);
+        current.keep_body(&kept);
         if current.body.is_empty() {
-            return None;
+            break None;
         }
+    };
+    if sp.is_active() {
+        sp.note("steps", steps);
+        sp.note("probes", probes);
+        sp.note("proven_probes", proven_probes);
     }
-    Some(current)
+    result
 }
 
 /// Post-processing: greedy backward literal elimination. Drops a body
@@ -406,6 +450,7 @@ pub fn learn_clause<R: Rng>(
         // and the kept clause IS the canonical form, so the coverage memo
         // keys below are exact repeats.
         let raw_len = raw.len();
+        let canon_sp = obs::span!("learn.canon");
         let mut seen: relstore::FxHashSet<Clause> = relstore::FxHashSet::default();
         let mut unique: Vec<Clause> = Vec::new();
         for c in raw {
@@ -414,6 +459,7 @@ pub fn learn_clause<R: Rng>(
                 unique.push(canon);
             }
         }
+        drop(canon_sp);
         stats.candidates_deduped += raw_len - unique.len();
         if unique.is_empty() {
             break;

@@ -96,17 +96,66 @@ impl SubsumeConfig {
 /// Whether `clause` θ-subsumes `ground` — i.e. whether the clause covers the
 /// ground BC's example (Definition 2.4 via the §5 reduction).
 pub fn theta_subsumes(clause: &Clause, ground: &GroundClause, cfg: &SubsumeConfig) -> bool {
-    crate::instrument::SUBSUMPTION_TESTS.bump();
-    let prep = match prepare(clause, ground) {
-        Prep::Refuted => return false,
-        Prep::Covered => return true,
-        Prep::Search(p) => p,
-    };
-    // Restart permutations come from a per-test RNG derived from the clause
-    // and the example, never from caller state: the answer is a pure
-    // function of the inputs, identical no matter which tests ran before.
-    let mut rng = StdRng::seed_from_u64(derive_seed(clause, ground));
-    bitset_subsumes(clause, ground, cfg, &prep, &mut rng)
+    PrefixProbe::new(clause, ground).covers(clause.body.len(), cfg)
+}
+
+/// θ-subsumption tests of the prefix clauses `T ← L1, …, Llen` of one clause
+/// against one ground example, as armg's blocking-atom search asks them.
+///
+/// The head binding and the per-literal candidate lists depend only on the
+/// example and on each literal itself, never on which prefix is tested, so
+/// the probe computes them once and shares them across every prefix it
+/// tests: the lists are filled lazily, up to the longest prefix asked for
+/// so far. Only the variable→literal index and the component split are
+/// rebuilt per prefix. [`PrefixProbe::covers`] answers exactly what
+/// [`theta_subsumes`] answers on the materialized prefix clause — same
+/// restart seed, same search — without copying the prefix;
+/// `theta_subsumes` is itself a one-prefix probe.
+pub struct PrefixProbe<'a> {
+    head: &'a Literal,
+    body: &'a [Literal],
+    ground: &'a GroundClause,
+    /// Head binding (variable → constant fixed by the example), or `None`
+    /// when the head cannot match the example, which refutes every prefix.
+    binding: Option<Vec<Option<Const>>>,
+    cands: CandTable,
+}
+
+impl<'a> PrefixProbe<'a> {
+    /// A probe of `clause`'s prefixes against `ground`; binds the head.
+    pub fn new(clause: &'a Clause, ground: &'a GroundClause) -> Self {
+        Self {
+            head: &clause.head,
+            body: &clause.body,
+            ground,
+            binding: bind_head(clause, ground),
+            cands: CandTable::default(),
+        }
+    }
+
+    /// Whether the prefix clause `T ← body[..len]` θ-subsumes the ground
+    /// example: the answer [`theta_subsumes`] gives on that clause. Each
+    /// call is one subsumption test. Panics when `len` exceeds the body.
+    pub fn covers(&mut self, len: usize, cfg: &SubsumeConfig) -> bool {
+        crate::instrument::SUBSUMPTION_TESTS.bump();
+        let Some(binding) = &self.binding else {
+            return false;
+        };
+        if len == 0 {
+            return true;
+        }
+        let body = &self.body[..len];
+        if !self.cands.fill(body, binding, self.ground) {
+            return false;
+        }
+        let prep = Prepared::new(body, binding, self.cands.slices(len));
+        // Restart permutations come from a per-test RNG derived from the
+        // clause and the example, never from caller state: the answer is a
+        // pure function of the inputs, identical no matter which tests ran
+        // before.
+        let mut rng = StdRng::seed_from_u64(derive_seed(self.head, body, self.ground));
+        bitset_subsumes(body, self.ground, cfg, &prep, &mut rng)
+    }
 }
 
 /// FNV-1a accumulator for the per-test RNG seed; deliberately hand-rolled so
@@ -142,15 +191,15 @@ impl Fnv {
     }
 }
 
-/// The restart-permutation seed for one `(clause, ground)` test: a hash of
-/// the clause structure and the ground example. The ground *body* is summed
-/// up only by its length — hashing thousands of BC literals per test would
-/// cost more than the search it seeds.
-fn derive_seed(clause: &Clause, ground: &GroundClause) -> u64 {
+/// The restart-permutation seed for one `(head ← body, ground)` test: a hash
+/// of the clause structure and the ground example. The ground *body* is
+/// summed up only by its length — hashing thousands of BC literals per test
+/// would cost more than the search it seeds.
+fn derive_seed(head: &Literal, body: &[Literal], ground: &GroundClause) -> u64 {
     let mut h = Fnv::new();
-    h.literal(&clause.head);
-    h.mix(clause.body.len() as u64);
-    for l in &clause.body {
+    h.literal(head);
+    h.mix(body.len() as u64);
+    for l in body {
         h.literal(l);
     }
     h.mix(u64::from(ground.example.rel.0));
@@ -161,117 +210,86 @@ fn derive_seed(clause: &Clause, ground: &GroundClause) -> u64 {
     h.0
 }
 
-/// Search-independent preparation: head binding, candidate lists, components.
-enum Prep {
-    /// Definitively not covered (head mismatch or an empty candidate list).
-    Refuted,
-    /// Definitively covered (empty body with a matching head).
-    Covered,
-    /// A search is needed.
-    Search(Prepared),
-}
-
-struct Prepared {
-    /// Head binding: variable → constant fixed by the example.
-    binding: Vec<Option<Const>>,
-    /// Distinct candidate lists (one per (relation, required-constant
-    /// signature)): ground literals of the same relation whose constant
-    /// positions and head-bound variables match. The search only re-filters
-    /// these by later variable bindings.
-    cand_pool: Vec<Vec<u32>>,
-    /// Body literal → index into `cand_pool`. Same-signature literals share
-    /// one list instead of cloning it per literal.
-    cand_of: Vec<u32>,
-    /// Var index → body literals containing it (forward-checking targets),
-    /// CSR layout: `lbv_off[v]..lbv_off[v + 1]` indexes `lbv_flat`. Flat
-    /// storage keeps `prepare` to two allocations here instead of one Vec
-    /// per variable — this runs once per subsumption test.
-    lbv_off: Vec<u32>,
-    lbv_flat: Vec<u32>,
-    /// Connected components of body literals over *unbound* variables,
-    /// smallest first. Components share no search state, so each is solved
-    /// independently — restarts never re-explore a solved component.
-    components: Vec<Vec<usize>>,
-}
-
-impl Prepared {
-    /// Body literals containing variable `v`, deduplicated, ascending.
-    #[inline]
-    fn lits_of_var(&self, v: usize) -> &[u32] {
-        &self.lbv_flat[self.lbv_off[v] as usize..self.lbv_off[v + 1] as usize]
-    }
-
-    /// Per-literal candidate-list slices, indexed by body literal.
-    fn cand_slices(&self) -> Vec<&[u32]> {
-        self.cand_of
-            .iter()
-            .map(|&i| self.cand_pool[i as usize].as_slice())
-            .collect()
-    }
-}
-
-fn prepare(clause: &Clause, ground: &GroundClause) -> Prep {
-    // 1. Head binding: relation and arity must match; head vars bind to the
-    //    example's constants, head constants must equal them.
+/// Head binding: relation and arity must match; head vars bind to the
+/// example's constants, head constants must equal them. `None` on mismatch.
+fn bind_head(clause: &Clause, ground: &GroundClause) -> Option<Vec<Option<Const>>> {
     if clause.head.rel != ground.example.rel || clause.head.args.len() != ground.example.args.len()
     {
-        return Prep::Refuted;
+        return None;
     }
-    let num_vars = clause.num_vars() as usize;
-    let mut binding: Vec<Option<Const>> = vec![None; num_vars];
+    let mut binding: Vec<Option<Const>> = vec![None; clause.num_vars() as usize];
     for (term, &c) in clause.head.args.iter().zip(ground.example.args.iter()) {
         match *term {
             Term::Var(v) => match binding[v.index()] {
                 None => binding[v.index()] = Some(c),
                 Some(b) if b == c => {}
-                Some(_) => return Prep::Refuted,
+                Some(_) => return None,
             },
-            Term::Const(k) => {
-                if k != c {
-                    return Prep::Refuted;
+            Term::Const(k) if k != c => return None,
+            Term::Const(_) => {}
+        }
+    }
+    Some(binding)
+}
+
+/// (relation, required-constant signature, pool index) of one distinct list.
+type SigEntry = (relstore::RelId, Vec<(u32, Const)>, u32);
+
+/// Static candidate lists per body literal: ground literals of the same
+/// relation whose constant positions and head-bound variables match. The
+/// search only re-filters these by later variable bindings.
+///
+/// The static filter only sees a literal's *required constants* (explicit
+/// `#` constants and head-bound variables); armg bodies are full of
+/// same-relation literals differing only in unbound search variables, so
+/// lists are memoized by (relation, required-constant signature) and
+/// same-signature literals share one list instead of rescanning.
+#[derive(Default)]
+struct CandTable {
+    /// Distinct candidate lists, one per signature.
+    pool: Vec<Vec<u32>>,
+    /// Body literal → index into `pool`, for the leading literals filled so
+    /// far.
+    of: Vec<u32>,
+    /// (relation, required-constant signature) → pool index. Distinct
+    /// signatures per clause number in the single digits, so a linear scan
+    /// beats a hash map (no hashing, no table allocation).
+    sigs: Vec<SigEntry>,
+    /// Set when literal `of.len()` has an empty list: filling stops there,
+    /// and every prefix containing that literal is refuted.
+    empty: bool,
+}
+
+impl CandTable {
+    /// Fills the lists of `body` (a prefix of the probed clause's body)
+    /// that are not filled yet. Returns `false` when one of them is empty,
+    /// which refutes the prefix without search — the common case for
+    /// `#`-literals whose constant does not occur in this example's
+    /// neighbourhood.
+    fn fill(&mut self, body: &[Literal], binding: &[Option<Const>], ground: &GroundClause) -> bool {
+        while self.of.len() < body.len() {
+            if self.empty {
+                return false;
+            }
+            let lit = &body[self.of.len()];
+            let mut sig: Vec<(u32, Const)> = Vec::new();
+            for (p, t) in lit.args.iter().enumerate() {
+                let req = match *t {
+                    Term::Const(c) => Some(c),
+                    Term::Var(v) => binding[v.index()],
+                };
+                if let Some(c) = req {
+                    sig.push((p as u32, c));
                 }
             }
-        }
-    }
-
-    if clause.body.is_empty() {
-        return Prep::Covered;
-    }
-
-    // 2. Static candidate lists per body literal. An empty list anywhere
-    //    refutes the clause immediately — the common case for `#`-literals
-    //    whose constant does not occur in this example's neighbourhood.
-    //    The static filter only sees a literal's *required constants*
-    //    (explicit `#` constants and head-bound variables); armg bodies are
-    //    full of same-relation literals differing only in unbound search
-    //    variables, so lists are memoized by (relation, required-constant
-    //    signature) and repeats are a memcpy instead of a rescan.
-    let mut cand_pool: Vec<Vec<u32>> = Vec::new();
-    let mut cand_of: Vec<u32> = Vec::with_capacity(clause.body.len());
-    // (relation, required-constant signature) → pool index; linear scan beats
-    // hashing at the handful of distinct signatures a clause body produces.
-    type MemoEntry = (relstore::RelId, Vec<(u32, Const)>, u32);
-    let mut memo: Vec<MemoEntry> = Vec::new();
-    for lit in &clause.body {
-        let mut sig: Vec<(u32, Const)> = Vec::new();
-        for (p, t) in lit.args.iter().enumerate() {
-            let req = match *t {
-                Term::Const(c) => Some(c),
-                Term::Var(v) => binding[v.index()],
-            };
-            if let Some(c) = req {
-                sig.push((p as u32, c));
+            if let Some(&(_, _, idx)) = self
+                .sigs
+                .iter()
+                .find(|(r, s, _)| *r == lit.rel && *s == sig)
+            {
+                self.of.push(idx);
+                continue;
             }
-        }
-        // Distinct signatures per clause number in the single digits, so a
-        // linear scan beats a hash map (no hashing, no table allocation).
-        if let Some(idx) = memo
-            .iter()
-            .find(|(r, s, _)| *r == lit.rel && *s == sig)
-            .map(|&(_, _, idx)| idx)
-        {
-            cand_of.push(idx);
-        } else {
             let arity = lit.args.len();
             let cands: Vec<u32> = ground
                 .literals_of(lit.rel)
@@ -283,94 +301,134 @@ fn prepare(clause: &Clause, ground: &GroundClause) -> Prep {
                 })
                 .collect();
             if cands.is_empty() {
-                return Prep::Refuted;
+                self.empty = true;
+                return false;
             }
-            memo.push((lit.rel, sig, cand_pool.len() as u32));
-            cand_of.push(cand_pool.len() as u32);
-            cand_pool.push(cands);
+            let idx = self.pool.len() as u32;
+            self.sigs.push((lit.rel, sig, idx));
+            self.of.push(idx);
+            self.pool.push(cands);
+        }
+        true
+    }
+
+    /// The candidate lists of the first `len` body literals (all filled).
+    fn slices(&self, len: usize) -> Vec<&[u32]> {
+        self.of[..len]
+            .iter()
+            .map(|&i| self.pool[i as usize].as_slice())
+            .collect()
+    }
+}
+
+/// The per-prefix search structure: the shared head binding and candidate
+/// lists, plus the variable→literal index and components of this prefix.
+struct Prepared<'a> {
+    /// Head binding: variable → constant fixed by the example.
+    binding: &'a [Option<Const>],
+    /// Body literal → its static candidate list.
+    cands: Vec<&'a [u32]>,
+    /// Var index → body literals containing it (forward-checking targets),
+    /// CSR layout: `lbv_off[v]..lbv_off[v + 1]` indexes `lbv_flat`. Flat
+    /// storage keeps this to two allocations instead of one Vec per
+    /// variable — it is built once per subsumption test.
+    lbv_off: Vec<u32>,
+    lbv_flat: Vec<u32>,
+    /// Connected components of body literals over *unbound* variables,
+    /// smallest first. Components share no search state, so each is solved
+    /// independently — restarts never re-explore a solved component.
+    components: Vec<Vec<usize>>,
+}
+
+impl<'a> Prepared<'a> {
+    fn new(body: &[Literal], binding: &'a [Option<Const>], cands: Vec<&'a [u32]>) -> Self {
+        // Var → literals, CSR: count (deduping repeats within one literal via
+        // a last-literal stamp), prefix-sum, fill.
+        let num_vars = binding.len();
+        let n_body = body.len();
+        let mut lbv_off = vec![0u32; num_vars + 1];
+        let mut last_seen = vec![u32::MAX; num_vars];
+        for (li, lit) in body.iter().enumerate() {
+            for v in lit.vars() {
+                if last_seen[v.index()] != li as u32 {
+                    last_seen[v.index()] = li as u32;
+                    lbv_off[v.index() + 1] += 1;
+                }
+            }
+        }
+        for v in 0..num_vars {
+            lbv_off[v + 1] += lbv_off[v];
+        }
+        let mut lbv_flat = vec![0u32; lbv_off[num_vars] as usize];
+        let mut cursor: Vec<u32> = lbv_off[..num_vars].to_vec();
+        last_seen.iter_mut().for_each(|s| *s = u32::MAX);
+        for (li, lit) in body.iter().enumerate() {
+            for v in lit.vars() {
+                if last_seen[v.index()] != li as u32 {
+                    last_seen[v.index()] = li as u32;
+                    lbv_flat[cursor[v.index()] as usize] = li as u32;
+                    cursor[v.index()] += 1;
+                }
+            }
+        }
+
+        // Decompose the body into connected components over *unbound*
+        // variables (head-bound vars don't link literals — their values are
+        // fixed); same partition as `Clause::connected_body_components`.
+        // Bottom clauses carry many trivially satisfiable side-literals, and
+        // decomposition keeps them from multiplying the search space of the
+        // part that matters.
+        let mut comp_of: Vec<u32> = (0..n_body as u32).collect();
+        fn find_root(comp_of: &mut [u32], mut x: u32) -> u32 {
+            while comp_of[x as usize] != x {
+                let parent = comp_of[x as usize];
+                comp_of[x as usize] = comp_of[parent as usize];
+                x = parent;
+            }
+            x
+        }
+        for v in 0..num_vars {
+            let lits = &lbv_flat[lbv_off[v] as usize..lbv_off[v + 1] as usize];
+            if binding[v].is_some() || lits.len() < 2 {
+                continue;
+            }
+            let first = find_root(&mut comp_of, lits[0]);
+            for &l in &lits[1..] {
+                let r = find_root(&mut comp_of, l);
+                comp_of[r as usize] = first;
+            }
+        }
+        // Group by root in first-occurrence order (deterministic, no hashing).
+        let mut components: Vec<Vec<usize>> = Vec::new();
+        let mut comp_idx: Vec<u32> = vec![u32::MAX; n_body];
+        for li in 0..n_body {
+            let root = find_root(&mut comp_of, li as u32) as usize;
+            if comp_idx[root] == u32::MAX {
+                comp_idx[root] = components.len() as u32;
+                components.push(Vec::new());
+            }
+            components[comp_idx[root] as usize].push(li);
+        }
+        // Small components first: cheap refutations come earliest.
+        components.sort_by_key(Vec::len);
+        if components.len() > 1 {
+            crate::instrument::SUBSUME_COMPONENTS_SPLIT.add(components.len() as u64 - 1);
+        }
+
+        Prepared {
+            binding,
+            cands,
+            lbv_off,
+            lbv_flat,
+            components,
         }
     }
 
-    // Var → literals, CSR: count (deduping repeats within one literal via a
-    // last-literal stamp), prefix-sum, fill.
-    let n_body = clause.body.len();
-    let mut lbv_off = vec![0u32; num_vars + 1];
-    let mut last_seen = vec![u32::MAX; num_vars];
-    for (li, lit) in clause.body.iter().enumerate() {
-        for v in lit.vars() {
-            if last_seen[v.index()] != li as u32 {
-                last_seen[v.index()] = li as u32;
-                lbv_off[v.index() + 1] += 1;
-            }
-        }
+    /// Body literals containing variable `v`, deduplicated, ascending.
+    #[inline]
+    fn lits_of_var(&self, v: usize) -> &[u32] {
+        &self.lbv_flat[self.lbv_off[v] as usize..self.lbv_off[v + 1] as usize]
     }
-    for v in 0..num_vars {
-        lbv_off[v + 1] += lbv_off[v];
-    }
-    let mut lbv_flat = vec![0u32; lbv_off[num_vars] as usize];
-    let mut cursor: Vec<u32> = lbv_off[..num_vars].to_vec();
-    last_seen.iter_mut().for_each(|s| *s = u32::MAX);
-    for (li, lit) in clause.body.iter().enumerate() {
-        for v in lit.vars() {
-            if last_seen[v.index()] != li as u32 {
-                last_seen[v.index()] = li as u32;
-                lbv_flat[cursor[v.index()] as usize] = li as u32;
-                cursor[v.index()] += 1;
-            }
-        }
-    }
-
-    // 3. Decompose the body into connected components over *unbound*
-    //    variables (head-bound vars don't link literals — their values are
-    //    fixed); same partition as `Clause::connected_body_components`.
-    //    Bottom clauses carry many trivially satisfiable side-literals, and
-    //    decomposition keeps them from multiplying the search space of the
-    //    part that matters.
-    let mut comp_of: Vec<u32> = (0..n_body as u32).collect();
-    fn find_root(comp_of: &mut [u32], mut x: u32) -> u32 {
-        while comp_of[x as usize] != x {
-            let parent = comp_of[x as usize];
-            comp_of[x as usize] = comp_of[parent as usize];
-            x = parent;
-        }
-        x
-    }
-    for v in 0..num_vars {
-        let lits = &lbv_flat[lbv_off[v] as usize..lbv_off[v + 1] as usize];
-        if binding[v].is_some() || lits.len() < 2 {
-            continue;
-        }
-        let first = find_root(&mut comp_of, lits[0]);
-        for &l in &lits[1..] {
-            let r = find_root(&mut comp_of, l);
-            comp_of[r as usize] = first;
-        }
-    }
-    // Group by root in first-occurrence order (deterministic, no hashing).
-    let mut components: Vec<Vec<usize>> = Vec::new();
-    let mut comp_idx: Vec<u32> = vec![u32::MAX; clause.body.len()];
-    for li in 0..clause.body.len() {
-        let root = find_root(&mut comp_of, li as u32) as usize;
-        if comp_idx[root] == u32::MAX {
-            comp_idx[root] = components.len() as u32;
-            components.push(Vec::new());
-        }
-        components[comp_idx[root] as usize].push(li);
-    }
-    // Small components first: cheap refutations come earliest.
-    components.sort_by_key(Vec::len);
-    if components.len() > 1 {
-        crate::instrument::SUBSUME_COMPONENTS_SPLIT.add(components.len() as u64 - 1);
-    }
-
-    Prep::Search(Prepared {
-        binding,
-        cand_pool,
-        cand_of,
-        lbv_off,
-        lbv_flat,
-        components,
-    })
 }
 
 enum Outcome {
@@ -398,9 +456,9 @@ struct LitCsp {
 }
 
 struct BitsetSearch<'a> {
-    clause: &'a Clause,
-    static_cands: Vec<&'a [u32]>,
-    prep: &'a Prepared,
+    body: &'a [Literal],
+    static_cands: &'a [&'a [u32]],
+    prep: &'a Prepared<'a>,
     ground: &'a GroundClause,
     lits: Vec<LitCsp>,
     /// Flat per-literal domain bitsets (current search state).
@@ -466,16 +524,16 @@ enum Revised {
 
 impl<'a> BitsetSearch<'a> {
     fn new(
-        clause: &'a Clause,
+        body: &'a [Literal],
         ground: &'a GroundClause,
         cfg: &'a SubsumeConfig,
-        prep: &'a Prepared,
+        prep: &'a Prepared<'a>,
     ) -> Self {
-        let n = clause.body.len();
-        let static_cands = prep.cand_slices();
+        let n = body.len();
+        let static_cands = prep.cands.as_slice();
         let mut lits = Vec::with_capacity(n);
         let mut off = 0usize;
-        for cands in &static_cands {
+        for cands in static_cands {
             let width = words_for(cands.len());
             lits.push(LitCsp { off, width });
             off += width;
@@ -491,7 +549,7 @@ impl<'a> BitsetSearch<'a> {
             counts0[li] = cands.len() as u32;
         }
         BitsetSearch {
-            clause,
+            body,
             static_cands,
             prep,
             ground,
@@ -529,11 +587,11 @@ impl<'a> BitsetSearch<'a> {
         if !self.neighbors_off.is_empty() {
             return;
         }
-        let n = self.clause.body.len();
+        let n = self.body.len();
         self.neighbors_off.reserve(n + 1);
         let mut stamp: Vec<u32> = vec![u32::MAX; n];
         self.neighbors_off.push(0);
-        for (li, lit) in self.clause.body.iter().enumerate() {
+        for (li, lit) in self.body.iter().enumerate() {
             for t in &lit.args {
                 if let Term::Var(v) = *t {
                     if self.prep.binding[v.index()].is_some() {
@@ -649,12 +707,12 @@ impl<'a> BitsetSearch<'a> {
     /// compatibility tables, which profiling showed are used ~1.4 times
     /// each before the test ends.
     #[inline]
-    fn cons_pairs(clause: &Clause, li: usize, lj: usize) -> ([(u8, u8); 16], usize) {
+    fn cons_pairs(body: &[Literal], li: usize, lj: usize) -> ([(u8, u8); 16], usize) {
         let mut cons: [(u8, u8); 16] = [(0, 0); 16];
         let mut n_cons = 0usize;
-        for (pi, t) in clause.body[li].args.iter().enumerate() {
+        for (pi, t) in body[li].args.iter().enumerate() {
             if let Term::Var(v) = *t {
-                for (pj, t2) in clause.body[lj].args.iter().enumerate() {
+                for (pj, t2) in body[lj].args.iter().enumerate() {
                     if matches!(t2, Term::Var(v2) if *v2 == v) && n_cons < cons.len() {
                         cons[n_cons] = (pi as u8, pj as u8);
                         n_cons += 1;
@@ -706,7 +764,7 @@ impl<'a> BitsetSearch<'a> {
     /// over `lj`'s *currently set* bits only, so the scan shrinks as the
     /// domain does, and nothing is allocated or cached.
     fn fc_apply(&mut self, li: usize, lj: usize, ci: usize) -> Revised {
-        let (cons, n_cons) = Self::cons_pairs(self.clause, li, lj);
+        let (cons, n_cons) = Self::cons_pairs(self.body, li, lj);
         let BitsetSearch {
             static_cands,
             ground,
@@ -767,7 +825,7 @@ impl<'a> BitsetSearch<'a> {
             let ci = wd * 64 + self.dom[off_j + wd].trailing_zeros() as usize;
             return self.fc_apply(lj, lk, ci);
         }
-        let (cons, n_cons) = Self::cons_pairs(self.clause, lj, lk);
+        let (cons, n_cons) = Self::cons_pairs(self.body, lj, lk);
         let BitsetSearch {
             static_cands,
             ground,
@@ -893,7 +951,7 @@ impl<'a> BitsetSearch<'a> {
             // a variable repeated *within* this literal can still conflict
             // and is checked here.
             {
-                let lit = &self.clause.body[li];
+                let lit = &self.body[li];
                 let g = &self.ground.body[gi as usize];
                 let mut conflict = false;
                 for (t, &gv) in lit.args.iter().zip(g.vals.iter()) {
@@ -995,13 +1053,13 @@ impl<'a> BitsetSearch<'a> {
 }
 
 fn bitset_subsumes(
-    clause: &Clause,
+    body: &[Literal],
     ground: &GroundClause,
     cfg: &SubsumeConfig,
     prep: &Prepared,
     rng: &mut StdRng,
 ) -> bool {
-    let mut search = BitsetSearch::new(clause, ground, cfg, prep);
+    let mut search = BitsetSearch::new(body, ground, cfg, prep);
     // Phase structure per component: a cheap forward-checking-only pass
     // first (a small slice of the call budget — most coverage tests are
     // easy and propagation overhead would dominate them), escalating to
@@ -1012,15 +1070,15 @@ fn bitset_subsumes(
     const FC_PASS_BUDGET: usize = 256;
     // Binding and assignment buffers, refilled per attempt instead of
     // reallocated (~one attempt per component, components per test).
-    let mut b = prep.binding.clone();
-    let mut assigned = vec![true; clause.body.len()];
+    let mut b = prep.binding.to_vec();
+    let mut assigned = vec![true; body.len()];
     let mut covered = true;
     'component: for comp in &prep.components {
         search.active.clone_from(comp);
         search.mac = false;
         search.limit = (search.nodes.saturating_add(FC_PASS_BUDGET)).min(cfg.node_limit);
         search.reset();
-        b.copy_from_slice(&prep.binding);
+        b.copy_from_slice(prep.binding);
         // Literals outside the component are treated as already assigned.
         assigned.fill(true);
         for &li in comp {
@@ -1040,7 +1098,7 @@ fn bitset_subsumes(
         search.ensure_neighbors();
         for attempt in 0..=cfg.max_restarts {
             search.reset();
-            b.copy_from_slice(&prep.binding);
+            b.copy_from_slice(prep.binding);
             assigned.fill(true);
             for &li in comp {
                 assigned[li] = false;

@@ -321,3 +321,149 @@ fn answers_do_not_depend_on_test_history() {
     let again = run();
     assert_eq!(fresh, again, "history-dependent answers under a budget");
 }
+
+/// Every prefix length of `clause` probed through one shared [`PrefixProbe`]
+/// answers exactly what `theta_subsumes` answers on the materialized prefix
+/// clause, under `cfg`. Lengths are probed longest-first and then again
+/// shortest-first, so each answer is checked both before and after the
+/// probe's candidate table has been filled past it.
+fn assert_prefix_probe_matches(clause: &Clause, bc: &GroundClause, cfg: &SubsumeConfig) {
+    let n = clause.body.len();
+    let expected: Vec<bool> = (0..=n)
+        .map(|len| {
+            let prefix = Clause::new(clause.head.clone(), clause.body[..len].to_vec());
+            theta_subsumes(&prefix, bc, cfg)
+        })
+        .collect();
+    let mut probe = PrefixProbe::new(clause, bc);
+    let lengths = (0..=n).rev().chain(0..=n);
+    for len in lengths {
+        assert_eq!(
+            probe.covers(len, cfg),
+            expected[len],
+            "prefix {len} of a {n}-literal clause under {cfg:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The prefix probe is `theta_subsumes` on the materialized prefix, for
+    /// every prefix length of every generated clause (each extended with an
+    /// `r`-literal on a constant no ground literal carries, so the longest
+    /// prefixes also take the empty-candidate-list path), under the default
+    /// and the unbounded budget, and under a tight budget that cuts some
+    /// searches off.
+    #[test]
+    fn prefix_probe_matches_materialized_prefixes(
+        seed in 0u64..u64::MAX / 2,
+        n_consts in 4usize..9,
+        n_r in 0usize..14,
+        n_s in 0usize..14,
+    ) {
+        let mut world = build_world(seed, n_consts, n_r, n_s);
+        let r = world.db.rel_id("r").unwrap();
+        let absent = world.db.intern("absent");
+        for clause in &mut world.clauses {
+            clause.body.push(Literal::new(r, vec![Term::Var(VarId(0)), Term::Const(absent)]));
+            clause.body.push(Literal::new(r, vec![Term::Var(VarId(1)), Term::Var(VarId(0))]));
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0070_4ef1);
+        for example in &world.examples {
+            let bc = full_bc(&world, example, &mut rng);
+            for clause in &world.clauses {
+                for cfg in [
+                    SubsumeConfig::default(),
+                    SubsumeConfig::unbounded(),
+                    SubsumeConfig { node_limit: 12, max_restarts: 3 },
+                ] {
+                    assert_prefix_probe_matches(clause, &bc, &cfg);
+                }
+            }
+        }
+    }
+}
+
+/// Directed prefix-probe cases: a head that cannot match the example (every
+/// prefix refuted, the empty one included), an empty body (only the empty
+/// prefix, covered), and a literal whose candidate list is empty in the
+/// middle of the body (prefixes up to it covered, every longer one refuted
+/// without a search — even with no node budget).
+#[test]
+fn prefix_probe_directed_cases() {
+    let mut db = Database::new();
+    let r = db.add_relation("r", &["a", "b"]);
+    let u = db.add_relation("u", &["a"]);
+    let t = db.add_relation("t", &["a", "b"]);
+    for (a, b) in [("x", "m"), ("m", "y")] {
+        db.insert(r, &[a, b]);
+    }
+    db.insert(u, &["m"]);
+    db.build_indexes();
+    let c = |name: &str| db.lookup(name).unwrap();
+    let ground = GroundClause::new(
+        Example::new(t, vec![c("x"), c("y")]),
+        vec![
+            GroundLiteral {
+                rel: r,
+                vals: vec![c("x"), c("m")].into(),
+            },
+            GroundLiteral {
+                rel: r,
+                vals: vec![c("m"), c("y")].into(),
+            },
+            GroundLiteral {
+                rel: u,
+                vals: vec![c("m")].into(),
+            },
+        ],
+    );
+    let v = |n| Term::Var(VarId(n));
+    let budgets = [
+        SubsumeConfig::default(),
+        SubsumeConfig::unbounded(),
+        SubsumeConfig {
+            node_limit: 0,
+            max_restarts: 0,
+        },
+    ];
+
+    // t(V0, V0) cannot bind the example t(x, y): every prefix is refuted.
+    let mismatch = Clause::new(
+        Literal::new(t, vec![v(0), v(0)]),
+        vec![Literal::new(r, vec![v(0), v(2)])],
+    );
+    for cfg in &budgets {
+        assert_prefix_probe_matches(&mismatch, &ground, cfg);
+        let mut probe = PrefixProbe::new(&mismatch, &ground);
+        assert!(!probe.covers(0, cfg) && !probe.covers(1, cfg));
+    }
+
+    // Empty body: the only prefix is covered.
+    let empty = Clause::new(Literal::new(t, vec![v(0), v(1)]), vec![]);
+    for cfg in &budgets {
+        assert_prefix_probe_matches(&empty, &ground, cfg);
+        assert!(PrefixProbe::new(&empty, &ground).covers(0, cfg));
+    }
+
+    // t(V0, V1) ← r(V0, V2), u(V2), r(V1, V3), r(V2, V1): the third literal
+    // needs an r-tuple starting at y, which the ground BC lacks.
+    let blocked = Clause::new(
+        Literal::new(t, vec![v(0), v(1)]),
+        vec![
+            Literal::new(r, vec![v(0), v(2)]),
+            Literal::new(u, vec![v(2)]),
+            Literal::new(r, vec![v(1), v(3)]),
+            Literal::new(r, vec![v(2), v(1)]),
+        ],
+    );
+    for cfg in &budgets[..2] {
+        assert_prefix_probe_matches(&blocked, &ground, cfg);
+        let mut probe = PrefixProbe::new(&blocked, &ground);
+        let answers: Vec<bool> = (0..=4).map(|len| probe.covers(len, cfg)).collect();
+        assert_eq!(answers, [true, true, true, false, false]);
+    }
+    let mut probe = PrefixProbe::new(&blocked, &ground);
+    assert!(!probe.covers(3, &budgets[2]) && !probe.covers(4, &budgets[2]));
+}

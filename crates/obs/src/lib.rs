@@ -61,6 +61,8 @@
 //! | `learn.bc_build`      | ground-BC construction for a training set    |
 //! | `bc.build`            | one bottom clause (label = sampling regime)  |
 //! | `learn.clause_search` | one beam search (`LearnClause`)              |
+//! | `learn.armg`          | one armg call (notes: steps, probes, proven) |
+//! | `learn.canon`         | canonical-form dedup of one beam iteration   |
 //! | `coverage.theta`      | θ-subsumption coverage batch                 |
 //! | `coverage.spj`        | direct SPJ evaluation of a definition        |
 //! | `analyze.check`       | one static-verifier pass (bias or theory)    |

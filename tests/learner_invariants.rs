@@ -1,7 +1,8 @@
 //! Cross-cutting learner invariants that hold regardless of data:
 //!
 //! - prefix coverage is antitone (the blocking-atom binary search's premise);
-//! - armg output is a syntactic subset of its input;
+//! - armg output is a syntactic subset of its input, and equals the
+//!   operator computed from scratch over materialized prefix clauses;
 //! - learned clauses respect the language bias (only body relations with
 //!   modes, constants only on `#`-able attributes);
 //! - sampled learning never reports coverage that exact query evaluation
@@ -11,6 +12,7 @@
 
 use autobias_repro::autobias::generalize::blocking_atom;
 use autobias_repro::autobias::prelude::*;
+use autobias_repro::datasets::uw;
 use autobias_repro::relstore::{AttrRef, Database};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -196,4 +198,146 @@ fn sampled_coverage_is_one_sided_vs_query() {
             assert!(clause_covers(&db, &candidate, e, &qcfg));
         }
     }
+}
+
+/// Reference armg (paper §2.3.2) with nothing shared between tests: every
+/// probe of the blocking-atom binary search materializes its prefix clause
+/// and tests it from scratch with `theta_subsumes`.
+fn reference_armg(clause: &Clause, ground: &GroundClause, cfg: &SubsumeConfig) -> Option<Clause> {
+    let mut current = clause.clone();
+    loop {
+        let covers = |len: usize| {
+            let prefix = Clause::new(current.head.clone(), current.body[..len].to_vec());
+            theta_subsumes(&prefix, ground, cfg)
+        };
+        if covers(current.body.len()) {
+            return Some(current);
+        }
+        let (mut lo, mut hi) = (0, current.body.len());
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if covers(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        current.body.remove(hi - 1);
+        current.prune_unconnected();
+        if current.body.is_empty() {
+            return None;
+        }
+    }
+}
+
+/// armg, which reuses each step's proven prefix and one candidate table per
+/// blocking-atom search, equals the from-scratch reference for every
+/// (seed bottom clause, positive it does not cover) pair among the first
+/// eight positives of the default UW world, under the benchmark's
+/// AutoBias bias and naive sampling (bottom clauses capped at 200 literals
+/// to keep the from-scratch reference fast).
+#[test]
+fn armg_matches_from_scratch_reference_on_uw() {
+    let ds = uw::generate(&uw::UwConfig::default(), 3);
+    let auto = AutoBiasConfig {
+        constant_threshold: ConstantThreshold::Absolute(50),
+        ..AutoBiasConfig::default()
+    };
+    let (bias, _, _) = induce_bias(&ds.db, ds.target, &auto).unwrap();
+    let train = TrainingSet::new(ds.pos[..8].to_vec(), Vec::new());
+    let cfg = BcConfig {
+        depth: 2,
+        strategy: SamplingStrategy::Naive { per_selection: 20 },
+        max_tuples: 3_000,
+        max_body_literals: 200,
+    };
+    let eng = CoverageEngine::build(&ds.db, &bias, &train, &cfg, SubsumeConfig::default(), 7);
+    let scfg = eng.subsume_config();
+    let mut pairs = 0;
+    for seed in 0..eng.pos.len() {
+        let bc = &eng.pos[seed].clause;
+        for ex in 0..eng.pos.len() {
+            if eng.covers_pos(bc, ex) {
+                continue;
+            }
+            pairs += 1;
+            assert_eq!(
+                armg(bc, &eng, ex),
+                reference_armg(bc, &eng.pos[ex].ground, scfg),
+                "armg of seed {seed}'s bottom clause towards positive {ex}"
+            );
+        }
+    }
+    assert!(pairs > 40, "only {pairs} uncovered pairs exercised");
+}
+
+/// Directed: the blocking atom is the only link between an earlier literal
+/// and the head, so pruning drops a literal of the proven prefix and the
+/// proven length must shrink with it. With
+/// `t(x, y) ← q(z), r(x, z), u(x)` against an example whose neighbourhood
+/// has `q` but neither `r(x, _)` nor `u(x)`: the first step proves `q(z)`
+/// and blocks at `r(x, z)`; removing it strands `q(z)`, leaving
+/// `t(x, y) ← u(x)`, whose only prefix (`u(x)`, not covered) must be
+/// tested — a proven length left at 1 would wrongly accept it.
+#[test]
+fn armg_shrinks_the_proven_prefix_when_pruning_drops_part_of_it() {
+    let mut db = Database::new();
+    let s = db.add_relation("s", &["a", "b"]);
+    let q = db.add_relation("q", &["b"]);
+    let r = db.add_relation("r", &["a", "b"]);
+    let u = db.add_relation("u", &["a"]);
+    let t = db.add_relation("t", &["a", "b"]);
+    db.insert(s, &["x", "m"]);
+    db.insert(q, &["m"]);
+    db.insert(r, &["w", "m"]);
+    db.insert(u, &["w"]);
+    db.intern("y");
+    db.build_indexes();
+    let bias = parse_bias(
+        &db,
+        t,
+        "
+pred s(T1, T2)
+pred q(T2)
+pred r(T1, T2)
+pred u(T1)
+pred t(T1, T1)
+mode s(+, -)
+mode q(+)
+mode r(+, -)
+mode u(+)
+",
+    )
+    .unwrap();
+    let c = |name: &str| db.lookup(name).unwrap();
+    let train = TrainingSet::new(
+        vec![
+            Example::new(t, vec![c("w"), c("w")]),
+            Example::new(t, vec![c("x"), c("y")]),
+        ],
+        vec![],
+    );
+    let cfg = BcConfig {
+        depth: 2,
+        strategy: SamplingStrategy::Full,
+        max_tuples: 1_000,
+        max_body_literals: 1_000,
+    };
+    let eng = CoverageEngine::build(&db, &bias, &train, &cfg, SubsumeConfig::default(), 1);
+    let v = |n| Term::Var(VarId(n));
+    let clause = Clause::new(
+        Literal::new(t, vec![v(0), v(1)]),
+        vec![
+            Literal::new(q, vec![v(2)]),
+            Literal::new(r, vec![v(0), v(2)]),
+            Literal::new(u, vec![v(0)]),
+        ],
+    );
+    let ground = &eng.pos[1].ground;
+    assert_eq!(blocking_atom(&clause, &eng, 1), Some(1));
+    assert_eq!(reference_armg(&clause, ground, eng.subsume_config()), None);
+    assert_eq!(armg(&clause, &eng, 1), None);
+    // Towards the first example, whose neighbourhood has `r(w, m)`, `q(m)`
+    // and `u(w)`, the clause is covered and comes back unchanged.
+    assert_eq!(armg(&clause, &eng, 0), Some(clause.clone()));
 }
