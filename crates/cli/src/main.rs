@@ -548,7 +548,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         .then(|| plan::verify_definition(&ds.db, &def, &compiled));
     if args.has("--json") {
         let name = Path::new(path).file_stem().and_then(|s| s.to_str());
-        let mut doc = plan::explain::explain(&ds.db, name, &def, &compiled, None);
+        let mut doc = plan::explain::explain(&ds.db, name, &[], &def, &compiled, None);
         if let (Some(report), obs::json::Json::Obj(fields)) = (&verify, &mut doc) {
             let parsed = obs::json::Json::parse(&report.to_json())
                 .map_err(|e| format!("rendering verify report: {e}"))?;
@@ -556,7 +556,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         }
         println!("{doc}");
     } else {
-        print!("{}", plan::explain_text(&ds.db, &def, &compiled, None));
+        print!("{}", plan::explain_text(&ds.db, &[], &def, &compiled, None));
         if let Some(report) = &verify {
             if report.is_clean() {
                 println!(

@@ -171,6 +171,20 @@ fn global_sig(clause: &Clause, colors: &[u64]) -> Vec<u64> {
 /// produces); the result is always a genuine α-variant of the input, so
 /// using it in place of the input never changes coverage semantics.
 pub fn canonical_form(clause: &Clause) -> Clause {
+    canonical_form_status(clause).0
+}
+
+/// [`canonical_form`] together with whether the form is *complete*: every
+/// tie in the variable coloring was resolved, so the literal order depends
+/// on the coloring alone. A complete form is a fixpoint:
+/// `canonical_form(canonical_form(c)) == canonical_form(c)`. The form is
+/// incomplete when the individualization trial cap cuts the tie-breaking
+/// off. It is still an α-variant of the input, but the stable literal sort
+/// then breaks the remaining ties by input order, and which members of a
+/// tied class were individualized depends on variable ids. Canonicalizing
+/// the output again can therefore individualize other members and return
+/// a different α-variant.
+pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
     let num_vars = clause.num_vars() as usize;
     let occ = occurrences(clause, num_vars);
     let mut used = vec![false; num_vars];
@@ -199,6 +213,7 @@ pub fn canonical_form(clause: &Clause) -> Clause {
     // costs canonicalization completeness — a cache miss, never a wrong
     // answer).
     let mut trials = 0usize;
+    let mut complete = true;
     for _ in 0..num_vars {
         let mut classes: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
         for (v, &c) in colors.iter().enumerate() {
@@ -215,6 +230,7 @@ pub fn canonical_form(clause: &Clause) -> Clause {
         };
         trials += members.len();
         if trials > MAX_INDIV_TRIALS {
+            complete = false;
             break;
         }
         let mut best: Option<(Vec<u64>, Vec<u64>)> = None;
@@ -272,7 +288,7 @@ pub fn canonical_form(clause: &Clause) -> Clause {
             )
         })
         .collect();
-    Clause::new(head, body)
+    (Clause::new(head, body), complete)
 }
 
 /// 64-bit hash of the canonical form — a fingerprint for tests, logging,
@@ -450,9 +466,10 @@ mod tests {
     #[test]
     fn canonical_form_is_a_fixpoint_and_alpha_variant() {
         let c = chain();
-        let canon = canonical_form(&c);
-        // Idempotent.
-        assert_eq!(canonical_form(&canon), canon);
+        let (canon, complete) = canonical_form_status(&c);
+        // Complete, hence idempotent.
+        assert!(complete);
+        assert_eq!(canonical_form_status(&canon), (canon.clone(), true));
         // Same shape: relation multiset and literal count preserved.
         assert_eq!(canon.body.len(), c.body.len());
         let mut rels_a: Vec<u32> = c.body.iter().map(|l| l.rel.0).collect();
@@ -464,6 +481,60 @@ mod tests {
         assert_eq!(canon.head.args[0], v(0));
         assert_eq!(canon.head.args[1], v(1));
         assert!(canon.num_vars() <= c.num_vars());
+    }
+
+    /// The trial cap's known limit, reproduced: `t(x, y) ← r(a_i, x),
+    /// r(a_i, k)` for five `a_i` plus `r(b_j, x)` for ten `b_j`, in the
+    /// body order below, ties two classes whose individualization needs
+    /// more than 64 trials, so the form is incomplete. It still only
+    /// renames, but it is not a fixpoint: canonicalizing it again
+    /// individualizes other members of the tied classes. Making incomplete
+    /// forms fixpoints changes learned output (DESIGN.md §10), and that
+    /// change must flip the last assertion.
+    #[test]
+    fn truncated_individualization_is_incomplete_and_not_a_fixpoint() {
+        // (variable, second argument is the constant) per body literal.
+        let order = [
+            (9, false),
+            (3, false),
+            (4, true),
+            (5, true),
+            (12, false),
+            (6, true),
+            (13, false),
+            (7, false),
+            (8, false),
+            (14, false),
+            (3, true),
+            (5, false),
+            (10, false),
+            (6, false),
+            (2, true),
+            (15, false),
+            (16, false),
+            (11, false),
+            (4, false),
+            (2, false),
+        ];
+        let body = order
+            .iter()
+            .map(|&(a, to_k)| {
+                let second = if to_k { k(102) } else { v(0) };
+                Literal::new(RelId(0), vec![v(a), second])
+            })
+            .collect();
+        let clause = Clause::new(Literal::new(RelId(9), vec![v(0), v(1)]), body);
+        let (canon, complete) = canonical_form_status(&clause);
+        assert!(!complete);
+        let (again, again_complete) = canonical_form_status(&canon);
+        assert!(!again_complete);
+        for form in [&canon, &again] {
+            assert_eq!(form.body.len(), clause.body.len());
+            assert_eq!(form.num_vars(), clause.num_vars());
+            let with_k = form.body.iter().filter(|l| l.args[1] == k(102)).count();
+            assert_eq!(with_k, 5);
+        }
+        assert_ne!(again, canon, "incomplete forms are not fixpoints yet");
     }
 
     #[test]

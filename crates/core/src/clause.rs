@@ -72,13 +72,19 @@ impl Literal {
 
     /// Renders with constant names from `db`.
     pub fn render(&self, db: &Database) -> String {
+        self.render_with(db, &|c| db.const_name(c).to_string())
+    }
+
+    /// Renders with relation names from `db` and constant names from
+    /// `const_name` (for constants the dictionary does not hold).
+    pub fn render_with(&self, db: &Database, const_name: &dyn Fn(Const) -> String) -> String {
         let name = &db.catalog().schema(self.rel).name;
         let args: Vec<String> = self
             .args
             .iter()
             .map(|t| match t {
                 Term::Var(v) => v.label(),
-                Term::Const(c) => db.const_name(*c).to_string(),
+                Term::Const(c) => const_name(*c),
             })
             .collect();
         format!("{}({})", name, args.join(", "))
@@ -256,11 +262,22 @@ impl Clause {
 
     /// Renders the clause in the paper's notation.
     pub fn render(&self, db: &Database) -> String {
+        self.render_with(db, &|c| db.const_name(c).to_string())
+    }
+
+    /// [`Clause::render`] with constant names from `const_name`, as
+    /// [`Literal::render_with`].
+    pub fn render_with(&self, db: &Database, const_name: &dyn Fn(Const) -> String) -> String {
+        let head = self.head.render_with(db, const_name);
         if self.body.is_empty() {
-            return format!("{} ← true", self.head.render(db));
+            return format!("{head} ← true");
         }
-        let body: Vec<String> = self.body.iter().map(|l| l.render(db)).collect();
-        format!("{} ← {}", self.head.render(db), body.join(", "))
+        let body: Vec<String> = self
+            .body
+            .iter()
+            .map(|l| l.render_with(db, const_name))
+            .collect();
+        format!("{head} ← {}", body.join(", "))
     }
 
     /// Renumbers variables densely (head vars first, then body order) so two

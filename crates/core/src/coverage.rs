@@ -6,14 +6,16 @@
 //! On top of the raw per-example tests sits the **coverage cache and
 //! monotone scoring layer** (DESIGN.md §10):
 //!
-//! - every batch entry point ([`CoverageEngine::covered_pos_mask`],
-//!   [`CoverageEngine::count_neg_budget`], …) first rewrites the candidate to
-//!   its canonical form ([`crate::canon`]) so α-equivalent armg duplicates
+//! - every memo-keyed entry point ([`CoverageEngine::covered_pos_mask`],
+//!   [`CoverageEngine::batch_covered_pos`],
+//!   [`CoverageEngine::count_neg_budget`]) takes a [`Canonical`] clause: the
+//!   candidate rewritten once, by [`CoverageEngine::canonical`], to its
+//!   canonical form ([`crate::canon`]) so α-equivalent armg duplicates
 //!   share one memo entry — and, crucially, one *answer*: θ-subsumption is
-//!   approximate and its randomized search depends on literal order, so two
-//!   α-variants could otherwise get different answers. Canonicalizing on the
-//!   cached **and** uncached paths makes `LearnerConfig::coverage_memo` a
-//!   true no-op on learned output;
+//!   approximate and its search depends on literal order, so two
+//!   α-variants could otherwise get different answers. The canonical form
+//!   is what the search sees on the cached **and** uncached paths, which
+//!   makes `LearnerConfig::coverage_memo` a true no-op on learned output;
 //! - positive coverage is tracked per clause as a lazily-filled [`Bitset`]
 //!   pair (`known`, `covered`): only the requested-but-unknown examples are
 //!   tested, and a fully-known request is a pure cache hit;
@@ -165,6 +167,33 @@ impl NegCount {
     }
 }
 
+/// A clause in the canonical form the coverage memo keys on, and the form
+/// every memo-keyed entry point hands to the subsumption search. Only
+/// [`CoverageEngine::canonical`] constructs one, so holding a `Canonical`
+/// proves the rewrite already happened and the entry points trust it
+/// instead of canonicalizing again. Each clause is rewritten once and every
+/// query about it, cached or not, searches that one form. Where the form is
+/// complete ([`crate::canon::canonical_form_status`]) it is a fixpoint, so
+/// a second rewrite would change nothing; an incomplete form is an
+/// α-variant that a second rewrite could reorder (DESIGN.md §10).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Canonical(Clause);
+
+impl Canonical {
+    /// Unwraps the canonical clause.
+    pub fn into_clause(self) -> Clause {
+        self.0
+    }
+}
+
+impl std::ops::Deref for Canonical {
+    type Target = Clause;
+
+    fn deref(&self) -> &Clause {
+        &self.0
+    }
+}
+
 /// Per-canonical-clause memoized coverage results.
 #[derive(Debug)]
 struct MemoEntry {
@@ -199,7 +228,7 @@ const NEG_CHUNK: usize = 256;
 
 #[derive(Debug, Default)]
 struct CoverageMemo {
-    map: FxHashMap<Clause, MemoEntry>,
+    map: FxHashMap<Canonical, MemoEntry>,
     /// Queries answered from the table (this engine's share of
     /// `instrument::COVERAGE_CACHE_HITS`).
     hits: u64,
@@ -208,7 +237,7 @@ struct CoverageMemo {
 impl CoverageMemo {
     /// The entry for `canon`, creating it when the table has room. Returns
     /// `None` when the key is absent and the table is full.
-    fn get_or_insert(&mut self, canon: &Clause, pos_len: usize) -> Option<&mut MemoEntry> {
+    fn get_or_insert(&mut self, canon: &Canonical, pos_len: usize) -> Option<&mut MemoEntry> {
         if !self.map.contains_key(canon) {
             if self.map.len() >= MEMO_MAX_ENTRIES {
                 return None;
@@ -321,15 +350,16 @@ impl CoverageEngine {
     }
 
     /// The canonical form used as the memo key — and as the clause actually
-    /// handed to the subsumption search by every batch entry point, cached
-    /// or not (see the module docs for why that must not differ). Oversized
-    /// clauses pass through unchanged.
-    pub fn canonical(&self, clause: &Clause) -> Clause {
-        if clause.body.len() > CANON_MAX_LITERALS {
+    /// handed to the subsumption search by every memo-keyed entry point,
+    /// cached or not (see the module docs for why that must not differ).
+    /// Oversized clauses pass through unchanged. The one constructor of
+    /// [`Canonical`].
+    pub fn canonical(&self, clause: &Clause) -> Canonical {
+        Canonical(if clause.body.len() > CANON_MAX_LITERALS {
             clause.clone()
         } else {
             crate::canon::canonical_form(clause)
-        }
+        })
     }
 
     /// Whether `clause` covers positive example `i`. Raw single-example
@@ -348,20 +378,19 @@ impl CoverageEngine {
     }
 
     /// Positives among `candidates` covered by `clause`, as a bitset over
-    /// all positives. Canonicalizes, then consults/fills the memo so only
-    /// requested-but-unknown examples are tested.
-    pub fn covered_pos_mask(&self, clause: &Clause, candidates: &Bitset) -> Bitset {
-        let canon = self.canonical(clause);
+    /// all positives. Consults/fills the memo so only requested-but-unknown
+    /// examples are tested.
+    pub fn covered_pos_mask(&self, clause: &Canonical, candidates: &Bitset) -> Bitset {
         let mut counts = [0usize];
-        let mut masks = self.batch_pos_masks(std::slice::from_ref(&canon), candidates, &mut counts);
+        let mut masks = self.batch_pos_masks(std::slice::from_ref(clause), candidates, &mut counts);
         masks.pop().expect("one mask per input clause")
     }
 
     /// Indices among `candidates` of positives covered by `clause`
-    /// (in `candidates` order).
+    /// (in `candidates` order). Canonicalizes `clause` once.
     pub fn covered_pos_subset(&self, clause: &Clause, candidates: &[usize]) -> Vec<usize> {
         let mask = Bitset::from_indices(self.pos.len(), candidates);
-        let covered = self.covered_pos_mask(clause, &mask);
+        let covered = self.covered_pos_mask(&self.canonical(clause), &mask);
         candidates
             .iter()
             .copied()
@@ -373,22 +402,21 @@ impl CoverageEngine {
     /// candidate set, evaluated as a **single** parallel map over the
     /// `(candidate × example)` pairs the memo cannot answer — so a narrow
     /// beam with one expensive clause no longer serializes scoring.
-    /// `clauses` are canonicalized internally; returns one count per clause.
-    pub fn batch_covered_pos(&self, clauses: &[Clause], candidates: &[usize]) -> Vec<usize> {
+    /// Returns one count per clause.
+    pub fn batch_covered_pos(&self, clauses: &[Canonical], candidates: &[usize]) -> Vec<usize> {
         let cand_mask = Bitset::from_indices(self.pos.len(), candidates);
-        let canons: Vec<Clause> = clauses.iter().map(|c| self.canonical(c)).collect();
         let mut counts = vec![0usize; clauses.len()];
-        self.batch_pos_masks(&canons, &cand_mask, &mut counts);
+        self.batch_pos_masks(clauses, &cand_mask, &mut counts);
         counts
     }
 
-    /// Shared positive-coverage core: for each (already canonical) clause,
+    /// Shared positive-coverage core: for each canonical clause,
     /// answers `covered ∧ candidates` from the memo where known and tests
     /// the rest in one parallel map over `(clause, example)` pairs. Fills
     /// `counts[ci]` with the per-clause covered count and returns the masks.
     fn batch_pos_masks(
         &self,
-        canons: &[Clause],
+        canons: &[Canonical],
         candidates: &Bitset,
         counts: &mut [usize],
     ) -> Vec<Bitset> {
@@ -461,8 +489,9 @@ impl CoverageEngine {
     }
 
     /// Number of negatives covered by `clause` (parallel, exact).
+    /// Canonicalizes `clause` once.
     pub fn count_neg(&self, clause: &Clause) -> usize {
-        self.count_neg_budget(clause, None).value()
+        self.count_neg_budget(&self.canonical(clause), None).value()
     }
 
     /// Negative count with a monotone cutoff: with `Some(c)`, counting stops
@@ -471,11 +500,10 @@ impl CoverageEngine {
     /// in fixed 256-example (`NEG_CHUNK`) chunks, so which examples get tested —
     /// and every value this can return — is a pure function of the clause
     /// and cutoff, independent of thread count and cache state.
-    pub fn count_neg_budget(&self, clause: &Clause, cutoff: Option<usize>) -> NegCount {
-        let canon = self.canonical(clause);
+    pub fn count_neg_budget(&self, canon: &Canonical, cutoff: Option<usize>) -> NegCount {
         if let Some(m) = &self.memo {
             let mut memo = m.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(e) = memo.map.get_mut(&canon) {
+            if let Some(e) = memo.map.get_mut(canon) {
                 match e.neg {
                     // An exact count answers any query.
                     Some(n @ NegCount::Exact(_)) => {
@@ -494,10 +522,10 @@ impl CoverageEngine {
             }
             instrument::COVERAGE_CACHE_MISSES.bump();
         }
-        let result = self.neg_count_raw(&canon, cutoff);
+        let result = self.neg_count_raw(canon, cutoff);
         if let Some(m) = &self.memo {
             let mut memo = m.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(e) = memo.get_or_insert(&canon, self.pos.len()) {
+            if let Some(e) = memo.get_or_insert(canon, self.pos.len()) {
                 e.neg = Some(match (e.neg, result) {
                     // Never replace an exact count, never lower a bound.
                     (Some(n @ NegCount::Exact(_)), _) => n,
@@ -514,7 +542,7 @@ impl CoverageEngine {
 
     /// Chunked negative counting over `0..neg.len()` driven directly over
     /// the index range (no per-call index `Vec`), with the early exit.
-    fn neg_count_raw(&self, canon: &Clause, cutoff: Option<usize>) -> NegCount {
+    fn neg_count_raw(&self, canon: &Canonical, cutoff: Option<usize>) -> NegCount {
         let mut sp = obs::span!("coverage.theta", "neg");
         let total = self.neg.len();
         let mut count = 0usize;
@@ -538,9 +566,12 @@ impl CoverageEngine {
 
     /// The clause score used by generalization: positives covered (among
     /// `pos_candidates`) minus negatives covered (paper §2.3.2).
+    /// Canonicalizes `clause` once for both halves.
     pub fn score(&self, clause: &Clause, pos_candidates: &[usize]) -> (i64, usize, usize) {
-        let p = self.covered_pos_subset(clause, pos_candidates).len();
-        let n = self.count_neg(clause);
+        let canon = self.canonical(clause);
+        let mask = Bitset::from_indices(self.pos.len(), pos_candidates);
+        let p = self.covered_pos_mask(&canon, &mask).count_ones();
+        let n = self.count_neg_budget(&canon, None).value();
         (p as i64 - n as i64, p, n)
     }
 }
@@ -774,7 +805,10 @@ mode publication(-, +)
         // with a fresh full evaluation.
         assert_eq!(eng.covered_pos_subset(&clause, &[0]), vec![0]);
         assert_eq!(eng.covered_pos_subset(&clause, &[0, 1]), vec![0, 1]);
-        let mask = eng.covered_pos_mask(&clause, &Bitset::from_indices(eng.pos.len(), &[0, 1]));
+        let mask = eng.covered_pos_mask(
+            &eng.canonical(&clause),
+            &Bitset::from_indices(eng.pos.len(), &[0, 1]),
+        );
         assert_eq!(mask.count_ones(), 2);
     }
 
@@ -788,7 +822,7 @@ mode publication(-, +)
         let exact = eng.count_neg(&clause);
         assert_eq!(exact, 2);
         for cutoff in 0..4 {
-            let budgeted = eng.count_neg_budget(&clause, Some(cutoff));
+            let budgeted = eng.count_neg_budget(&eng.canonical(&clause), Some(cutoff));
             assert_eq!(
                 budgeted.exceeds(Some(cutoff)),
                 exact > cutoff,

@@ -8,8 +8,8 @@
 //! Each step strictly shrinks the clause, so termination is guaranteed.
 
 use crate::clause::{Clause, Literal};
-use crate::coverage::CoverageEngine;
-use crate::subsume::PrefixProbe;
+use crate::coverage::{Canonical, CoverageEngine};
+use crate::subsume::{CandTable, PrefixProbe};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::hash::{Hash, Hasher};
@@ -90,35 +90,47 @@ fn search_blocking_atom(n: usize, mut covers: impl FnMut(usize) -> bool) -> Opti
 /// literals, so the first `proven` literals of the next clause — those the
 /// pruning kept from the proven prefix — form a sub-body of a clause known
 /// to cover the example, and cover it too. Probes of length `≤ proven`
-/// therefore answer "covered" without a test. The binary search still asks
-/// the same lengths in the same order; a skipped test could only have
+/// therefore answer "covered" without a test, and longer probes skip the
+/// components that lie wholly inside the proven prefix
+/// ([`PrefixProbe::covers_given`]). The binary search still asks the same
+/// lengths in the same order; a skipped test or component could only have
 /// answered "not covered" through budget exhaustion, so the reuse never
 /// claims "covered" wrongly.
+///
+/// One candidate table serves the whole call: the lists depend only on a
+/// literal, the head binding and the example, none of which a step
+/// changes, so the table follows each step's deletions instead of being
+/// refilled.
 pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<Clause> {
     let mut sp = obs::span!("learn.armg");
     let ground = &engine.pos[pos_idx].ground;
     let cfg = engine.subsume_config();
     let mut current = clause.clone();
+    let mut table = CandTable::default();
     let mut proven = 0usize;
-    let (mut steps, mut probes, mut proven_probes) = (0u64, 0u64, 0u64);
+    let (mut steps, mut probes, mut proven_probes, mut skipped) = (0u64, 0u64, 0u64, 0u64);
     let result = loop {
-        let mut probe = PrefixProbe::new(&current, ground);
+        let mut probe = PrefixProbe::with_table(&current, ground, table);
         let block = search_blocking_atom(current.body.len(), |len| {
             if len <= proven {
                 proven_probes += 1;
                 return true;
             }
             probes += 1;
-            probe.covers(len, cfg)
+            probe.covers_given(len, proven, cfg)
         });
+        skipped += probe.skipped_components();
+        table = probe.into_table();
         let Some(block) = block else {
             break Some(current);
         };
         steps += 1;
         current.body.remove(block);
+        table.remove(block);
         let kept = current.head_connected_indices();
         proven = kept.partition_point(|&i| i < block);
         current.keep_body(&kept);
+        table.keep(&kept);
         if current.body.is_empty() {
             break None;
         }
@@ -127,6 +139,7 @@ pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<
         sp.note("steps", steps);
         sp.note("probes", probes);
         sp.note("proven_probes", proven_probes);
+        sp.note("skipped_components", skipped);
     }
     result
 }
@@ -412,13 +425,12 @@ pub fn learn_clause<R: Rng>(
     let mut sp = obs::span!("learn.clause_search");
     let bottom = engine.pos[seed].clause.clone();
 
-    let score_of = |c: &Clause, stats: &mut LearnClauseStats| {
+    let mut best_score = {
+        let _score_sp = obs::span!("learn.score");
         stats.candidates_scored += 1;
-        engine.score(c, uncovered).0
+        engine.score(&bottom, uncovered).0
     };
-
     let mut best = bottom.clone();
-    let mut best_score = score_of(&bottom, &mut stats);
     let mut beam: Vec<(Clause, i64)> = vec![(bottom, best_score)];
 
     for _ in 0..cfg.max_iterations {
@@ -429,6 +441,7 @@ pub fn learn_clause<R: Rng>(
         sample.truncate(cfg.sample_size);
 
         let past_deadline = || cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d);
+        let generate_sp = obs::span!("learn.generate");
         let mut raw: Vec<Clause> = Vec::new();
         'gen: for (clause, _) in &beam {
             for &e in &sample {
@@ -444,6 +457,7 @@ pub fn learn_clause<R: Rng>(
                 }
             }
         }
+        drop(generate_sp);
         // Distinct armg results often coincide — across beam members, across
         // sample examples, and as α-variants of each other. Canonical forms
         // collapse all of those so each equivalence class is scored once,
@@ -451,8 +465,8 @@ pub fn learn_clause<R: Rng>(
         // keys below are exact repeats.
         let raw_len = raw.len();
         let canon_sp = obs::span!("learn.canon");
-        let mut seen: relstore::FxHashSet<Clause> = relstore::FxHashSet::default();
-        let mut unique: Vec<Clause> = Vec::new();
+        let mut seen: relstore::FxHashSet<Canonical> = relstore::FxHashSet::default();
+        let mut unique: Vec<Canonical> = Vec::new();
         for c in raw {
             let canon = engine.canonical(&c);
             if seen.insert(canon.clone()) {
@@ -465,6 +479,7 @@ pub fn learn_clause<R: Rng>(
             break;
         }
         stats.candidates_generated += unique.len();
+        let score_sp = obs::span!("learn.score");
 
         // Constraint consult #1: a specialisation of a stored zero-positive
         // candidate provably covers zero positives — inject p = 0 without
@@ -478,13 +493,13 @@ pub fn learn_clause<R: Rng>(
         // Positive halves of all candidates scored as one batched parallel
         // map over (candidate × example) pairs — balanced even when the
         // beam holds one expensive clause and several cheap ones.
-        let to_test: Vec<Clause> = test_idx.iter().map(|&i| unique[i].clone()).collect();
+        let to_test: Vec<Canonical> = test_idx.iter().map(|&i| unique[i].clone()).collect();
         let ps = engine.batch_covered_pos(&to_test, uncovered);
         let mut p_of = vec![0usize; unique.len()];
         for (k, &i) in test_idx.iter().enumerate() {
             p_of[i] = ps[k];
         }
-        let mut with_p: Vec<(Clause, usize)> = unique.into_iter().zip(p_of).collect();
+        let mut with_p: Vec<(Canonical, usize)> = unique.into_iter().zip(p_of).collect();
         // Constraint harvest #1: freshly measured zero-positive candidates.
         for (c, p) in &with_p {
             if *p == 0 {
@@ -497,7 +512,7 @@ pub fn learn_clause<R: Rng>(
         // candidate's positive coverage cannot beat the beam's k-th best
         // full score, negative counting (the expensive half over every
         // negative example) is skipped.
-        let mut candidates: Vec<(Clause, i64)> = Vec::new();
+        let mut candidates: Vec<(Canonical, i64)> = Vec::new();
         let total = with_p.len();
         for (idx, (c, p)) in with_p.into_iter().enumerate() {
             if past_deadline() && !candidates.is_empty() {
@@ -566,6 +581,7 @@ pub fn learn_clause<R: Rng>(
             candidates.push((c, s));
             candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.len().cmp(&b.0.len())));
         }
+        drop(score_sp);
         if candidates.is_empty() {
             break;
         }
@@ -574,8 +590,11 @@ pub fn learn_clause<R: Rng>(
         let round_best = candidates[0].1;
         if round_best > best_score {
             best_score = round_best;
-            best = candidates[0].0.clone();
-            beam = candidates;
+            best = candidates[0].0.clone().into_clause();
+            beam = candidates
+                .into_iter()
+                .map(|(c, s)| (c.into_clause(), s))
+                .collect();
         } else {
             break; // no improvement: stop (paper: "iterates until the
                    // clauses cannot be improved")

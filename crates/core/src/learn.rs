@@ -259,9 +259,10 @@ impl Learner {
             stats.pruned_by_constraint += cstats.candidates_pruned_by_constraint;
 
             let uncovered_mask = Bitset::from_indices(train.pos.len(), &uncovered);
-            let covered_mask = engine.covered_pos_mask(&clause, &uncovered_mask);
+            let canon = engine.canonical(&clause);
+            let covered_mask = engine.covered_pos_mask(&canon, &uncovered_mask);
             let covered_len = covered_mask.count_ones();
-            let neg_covered = engine.count_neg(&clause);
+            let neg_covered = engine.count_neg_budget(&canon, None).value();
             let precision = precision_of(covered_len, neg_covered);
 
             let accept = covered_len >= self.cfg.min.min_pos_covered

@@ -79,13 +79,13 @@ pub mod prelude {
     pub use crate::bottom::{
         build_bottom_clause, BcConfig, BottomClause, GroundClause, GroundLiteral, SamplingStrategy,
     };
-    pub use crate::canon::{canonical_form, canonical_key};
+    pub use crate::canon::{canonical_form, canonical_form_status, canonical_key};
     pub use crate::clause::{Clause, Definition, Literal, Term, VarId};
     pub use crate::clause_text::{
         parse_clause, parse_clause_frozen, parse_definition, parse_definition_frozen,
         ClauseParseError,
     };
-    pub use crate::coverage::{worker_threads, Bitset, CoverageEngine, NegCount};
+    pub use crate::coverage::{worker_threads, Bitset, Canonical, CoverageEngine, NegCount};
     pub use crate::eval::{cross_validate, evaluate_definition, kfold_splits, CvResult, Metrics};
     pub use crate::example::{parse_arg_tuple, Example, TrainingSet};
     pub use crate::generalize::{armg, learn_clause, reduce_clause, ConstraintStore, GenConfig};

@@ -119,24 +119,61 @@ pub struct PrefixProbe<'a> {
     /// when the head cannot match the example, which refutes every prefix.
     binding: Option<Vec<Option<Const>>>,
     cands: CandTable,
+    /// Components [`PrefixProbe::covers_given`] skipped as proven so far.
+    skipped: u64,
 }
 
 impl<'a> PrefixProbe<'a> {
     /// A probe of `clause`'s prefixes against `ground`; binds the head.
     pub fn new(clause: &'a Clause, ground: &'a GroundClause) -> Self {
+        Self::with_table(clause, ground, CandTable::default())
+    }
+
+    /// A probe that starts from `cands`, a table filled by an earlier probe
+    /// of a clause with the same head against the same `ground`, and
+    /// remapped through every body edit since (see [`CandTable::remove`]
+    /// and [`CandTable::keep`]).
+    pub(crate) fn with_table(
+        clause: &'a Clause,
+        ground: &'a GroundClause,
+        cands: CandTable,
+    ) -> Self {
         Self {
             head: &clause.head,
             body: &clause.body,
             ground,
             binding: bind_head(clause, ground),
-            cands: CandTable::default(),
+            cands,
+            skipped: 0,
         }
+    }
+
+    /// Hands the candidate table back, for the next probe of an edited body.
+    pub(crate) fn into_table(self) -> CandTable {
+        self.cands
+    }
+
+    /// Components skipped as proven by [`PrefixProbe::covers_given`] over
+    /// this probe's lifetime.
+    pub(crate) fn skipped_components(&self) -> u64 {
+        self.skipped
     }
 
     /// Whether the prefix clause `T ← body[..len]` θ-subsumes the ground
     /// example: the answer [`theta_subsumes`] gives on that clause. Each
     /// call is one subsumption test. Panics when `len` exceeds the body.
     pub fn covers(&mut self, len: usize, cfg: &SubsumeConfig) -> bool {
+        self.covers_given(len, 0, cfg)
+    }
+
+    /// [`PrefixProbe::covers`] for a caller that knows the prefix
+    /// `body[..proven]` covers the example. The search then skips every
+    /// component of `body[..len]` whose literals all lie in `body[..proven]`:
+    /// such a component is a sub-body of a clause that covers the example,
+    /// so it is satisfiable. Skipping can only turn a budget-exhausted "not
+    /// covered" into "covered", never claim "covered" wrongly; under an
+    /// unbounded budget the answer equals [`PrefixProbe::covers`].
+    pub fn covers_given(&mut self, len: usize, proven: usize, cfg: &SubsumeConfig) -> bool {
         crate::instrument::SUBSUMPTION_TESTS.bump();
         let Some(binding) = &self.binding else {
             return false;
@@ -154,7 +191,9 @@ impl<'a> PrefixProbe<'a> {
         // pure function of the inputs, identical no matter which tests ran
         // before.
         let mut rng = StdRng::seed_from_u64(derive_seed(self.head, body, self.ground));
-        bitset_subsumes(body, self.ground, cfg, &prep, &mut rng)
+        let (covered, skipped) = bitset_subsumes(body, self.ground, cfg, &prep, proven, &mut rng);
+        self.skipped += skipped;
+        covered
     }
 }
 
@@ -244,8 +283,13 @@ type SigEntry = (relstore::RelId, Vec<(u32, Const)>, u32);
 /// same-relation literals differing only in unbound search variables, so
 /// lists are memoized by (relation, required-constant signature) and
 /// same-signature literals share one list instead of rescanning.
+///
+/// A list depends only on its literal, the head binding and the example,
+/// so one table serves every body armg derives from a clause by deleting
+/// literals: [`CandTable::remove`] and [`CandTable::keep`] mirror the
+/// deletions on the literal → list index, and the lists stay valid.
 #[derive(Default)]
-struct CandTable {
+pub(crate) struct CandTable {
     /// Distinct candidate lists, one per signature.
     pool: Vec<Vec<u32>>,
     /// Body literal → index into `pool`, for the leading literals filled so
@@ -310,6 +354,30 @@ impl CandTable {
             self.pool.push(cands);
         }
         true
+    }
+
+    /// Mirrors `body.remove(i)` on the probed body.
+    pub(crate) fn remove(&mut self, i: usize) {
+        if i < self.of.len() {
+            self.of.remove(i);
+        } else if i == self.of.len() {
+            // The literal with the empty list is gone; the next one is unfilled.
+            self.empty = false;
+        }
+    }
+
+    /// Mirrors keeping only the body literals at the ascending positions
+    /// `kept` (`Clause::keep_body`) on the probed body.
+    pub(crate) fn keep(&mut self, kept: &[usize]) {
+        let filled = self.of.len();
+        let mut w = 0;
+        for &i in kept.iter().take_while(|&&i| i < filled) {
+            self.of[w] = self.of[i];
+            w += 1;
+        }
+        self.of.truncate(w);
+        // The empty-list literal stays first past the filled ones iff kept.
+        self.empty &= kept.get(w) == Some(&filled);
     }
 
     /// The candidate lists of the first `len` body literals (all filled).
@@ -1052,13 +1120,18 @@ impl<'a> BitsetSearch<'a> {
     }
 }
 
+/// Searches every component of `body` against `ground`, except those whose
+/// literals all lie in the proven prefix `body[..proven]` (satisfiable, see
+/// [`PrefixProbe::covers_given`]). Returns the answer and the number of
+/// components skipped.
 fn bitset_subsumes(
     body: &[Literal],
     ground: &GroundClause,
     cfg: &SubsumeConfig,
     prep: &Prepared,
+    proven: usize,
     rng: &mut StdRng,
-) -> bool {
+) -> (bool, u64) {
     let mut search = BitsetSearch::new(body, ground, cfg, prep);
     // Phase structure per component: a cheap forward-checking-only pass
     // first (a small slice of the call budget — most coverage tests are
@@ -1073,7 +1146,13 @@ fn bitset_subsumes(
     let mut b = prep.binding.to_vec();
     let mut assigned = vec![true; body.len()];
     let mut covered = true;
+    let mut skipped = 0u64;
     'component: for comp in &prep.components {
+        // Members are ascending, so the last one bounds the component.
+        if comp.last().is_some_and(|&li| li < proven) {
+            skipped += 1;
+            continue;
+        }
         search.active.clone_from(comp);
         search.mac = false;
         search.limit = (search.nodes.saturating_add(FC_PASS_BUDGET)).min(cfg.node_limit);
@@ -1119,7 +1198,7 @@ fn bitset_subsumes(
         break;
     }
     crate::instrument::SUBSUME_DOMAIN_WORDS.add(search.words);
-    covered
+    (covered, skipped)
 }
 
 #[cfg(test)]

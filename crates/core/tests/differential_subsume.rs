@@ -346,6 +346,41 @@ fn assert_prefix_probe_matches(clause: &Clause, bc: &GroundClause, cfg: &Subsume
     }
 }
 
+/// The probe given a proven length `k` — taken only where `body[..k]`
+/// truly covers (unbounded `theta_subsumes`) — skips the components inside
+/// `body[..k]` and stays between the two materialized answers for every
+/// longer prefix: it keeps every "covered" the materialized prefix gets
+/// under `cfg` and claims none that the exact answer denies. Under the
+/// unbounded budget the two coincide, so the probe answers exactly. Lengths
+/// are probed longest-first and then shortest-first, as in
+/// [`assert_prefix_probe_matches`].
+fn assert_proven_probe_matches(clause: &Clause, bc: &GroundClause, cfg: &SubsumeConfig) {
+    let n = clause.body.len();
+    let answers = |cfg: &SubsumeConfig| -> Vec<bool> {
+        (0..=n)
+            .map(|len| {
+                let prefix = Clause::new(clause.head.clone(), clause.body[..len].to_vec());
+                theta_subsumes(&prefix, bc, cfg)
+            })
+            .collect()
+    };
+    let exact = answers(&SubsumeConfig::unbounded());
+    let budgeted = answers(cfg);
+    for k in (0..=n).filter(|&k| exact[k]) {
+        let mut probe = PrefixProbe::new(clause, bc);
+        for len in (k..=n).rev().chain(k..=n) {
+            let got = probe.covers_given(len, k, cfg);
+            assert!(
+                budgeted[len] <= got && got <= exact[len],
+                "prefix {len} of a {n}-literal clause given {k} proven under {cfg:?}: \
+                 got {got}, budgeted {}, exact {}",
+                budgeted[len],
+                exact[len]
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -354,7 +389,9 @@ proptest! {
     /// `r`-literal on a constant no ground literal carries, so the longest
     /// prefixes also take the empty-candidate-list path), under the default
     /// and the unbounded budget, and under a tight budget that cuts some
-    /// searches off.
+    /// searches off. Given any truly covering prefix as proven, the probe
+    /// that skips its components answers exactly under the unbounded budget
+    /// and one-sidedly under the others.
     #[test]
     fn prefix_probe_matches_materialized_prefixes(
         seed in 0u64..u64::MAX / 2,
@@ -379,6 +416,7 @@ proptest! {
                     SubsumeConfig { node_limit: 12, max_restarts: 3 },
                 ] {
                     assert_prefix_probe_matches(clause, &bc, &cfg);
+                    assert_proven_probe_matches(clause, &bc, &cfg);
                 }
             }
         }

@@ -61,8 +61,10 @@
 //! | `learn.bc_build`      | ground-BC construction for a training set    |
 //! | `bc.build`            | one bottom clause (label = sampling regime)  |
 //! | `learn.clause_search` | one beam search (`LearnClause`)              |
-//! | `learn.armg`          | one armg call (notes: steps, probes, proven) |
+//! | `learn.generate`      | armg generation of one beam iteration        |
+//! | `learn.armg`          | one armg call (notes: step and probe counts) |
 //! | `learn.canon`         | canonical-form dedup of one beam iteration   |
+//! | `learn.score`         | candidate scoring of one beam iteration      |
 //! | `coverage.theta`      | θ-subsumption coverage batch                 |
 //! | `coverage.spj`        | direct SPJ evaluation of a definition        |
 //! | `analyze.check`       | one static-verifier pass (bias or theory)    |

@@ -25,9 +25,9 @@
 
 use crate::compile::{Access, CompiledDefinition, Key, Op};
 use crate::stats::{q_error, BatchTally};
-use autobias::clause::Definition;
+use autobias::clause::{Clause, Definition};
 use obs::json::Json;
-use relstore::Database;
+use relstore::{Const, Database};
 
 /// Version of the EXPLAIN JSON schema, bumped on any incompatible change.
 pub const EXPLAIN_VERSION: u64 = 1;
@@ -45,9 +45,36 @@ fn num(n: u64) -> Json {
     Json::Num(n as f64)
 }
 
-fn op_text(db: &Database, op: &Op) -> String {
+/// Constant names for rendering a model's plans: the database dictionary
+/// first, then the model's own spelling of the constants the data lacks.
+/// Parsing a model against a frozen dictionary gives its `i`-th unknown
+/// constant the ephemeral id `dictionary length + i`.
+#[derive(Debug, Clone, Copy)]
+struct ConstNames<'a> {
+    db: &'a Database,
+    unknown: &'a [String],
+}
+
+impl ConstNames<'_> {
+    fn name(&self, c: Const) -> String {
+        let dict = self.db.dict();
+        match dict.try_name(c) {
+            Some(name) => name.to_string(),
+            None => match self.unknown.get(c.index() - dict.len()) {
+                Some(name) => name.clone(),
+                None => format!("<const {}>", c.0),
+            },
+        }
+    }
+
+    fn clause(&self, clause: &Clause) -> String {
+        clause.render_with(self.db, &|c| self.name(c))
+    }
+}
+
+fn op_text(names: ConstNames<'_>, op: &Op) -> String {
     match *op {
-        Op::CheckConst { pos, val } => format!("check [{pos}] = {}", db.const_name(val)),
+        Op::CheckConst { pos, val } => format!("check [{pos}] = {}", names.name(val)),
         Op::CheckSlot { pos, slot } => format!("check [{pos}] = ?{slot}"),
         Op::Bind { pos, slot } => format!("bind [{pos}] -> ?{slot}"),
     }
@@ -63,14 +90,21 @@ fn declined_reason(compiled: &CompiledDefinition, ci: usize) -> Option<String> {
 }
 
 /// Builds the EXPLAIN document as a [`Json`] tree; `analyzed` upgrades to
-/// EXPLAIN ANALYZE.
+/// EXPLAIN ANALYZE. `unknown_constants` are the model's constants absent
+/// from `db`, in first-seen order (empty when the model was parsed with
+/// interning); they name the ephemeral ids the definition holds for them.
 pub fn explain(
     db: &Database,
     model: Option<&str>,
+    unknown_constants: &[String],
     definition: &Definition,
     compiled: &CompiledDefinition,
     analyzed: Option<Analyzed<'_>>,
 ) -> Json {
+    let names = ConstNames {
+        db,
+        unknown: unknown_constants,
+    };
     let mut top: Vec<(String, Json)> = vec![("explain_version".into(), num(EXPLAIN_VERSION))];
     if let Some(name) = model {
         top.push(("model".into(), Json::Str(name.to_string())));
@@ -87,7 +121,7 @@ pub fn explain(
     for (ci, clause) in definition.clauses.iter().enumerate() {
         let mut obj: Vec<(String, Json)> = vec![
             ("clause".into(), num(ci as u64)),
-            ("text".into(), Json::Str(clause.render(db))),
+            ("text".into(), Json::Str(names.clause(clause))),
         ];
         if let Some(reason) = declined_reason(compiled, ci) {
             obj.push(("engine".into(), Json::Str("interpreted".into())));
@@ -129,7 +163,7 @@ pub fn explain(
                         sobj.push(("access".into(), Json::Str("probe".into())));
                         sobj.push(("pos".into(), num(pos as u64)));
                         let key = match key {
-                            Key::Const(c) => db.const_name(c).to_string(),
+                            Key::Const(c) => names.name(c),
                             Key::Slot(slot) => format!("?{slot}"),
                         };
                         sobj.push(("key".into(), Json::Str(key)));
@@ -138,7 +172,12 @@ pub fn explain(
                 }
                 sobj.push((
                     "ops".into(),
-                    Json::Arr(s.ops.iter().map(|op| Json::Str(op_text(db, op))).collect()),
+                    Json::Arr(
+                        s.ops
+                            .iter()
+                            .map(|op| Json::Str(op_text(names, op)))
+                            .collect(),
+                    ),
                 ));
                 sobj.push(("barrier".into(), Json::Bool(s.barrier)));
                 sobj.push(("est".into(), num(s.est_cost as u64)));
@@ -179,20 +218,27 @@ pub fn explain(
 pub fn explain_json(
     db: &Database,
     model: Option<&str>,
+    unknown_constants: &[String],
     definition: &Definition,
     compiled: &CompiledDefinition,
     analyzed: Option<Analyzed<'_>>,
 ) -> String {
-    explain(db, model, definition, compiled, analyzed).to_string()
+    explain(db, model, unknown_constants, definition, compiled, analyzed).to_string()
 }
 
-/// The pretty-text rendering `autobias explain` prints.
+/// The pretty-text rendering `autobias explain` prints; constants are named
+/// as in [`explain`].
 pub fn explain_text(
     db: &Database,
+    unknown_constants: &[String],
     definition: &Definition,
     compiled: &CompiledDefinition,
     analyzed: Option<Analyzed<'_>>,
 ) -> String {
+    let names = ConstNames {
+        db,
+        unknown: unknown_constants,
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "plan: {} clause(s) compiled, {} interpreted\n",
@@ -204,7 +250,7 @@ pub fn explain_text(
     }
     let mut plan_idx = 0usize;
     for (ci, clause) in definition.clauses.iter().enumerate() {
-        out.push_str(&format!("clause {ci}: {}\n", clause.render(db)));
+        out.push_str(&format!("clause {ci}: {}\n", names.clause(clause)));
         if let Some(reason) = declined_reason(compiled, ci) {
             out.push_str(&format!("  engine: interpreted — {reason}\n"));
             continue;
@@ -243,7 +289,7 @@ pub fn explain_text(
                     Access::Probe {
                         pos,
                         key: Key::Const(c),
-                    } => format!("probe {name}.{pos} = {}", db.const_name(c)),
+                    } => format!("probe {name}.{pos} = {}", names.name(c)),
                     Access::Probe {
                         pos,
                         key: Key::Slot(slot),
@@ -270,7 +316,7 @@ pub fn explain_text(
                 }
                 out.push('\n');
                 for op in s.ops.iter() {
-                    out.push_str(&format!("          {}\n", op_text(db, op)));
+                    out.push_str(&format!("          {}\n", op_text(names, op)));
                 }
             }
         }
@@ -317,7 +363,7 @@ mod tests {
         assert_eq!(compiled.num_compiled(), 1);
         assert_eq!(compiled.num_declined(), 1);
 
-        let json = explain_json(&db, Some("uw"), &def, &compiled, None);
+        let json = explain_json(&db, Some("uw"), &[], &def, &compiled, None);
         let parsed = Json::parse(&json).expect("explain emits valid JSON");
         assert_eq!(parsed.to_string(), json, "canonical rendering round-trips");
         assert_eq!(
@@ -348,7 +394,7 @@ mod tests {
             .unwrap()
             .contains("literals"));
 
-        let text = explain_text(&db, &def, &compiled, None);
+        let text = explain_text(&db, &[], &def, &compiled, None);
         assert!(text.contains("engine: compiled"));
         assert!(text.contains("engine: interpreted — 40 body literals"));
         assert!(text.contains("probe publication"));
@@ -371,7 +417,7 @@ mod tests {
             tally: &tally,
             batches: 1,
         };
-        let json = explain_json(&db, None, &def, &compiled, Some(analyzed));
+        let json = explain_json(&db, None, &[], &def, &compiled, Some(analyzed));
         let parsed = Json::parse(&json).unwrap();
         assert_eq!(parsed.to_string(), json, "analyze JSON round-trips too");
         assert_eq!(parsed.get("analyze").unwrap().as_bool(), Some(true));
@@ -386,7 +432,7 @@ mod tests {
         assert!(s0.get("entries").unwrap().as_f64().unwrap() >= 1.0);
         assert!(s0.get("qerror").unwrap().as_f64().unwrap() >= 1.0);
 
-        let text = explain_text(&db, &def, &compiled, Some(analyzed));
+        let text = explain_text(&db, &[], &def, &compiled, Some(analyzed));
         assert!(text.contains("qerror="));
     }
 }

@@ -137,7 +137,7 @@ proptest! {
             }
             for analyzed in [None, Some(Analyzed { tally: &tally, batches: 1 })] {
                 let json = plan::explain_json(
-                    &world.db, Some("w"), &world.definition, &plans, analyzed,
+                    &world.db, Some("w"), &[], &world.definition, &plans, analyzed,
                 );
                 let parsed = Json::parse(&json)
                     .unwrap_or_else(|e| panic!("seed {}: invalid JSON: {e}", world.seed));

@@ -652,6 +652,7 @@ fn handle_plan(state: &Arc<AppState>, name: &str, query: &str) -> Routed {
     let json = plan::explain_json(
         &state.ds.db,
         Some(name),
+        &entry.unknown_constants,
         &entry.definition,
         &entry.plan,
         analyzed,

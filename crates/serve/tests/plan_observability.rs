@@ -313,3 +313,53 @@ fn declined_clause_is_served_by_the_interpreter_and_kept() {
     handle.join();
     let _ = std::fs::remove_dir_all(data.parent().unwrap());
 }
+
+/// A model constant the data lacks gets an ephemeral id at load time. EXPLAIN
+/// names it by the model's own spelling instead of looking the id up in the
+/// dictionary, which used to panic and take down the only pool worker.
+#[test]
+fn explain_names_model_only_constants_and_the_worker_survives() {
+    let (data, models) = setup_dirs("plan_ephemeral");
+    std::fs::remove_file(models.join("coauthor.model")).unwrap();
+    let model = "advisedBy(x, y) ← publication(z, y), publication(z, c)";
+    std::fs::write(models.join("eph.model"), format!("{model}\n")).unwrap();
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        data_dir: data.clone(),
+        models_dir: models.clone(),
+        threads: 1,
+        access_log: None,
+        request_trace: true,
+    };
+    let (handle, report) = serve(&cfg).expect("server boots");
+    assert_eq!(report.loaded, vec!["eph"], "{:?}", report.errors);
+    let addr = handle.addr();
+
+    for _ in 0..2 {
+        let (status, body) = request(addr, "GET", "/models/eph/plan", "");
+        assert_eq!(status, 200, "{body}");
+        let explain = Json::parse(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+        let clauses = explain.get("clauses").unwrap().as_arr().unwrap();
+        assert_eq!(clauses[0].get("text").unwrap().as_str(), Some(model));
+        let variants = clauses[0].get("variants").unwrap().as_arr().unwrap();
+        let names_c = variants.iter().any(|v| {
+            v.get("steps").unwrap().as_arr().unwrap().iter().any(|s| {
+                s.get("key").and_then(Json::as_str) == Some("c")
+                    || s.get("ops")
+                        .unwrap()
+                        .as_arr()
+                        .unwrap()
+                        .iter()
+                        .any(|op| op.as_str().is_some_and(|op| op.ends_with("= c")))
+            })
+        });
+        assert!(names_c, "the plan names the constant `c`: {body}");
+    }
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    handle.join();
+    let _ = std::fs::remove_dir_all(data.parent().unwrap());
+}

@@ -341,3 +341,82 @@ mode u(+)
     // and `u(w)`, the clause is covered and comes back unchanged.
     assert_eq!(armg(&clause, &eng, 0), Some(clause.clone()));
 }
+
+/// Directed: pruning strands a literal whose candidate list the carried
+/// table already holds. With `t(x, y) ← q(z), r(x, z), s(x, w), u(w)`
+/// against an example whose neighbourhood has `q(m)`, `r(a, n)`,
+/// `s(a, k)` and `u(k)`, the first probe (the whole clause) fills all four
+/// lists; `q(z)` and `r(x, z)` disagree on `z`, so the blocking atom is
+/// `r(x, z)`. Removing it strands `q(z)`, and the table must drop both
+/// lists so that `s(x, w)` and `u(w)`, now leading the body, read their own
+/// lists: the result `t(x, y) ← s(x, w), u(w)` covers the example.
+#[test]
+fn armg_drops_a_stranded_literal_the_carried_table_holds() {
+    let mut db = Database::new();
+    let l = db.add_relation("l", &["a", "b"]);
+    let q = db.add_relation("q", &["b"]);
+    let r = db.add_relation("r", &["a", "b"]);
+    let s = db.add_relation("s", &["a", "c"]);
+    let u = db.add_relation("u", &["c"]);
+    let t = db.add_relation("t", &["a", "a"]);
+    db.insert(l, &["a", "m"]);
+    db.insert(q, &["m"]);
+    db.insert(r, &["a", "n"]);
+    db.insert(s, &["a", "k"]);
+    db.insert(u, &["k"]);
+    db.intern("y");
+    db.build_indexes();
+    let bias = parse_bias(
+        &db,
+        t,
+        "
+pred l(T1, T2)
+pred q(T2)
+pred r(T1, T2)
+pred s(T1, T3)
+pred u(T3)
+pred t(T1, T1)
+mode l(+, -)
+mode q(+)
+mode r(+, -)
+mode s(+, -)
+mode u(+)
+",
+    )
+    .unwrap();
+    let c = |name: &str| db.lookup(name).unwrap();
+    let train = TrainingSet::new(vec![Example::new(t, vec![c("a"), c("y")])], vec![]);
+    let cfg = BcConfig {
+        depth: 2,
+        strategy: SamplingStrategy::Full,
+        max_tuples: 1_000,
+        max_body_literals: 1_000,
+    };
+    let eng = CoverageEngine::build(&db, &bias, &train, &cfg, SubsumeConfig::default(), 1);
+    let v = |n| Term::Var(VarId(n));
+    let head = Literal::new(t, vec![v(0), v(1)]);
+    let clause = Clause::new(
+        head.clone(),
+        vec![
+            Literal::new(q, vec![v(2)]),
+            Literal::new(r, vec![v(0), v(2)]),
+            Literal::new(s, vec![v(0), v(3)]),
+            Literal::new(u, vec![v(3)]),
+        ],
+    );
+    let ground = &eng.pos[0].ground;
+    assert_eq!(ground.body.len(), 5, "l, q, r, s and u facts");
+    assert_eq!(blocking_atom(&clause, &eng, 0), Some(1));
+    let expected = Clause::new(
+        head,
+        vec![
+            Literal::new(s, vec![v(0), v(3)]),
+            Literal::new(u, vec![v(3)]),
+        ],
+    );
+    assert_eq!(
+        reference_armg(&clause, ground, eng.subsume_config()),
+        Some(expected.clone())
+    );
+    assert_eq!(armg(&clause, &eng, 0), Some(expected));
+}
