@@ -4,7 +4,8 @@
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
 use autobias::bias::parse::parse_bias;
-use autobias::bottom::{BcConfig, SamplingStrategy};
+use autobias::bottom::{variablize, BcConfig, SamplingStrategy};
+use autobias::clause::Clause;
 use autobias::coverage::CoverageEngine;
 use autobias::example::TrainingSet;
 use autobias::generalize::{armg, blocking_atom};
@@ -13,7 +14,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::uw::{generate, UwConfig};
 use std::hint::black_box;
 
-fn engine_with(per_selection: usize) -> (CoverageEngine, usize) {
+/// The engine, positive 0's bottom clause, and a positive that clause does
+/// not cover.
+fn engine_with(per_selection: usize) -> (CoverageEngine, Clause, usize) {
     let ds = generate(
         &UwConfig {
             evidence_prob: 1.0,
@@ -32,16 +35,15 @@ fn engine_with(per_selection: usize) -> (CoverageEngine, usize) {
     };
     let engine = CoverageEngine::build(&ds.db, &bias, &train, &cfg, SubsumeConfig::default(), 1);
     // Find a positive the seed BC does not cover (armg has work to do).
-    let seed_clause = engine.pos[0].clause.clone();
+    let seed_clause = variablize(&engine.pos[0], &bias, cfg.max_body_literals);
     let target = (1..engine.pos.len())
         .find(|&i| !engine.covers_pos(&seed_clause, i))
         .unwrap_or(1);
-    (engine, target)
+    (engine, seed_clause, target)
 }
 
 fn bench_blocking_atom(c: &mut Criterion) {
-    let (engine, target) = engine_with(20);
-    let clause = engine.pos[0].clause.clone();
+    let (engine, clause, target) = engine_with(20);
     let mut group = c.benchmark_group("generalization/blocking_atom");
     group.sample_size(20);
     group.bench_function("binary_search", |b| {
@@ -54,8 +56,7 @@ fn bench_armg_vs_bc_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("generalization/armg_bc_size");
     group.sample_size(10);
     for per_selection in [5usize, 20, 60] {
-        let (engine, target) = engine_with(per_selection);
-        let clause = engine.pos[0].clause.clone();
+        let (engine, clause, target) = engine_with(per_selection);
         group.bench_with_input(
             BenchmarkId::new(format!("bc_{}_lits", clause.len()), per_selection),
             &clause,

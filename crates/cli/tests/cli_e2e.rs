@@ -300,6 +300,7 @@ fn trace_out_and_profile_produce_chrome_trace_and_table() {
         "learn",
         "learn.bc_build",
         "bc.build",
+        "bc.variablize",
         "learn.clause_search",
         "coverage.theta",
     ] {

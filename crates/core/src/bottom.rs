@@ -16,6 +16,12 @@
 //!   their frequencies (§4.2.3);
 //! - [`SamplingStrategy::Stratified`] — Algorithm 4's depth-first stratified
 //!   sampling with one stratum per distinct constant-able value (§4.3).
+//!
+//! Construction yields the **ground** clause ([`build_ground_clause`]): the
+//! collected tuples as facts, in collection order. Coverage testing reads
+//! nothing else (§5). The variable-ized clause generalization starts from is
+//! derived from it by [`variablize`], only for the examples that seed a
+//! clause search.
 
 use crate::bias::{ArgMode, LanguageBias};
 use crate::clause::{Clause, Literal, Term, VarId};
@@ -76,9 +82,8 @@ impl GroundClause {
     }
 }
 
-/// The result of BC construction: the variable-ized clause for generalization
-/// and the ground clause for coverage testing, built from one tuple
-/// collection pass.
+/// A ground clause together with its variable-ized form
+/// ([`build_bottom_clause`]).
 #[derive(Debug, Clone)]
 pub struct BottomClause {
     /// The most specific (sampled) clause covering the example.
@@ -196,7 +201,10 @@ impl<'a> Builder<'a> {
             return fresh;
         }
         self.collected.push((rel, id));
-        let tuple = self.db.relation(rel).tuple(id).to_vec();
+        // Borrow the tuple through a copy of the `&'a Database`, so it does
+        // not hold `self` while `known` is updated.
+        let db = self.db;
+        let tuple = db.relation(rel).tuple(id);
         for (pos, &c) in tuple.iter().enumerate() {
             let attr = AttrRef::new(rel, pos);
             // Only variable-ized constants enter the hash table and drive
@@ -264,11 +272,8 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// Builds the bottom clause for `example` under `bias`.
-///
-/// Indexes should be built (`db.build_indexes()`) beforehand; the
-/// [`SamplingStrategy::Random`] strategy requires them for its frequency
-/// statistics and falls back to naive behaviour on unindexed relations.
+/// Builds the bottom clause for `example` under `bias`: the ground clause
+/// and its variable-ized form, capped at `cfg.max_body_literals` literals.
 pub fn build_bottom_clause<R: Rng>(
     db: &Database,
     bias: &LanguageBias,
@@ -276,6 +281,26 @@ pub fn build_bottom_clause<R: Rng>(
     cfg: &BcConfig,
     rng: &mut R,
 ) -> BottomClause {
+    let ground = build_ground_clause(db, bias, example, cfg, rng);
+    BottomClause {
+        clause: variablize(&ground, bias, cfg.max_body_literals),
+        ground,
+    }
+}
+
+/// Builds the ground bottom clause for `example` under `bias`: every tuple
+/// the collection pass keeps, as a fact, in collection order.
+///
+/// Indexes should be built (`db.build_indexes()`) beforehand; the
+/// [`SamplingStrategy::Random`] strategy requires them for its frequency
+/// statistics and falls back to naive behaviour on unindexed relations.
+pub fn build_ground_clause<R: Rng>(
+    db: &Database,
+    bias: &LanguageBias,
+    example: &Example,
+    cfg: &BcConfig,
+    rng: &mut R,
+) -> GroundClause {
     crate::instrument::BOTTOM_CLAUSES_BUILT.bump();
     let mut sp = obs::span!("bc.build", cfg.strategy.label());
     let mut walk = WalkStats::default();
@@ -337,10 +362,18 @@ pub fn build_bottom_clause<R: Rng>(
         }
     }
 
-    let bc = emit(&b, example);
+    let body = b
+        .collected
+        .iter()
+        .map(|&(rel, id)| GroundLiteral {
+            rel,
+            vals: db.relation(rel).tuple(id).into(),
+        })
+        .collect();
+    let ground = GroundClause::new(example.clone(), body);
     if sp.is_active() {
         sp.note("tuples", b.collected.len() as u64);
-        sp.note("body_literals", bc.clause.body.len() as u64);
+        sp.note("ground_literals", ground.len() as u64);
         if walk.draws > 0 {
             sp.note("walk_draws", walk.draws);
             sp.note("walk_accepted", walk.accepted);
@@ -348,7 +381,7 @@ pub fn build_bottom_clause<R: Rng>(
     }
     crate::instrument::BC_WALK_DRAWS.add(walk.draws);
     crate::instrument::BC_WALK_ACCEPTED.add(walk.accepted);
-    bc
+    ground
 }
 
 /// Accept–reject walk tally for one bottom clause (exported as span notes
@@ -589,65 +622,55 @@ fn sample_strata(
     out
 }
 
-/// Turns the collected tuples into the variable-ized clause and the ground
-/// clause.
-fn emit(b: &Builder<'_>, example: &Example) -> BottomClause {
+/// The variable-ized bottom clause of `ground`: the most specific clause
+/// in the hypothesis space covering its example, which generalization
+/// starts from. Each ground literal yields one literal per mode of its
+/// relation: `#` attributes keep their constant, and every other constant
+/// becomes a variable, shared wherever the constant recurs (the head's
+/// included). Literals come in the ground body's order, duplicates dropped,
+/// and stop at `max_body_literals`, so the tuples closest to the example
+/// win.
+pub fn variablize(ground: &GroundClause, bias: &LanguageBias, max_body_literals: usize) -> Clause {
+    crate::instrument::BC_VARIABLIZED.bump();
+    let mut sp = obs::span!("bc.variablize");
     let mut var_of: FxHashMap<Const, VarId> = FxHashMap::default();
-    let mut next_var = 0u32;
-    let mut var = |c: Const, var_of: &mut FxHashMap<Const, VarId>| {
-        *var_of.entry(c).or_insert_with(|| {
-            let v = VarId(next_var);
-            next_var += 1;
-            v
-        })
+    let mut var = |c: Const| {
+        let next = VarId(var_of.len() as u32);
+        *var_of.entry(c).or_insert(next)
     };
 
-    // Head: every example constant becomes a variable (repeated constants
-    // share one).
-    let head_args: Vec<Term> = example
+    let head_args: Vec<Term> = ground
+        .example
         .args
         .iter()
-        .map(|&c| Term::Var(var(c, &mut var_of)))
+        .map(|&c| Term::Var(var(c)))
         .collect();
-    let head = Literal::new(example.rel, head_args);
-    let ground_head = example.clone();
+    let head = Literal::new(ground.example.rel, head_args);
 
     let mut body = Vec::new();
     let mut body_seen = FxHashSet::default();
-    let mut ground_body = Vec::new();
-
-    for &(rel, id) in &b.collected {
-        let tuple = b.db.relation(rel).tuple(id);
-        ground_body.push(GroundLiteral {
-            rel,
-            vals: tuple.into(),
-        });
-        if body.len() >= b.cfg.max_body_literals {
-            continue;
-        }
-        for mode in b.bias.modes_for(rel) {
-            if body.len() >= b.cfg.max_body_literals {
-                break;
+    'tuples: for g in &ground.body {
+        for mode in bias.modes_for(g.rel) {
+            if body.len() >= max_body_literals {
+                break 'tuples;
             }
-            let args: Vec<Term> = tuple
+            let args: Vec<Term> = g
+                .vals
                 .iter()
                 .zip(&mode.args)
                 .map(|(&c, m)| match m {
                     ArgMode::Hash => Term::Const(c),
-                    ArgMode::Plus | ArgMode::Minus => Term::Var(var(c, &mut var_of)),
+                    ArgMode::Plus | ArgMode::Minus => Term::Var(var(c)),
                 })
                 .collect();
-            let lit = Literal::new(rel, args);
+            let lit = Literal::new(g.rel, args);
             if body_seen.insert(lit.clone()) {
                 body.push(lit);
             }
         }
     }
-
-    BottomClause {
-        clause: Clause::new(head, body),
-        ground: GroundClause::new(ground_head, ground_body),
-    }
+    sp.note("body_literals", body.len() as u64);
+    Clause::new(head, body)
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Coverage testing (paper §5): ground bottom clauses are built **once** per
 //! training example (with the same sampling strategy as BC construction) and
 //! reused for every candidate clause during generalization, replacing
-//! hundred-join SQL queries with θ-subsumption tests.
+//! hundred-join SQL queries with θ-subsumption tests. The engine keeps only
+//! the ground clauses; the learner variable-izes the one it seeds a clause
+//! search from ([`crate::bottom::variablize`]).
 //!
 //! On top of the raw per-example tests sits the **coverage cache and
 //! monotone scoring layer** (DESIGN.md §10):
@@ -25,7 +27,7 @@
 //!   provably exceeds it, recording a [`NegCount::AtLeast`] lower bound.
 
 use crate::bias::LanguageBias;
-use crate::bottom::{build_bottom_clause, BcConfig, BottomClause, GroundClause};
+use crate::bottom::{build_ground_clause, BcConfig, GroundClause};
 use crate::clause::Clause;
 use crate::example::TrainingSet;
 use crate::instrument;
@@ -258,10 +260,9 @@ impl CoverageMemo {
 /// Ground BCs for every training example plus the subsumption budget.
 #[derive(Debug)]
 pub struct CoverageEngine {
-    /// Full bottom clauses (variable-ized + ground) for the positives; the
-    /// variable-ized clause of positive `i` seeds `LearnClause`.
-    pub pos: Vec<BottomClause>,
-    /// Ground BCs for the negatives (their variable-ized form is never needed).
+    /// Ground BCs for the positives.
+    pub pos: Vec<GroundClause>,
+    /// Ground BCs for the negatives.
     pub neg: Vec<GroundClause>,
     scfg: SubsumeConfig,
     /// Worker threads for every parallel map this engine runs.
@@ -306,12 +307,12 @@ impl CoverageEngine {
         let (threads, seed, bc_cfg) = (cfg.threads, cfg.seed, &cfg.bc);
         let pos = parallel_map(threads, &train.pos, |i, e| {
             let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            build_bottom_clause(db, bias, e, bc_cfg, &mut rng)
+            build_ground_clause(db, bias, e, bc_cfg, &mut rng)
         });
         let neg = parallel_map(threads, &train.neg, |i, e| {
             let mut rng =
                 StdRng::seed_from_u64(seed ^ 0xdead_beef ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            build_bottom_clause(db, bias, e, bc_cfg, &mut rng).ground
+            build_ground_clause(db, bias, e, bc_cfg, &mut rng)
         });
         let memo = cfg
             .coverage_memo
@@ -368,7 +369,7 @@ impl CoverageEngine {
     /// engine derives its own restart RNG from `(clause, example)`, so the
     /// answer is a pure function of the inputs — no per-call RNG to thread.
     pub fn covers_pos(&self, clause: &Clause, i: usize) -> bool {
-        theta_subsumes(clause, &self.pos[i].ground, &self.scfg)
+        theta_subsumes(clause, &self.pos[i], &self.scfg)
     }
 
     /// Whether `clause` covers negative example `i` (raw, like
@@ -668,7 +669,7 @@ pub(crate) fn parallel_map_range<U: Send>(
 mod tests {
     use super::*;
     use crate::bias::parse::parse_bias;
-    use crate::bottom::SamplingStrategy;
+    use crate::bottom::{variablize, SamplingStrategy};
     use crate::example::Example;
     use relstore::fixtures::uw_fragment;
 
@@ -721,9 +722,9 @@ mode publication(-, +)
 
     #[test]
     fn bottom_clause_covers_its_own_example() {
-        let (_, eng, _) = engine();
+        let (_, eng, bias) = engine();
         for i in 0..eng.pos.len() {
-            let clause = eng.pos[i].clause.clone();
+            let clause = variablize(&eng.pos[i], &bias, 100_000);
             assert!(eng.covers_pos(&clause, i), "BC must cover its example");
         }
     }

@@ -52,7 +52,7 @@ impl Default for GenConfig {
 /// so a binary search over prefix lengths finds the blocking atom with
 /// `O(log n)` subsumption tests, all sharing one [`PrefixProbe`].
 pub fn blocking_atom(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<usize> {
-    let mut probe = PrefixProbe::new(clause, &engine.pos[pos_idx].ground);
+    let mut probe = PrefixProbe::new(clause, &engine.pos[pos_idx]);
     let cfg = engine.subsume_config();
     search_blocking_atom(clause.body.len(), |len| probe.covers(len, cfg))
 }
@@ -103,7 +103,7 @@ fn search_blocking_atom(n: usize, mut covers: impl FnMut(usize) -> bool) -> Opti
 /// refilled.
 pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<Clause> {
     let mut sp = obs::span!("learn.armg");
-    let ground = &engine.pos[pos_idx].ground;
+    let ground = &engine.pos[pos_idx];
     let cfg = engine.subsume_config();
     let mut current = clause.clone();
     let mut table = CandTable::default();
@@ -408,14 +408,15 @@ pub struct LearnClauseStats {
 /// bottom clause by beam search over armg generalizations, scoring each by
 /// positives-covered − negatives-covered over `uncovered` ∪ negatives.
 ///
-/// `seed` indexes into `engine.pos`; `uncovered` are the positive indices not
+/// `bottom` is the seed example's variable-ized bottom clause
+/// ([`crate::bottom::variablize`]); `uncovered` are the positive indices not
 /// yet covered by the definition under construction. `store` carries failure
 /// constraints across covering iterations — rejected candidates harvested
 /// here prune future beam candidates before any coverage test (pass
 /// [`ConstraintStore::disabled`] to opt out).
 pub fn learn_clause<R: Rng>(
     engine: &CoverageEngine,
-    seed: usize,
+    bottom: Clause,
     uncovered: &[usize],
     cfg: &GenConfig,
     store: &mut ConstraintStore,
@@ -423,8 +424,6 @@ pub fn learn_clause<R: Rng>(
 ) -> (Clause, LearnClauseStats) {
     let mut stats = LearnClauseStats::default();
     let mut sp = obs::span!("learn.clause_search");
-    let bottom = engine.pos[seed].clause.clone();
-
     let mut best_score = {
         let _score_sp = obs::span!("learn.score");
         stats.candidates_scored += 1;
@@ -629,7 +628,7 @@ pub fn learn_clause<R: Rng>(
 mod tests {
     use super::*;
     use crate::bias::parse::parse_bias;
-    use crate::bottom::{BcConfig, SamplingStrategy};
+    use crate::bottom::{variablize, BcConfig, SamplingStrategy};
     use crate::example::{Example, TrainingSet};
     use crate::subsume::SubsumeConfig;
     use rand::rngs::StdRng;
@@ -691,6 +690,9 @@ mode publication(-, +)
         (db, TrainingSet::new(pos, neg), bias)
     }
 
+    /// The engine's body-literal cap, which the seed clauses share.
+    const MAX_BODY_LITERALS: usize = 100_000;
+
     fn build_engine(
         db: &Database,
         train: &TrainingSet,
@@ -699,7 +701,7 @@ mode publication(-, +)
         let cfg = BcConfig {
             depth: 2,
             strategy: SamplingStrategy::Full,
-            max_body_literals: 100_000,
+            max_body_literals: MAX_BODY_LITERALS,
             max_tuples: 1000,
         };
         CoverageEngine::build(db, bias, train, &cfg, SubsumeConfig::default(), 11)
@@ -709,7 +711,7 @@ mode publication(-, +)
     fn armg_generalizes_bc_to_cover_other_positive() {
         let (db, train, bias) = build_world();
         let engine = build_engine(&db, &train, &bias);
-        let bc = engine.pos[0].clause.clone();
+        let bc = variablize(&engine.pos[0], &bias, MAX_BODY_LITERALS);
         // The seed's BC mentions s0's phase constant, so it cannot cover
         // s1 (different phase).
         assert!(!engine.covers_pos(&bc, 1));
@@ -726,7 +728,7 @@ mode publication(-, +)
     fn blocking_atom_is_minimal() {
         let (db, train, bias) = build_world();
         let engine = build_engine(&db, &train, &bias);
-        let bc = engine.pos[0].clause.clone();
+        let bc = variablize(&engine.pos[0], &bias, MAX_BODY_LITERALS);
         if let Some(i) = blocking_atom(&bc, &engine, 1) {
             // Prefix up to (but excluding) i covers; including i does not.
             let before = Clause::new(bc.head.clone(), bc.body[..i].to_vec());
@@ -742,7 +744,7 @@ mode publication(-, +)
     fn armg_none_when_covered() {
         let (db, train, bias) = build_world();
         let engine = build_engine(&db, &train, &bias);
-        let bc = engine.pos[0].clause.clone();
+        let bc = variablize(&engine.pos[0], &bias, MAX_BODY_LITERALS);
         assert!(blocking_atom(&bc, &engine, 0).is_none());
         // armg on an already-covered example returns the clause unchanged.
         let same = armg(&bc, &engine, 0).unwrap();
@@ -758,7 +760,7 @@ mode publication(-, +)
         let mut store = ConstraintStore::disabled();
         let (clause, stats) = learn_clause(
             &engine,
-            0,
+            variablize(&engine.pos[0], &bias, MAX_BODY_LITERALS),
             &uncovered,
             &GenConfig::default(),
             &mut store,
@@ -873,7 +875,7 @@ mode publication(-, +)
             let mut rng = StdRng::seed_from_u64(5);
             learn_clause(
                 &engine,
-                0,
+                variablize(&engine.pos[0], &bias, MAX_BODY_LITERALS),
                 &uncovered,
                 &GenConfig::default(),
                 store,

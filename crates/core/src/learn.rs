@@ -2,7 +2,7 @@
 //! facade tying together bias, BC construction, coverage, and generalization.
 
 use crate::bias::LanguageBias;
-use crate::bottom::BcConfig;
+use crate::bottom::{variablize, BcConfig};
 use crate::clause::{Clause, Definition};
 use crate::coverage::{worker_threads, Bitset, CoverageEngine};
 use crate::example::TrainingSet;
@@ -196,8 +196,12 @@ impl Learner {
             CoverageEngine::for_learner(db, bias, train, &self.cfg)
         };
         stats.bc_time = t0.elapsed();
-        stats.ground_literals = engine.pos.iter().map(|b| b.ground.len()).sum::<usize>()
-            + engine.neg.iter().map(|g| g.len()).sum::<usize>();
+        stats.ground_literals = engine
+            .pos
+            .iter()
+            .chain(&engine.neg)
+            .map(|g| g.len())
+            .sum::<usize>();
         sink.on_event(&ProgressEvent::BcBuildFinished {
             pos_examples: train.pos.len(),
             neg_examples: train.neg.len(),
@@ -231,19 +235,24 @@ impl Learner {
                     break;
                 }
             }
-            let seed_example = uncovered[0];
+            // Only the seed example's bottom clause is ever variable-ized.
+            let bottom = variablize(
+                &engine.pos[uncovered[0]],
+                bias,
+                self.cfg.bc.max_body_literals,
+            );
             iteration += 1;
             sink.on_event(&ProgressEvent::IterationStarted {
                 iteration,
                 uncovered_pos: uncovered.len(),
                 clauses_so_far: definition.len(),
-                seed_bc_literals: engine.pos[seed_example].clause.body.len(),
+                seed_bc_literals: bottom.body.len(),
             });
             let mut gen_cfg = self.cfg.gen;
             gen_cfg.deadline = deadline;
             let (clause, cstats) = learn_clause(
                 &engine,
-                seed_example,
+                bottom,
                 &uncovered,
                 &gen_cfg,
                 &mut constraints,

@@ -59,7 +59,8 @@
 //! | `bias.type_graph`     | type-graph construction                      |
 //! | `learn`               | one `Learner::learn` call                    |
 //! | `learn.bc_build`      | ground-BC construction for a training set    |
-//! | `bc.build`            | one bottom clause (label = sampling regime)  |
+//! | `bc.build`            | one ground bottom clause (label = sampling)  |
+//! | `bc.variablize`       | one seed clause derived from a ground clause |
 //! | `learn.clause_search` | one beam search (`LearnClause`)              |
 //! | `learn.generate`      | armg generation of one beam iteration        |
 //! | `learn.armg`          | one armg call (notes: step and probe counts) |

@@ -66,6 +66,13 @@ pub static KEEPALIVE_REUSES: obs::metrics::Counter = obs::metrics::Counter::new(
     "Requests served on a reused keep-alive connection (after the first on each connection).",
 );
 
+/// Connection handlers that panicked. The worker catches the panic, drops
+/// the connection and keeps serving ([`crate::pool::WorkerPool`]).
+pub static HANDLER_PANICS: obs::metrics::Counter = obs::metrics::Counter::new(
+    "autobias_handler_panics_total",
+    "Connection handler panics caught by a pool worker (connection dropped, worker kept).",
+);
+
 /// Tuples classified by `POST /predict`, over both evaluation paths.
 pub static PREDICT_TUPLES: obs::metrics::Counter = obs::metrics::Counter::new(
     "autobias_predict_tuples_total",
@@ -555,6 +562,7 @@ fn render_registered_counters(out: &mut String, models: &[ModelPlanSample]) {
     obs::metrics::register(&MODEL_REJECTIONS);
     obs::metrics::register(&HTTP_CONNECTIONS);
     obs::metrics::register(&KEEPALIVE_REUSES);
+    obs::metrics::register(&HANDLER_PANICS);
     obs::metrics::register(&PREDICT_TUPLES);
     obs::metrics::register(&PREDICT_INTERPRETED_TUPLES);
     obs::metrics::register(&PLAN_VARIANT_SELECTIONS);
@@ -628,6 +636,7 @@ mod tests {
         // split of predict traffic are visible from the very first scrape.
         assert!(text.contains("autobias_http_connections_total"));
         assert!(text.contains("autobias_http_keepalive_reuses_total"));
+        assert!(text.contains("autobias_handler_panics_total"));
         assert!(text.contains("autobias_predict_tuples_total"));
         assert!(text.contains("autobias_predict_interpreted_tuples_total"));
         assert!(text.contains("autobias_plan_compiled_total"));

@@ -6,8 +6,13 @@
 //! blocking, so the accept loop can shed load with a `503` rather than let
 //! the backlog grow unboundedly. Dropping the sender during shutdown lets
 //! every worker drain its queue and exit — in-flight requests complete.
+//!
+//! A handler that panics loses its connection, not its worker: the worker
+//! catches the panic, counts it, drops the connection and takes the next.
 
+use obs::metrics::Counter;
 use std::net::TcpStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -20,11 +25,13 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `threads` workers sharing one queue of `queue_capacity`
-    /// pending connections; each connection is passed to `handler`.
+    /// pending connections; each connection is passed to `handler`, and
+    /// each handler panic is counted in `panics`.
     pub fn new(
         threads: usize,
         queue_capacity: usize,
         handler: Arc<dyn Fn(TcpStream) + Send + Sync>,
+        panics: &'static Counter,
     ) -> Self {
         let threads = threads.max(1);
         let (sender, receiver) = sync_channel::<TcpStream>(queue_capacity);
@@ -42,7 +49,11 @@ impl WorkerPool {
                             Ok(c) => c,
                             Err(_) => break,
                         };
-                        handler(conn);
+                        // The connection moves into the handler, so a
+                        // panic drops (closes) it while unwinding.
+                        if catch_unwind(AssertUnwindSafe(|| handler(conn))).is_err() {
+                            panics.bump();
+                        }
                     })
                     .expect("spawning a pool worker")
             })
@@ -88,6 +99,10 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// This module's handler panics; only `handler_panic_keeps_the_worker`
+    /// panics.
+    static PANICS: Counter = Counter::new("test_pool_panics_total", "Test counter.");
+
     #[test]
     fn pool_handles_connections_and_drains_on_shutdown() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -103,6 +118,7 @@ mod tests {
                 let _ = conn.write_all(b"pong");
                 handled2.fetch_add(1, Ordering::SeqCst);
             }),
+            &PANICS,
         );
 
         let n = 6;
@@ -126,5 +142,47 @@ mod tests {
         for c in clients {
             c.join().unwrap();
         }
+    }
+
+    /// A handler panic drops its connection but not its worker: with one
+    /// worker, the connection after the panicking one is still served, and
+    /// the panic is counted once.
+    #[test]
+    fn handler_panic_keeps_the_worker() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let calls2 = calls.clone();
+        let mut pool = WorkerPool::new(
+            1,
+            4,
+            Arc::new(move |mut conn: TcpStream| {
+                if calls2.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("handler panic on the first connection");
+                }
+                let _ = conn.write_all(b"pong");
+            }),
+            &PANICS,
+        );
+        let client = |expect: &'static [u8]| {
+            std::thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                    .unwrap();
+                let mut buf = Vec::new();
+                // The panicked connection is closed: EOF or a reset.
+                let _ = s.read_to_end(&mut buf);
+                assert_eq!(buf, expect);
+            })
+        };
+        for expect in [&b""[..], &b"pong"[..]] {
+            let c = client(expect);
+            let (conn, _) = listener.accept().unwrap();
+            pool.dispatch(conn).map_err(|_| "saturated").unwrap();
+            c.join().unwrap();
+        }
+        pool.shutdown();
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(PANICS.get(), 1);
     }
 }

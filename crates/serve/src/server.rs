@@ -149,6 +149,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<(ServerHandle, crate::registry::Reload
         cfg.threads,
         cfg.threads * 8,
         Arc::new(move |conn| handle_connection(&pool_state, conn)),
+        &crate::metrics::HANDLER_PANICS,
     );
 
     let accept_state = state.clone();

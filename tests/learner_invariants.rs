@@ -67,12 +67,15 @@ mode inPhase(+, -)
     (db, target, TrainingSet::new(pos, neg), bias)
 }
 
+/// The body-literal cap of [`engine`], which its seed clauses share.
+const ENGINE_MAX_BODY_LITERALS: usize = 50_000;
+
 fn engine(db: &Database, train: &TrainingSet, bias: &LanguageBias) -> CoverageEngine {
     let cfg = BcConfig {
         depth: 2,
         strategy: SamplingStrategy::Full,
         max_tuples: 5_000,
-        max_body_literals: 50_000,
+        max_body_literals: ENGINE_MAX_BODY_LITERALS,
     };
     CoverageEngine::build(db, bias, train, &cfg, SubsumeConfig::default(), 17)
 }
@@ -84,7 +87,7 @@ fn prefix_coverage_is_antitone() {
     let (db, _, train, bias) = coauthor_world(8);
     let eng = engine(&db, &train, &bias);
     for seed in 0..3 {
-        let clause = eng.pos[seed].clause.clone();
+        let clause = variablize(&eng.pos[seed], &bias, ENGINE_MAX_BODY_LITERALS);
         for ex in 0..train.pos.len() {
             let mut failed_at: Option<usize> = None;
             for len in 0..=clause.len() {
@@ -111,7 +114,7 @@ fn prefix_coverage_is_antitone() {
 fn armg_removes_never_adds() {
     let (db, _, train, bias) = coauthor_world(8);
     let eng = engine(&db, &train, &bias);
-    let bc = eng.pos[0].clause.clone();
+    let bc = variablize(&eng.pos[0], &bias, ENGINE_MAX_BODY_LITERALS);
     for ex in 1..train.pos.len() {
         if eng.covers_pos(&bc, ex) {
             continue;
@@ -255,7 +258,7 @@ fn armg_matches_from_scratch_reference_on_uw() {
     let scfg = eng.subsume_config();
     let mut pairs = 0;
     for seed in 0..eng.pos.len() {
-        let bc = &eng.pos[seed].clause;
+        let bc = &variablize(&eng.pos[seed], &bias, cfg.max_body_literals);
         for ex in 0..eng.pos.len() {
             if eng.covers_pos(bc, ex) {
                 continue;
@@ -263,7 +266,7 @@ fn armg_matches_from_scratch_reference_on_uw() {
             pairs += 1;
             assert_eq!(
                 armg(bc, &eng, ex),
-                reference_armg(bc, &eng.pos[ex].ground, scfg),
+                reference_armg(bc, &eng.pos[ex], scfg),
                 "armg of seed {seed}'s bottom clause towards positive {ex}"
             );
         }
@@ -333,7 +336,7 @@ mode u(+)
             Literal::new(u, vec![v(0)]),
         ],
     );
-    let ground = &eng.pos[1].ground;
+    let ground = &eng.pos[1];
     assert_eq!(blocking_atom(&clause, &eng, 1), Some(1));
     assert_eq!(reference_armg(&clause, ground, eng.subsume_config()), None);
     assert_eq!(armg(&clause, &eng, 1), None);
@@ -404,7 +407,7 @@ mode u(+)
             Literal::new(u, vec![v(3)]),
         ],
     );
-    let ground = &eng.pos[0].ground;
+    let ground = &eng.pos[0];
     assert_eq!(ground.body.len(), 5, "l, q, r, s and u facts");
     assert_eq!(blocking_atom(&clause, &eng, 0), Some(1));
     let expected = Clause::new(

@@ -201,3 +201,56 @@ fn uw_fragment_learns_coauthorship() {
     assert!(pos_cov.iter().all(|&c| c));
     assert!(neg_cov.iter().all(|&c| !c));
 }
+
+/// FNV-1a over a string's bytes.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The rendered bottom clause of positive 0 on generated UW and HIV (data
+/// seed 7, AutoBias bias) is pinned byte for byte, under the Table 5 learner
+/// settings (`autobias_bench::harness::learner_config`: depth 2, naive
+/// sampling of 20 tuples per mode, 3,000 tuples, 2,000 body literals) and
+/// under `evaluate_definition`'s unsampled settings. Variable numbering and
+/// literal order both enter the hash.
+#[test]
+fn bottom_clause_render_is_pinned() {
+    let learner_bc = BcConfig {
+        depth: 2,
+        strategy: SamplingStrategy::Naive { per_selection: 20 },
+        max_body_literals: 2_000,
+        max_tuples: 3_000,
+    };
+    let eval_bc = BcConfig {
+        depth: 2,
+        strategy: SamplingStrategy::Full,
+        max_body_literals: 100_000,
+        max_tuples: 100_000,
+    };
+    let auto = AutoBiasConfig {
+        constant_threshold: ConstantThreshold::Absolute(50),
+        ..AutoBiasConfig::default()
+    };
+    let uw = autobias_repro::datasets::uw::generate(&Default::default(), 7);
+    let hiv = autobias_repro::datasets::hiv::generate(&Default::default(), 7);
+    let mut got = Vec::new();
+    for ds in [&uw, &hiv] {
+        let (bias, _, _) = induce_bias(&ds.db, ds.target, &auto).unwrap();
+        for cfg in [&learner_bc, &eval_bc] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let bc = build_bottom_clause(&ds.db, &bias, &ds.pos[0], cfg, &mut rng);
+            got.push(format!("{:016x}", fnv1a(&bc.clause.render(&ds.db))));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            "305ace1987fc8bfc", // UW, learner settings
+            "60c06f8eeadef6b9", // UW, evaluation settings
+            "7cb3abe99ec92491", // HIV, learner settings
+            "a568c7060ca55d9a", // HIV, evaluation settings (34,029 literals)
+        ]
+    );
+}

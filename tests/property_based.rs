@@ -2,6 +2,8 @@
 //!
 //! - θ-subsumption matches a brute-force oracle on small random instances;
 //! - sampled bottom clauses only contain tuples the full BC contains;
+//! - a capped variable-ized bottom clause is a prefix of the uncapped one and
+//!   covers its ground clause;
 //! - IND discovery agrees with the direct subset check on random databases;
 //! - the type graph's joinability relation is reflexive and symmetric;
 //! - k-fold splits partition the data;
@@ -13,6 +15,7 @@
 use autobias_repro::autobias::bottom::GroundLiteral;
 use autobias_repro::autobias::prelude::*;
 use autobias_repro::constraints::{build_type_graph, check_ind, discover_inds, IndConfig};
+use autobias_repro::relstore::fixtures::uw_fragment;
 use autobias_repro::relstore::{AttrRef, Const, Database, FxHashMap, FxHashSet, RelId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -203,6 +206,67 @@ proptest! {
     }
 }
 
+// ---------- variable-izing a ground bottom clause ----------
+
+/// The Table 3 bias over the paper's UW fragment, with titles probed too.
+const UW_FRAGMENT_BIAS: &str = "
+pred student(T1)
+pred inPhase(T1, T2)
+pred professor(T3)
+pred hasPosition(T3, T4)
+pred publication(T5, T1)
+pred publication(T5, T3)
+pred advisedBy(T1, T3)
+mode student(+)
+mode inPhase(+, -)
+mode inPhase(+, #)
+mode professor(+)
+mode hasPosition(+, -)
+mode publication(-, +)
+mode publication(+, -)
+";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Under every sampling strategy, capping the variable-ized clause at
+    /// `k` body literals keeps exactly the first `k` literals of the
+    /// uncapped clause, and every cap still covers the ground clause it was
+    /// derived from.
+    #[test]
+    fn variablize_caps_to_a_prefix_and_covers_its_ground(
+        seed in 0u64..500,
+        strat in 0usize..4,
+        depth in 1usize..4,
+        stud in 0usize..2,
+        prof in 0usize..2,
+        k in 0usize..24,
+    ) {
+        let mut db = uw_fragment();
+        let target = db.add_relation("advisedBy", &["stud", "prof"]);
+        db.build_indexes();
+        let bias = parse_bias(&db, target, UW_FRAGMENT_BIAS).unwrap();
+        let s = db.lookup(["juan", "john"][stud]).unwrap();
+        let p = db.lookup(["sarita", "mary"][prof]).unwrap();
+        let e = Example::new(target, vec![s, p]);
+        let strategy = match strat {
+            0 => SamplingStrategy::Full,
+            1 => SamplingStrategy::Naive { per_selection: 1 },
+            2 => SamplingStrategy::Random { per_selection: 1, oversample: 5 },
+            _ => SamplingStrategy::Stratified { per_stratum: 1 },
+        };
+        let cfg = BcConfig { depth, strategy, max_body_literals: 100_000, max_tuples: 1_000 };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = build_ground_clause(&db, &bias, &e, &cfg, &mut rng);
+        let full = variablize(&g, &bias, usize::MAX);
+        let capped = variablize(&g, &bias, k);
+        prop_assert_eq!(&capped.head, &full.head);
+        prop_assert_eq!(&capped.body[..], &full.body[..k.min(full.body.len())]);
+        prop_assert!(theta_subsumes(&full, &g, &SubsumeConfig::default()));
+        prop_assert!(theta_subsumes(&capped, &g, &SubsumeConfig::default()));
+    }
+}
+
 // ---------- IND discovery ----------
 
 proptest! {
@@ -334,7 +398,7 @@ mode inPhase(+, -)
     let engine = CoverageEngine::build(&db, &bias, &train, &cfg, SubsumeConfig::default(), 3);
 
     for seed_idx in 0..3 {
-        let bc = engine.pos[seed_idx].clause.clone();
+        let bc = variablize(&engine.pos[seed_idx], &bias, cfg.max_body_literals);
         let covered_before: Vec<usize> = (0..9).filter(|&i| engine.covers_pos(&bc, i)).collect();
         for other in 0..9 {
             if engine.covers_pos(&bc, other) {
