@@ -1,5 +1,5 @@
-//! Bench: θ-subsumption cost vs clause length and ground-BC size, and the
-//! restart-budget ablation (paper §5 — coverage testing dominates learning).
+//! Bench: θ-subsumption cost vs clause length and ground-BC size (paper §5
+//! — coverage testing dominates learning).
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
@@ -87,54 +87,5 @@ fn bench_ground_size(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_restarts_ablation(c: &mut Criterion) {
-    // An unsatisfiable instance: the chain must end on a constant that is
-    // absent, forcing exhaustive search — where the node cutoff + restarts
-    // trade completeness for time.
-    let ground = chain_ground(48, 192, 11);
-    let mut clause = chain_clause(10);
-    // Demand the chain ends at a non-existent constant.
-    clause.body.push(Literal::new(
-        RelId(0),
-        vec![Term::Var(VarId(11)), Term::Const(Const(9999))],
-    ));
-
-    let mut group = c.benchmark_group("subsumption/restarts");
-    group.sample_size(10);
-    for (name, cfg) in [
-        (
-            "cutoff_1k_restarts_3",
-            SubsumeConfig {
-                node_limit: 1_000,
-                max_restarts: 3,
-            },
-        ),
-        (
-            "cutoff_20k_restarts_3",
-            SubsumeConfig {
-                node_limit: 20_000,
-                max_restarts: 3,
-            },
-        ),
-        (
-            "cutoff_200k_restarts_0",
-            SubsumeConfig {
-                node_limit: 200_000,
-                max_restarts: 0,
-            },
-        ),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(theta_subsumes(&clause, &ground, &cfg)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_clause_length,
-    bench_ground_size,
-    bench_restarts_ablation
-);
+criterion_group!(benches, bench_clause_length, bench_ground_size);
 criterion_main!(benches);

@@ -31,7 +31,8 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use relstore::{AttrRef, Const, Database, FxHashMap, FxHashSet, RelId, TupleId};
 
-/// One ground literal: a database tuple as a fact.
+/// One ground literal: a database tuple as a fact. The input form of
+/// [`GroundClause::new`]; a ground clause itself stores its facts flat.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroundLiteral {
     /// Relation symbol.
@@ -42,43 +43,120 @@ pub struct GroundLiteral {
 
 /// A ground bottom clause: the example plus every collected tuple as a ground
 /// fact. This is the subsumption target used for coverage testing (paper §5).
+///
+/// The facts are stored flat: one relation and one start offset per literal,
+/// and every literal's constants back to back in one array, so a clause of
+/// thousands of facts is a handful of allocations, not one per fact.
 #[derive(Debug, Clone)]
 pub struct GroundClause {
     /// The example this ground BC belongs to.
     pub example: Example,
-    /// Collected ground literals in insertion order.
-    pub body: Vec<GroundLiteral>,
-    /// Literal indices grouped by relation (built once, used by subsumption).
-    by_rel: FxHashMap<RelId, Vec<u32>>,
+    /// Relation of each literal, in insertion order.
+    rels: Vec<RelId>,
+    /// Literal `i`'s constants are `vals[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    vals: Vec<Const>,
+    /// Literal indices grouped by relation (built once, used by
+    /// subsumption): relation → range of `by_rel_idx`, whose indices are
+    /// ascending within each relation.
+    by_rel: FxHashMap<RelId, (u32, u32)>,
+    by_rel_idx: Vec<u32>,
 }
 
 impl GroundClause {
     /// Creates a ground clause and its relation index.
     pub fn new(example: Example, body: Vec<GroundLiteral>) -> Self {
-        let mut by_rel: FxHashMap<RelId, Vec<u32>> = FxHashMap::default();
-        for (i, lit) in body.iter().enumerate() {
-            by_rel.entry(lit.rel).or_default().push(i as u32);
+        let mut facts = Facts::default();
+        for lit in &body {
+            facts.push(lit.rel, &lit.vals);
         }
-        Self {
-            example,
-            body,
-            by_rel,
-        }
+        facts.finish(example)
     }
 
-    /// Indices of ground literals of relation `rel`.
+    /// Relation of ground literal `i`.
+    #[inline]
+    pub fn rel(&self, i: usize) -> RelId {
+        self.rels[i]
+    }
+
+    /// Constants of ground literal `i`, one per attribute.
+    #[inline]
+    pub fn vals(&self, i: usize) -> &[Const] {
+        &self.vals[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// Every ground literal as `(relation, constants)`, in insertion order.
+    pub fn literals(&self) -> impl ExactSizeIterator<Item = (RelId, &[Const])> + '_ {
+        (0..self.len()).map(|i| (self.rel(i), self.vals(i)))
+    }
+
+    /// Indices of ground literals of relation `rel`, ascending.
     pub fn literals_of(&self, rel: RelId) -> &[u32] {
-        self.by_rel.get(&rel).map_or(&[], Vec::as_slice)
+        self.by_rel
+            .get(&rel)
+            .map_or(&[], |&(a, b)| &self.by_rel_idx[a as usize..b as usize])
     }
 
     /// Number of ground body literals.
     pub fn len(&self) -> usize {
-        self.body.len()
+        self.rels.len()
     }
 
     /// Whether the body is empty.
     pub fn is_empty(&self) -> bool {
-        self.body.is_empty()
+        self.rels.is_empty()
+    }
+}
+
+/// A ground clause's facts under construction, in the flat layout.
+#[derive(Debug, Default)]
+struct Facts {
+    rels: Vec<RelId>,
+    starts: Vec<u32>,
+    vals: Vec<Const>,
+}
+
+impl Facts {
+    fn push(&mut self, rel: RelId, vals: &[Const]) {
+        self.rels.push(rel);
+        self.starts.push(self.vals.len() as u32);
+        self.vals.extend_from_slice(vals);
+    }
+
+    /// Closes the fact list and indexes it by relation.
+    fn finish(self, example: Example) -> GroundClause {
+        let Facts {
+            rels,
+            mut starts,
+            vals,
+        } = self;
+        starts.push(vals.len() as u32);
+        // Count per relation, give each relation a range, then fill each
+        // range in literal order; a range is (start, end) once filled.
+        let mut by_rel: FxHashMap<RelId, (u32, u32)> = FxHashMap::default();
+        for &rel in &rels {
+            by_rel.entry(rel).or_insert((0, 0)).1 += 1;
+        }
+        let mut next = 0u32;
+        for range in by_rel.values_mut() {
+            let count = range.1;
+            *range = (next, next);
+            next += count;
+        }
+        let mut by_rel_idx = vec![0u32; rels.len()];
+        for (i, rel) in rels.iter().enumerate() {
+            let range = by_rel.get_mut(rel).expect("counted above");
+            by_rel_idx[range.1 as usize] = i as u32;
+            range.1 += 1;
+        }
+        GroundClause {
+            example,
+            rels,
+            starts,
+            vals,
+            by_rel,
+            by_rel_idx,
+        }
     }
 }
 
@@ -173,8 +251,9 @@ struct Builder<'a> {
     /// Collected tuples in insertion order.
     collected: Vec<(RelId, TupleId)>,
     collected_set: FxHashSet<(RelId, TupleId)>,
-    /// Constant → its types, accumulated from the attributes it appeared in.
-    known: FxHashMap<Const, FxHashSet<TypeId>>,
+    /// (constant, type) pairs seen so far, accumulated from the attributes
+    /// each constant appeared in.
+    known: FxHashSet<(Const, TypeId)>,
 }
 
 impl<'a> Builder<'a> {
@@ -185,7 +264,7 @@ impl<'a> Builder<'a> {
             cfg,
             collected: Vec::new(),
             collected_set: FxHashSet::default(),
-            known: FxHashMap::default(),
+            known: FxHashSet::default(),
         }
     }
 
@@ -193,12 +272,12 @@ impl<'a> Builder<'a> {
         self.collected.len() >= self.cfg.max_tuples
     }
 
-    /// Records a tuple; returns the constants that gained a *new* type from a
-    /// variable-izable attribute (the next BFS frontier contributions).
-    fn add_tuple(&mut self, rel: RelId, id: TupleId) -> Vec<(Const, TypeId)> {
-        let mut fresh = Vec::new();
+    /// Records a tuple; appends to `frontier` the constants that gained a
+    /// *new* type from a variable-izable attribute (the next BFS frontier
+    /// contributions).
+    fn add_tuple(&mut self, rel: RelId, id: TupleId, frontier: &mut Vec<(Const, TypeId)>) {
         if !self.collected_set.insert((rel, id)) {
-            return fresh;
+            return;
         }
         self.collected.push((rel, id));
         // Borrow the tuple through a copy of the `&'a Database`, so it does
@@ -212,14 +291,12 @@ impl<'a> Builder<'a> {
             if !self.bias.can_be_var(attr) {
                 continue;
             }
-            let types = self.known.entry(c).or_default();
             for &t in self.bias.types_of(attr) {
-                if types.insert(t) {
-                    fresh.push((c, t));
+                if self.known.insert((c, t)) {
+                    frontier.push((c, t));
                 }
             }
         }
-        fresh
     }
 
     /// Seeds the frontier with the example's constants under the target
@@ -228,9 +305,8 @@ impl<'a> Builder<'a> {
         let mut frontier = Vec::new();
         for (pos, &c) in example.args.iter().enumerate() {
             let attr = AttrRef::new(example.rel, pos);
-            let types = self.known.entry(c).or_default();
             for &t in self.bias.types_of(attr) {
-                if types.insert(t) {
+                if self.known.insert((c, t)) {
                     frontier.push((c, t));
                 }
             }
@@ -354,7 +430,7 @@ pub fn build_ground_clause<R: Rng>(
                         if b.at_capacity() {
                             break;
                         }
-                        next_frontier.extend(b.add_tuple(attr.rel, id));
+                        b.add_tuple(attr.rel, id, &mut next_frontier);
                     }
                 }
                 frontier = next_frontier;
@@ -362,15 +438,16 @@ pub fn build_ground_clause<R: Rng>(
         }
     }
 
-    let body = b
-        .collected
-        .iter()
-        .map(|&(rel, id)| GroundLiteral {
-            rel,
-            vals: db.relation(rel).tuple(id).into(),
-        })
-        .collect();
-    let ground = GroundClause::new(example.clone(), body);
+    let tuple = |&(rel, id): &(RelId, TupleId)| db.relation(rel).tuple(id);
+    let mut facts = Facts {
+        rels: Vec::with_capacity(b.collected.len()),
+        starts: Vec::with_capacity(b.collected.len() + 1),
+        vals: Vec::with_capacity(b.collected.iter().map(|t| tuple(t).len()).sum()),
+    };
+    for t in &b.collected {
+        facts.push(t.0, tuple(t));
+    }
+    let ground = facts.finish(example.clone());
     if sp.is_active() {
         sp.note("tuples", b.collected.len() as u64);
         sp.note("ground_literals", ground.len() as u64);
@@ -561,11 +638,14 @@ fn strat_rec(
         }
     };
 
+    // Algorithm 4 expands by recursion, not by frontier.
+    let mut unused_frontier = Vec::new();
     for &id in &kept {
         if b.at_capacity() {
             break;
         }
-        b.add_tuple(probe.rel, id);
+        b.add_tuple(probe.rel, id, &mut unused_frontier);
+        unused_frontier.clear();
     }
     kept
 }
@@ -649,13 +729,12 @@ pub fn variablize(ground: &GroundClause, bias: &LanguageBias, max_body_literals:
 
     let mut body = Vec::new();
     let mut body_seen = FxHashSet::default();
-    'tuples: for g in &ground.body {
-        for mode in bias.modes_for(g.rel) {
+    'tuples: for (rel, vals) in ground.literals() {
+        for mode in bias.modes_for(rel) {
             if body.len() >= max_body_literals {
                 break 'tuples;
             }
-            let args: Vec<Term> = g
-                .vals
+            let args: Vec<Term> = vals
                 .iter()
                 .zip(&mode.args)
                 .map(|(&c, m)| match m {
@@ -663,7 +742,7 @@ pub fn variablize(ground: &GroundClause, bias: &LanguageBias, max_body_literals:
                     ArgMode::Plus | ArgMode::Minus => Term::Var(var(c)),
                 })
                 .collect();
-            let lit = Literal::new(g.rel, args);
+            let lit = Literal::new(rel, args);
             if body_seen.insert(lit.clone()) {
                 body.push(lit);
             }
@@ -869,7 +948,7 @@ mode publication(-, +)
             },
             &mut rng,
         );
-        let full_set: FxHashSet<GroundLiteral> = full.ground.body.iter().cloned().collect();
+        let full_set: FxHashSet<(RelId, &[Const])> = full.ground.literals().collect();
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
             let sampled = build_bottom_clause(
@@ -887,8 +966,8 @@ mode publication(-, +)
                 },
                 &mut rng,
             );
-            for lit in &sampled.ground.body {
-                assert!(full_set.contains(lit), "sampled a non-reachable tuple");
+            for lit in sampled.ground.literals() {
+                assert!(full_set.contains(&lit), "sampled a non-reachable tuple");
             }
         }
     }

@@ -72,20 +72,6 @@ const TAG_INDIV: u64 = 0xD1B5_4A32_D192_ED03;
 /// hit — or don't hit — this cap together.
 const MAX_INDIV_TRIALS: usize = 64;
 
-/// Occurrences of each variable: `(body literal index, argument position)`.
-/// Head occurrences are folded into the initial colors instead.
-fn occurrences(clause: &Clause, num_vars: usize) -> Vec<Vec<(u32, u32)>> {
-    let mut occ: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_vars];
-    for (li, lit) in clause.body.iter().enumerate() {
-        for (pos, t) in lit.args.iter().enumerate() {
-            if let Term::Var(v) = t {
-                occ[v.index()].push((li as u32, pos as u32));
-            }
-        }
-    }
-    occ
-}
-
 /// Signature of one body literal under the current variable coloring.
 fn literal_sig(clause: &Clause, li: usize, colors: &[u64]) -> u64 {
     let lit = &clause.body[li];
@@ -99,69 +85,134 @@ fn literal_sig(clause: &Clause, li: usize, colors: &[u64]) -> u64 {
     h
 }
 
-/// One full refinement pass to a fixpoint of the color *partition* (values
-/// keep churning each round; refinement stops when the grouping of
-/// variables into equal-color classes stops changing). The stop condition
-/// must be an isomorphism invariant — the number of rounds run feeds the
-/// final color values, and α-variants must execute the same count — so
-/// partitions are compared as first-occurrence class labelings, never by
-/// color-value order.
-fn refine(clause: &Clause, colors: &mut [u64], occ: &[Vec<(u32, u32)>], used: &[bool]) {
-    let num_vars = colors.len();
-    let mut prev_classes = partition_labels(colors, used);
-    for _round in 0..num_vars.max(2) {
-        let sigs: Vec<u64> = (0..clause.body.len())
-            .map(|li| literal_sig(clause, li, colors))
-            .collect();
-        let mut next = vec![0u64; num_vars];
-        for (v, slots) in occ.iter().enumerate() {
-            let mut feats: Vec<u64> = slots
-                .iter()
-                .map(|&(li, pos)| mix(sigs[li as usize], pos as u64))
-                .collect();
-            feats.sort_unstable();
-            let mut h = colors[v];
-            for f in feats {
-                h = mix(h, f);
+/// The refinement state of one [`canonical_form_status`] call: the clause's
+/// variable occurrences and every scratch buffer refinement and
+/// individualization need, allocated once per call and reused by every
+/// round and every trial.
+struct Refiner<'c> {
+    clause: &'c Clause,
+    /// Occurrences of each variable, `(body literal index, argument
+    /// position)`, CSR layout: `occ[occ_off[v]..occ_off[v + 1]]`. Head
+    /// occurrences are folded into the initial colors instead.
+    occ_off: Vec<u32>,
+    occ: Vec<(u32, u32)>,
+    /// Whether each variable id occurs in the clause at all.
+    used: Vec<bool>,
+    /// Per-literal signatures of the current round.
+    sigs: Vec<u64>,
+    /// Per-variable colors of the next round.
+    next: Vec<u64>,
+    /// One variable's sorted occurrence features.
+    feats: Vec<u64>,
+    /// Partition labels of the previous and the current round, and the
+    /// color → label map that assigns them.
+    prev_labels: Vec<u32>,
+    labels: Vec<u32>,
+    label_of: FxHashMap<u64, u32>,
+}
+
+impl<'c> Refiner<'c> {
+    fn new(clause: &'c Clause, num_vars: usize) -> Self {
+        let mut occ_off = vec![0u32; num_vars + 1];
+        for lit in &clause.body {
+            for v in lit.vars() {
+                occ_off[v.index() + 1] += 1;
             }
-            next[v] = h;
         }
-        colors.copy_from_slice(&next);
-        let classes = partition_labels(colors, used);
-        if classes == prev_classes {
-            return;
+        for v in 0..num_vars {
+            occ_off[v + 1] += occ_off[v];
         }
-        prev_classes = classes;
+        let mut occ = vec![(0, 0); occ_off[num_vars] as usize];
+        let mut cursor = occ_off.clone();
+        for (li, lit) in clause.body.iter().enumerate() {
+            for (pos, t) in lit.args.iter().enumerate() {
+                if let Term::Var(v) = t {
+                    occ[cursor[v.index()] as usize] = (li as u32, pos as u32);
+                    cursor[v.index()] += 1;
+                }
+            }
+        }
+        let mut used: Vec<bool> = (0..num_vars).map(|v| occ_off[v] < occ_off[v + 1]).collect();
+        for v in clause.head.vars() {
+            used[v.index()] = true;
+        }
+        Self {
+            clause,
+            occ_off,
+            occ,
+            used,
+            sigs: Vec::with_capacity(clause.body.len()),
+            next: vec![0; num_vars],
+            feats: Vec::new(),
+            prev_labels: Vec::with_capacity(num_vars),
+            labels: Vec::with_capacity(num_vars),
+            label_of: FxHashMap::default(),
+        }
     }
-}
 
-/// Labels each **used** variable's color class by first occurrence in index
-/// order, so two colorings compare equal iff they induce the same
-/// *partition* of the clause's variables — independent of the color values
-/// themselves (which churn every round) and of unused id-range gaps (which
-/// would otherwise make the round count, and thus the final colors, depend
-/// on how the input happened to number its variables).
-fn partition_labels(colors: &[u64], used: &[bool]) -> Vec<u32> {
-    let mut label_of: FxHashMap<u64, u32> = FxHashMap::default();
-    colors
-        .iter()
-        .zip(used)
-        .filter(|&(_, &u)| u)
-        .map(|(&c, _)| {
-            let next = label_of.len() as u32;
-            *label_of.entry(c).or_insert(next)
-        })
-        .collect()
-}
+    /// One full refinement pass to a fixpoint of the color *partition*
+    /// (values keep churning each round; refinement stops when the grouping
+    /// of variables into equal-color classes stops changing). The stop
+    /// condition must be an isomorphism invariant — the number of rounds
+    /// run feeds the final color values, and α-variants must execute the
+    /// same count — so partitions are compared as first-occurrence class
+    /// labelings, never by color-value order.
+    fn refine(&mut self, colors: &mut [u64]) {
+        let num_vars = colors.len();
+        self.partition_labels(colors);
+        std::mem::swap(&mut self.prev_labels, &mut self.labels);
+        for _round in 0..num_vars.max(2) {
+            self.literal_sigs(colors);
+            for (v, &color) in colors.iter().enumerate() {
+                let slots = &self.occ[self.occ_off[v] as usize..self.occ_off[v + 1] as usize];
+                self.feats.clear();
+                self.feats.extend(
+                    slots
+                        .iter()
+                        .map(|&(li, pos)| mix(self.sigs[li as usize], pos as u64)),
+                );
+                self.feats.sort_unstable();
+                self.next[v] = self.feats.iter().fold(color, |h, &f| mix(h, f));
+            }
+            colors.copy_from_slice(&self.next);
+            self.partition_labels(colors);
+            if self.labels == self.prev_labels {
+                return;
+            }
+            std::mem::swap(&mut self.prev_labels, &mut self.labels);
+        }
+    }
 
-/// Global structural signature under a coloring: the sorted body-literal
-/// signatures. Used to pick the individualization branch deterministically.
-fn global_sig(clause: &Clause, colors: &[u64]) -> Vec<u64> {
-    let mut sigs: Vec<u64> = (0..clause.body.len())
-        .map(|li| literal_sig(clause, li, colors))
-        .collect();
-    sigs.sort_unstable();
-    sigs
+    /// Labels each **used** variable's color class by first occurrence in
+    /// index order, into `self.labels`, so two colorings compare equal iff
+    /// they induce the same *partition* of the clause's variables —
+    /// independent of the color values themselves (which churn every round)
+    /// and of unused id-range gaps (which would otherwise make the round
+    /// count, and thus the final colors, depend on how the input happened
+    /// to number its variables).
+    fn partition_labels(&mut self, colors: &[u64]) {
+        self.label_of.clear();
+        self.labels.clear();
+        for (&c, _) in colors.iter().zip(&self.used).filter(|&(_, &u)| u) {
+            let next = self.label_of.len() as u32;
+            self.labels.push(*self.label_of.entry(c).or_insert(next));
+        }
+    }
+
+    /// Every body literal's signature under `colors`, into `self.sigs`.
+    fn literal_sigs(&mut self, colors: &[u64]) {
+        self.sigs.clear();
+        self.sigs
+            .extend((0..self.clause.body.len()).map(|li| literal_sig(self.clause, li, colors)));
+    }
+
+    /// Global structural signature under a coloring: the sorted body-literal
+    /// signatures, into `self.sigs`. Used to pick the individualization
+    /// branch deterministically.
+    fn global_sig(&mut self, colors: &[u64]) {
+        self.literal_sigs(colors);
+        self.sigs.sort_unstable();
+    }
 }
 
 /// Returns the canonical form of `clause`: body literals in normal-form
@@ -184,16 +235,12 @@ pub fn canonical_form(clause: &Clause) -> Clause {
 /// tied class were individualized depends on variable ids. Canonicalizing
 /// the output again can therefore individualize other members and return
 /// a different α-variant.
+///
+/// All refinement scratch is allocated once per call (`Refiner`); rounds
+/// and individualization trials reuse it.
 pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
     let num_vars = clause.num_vars() as usize;
-    let occ = occurrences(clause, num_vars);
-    let mut used = vec![false; num_vars];
-    for (v, slots) in occ.iter().enumerate() {
-        used[v] = !slots.is_empty();
-    }
-    for v in clause.head.vars() {
-        used[v.index()] = true;
-    }
+    let mut r = Refiner::new(clause, num_vars);
 
     // Initial colors: head variables by first head position, body-only
     // variables uniform, unused ids parked on a sentinel.
@@ -205,7 +252,7 @@ pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
             }
         }
     }
-    refine(clause, &mut colors, &occ, &used);
+    r.refine(&mut colors);
 
     // Individualize remaining ties. Each pass makes one more variable
     // unique, so the loop is bounded by the variable count; the trial
@@ -214,57 +261,72 @@ pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
     // answer).
     let mut trials = 0usize;
     let mut complete = true;
+    // (color, variable) of every used variable, sorted, so the tied class
+    // with the smallest color is the first run longer than one.
+    let mut by_color: Vec<(u64, u32)> = Vec::with_capacity(num_vars);
+    let mut members: Vec<u32> = Vec::new();
+    let (mut trial, mut best) = (colors.clone(), colors.clone());
+    let mut best_sig: Vec<u64> = Vec::with_capacity(clause.body.len());
     for _ in 0..num_vars {
-        let mut classes: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-        for (v, &c) in colors.iter().enumerate() {
-            if used[v] {
-                classes.entry(c).or_default().push(v);
+        by_color.clear();
+        by_color.extend(
+            colors
+                .iter()
+                .zip(&r.used)
+                .enumerate()
+                .filter(|&(_, (_, &u))| u)
+                .map(|(v, (&c, _))| (c, v as u32)),
+        );
+        by_color.sort_unstable();
+        members.clear();
+        for run in by_color.chunk_by(|a, b| a.0 == b.0) {
+            if run.len() > 1 {
+                members.extend(run.iter().map(|&(_, v)| v));
+                break;
             }
         }
-        let Some((_, members)) = classes
-            .into_iter()
-            .filter(|(_, m)| m.len() > 1)
-            .min_by_key(|&(c, _)| c)
-        else {
+        if members.is_empty() {
             break;
-        };
+        }
         trials += members.len();
         if trials > MAX_INDIV_TRIALS {
             complete = false;
             break;
         }
-        let mut best: Option<(Vec<u64>, Vec<u64>)> = None;
-        for &v in &members {
-            let mut trial = colors.clone();
-            trial[v] = mix(trial[v], TAG_INDIV);
-            refine(clause, &mut trial, &occ, &used);
-            let sig = global_sig(clause, &trial);
-            if best.as_ref().is_none_or(|(bs, _)| sig < *bs) {
-                best = Some((sig, trial));
+        for (i, &v) in members.iter().enumerate() {
+            trial.copy_from_slice(&colors);
+            trial[v as usize] = mix(trial[v as usize], TAG_INDIV);
+            r.refine(&mut trial);
+            r.global_sig(&trial);
+            if i == 0 || r.sigs < best_sig {
+                std::mem::swap(&mut best_sig, &mut r.sigs);
+                std::mem::swap(&mut best, &mut trial);
             }
         }
-        colors = best.expect("tied class is non-empty").1;
+        std::mem::swap(&mut colors, &mut best);
     }
 
-    // Order body literals by final signature; a stable sort keeps genuine
-    // duplicates (and the ultra-rare unresolved tie) in input order.
+    // Order body literals by final signature; ties (genuine duplicates, and
+    // the ultra-rare unresolved tie) keep input order, as a stable sort
+    // would.
+    r.literal_sigs(&colors);
+    let sigs = &r.sigs;
     let mut order: Vec<usize> = (0..clause.body.len()).collect();
-    let sigs: Vec<u64> = (0..clause.body.len())
-        .map(|li| literal_sig(clause, li, &colors))
-        .collect();
-    order.sort_by_key(|&li| sigs[li]);
+    order.sort_unstable_by_key(|&li| (sigs[li], li));
 
     // Renumber densely: head argument order first, then sorted-body
     // first-occurrence order.
-    let mut map: FxHashMap<VarId, VarId> = FxHashMap::default();
+    let mut map: Vec<u32> = vec![u32::MAX; num_vars];
     let mut next = 0u32;
-    let mut renamed = |t: &Term, map: &mut FxHashMap<VarId, VarId>| match *t {
+    let mut renamed = |t: &Term| match *t {
         Term::Const(c) => Term::Const(c),
-        Term::Var(v) => Term::Var(*map.entry(v).or_insert_with(|| {
-            let nv = VarId(next);
-            next += 1;
-            nv
-        })),
+        Term::Var(v) => {
+            if map[v.index()] == u32::MAX {
+                map[v.index()] = next;
+                next += 1;
+            }
+            Term::Var(VarId(map[v.index()]))
+        }
     };
     let head = crate::clause::Literal::new(
         clause.head.rel,
@@ -272,7 +334,7 @@ pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
             .head
             .args
             .iter()
-            .map(|t| renamed(t, &mut map))
+            .map(&mut renamed)
             .collect::<Vec<_>>(),
     );
     let body = order
@@ -281,10 +343,7 @@ pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
             let lit = &clause.body[li];
             crate::clause::Literal::new(
                 lit.rel,
-                lit.args
-                    .iter()
-                    .map(|t| renamed(t, &mut map))
-                    .collect::<Vec<_>>(),
+                lit.args.iter().map(&mut renamed).collect::<Vec<_>>(),
             )
         })
         .collect();

@@ -32,7 +32,7 @@ use crate::clause::Clause;
 use crate::example::TrainingSet;
 use crate::instrument;
 use crate::learn::LearnerConfig;
-use crate::subsume::{theta_subsumes, SubsumeConfig};
+use crate::subsume::{SubsumeConfig, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relstore::{Database, FxHashMap};
@@ -365,17 +365,34 @@ impl CoverageEngine {
 
     /// Whether `clause` covers positive example `i`. Raw single-example
     /// test: no canonicalization, no memo (armg tests its prefix clauses
-    /// through [`crate::subsume::PrefixProbe`] instead). The subsumption
-    /// engine derives its own restart RNG from `(clause, example)`, so the
-    /// answer is a pure function of the inputs — no per-call RNG to thread.
+    /// through [`crate::subsume::PrefixProbe`] instead). The answer is a
+    /// pure function of the clause and the example.
     pub fn covers_pos(&self, clause: &Clause, i: usize) -> bool {
-        theta_subsumes(clause, &self.pos[i], &self.scfg)
+        self.covers_pos_in(&mut Workspace::default(), clause, i)
     }
 
     /// Whether `clause` covers negative example `i` (raw, like
     /// [`CoverageEngine::covers_pos`]).
     pub fn covers_neg(&self, clause: &Clause, i: usize) -> bool {
-        theta_subsumes(clause, &self.neg[i], &self.scfg)
+        self.covers_neg_in(&mut Workspace::default(), clause, i)
+    }
+
+    /// [`CoverageEngine::covers_pos`] in the caller's workspace, for callers
+    /// that run many tests.
+    pub fn covers_pos_in(&self, ws: &mut Workspace, clause: &Clause, i: usize) -> bool {
+        ws.theta_subsumes(clause, &self.pos[i], &self.scfg)
+    }
+
+    /// [`CoverageEngine::covers_neg`] in the caller's workspace.
+    pub fn covers_neg_in(&self, ws: &mut Workspace, clause: &Clause, i: usize) -> bool {
+        ws.theta_subsumes(clause, &self.neg[i], &self.scfg)
+    }
+
+    /// One subsumption workspace per worker thread, for a parallel map.
+    fn workspaces(&self) -> Vec<Workspace> {
+        std::iter::repeat_with(Workspace::default)
+            .take(self.threads.max(1))
+            .collect()
     }
 
     /// Positives among `candidates` covered by `clause`, as a bitset over
@@ -464,8 +481,8 @@ impl CoverageEngine {
             }
             return covered;
         }
-        let hits = parallel_map(self.threads, &pairs, |_, &(ci, i)| {
-            self.covers_pos(&canons[ci], i)
+        let hits = parallel_map_in(&mut self.workspaces(), &pairs, |ws, _, &(ci, i)| {
+            self.covers_pos_in(ws, &canons[ci], i)
         });
         for (&(ci, i), &hit) in pairs.iter().zip(hits.iter()) {
             if hit {
@@ -548,12 +565,15 @@ impl CoverageEngine {
         let total = self.neg.len();
         let mut count = 0usize;
         let mut start = 0usize;
+        let mut spaces = self.workspaces();
         while start < total {
             let end = (start + NEG_CHUNK).min(total);
-            count += parallel_map_range(self.threads, start, end, |i| self.covers_neg(canon, i))
-                .into_iter()
-                .filter(|&b| b)
-                .count();
+            count += parallel_map_range_in(&mut spaces, start, end, |ws, i| {
+                self.covers_neg_in(ws, canon, i)
+            })
+            .into_iter()
+            .filter(|&b| b)
+            .count();
             start = end;
             if cutoff.is_some_and(|c| count > c) {
                 instrument::NEG_TESTS_SKIPPED.add((total - end) as u64);
@@ -612,20 +632,41 @@ pub(crate) fn parallel_map<T: Sync, U: Send>(
     items: &[T],
     f: impl Fn(usize, &T) -> U + Sync,
 ) -> Vec<U> {
+    parallel_map_in(&mut vec![(); threads.max(1)], items, |_, i, e| f(i, e))
+}
+
+/// [`parallel_map`] with one worker per element of `states` (at least
+/// one): each worker hands its own state to `f`, so per-item scratch such
+/// as a subsumption [`Workspace`] is reused across the worker's chunk.
+pub(crate) fn parallel_map_in<S: Send, T: Sync, U: Send>(
+    states: &mut [S],
+    items: &[T],
+    f: impl Fn(&mut S, usize, &T) -> U + Sync,
+) -> Vec<U> {
+    let threads = states.len();
     if threads <= 1 || items.len() < 16 {
-        return items.iter().enumerate().map(|(i, e)| f(i, e)).collect();
+        let state = &mut states[0];
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, e)| f(state, i, e))
+            .collect();
     }
     let chunk = items.len().div_ceil(threads);
     let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);
     crossbeam::thread::scope(|s| {
-        for (ti, (items_chunk, out_chunk)) in
-            items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
+        // `items.len().div_ceil(chunk) <= threads`, so every chunk gets a state.
+        for ((ti, (items_chunk, out_chunk)), state) in items
+            .chunks(chunk)
+            .zip(out.chunks_mut(chunk))
+            .enumerate()
+            .zip(states.iter_mut())
         {
             let f = &f;
             s.spawn(move |_| {
                 for (j, (item, slot)) in items_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(ti * chunk + j, item));
+                    *slot = Some(f(state, ti * chunk + j, item));
                 }
             });
         }
@@ -634,29 +675,31 @@ pub(crate) fn parallel_map<T: Sync, U: Send>(
     out.into_iter().map(|o| o.expect("slot filled")).collect()
 }
 
-/// Maps `f` over the index range `start..end` in parallel — the rangewise
-/// sibling of [`parallel_map`], so callers counting over `0..n` no longer
-/// allocate an index `Vec` per call.
-pub(crate) fn parallel_map_range<U: Send>(
-    threads: usize,
+/// Maps `f` over the index range `start..end` in parallel, one worker per
+/// element of `states` — the rangewise sibling of [`parallel_map_in`], so
+/// callers counting over `0..n` do not allocate an index `Vec` per call.
+pub(crate) fn parallel_map_range_in<S: Send, U: Send>(
+    states: &mut [S],
     start: usize,
     end: usize,
-    f: impl Fn(usize) -> U + Sync,
+    f: impl Fn(&mut S, usize) -> U + Sync,
 ) -> Vec<U> {
+    let threads = states.len();
     let len = end.saturating_sub(start);
     if threads <= 1 || len < 16 {
-        return (start..end).map(f).collect();
+        let state = &mut states[0];
+        return (start..end).map(|i| f(state, i)).collect();
     }
     let chunk = len.div_ceil(threads);
     let mut out: Vec<Option<U>> = Vec::with_capacity(len);
     out.resize_with(len, || None);
     crossbeam::thread::scope(|s| {
-        for (ti, out_chunk) in out.chunks_mut(chunk).enumerate() {
+        for ((ti, out_chunk), state) in out.chunks_mut(chunk).enumerate().zip(states.iter_mut()) {
             let f = &f;
             let base = start + ti * chunk;
             s.spawn(move |_| {
                 for (j, slot) in out_chunk.iter_mut().enumerate() {
-                    *slot = Some(f(base + j));
+                    *slot = Some(f(state, base + j));
                 }
             });
         }
@@ -909,10 +952,16 @@ mode publication(-, +)
     #[test]
     fn parallel_map_range_matches_sequential() {
         for threads in [1, 3, 16] {
-            let out = parallel_map_range(threads, 10, 310, |i| i * 3);
+            let mut states = vec![0usize; threads];
+            let out = parallel_map_range_in(&mut states, 10, 310, |n, i| {
+                *n += 1;
+                i * 3
+            });
             assert_eq!(out, (10..310).map(|i| i * 3).collect::<Vec<_>>());
+            // Every index ran on exactly one worker's state.
+            assert_eq!(states.iter().sum::<usize>(), 300);
             assert_eq!(
-                parallel_map_range(threads, 5, 5, |i| i),
+                parallel_map_range_in(&mut states, 5, 5, |_, i| i),
                 Vec::<usize>::new()
             );
         }

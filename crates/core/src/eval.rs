@@ -14,8 +14,8 @@ use crate::bottom::{BcConfig, SamplingStrategy};
 use crate::clause::Definition;
 use crate::coverage::CoverageEngine;
 use crate::example::{Example, TrainingSet};
-use crate::learn::{definition_covers_neg, definition_covers_pos, Learner};
-use crate::subsume::SubsumeConfig;
+use crate::learn::{definition_covers_neg_in, definition_covers_pos_in, Learner};
+use crate::subsume::{SubsumeConfig, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -86,11 +86,13 @@ pub fn evaluate_definition(
         max_tuples: 100_000,
     };
     let engine = CoverageEngine::build(db, bias, test, &cfg, SubsumeConfig::default(), seed);
+    // One subsumption workspace serves every test of the pass.
+    let mut ws = Workspace::default();
     let tp = (0..test.pos.len())
-        .filter(|&i| definition_covers_pos(def, &engine, i))
+        .filter(|&i| definition_covers_pos_in(&mut ws, def, &engine, i))
         .count();
     let fp = (0..test.neg.len())
-        .filter(|&i| definition_covers_neg(def, &engine, i))
+        .filter(|&i| definition_covers_neg_in(&mut ws, def, &engine, i))
         .count();
     Metrics {
         tp,

@@ -9,7 +9,7 @@
 
 use crate::clause::{Clause, Literal};
 use crate::coverage::{Canonical, CoverageEngine};
-use crate::subsume::{CandTable, PrefixProbe};
+use crate::subsume::{PrefixProbe, Workspace};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::hash::{Hash, Hasher};
@@ -97,20 +97,24 @@ fn search_blocking_atom(n: usize, mut covers: impl FnMut(usize) -> bool) -> Opti
 /// answered "not covered" through budget exhaustion, so the reuse never
 /// claims "covered" wrongly.
 ///
-/// One candidate table serves the whole call: the lists depend only on a
-/// literal, the head binding and the example, none of which a step
-/// changes, so the table follows each step's deletions instead of being
-/// refilled.
+/// One [`Workspace`] serves the whole call, and so does its candidate
+/// table: the lists depend only on a literal, the head binding and the
+/// example, none of which a step changes, so the table follows each step's
+/// deletions instead of being refilled.
 pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<Clause> {
     let mut sp = obs::span!("learn.armg");
     let ground = &engine.pos[pos_idx];
     let cfg = engine.subsume_config();
     let mut current = clause.clone();
-    let mut table = CandTable::default();
+    let mut ws = Workspace::default();
     let mut proven = 0usize;
     let (mut steps, mut probes, mut proven_probes, mut skipped) = (0u64, 0u64, 0u64, 0u64);
     let result = loop {
-        let mut probe = PrefixProbe::with_table(&current, ground, table);
+        let mut probe = if steps == 0 {
+            PrefixProbe::with_workspace(&current, ground, &mut ws)
+        } else {
+            PrefixProbe::resume(&current, ground, &mut ws)
+        };
         let block = search_blocking_atom(current.body.len(), |len| {
             if len <= proven {
                 proven_probes += 1;
@@ -120,17 +124,16 @@ pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<
             probe.covers_given(len, proven, cfg)
         });
         skipped += probe.skipped_components();
-        table = probe.into_table();
         let Some(block) = block else {
             break Some(current);
         };
         steps += 1;
         current.body.remove(block);
-        table.remove(block);
+        ws.remove_literal(block);
         let kept = current.head_connected_indices();
         proven = kept.partition_point(|&i| i < block);
         current.keep_body(&kept);
-        table.keep(&kept);
+        ws.keep_literals(&kept);
         if current.body.is_empty() {
             break None;
         }
@@ -442,12 +445,13 @@ pub fn learn_clause<R: Rng>(
         let past_deadline = || cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d);
         let generate_sp = obs::span!("learn.generate");
         let mut raw: Vec<Clause> = Vec::new();
+        let mut ws = Workspace::default();
         'gen: for (clause, _) in &beam {
             for &e in &sample {
                 if past_deadline() {
                     break 'gen;
                 }
-                if engine.covers_pos(clause, e) {
+                if engine.covers_pos_in(&mut ws, clause, e) {
                     continue; // already covered: armg would be a no-op
                 }
                 stats.armg_calls += 1;

@@ -7,7 +7,7 @@ use crate::clause::{Clause, Definition};
 use crate::coverage::{worker_threads, Bitset, CoverageEngine};
 use crate::example::TrainingSet;
 use crate::generalize::{learn_clause, ConstraintStore, GenConfig};
-use crate::subsume::SubsumeConfig;
+use crate::subsume::{SubsumeConfig, Workspace};
 use obs::progress::{NullSink, ProgressEvent, ProgressSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -351,11 +351,12 @@ impl Learner {
     ) -> (Definition, LearnStats, Vec<bool>, Vec<bool>) {
         let (def, stats) = self.learn(db, bias, train);
         let engine = CoverageEngine::for_learner(db, bias, train, &self.cfg);
+        let mut ws = Workspace::default();
         let pos_cov = (0..train.pos.len())
-            .map(|i| def.clauses.iter().any(|c| engine.covers_pos(c, i)))
+            .map(|i| definition_covers_pos_in(&mut ws, &def, &engine, i))
             .collect();
         let neg_cov = (0..train.neg.len())
-            .map(|i| def.clauses.iter().any(|c| engine.covers_neg(c, i)))
+            .map(|i| definition_covers_neg_in(&mut ws, &def, &engine, i))
             .collect();
         (def, stats, pos_cov, neg_cov)
     }
@@ -375,12 +376,32 @@ fn precision_of(pos_covered: usize, neg_covered: usize) -> f64 {
 /// Definition-level coverage helper: whether `definition` covers example `i`
 /// of the engine's positives.
 pub fn definition_covers_pos(def: &Definition, engine: &CoverageEngine, i: usize) -> bool {
-    def.clauses.iter().any(|c| engine.covers_pos(c, i))
+    definition_covers_pos_in(&mut Workspace::default(), def, engine, i)
+}
+
+/// [`definition_covers_pos`] in the caller's subsumption workspace.
+pub fn definition_covers_pos_in(
+    ws: &mut Workspace,
+    def: &Definition,
+    engine: &CoverageEngine,
+    i: usize,
+) -> bool {
+    def.clauses.iter().any(|c| engine.covers_pos_in(ws, c, i))
 }
 
 /// Definition-level coverage helper for negatives.
 pub fn definition_covers_neg(def: &Definition, engine: &CoverageEngine, i: usize) -> bool {
-    def.clauses.iter().any(|c| engine.covers_neg(c, i))
+    definition_covers_neg_in(&mut Workspace::default(), def, engine, i)
+}
+
+/// [`definition_covers_neg`] in the caller's subsumption workspace.
+pub fn definition_covers_neg_in(
+    ws: &mut Workspace,
+    def: &Definition,
+    engine: &CoverageEngine,
+    i: usize,
+) -> bool {
+    def.clauses.iter().any(|c| engine.covers_neg_in(ws, c, i))
 }
 
 /// Scores a clause for external callers: `(pos_covered, neg_covered)` over

@@ -285,11 +285,11 @@ mode student(+)
             },
             &mut rng,
         );
-        for lit in &bc.ground.body {
+        for (rel, _) in bc.ground.literals() {
             assert!(
-                reachable.contains(&lit.rel),
+                reachable.contains(&rel),
                 "BC used relation {} the tree says is unreachable",
-                db.catalog().schema(lit.rel).name
+                db.catalog().schema(rel).name
             );
         }
     }

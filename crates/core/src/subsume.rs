@@ -2,11 +2,14 @@
 //!
 //! Clause `C` θ-subsumes ground clause `G` iff some substitution `θ` maps
 //! every body literal of `C` onto a literal of `G` (with the head binding
-//! fixed by the example). Subsumption is NP-hard; like the paper (which
-//! follows Kuzelka–Zelezny's restarted strategy), we run a budgeted search
-//! with a node cutoff and a bounded number of restarts, so the test is
-//! *approximate*: it may report "not covered" for a covered example when the
-//! search budget runs out, never the reverse.
+//! fixed by the example). Subsumption is NP-hard, so the test runs a
+//! budgeted search: `SubsumeConfig::node_limit` caps the nodes one test may
+//! spend, propagation included. The test is therefore *approximate*: it may
+//! report "not covered" for a covered example when the budget runs out,
+//! never the reverse. Each such cut-off is counted in
+//! `autobias_core_subsume_cutoffs_total`. The paper follows Kuželka and
+//! Železný's randomized restarts; this engine does not restart, because a
+//! restart would begin with the budget already spent (DESIGN.md §15).
 //!
 //! The search (DESIGN.md §15) is a forward-checking CSP over word-parallel
 //! `u64` bitset domains. Each body literal's candidate set (ground literals
@@ -16,22 +19,24 @@
 //! compatibility mask computed over currently-set bits only. Literals are
 //! chosen smallest-domain-first (MRV over maintained popcounts), the body is
 //! decomposed into connected components over unbound variables (each solved
-//! independently, so restarts never re-explore a solved component), and each
-//! component runs a cheap forward-checking-only pass before escalating to
-//! maintained arc consistency (MAC) with the remaining per-call node budget.
+//! independently), and each component runs a cheap forward-checking-only
+//! pass before escalating to maintained arc consistency (MAC) with the
+//! remaining per-call node budget.
 //!
-//! Restart permutations come from a private [`StdRng`] seeded by a hash of
-//! the clause and the ground example, so the answer is a pure function of
-//! `(clause, ground, cfg)` — search-internal ordering never shifts a
-//! caller's RNG stream. Exact SPJ evaluation ([`crate::query::clause_covers`])
-//! is the reference the differential suite (`tests/differential_subsume.rs`)
-//! checks this search against.
+//! Every buffer a test needs lives in a caller-owned [`Workspace`], cleared
+//! between tests and never shrunk, so a caller that runs many tests (armg's
+//! probes, a coverage worker's chunk, an evaluation pass) allocates nothing
+//! per test once the buffers have grown. The answer is a pure function of
+//! `(clause, ground, cfg)`: which tests a workspace ran before never shows.
+//! Exact SPJ evaluation ([`crate::query::clause_covers`]) is the reference
+//! the differential suite (`tests/differential_subsume.rs`) checks this
+//! search against.
 //!
 //! ```
 //! use autobias::bottom::{GroundClause, GroundLiteral};
 //! use autobias::clause::{Clause, Literal, Term, VarId};
 //! use autobias::example::Example;
-//! use autobias::subsume::{theta_subsumes, SubsumeConfig};
+//! use autobias::subsume::{theta_subsumes, SubsumeConfig, Workspace};
 //! use relstore::{Const, RelId};
 //!
 //! // ground BC: head t(1, 2); body r(1, 10), s(10).
@@ -52,30 +57,27 @@
 //!     ],
 //! );
 //! assert!(theta_subsumes(&clause, &ground, &SubsumeConfig::default()));
+//! // The same test through a reusable workspace.
+//! let mut ws = Workspace::default();
+//! assert!(ws.theta_subsumes(&clause, &ground, &SubsumeConfig::default()));
 //! ```
 
 use crate::bottom::GroundClause;
 use crate::clause::{Clause, Literal, Term, VarId};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use relstore::Const;
+use relstore::{Const, RelId};
+use std::borrow::BorrowMut;
 
 /// Search budget for one subsumption test.
 #[derive(Debug, Clone, Copy)]
 pub struct SubsumeConfig {
-    /// Backtracking nodes explored before a restart.
+    /// Search nodes (assignments tried plus arc revisions) one test may
+    /// spend over all its components before it answers "not covered".
     pub node_limit: usize,
-    /// Randomized restarts before giving up (answering `false`).
-    pub max_restarts: usize,
 }
 
 impl Default for SubsumeConfig {
     fn default() -> Self {
-        Self {
-            node_limit: 20_000,
-            max_restarts: 3,
-        }
+        Self { node_limit: 20_000 }
     }
 }
 
@@ -88,15 +90,95 @@ impl SubsumeConfig {
     pub fn unbounded() -> Self {
         Self {
             node_limit: usize::MAX,
-            max_restarts: 0,
         }
     }
 }
 
 /// Whether `clause` θ-subsumes `ground` — i.e. whether the clause covers the
-/// ground BC's example (Definition 2.4 via the §5 reduction).
+/// ground BC's example (Definition 2.4 via the §5 reduction). Runs in a
+/// fresh [`Workspace`]; callers with many tests keep one and call
+/// [`Workspace::theta_subsumes`].
 pub fn theta_subsumes(clause: &Clause, ground: &GroundClause, cfg: &SubsumeConfig) -> bool {
-    PrefixProbe::new(clause, ground).covers(clause.body.len(), cfg)
+    Workspace::default().theta_subsumes(clause, ground, cfg)
+}
+
+/// Every buffer a θ-subsumption test uses: the head binding, the candidate
+/// lists and their signatures, the variable→literal index, the component
+/// split, the domains and popcounts, the undo log, the trail, the
+/// per-depth candidate orders, the arc-consistency queue, the stamps and
+/// the neighbour index. A test clears what it uses and keeps the capacity,
+/// so the buffers grow to the largest test seen and stay there.
+///
+/// The caller owns the workspace and decides how long it lives: armg keeps
+/// one per call, the coverage engine one per worker in each batched map,
+/// evaluation one per pass. A workspace is never shared between threads while in use and
+/// never kept in a global or thread-local pool.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    /// Head binding of the current probe: variable → constant fixed by the
+    /// example.
+    binding: Vec<Option<Const>>,
+    /// Candidate lists of the current probe's body literals.
+    cands: CandTable,
+    /// Variable→literal index and components of the current prefix.
+    prep: Prepared,
+    /// Search state of the current test.
+    search: BitsetSearch,
+    /// Working copy of `binding` the search extends and undoes.
+    trial_binding: Vec<Option<Const>>,
+    /// Per-literal "assigned or outside the active component" flags.
+    assigned: Vec<bool>,
+}
+
+impl Workspace {
+    /// [`theta_subsumes`] in this workspace: the same answer, from reused
+    /// buffers.
+    pub fn theta_subsumes(
+        &mut self,
+        clause: &Clause,
+        ground: &GroundClause,
+        cfg: &SubsumeConfig,
+    ) -> bool {
+        PrefixProbe::with_workspace(clause, ground, self).covers(clause.body.len(), cfg)
+    }
+
+    /// Mirrors `body.remove(i)` on the probed body's candidate table (see
+    /// [`PrefixProbe::resume`]).
+    pub(crate) fn remove_literal(&mut self, i: usize) {
+        self.cands.remove(i);
+    }
+
+    /// Mirrors keeping only the body literals at the ascending positions
+    /// `kept` (`Clause::keep_body`) on the probed body's candidate table.
+    pub(crate) fn keep_literals(&mut self, kept: &[usize]) {
+        self.cands.keep(kept);
+    }
+
+    /// Binds `clause`'s head to `ground`'s example into `self.binding`.
+    /// Relation and arity must match; head vars bind to the example's
+    /// constants, head constants must equal them. `false` on mismatch.
+    fn bind_head(&mut self, clause: &Clause, ground: &GroundClause) -> bool {
+        let binding = &mut self.binding;
+        binding.clear();
+        if clause.head.rel != ground.example.rel
+            || clause.head.args.len() != ground.example.args.len()
+        {
+            return false;
+        }
+        binding.resize(clause.num_vars() as usize, None);
+        for (term, &c) in clause.head.args.iter().zip(ground.example.args.iter()) {
+            match *term {
+                Term::Var(v) => match binding[v.index()] {
+                    None => binding[v.index()] = Some(c),
+                    Some(b) if b == c => {}
+                    Some(_) => return false,
+                },
+                Term::Const(k) if k != c => return false,
+                Term::Const(_) => {}
+            }
+        }
+        true
+    }
 }
 
 /// θ-subsumption tests of the prefix clauses `T ← L1, …, Llen` of one clause
@@ -108,49 +190,52 @@ pub fn theta_subsumes(clause: &Clause, ground: &GroundClause, cfg: &SubsumeConfi
 /// tests: the lists are filled lazily, up to the longest prefix asked for
 /// so far. Only the variable→literal index and the component split are
 /// rebuilt per prefix. [`PrefixProbe::covers`] answers exactly what
-/// [`theta_subsumes`] answers on the materialized prefix clause — same
-/// restart seed, same search — without copying the prefix;
-/// `theta_subsumes` is itself a one-prefix probe.
-pub struct PrefixProbe<'a> {
-    head: &'a Literal,
+/// [`theta_subsumes`] answers on the materialized prefix clause — the same
+/// search — without copying the prefix; `theta_subsumes` is itself a
+/// one-prefix probe.
+///
+/// The probe runs in a [`Workspace`] it owns (`PrefixProbe::new`) or
+/// borrows (`PrefixProbe::with_workspace(.., &mut ws)`).
+pub struct PrefixProbe<'a, W: BorrowMut<Workspace> = Workspace> {
     body: &'a [Literal],
     ground: &'a GroundClause,
-    /// Head binding (variable → constant fixed by the example), or `None`
-    /// when the head cannot match the example, which refutes every prefix.
-    binding: Option<Vec<Option<Const>>>,
-    cands: CandTable,
+    ws: W,
+    /// Whether the head binds the example; when it cannot, every prefix is
+    /// refuted.
+    head_matches: bool,
     /// Components [`PrefixProbe::covers_given`] skipped as proven so far.
     skipped: u64,
 }
 
 impl<'a> PrefixProbe<'a> {
-    /// A probe of `clause`'s prefixes against `ground`; binds the head.
+    /// A probe of `clause`'s prefixes against `ground` in a workspace of
+    /// its own; binds the head.
     pub fn new(clause: &'a Clause, ground: &'a GroundClause) -> Self {
-        Self::with_table(clause, ground, CandTable::default())
+        Self::with_workspace(clause, ground, Workspace::default())
+    }
+}
+
+impl<'a, W: BorrowMut<Workspace>> PrefixProbe<'a, W> {
+    /// A probe of `clause`'s prefixes against `ground` in `ws`; binds the
+    /// head and empties the workspace's candidate table.
+    pub fn with_workspace(clause: &'a Clause, ground: &'a GroundClause, mut ws: W) -> Self {
+        ws.borrow_mut().cands.clear();
+        Self::resume(clause, ground, ws)
     }
 
-    /// A probe that starts from `cands`, a table filled by an earlier probe
-    /// of a clause with the same head against the same `ground`, and
-    /// remapped through every body edit since (see [`CandTable::remove`]
-    /// and [`CandTable::keep`]).
-    pub(crate) fn with_table(
-        clause: &'a Clause,
-        ground: &'a GroundClause,
-        cands: CandTable,
-    ) -> Self {
+    /// A probe that keeps the candidate table `ws` holds: filled by an
+    /// earlier probe of a clause with the same head against the same
+    /// `ground`, and remapped through every body edit since (see
+    /// [`Workspace::remove_literal`] and [`Workspace::keep_literals`]).
+    pub(crate) fn resume(clause: &'a Clause, ground: &'a GroundClause, mut ws: W) -> Self {
+        let head_matches = ws.borrow_mut().bind_head(clause, ground);
         Self {
-            head: &clause.head,
             body: &clause.body,
             ground,
-            binding: bind_head(clause, ground),
-            cands,
+            ws,
+            head_matches,
             skipped: 0,
         }
-    }
-
-    /// Hands the candidate table back, for the next probe of an edited body.
-    pub(crate) fn into_table(self) -> CandTable {
-        self.cands
     }
 
     /// Components skipped as proven by [`PrefixProbe::covers_given`] over
@@ -175,104 +260,22 @@ impl<'a> PrefixProbe<'a> {
     /// unbounded budget the answer equals [`PrefixProbe::covers`].
     pub fn covers_given(&mut self, len: usize, proven: usize, cfg: &SubsumeConfig) -> bool {
         crate::instrument::SUBSUMPTION_TESTS.bump();
-        let Some(binding) = &self.binding else {
+        if !self.head_matches {
             return false;
-        };
+        }
         if len == 0 {
             return true;
         }
         let body = &self.body[..len];
-        if !self.cands.fill(body, binding, self.ground) {
+        let ws = self.ws.borrow_mut();
+        if !ws.cands.fill(body, &ws.binding, self.ground) {
             return false;
         }
-        let prep = Prepared::new(body, binding, self.cands.slices(len));
-        // Restart permutations come from a per-test RNG derived from the
-        // clause and the example, never from caller state: the answer is a
-        // pure function of the inputs, identical no matter which tests ran
-        // before.
-        let mut rng = StdRng::seed_from_u64(derive_seed(self.head, body, self.ground));
-        let (covered, skipped) = bitset_subsumes(body, self.ground, cfg, &prep, proven, &mut rng);
+        let (covered, skipped) = bitset_subsumes(ws, body, self.ground, cfg, proven);
         self.skipped += skipped;
         covered
     }
 }
-
-/// FNV-1a accumulator for the per-test RNG seed; deliberately hand-rolled so
-/// the seed is stable across std hasher changes (bench baselines compare
-/// learned output across builds).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn mix(&mut self, x: u64) {
-        self.0 ^= x;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn term(&mut self, t: &Term) {
-        match *t {
-            Term::Var(v) => {
-                self.mix(1);
-                self.mix(u64::from(v.0));
-            }
-            Term::Const(c) => {
-                self.mix(2);
-                self.mix(u64::from(c.0));
-            }
-        }
-    }
-    fn literal(&mut self, l: &Literal) {
-        self.mix(u64::from(l.rel.0));
-        for t in &l.args {
-            self.term(t);
-        }
-    }
-}
-
-/// The restart-permutation seed for one `(head ← body, ground)` test: a hash
-/// of the clause structure and the ground example. The ground *body* is
-/// summed up only by its length — hashing thousands of BC literals per test
-/// would cost more than the search it seeds.
-fn derive_seed(head: &Literal, body: &[Literal], ground: &GroundClause) -> u64 {
-    let mut h = Fnv::new();
-    h.literal(head);
-    h.mix(body.len() as u64);
-    for l in body {
-        h.literal(l);
-    }
-    h.mix(u64::from(ground.example.rel.0));
-    for &c in &ground.example.args {
-        h.mix(u64::from(c.0));
-    }
-    h.mix(ground.body.len() as u64);
-    h.0
-}
-
-/// Head binding: relation and arity must match; head vars bind to the
-/// example's constants, head constants must equal them. `None` on mismatch.
-fn bind_head(clause: &Clause, ground: &GroundClause) -> Option<Vec<Option<Const>>> {
-    if clause.head.rel != ground.example.rel || clause.head.args.len() != ground.example.args.len()
-    {
-        return None;
-    }
-    let mut binding: Vec<Option<Const>> = vec![None; clause.num_vars() as usize];
-    for (term, &c) in clause.head.args.iter().zip(ground.example.args.iter()) {
-        match *term {
-            Term::Var(v) => match binding[v.index()] {
-                None => binding[v.index()] = Some(c),
-                Some(b) if b == c => {}
-                Some(_) => return None,
-            },
-            Term::Const(k) if k != c => return None,
-            Term::Const(_) => {}
-        }
-    }
-    Some(binding)
-}
-
-/// (relation, required-constant signature, pool index) of one distinct list.
-type SigEntry = (relstore::RelId, Vec<(u32, Const)>, u32);
 
 /// Static candidate lists per body literal: ground literals of the same
 /// relation whose constant positions and head-bound variables match. The
@@ -288,23 +291,41 @@ type SigEntry = (relstore::RelId, Vec<(u32, Const)>, u32);
 /// so one table serves every body armg derives from a clause by deleting
 /// literals: [`CandTable::remove`] and [`CandTable::keep`] mirror the
 /// deletions on the literal → list index, and the lists stay valid.
-#[derive(Default)]
-pub(crate) struct CandTable {
-    /// Distinct candidate lists, one per signature.
-    pool: Vec<Vec<u32>>,
-    /// Body literal → index into `pool`, for the leading literals filled so
+///
+/// Lists and signatures live in flat arrays, so clearing the table for the
+/// next clause keeps every allocation.
+#[derive(Debug, Default)]
+struct CandTable {
+    /// Distinct candidate lists, one per signature, back to back: list `k`
+    /// is `pool[lists[k].0..lists[k].1]`.
+    pool: Vec<u32>,
+    lists: Vec<(u32, u32)>,
+    /// Body literal → index of its list, for the leading literals filled so
     /// far.
     of: Vec<u32>,
-    /// (relation, required-constant signature) → pool index. Distinct
-    /// signatures per clause number in the single digits, so a linear scan
-    /// beats a hash map (no hashing, no table allocation).
-    sigs: Vec<SigEntry>,
+    /// (relation, start, end) of each list's required-constant signature in
+    /// `sig_vals`; list `k`'s signature is entry `k`. Distinct signatures
+    /// per clause number in the single digits, so a linear scan beats a
+    /// hash map (no hashing, no table allocation).
+    sigs: Vec<(RelId, u32, u32)>,
+    /// (position, constant) pairs of every signature, back to back.
+    sig_vals: Vec<(u32, Const)>,
     /// Set when literal `of.len()` has an empty list: filling stops there,
     /// and every prefix containing that literal is refuted.
     empty: bool,
 }
 
 impl CandTable {
+    /// Empties the table for a new clause, keeping its capacity.
+    fn clear(&mut self) {
+        self.pool.clear();
+        self.lists.clear();
+        self.of.clear();
+        self.sigs.clear();
+        self.sig_vals.clear();
+        self.empty = false;
+    }
+
     /// Fills the lists of `body` (a prefix of the probed clause's body)
     /// that are not filled yet. Returns `false` when one of them is empty,
     /// which refutes the prefix without search — the common case for
@@ -316,48 +337,50 @@ impl CandTable {
                 return false;
             }
             let lit = &body[self.of.len()];
-            let mut sig: Vec<(u32, Const)> = Vec::new();
+            // The literal's signature goes at the end of `sig_vals`; it stays
+            // there only if it is new.
+            let start = self.sig_vals.len();
             for (p, t) in lit.args.iter().enumerate() {
                 let req = match *t {
                     Term::Const(c) => Some(c),
                     Term::Var(v) => binding[v.index()],
                 };
                 if let Some(c) = req {
-                    sig.push((p as u32, c));
+                    self.sig_vals.push((p as u32, c));
                 }
             }
-            if let Some(&(_, _, idx)) = self
+            let (known, sig) = self.sig_vals.split_at(start);
+            if let Some(k) = self
                 .sigs
                 .iter()
-                .find(|(r, s, _)| *r == lit.rel && *s == sig)
+                .position(|&(r, s, e)| r == lit.rel && known[s as usize..e as usize] == *sig)
             {
-                self.of.push(idx);
+                self.sig_vals.truncate(start);
+                self.of.push(k as u32);
                 continue;
             }
             let arity = lit.args.len();
-            let cands: Vec<u32> = ground
-                .literals_of(lit.rel)
-                .iter()
-                .copied()
-                .filter(|&gi| {
-                    let g = &ground.body[gi as usize];
-                    arity == g.vals.len() && sig.iter().all(|&(p, c)| g.vals[p as usize] == c)
-                })
-                .collect();
-            if cands.is_empty() {
+            let list_start = self.pool.len();
+            self.pool
+                .extend(ground.literals_of(lit.rel).iter().copied().filter(|&gi| {
+                    let g = ground.vals(gi as usize);
+                    arity == g.len() && sig.iter().all(|&(p, c)| g[p as usize] == c)
+                }));
+            if self.pool.len() == list_start {
+                self.sig_vals.truncate(start);
                 self.empty = true;
                 return false;
             }
-            let idx = self.pool.len() as u32;
-            self.sigs.push((lit.rel, sig, idx));
-            self.of.push(idx);
-            self.pool.push(cands);
+            self.of.push(self.sigs.len() as u32);
+            self.sigs
+                .push((lit.rel, start as u32, self.sig_vals.len() as u32));
+            self.lists.push((list_start as u32, self.pool.len() as u32));
         }
         true
     }
 
     /// Mirrors `body.remove(i)` on the probed body.
-    pub(crate) fn remove(&mut self, i: usize) {
+    fn remove(&mut self, i: usize) {
         if i < self.of.len() {
             self.of.remove(i);
         } else if i == self.of.len() {
@@ -368,7 +391,7 @@ impl CandTable {
 
     /// Mirrors keeping only the body literals at the ascending positions
     /// `kept` (`Clause::keep_body`) on the probed body.
-    pub(crate) fn keep(&mut self, kept: &[usize]) {
+    fn keep(&mut self, kept: &[usize]) {
         let filled = self.of.len();
         let mut w = 0;
         for &i in kept.iter().take_while(|&&i| i < filled) {
@@ -380,42 +403,62 @@ impl CandTable {
         self.empty &= kept.get(w) == Some(&filled);
     }
 
-    /// The candidate lists of the first `len` body literals (all filled).
-    fn slices(&self, len: usize) -> Vec<&[u32]> {
-        self.of[..len]
-            .iter()
-            .map(|&i| self.pool[i as usize].as_slice())
-            .collect()
+    /// The candidate list of body literal `li` (filled).
+    #[inline]
+    fn list(&self, li: usize) -> &[u32] {
+        let (a, b) = self.lists[self.of[li] as usize];
+        &self.pool[a as usize..b as usize]
     }
 }
 
-/// The per-prefix search structure: the shared head binding and candidate
-/// lists, plus the variable→literal index and components of this prefix.
-struct Prepared<'a> {
-    /// Head binding: variable → constant fixed by the example.
-    binding: &'a [Option<Const>],
-    /// Body literal → its static candidate list.
-    cands: Vec<&'a [u32]>,
+/// The per-prefix search structure: the variable→literal index and the
+/// components of this prefix, rebuilt in place for every test.
+#[derive(Debug, Default)]
+struct Prepared {
     /// Var index → body literals containing it (forward-checking targets),
-    /// CSR layout: `lbv_off[v]..lbv_off[v + 1]` indexes `lbv_flat`. Flat
-    /// storage keeps this to two allocations instead of one Vec per
-    /// variable — it is built once per subsumption test.
+    /// CSR layout: `lbv_off[v]..lbv_off[v + 1]` indexes `lbv_flat`.
     lbv_off: Vec<u32>,
     lbv_flat: Vec<u32>,
     /// Connected components of body literals over *unbound* variables,
-    /// smallest first. Components share no search state, so each is solved
-    /// independently — restarts never re-explore a solved component.
-    components: Vec<Vec<usize>>,
+    /// smallest first (ties in order of first literal), each listing its
+    /// literals in ascending order: component `k` is
+    /// `comp_flat[comp_off[k]..comp_off[k + 1]]`. Components share no
+    /// search state, so each is solved independently.
+    comp_off: Vec<u32>,
+    comp_flat: Vec<u32>,
+    /// Scratch: per-variable last literal seen (CSR dedup) and fill cursor,
+    /// union-find parents, literal → component, component sizes and order.
+    last_seen: Vec<u32>,
+    cursor: Vec<u32>,
+    comp_of: Vec<u32>,
+    lit_comp: Vec<u32>,
+    comp_len: Vec<u32>,
+    comp_order: Vec<u32>,
 }
 
-impl<'a> Prepared<'a> {
-    fn new(body: &[Literal], binding: &'a [Option<Const>], cands: Vec<&'a [u32]>) -> Self {
+impl Prepared {
+    /// Rebuilds the index and the components for `body` under `binding`.
+    fn build(&mut self, body: &[Literal], binding: &[Option<Const>]) {
         // Var → literals, CSR: count (deduping repeats within one literal via
         // a last-literal stamp), prefix-sum, fill.
         let num_vars = binding.len();
         let n_body = body.len();
-        let mut lbv_off = vec![0u32; num_vars + 1];
-        let mut last_seen = vec![u32::MAX; num_vars];
+        let Prepared {
+            lbv_off,
+            lbv_flat,
+            comp_off,
+            comp_flat,
+            last_seen,
+            cursor,
+            comp_of,
+            lit_comp,
+            comp_len,
+            comp_order,
+        } = self;
+        lbv_off.clear();
+        lbv_off.resize(num_vars + 1, 0);
+        last_seen.clear();
+        last_seen.resize(num_vars, u32::MAX);
         for (li, lit) in body.iter().enumerate() {
             for v in lit.vars() {
                 if last_seen[v.index()] != li as u32 {
@@ -427,9 +470,11 @@ impl<'a> Prepared<'a> {
         for v in 0..num_vars {
             lbv_off[v + 1] += lbv_off[v];
         }
-        let mut lbv_flat = vec![0u32; lbv_off[num_vars] as usize];
-        let mut cursor: Vec<u32> = lbv_off[..num_vars].to_vec();
-        last_seen.iter_mut().for_each(|s| *s = u32::MAX);
+        lbv_flat.clear();
+        lbv_flat.resize(lbv_off[num_vars] as usize, 0);
+        cursor.clear();
+        cursor.extend_from_slice(&lbv_off[..num_vars]);
+        last_seen.fill(u32::MAX);
         for (li, lit) in body.iter().enumerate() {
             for v in lit.vars() {
                 if last_seen[v.index()] != li as u32 {
@@ -446,7 +491,8 @@ impl<'a> Prepared<'a> {
         // Bottom clauses carry many trivially satisfiable side-literals, and
         // decomposition keeps them from multiplying the search space of the
         // part that matters.
-        let mut comp_of: Vec<u32> = (0..n_body as u32).collect();
+        comp_of.clear();
+        comp_of.extend(0..n_body as u32);
         fn find_root(comp_of: &mut [u32], mut x: u32) -> u32 {
             while comp_of[x as usize] != x {
                 let parent = comp_of[x as usize];
@@ -460,35 +506,51 @@ impl<'a> Prepared<'a> {
             if binding[v].is_some() || lits.len() < 2 {
                 continue;
             }
-            let first = find_root(&mut comp_of, lits[0]);
+            let first = find_root(comp_of, lits[0]);
             for &l in &lits[1..] {
-                let r = find_root(&mut comp_of, l);
+                let r = find_root(comp_of, l);
                 comp_of[r as usize] = first;
             }
         }
-        // Group by root in first-occurrence order (deterministic, no hashing).
-        let mut components: Vec<Vec<usize>> = Vec::new();
-        let mut comp_idx: Vec<u32> = vec![u32::MAX; n_body];
+        // Number components by first literal (deterministic, no hashing);
+        // `cursor` maps a root to its component while numbering.
+        cursor.clear();
+        cursor.resize(n_body, u32::MAX);
+        lit_comp.clear();
+        comp_len.clear();
         for li in 0..n_body {
-            let root = find_root(&mut comp_of, li as u32) as usize;
-            if comp_idx[root] == u32::MAX {
-                comp_idx[root] = components.len() as u32;
-                components.push(Vec::new());
+            let root = find_root(comp_of, li as u32) as usize;
+            if cursor[root] == u32::MAX {
+                cursor[root] = comp_len.len() as u32;
+                comp_len.push(0);
             }
-            components[comp_idx[root] as usize].push(li);
+            lit_comp.push(cursor[root]);
+            comp_len[cursor[root] as usize] += 1;
         }
-        // Small components first: cheap refutations come earliest.
-        components.sort_by_key(Vec::len);
-        if components.len() > 1 {
-            crate::instrument::SUBSUME_COMPONENTS_SPLIT.add(components.len() as u64 - 1);
+        // Small components first: cheap refutations come earliest. Ties keep
+        // first-literal order, as a stable sort by size would.
+        comp_order.clear();
+        comp_order.extend(0..comp_len.len() as u32);
+        comp_order.sort_unstable_by_key(|&k| (comp_len[k as usize], k));
+        // Lay the components out in that order; `cursor` now maps a
+        // component to its next free slot.
+        comp_off.clear();
+        comp_off.push(0);
+        cursor.clear();
+        cursor.resize(comp_len.len(), 0);
+        for &k in comp_order.iter() {
+            let end = comp_off.last().copied().unwrap_or(0);
+            cursor[k as usize] = end;
+            comp_off.push(end + comp_len[k as usize]);
         }
-
-        Prepared {
-            binding,
-            cands,
-            lbv_off,
-            lbv_flat,
-            components,
+        comp_flat.clear();
+        comp_flat.resize(n_body, 0);
+        for (li, &k) in lit_comp.iter().enumerate() {
+            comp_flat[cursor[k as usize] as usize] = li as u32;
+            cursor[k as usize] += 1;
+        }
+        if comp_len.len() > 1 {
+            crate::instrument::SUBSUME_COMPONENTS_SPLIT.add(comp_len.len() as u64 - 1);
         }
     }
 
@@ -496,6 +558,16 @@ impl<'a> Prepared<'a> {
     #[inline]
     fn lits_of_var(&self, v: usize) -> &[u32] {
         &self.lbv_flat[self.lbv_off[v] as usize..self.lbv_off[v + 1] as usize]
+    }
+
+    /// Number of components.
+    fn components(&self) -> usize {
+        self.comp_off.len() - 1
+    }
+
+    /// The literals of component `k`, ascending.
+    fn component(&self, k: usize) -> &[u32] {
+        &self.comp_flat[self.comp_off[k] as usize..self.comp_off[k + 1] as usize]
     }
 }
 
@@ -516,6 +588,7 @@ fn words_for(n: usize) -> usize {
 
 /// One body literal's CSP state: the location of its bitset domain over its
 /// static candidate list in the flat domain vector.
+#[derive(Debug, Clone, Copy)]
 struct LitCsp {
     /// Offset of this literal's domain words in the flat domain vector.
     off: usize,
@@ -523,11 +596,20 @@ struct LitCsp {
     width: usize,
 }
 
-struct BitsetSearch<'a> {
+/// What one test searches: the prefix body, the ground clause, and the
+/// candidate lists, index and components built for them.
+struct Ctx<'a> {
     body: &'a [Literal],
-    static_cands: &'a [&'a [u32]],
-    prep: &'a Prepared<'a>,
     ground: &'a GroundClause,
+    cands: &'a CandTable,
+    prep: &'a Prepared,
+    binding: &'a [Option<Const>],
+}
+
+/// The search state of one test. Every field is a buffer that
+/// [`BitsetSearch::init`] resets for the next test without freeing it.
+#[derive(Debug, Default)]
+struct BitsetSearch {
     lits: Vec<LitCsp>,
     /// Flat per-literal domain bitsets (current search state).
     dom: Vec<u64>,
@@ -544,7 +626,8 @@ struct BitsetSearch<'a> {
     undo_words: Vec<u64>,
     /// Bound-variable scratch, used with mark/truncate across recursion.
     trail: Vec<VarId>,
-    active: Vec<usize>,
+    /// Literals of the component being solved.
+    active: Vec<u32>,
     nodes: usize,
     /// Budget ceiling for the current phase (`<= cfg.node_limit`): the
     /// forward-checking-only first pass runs against a small slice so easy
@@ -558,7 +641,7 @@ struct BitsetSearch<'a> {
     /// counter's contribution from this test.
     words: u64,
     /// Per-depth candidate-order buffers, pooled across candidates,
-    /// restarts, and components to avoid a heap allocation per node.
+    /// components and tests to avoid a heap allocation per node.
     orders: Vec<Vec<u32>>,
     /// Arc-consistency worklist: literal indices whose domain shrank and
     /// whose neighbours still need revising, with membership flags and the
@@ -572,15 +655,18 @@ struct BitsetSearch<'a> {
     /// `revise_pair`.
     mask_scratch: Vec<u64>,
     /// Per-literal visited stamps for deduping forward-check targets when a
-    /// candidate binds several variables at once (generation counter, never
-    /// cleared).
+    /// candidate binds several variables at once. The generation counter
+    /// only ever grows, across tests too, so a stamp left by an earlier
+    /// test never equals the current generation.
     stamp: Vec<u64>,
     stamp_gen: u64,
     /// Distinct body literals sharing a search-bound variable with each
     /// literal (CSR layout: `neighbors_off[li]..neighbors_off[li + 1]`
-    /// indexes `neighbors_flat`) — the propagation targets of an assignment.
+    /// indexes `neighbors_flat`) — the propagation targets of an
+    /// assignment — with the per-literal dedup stamps that build it.
     neighbors_off: Vec<u32>,
     neighbors_flat: Vec<u32>,
+    neighbors_seen: Vec<u32>,
 }
 
 /// Outcome of revising one literal's domain against a support set.
@@ -590,60 +676,49 @@ enum Revised {
     Empty,
 }
 
-impl<'a> BitsetSearch<'a> {
-    fn new(
-        body: &'a [Literal],
-        ground: &'a GroundClause,
-        cfg: &'a SubsumeConfig,
-        prep: &'a Prepared<'a>,
-    ) -> Self {
-        let n = body.len();
-        let static_cands = prep.cands.as_slice();
-        let mut lits = Vec::with_capacity(n);
+impl BitsetSearch {
+    /// Resets the state for a test of `ctx`: one domain per body literal
+    /// over its static candidate list, everything else empty.
+    fn init(&mut self, ctx: &Ctx, cfg: &SubsumeConfig) {
+        let n = ctx.body.len();
+        self.lits.clear();
         let mut off = 0usize;
-        for cands in static_cands {
-            let width = words_for(cands.len());
-            lits.push(LitCsp { off, width });
+        for li in 0..n {
+            let width = words_for(ctx.cands.list(li).len());
+            self.lits.push(LitCsp { off, width });
             off += width;
         }
-        let mut dom0 = vec![0u64; off];
-        let mut counts0 = vec![0u32; n];
-        for (li, cands) in static_cands.iter().enumerate() {
-            let l = &lits[li];
+        self.dom0.clear();
+        self.dom0.resize(off, 0);
+        self.counts0.clear();
+        for (li, l) in self.lits.iter().enumerate() {
+            let len = ctx.cands.list(li).len();
             for w in 0..l.width {
-                let bits = (cands.len() - w * 64).min(64);
-                dom0[l.off + w] = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
+                let bits = (len - w * 64).min(64);
+                self.dom0[l.off + w] = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
             }
-            counts0[li] = cands.len() as u32;
+            self.counts0.push(len as u32);
         }
-        BitsetSearch {
-            body,
-            static_cands,
-            prep,
-            ground,
-            lits,
-            dom: dom0.clone(),
-            dom0,
-            counts: counts0.clone(),
-            counts0,
-            undo_lits: Vec::new(),
-            undo_words: Vec::new(),
-            trail: Vec::new(),
-            active: Vec::new(),
-            nodes: 0,
-            limit: cfg.node_limit,
-            mac: true,
-            words: 0,
-            orders: Vec::new(),
-            queue: Vec::new(),
-            in_queue: vec![false; n],
-            cause: vec![u32::MAX; n],
-            mask_scratch: Vec::new(),
-            stamp: vec![0; n],
-            stamp_gen: 0,
-            neighbors_off: Vec::new(),
-            neighbors_flat: Vec::new(),
-        }
+        self.dom.clear();
+        self.dom.extend_from_slice(&self.dom0);
+        self.counts.clear();
+        self.counts.extend_from_slice(&self.counts0);
+        self.undo_lits.clear();
+        self.undo_words.clear();
+        self.trail.clear();
+        self.active.clear();
+        self.nodes = 0;
+        self.limit = cfg.node_limit;
+        self.mac = true;
+        self.words = 0;
+        self.queue.clear();
+        self.in_queue.clear();
+        self.in_queue.resize(n, false);
+        self.cause.clear();
+        self.cause.resize(n, u32::MAX);
+        self.stamp.resize(n, 0);
+        self.neighbors_off.clear();
+        self.neighbors_flat.clear();
     }
 
     /// Builds the propagation-target CSR on first escalation to the
@@ -651,23 +726,24 @@ impl<'a> BitsetSearch<'a> {
     /// that is unbound at prepare time (head-bound vars are folded into
     /// the static candidate lists and never propagate). Most tests finish
     /// in the forward-checking pass and never pay for this.
-    fn ensure_neighbors(&mut self) {
+    fn ensure_neighbors(&mut self, ctx: &Ctx) {
         if !self.neighbors_off.is_empty() {
             return;
         }
-        let n = self.body.len();
-        self.neighbors_off.reserve(n + 1);
-        let mut stamp: Vec<u32> = vec![u32::MAX; n];
+        let n = ctx.body.len();
+        let seen = &mut self.neighbors_seen;
+        seen.clear();
+        seen.resize(n, u32::MAX);
         self.neighbors_off.push(0);
-        for (li, lit) in self.body.iter().enumerate() {
+        for (li, lit) in ctx.body.iter().enumerate() {
             for t in &lit.args {
                 if let Term::Var(v) = *t {
-                    if self.prep.binding[v.index()].is_some() {
+                    if ctx.binding[v.index()].is_some() {
                         continue;
                     }
-                    for &lk in self.prep.lits_of_var(v.index()) {
-                        if lk as usize != li && stamp[lk as usize] != li as u32 {
-                            stamp[lk as usize] = li as u32;
+                    for &lk in ctx.prep.lits_of_var(v.index()) {
+                        if lk as usize != li && seen[lk as usize] != li as u32 {
+                            seen[lk as usize] = li as u32;
                             self.neighbors_flat.push(lk);
                         }
                     }
@@ -678,10 +754,10 @@ impl<'a> BitsetSearch<'a> {
     }
 
     /// Resets domains and counts to their pristine (head-bound) state.
-    /// The node budget is deliberately *not* reset: `node_limit` bounds the work of the whole call (all components, all
-    /// restarts, propagation included), which caps the worst-case latency
-    /// of refutation-heavy tests. Budget exhaustion still only ever yields
-    /// a conservative "not covered".
+    /// The node budget is deliberately *not* reset: `node_limit` bounds the
+    /// work of the whole call (all components, propagation included), which
+    /// caps the worst-case latency of refutation-heavy tests. Budget
+    /// exhaustion still only ever yields a conservative "not covered".
     fn reset(&mut self) {
         self.dom.copy_from_slice(&self.dom0);
         self.counts.copy_from_slice(&self.counts0);
@@ -704,10 +780,7 @@ impl<'a> BitsetSearch<'a> {
     fn unwind(&mut self, mark: usize) {
         while self.undo_lits.len() > mark {
             let (lj, old_count, word_at) = self.undo_lits.pop().expect("non-empty past mark");
-            let (off, width) = {
-                let l = &self.lits[lj as usize];
-                (l.off, l.width)
-            };
+            let LitCsp { off, width } = self.lits[lj as usize];
             let src = word_at as usize;
             self.dom[off..off + width].copy_from_slice(&self.undo_words[src..src + width]);
             self.counts[lj as usize] = old_count;
@@ -724,7 +797,7 @@ impl<'a> BitsetSearch<'a> {
     /// Propagation work is charged to the node budget; when the budget
     /// trips, pruning simply stops (sound: the search then notices the
     /// cutoff itself). Returns `false` when a domain empties.
-    fn propagate(&mut self, assigned: &[bool]) -> bool {
+    fn propagate(&mut self, ctx: &Ctx, assigned: &[bool]) -> bool {
         while let Some(lj) = self.queue.pop() {
             self.in_queue[lj as usize] = false;
             let skip = self.cause[lj as usize];
@@ -742,7 +815,7 @@ impl<'a> BitsetSearch<'a> {
                     self.drain_queue();
                     return true;
                 }
-                match self.revise_pair(lj as usize, lk) {
+                match self.revise_pair(ctx, lj as usize, lk) {
                     Revised::Empty => {
                         self.drain_queue();
                         return false;
@@ -831,11 +904,9 @@ impl<'a> BitsetSearch<'a> {
     /// every variable the two literals share at once. The mask is computed
     /// over `lj`'s *currently set* bits only, so the scan shrinks as the
     /// domain does, and nothing is allocated or cached.
-    fn fc_apply(&mut self, li: usize, lj: usize, ci: usize) -> Revised {
-        let (cons, n_cons) = Self::cons_pairs(self.body, li, lj);
+    fn fc_apply(&mut self, ctx: &Ctx, li: usize, lj: usize, ci: usize) -> Revised {
+        let (cons, n_cons) = Self::cons_pairs(ctx.body, li, lj);
         let BitsetSearch {
-            static_cands,
-            ground,
             lits,
             dom,
             counts,
@@ -845,8 +916,10 @@ impl<'a> BitsetSearch<'a> {
             words,
             ..
         } = self;
-        let (off, width) = (lits[lj].off, lits[lj].width);
-        let gvi = &ground.body[static_cands[li][ci] as usize].vals;
+        let LitCsp { off, width } = lits[lj];
+        let ground = ctx.ground;
+        let cands_j = ctx.cands.list(lj);
+        let gvi = ground.vals(ctx.cands.list(li)[ci] as usize);
         mask_scratch.clear();
         mask_scratch.resize(width, 0);
         for wd in 0..width {
@@ -856,7 +929,7 @@ impl<'a> BitsetSearch<'a> {
                 let tz = bits.trailing_zeros();
                 bits &= bits - 1;
                 let cj = wd * 64 + tz as usize;
-                let gvj = &ground.body[static_cands[lj][cj] as usize].vals;
+                let gvj = ground.vals(cands_j[cj] as usize);
                 if cons[..n_cons]
                     .iter()
                     .all(|&(pi, pj)| gvi[pi as usize] == gvj[pj as usize])
@@ -882,8 +955,11 @@ impl<'a> BitsetSearch<'a> {
     /// Revises `lk` against `lj`: keeps only `lk`-candidates with at least
     /// one supporting candidate in `lj`'s current domain (classic AC-3
     /// revise with first-support early exit, over set bits only).
-    fn revise_pair(&mut self, lj: usize, lk: usize) -> Revised {
-        let (off_j, width_j) = (self.lits[lj].off, self.lits[lj].width);
+    fn revise_pair(&mut self, ctx: &Ctx, lj: usize, lk: usize) -> Revised {
+        let LitCsp {
+            off: off_j,
+            width: width_j,
+        } = self.lits[lj];
         // Singleton source: support can only come from the one candidate —
         // identical to a forward check against it.
         if self.counts[lj] == 1 {
@@ -891,12 +967,10 @@ impl<'a> BitsetSearch<'a> {
                 .find(|&wd| self.dom[off_j + wd] != 0)
                 .expect("count 1 has a set bit");
             let ci = wd * 64 + self.dom[off_j + wd].trailing_zeros() as usize;
-            return self.fc_apply(lj, lk, ci);
+            return self.fc_apply(ctx, lj, lk, ci);
         }
-        let (cons, n_cons) = Self::cons_pairs(self.body, lj, lk);
+        let (cons, n_cons) = Self::cons_pairs(ctx.body, lj, lk);
         let BitsetSearch {
-            static_cands,
-            ground,
             lits,
             dom,
             counts,
@@ -906,7 +980,12 @@ impl<'a> BitsetSearch<'a> {
             words,
             ..
         } = self;
-        let (off_k, width_k) = (lits[lk].off, lits[lk].width);
+        let LitCsp {
+            off: off_k,
+            width: width_k,
+        } = lits[lk];
+        let ground = ctx.ground;
+        let (cands_j, cands_k) = (ctx.cands.list(lj), ctx.cands.list(lk));
         mask_scratch.clear();
         mask_scratch.resize(width_k, 0);
         for wd_k in 0..width_k {
@@ -916,14 +995,14 @@ impl<'a> BitsetSearch<'a> {
                 let tz_k = bits_k.trailing_zeros();
                 bits_k &= bits_k - 1;
                 let ck = wd_k * 64 + tz_k as usize;
-                let gvk = &ground.body[static_cands[lk][ck] as usize].vals;
+                let gvk = ground.vals(cands_k[ck] as usize);
                 for wd_j in 0..width_j {
                     let mut bits_j = dom[off_j + wd_j];
                     while bits_j != 0 {
                         let tz_j = bits_j.trailing_zeros();
                         bits_j &= bits_j - 1;
                         let cj = wd_j * 64 + tz_j as usize;
-                        let gvj = &ground.body[static_cands[lj][cj] as usize].vals;
+                        let gvj = ground.vals(cands_j[cj] as usize);
                         if cons[..n_cons]
                             .iter()
                             .all(|&(pj, pk)| gvj[pj as usize] == gvk[pk as usize])
@@ -966,11 +1045,10 @@ impl<'a> BitsetSearch<'a> {
 
     fn solve(
         &mut self,
+        ctx: &Ctx,
         binding: &mut [Option<Const>],
         assigned: &mut [bool],
         depth: usize,
-        randomize: bool,
-        rng: &mut StdRng,
     ) -> Outcome {
         self.nodes += 1;
         if self.nodes > self.limit {
@@ -979,6 +1057,7 @@ impl<'a> BitsetSearch<'a> {
         // MRV over maintained popcounts: integer scan of the active component.
         let mut best: Option<(usize, u32)> = None;
         for &li in &self.active {
+            let li = li as usize;
             if assigned[li] {
                 continue;
             }
@@ -994,7 +1073,7 @@ impl<'a> BitsetSearch<'a> {
             return Outcome::Found; // all literals assigned
         };
         // One pooled candidate-order buffer per depth, reused across
-        // candidates, restarts, and components.
+        // candidates, components and tests.
         if self.orders.len() <= depth {
             self.orders.push(Vec::new());
         }
@@ -1004,25 +1083,23 @@ impl<'a> BitsetSearch<'a> {
             self.orders[depth] = order;
             return Outcome::Exhausted;
         }
-        if randomize {
-            order.shuffle(rng);
-        }
 
         assigned[li] = true;
         let trail_mark = self.trail.len();
         let mut saw_cutoff = false;
+        let cands_i = ctx.cands.list(li);
         'cand: for &ci in &order {
-            let gi = self.static_cands[li][ci as usize];
+            let gi = cands_i[ci as usize];
             // Extend the binding; the trail (used with mark/truncate across
             // the recursion) remembers which vars we set for undo. Vars
             // already bound are guaranteed consistent by domain maintenance;
             // a variable repeated *within* this literal can still conflict
             // and is checked here.
             {
-                let lit = &self.body[li];
-                let g = &self.ground.body[gi as usize];
+                let lit = &ctx.body[li];
+                let g = ctx.ground.vals(gi as usize);
                 let mut conflict = false;
-                for (t, &gv) in lit.args.iter().zip(g.vals.iter()) {
+                for (t, &gv) in lit.args.iter().zip(g.iter()) {
                     if let Term::Var(v) = *t {
                         match binding[v.index()] {
                             None => {
@@ -1060,17 +1137,15 @@ impl<'a> BitsetSearch<'a> {
             let mut dead_end = false;
             self.stamp_gen += 1;
             let gen = self.stamp_gen;
-            let prep = self.prep;
             'fc: for ti in trail_mark..self.trail.len() {
                 let v = self.trail[ti];
-                let targets = prep.lits_of_var(v.index());
-                for &lj in targets {
+                for &lj in ctx.prep.lits_of_var(v.index()) {
                     let lj = lj as usize;
                     if lj == li || assigned[lj] || self.stamp[lj] == gen {
                         continue;
                     }
                     self.stamp[lj] = gen;
-                    match self.fc_apply(li, lj, ci as usize) {
+                    match self.fc_apply(ctx, li, lj, ci as usize) {
                         Revised::Empty => {
                             dead_end = true;
                             break 'fc;
@@ -1087,10 +1162,10 @@ impl<'a> BitsetSearch<'a> {
             if dead_end {
                 self.drain_queue();
             } else if self.mac {
-                dead_end = !self.propagate(assigned);
+                dead_end = !self.propagate(ctx, assigned);
             }
             if !dead_end {
-                match self.solve(binding, assigned, depth + 1, randomize, rng) {
+                match self.solve(ctx, binding, assigned, depth + 1) {
                     Outcome::Found => {
                         self.orders[depth] = order;
                         return Outcome::Found;
@@ -1118,84 +1193,103 @@ impl<'a> BitsetSearch<'a> {
             Outcome::Exhausted
         }
     }
+
+    /// Solves component `comp` from the pristine state, in the current
+    /// phase (`mac`, `limit`).
+    fn solve_component(
+        &mut self,
+        ctx: &Ctx,
+        comp: &[u32],
+        binding: &mut Vec<Option<Const>>,
+        assigned: &mut [bool],
+    ) -> Outcome {
+        self.active.clear();
+        self.active.extend_from_slice(comp);
+        self.reset();
+        binding.clear();
+        binding.extend_from_slice(ctx.binding);
+        // Literals outside the component are treated as already assigned.
+        assigned.fill(true);
+        for &li in comp {
+            assigned[li as usize] = false;
+        }
+        self.solve(ctx, binding, assigned, 0)
+    }
 }
 
 /// Searches every component of `body` against `ground`, except those whose
 /// literals all lie in the proven prefix `body[..proven]` (satisfiable, see
-/// [`PrefixProbe::covers_given`]). Returns the answer and the number of
-/// components skipped.
+/// [`PrefixProbe::covers_given`]), in `ws`, whose candidate table is filled
+/// for `body`. Returns the answer and the number of components skipped.
 fn bitset_subsumes(
+    ws: &mut Workspace,
     body: &[Literal],
     ground: &GroundClause,
     cfg: &SubsumeConfig,
-    prep: &Prepared,
     proven: usize,
-    rng: &mut StdRng,
 ) -> (bool, u64) {
-    let mut search = BitsetSearch::new(body, ground, cfg, prep);
+    let Workspace {
+        binding,
+        cands,
+        prep,
+        search,
+        trial_binding,
+        assigned,
+    } = ws;
+    prep.build(body, binding);
+    let ctx = Ctx {
+        body,
+        ground,
+        cands,
+        prep,
+        binding,
+    };
+    search.init(&ctx, cfg);
+    assigned.clear();
+    assigned.resize(body.len(), true);
     // Phase structure per component: a cheap forward-checking-only pass
     // first (a small slice of the call budget — most coverage tests are
     // easy and propagation overhead would dominate them), escalating to
     // maintained arc consistency with the full remaining budget only when
     // the component proves hard enough to trip the first-pass slice. Both
     // phases are complete searches, so an `Exhausted` from either is an
-    // exact "no θ"; only `Cutoff` escalates.
+    // exact "no θ"; only `Cutoff` escalates, and a `Cutoff` of the second
+    // phase ends the test: the budget is spent, so the answer is a
+    // conservative "not covered".
     const FC_PASS_BUDGET: usize = 256;
-    // Binding and assignment buffers, refilled per attempt instead of
-    // reallocated (~one attempt per component, components per test).
-    let mut b = prep.binding.to_vec();
-    let mut assigned = vec![true; body.len()];
     let mut covered = true;
     let mut skipped = 0u64;
-    'component: for comp in &prep.components {
+    for k in 0..prep.components() {
+        let comp = prep.component(k);
         // Members are ascending, so the last one bounds the component.
-        if comp.last().is_some_and(|&li| li < proven) {
+        if comp.last().is_some_and(|&li| (li as usize) < proven) {
             skipped += 1;
             continue;
         }
-        search.active.clone_from(comp);
         search.mac = false;
         search.limit = (search.nodes.saturating_add(FC_PASS_BUDGET)).min(cfg.node_limit);
-        search.reset();
-        b.copy_from_slice(prep.binding);
-        // Literals outside the component are treated as already assigned.
-        assigned.fill(true);
-        for &li in comp {
-            assigned[li] = false;
-        }
-        let out = search.solve(&mut b, &mut assigned, 0, false, rng);
+        let out = match search.solve_component(&ctx, comp, trial_binding, assigned) {
+            Outcome::Cutoff => {
+                // Escalate to the propagating search.
+                search.mac = true;
+                search.limit = cfg.node_limit;
+                search.ensure_neighbors(&ctx);
+                search.solve_component(&ctx, comp, trial_binding, assigned)
+            }
+            out => out,
+        };
         match out {
-            Outcome::Found => continue 'component,
+            Outcome::Found => {}
             Outcome::Exhausted => {
                 covered = false; // complete: truly no θ
-                break 'component;
+                break;
             }
-            Outcome::Cutoff => {} // escalate to the propagating search
-        }
-        search.mac = true;
-        search.limit = cfg.node_limit;
-        search.ensure_neighbors();
-        for attempt in 0..=cfg.max_restarts {
-            search.reset();
-            b.copy_from_slice(prep.binding);
-            assigned.fill(true);
-            for &li in comp {
-                assigned[li] = false;
-            }
-            // The first attempt runs in deterministic candidate order;
-            // restarts shuffle (the classic randomized-restart recipe).
-            let out = search.solve(&mut b, &mut assigned, 0, attempt > 0, rng);
-            match out {
-                Outcome::Found => continue 'component,
-                Outcome::Exhausted => {
-                    covered = false; // complete: truly no θ
-                    break 'component;
-                }
-                Outcome::Cutoff => continue, // retry, new random order
+            Outcome::Cutoff => {
+                crate::instrument::SUBSUME_CUTOFFS.bump();
+                covered = false;
+                break;
             }
         }
-        covered = false; // budget exhausted on this component
-        break;
     }
     crate::instrument::SUBSUME_DOMAIN_WORDS.add(search.words);
     (covered, skipped)
@@ -1439,7 +1533,6 @@ mod tests {
         );
         let cfg = SubsumeConfig {
             node_limit: 0, // no search budget at all
-            max_restarts: 0,
         };
         assert!(!theta_subsumes(&clause, &chain_ground(), &cfg));
     }
@@ -1498,19 +1591,14 @@ mod tests {
                 Literal::new(RelId(0), vec![v(2), v(1)]),
             ],
         );
-        let cfg = SubsumeConfig {
-            node_limit: 1,
-            max_restarts: 1,
-        };
+        let cfg = SubsumeConfig { node_limit: 1 };
         // Either true (found fast) or false (budget) — just must terminate.
         let _ = theta_subsumes(&clause, &chain_ground(), &cfg);
     }
 
     /// The answer is a pure function of `(clause, ground, cfg)`: repeated
-    /// calls — in any interleaving with other tests — agree. This is the
-    /// regression test for the seed-stability gap: the engine used to draw
-    /// restart permutations from the *caller's* RNG, so internal ordering
-    /// changes shifted every downstream sample.
+    /// calls — in any interleaving with other tests, fresh or through one
+    /// reused workspace — agree.
     #[test]
     fn answers_are_engine_order_independent() {
         let clause = Clause::new(
@@ -1532,6 +1620,34 @@ mod tests {
             let _ = theta_subsumes(&other, &chain_ground(), &cfg);
         }
         assert_eq!(theta_subsumes(&clause, &chain_ground(), &cfg), alone);
+        let mut ws = Workspace::default();
+        for _ in 0..3 {
+            assert_eq!(ws.theta_subsumes(&clause, &chain_ground(), &cfg), alone);
+            assert!(ws.theta_subsumes(&other, &chain_ground(), &cfg));
+        }
+    }
+
+    /// A test the budget cuts off answers "not covered", even for a clause
+    /// that covers, and is counted.
+    #[test]
+    fn cutoffs_are_counted() {
+        // t(x, y) ← r(x, z), r(z, y), s(z) covers the chain, but needs a
+        // second search node.
+        let clause = Clause::new(
+            Literal::new(RelId(9), vec![v(0), v(1)]),
+            vec![
+                Literal::new(RelId(0), vec![v(0), v(2)]),
+                Literal::new(RelId(0), vec![v(2), v(1)]),
+                Literal::new(RelId(1), vec![v(2)]),
+            ],
+        );
+        let before = crate::instrument::SUBSUME_CUTOFFS.get();
+        assert!(!theta_subsumes(
+            &clause,
+            &chain_ground(),
+            &SubsumeConfig { node_limit: 1 }
+        ));
+        assert!(crate::instrument::SUBSUME_CUTOFFS.get() > before);
     }
 
     /// Multi-component clause: two independent chains that must both be

@@ -201,7 +201,7 @@ proptest! {
         let world = build_world(seed, n_consts, n_r, n_s);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0b1d);
         let qcfg = QueryConfig::default();
-        let tight = SubsumeConfig { node_limit, max_restarts: 1 };
+        let tight = SubsumeConfig { node_limit };
         for example in &world.examples {
             let bc = full_bc(&world, example, &mut rng);
             for clause in &world.clauses {
@@ -298,10 +298,7 @@ fn answers_do_not_depend_on_test_history() {
         .iter()
         .map(|e| full_bc(&world, e, &mut rng))
         .collect();
-    let cfg = SubsumeConfig {
-        node_limit: 50,
-        max_restarts: 2,
-    };
+    let cfg = SubsumeConfig { node_limit: 50 };
     let run = || -> Vec<bool> {
         let mut out = Vec::new();
         for bc in &bcs {
@@ -413,7 +410,7 @@ proptest! {
                 for cfg in [
                     SubsumeConfig::default(),
                     SubsumeConfig::unbounded(),
-                    SubsumeConfig { node_limit: 12, max_restarts: 3 },
+                    SubsumeConfig { node_limit: 12 },
                 ] {
                     assert_prefix_probe_matches(clause, &bc, &cfg);
                     assert_proven_probe_matches(clause, &bc, &cfg);
@@ -461,10 +458,7 @@ fn prefix_probe_directed_cases() {
     let budgets = [
         SubsumeConfig::default(),
         SubsumeConfig::unbounded(),
-        SubsumeConfig {
-            node_limit: 0,
-            max_restarts: 0,
-        },
+        SubsumeConfig { node_limit: 0 },
     ];
 
     // t(V0, V0) cannot bind the example t(x, y): every prefix is refuted.
@@ -504,4 +498,161 @@ fn prefix_probe_directed_cases() {
     }
     let mut probe = PrefixProbe::new(&blocked, &ground);
     assert!(!probe.covers(3, &budgets[2]) && !probe.covers(4, &budgets[2]));
+}
+
+/// Hard instances for the workspace-reuse stream: random bipartite graphs
+/// `r` (edges only between even and odd nodes) with unary marks `u`, each
+/// ground clause headed `t(0, n)`, and clauses asking for a cycle of length
+/// 4 to 9 through `r` (odd cycles do not exist in a bipartite graph, and
+/// refuting one takes more than the forward-checking pass's slice, so arc
+/// consistency runs), some with a `u` side literal, plus chains from `x`
+/// to `y`.
+fn graph_instances(rng: &mut StdRng) -> (Vec<Clause>, Vec<GroundClause>) {
+    let (r, u, t) = (RelId(0), RelId(1), RelId(9));
+    let k = relstore::Const;
+    let grounds = (0..3)
+        .map(|_| {
+            let n = rng.random_range(16..40u32);
+            let mut body = Vec::new();
+            for _ in 0..3 * n {
+                let a = rng.random_range(0..n);
+                let b = 2 * rng.random_range(0..n / 2) + (a + 1) % 2;
+                body.push(GroundLiteral {
+                    rel: r,
+                    vals: vec![k(a), k(b)].into(),
+                });
+            }
+            for i in 0..n {
+                if rng.random_range(0..3u32) == 0 {
+                    body.push(GroundLiteral {
+                        rel: u,
+                        vals: vec![k(i)].into(),
+                    });
+                }
+            }
+            GroundClause::new(Example::new(t, vec![k(0), k(n - 1)]), body)
+        })
+        .collect();
+    let v = |n| Term::Var(VarId(n));
+    let clauses = (0..6)
+        .map(|i| {
+            let len = rng.random_range(4..10u32);
+            // Cycle v2 → v3 → … → v(len+1) → v2, or a chain x → … → y.
+            let mut body: Vec<Literal> = (0..len)
+                .map(|j| {
+                    if i % 3 == 2 {
+                        let from = if j == 0 { 0 } else { j + 1 };
+                        let to = if j + 1 == len { 1 } else { j + 2 };
+                        Literal::new(r, vec![v(from), v(to)])
+                    } else {
+                        let to = if j + 1 == len { 2 } else { j + 3 };
+                        Literal::new(r, vec![v(j + 2), v(to)])
+                    }
+                })
+                .collect();
+            if rng.random_range(0..2u32) == 0 {
+                body.push(Literal::new(u, vec![v(rng.random_range(2..len + 1))]));
+            }
+            Clause::new(Literal::new(t, vec![v(0), v(1)]), body)
+        })
+        .collect();
+    (clauses, grounds)
+}
+
+/// One reused [`Workspace`] answers a shuffled stream of full-clause tests
+/// and armg-style prefix probes (the blocking-atom binary search, each ask
+/// given the prefix proven so far) over many clauses, ground clauses and
+/// budgets, some small enough to cut searches off midway. Every answer must
+/// equal the one a fresh test gives: `theta_subsumes` for a full clause or
+/// an unproven prefix, and a fresh probe for a prefix with a proven part.
+/// A stamp, generation counter, queue flag, undo entry or candidate list
+/// leaking from one test into the next would show as a difference.
+#[test]
+fn reused_workspace_matches_fresh_tests() {
+    let budgets = [
+        SubsumeConfig { node_limit: 1 },
+        SubsumeConfig { node_limit: 3 },
+        SubsumeConfig { node_limit: 12 },
+        SubsumeConfig { node_limit: 300 },
+        SubsumeConfig { node_limit: 2_000 },
+        SubsumeConfig::default(),
+        SubsumeConfig::unbounded(),
+    ];
+    let mut ws = Workspace::default();
+    let (mut asks, mut lost_to_budget) = (0usize, 0usize);
+    for seed in 0..10u64 {
+        let mut rng = StdRng::seed_from_u64(0x5eed_5a0e ^ seed);
+        let world = build_world(seed, 6, 12, 12);
+        let mut clauses = world.clauses.clone();
+        let mut grounds: Vec<GroundClause> = world
+            .examples
+            .iter()
+            .map(|e| full_bc(&world, e, &mut rng))
+            .collect();
+        let (hard_clauses, hard_grounds) = graph_instances(&mut rng);
+        let first_hard = (clauses.len(), grounds.len());
+        clauses.extend(hard_clauses);
+        grounds.extend(hard_grounds);
+        // Pairs within one family: world clauses on world grounds, chain
+        // clauses on graphs. Each pair as a full test and as a probe.
+        let mut stream = Vec::new();
+        for c in 0..clauses.len() {
+            for g in 0..grounds.len() {
+                if (c < first_hard.0) != (g < first_hard.1) {
+                    continue;
+                }
+                for b in 0..budgets.len() {
+                    stream.push((c, g, b, false));
+                    stream.push((c, g, b, true));
+                }
+            }
+        }
+        for i in (1..stream.len()).rev() {
+            stream.swap(i, rng.random_range(0..=i));
+        }
+        for (c, g, b, as_probe) in stream {
+            let (clause, ground, cfg) = (&clauses[c], &grounds[g], &budgets[b]);
+            let what = format!("seed {seed}, clause {c}, ground {g}, {cfg:?}");
+            if !as_probe {
+                let fresh = theta_subsumes(clause, ground, cfg);
+                assert_eq!(ws.theta_subsumes(clause, ground, cfg), fresh, "{what}");
+                asks += 1;
+                if !fresh && theta_subsumes(clause, ground, &SubsumeConfig::unbounded()) {
+                    lost_to_budget += 1;
+                }
+                continue;
+            }
+            let n = clause.body.len();
+            let mut probe = PrefixProbe::with_workspace(clause, ground, &mut ws);
+            let mut ask = |len: usize, proven: usize| {
+                let got = probe.covers_given(len, proven, cfg);
+                let fresh = if proven == 0 {
+                    let prefix = Clause::new(clause.head.clone(), clause.body[..len].to_vec());
+                    theta_subsumes(&prefix, ground, cfg)
+                } else {
+                    PrefixProbe::new(clause, ground).covers_given(len, proven, cfg)
+                };
+                assert_eq!(got, fresh, "{what}: prefix {len} given {proven}");
+                asks += 1;
+                got
+            };
+            if ask(n, 0) {
+                continue;
+            }
+            let (mut lo, mut hi) = (0, n);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if ask(mid, lo) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+        }
+    }
+    assert!(asks > 8_000, "only {asks} asks");
+    assert!(
+        lost_to_budget > 100,
+        "only {lost_to_budget} budget cut-offs were visible in the stream"
+    );
 }

@@ -408,7 +408,7 @@ mode u(+)
         ],
     );
     let ground = &eng.pos[0];
-    assert_eq!(ground.body.len(), 5, "l, q, r, s and u facts");
+    assert_eq!(ground.len(), 5, "l, q, r, s and u facts");
     assert_eq!(blocking_atom(&clause, &eng, 0), Some(1));
     let expected = Clause::new(
         head,

@@ -51,12 +51,12 @@ fn brute_force_subsumes(clause: &Clause, ground: &GroundClause) -> bool {
         let Some(lit) = body.first() else {
             return true;
         };
-        'g: for g in &ground.body {
-            if g.rel != lit.rel || g.vals.len() != lit.args.len() {
+        'g: for (rel, vals) in ground.literals() {
+            if rel != lit.rel || vals.len() != lit.args.len() {
                 continue;
             }
             let mut next = binding.clone();
-            for (t, &gv) in lit.args.iter().zip(g.vals.iter()) {
+            for (t, &gv) in lit.args.iter().zip(vals.iter()) {
                 match *t {
                     Term::Const(c) => {
                         if c != gv {
@@ -113,11 +113,11 @@ fn clause_strategy() -> impl Strategy<Value = Clause> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// With a generous node budget the randomized search is complete on these
-    /// tiny instances, so it must agree exactly with brute force.
+    /// With a generous node budget the search is complete on these tiny
+    /// instances, so it must agree exactly with brute force.
     #[test]
     fn subsumption_matches_brute_force(clause in clause_strategy(), ground in ground_strategy()) {
-        let cfg = SubsumeConfig { node_limit: 1_000_000, max_restarts: 0 };
+        let cfg = SubsumeConfig { node_limit: 1_000_000 };
         let fast = theta_subsumes(&clause, &ground, &cfg);
         let slow = brute_force_subsumes(&clause, &ground);
         prop_assert_eq!(fast, slow);
@@ -127,9 +127,47 @@ proptest! {
     /// a false "no" but never a false "yes".
     #[test]
     fn tight_budget_is_one_sided(clause in clause_strategy(), ground in ground_strategy()) {
-        let tight = SubsumeConfig { node_limit: 3, max_restarts: 0 };
+        let tight = SubsumeConfig { node_limit: 3 };
         if theta_subsumes(&clause, &ground, &tight) {
             prop_assert!(brute_force_subsumes(&clause, &ground));
+        }
+    }
+
+    /// The flat ground-clause layout round-trips its input: `literals()`
+    /// (and `rel(i)`, `vals(i)`) give back every fact in order, whatever its
+    /// arity, `literals_of(rel)` lists exactly that relation's indices in
+    /// ascending order, and `len()` counts the facts.
+    #[test]
+    fn ground_clause_layout_round_trips(
+        facts in proptest::collection::vec(
+            (0u32..5, proptest::collection::vec(0u32..9, 0..4)),
+            0..40,
+        ),
+    ) {
+        let lits: Vec<GroundLiteral> = facts
+            .iter()
+            .map(|(r, vals)| GroundLiteral {
+                rel: RelId(*r),
+                vals: vals.iter().map(|&c| Const(c)).collect(),
+            })
+            .collect();
+        let g = GroundClause::new(Example::new(RelId(9), vec![Const(0)]), lits.clone());
+        prop_assert_eq!(g.len(), lits.len());
+        prop_assert_eq!(g.is_empty(), lits.is_empty());
+        let back: Vec<GroundLiteral> = g
+            .literals()
+            .map(|(rel, vals)| GroundLiteral { rel, vals: vals.into() })
+            .collect();
+        prop_assert_eq!(&back, &lits);
+        for (i, lit) in lits.iter().enumerate() {
+            prop_assert_eq!(g.rel(i), lit.rel);
+            prop_assert_eq!(g.vals(i), &lit.vals[..]);
+        }
+        for r in 0..6u32 {
+            let want: Vec<u32> = (0..lits.len() as u32)
+                .filter(|&i| lits[i as usize].rel == RelId(r))
+                .collect();
+            prop_assert_eq!(g.literals_of(RelId(r)), &want[..]);
         }
     }
 }
@@ -183,11 +221,11 @@ proptest! {
         };
         let s_cfg = BcConfig { depth: 2, strategy, max_body_literals: 100_000, max_tuples: 10_000 };
         let mut rng = StdRng::seed_from_u64(seed ^ 1);
-        let full: FxHashSet<GroundLiteral> =
-            build_bottom_clause(&db, &bias, &e, &full_cfg, &mut rng).ground.body.into_iter().collect();
+        let full_bc = build_bottom_clause(&db, &bias, &e, &full_cfg, &mut rng).ground;
+        let full: FxHashSet<(RelId, &[Const])> = full_bc.literals().collect();
         let sampled = build_bottom_clause(&db, &bias, &e, &s_cfg, &mut rng).ground;
-        for lit in &sampled.body {
-            prop_assert!(full.contains(lit), "sampled literal outside full BC");
+        for lit in sampled.literals() {
+            prop_assert!(full.contains(&lit), "sampled literal outside full BC");
         }
     }
 
