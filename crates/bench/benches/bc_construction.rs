@@ -1,10 +1,15 @@
 //! Bench: bottom-clause construction time under the four sampling strategies
 //! (paper §4 — the motivation for sampling is that full BC construction is
 //! linear in the database and too slow on large data).
+//!
+//! Every benchmark builds through one reused [`BcScratch`], as the coverage
+//! engine's workers do, so it times construction rather than the scratch's
+//! first allocation.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
-use autobias::bottom::{build_bottom_clause, BcConfig, SamplingStrategy};
+use autobias::bias::auto::{induce_bias, AutoBiasConfig, ConstantThreshold};
+use autobias::bottom::{build_ground_clause_in, BcConfig, BcScratch, SamplingStrategy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::uw::{generate, UwConfig};
 use rand::rngs::StdRng;
@@ -41,8 +46,10 @@ fn bench_strategies(c: &mut Criterion) {
         };
         group.bench_function(name, |b| {
             let mut rng = StdRng::seed_from_u64(1);
+            let mut scratch = BcScratch::default();
             b.iter(|| {
-                black_box(build_bottom_clause(
+                black_box(build_ground_clause_in(
+                    &mut scratch,
                     &ds.db,
                     &bias,
                     black_box(&example),
@@ -86,8 +93,16 @@ fn bench_scaling(c: &mut Criterion) {
                 &ds,
                 |b, ds| {
                     let mut rng = StdRng::seed_from_u64(1);
+                    let mut scratch = BcScratch::default();
                     b.iter(|| {
-                        black_box(build_bottom_clause(&ds.db, &bias, &example, &cfg, &mut rng))
+                        black_box(build_ground_clause_in(
+                            &mut scratch,
+                            &ds.db,
+                            &bias,
+                            &example,
+                            &cfg,
+                            &mut rng,
+                        ))
                     })
                 },
             );
@@ -96,5 +111,46 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_strategies, bench_scaling);
+/// The evaluation shape: a Full, depth-2 ground clause on generated HIV
+/// under the AutoBias bias, whose induced modes probe element and bond-type
+/// constants at depth 2 and so collect most of the atom and bond tables
+/// (about 17K tuples per clause).
+fn bench_hiv_evaluation(c: &mut Criterion) {
+    let ds = datasets::hiv::generate(&Default::default(), 7);
+    let auto = AutoBiasConfig {
+        constant_threshold: ConstantThreshold::Absolute(50),
+        ..AutoBiasConfig::default()
+    };
+    let (bias, _, _) = induce_bias(&ds.db, ds.target, &auto).unwrap();
+    let cfg = BcConfig {
+        depth: 2,
+        strategy: SamplingStrategy::Full,
+        max_body_literals: 100_000,
+        max_tuples: 100_000,
+    };
+    let mut group = c.benchmark_group("bc_construction/hiv_eval");
+    group.sample_size(20);
+    group.bench_function("full", |b| {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut scratch = BcScratch::default();
+        b.iter(|| {
+            black_box(build_ground_clause_in(
+                &mut scratch,
+                &ds.db,
+                &bias,
+                black_box(&ds.pos[0]),
+                &cfg,
+                &mut rng,
+            ))
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_strategies,
+    bench_scaling,
+    bench_hiv_evaluation
+);
 criterion_main!(benches);

@@ -243,47 +243,143 @@ impl Default for BcConfig {
     }
 }
 
-/// Internal construction state shared by the strategies.
-struct Builder<'a> {
-    db: &'a Database,
-    bias: &'a LanguageBias,
-    cfg: BcConfig,
+/// Reusable sets for bottom-clause construction
+/// ([`build_ground_clause_in`]), the construction-side sibling of
+/// [`crate::subsume::Workspace`]: a caller that builds many clauses keeps
+/// one and hands it to every build, so the per-build sets are cleared
+/// instead of reallocated. Each build starts by emptying it, so a build's
+/// output never depends on what the scratch built before.
+#[derive(Debug, Default)]
+pub struct BcScratch {
+    /// Collected tuples, one set per relation (indexed by [`RelId::index`]).
+    collected: Vec<TupleSet>,
+    /// The current probe's selection; empty between probes.
+    selected: TupleSet,
     /// Collected tuples in insertion order.
-    collected: Vec<(RelId, TupleId)>,
-    collected_set: FxHashSet<(RelId, TupleId)>,
+    order: Vec<(RelId, TupleId)>,
     /// (constant, type) pairs seen so far, accumulated from the attributes
     /// each constant appeared in.
     known: FxHashSet<(Const, TypeId)>,
 }
 
-impl<'a> Builder<'a> {
-    fn new(db: &'a Database, bias: &'a LanguageBias, cfg: BcConfig) -> Self {
+impl BcScratch {
+    /// Forgets the previous build, keeping capacity. The selection is
+    /// emptied by each probe itself.
+    fn reset(&mut self) {
+        for set in &mut self.collected {
+            set.clear();
+        }
+        self.order.clear();
+        self.known.clear();
+    }
+}
+
+/// A set of tuple ids of one relation: one bit per id, plus one summary bit
+/// per nonzero word. Listing and clearing visit only the words an insert
+/// set, found through the summary (one summary word per 4,096 ids), so they
+/// cost what was inserted rather than the relation's size, and list the ids
+/// in ascending order without sorting them.
+#[derive(Debug, Default)]
+struct TupleSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl TupleSet {
+    /// Adds `id`; false when it was already present.
+    #[inline]
+    fn insert(&mut self, id: TupleId) -> bool {
+        let w = id as usize / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+            self.summary.resize(w / 64 + 1, 0);
+        }
+        let bit = 1u64 << (id % 64);
+        let word = &mut self.words[w];
+        if *word & bit != 0 {
+            return false;
+        }
+        if *word == 0 {
+            self.summary[w / 64] |= 1u64 << (w % 64);
+        }
+        *word |= bit;
+        true
+    }
+
+    /// Empties the set, appending its ids to `out` in ascending order.
+    fn drain_into(&mut self, out: &mut Vec<TupleId>) {
+        self.drain(|id| out.push(id));
+    }
+
+    /// Empties the set.
+    fn clear(&mut self) {
+        self.drain(|_| {});
+    }
+
+    fn drain(&mut self, mut each: impl FnMut(TupleId)) {
+        for (si, summary) in self.summary.iter_mut().enumerate() {
+            let mut s = std::mem::take(summary);
+            while s != 0 {
+                let w = si * 64 + s.trailing_zeros() as usize;
+                s &= s - 1;
+                let mut bits = std::mem::take(&mut self.words[w]);
+                while bits != 0 {
+                    each((w * 64) as TupleId + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
+/// Internal construction state shared by the strategies.
+struct Builder<'a, 's> {
+    db: &'a Database,
+    bias: &'a LanguageBias,
+    cfg: BcConfig,
+    s: &'s mut BcScratch,
+    /// Tuple ids handed to collection after sampling (the
+    /// `tuples_selected` note and counter).
+    tuples_selected: u64,
+}
+
+impl<'a, 's> Builder<'a, 's> {
+    fn new(db: &'a Database, bias: &'a LanguageBias, cfg: BcConfig, s: &'s mut BcScratch) -> Self {
+        s.reset();
         Self {
             db,
             bias,
             cfg,
-            collected: Vec::new(),
-            collected_set: FxHashSet::default(),
-            known: FxHashSet::default(),
+            s,
+            tuples_selected: 0,
         }
     }
 
     fn at_capacity(&self) -> bool {
-        self.collected.len() >= self.cfg.max_tuples
+        self.s.order.len() >= self.cfg.max_tuples
+    }
+
+    /// Records a tuple unless it is already collected; true when new.
+    fn collect(&mut self, rel: RelId, id: TupleId) -> bool {
+        let sets = &mut self.s.collected;
+        if sets.len() <= rel.index() {
+            sets.resize_with(rel.index() + 1, TupleSet::default);
+        }
+        if !sets[rel.index()].insert(id) {
+            return false;
+        }
+        self.s.order.push((rel, id));
+        true
     }
 
     /// Records a tuple; appends to `frontier` the constants that gained a
     /// *new* type from a variable-izable attribute (the next BFS frontier
     /// contributions).
     fn add_tuple(&mut self, rel: RelId, id: TupleId, frontier: &mut Vec<(Const, TypeId)>) {
-        if !self.collected_set.insert((rel, id)) {
+        if !self.collect(rel, id) {
             return;
         }
-        self.collected.push((rel, id));
-        // Borrow the tuple through a copy of the `&'a Database`, so it does
-        // not hold `self` while `known` is updated.
-        let db = self.db;
-        let tuple = db.relation(rel).tuple(id);
+        let tuple = self.db.relation(rel).tuple(id);
         for (pos, &c) in tuple.iter().enumerate() {
             let attr = AttrRef::new(rel, pos);
             // Only variable-ized constants enter the hash table and drive
@@ -292,26 +388,24 @@ impl<'a> Builder<'a> {
                 continue;
             }
             for &t in self.bias.types_of(attr) {
-                if self.known.insert((c, t)) {
+                if self.s.known.insert((c, t)) {
                     frontier.push((c, t));
                 }
             }
         }
     }
 
-    /// Seeds the frontier with the example's constants under the target
+    /// Seeds `frontier` with the example's constants under the target
     /// attribute types.
-    fn seed(&mut self, example: &Example) -> Vec<(Const, TypeId)> {
-        let mut frontier = Vec::new();
+    fn seed(&mut self, example: &Example, frontier: &mut Vec<(Const, TypeId)>) {
         for (pos, &c) in example.args.iter().enumerate() {
             let attr = AttrRef::new(example.rel, pos);
             for &t in self.bias.types_of(attr) {
-                if self.known.insert((c, t)) {
+                if self.s.known.insert((c, t)) {
                     frontier.push((c, t));
                 }
             }
         }
-        frontier
     }
 
     /// Probe targets: every (relation, `+` position) pair from the body
@@ -334,17 +428,37 @@ impl<'a> Builder<'a> {
         out
     }
 
-    /// Frontier constants whose types make them candidates for `attr`.
-    fn matching_values(&self, frontier: &[(Const, TypeId)], attr: AttrRef) -> Vec<Const> {
+    /// Frontier constants whose types make them candidates for `attr`,
+    /// sorted and distinct, into `vals`.
+    fn matching_values(&self, frontier: &[(Const, TypeId)], attr: AttrRef, vals: &mut Vec<Const>) {
         let attr_types = self.bias.types_of(attr);
-        let mut vals: Vec<Const> = frontier
-            .iter()
-            .filter(|(_, t)| attr_types.contains(t))
-            .map(|(c, _)| *c)
-            .collect();
+        vals.clear();
+        vals.extend(
+            frontier
+                .iter()
+                .filter(|(_, t)| attr_types.contains(t))
+                .map(|(c, _)| *c),
+        );
         vals.sort_unstable();
         vals.dedup();
-        vals
+    }
+
+    /// σ_{attr ∈ vals}: all matching tuple ids, ascending, appended to
+    /// `out` (Full / Naive path). On an indexed attribute the values'
+    /// postings are marked in the selection set and drained in id order,
+    /// which is [`relstore::algebra::select_in`]'s sorted output (distinct
+    /// values have disjoint postings) without its hash set or sort.
+    fn select(&mut self, attr: AttrRef, vals: &[Const], out: &mut Vec<TupleId>) {
+        let Some(idx) = self.db.relation(attr.rel).index(attr.pos as usize) else {
+            out.extend(select_all(self.db, attr, vals));
+            return;
+        };
+        for &v in vals {
+            for &id in idx.lookup(v) {
+                self.s.selected.insert(id);
+            }
+        }
+        self.s.selected.drain_into(out);
     }
 }
 
@@ -370,7 +484,25 @@ pub fn build_bottom_clause<R: Rng>(
 /// Indexes should be built (`db.build_indexes()`) beforehand; the
 /// [`SamplingStrategy::Random`] strategy requires them for its frequency
 /// statistics and falls back to naive behaviour on unindexed relations.
+/// Callers that build many clauses reuse one [`BcScratch`] through
+/// [`build_ground_clause_in`].
 pub fn build_ground_clause<R: Rng>(
+    db: &Database,
+    bias: &LanguageBias,
+    example: &Example,
+    cfg: &BcConfig,
+    rng: &mut R,
+) -> GroundClause {
+    build_ground_clause_in(&mut BcScratch::default(), db, bias, example, cfg, rng)
+}
+
+/// [`build_ground_clause`] in the caller's scratch. The clause is the same
+/// whatever the scratch built before.
+///
+/// The last expansion depth only collects: its tuples would feed a frontier
+/// no later depth reads, so they skip the (constant, type) bookkeeping.
+pub fn build_ground_clause_in<R: Rng>(
+    scratch: &mut BcScratch,
     db: &Database,
     bias: &LanguageBias,
     example: &Example,
@@ -380,8 +512,9 @@ pub fn build_ground_clause<R: Rng>(
     crate::instrument::BOTTOM_CLAUSES_BUILT.bump();
     let mut sp = obs::span!("bc.build", cfg.strategy.label());
     let mut walk = WalkStats::default();
-    let mut b = Builder::new(db, bias, *cfg);
-    let mut frontier = b.seed(example);
+    let mut b = Builder::new(db, bias, *cfg, scratch);
+    let mut frontier = Vec::new();
+    b.seed(example, &mut frontier);
     let probes = b.probe_points();
 
     match cfg.strategy {
@@ -389,28 +522,31 @@ pub fn build_ground_clause<R: Rng>(
             stratified_collect(&mut b, example, per_stratum);
         }
         strategy => {
-            for _ in 0..cfg.depth {
+            // Reused by every probe of the build.
+            let (mut next_frontier, mut vals, mut picked) = (Vec::new(), Vec::new(), Vec::new());
+            for depth in 1..=cfg.depth {
                 if frontier.is_empty() || b.at_capacity() {
                     break;
                 }
-                let mut next_frontier = Vec::new();
+                let last = depth == cfg.depth;
+                next_frontier.clear();
                 for &attr in &probes {
                     if b.at_capacity() {
                         break;
                     }
-                    let vals = b.matching_values(&frontier, attr);
+                    b.matching_values(&frontier, attr, &mut vals);
                     if vals.is_empty() {
                         continue;
                     }
-                    let picked = match strategy {
-                        SamplingStrategy::Full => select_all(&b, attr, &vals),
+                    picked.clear();
+                    match strategy {
+                        SamplingStrategy::Full => b.select(attr, &vals, &mut picked),
                         SamplingStrategy::Naive { per_selection } => {
-                            let mut ids = select_all(&b, attr, &vals);
-                            if ids.len() > per_selection {
-                                ids.shuffle(rng);
-                                ids.truncate(per_selection);
+                            b.select(attr, &vals, &mut picked);
+                            if picked.len() > per_selection {
+                                picked.shuffle(rng);
+                                picked.truncate(per_selection);
                             }
-                            ids
                         }
                         SamplingStrategy::Random {
                             per_selection,
@@ -423,39 +559,50 @@ pub fn build_ground_clause<R: Rng>(
                             oversample,
                             rng,
                             &mut walk,
+                            &mut picked,
                         ),
                         SamplingStrategy::Stratified { .. } => unreachable!(),
-                    };
-                    for id in picked {
+                    }
+                    b.tuples_selected += picked.len() as u64;
+                    for &id in &picked {
                         if b.at_capacity() {
                             break;
                         }
-                        b.add_tuple(attr.rel, id, &mut next_frontier);
+                        if last {
+                            b.collect(attr.rel, id);
+                        } else {
+                            b.add_tuple(attr.rel, id, &mut next_frontier);
+                        }
                     }
                 }
-                frontier = next_frontier;
+                std::mem::swap(&mut frontier, &mut next_frontier);
             }
         }
     }
 
+    let order = &b.s.order;
     let tuple = |&(rel, id): &(RelId, TupleId)| db.relation(rel).tuple(id);
     let mut facts = Facts {
-        rels: Vec::with_capacity(b.collected.len()),
-        starts: Vec::with_capacity(b.collected.len() + 1),
-        vals: Vec::with_capacity(b.collected.iter().map(|t| tuple(t).len()).sum()),
+        rels: Vec::with_capacity(order.len()),
+        starts: Vec::with_capacity(order.len() + 1),
+        vals: Vec::with_capacity(order.iter().map(|t| tuple(t).len()).sum()),
     };
-    for t in &b.collected {
+    for t in order {
         facts.push(t.0, tuple(t));
     }
     let ground = facts.finish(example.clone());
+    let (selected, collected) = (b.tuples_selected, order.len() as u64);
     if sp.is_active() {
-        sp.note("tuples", b.collected.len() as u64);
+        sp.note("tuples_selected", selected);
+        sp.note("tuples_collected", collected);
         sp.note("ground_literals", ground.len() as u64);
         if walk.draws > 0 {
             sp.note("walk_draws", walk.draws);
             sp.note("walk_accepted", walk.accepted);
         }
     }
+    crate::instrument::BC_TUPLES_SELECTED.add(selected);
+    crate::instrument::BC_TUPLES_COLLECTED.add(collected);
     crate::instrument::BC_WALK_DRAWS.add(walk.draws);
     crate::instrument::BC_WALK_ACCEPTED.add(walk.accepted);
     ground
@@ -470,45 +617,50 @@ struct WalkStats {
     accepted: u64,
 }
 
-/// σ_{attr ∈ vals}: all matching tuple ids (Full / Naive path).
-fn select_all(b: &Builder<'_>, attr: AttrRef, vals: &[Const]) -> Vec<TupleId> {
+/// σ_{attr ∈ vals} through [`relstore::algebra::select_in`]: the path for
+/// unindexed attributes.
+fn select_all(db: &Database, attr: AttrRef, vals: &[Const]) -> Vec<TupleId> {
     let set: FxHashSet<Const> = vals.iter().copied().collect();
-    relstore::algebra::select_in(b.db, attr, &set)
+    relstore::algebra::select_in(db, attr, &set)
 }
 
 /// The §4.2.3 accept–reject sampler over the semi-join `{vals} ⋊ R`:
 /// pick a value `a` uniformly from the distinct left values, pick a tuple
 /// uniformly among those with `R[B] = a`, accept with probability
 /// `m(a) / M`. Repeats until `want` tuples are accepted or the attempt
-/// budget (`want × oversample`) is exhausted.
+/// budget (`want × oversample`) is exhausted. Appends the accepted ids to
+/// `out`.
+#[allow(clippy::too_many_arguments)]
 fn olken_semijoin_sample<R: Rng>(
-    b: &Builder<'_>,
+    b: &Builder<'_, '_>,
     attr: AttrRef,
     vals: &[Const],
     want: usize,
     oversample: usize,
     rng: &mut R,
     walk: &mut WalkStats,
-) -> Vec<TupleId> {
+    out: &mut Vec<TupleId>,
+) {
     let rel = b.db.relation(attr.rel);
     let Some(idx) = rel.index(attr.pos as usize) else {
         // No statistics available: degrade to naive uniform sampling.
-        let mut ids = select_all(b, attr, vals);
+        let mut ids = select_all(b.db, attr, vals);
         if ids.len() > want {
             ids.shuffle(rng);
             ids.truncate(want);
         }
-        return ids;
+        out.extend(ids);
+        return;
     };
     let max_freq = idx.max_freq();
     if max_freq == 0 || vals.is_empty() {
-        return Vec::new();
+        return;
     }
     let budget = want.saturating_mul(oversample.max(1)).max(want);
-    let mut out = Vec::with_capacity(want);
     let mut seen = FxHashSet::default();
+    let start = out.len();
     for _ in 0..budget {
-        if out.len() >= want {
+        if out.len() - start >= want {
             break;
         }
         walk.draws += 1;
@@ -527,14 +679,13 @@ fn olken_semijoin_sample<R: Rng>(
             out.push(t);
         }
     }
-    out
 }
 
 /// Algorithm 4: depth-first stratified collection. The recursion keeps, at
 /// every level, only the parent tuples that join the sampled child tuples,
 /// and unions the child samples themselves into the result (the union is
 /// implicit in the paper's pseudocode).
-fn stratified_collect(b: &mut Builder<'_>, example: &Example, per_stratum: usize) {
+fn stratified_collect(b: &mut Builder<'_, '_>, example: &Example, per_stratum: usize) {
     // Deterministic xorshift for stratum sampling; Algorithm 4 does not need
     // statistics, and determinism here makes tests reproducible.
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -564,7 +715,7 @@ fn stratified_collect(b: &mut Builder<'_>, example: &Example, per_stratum: usize
 /// Recursive step of Algorithm 4. Returns the tuple ids of `probe.rel` kept
 /// at this level (already recorded in the builder).
 fn strat_rec(
-    b: &mut Builder<'_>,
+    b: &mut Builder<'_, '_>,
     probes: &[AttrRef],
     probe: AttrRef,
     values: &FxHashSet<Const>,
@@ -638,14 +789,14 @@ fn strat_rec(
         }
     };
 
-    // Algorithm 4 expands by recursion, not by frontier.
-    let mut unused_frontier = Vec::new();
+    // Algorithm 4 expands by recursion, not by frontier, so collection
+    // keeps no (constant, type) bookkeeping.
+    b.tuples_selected += kept.len() as u64;
     for &id in &kept {
         if b.at_capacity() {
             break;
         }
-        b.add_tuple(probe.rel, id, &mut unused_frontier);
-        unused_frontier.clear();
+        b.collect(probe.rel, id);
     }
     kept
 }
@@ -654,7 +805,7 @@ fn strat_rec(
 /// distinct value of each constant-able attribute, or a single stratum when
 /// the relation has none (§4.3.2).
 fn sample_strata(
-    b: &Builder<'_>,
+    b: &Builder<'_, '_>,
     rel: RelId,
     ids: &[TupleId],
     per_stratum: usize,

@@ -27,7 +27,7 @@
 //!   provably exceeds it, recording a [`NegCount::AtLeast`] lower bound.
 
 use crate::bias::LanguageBias;
-use crate::bottom::{build_ground_clause, BcConfig, GroundClause};
+use crate::bottom::{build_ground_clause_in, BcConfig, BcScratch, GroundClause};
 use crate::clause::Clause;
 use crate::example::TrainingSet;
 use crate::instrument;
@@ -305,14 +305,18 @@ impl CoverageEngine {
         cfg: &LearnerConfig,
     ) -> Self {
         let (threads, seed, bc_cfg) = (cfg.threads, cfg.seed, &cfg.bc);
-        let pos = parallel_map(threads, &train.pos, |i, e| {
+        // One construction scratch per worker serves both maps.
+        let mut scratches: Vec<BcScratch> = std::iter::repeat_with(BcScratch::default)
+            .take(threads.max(1))
+            .collect();
+        let pos = parallel_map_in(&mut scratches, &train.pos, |s, i, e| {
             let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            build_ground_clause(db, bias, e, bc_cfg, &mut rng)
+            build_ground_clause_in(s, db, bias, e, bc_cfg, &mut rng)
         });
-        let neg = parallel_map(threads, &train.neg, |i, e| {
+        let neg = parallel_map_in(&mut scratches, &train.neg, |s, i, e| {
             let mut rng =
                 StdRng::seed_from_u64(seed ^ 0xdead_beef ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            build_ground_clause(db, bias, e, bc_cfg, &mut rng)
+            build_ground_clause_in(s, db, bias, e, bc_cfg, &mut rng)
         });
         let memo = cfg
             .coverage_memo
@@ -624,20 +628,11 @@ fn parse_threads(v: &str) -> Option<usize> {
     v.trim().parse::<usize>().ok().map(|n| n.max(1))
 }
 
-/// Maps `f` over `items` with indices on up to `threads` workers, in
-/// parallel when the collection is large enough to amortize thread spawn
-/// cost.
-pub(crate) fn parallel_map<T: Sync, U: Send>(
-    threads: usize,
-    items: &[T],
-    f: impl Fn(usize, &T) -> U + Sync,
-) -> Vec<U> {
-    parallel_map_in(&mut vec![(); threads.max(1)], items, |_, i, e| f(i, e))
-}
-
-/// [`parallel_map`] with one worker per element of `states` (at least
-/// one): each worker hands its own state to `f`, so per-item scratch such
-/// as a subsumption [`Workspace`] is reused across the worker's chunk.
+/// Maps `f` over `items` with indices, one worker per element of `states`
+/// (at least one), in parallel when the collection is large enough to
+/// amortize thread spawn cost. Each worker hands its own state to `f`, so
+/// per-item scratch such as a subsumption [`Workspace`] or a construction
+/// [`BcScratch`] is reused across the worker's chunk.
 pub(crate) fn parallel_map_in<S: Send, T: Sync, U: Send>(
     states: &mut [S],
     items: &[T],
@@ -942,7 +937,7 @@ mode publication(-, +)
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
-        let out = parallel_map(4, &items, |i, &x| {
+        let out = parallel_map_in(&mut [(); 4], &items, |_, i, &x| {
             assert_eq!(i, x);
             x * 2
         });
@@ -986,8 +981,8 @@ mode publication(-, +)
     #[test]
     fn parallel_map_is_thread_count_independent() {
         let items: Vec<usize> = (0..40).collect();
-        let seq = parallel_map(1, &items, |_, &x| x + 1);
-        let par = parallel_map(16, &items, |_, &x| x + 1);
+        let seq = parallel_map_in(&mut [()], &items, |_, _, &x| x + 1);
+        let par = parallel_map_in(&mut [(); 16], &items, |_, _, &x| x + 1);
         assert_eq!(seq, par);
     }
 }

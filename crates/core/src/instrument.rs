@@ -48,6 +48,21 @@ pub static BC_WALK_ACCEPTED: Counter = Counter::new(
     "Accept-reject semijoin walk draws accepted.",
 );
 
+/// Tuple ids bottom-clause construction handed to collection after
+/// sampling ([`crate::bottom::build_ground_clause`]), counting an id once
+/// per probe that selected it. Against [`BC_TUPLES_COLLECTED`] it gives the
+/// share of selections that were already collected.
+pub static BC_TUPLES_SELECTED: Counter = Counter::new(
+    "autobias_core_bc_tuples_selected_total",
+    "Tuple ids handed to bottom-clause collection after sampling.",
+);
+
+/// Distinct tuples bottom-clause construction kept: the ground facts built.
+pub static BC_TUPLES_COLLECTED: Counter = Counter::new(
+    "autobias_core_bc_tuples_collected_total",
+    "New tuples kept by bottom-clause collection.",
+);
+
 /// Candidate clauses produced by armg during beam search
 /// ([`crate::generalize::learn_clause`]).
 pub static CANDIDATES_GENERATED: Counter = Counter::new(
@@ -137,7 +152,7 @@ pub static SUBSUME_CUTOFFS: Counter = Counter::new(
 );
 
 /// Every counter this crate owns, in registration order.
-pub const ALL: [&Counter; 18] = [
+pub const ALL: [&Counter; 20] = [
     &SUBSUMPTION_TESTS,
     &COVERAGE_QUERIES,
     &BOTTOM_CLAUSES_BUILT,
@@ -156,6 +171,8 @@ pub const ALL: [&Counter; 18] = [
     &CANDIDATES_PRUNED_BY_CONSTRAINT,
     &BC_VARIABLIZED,
     &SUBSUME_CUTOFFS,
+    &BC_TUPLES_SELECTED,
+    &BC_TUPLES_COLLECTED,
 ];
 
 /// Registers all core counters with the [`obs::metrics`] registry. Cheap

@@ -77,8 +77,8 @@ pub mod prelude {
     pub use crate::bias::parse::parse_bias;
     pub use crate::bias::{ArgMode, LanguageBias, ModeDef, PredDef};
     pub use crate::bottom::{
-        build_bottom_clause, build_ground_clause, variablize, BcConfig, BottomClause, GroundClause,
-        GroundLiteral, SamplingStrategy,
+        build_bottom_clause, build_ground_clause, build_ground_clause_in, variablize, BcConfig,
+        BcScratch, BottomClause, GroundClause, GroundLiteral, SamplingStrategy,
     };
     pub use crate::canon::{canonical_form, canonical_form_status, canonical_key};
     pub use crate::clause::{Clause, Definition, Literal, Term, VarId};

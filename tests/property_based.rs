@@ -4,6 +4,8 @@
 //! - sampled bottom clauses only contain tuples the full BC contains;
 //! - a capped variable-ized bottom clause is a prefix of the uncapped one and
 //!   covers its ground clause;
+//! - bottom clauses built through one reused scratch equal fresh builds and
+//!   the pre-scratch reference construction;
 //! - IND discovery agrees with the direct subset check on random databases;
 //! - the type graph's joinability relation is reflexive and symmetric;
 //! - k-fold splits partition the data;
@@ -14,7 +16,8 @@
 
 use autobias_repro::autobias::bottom::GroundLiteral;
 use autobias_repro::autobias::prelude::*;
-use autobias_repro::constraints::{build_type_graph, check_ind, discover_inds, IndConfig};
+use autobias_repro::constraints::{build_type_graph, check_ind, discover_inds, IndConfig, TypeId};
+use autobias_repro::relstore::algebra::select_in;
 use autobias_repro::relstore::fixtures::uw_fragment;
 use autobias_repro::relstore::{AttrRef, Const, Database, FxHashMap, FxHashSet, RelId};
 use proptest::prelude::*;
@@ -302,6 +305,430 @@ proptest! {
         prop_assert_eq!(&capped.body[..], &full.body[..k.min(full.body.len())]);
         prop_assert!(theta_subsumes(&full, &g, &SubsumeConfig::default()));
         prop_assert!(theta_subsumes(&capped, &g, &SubsumeConfig::default()));
+    }
+}
+
+// ---------- bottom-clause construction through a reused scratch ----------
+
+/// One type over everything, so every attribute joins every other: `r` and
+/// `s` probe forward, `s` backward too, `w` only forward with its second
+/// attribute constant-only (so it never feeds the frontier), and `r`'s
+/// second attribute is also constant-able (strata for Algorithm 4).
+const SCRATCH_BIAS: &str = "
+pred r(T1, T1)
+pred s(T1, T1)
+pred w(T1, T1)
+pred u(T1)
+pred t(T1, T1)
+mode r(+, -)
+mode r(+, #)
+mode s(+, -)
+mode s(-, +)
+mode w(+, #)
+mode u(+)
+";
+
+/// A random database for [`SCRATCH_BIAS`] over constants `c0..c{consts}`,
+/// with `rows` tuples in each binary relation (duplicates allowed) and
+/// indexes on every relation except `r` when `index_r` is false, plus four
+/// random examples of `t`.
+fn scratch_world(
+    seed: u64,
+    consts: usize,
+    rows: usize,
+    index_r: bool,
+) -> (Database, LanguageBias, Vec<Example>) {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut db = Database::new();
+    let binary = ["r", "s", "w"].map(|name| db.add_relation(name, &["a", "b"]));
+    let u = db.add_relation("u", &["a"]);
+    let t = db.add_relation("t", &["a", "b"]);
+    let c = |rng: &mut StdRng| format!("c{}", rng.random_range(0..consts));
+    for rel in binary {
+        for _ in 0..rows {
+            let (a, b) = (c(&mut rng), c(&mut rng));
+            db.insert(rel, &[&a, &b]);
+        }
+    }
+    for _ in 0..rows / 2 {
+        let a = c(&mut rng);
+        db.insert(u, &[&a]);
+    }
+    let examples = (0..4)
+        .map(|_| {
+            let (a, b) = (c(&mut rng), c(&mut rng));
+            Example::new(t, vec![db.intern(&a), db.intern(&b)])
+        })
+        .collect();
+    for rel in [binary[1], binary[2], u, t] {
+        db.relation_mut(rel).build_indexes();
+    }
+    if index_r {
+        db.relation_mut(binary[0]).build_indexes();
+    }
+    let bias = parse_bias(&db, t, SCRATCH_BIAS).unwrap();
+    (db, bias, examples)
+}
+
+/// Bottom-clause construction as it was before the scratch: a hash set of
+/// constants and `select_in` per probe, a hash-set dedup of collected
+/// tuples, and a frontier grown at every depth (by Algorithm 4 too, which
+/// never reads it). The oracle for the scratch-based construction.
+struct ReferenceBc<'a> {
+    db: &'a Database,
+    bias: &'a LanguageBias,
+    cfg: BcConfig,
+    collected: Vec<(RelId, u32)>,
+    collected_set: FxHashSet<(RelId, u32)>,
+    known: FxHashSet<(Const, TypeId)>,
+}
+
+impl ReferenceBc<'_> {
+    fn at_capacity(&self) -> bool {
+        self.collected.len() >= self.cfg.max_tuples
+    }
+
+    fn add_tuple(&mut self, rel: RelId, id: u32, frontier: &mut Vec<(Const, TypeId)>) {
+        if !self.collected_set.insert((rel, id)) {
+            return;
+        }
+        self.collected.push((rel, id));
+        for (pos, &c) in self.db.relation(rel).tuple(id).iter().enumerate() {
+            let attr = AttrRef::new(rel, pos);
+            if !self.bias.can_be_var(attr) {
+                continue;
+            }
+            for &t in self.bias.types_of(attr) {
+                if self.known.insert((c, t)) {
+                    frontier.push((c, t));
+                }
+            }
+        }
+    }
+
+    fn probe_points(&self) -> Vec<AttrRef> {
+        let mut rels: Vec<RelId> = self.bias.body_rels().collect();
+        rels.sort_unstable();
+        let mut out = Vec::new();
+        for rel in rels {
+            for mode in self.bias.modes_for(rel) {
+                for j in mode.plus_positions() {
+                    let attr = AttrRef::new(rel, j);
+                    if !out.contains(&attr) {
+                        out.push(attr);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn select(&self, attr: AttrRef, vals: &[Const]) -> Vec<u32> {
+        let set: FxHashSet<Const> = vals.iter().copied().collect();
+        select_in(self.db, attr, &set)
+    }
+
+    fn naive(&self, attr: AttrRef, vals: &[Const], want: usize, rng: &mut StdRng) -> Vec<u32> {
+        use rand::seq::SliceRandom;
+        let mut ids = self.select(attr, vals);
+        if ids.len() > want {
+            ids.shuffle(rng);
+            ids.truncate(want);
+        }
+        ids
+    }
+
+    fn olken(
+        &self,
+        attr: AttrRef,
+        vals: &[Const],
+        want: usize,
+        oversample: usize,
+        rng: &mut StdRng,
+    ) -> Vec<u32> {
+        use rand::Rng;
+        let Some(idx) = self.db.relation(attr.rel).index(attr.pos as usize) else {
+            return self.naive(attr, vals, want, rng);
+        };
+        let max_freq = idx.max_freq();
+        if max_freq == 0 {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        let mut seen = FxHashSet::default();
+        for _ in 0..want.saturating_mul(oversample.max(1)).max(want) {
+            if out.len() >= want {
+                break;
+            }
+            let ts = idx.lookup(vals[rng.random_range(0..vals.len())]);
+            if ts.is_empty() {
+                continue;
+            }
+            let t = ts[rng.random_range(0..ts.len())];
+            let accept = ts.len() as f64 / max_freq as f64;
+            if rng.random_range(0.0..1.0) < accept && seen.insert(t) {
+                out.push(t);
+            }
+        }
+        out
+    }
+
+    fn stratified(&mut self, example: &Example, per_stratum: usize) {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let probes = self.probe_points();
+        for (pos, &c) in example.args.iter().enumerate() {
+            let types = self.bias.types_of(AttrRef::new(example.rel, pos)).to_vec();
+            for &probe in &probes {
+                if !types.iter().any(|t| self.bias.types_of(probe).contains(t)) {
+                    continue;
+                }
+                let vals: FxHashSet<Const> = [c].into_iter().collect();
+                self.strat_rec(&probes, probe, &vals, 1, per_stratum, &mut next);
+            }
+        }
+    }
+
+    fn strat_rec(
+        &mut self,
+        probes: &[AttrRef],
+        probe: AttrRef,
+        values: &FxHashSet<Const>,
+        depth: usize,
+        per_stratum: usize,
+        rng: &mut impl FnMut() -> u64,
+    ) -> Vec<u32> {
+        if self.at_capacity() || values.is_empty() {
+            return Vec::new();
+        }
+        let i_r = select_in(self.db, probe, values);
+        if i_r.is_empty() {
+            return Vec::new();
+        }
+        let rel = self.db.relation(probe.rel);
+        let mut kept = Vec::new();
+        if depth < self.cfg.depth.max(1) {
+            let mut joined_ids = FxHashSet::default();
+            let mut expanded = false;
+            for out_pos in 0..rel.arity() {
+                let out_attr = AttrRef::new(probe.rel, out_pos);
+                if out_pos == probe.pos as usize || !self.bias.can_be_var(out_attr) {
+                    continue;
+                }
+                let out_types = self.bias.types_of(out_attr).to_vec();
+                let out_vals: FxHashSet<Const> =
+                    i_r.iter().map(|&id| rel.tuple(id)[out_pos]).collect();
+                for &child in probes {
+                    if child == probe
+                        || !out_types
+                            .iter()
+                            .any(|t| self.bias.types_of(child).contains(t))
+                    {
+                        continue;
+                    }
+                    expanded = true;
+                    let child_kept =
+                        self.strat_rec(probes, child, &out_vals, depth + 1, per_stratum, rng);
+                    let joined: FxHashSet<Const> = child_kept
+                        .iter()
+                        .map(|&id| self.db.relation(child.rel).tuple(id)[child.pos as usize])
+                        .collect();
+                    for &id in &i_r {
+                        if joined.contains(&rel.tuple(id)[out_pos]) {
+                            joined_ids.insert(id);
+                        }
+                    }
+                }
+            }
+            if expanded && !joined_ids.is_empty() {
+                kept = joined_ids.into_iter().collect();
+                kept.sort_unstable();
+            }
+        }
+        if kept.is_empty() {
+            kept = self.sample_strata(probe.rel, &i_r, per_stratum, rng);
+        }
+        let mut frontier = Vec::new();
+        for &id in &kept {
+            if self.at_capacity() {
+                break;
+            }
+            self.add_tuple(probe.rel, id, &mut frontier);
+        }
+        kept
+    }
+
+    fn sample_strata(
+        &self,
+        rel: RelId,
+        ids: &[u32],
+        per_stratum: usize,
+        rng: &mut impl FnMut() -> u64,
+    ) -> Vec<u32> {
+        let arity = self.db.relation(rel).arity();
+        let const_positions: Vec<usize> = (0..arity)
+            .filter(|&p| self.bias.can_be_const(AttrRef::new(rel, p)))
+            .collect();
+        let mut uniform = |pool: &[u32], out: &mut Vec<u32>| {
+            if pool.len() <= per_stratum {
+                out.extend_from_slice(pool);
+            } else {
+                let mut picked = FxHashSet::default();
+                while picked.len() < per_stratum {
+                    picked.insert(pool[(rng() % pool.len() as u64) as usize]);
+                }
+                out.extend(picked);
+            }
+        };
+        let mut out = Vec::new();
+        if const_positions.is_empty() {
+            uniform(ids, &mut out);
+        }
+        for &p in &const_positions {
+            let mut strata: FxHashMap<Const, Vec<u32>> = FxHashMap::default();
+            for &id in ids {
+                strata
+                    .entry(self.db.relation(rel).tuple(id)[p])
+                    .or_default()
+                    .push(id);
+            }
+            let mut keys: Vec<Const> = strata.keys().copied().collect();
+            keys.sort_unstable();
+            for k in keys {
+                uniform(&strata[&k], &mut out);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+}
+
+/// The ground clause [`ReferenceBc`] builds, as facts in collection order.
+fn reference_bc(
+    db: &Database,
+    bias: &LanguageBias,
+    example: &Example,
+    cfg: &BcConfig,
+    rng: &mut StdRng,
+) -> Vec<(RelId, Vec<Const>)> {
+    let mut b = ReferenceBc {
+        db,
+        bias,
+        cfg: *cfg,
+        collected: Vec::new(),
+        collected_set: FxHashSet::default(),
+        known: FxHashSet::default(),
+    };
+    let mut frontier = Vec::new();
+    for (pos, &c) in example.args.iter().enumerate() {
+        for &t in bias.types_of(AttrRef::new(example.rel, pos)) {
+            if b.known.insert((c, t)) {
+                frontier.push((c, t));
+            }
+        }
+    }
+    let probes = b.probe_points();
+    if let SamplingStrategy::Stratified { per_stratum } = cfg.strategy {
+        b.stratified(example, per_stratum);
+    } else {
+        for _ in 0..cfg.depth {
+            if frontier.is_empty() || b.at_capacity() {
+                break;
+            }
+            let mut next = Vec::new();
+            for &attr in &probes {
+                if b.at_capacity() {
+                    break;
+                }
+                let types = bias.types_of(attr);
+                let mut vals: Vec<Const> = frontier
+                    .iter()
+                    .filter(|(_, t)| types.contains(t))
+                    .map(|&(c, _)| c)
+                    .collect();
+                vals.sort_unstable();
+                vals.dedup();
+                if vals.is_empty() {
+                    continue;
+                }
+                let picked = match cfg.strategy {
+                    SamplingStrategy::Naive { per_selection } => {
+                        b.naive(attr, &vals, per_selection, rng)
+                    }
+                    SamplingStrategy::Random {
+                        per_selection,
+                        oversample,
+                    } => b.olken(attr, &vals, per_selection, oversample, rng),
+                    _ => b.select(attr, &vals),
+                };
+                for id in picked {
+                    if b.at_capacity() {
+                        break;
+                    }
+                    b.add_tuple(attr.rel, id, &mut next);
+                }
+            }
+            frontier = next;
+        }
+    }
+    b.collected
+        .iter()
+        .map(|&(rel, id)| (rel, db.relation(rel).tuple(id).to_vec()))
+        .collect()
+}
+
+fn ground_facts(g: &GroundClause) -> Vec<(RelId, Vec<Const>)> {
+    g.literals().map(|(rel, v)| (rel, v.to_vec())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One `BcScratch` builds a stream of bottom clauses with mixed
+    /// strategies, depths 1–3 and tuple caps; each equals a fresh-scratch
+    /// build and the pre-scratch reference construction. A selection or
+    /// collected bit left behind by one probe or build would show up as an
+    /// extra or missing fact in a later one.
+    #[test]
+    fn reused_bc_scratch_matches_fresh_and_reference(
+        seed in 0u64..10_000,
+        consts in 3usize..12,
+        rows in 1usize..30,
+        index_r in 0usize..2,
+    ) {
+        use rand::Rng;
+        let (db, bias, examples) = scratch_world(seed, consts, rows, index_r == 1);
+        let mut stream = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let mut scratch = BcScratch::default();
+        for build in 0..12u64 {
+            let e = &examples[stream.random_range(0..examples.len())];
+            let k = stream.random_range(1..4usize);
+            let strategy = match stream.random_range(0..4u32) {
+                0 => SamplingStrategy::Full,
+                1 => SamplingStrategy::Naive { per_selection: k },
+                2 => SamplingStrategy::Random { per_selection: k, oversample: 4 },
+                _ => SamplingStrategy::Stratified { per_stratum: k },
+            };
+            let cfg = BcConfig {
+                depth: stream.random_range(1..4usize),
+                strategy,
+                max_tuples: [1, 2, 3, 5, 8, 13, 10_000][stream.random_range(0..7usize)],
+                max_body_literals: 10_000,
+            };
+            let rng = || StdRng::seed_from_u64(seed.wrapping_mul(31) ^ build);
+            let reused = build_ground_clause_in(&mut scratch, &db, &bias, e, &cfg, &mut rng());
+            let fresh = build_ground_clause(&db, &bias, e, &cfg, &mut rng());
+            let reference = reference_bc(&db, &bias, e, &cfg, &mut rng());
+            prop_assert_eq!(ground_facts(&reused), ground_facts(&fresh), "build {}: {:?}", build, cfg);
+            prop_assert_eq!(ground_facts(&fresh), reference, "build {}: {:?}", build, cfg);
+        }
     }
 }
 
