@@ -23,6 +23,16 @@
 //! pass before escalating to maintained arc consistency (MAC) with the
 //! remaining per-call node budget.
 //!
+//! The search runs on the body's *core*. A variable is *private* when the
+//! head does not bind it and it occurs exactly once in the tested prefix;
+//! a literal that an earlier kept literal of the same relation matches at
+//! every position where it holds no private variable is *folded* out
+//! before the search (a star's leaves `r(h, a1) … r(h, a12)` keep only
+//! `r(h, a1)`). Any θ for the core extends to a folded literal by mapping
+//! its private variables to what the matching literal's terms map to, so
+//! the answer is the whole prefix's. Folded literals are counted in
+//! `autobias_core_subsume_literals_folded_total`.
+//!
 //! Every buffer a test needs lives in a caller-owned [`Workspace`], cleared
 //! between tests and never shrunk, so a caller that runs many tests (armg's
 //! probes, a coverage worker's chunk, an evaluation pass) allocates nothing
@@ -411,17 +421,32 @@ impl CandTable {
     }
 }
 
-/// The per-prefix search structure: the variable→literal index and the
-/// components of this prefix, rebuilt in place for every test.
+/// Same-relation literals one literal's fold check visits at most, newest
+/// first. Armg bodies keep a star's private-leaf literals next to each
+/// other, so the literal a leaf folds onto is almost always among the
+/// first visited (on the UW and HIV CV workloads this cap finds over 99%
+/// of the folds an unbounded walk finds); the cap keeps bodies with
+/// hundreds of same-relation literals linear. Folding less never changes
+/// an answer.
+const FOLD_WALK: usize = 32;
+
+/// The per-prefix search structure: the private-variable fold, the
+/// variable→literal index and the components of this prefix's core, rebuilt
+/// in place for every test.
 #[derive(Debug, Default)]
 struct Prepared {
-    /// Var index → body literals containing it (forward-checking targets),
-    /// CSR layout: `lbv_off[v]..lbv_off[v + 1]` indexes `lbv_flat`.
+    /// Per body literal: folded out of the search (see [`Prepared::build`]).
+    /// A folded literal has no domain, appears in no variable's literal
+    /// list and belongs to no component.
+    folded: Vec<bool>,
+    /// Var index → unfolded body literals containing it (forward-checking
+    /// targets), CSR layout: `lbv_off[v]..lbv_off[v + 1]` indexes
+    /// `lbv_flat`.
     lbv_off: Vec<u32>,
     lbv_flat: Vec<u32>,
-    /// Connected components of body literals over *unbound* variables,
-    /// smallest first (ties in order of first literal), each listing its
-    /// literals in ascending order: component `k` is
+    /// Connected components of unfolded body literals over *unbound*
+    /// variables, smallest first (ties in order of first literal), each
+    /// listing its literals in ascending order: component `k` is
     /// `comp_flat[comp_off[k]..comp_off[k + 1]]`. Components share no
     /// search state, so each is solved independently.
     comp_off: Vec<u32>,
@@ -434,16 +459,61 @@ struct Prepared {
     lit_comp: Vec<u32>,
     comp_len: Vec<u32>,
     comp_order: Vec<u32>,
+    /// Fold scratch: relation → its newest unfolded literal, and literal →
+    /// the unfolded literal of its relation before it (`u32::MAX`: none).
+    rel_last: Vec<u32>,
+    same_prev: Vec<u32>,
+}
+
+/// The positions of `lit` holding a *private* variable, as a bit mask: a
+/// variable the head does not bind (`binding`) that occurs exactly once in
+/// the prefix — in no other literal (`lit_count[v]`, the number of prefix
+/// literals holding `v`, is 1) and at no other position of `lit`.
+/// Positions past 63 count as not private, which only folds less.
+fn private_mask(lit: &Literal, binding: &[Option<Const>], lit_count: &[u32]) -> u64 {
+    let mut mask = 0u64;
+    for (p, &t) in lit.args.iter().enumerate().take(64) {
+        if let Term::Var(v) = t {
+            if binding[v.index()].is_none()
+                && lit_count[v.index()] == 1
+                && lit.args.iter().filter(|&&u| u == t).count() == 1
+            {
+                mask |= 1 << p;
+            }
+        }
+    }
+    mask
+}
+
+/// Whether `lit`, with private positions `private` ([`private_mask`]),
+/// folds onto `onto` of the same relation: equal arity, and equal terms at
+/// every position where `lit` does not hold a private variable.
+#[inline]
+fn folds_onto(lit: &Literal, private: u64, onto: &Literal) -> bool {
+    lit.args.len() == onto.args.len()
+        && (lit.args.iter().zip(&onto.args).enumerate())
+            .all(|(p, (a, b))| a == b || (p < 64 && private >> p & 1 == 1))
 }
 
 impl Prepared {
-    /// Rebuilds the index and the components for `body` under `binding`.
+    /// Rebuilds the fold, the index and the components for `body` under
+    /// `binding`.
+    ///
+    /// Literal `Li` is *folded* when an earlier unfolded literal `Lj` of the
+    /// same relation and arity agrees with it at every position where `Li`
+    /// does not hold a private variable ([`private_mask`]). Any θ for the
+    /// unfolded literals extends to `Li` by mapping each of its private
+    /// variables `Li[p]` to `θ(Lj[p])` — nothing else constrains them — so
+    /// the prefix and its core of unfolded literals are θ-equivalent and
+    /// the search runs on the core alone.
     fn build(&mut self, body: &[Literal], binding: &[Option<Const>]) {
         // Var → literals, CSR: count (deduping repeats within one literal via
-        // a last-literal stamp), prefix-sum, fill.
+        // a last-literal stamp), fold, uncount the folded literals,
+        // prefix-sum, fill.
         let num_vars = binding.len();
         let n_body = body.len();
         let Prepared {
+            folded,
             lbv_off,
             lbv_flat,
             comp_off,
@@ -454,6 +524,8 @@ impl Prepared {
             lit_comp,
             comp_len,
             comp_order,
+            rel_last,
+            same_prev,
         } = self;
         lbv_off.clear();
         lbv_off.resize(num_vars + 1, 0);
@@ -467,6 +539,51 @@ impl Prepared {
                 }
             }
         }
+
+        // Fold: walk each literal's earlier unfolded same-relation literals,
+        // newest first, over the per-variable literal counts just made.
+        folded.clear();
+        folded.resize(n_body, false);
+        same_prev.clear();
+        same_prev.resize(n_body, u32::MAX);
+        for (li, lit) in body.iter().enumerate() {
+            let rel = lit.rel.index();
+            if rel >= rel_last.len() {
+                rel_last.resize(rel + 1, u32::MAX);
+            }
+            let mut lj = rel_last[rel];
+            if lj != u32::MAX {
+                let private = private_mask(lit, binding, &lbv_off[1..]);
+                let mut walked = 0;
+                while lj != u32::MAX && walked < FOLD_WALK {
+                    if folds_onto(lit, private, &body[lj as usize]) {
+                        folded[li] = true;
+                        break;
+                    }
+                    lj = same_prev[lj as usize];
+                    walked += 1;
+                }
+            }
+            if !folded[li] {
+                same_prev[li] = rel_last[rel];
+                rel_last[rel] = li as u32;
+            }
+        }
+        let mut n_folded = 0;
+        for (li, lit) in body.iter().enumerate() {
+            rel_last[lit.rel.index()] = u32::MAX;
+            if folded[li] {
+                n_folded += 1;
+                for (p, v) in lit.args.iter().enumerate() {
+                    if let Term::Var(v) = *v {
+                        if !lit.args[..p].contains(&Term::Var(v)) {
+                            lbv_off[v.index() + 1] -= 1;
+                        }
+                    }
+                }
+            }
+        }
+
         for v in 0..num_vars {
             lbv_off[v + 1] += lbv_off[v];
         }
@@ -476,6 +593,9 @@ impl Prepared {
         cursor.extend_from_slice(&lbv_off[..num_vars]);
         last_seen.fill(u32::MAX);
         for (li, lit) in body.iter().enumerate() {
+            if folded[li] {
+                continue;
+            }
             for v in lit.vars() {
                 if last_seen[v.index()] != li as u32 {
                     last_seen[v.index()] = li as u32;
@@ -514,11 +634,16 @@ impl Prepared {
         }
         // Number components by first literal (deterministic, no hashing);
         // `cursor` maps a root to its component while numbering.
+        // Folded literals join none.
         cursor.clear();
         cursor.resize(n_body, u32::MAX);
         lit_comp.clear();
         comp_len.clear();
-        for li in 0..n_body {
+        for (li, &f) in folded.iter().enumerate() {
+            if f {
+                lit_comp.push(u32::MAX);
+                continue;
+            }
             let root = find_root(comp_of, li as u32) as usize;
             if cursor[root] == u32::MAX {
                 cursor[root] = comp_len.len() as u32;
@@ -544,14 +669,17 @@ impl Prepared {
             comp_off.push(end + comp_len[k as usize]);
         }
         comp_flat.clear();
-        comp_flat.resize(n_body, 0);
+        comp_flat.resize(n_body - n_folded, 0);
         for (li, &k) in lit_comp.iter().enumerate() {
-            comp_flat[cursor[k as usize] as usize] = li as u32;
-            cursor[k as usize] += 1;
+            if k != u32::MAX {
+                comp_flat[cursor[k as usize] as usize] = li as u32;
+                cursor[k as usize] += 1;
+            }
         }
         if comp_len.len() > 1 {
             crate::instrument::SUBSUME_COMPONENTS_SPLIT.add(comp_len.len() as u64 - 1);
         }
+        crate::instrument::SUBSUME_LITERALS_FOLDED.add(n_folded as u64);
     }
 
     /// Body literals containing variable `v`, deduplicated, ascending.
@@ -677,14 +805,23 @@ enum Revised {
 }
 
 impl BitsetSearch {
-    /// Resets the state for a test of `ctx`: one domain per body literal
-    /// over its static candidate list, everything else empty.
+    /// Resets the state for a test of `ctx`: one domain per unfolded body
+    /// literal over its static candidate list (a folded literal's domain is
+    /// empty and never read), everything else empty.
     fn init(&mut self, ctx: &Ctx, cfg: &SubsumeConfig) {
         let n = ctx.body.len();
+        let folded = &ctx.prep.folded;
+        let len_of = |li: usize| {
+            if folded[li] {
+                0
+            } else {
+                ctx.cands.list(li).len()
+            }
+        };
         self.lits.clear();
         let mut off = 0usize;
         for li in 0..n {
-            let width = words_for(ctx.cands.list(li).len());
+            let width = words_for(len_of(li));
             self.lits.push(LitCsp { off, width });
             off += width;
         }
@@ -692,7 +829,7 @@ impl BitsetSearch {
         self.dom0.resize(off, 0);
         self.counts0.clear();
         for (li, l) in self.lits.iter().enumerate() {
-            let len = ctx.cands.list(li).len();
+            let len = len_of(li);
             for w in 0..l.width {
                 let bits = (len - w * 64).min(64);
                 self.dom0[l.off + w] = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
@@ -722,9 +859,9 @@ impl BitsetSearch {
     }
 
     /// Builds the propagation-target CSR on first escalation to the
-    /// arc-consistency phase — the distinct literals sharing a variable
-    /// that is unbound at prepare time (head-bound vars are folded into
-    /// the static candidate lists and never propagate). Most tests finish
+    /// arc-consistency phase — the distinct unfolded literals sharing a
+    /// variable that is unbound at prepare time (head-bound vars are folded
+    /// into the static candidate lists and never propagate). Most tests finish
     /// in the forward-checking pass and never pay for this.
     fn ensure_neighbors(&mut self, ctx: &Ctx) {
         if !self.neighbors_off.is_empty() {
@@ -736,6 +873,10 @@ impl BitsetSearch {
         seen.resize(n, u32::MAX);
         self.neighbors_off.push(0);
         for (li, lit) in ctx.body.iter().enumerate() {
+            if ctx.prep.folded[li] {
+                self.neighbors_off.push(self.neighbors_flat.len() as u32);
+                continue;
+            }
             for t in &lit.args {
                 if let Term::Var(v) = *t {
                     if ctx.binding[v.index()].is_some() {
@@ -1677,6 +1818,161 @@ mod tests {
             vec![glit(0, &[1, 10]), glit(0, &[10, 2])],
         );
         assert!(!theta_subsumes(&clause, &ground, &SubsumeConfig::default()));
+    }
+
+    /// The fold of `clause.body[..len]` with the head bound, after checking
+    /// that every folded literal has a witness: an earlier unfolded literal
+    /// it folds onto.
+    fn fold_of(clause: &Clause, len: usize) -> Vec<bool> {
+        let mut binding = vec![None; clause.num_vars() as usize];
+        for v in clause.head.vars() {
+            binding[v.index()] = Some(c(0));
+        }
+        let body = &clause.body[..len];
+        let mut prep = Prepared::default();
+        prep.build(body, &binding);
+        let mut count = vec![0u32; binding.len()];
+        for lit in body {
+            let mut seen: Vec<VarId> = lit.vars().collect();
+            seen.sort_unstable();
+            seen.dedup();
+            for v in seen {
+                count[v.index()] += 1;
+            }
+        }
+        for (li, lit) in body.iter().enumerate() {
+            if prep.folded[li] {
+                assert!(
+                    (0..li).any(|lj| !prep.folded[lj]
+                        && body[lj].rel == lit.rel
+                        && folds_onto(lit, private_mask(lit, &binding, &count), &body[lj])),
+                    "literal {li} folded without an earlier unfolded witness"
+                );
+                assert!(prep.lbv_flat.iter().all(|&l| l as usize != li));
+                assert!(prep.comp_flat.iter().all(|&l| l as usize != li));
+            }
+        }
+        assert_eq!(
+            prep.comp_flat.len(),
+            prep.folded.iter().filter(|&&f| !f).count()
+        );
+        prep.folded
+    }
+
+    /// `t(V0, V1) ← body`.
+    fn t_clause(body: Vec<Literal>) -> Clause {
+        Clause::new(Literal::new(RelId(9), vec![v(0), v(1)]), body)
+    }
+
+    fn lit(rel: u32, args: &[Term]) -> Literal {
+        Literal::new(RelId(rel), args.to_vec())
+    }
+
+    #[test]
+    fn a_star_of_private_leaves_folds_onto_its_first_member() {
+        // t(x, y) ← r(x, h), r(h, a), r(h, b), r(h, c), s(h): the leaves
+        // a, b, c are private; b's and c's literals fold onto a's.
+        let clause = t_clause(vec![
+            lit(0, &[v(0), v(2)]),
+            lit(0, &[v(2), v(3)]),
+            lit(0, &[v(2), v(4)]),
+            lit(0, &[v(2), v(5)]),
+            lit(1, &[v(2)]),
+        ]);
+        assert_eq!(fold_of(&clause, 5), [false, false, true, true, false]);
+        // The answer is the unfolded clause's: h = 10 has an r-successor
+        // and s(10) holds.
+        assert!(theta_subsumes(
+            &clause,
+            &chain_ground(),
+            &SubsumeConfig::default()
+        ));
+        let before = crate::instrument::SUBSUME_LITERALS_FOLDED.get();
+        assert!(Workspace::default().theta_subsumes(
+            &clause,
+            &chain_ground(),
+            &SubsumeConfig::unbounded()
+        ));
+        assert!(crate::instrument::SUBSUME_LITERALS_FOLDED.get() >= before + 2);
+    }
+
+    #[test]
+    fn a_repeated_private_variable_is_not_private() {
+        // r(z, z) demands equal arguments, so it never folds onto r(a, b).
+        let clause = t_clause(vec![lit(0, &[v(2), v(3)]), lit(0, &[v(4), v(4)])]);
+        assert_eq!(fold_of(&clause, 2), [false, false]);
+        // The chain ground has r-literals but none with equal arguments.
+        assert!(!theta_subsumes(
+            &clause,
+            &chain_ground(),
+            &SubsumeConfig::unbounded()
+        ));
+        // The other way round r(a, b) folds onto r(z, z): any r(c, c) is
+        // an r-literal.
+        let clause = t_clause(vec![lit(0, &[v(4), v(4)]), lit(0, &[v(2), v(3)])]);
+        assert_eq!(fold_of(&clause, 2), [false, true]);
+    }
+
+    #[test]
+    fn a_literal_folds_onto_an_unfolded_earlier_literal_only() {
+        // Never onto itself: a lone private-leaf literal stays.
+        assert_eq!(fold_of(&t_clause(vec![lit(0, &[v(0), v(2)])]), 1), [false]);
+        // Never onto a later literal: of two mutually foldable literals and
+        // of two exact duplicates, exactly the second folds.
+        let pair = t_clause(vec![lit(0, &[v(0), v(2)]), lit(0, &[v(0), v(3)])]);
+        assert_eq!(fold_of(&pair, 2), [false, true]);
+        let dups = t_clause(vec![
+            lit(0, &[v(0), v(2)]),
+            lit(0, &[v(0), v(2)]),
+            lit(1, &[v(2)]),
+        ]);
+        assert_eq!(fold_of(&dups, 3), [false, true, false]);
+        // A run of leaves all fold onto the run's first literal, the one
+        // unfolded literal of the relation.
+        let run = t_clause((2..8).map(|n| lit(0, &[v(1), v(n)])).collect());
+        assert_eq!(fold_of(&run, 6), [false, true, true, true, true, true]);
+    }
+
+    #[test]
+    fn head_variables_and_constants_are_never_private() {
+        let k = |n| Term::Const(c(n));
+        // r(h, x) and r(h, y) differ in head variables, r(h, #5) and
+        // r(h, #6) in constants: nothing folds.
+        let clause = t_clause(vec![
+            lit(0, &[v(2), v(0)]),
+            lit(0, &[v(2), v(1)]),
+            lit(0, &[v(2), k(5)]),
+            lit(0, &[v(2), k(6)]),
+            lit(1, &[v(2)]),
+        ]);
+        assert_eq!(fold_of(&clause, 5), [false; 5]);
+        // A leaf literal folds onto any of them, and an exact duplicate of
+        // a constant literal folds too.
+        let clause = t_clause(vec![
+            lit(0, &[v(2), k(5)]),
+            lit(0, &[v(2), v(3)]),
+            lit(0, &[v(2), k(5)]),
+            lit(1, &[v(2)]),
+        ]);
+        assert_eq!(fold_of(&clause, 4), [false, true, true, false]);
+    }
+
+    #[test]
+    fn privacy_is_decided_within_the_prefix() {
+        // t(x, y) ← r(h, a), r(h, b), s(b): b is private in the 2-literal
+        // prefix, shared in the whole body.
+        let clause = t_clause(vec![
+            lit(0, &[v(2), v(3)]),
+            lit(0, &[v(2), v(4)]),
+            lit(1, &[v(4)]),
+        ]);
+        assert_eq!(fold_of(&clause, 2), [false, true]);
+        assert_eq!(fold_of(&clause, 3), [false, false, false]);
+        // One probe answers both prefixes: h = 1, b = 10 witnesses each.
+        let ground = chain_ground();
+        let mut probe = PrefixProbe::new(&clause, &ground);
+        let cfg = SubsumeConfig::unbounded();
+        assert!(probe.covers(2, &cfg) && probe.covers(3, &cfg));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! several connected components over unbound variables — literals touching
 //! only head variables detach from each other once the head binds — so the
 //! component-decomposition path is exercised by the property itself and by
-//! a directed multi-component test below.
+//! a directed multi-component test below. A second, star-heavy generator
+//! (`star_clause`) builds the bodies armg leaves behind — hubs carrying runs
+//! of private-leaf literals, duplicates, repeated private variables and
+//! constants — so the private-variable fold is held to the same oracle.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 #![cfg(not(miri))] // proptest-heavy: hundreds of cases, far too slow under miri
@@ -18,7 +21,7 @@ use autobias::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use relstore::{Database, RelId};
+use relstore::{Const, Database, RelId};
 
 /// Schema: `r(a, b)` joined forward, `s(a, b)` joined either way, unary
 /// `u(a)`, and the target `t(a, b)`. Single type so everything can join.
@@ -655,4 +658,205 @@ fn reused_workspace_matches_fresh_tests() {
         lost_to_budget > 100,
         "only {lost_to_budget} budget cut-offs were visible in the stream"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Star-heavy clauses: the private-variable fold.
+// ---------------------------------------------------------------------------
+
+/// The differential schema plus a ternary `w(a, b, c)`, whose two output
+/// positions let a clause repeat one private variable (`w(h, z, z)`)
+/// inside the mode language.
+const STAR_BIAS_TEXT: &str = "
+pred r(T1, T1)
+pred s(T1, T1)
+pred u(T1)
+pred w(T1, T1, T1)
+pred t(T1, T1)
+mode r(+, -)
+mode s(+, -)
+mode s(-, +)
+mode u(+)
+mode w(+, -, -)
+";
+
+/// A random database over the star schema with examples and star-heavy
+/// clauses (see [`star_clause`]).
+fn build_star_world(seed: u64, n_consts: usize, n_edges: usize) -> World {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut db = Database::new();
+    let r = db.add_relation("r", &["a", "b"]);
+    let s = db.add_relation("s", &["a", "b"]);
+    let u = db.add_relation("u", &["a"]);
+    let w = db.add_relation("w", &["a", "b", "c"]);
+    let t = db.add_relation("t", &["a", "b"]);
+    let names: Vec<String> = (0..n_consts).map(|i| format!("c{i}")).collect();
+    for name in &names {
+        db.insert(t, &[name, name]);
+    }
+    let pick = |rng: &mut StdRng| rng.random_range(0..n_consts);
+    for _ in 0..n_edges {
+        let (a, b) = (pick(&mut rng), pick(&mut rng));
+        db.insert(r, &[&names[a], &names[b]]);
+        let (a, b) = (pick(&mut rng), pick(&mut rng));
+        db.insert(s, &[&names[a], &names[b]]);
+    }
+    for _ in 0..n_edges / 2 {
+        // A third of the w-tuples repeat their last two values.
+        let (a, b) = (pick(&mut rng), pick(&mut rng));
+        let c = if rng.random_range(0..3u32) == 0 {
+            b
+        } else {
+            pick(&mut rng)
+        };
+        db.insert(w, &[&names[a], &names[b], &names[c]]);
+    }
+    for name in &names {
+        if rng.random_range(0..2u32) == 0 {
+            db.insert(u, &[name]);
+        }
+    }
+    db.build_indexes();
+    let consts: Vec<_> = names.iter().map(|n| db.lookup(n).unwrap()).collect();
+    let examples: Vec<Example> = (0..4)
+        .map(|_| Example::new(t, vec![consts[pick(&mut rng)], consts[pick(&mut rng)]]))
+        .collect();
+    let clauses = (0..6)
+        .map(|_| star_clause(&mut rng, [r, s, u, w, t], &consts))
+        .collect();
+    let bias = parse_bias(&db, t, STAR_BIAS_TEXT).unwrap();
+    World {
+        db,
+        bias,
+        examples,
+        clauses,
+        seed,
+    }
+}
+
+/// A 5- to 20-literal clause `t(V0, V1) ← …` inside the depth-2 star mode
+/// language, built the way armg leaves its candidates: hub variables (the
+/// head's, and depth-1 ones hung off them) carrying runs of private-leaf
+/// literals, mixed with leaves shared with an earlier variable, exact
+/// duplicates of earlier literals, `w`-literals with a repeated private
+/// variable or two distinct ones, constant leaves, and unary `u` checks.
+fn star_clause(rng: &mut StdRng, [r, s, u, w, t]: [RelId; 5], consts: &[Const]) -> Clause {
+    let v = |n: u32| Term::Var(VarId(n));
+    let len = rng.random_range(5..=20usize);
+    let mut hubs = vec![0u32, 1];
+    let mut next = 2u32;
+    let mut body: Vec<Literal> = Vec::new();
+    while body.len() < len {
+        let hub = v(hubs[rng.random_range(0..hubs.len())]);
+        match rng.random_range(0..10u32) {
+            0 => {
+                let rel = if rng.random_range(0..2u32) == 0 { r } else { s };
+                body.push(Literal::new(rel, vec![v(rng.random_range(0..2)), v(next)]));
+                hubs.push(next);
+                next += 1;
+            }
+            1..=4 => {
+                let kind = rng.random_range(0..3u32);
+                for _ in 0..rng.random_range(1..=6u32) {
+                    let args = match kind {
+                        0 | 1 => vec![hub, v(next)],
+                        _ => vec![v(next), hub],
+                    };
+                    body.push(Literal::new(if kind == 0 { r } else { s }, args));
+                    next += 1;
+                }
+            }
+            5 => body.push(Literal::new(r, vec![hub, v(rng.random_range(0..next))])),
+            6 if !body.is_empty() => {
+                let copy = body[rng.random_range(0..body.len())].clone();
+                body.push(copy);
+            }
+            7 => {
+                for _ in 0..rng.random_range(1..=3u32) {
+                    let last = if rng.random_range(0..2u32) == 0 {
+                        next
+                    } else {
+                        next + 1
+                    };
+                    body.push(Literal::new(w, vec![hub, v(next), v(last)]));
+                    next = last + 1;
+                }
+            }
+            8 => {
+                let k = Term::Const(consts[rng.random_range(0..consts.len())]);
+                if rng.random_range(0..2u32) == 0 {
+                    body.push(Literal::new(r, vec![hub, k]));
+                } else {
+                    body.push(Literal::new(w, vec![hub, k, v(next)]));
+                    next += 1;
+                }
+            }
+            _ => body.push(Literal::new(u, vec![hub])),
+        }
+    }
+    body.truncate(len);
+    Clause::new(Literal::new(t, vec![v(0), v(1)]), body)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On star-heavy clauses, where most literals fold, the unbounded
+    /// search answers exactly what SPJ evaluation answers; small budgets
+    /// only lose "covered" answers; and prefix probes, with and without a
+    /// proven part, answer as the materialized prefixes do.
+    #[test]
+    fn star_clauses_fold_soundly(
+        seed in 0u64..u64::MAX / 2,
+        n_consts in 3usize..7,
+        n_edges in 0usize..16,
+        node_limit in 1usize..40,
+    ) {
+        let world = build_star_world(seed, n_consts, n_edges);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x57a2);
+        let qcfg = QueryConfig::default();
+        let tight = SubsumeConfig { node_limit };
+        for example in &world.examples {
+            let bc = full_bc(&world, example, &mut rng);
+            for clause in &world.clauses {
+                let truth = clause_covers(&world.db, clause, example, &qcfg);
+                prop_assert_eq!(
+                    theta_subsumes(clause, &bc, &SubsumeConfig::unbounded()),
+                    truth,
+                    "seed {}: subsumption vs SPJ on {} for {}",
+                    world.seed,
+                    example.render(&world.db),
+                    clause.render(&world.db)
+                );
+                prop_assert!(
+                    truth || !theta_subsumes(clause, &bc, &tight),
+                    "seed {}: false \"covered\" under budget {} on {} for {}",
+                    world.seed,
+                    node_limit,
+                    example.render(&world.db),
+                    clause.render(&world.db)
+                );
+                for cfg in [tight, SubsumeConfig::unbounded()] {
+                    assert_prefix_probe_matches(clause, &bc, &cfg);
+                }
+                assert_proven_probe_matches(clause, &bc, &tight);
+            }
+        }
+    }
+}
+
+/// The star generator gives the fold work to do: its clauses fold
+/// literals out of the searches the property above runs.
+#[test]
+fn star_clauses_fold_literals() {
+    let world = build_star_world(0x57a2_f01d, 5, 12);
+    let mut rng = StdRng::seed_from_u64(3);
+    let before = autobias::instrument::SUBSUME_LITERALS_FOLDED.get();
+    for example in &world.examples {
+        let bc = full_bc(&world, example, &mut rng);
+        for clause in &world.clauses {
+            theta_subsumes(clause, &bc, &SubsumeConfig::unbounded());
+        }
+    }
+    assert!(autobias::instrument::SUBSUME_LITERALS_FOLDED.get() > before);
 }
