@@ -9,9 +9,10 @@
 //! keyed by span name (`learn`, `learn.bc_build`, `bc.build`,
 //! `learn.clause_search`, `coverage.theta`, ...) with count / total / mean /
 //! max timings aggregated over all folds of that method's run, and a
-//! `"counters"` map of registered-counter deltas over the run (cache hits,
-//! skipped negative tests, deduped candidates, ...) so `bench_compare` can
-//! gate on the caching machinery staying engaged, not just on wall-clock.
+//! `"counters"` map of registered-counter deltas over the run (skipped
+//! negative tests, deduped candidates, constraint prunes, ...) so
+//! `bench_compare` can gate on the search machinery staying engaged, not
+//! just on wall-clock.
 
 #![allow(clippy::unwrap_used)] // bench harness: fail fast on bad JSON
 

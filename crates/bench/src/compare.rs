@@ -9,10 +9,11 @@
 //!   `baseline × phase_tolerance` (tiny phases are pure noise);
 //! - `f_measure` drops more than `quality_margin` below the baseline — a
 //!   speedup that loses recall is not a win;
-//! - a gated counter (currently the coverage-cache hit counter) is positive
-//!   in the baseline but zero or missing in the fresh run — the phase
-//!   tolerances assume the memo is engaged, so a silently disabled cache
-//!   must fail loudly rather than eat the whole timing budget;
+//! - a gated counter (`GATED_COUNTERS`, e.g. the constraint-pruning
+//!   counter) is positive in the baseline but zero or missing in the fresh
+//!   run — the phase tolerances assume those mechanisms are engaged, so a
+//!   silently disabled one must fail loudly rather than eat the whole timing
+//!   budget;
 //! - a serving-benchmark throughput metric (`predictions_per_sec`,
 //!   `achieved_rps`, `speedup`) falls below `baseline / time_tolerance`, or a
 //!   latency metric (`p99_us`, `p999_us`) exceeds `baseline ×
@@ -30,8 +31,7 @@ use obs::json::Json;
 /// Counters gated by [`compare`]: positive in the baseline ⇒ must stay
 /// positive in the fresh run. Deliberately a "still engaged" check, not a
 /// ratio — counter magnitudes shift with legitimate search-order changes.
-const GATED_COUNTERS: [&str; 7] = [
-    "autobias_core_coverage_cache_hits_total",
+const GATED_COUNTERS: [&str; 6] = [
     "autobias_plan_compiled_total",
     "autobias_http_keepalive_reuses_total",
     // A baseline that observed per-operator q-errors means the plan-stats
@@ -371,14 +371,14 @@ mod tests {
         assert_eq!(out.regressions[0].what, "phase:coverage.theta");
     }
 
-    fn doc_with_counters(cache_hits: u64) -> Json {
+    fn doc_with_counters(pruned: u64) -> Json {
         Json::parse(&format!(
             r#"{{"dataset": "UW", "folds": 2, "methods": {{
                 "AutoBias": {{
                     "f_measure": 0.9, "time_secs": 10.0,
                     "phases": {{}},
                     "counters": {{
-                        "autobias_core_coverage_cache_hits_total": {cache_hits},
+                        "autobias_core_candidates_pruned_by_constraint_total": {pruned},
                         "autobias_core_subsumption_tests_total": 5000
                     }}
                 }}
@@ -388,17 +388,17 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_fails_the_counter_gate() {
+    fn disabled_pruner_fails_the_counter_gate() {
         let base = doc_with_counters(1200);
-        // Engaged cache passes, whatever the magnitude.
+        // An engaged pruner passes, whatever the magnitude.
         let out = compare(&base, &doc_with_counters(3), &CompareConfig::default()).unwrap();
         assert!(out.passed(), "{:?}", out.regressions);
-        // A zero or missing hit counter fails.
+        // A zero or missing pruning counter fails.
         let out = compare(&base, &doc_with_counters(0), &CompareConfig::default()).unwrap();
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(
             out.regressions[0].what,
-            "counter:autobias_core_coverage_cache_hits_total"
+            "counter:autobias_core_candidates_pruned_by_constraint_total"
         );
         let stripped = Json::parse(
             r#"{"dataset": "UW", "methods": {"AutoBias": {
@@ -409,8 +409,8 @@ mod tests {
         let out = compare(&base, &stripped, &CompareConfig::default()).unwrap();
         assert_eq!(out.regressions.len(), 1);
         assert!(out.regressions[0].fresh.is_nan());
-        // Ungated counters never gate: a baseline without cache hits makes
-        // no counter checks at all.
+        // Ungated counters never gate, and a gated counter at zero in the
+        // baseline is not checked: this pair makes no counter checks at all.
         let out = compare(
             &doc_with_counters(0),
             &doc_with_counters(0),

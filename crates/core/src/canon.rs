@@ -1,9 +1,10 @@
-//! Canonical clause forms for coverage memoization.
+//! Canonical clause forms for candidate dedup and scoring.
 //!
-//! The coverage cache ([`crate::coverage::CoverageEngine`]) keys its memo
-//! table on a *canonical form* of each candidate clause, so α-equivalent
+//! The beam's dedup ([`crate::generalize::learn_clause`]) keys on a
+//! *canonical form* of each candidate clause, and the coverage engine
+//! ([`crate::coverage::CoverageEngine`]) scores that form, so α-equivalent
 //! candidates — the same clause up to variable renaming and body-literal
-//! reordering — share one cache entry. armg produces such duplicates
+//! reordering — are scored once. armg produces such duplicates
 //! constantly: different beam members generalized toward different sample
 //! examples frequently collapse to the same clause, and seeds whose bottom
 //! clauses enumerate the same neighbourhood in different orders produce
@@ -33,14 +34,14 @@
 //!
 //! ## Soundness vs. completeness
 //!
-//! Cache *soundness* needs only one direction: clauses with **equal**
+//! Dedup *soundness* needs only one direction: clauses with **equal**
 //! canonical forms must have identical coverage. That holds trivially —
 //! equal canonical forms are literally the same clause, and coverage is
 //! invariant under α-equivalence. The converse (every α-equivalent pair
 //! collapsing to one form) is best-effort: color refinement cannot separate
 //! some pathological automorphism-free symmetric structures, and an
-//! unseparated tie falls back to input order. Such cases cost a cache miss,
-//! never a wrong answer. For the head-connected, mostly-tree-shaped clauses
+//! unseparated tie falls back to input order. Such cases cost a duplicate
+//! score, never a wrong answer. For the head-connected, mostly-tree-shaped clauses
 //! armg produces, refinement separates everything in practice.
 
 use crate::clause::{Clause, Term, VarId};
@@ -257,8 +258,8 @@ pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
     // Individualize remaining ties. Each pass makes one more variable
     // unique, so the loop is bounded by the variable count; the trial
     // budget caps pathological all-symmetric clauses (exceeding it only
-    // costs canonicalization completeness — a cache miss, never a wrong
-    // answer).
+    // costs canonicalization completeness — a duplicate score, never a
+    // wrong answer).
     let mut trials = 0usize;
     let mut complete = true;
     // (color, variable) of every used variable, sorted, so the tied class
@@ -351,7 +352,7 @@ pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
 }
 
 /// 64-bit hash of the canonical form — a fingerprint for tests, logging,
-/// and quick inequality checks. The memo table itself keys on the full
+/// and quick inequality checks. The beam's dedup keys on the full
 /// canonical [`Clause`] (hash collisions resolved by `Eq`), so this hash is
 /// never trusted for equality.
 pub fn canonical_key(clause: &Clause) -> u64 {

@@ -93,7 +93,7 @@ impl Literal {
 
 /// A Horn clause: one head literal and a conjunctive body
 /// (paper Definition 2.1). `Hash` hashes the literal structure verbatim, so
-/// only syntactically identical clauses collide — the coverage memo keys on
+/// only syntactically identical clauses collide — the beam's dedup keys on
 /// canonical forms ([`crate::canon`]) to get α-equivalence classes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Clause {

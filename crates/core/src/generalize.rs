@@ -464,8 +464,8 @@ pub fn learn_clause<R: Rng>(
         // Distinct armg results often coincide — across beam members, across
         // sample examples, and as α-variants of each other. Canonical forms
         // collapse all of those so each equivalence class is scored once,
-        // and the kept clause IS the canonical form, so the coverage memo
-        // keys below are exact repeats.
+        // and the kept clause IS the canonical form the scoring below
+        // searches.
         let raw_len = raw.len();
         let canon_sp = obs::span!("learn.canon");
         let mut seen: relstore::FxHashSet<Canonical> = relstore::FxHashSet::default();

@@ -63,9 +63,6 @@ pub struct LearnerConfig {
     /// Worker threads for BC construction and coverage testing. Learned
     /// definitions do not depend on it.
     pub threads: usize,
-    /// Memoize coverage per canonical clause (DESIGN.md §10). Off is the
-    /// uncached reference path; learned definitions do not depend on it.
-    pub coverage_memo: bool,
     /// Prune beam candidates through the constraint store before coverage
     /// testing (DESIGN.md §15). Off is the unpruned reference path; learned
     /// definitions do not depend on it.
@@ -84,7 +81,6 @@ impl Default for LearnerConfig {
             time_budget: None,
             reduce_clauses: false,
             threads: worker_threads(),
-            coverage_memo: true,
             constraint_pruning: true,
         }
     }
@@ -108,8 +104,6 @@ pub struct LearnStats {
     pub rejected_clauses: usize,
     /// Total ground-BC literals built (a proxy for sampling effort).
     pub ground_literals: usize,
-    /// Coverage queries answered from this run's memo.
-    pub cache_hits: u64,
     /// Beam candidates answered or dropped by this run's constraint store.
     pub pruned_by_constraint: usize,
 }
@@ -330,7 +324,6 @@ impl Learner {
 
         stats.search_time = t1.elapsed();
         stats.uncovered_pos = uncovered.len();
-        stats.cache_hits = engine.memo_hits();
         if sp.is_active() {
             sp.note("clauses", definition.len() as u64);
             sp.note("rejected_clauses", stats.rejected_clauses as u64);

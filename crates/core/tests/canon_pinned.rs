@@ -1,7 +1,7 @@
 //! Pins the exact output of `canon::canonical_form_status` — the form *and*
 //! its completeness flag — over a fixed-seed set of clauses.
 //!
-//! The coverage memo, the beam's dedup and the subsumption search all see
+//! The beam's dedup, the scoring entry points and the subsumption search see
 //! the canonical form, and the search's answer under a node budget depends
 //! on literal order. So any change to canonicalization that is meant to be
 //! a pure speedup must reproduce every form bit for bit, including the

@@ -200,7 +200,7 @@ proptest! {
     /// Canonicalization preserves coverage: a clause and its canonical form
     /// are α-equivalent up to body reordering, so both oracles must give the
     /// canonical form the same answer as the original. This is the semantic
-    /// justification for the coverage memo keying on canonical forms.
+    /// justification for scoring canonical forms in place of candidates.
     #[test]
     fn canonical_form_preserves_both_oracles(
         seed in 0u64..u64::MAX / 2,
@@ -243,7 +243,7 @@ proptest! {
     /// be a fixpoint, but canonicalizing it again still only renames. The
     /// coverage engine's rewrite is `canonical_form` up to
     /// `CANON_MAX_LITERALS` and passes larger bodies through unchanged, so
-    /// it is a fixpoint on those. This is what the memo-keyed entry points
+    /// it is a fixpoint on those. This is what the scoring entry points
     /// rely on when they trust a `Canonical` clause.
     #[test]
     fn canonical_form_renames_only_and_is_idempotent_when_complete(

@@ -1,16 +1,16 @@
 //! Output transparency of the learner's accelerations on the generated
 //! UW-CSE dataset: learning `advisedBy` must produce a byte-identical
-//! definition across the full matrix of `LearnerConfig::coverage_memo` ×
-//! `LearnerConfig::constraint_pruning` × `LearnerConfig::threads` (1 | 8).
-//! The coverage memo, the constraint-driven beam pruner, and the parallel
-//! coverage path are pure accelerations — if any of them changes what gets
-//! learned, these tests name the exact configuration that diverged.
+//! definition across the full matrix of `LearnerConfig::constraint_pruning`
+//! × `LearnerConfig::threads` (1 | 8). The constraint-driven beam pruner and
+//! the parallel coverage path are pure accelerations — if either changes
+//! what gets learned, these tests name the exact configuration that
+//! diverged.
 //!
-//! The synthetic-world version of the memo/thread property lives in
-//! `crates/core/tests/cache_transparency.rs`; this one runs the real schema
+//! The synthetic-world version of the thread property lives in
+//! `crates/core/tests/thread_transparency.rs`; this one runs the real schema
 //! (9 relations, ternary predicates, constants in modes) where ARMG produces
-//! far more α-equivalent duplicates, so the memo and the store both work
-//! for their living. Vacuity guards read each run's own `LearnStats`, never
+//! far more α-equivalent duplicates, so the constraint store works for its
+//! living. Vacuity guards read each run's own `LearnStats`, never
 //! process-wide counters, so the tests can run in parallel.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
@@ -40,10 +40,10 @@ fn learn(cfg: LearnerConfig, ds: &datasets::Dataset) -> (Definition, LearnStats)
     learner.learn(&ds.db, &bias, &train)
 }
 
-/// Every cell of the 2×2×2 matrix must learn the same bytes as the default
-/// configuration (memo on, pruning on, default threads). The default run
-/// must actually hit the memo and prune candidates, and the switched-off
-/// cells must not — otherwise the matrix is transparent only vacuously.
+/// Every cell of the 2×2 matrix must learn the same bytes as the default
+/// configuration (pruning on, default threads). The default run must
+/// actually prune candidates, and the switched-off cells must not —
+/// otherwise the matrix is transparent only vacuously.
 fn matrix_learns_identical_definition(data_seed: u64) {
     let ds = small_uw(data_seed);
     let (reference, ref_stats) = learn(LearnerConfig::default(), &ds);
@@ -52,46 +52,30 @@ fn matrix_learns_identical_definition(data_seed: u64) {
         "uw seed {data_seed}: nothing learned — transparency matrix is vacuous"
     );
     assert!(
-        ref_stats.cache_hits > 0,
-        "uw seed {data_seed}: default run never hit the coverage memo"
-    );
-    assert!(
         ref_stats.pruned_by_constraint > 0,
         "uw seed {data_seed}: constraint store never pruned a candidate"
     );
-    for coverage_memo in [true, false] {
-        for constraint_pruning in [true, false] {
-            for threads in [1, 8] {
-                let cfg = LearnerConfig {
-                    coverage_memo,
-                    constraint_pruning,
-                    threads,
-                    ..LearnerConfig::default()
-                };
-                let (got, stats) = learn(cfg, &ds);
-                let cell = format!(
-                    "uw seed {data_seed} memo={coverage_memo} prune={constraint_pruning} \
-                     threads={threads}"
-                );
+    for constraint_pruning in [true, false] {
+        for threads in [1, 8] {
+            let cfg = LearnerConfig {
+                constraint_pruning,
+                threads,
+                ..LearnerConfig::default()
+            };
+            let (got, stats) = learn(cfg, &ds);
+            let cell = format!("uw seed {data_seed} prune={constraint_pruning} threads={threads}");
+            assert_eq!(
+                got,
+                reference,
+                "{cell} learned {:?}, default learned {:?}",
+                got.render(&ds.db),
+                reference.render(&ds.db)
+            );
+            if !constraint_pruning {
                 assert_eq!(
-                    got,
-                    reference,
-                    "{cell} learned {:?}, default learned {:?}",
-                    got.render(&ds.db),
-                    reference.render(&ds.db)
+                    stats.pruned_by_constraint, 0,
+                    "{cell}: disabled store pruned candidates"
                 );
-                if !coverage_memo {
-                    assert_eq!(
-                        stats.cache_hits, 0,
-                        "{cell}: disabled memo answered queries"
-                    );
-                }
-                if !constraint_pruning {
-                    assert_eq!(
-                        stats.pruned_by_constraint, 0,
-                        "{cell}: disabled store pruned candidates"
-                    );
-                }
             }
         }
     }

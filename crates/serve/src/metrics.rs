@@ -623,11 +623,10 @@ mod tests {
         ));
         assert!(text.contains("autobias_http_requests_in_flight 0"));
         assert!(text.contains("autobias_models_loaded 3"));
+        // The core counters ride the same registry: a scrape shows
+        // subsumption work and cutoff savings without any serve-side wiring.
         assert!(text.contains("autobias_core_subsumption_tests_total"));
-        // The coverage-cache counters ride the same registry: a scrape shows
-        // hit rate and cutoff savings without any serve-side wiring.
-        assert!(text.contains("autobias_core_coverage_cache_hits_total"));
-        assert!(text.contains("autobias_core_coverage_cache_misses_total"));
+        assert!(text.contains("autobias_core_subsume_cutoffs_total"));
         assert!(text.contains("autobias_core_neg_tests_skipped_total"));
         assert!(text.contains("autobias_core_candidates_deduped_total"));
         assert!(text.contains("autobias_phase_duration_seconds"));
