@@ -28,6 +28,14 @@
 //!    individualizing the member whose refined result yields the
 //!    lexicographically smallest global signature, then re-refining. Each
 //!    step makes at least one more variable unique, so at most `V` steps run.
+//!    A member that is a *twin* of a member already tried — swapping the two
+//!    maps the body onto itself, and neither is in the head, like two
+//!    private leaves `r(h, a)`, `r(h, b)` of one hub — is not tried: the swap
+//!    is a color-preserving automorphism, refinement commutes with it, so
+//!    its trial would run the same rounds and end in the same sorted global
+//!    signature, which can never beat the earlier one under the strict
+//!    `<`. The skipped trial still counts against the trial cap, so the
+//!    forms and their completeness are exactly those of trying every member.
 //! 3. **Rewrite.** Body literals are sorted by their final signature and
 //!    variables renumbered densely by first occurrence (head first, then the
 //!    sorted body).
@@ -99,6 +107,12 @@ struct Refiner<'c> {
     occ: Vec<(u32, u32)>,
     /// Whether each variable id occurs in the clause at all.
     used: Vec<bool>,
+    /// Whether each variable id occurs in the head.
+    in_head: Vec<bool>,
+    /// Twin-check scratch: the literals holding either variable, and which
+    /// of them the swapped literals have matched so far.
+    twin_lits: Vec<u32>,
+    twin_matched: Vec<bool>,
     /// Per-literal signatures of the current round.
     sigs: Vec<u64>,
     /// Per-variable colors of the next round.
@@ -134,14 +148,19 @@ impl<'c> Refiner<'c> {
             }
         }
         let mut used: Vec<bool> = (0..num_vars).map(|v| occ_off[v] < occ_off[v + 1]).collect();
+        let mut in_head = vec![false; num_vars];
         for v in clause.head.vars() {
             used[v.index()] = true;
+            in_head[v.index()] = true;
         }
         Self {
             clause,
             occ_off,
             occ,
             used,
+            in_head,
+            twin_lits: Vec::new(),
+            twin_matched: Vec::new(),
             sigs: Vec::with_capacity(clause.body.len()),
             next: vec![0; num_vars],
             feats: Vec::new(),
@@ -207,6 +226,54 @@ impl<'c> Refiner<'c> {
             .extend((0..self.clause.body.len()).map(|li| literal_sig(self.clause, li, colors)));
     }
 
+    /// Whether body variables `u` and `w` are *twins*: swapping them maps
+    /// the body's literal multiset onto itself, and neither is in the head,
+    /// so the transposition `(u w)` is an automorphism of the clause. Only
+    /// the literals holding `u` or `w` can move under the swap, so only
+    /// they are compared, each swapped literal against an unmatched one of
+    /// them (greedy matching decides multiset equality, since a match is
+    /// exact equality).
+    fn twins(&mut self, u: u32, w: u32) -> bool {
+        let (u, w) = (u as usize, w as usize);
+        if self.in_head[u] || self.in_head[w] {
+            return false;
+        }
+        let lits = &mut self.twin_lits;
+        lits.clear();
+        for v in [u, w] {
+            let slots = &self.occ[self.occ_off[v] as usize..self.occ_off[v + 1] as usize];
+            lits.extend(slots.iter().map(|&(li, _)| li));
+        }
+        lits.sort_unstable();
+        lits.dedup();
+        self.twin_matched.clear();
+        self.twin_matched.resize(lits.len(), false);
+        let swap = |t: &Term| match *t {
+            Term::Var(x) if x.index() == u => Term::Var(VarId(w as u32)),
+            Term::Var(x) if x.index() == w => Term::Var(VarId(u as u32)),
+            t => t,
+        };
+        let body = &self.clause.body;
+        lits.iter().all(|&a| {
+            let la = &body[a as usize];
+            let hit = lits
+                .iter()
+                .zip(&self.twin_matched)
+                .position(|(&b, &matched)| {
+                    let lb = &body[b as usize];
+                    !matched
+                        && lb.rel == la.rel
+                        && lb.args.len() == la.args.len()
+                        && la
+                            .args
+                            .iter()
+                            .zip(lb.args.iter())
+                            .all(|(ta, tb)| swap(ta) == *tb)
+                });
+            hit.map(|i| self.twin_matched[i] = true).is_some()
+        })
+    }
+
     /// Global structural signature under a coloring: the sorted body-literal
     /// signatures, into `self.sigs`. Used to pick the individualization
     /// branch deterministically.
@@ -266,6 +333,7 @@ pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
     // with the smallest color is the first run longer than one.
     let mut by_color: Vec<(u64, u32)> = Vec::with_capacity(num_vars);
     let mut members: Vec<u32> = Vec::new();
+    let mut tried: Vec<u32> = Vec::new();
     let (mut trial, mut best) = (colors.clone(), colors.clone());
     let mut best_sig: Vec<u64> = Vec::with_capacity(clause.body.len());
     for _ in 0..num_vars {
@@ -294,7 +362,18 @@ pub fn canonical_form_status(clause: &Clause) -> (Clause, bool) {
             complete = false;
             break;
         }
+        crate::instrument::CANON_TRIALS.add(members.len() as u64);
+        tried.clear();
         for (i, &v) in members.iter().enumerate() {
+            // A twin of an earlier member would reproduce that member's
+            // trial under the swap, and could never win the strict `<`.
+            // Twins form an equivalence relation, so the members already
+            // tried are the only ones to compare against.
+            if tried.iter().any(|&u| r.twins(u, v)) {
+                crate::instrument::CANON_TRIALS_SKIPPED.bump();
+                continue;
+            }
+            tried.push(v);
             trial.copy_from_slice(&colors);
             trial[v as usize] = mix(trial[v as usize], TAG_INDIV);
             r.refine(&mut trial);
@@ -595,6 +674,79 @@ mod tests {
             assert_eq!(with_k, 5);
         }
         assert_ne!(again, canon, "incomplete forms are not fixpoints yet");
+    }
+
+    /// Whether variables `u` and `w` of `clause` are twins.
+    fn twins(clause: &Clause, u: u32, w: u32) -> bool {
+        Refiner::new(clause, clause.num_vars() as usize).twins(u, w)
+    }
+
+    /// t(x, y) ← p(x, h), r(h, a), r(h, b), then `extra`.
+    fn star(extra: Vec<Literal>) -> Clause {
+        let mut body = vec![
+            Literal::new(RelId(3), vec![v(0), v(2)]),
+            Literal::new(RelId(0), vec![v(2), v(4)]),
+            Literal::new(RelId(0), vec![v(2), v(5)]),
+        ];
+        body.extend(extra);
+        Clause::new(Literal::new(RelId(9), vec![v(0), v(1)]), body)
+    }
+
+    #[test]
+    fn private_leaves_are_twins() {
+        let c = star(vec![]);
+        assert!(twins(&c, 4, 5));
+        assert!(twins(&c, 5, 4));
+        // Leaves that both also reach the same head variable stay twins.
+        let joined = star(vec![
+            Literal::new(RelId(2), vec![v(4), v(1)]),
+            Literal::new(RelId(2), vec![v(5), v(1)]),
+        ]);
+        assert!(twins(&joined, 4, 5));
+        // So do leaves carrying the same constant.
+        let same_k = star(vec![
+            Literal::new(RelId(2), vec![v(4), k(100)]),
+            Literal::new(RelId(2), vec![v(5), k(100)]),
+        ]);
+        assert!(twins(&same_k, 4, 5));
+    }
+
+    #[test]
+    fn head_variables_are_never_twins() {
+        // t(x, y) ← r(h, x), r(h, y): swapping x and y maps the body onto
+        // itself but moves the head.
+        let c = Clause::new(
+            Literal::new(RelId(9), vec![v(0), v(1)]),
+            vec![
+                Literal::new(RelId(0), vec![v(2), v(0)]),
+                Literal::new(RelId(0), vec![v(2), v(1)]),
+            ],
+        );
+        assert!(!twins(&c, 0, 1));
+    }
+
+    #[test]
+    fn a_leaf_in_two_literals_is_not_a_twin_of_a_private_leaf() {
+        let c = star(vec![Literal::new(RelId(2), vec![v(4)])]);
+        assert!(!twins(&c, 4, 5));
+        // Leaves that differ only by a `#` constant are not twins either.
+        let by_k = star(vec![
+            Literal::new(RelId(2), vec![v(4), k(100)]),
+            Literal::new(RelId(2), vec![v(5), k(101)]),
+        ]);
+        assert!(!twins(&by_k, 4, 5));
+    }
+
+    #[test]
+    fn the_same_leaf_shape_under_different_relations_is_not_a_twin() {
+        let c = Clause::new(
+            Literal::new(RelId(9), vec![v(0), v(1)]),
+            vec![
+                Literal::new(RelId(0), vec![v(0), v(4)]),
+                Literal::new(RelId(1), vec![v(0), v(5)]),
+            ],
+        );
+        assert!(!twins(&c, 4, 5));
     }
 
     #[test]

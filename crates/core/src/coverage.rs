@@ -16,6 +16,10 @@
 //!   literal order, so two α-variants could otherwise get different answers;
 //! - positive coverage of a batch of clauses is one parallel map over the
 //!   `(clause, requested example)` pairs;
+//! - each clause is prepared for θ-subsumption once per batch
+//!   ([`crate::subsume::PreparedClause`]: its fold, index, components and
+//!   literal shapes), and every worker reads that one preparation, so a
+//!   test does only the per-example work;
 //! - negative counting is *monotone*: [`CoverageEngine::count_neg_budget`]
 //!   accepts a cutoff and stops (in fixed 256-example chunks, so the tested
 //!   prefix is independent of the worker-thread count) as soon as the count
@@ -27,7 +31,7 @@ use crate::clause::Clause;
 use crate::example::TrainingSet;
 use crate::instrument;
 use crate::learn::LearnerConfig;
-use crate::subsume::{SubsumeConfig, Workspace};
+use crate::subsume::{PreparedClause, SubsumeConfig, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relstore::Database;
@@ -277,6 +281,28 @@ impl CoverageEngine {
         ws.theta_subsumes(clause, &self.neg[i], &self.scfg)
     }
 
+    /// [`CoverageEngine::covers_pos_in`] for a clause prepared once for
+    /// many examples.
+    pub(crate) fn covers_pos_prepared(
+        &self,
+        ws: &mut Workspace,
+        clause: &PreparedClause,
+        i: usize,
+    ) -> bool {
+        ws.theta_subsumes_prepared(clause, &self.pos[i], &self.scfg)
+    }
+
+    /// [`CoverageEngine::covers_neg_in`] for a clause prepared once for
+    /// many examples.
+    pub(crate) fn covers_neg_prepared(
+        &self,
+        ws: &mut Workspace,
+        clause: &PreparedClause,
+        i: usize,
+    ) -> bool {
+        ws.theta_subsumes_prepared(clause, &self.neg[i], &self.scfg)
+    }
+
     /// One subsumption workspace per worker thread, for a parallel map.
     fn workspaces(&self) -> Vec<Workspace> {
         std::iter::repeat_with(Workspace::default)
@@ -317,15 +343,18 @@ impl CoverageEngine {
 
     /// Shared positive-coverage core: one parallel map over every
     /// `(clause, requested example)` pair, returning one mask per clause.
+    /// Each clause is prepared once, and every worker reads the prepared
+    /// clauses.
     fn batch_pos_masks(&self, canons: &[Canonical], candidates: &Bitset) -> Vec<Bitset> {
         debug_assert_eq!(candidates.len(), self.pos.len());
         let mut sp = obs::span!("coverage.theta", "pos");
+        let prepared: Vec<PreparedClause> = canons.iter().map(|c| PreparedClause::new(c)).collect();
         let pairs: Vec<(usize, usize)> = (0..canons.len())
             .flat_map(|ci| candidates.ones().map(move |i| (ci, i)))
             .collect();
         sp.note("examples", pairs.len() as u64);
         let hits = parallel_map_in(&mut self.workspaces(), &pairs, |ws, _, &(ci, i)| {
-            self.covers_pos_in(ws, &canons[ci], i)
+            self.covers_pos_prepared(ws, &prepared[ci], i)
         });
         let mut covered = vec![Bitset::new(self.pos.len()); canons.len()];
         for (&(ci, i), hit) in pairs.iter().zip(hits) {
@@ -348,8 +377,10 @@ impl CoverageEngine {
     /// in fixed 256-example (`NEG_CHUNK`) chunks over the index range, so
     /// which examples get tested — and every value this can return — is a
     /// pure function of the clause and cutoff, independent of thread count.
+    /// The clause is prepared once for every chunk and worker.
     pub fn count_neg_budget(&self, canon: &Canonical, cutoff: Option<usize>) -> NegCount {
         let mut sp = obs::span!("coverage.theta", "neg");
+        let prepared = PreparedClause::new(canon);
         let total = self.neg.len();
         let mut count = 0usize;
         let mut start = 0usize;
@@ -357,7 +388,7 @@ impl CoverageEngine {
         while start < total {
             let end = (start + NEG_CHUNK).min(total);
             count += parallel_map_range_in(&mut spaces, start, end, |ws, i| {
-                self.covers_neg_in(ws, canon, i)
+                self.covers_neg_prepared(ws, &prepared, i)
             })
             .into_iter()
             .filter(|&b| b)

@@ -14,7 +14,9 @@ use crate::bottom::{BcConfig, SamplingStrategy};
 use crate::clause::Definition;
 use crate::coverage::CoverageEngine;
 use crate::example::{Example, TrainingSet};
-use crate::learn::{definition_covers_neg_in, definition_covers_pos_in, Learner};
+use crate::learn::{
+    definition_covers_neg_in, definition_covers_pos_in, prepare_definition, Learner,
+};
 use crate::subsume::{SubsumeConfig, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -86,13 +88,15 @@ pub fn evaluate_definition(
         max_tuples: 100_000,
     };
     let engine = CoverageEngine::build(db, bias, test, &cfg, SubsumeConfig::default(), seed);
-    // One subsumption workspace serves every test of the pass.
+    // One subsumption workspace serves every test of the pass, and each
+    // clause is prepared once for all of them.
     let mut ws = Workspace::default();
+    let prepared = prepare_definition(def);
     let tp = (0..test.pos.len())
-        .filter(|&i| definition_covers_pos_in(&mut ws, def, &engine, i))
+        .filter(|&i| definition_covers_pos_in(&mut ws, &prepared, &engine, i))
         .count();
     let fp = (0..test.neg.len())
-        .filter(|&i| definition_covers_neg_in(&mut ws, def, &engine, i))
+        .filter(|&i| definition_covers_neg_in(&mut ws, &prepared, &engine, i))
         .count();
     Metrics {
         tp,

@@ -9,7 +9,7 @@
 
 use crate::clause::{Clause, Literal};
 use crate::coverage::{Canonical, CoverageEngine};
-use crate::subsume::{PrefixProbe, Workspace};
+use crate::subsume::{PrefixProbe, PreparedClause, Workspace};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::hash::{Hash, Hasher};
@@ -101,14 +101,24 @@ fn search_blocking_atom(n: usize, mut covers: impl FnMut(usize) -> bool) -> Opti
 /// table: the lists depend only on a literal, the head binding and the
 /// example, none of which a step changes, so the table follows each step's
 /// deletions instead of being refilled.
+///
+/// Head-connectivity pruning rescans the whole body only when it has to.
+/// The first step always rescans, because the input may carry literals
+/// that were never head-connected. After it every literal is
+/// head-connected, so a later removal can strand only literals whose every
+/// path to the head ran through the removed literal; `HeadReach::keeps_all`
+/// walks out from the removed literal's variables to decide that locally,
+/// and the full rescan runs only when some walk fails to reach the head.
 pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<Clause> {
     let mut sp = obs::span!("learn.armg");
     let ground = &engine.pos[pos_idx];
     let cfg = engine.subsume_config();
     let mut current = clause.clone();
     let mut ws = Workspace::default();
+    let mut reach = HeadReach::new(clause.num_vars() as usize);
     let mut proven = 0usize;
     let (mut steps, mut probes, mut proven_probes, mut skipped) = (0u64, 0u64, 0u64, 0u64);
+    let mut rescans = 0u64;
     let result = loop {
         let mut probe = if steps == 0 {
             PrefixProbe::with_workspace(&current, ground, &mut ws)
@@ -128,12 +138,17 @@ pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<
             break Some(current);
         };
         steps += 1;
-        current.body.remove(block);
+        let removed = current.body.remove(block);
         ws.remove_literal(block);
-        let kept = current.head_connected_indices();
-        proven = kept.partition_point(|&i| i < block);
-        current.keep_body(&kept);
-        ws.keep_literals(&kept);
+        if steps > 1 && reach.keeps_all(&current, &removed) {
+            proven = block;
+        } else {
+            rescans += 1;
+            let kept = current.head_connected_indices();
+            proven = kept.partition_point(|&i| i < block);
+            current.keep_body(&kept);
+            ws.keep_literals(&kept);
+        }
         if current.body.is_empty() {
             break None;
         }
@@ -143,8 +158,109 @@ pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<
         sp.note("probes", probes);
         sp.note("proven_probes", proven_probes);
         sp.note("skipped_components", skipped);
+        sp.note("rescans", rescans);
     }
     result
+}
+
+/// Per-variable state of a [`HeadReach`] check.
+const UNSEEN: u8 = 0;
+/// Reached by the walk in progress.
+const WALKED: u8 = 1;
+/// Known to be head-connected: a head variable, or reached by a walk that
+/// got to the head.
+const ANCHORED: u8 = 2;
+
+/// armg's local head-connectivity check after a literal removal, with its
+/// per-variable scratch, sized once per armg call (a step only ever removes
+/// variables).
+pub(crate) struct HeadReach {
+    state: Vec<u8>,
+    /// Variables whose state the check in progress set, in order; the walk
+    /// in progress owns the tail from `walk_start`.
+    touched: Vec<usize>,
+}
+
+impl HeadReach {
+    /// Scratch for clauses whose variable ids are below `num_vars`.
+    pub(crate) fn new(num_vars: usize) -> Self {
+        Self {
+            state: vec![UNSEEN; num_vars],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Whether every literal of `rest` is still head-connected, given that
+    /// every literal of `rest` plus `removed` was. A literal that lost its
+    /// connection lies in a part of `rest` that no longer reaches the head
+    /// but did through `removed`, so that part holds a variable of
+    /// `removed` that the head does not bind. So the check walks outward
+    /// from each such variable over `rest`, and a walk stops as soon as it
+    /// reaches a literal holding a head variable (or a variable an earlier
+    /// walk anchored). A walk that ends having reached some literal but not
+    /// the head found stranded literals: the answer is `false`, and the
+    /// caller rescans with [`Clause::head_connected_indices`], which agrees
+    /// with this check on every such input.
+    pub(crate) fn keeps_all(&mut self, rest: &Clause, removed: &Literal) -> bool {
+        let Self { state, touched } = self;
+        for v in rest.head.vars() {
+            if state[v.index()] == UNSEEN {
+                state[v.index()] = ANCHORED;
+                touched.push(v.index());
+            }
+        }
+        let mut connected = true;
+        'walks: for x in removed.vars() {
+            if state[x.index()] != UNSEEN {
+                continue;
+            }
+            let walk_start = touched.len();
+            state[x.index()] = WALKED;
+            touched.push(x.index());
+            let mut reached_any = false;
+            loop {
+                let mut grew = false;
+                for lit in &rest.body {
+                    let (mut walked, mut anchored) = (false, false);
+                    for v in lit.vars() {
+                        match state[v.index()] {
+                            WALKED => walked = true,
+                            ANCHORED => anchored = true,
+                            _ => {}
+                        }
+                    }
+                    if !walked {
+                        continue;
+                    }
+                    reached_any = true;
+                    if anchored {
+                        for &v in &touched[walk_start..] {
+                            state[v] = ANCHORED;
+                        }
+                        continue 'walks;
+                    }
+                    for v in lit.vars() {
+                        if state[v.index()] == UNSEEN {
+                            state[v.index()] = WALKED;
+                            touched.push(v.index());
+                            grew = true;
+                        }
+                    }
+                }
+                if !grew {
+                    break;
+                }
+            }
+            if reached_any {
+                connected = false;
+                break;
+            }
+        }
+        for v in touched.drain(..) {
+            state[v] = UNSEEN;
+        }
+        connected
+    }
 }
 
 /// Post-processing: greedy backward literal elimination. Drops a body
@@ -447,11 +563,12 @@ pub fn learn_clause<R: Rng>(
         let mut raw: Vec<Clause> = Vec::new();
         let mut ws = Workspace::default();
         'gen: for (clause, _) in &beam {
+            let prepared = PreparedClause::new(clause);
             for &e in &sample {
                 if past_deadline() {
                     break 'gen;
                 }
-                if engine.covers_pos_in(&mut ws, clause, e) {
+                if engine.covers_pos_prepared(&mut ws, &prepared, e) {
                     continue; // already covered: armg would be a no-op
                 }
                 stats.armg_calls += 1;
@@ -726,6 +843,78 @@ mode publication(-, +)
         );
         assert!(engine.covers_pos(&g, 0), "armg must stay a generalization");
         assert!(g.len() < bc.len(), "armg strictly shrinks the clause");
+    }
+
+    /// An input literal that was never head-connected is pruned by armg's
+    /// first step, which rescans the whole body; later steps only check
+    /// around the removed literal and would never see it.
+    #[test]
+    fn armg_first_step_prunes_an_originally_disconnected_literal() {
+        use crate::clause::{Term, VarId};
+        let (db, train, bias) = build_world();
+        let engine = build_engine(&db, &train, &bias);
+        let mut bc = variablize(&engine.pos[0], &bias, MAX_BODY_LITERALS);
+        let student = db.rel_id("student").unwrap();
+        let stray = Literal::new(student, vec![Term::Var(VarId(bc.num_vars()))]);
+        bc.body.insert(0, stray.clone());
+        assert_eq!(bc.head_connected_indices().len(), bc.len() - 1);
+        assert!(!engine.covers_pos(&bc, 1));
+        let g = armg(&bc, &engine, 1).expect("generalization must succeed");
+        assert!(!g.body.contains(&stray), "the stray literal survived");
+        assert_eq!(g.head_connected_indices().len(), g.len());
+        // The same steps with a full rescan after every removal.
+        let mut reference = bc.clone();
+        while let Some(block) = blocking_atom(&reference, &engine, 1) {
+            reference.body.remove(block);
+            reference.prune_unconnected();
+        }
+        assert_eq!(g, reference);
+    }
+
+    /// Term code below 8 is a variable id, otherwise a constant.
+    fn term_of(code: u32) -> crate::clause::Term {
+        use crate::clause::{Term, VarId};
+        if code < 8 {
+            Term::Var(VarId(code))
+        } else {
+            Term::Const(relstore::Const(code))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// On random head-connected clauses (repeated variables, constants,
+        /// ground literals, head constants), armg's local check after each
+        /// single-literal removal agrees with a full rescan. One scratch
+        /// serves every removal, as in armg.
+        #[test]
+        fn local_connectivity_check_matches_a_full_rescan(
+            head in proptest::collection::vec(0u32..10, 0..4),
+            body in proptest::collection::vec(proptest::collection::vec(0u32..10, 0..4), 1..14),
+        ) {
+            use relstore::RelId;
+            let mut clause = Clause::new(
+                Literal::new(RelId(9), head.into_iter().map(term_of).collect::<Vec<_>>()),
+                body.into_iter()
+                    .enumerate()
+                    .map(|(i, args)| {
+                        Literal::new(RelId(i as u32 % 3), args.into_iter().map(term_of).collect::<Vec<_>>())
+                    })
+                    .collect(),
+            );
+            clause.prune_unconnected();
+            let mut reach = HeadReach::new(clause.num_vars() as usize);
+            for i in 0..clause.body.len() {
+                let mut rest = clause.clone();
+                let removed = rest.body.remove(i);
+                proptest::prop_assert_eq!(
+                    reach.keeps_all(&rest, &removed),
+                    rest.head_connected_indices().len() == rest.body.len(),
+                    "removing literal {} of {:?}", i, clause
+                );
+            }
+        }
     }
 
     #[test]

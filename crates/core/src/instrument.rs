@@ -143,8 +143,24 @@ pub static SUBSUME_CUTOFFS: Counter = Counter::new(
     "Theta-subsumption tests cut off by the node budget (answered not covered).",
 );
 
+/// Individualization trials canonicalization considered
+/// ([`crate::canon::canonical_form_status`]): one per member of each tied
+/// color class it split, skipped twins included, within the trial cap.
+pub static CANON_TRIALS: Counter = Counter::new(
+    "autobias_core_canon_trials_total",
+    "Individualization trials considered by canonicalization, skipped ones included.",
+);
+
+/// Individualization trials skipped because the member is a twin of an
+/// earlier one: swapping the two maps the clause onto itself, so the trial
+/// would repeat the earlier one's ([`crate::canon`]).
+pub static CANON_TRIALS_SKIPPED: Counter = Counter::new(
+    "autobias_core_canon_trials_skipped_total",
+    "Individualization trials skipped as swap-symmetric twins of an earlier trial.",
+);
+
 /// Every counter this crate owns, in registration order.
-pub const ALL: [&Counter; 19] = [
+pub const ALL: [&Counter; 21] = [
     &SUBSUMPTION_TESTS,
     &COVERAGE_QUERIES,
     &BOTTOM_CLAUSES_BUILT,
@@ -164,6 +180,8 @@ pub const ALL: [&Counter; 19] = [
     &BC_TUPLES_SELECTED,
     &BC_TUPLES_COLLECTED,
     &SUBSUME_LITERALS_FOLDED,
+    &CANON_TRIALS,
+    &CANON_TRIALS_SKIPPED,
 ];
 
 /// Registers all core counters with the [`obs::metrics`] registry. Cheap

@@ -7,7 +7,7 @@ use crate::clause::{Clause, Definition};
 use crate::coverage::{worker_threads, Bitset, CoverageEngine};
 use crate::example::TrainingSet;
 use crate::generalize::{learn_clause, ConstraintStore, GenConfig};
-use crate::subsume::{SubsumeConfig, Workspace};
+use crate::subsume::{PreparedClause, SubsumeConfig, Workspace};
 use obs::progress::{NullSink, ProgressEvent, ProgressSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -345,11 +345,12 @@ impl Learner {
         let (def, stats) = self.learn(db, bias, train);
         let engine = CoverageEngine::for_learner(db, bias, train, &self.cfg);
         let mut ws = Workspace::default();
+        let prepared = prepare_definition(&def);
         let pos_cov = (0..train.pos.len())
-            .map(|i| definition_covers_pos_in(&mut ws, &def, &engine, i))
+            .map(|i| definition_covers_pos_in(&mut ws, &prepared, &engine, i))
             .collect();
         let neg_cov = (0..train.neg.len())
-            .map(|i| definition_covers_neg_in(&mut ws, &def, &engine, i))
+            .map(|i| definition_covers_neg_in(&mut ws, &prepared, &engine, i))
             .collect();
         (def, stats, pos_cov, neg_cov)
     }
@@ -367,34 +368,51 @@ fn precision_of(pos_covered: usize, neg_covered: usize) -> f64 {
 }
 
 /// Definition-level coverage helper: whether `definition` covers example `i`
-/// of the engine's positives.
+/// of the engine's positives. A one-off test of each clause, up to the
+/// first that covers; a pass over many examples prepares the clauses once
+/// ([`prepare_definition`], [`definition_covers_pos_in`]).
 pub fn definition_covers_pos(def: &Definition, engine: &CoverageEngine, i: usize) -> bool {
-    definition_covers_pos_in(&mut Workspace::default(), def, engine, i)
+    let mut ws = Workspace::default();
+    def.clauses
+        .iter()
+        .any(|c| engine.covers_pos_in(&mut ws, c, i))
 }
 
-/// [`definition_covers_pos`] in the caller's subsumption workspace.
+/// Every clause of `def`, prepared once for the many examples a pass tests
+/// ([`definition_covers_pos_in`], [`definition_covers_neg_in`]).
+pub fn prepare_definition(def: &Definition) -> Vec<PreparedClause<'_>> {
+    def.clauses.iter().map(PreparedClause::new).collect()
+}
+
+/// [`definition_covers_pos`] over a definition's prepared clauses
+/// ([`prepare_definition`]), in the caller's subsumption workspace.
 pub fn definition_covers_pos_in(
     ws: &mut Workspace,
-    def: &Definition,
+    def: &[PreparedClause],
     engine: &CoverageEngine,
     i: usize,
 ) -> bool {
-    def.clauses.iter().any(|c| engine.covers_pos_in(ws, c, i))
+    def.iter().any(|c| engine.covers_pos_prepared(ws, c, i))
 }
 
-/// Definition-level coverage helper for negatives.
+/// Definition-level coverage helper for negatives (a one-off test, like
+/// [`definition_covers_pos`]).
 pub fn definition_covers_neg(def: &Definition, engine: &CoverageEngine, i: usize) -> bool {
-    definition_covers_neg_in(&mut Workspace::default(), def, engine, i)
+    let mut ws = Workspace::default();
+    def.clauses
+        .iter()
+        .any(|c| engine.covers_neg_in(&mut ws, c, i))
 }
 
-/// [`definition_covers_neg`] in the caller's subsumption workspace.
+/// [`definition_covers_neg`] over a definition's prepared clauses, in the
+/// caller's subsumption workspace.
 pub fn definition_covers_neg_in(
     ws: &mut Workspace,
-    def: &Definition,
+    def: &[PreparedClause],
     engine: &CoverageEngine,
     i: usize,
 ) -> bool {
-    def.clauses.iter().any(|c| engine.covers_neg_in(ws, c, i))
+    def.iter().any(|c| engine.covers_neg_prepared(ws, c, i))
 }
 
 /// Scores a clause for external callers: `(pos_covered, neg_covered)` over

@@ -93,5 +93,7 @@ pub mod prelude {
     pub use crate::learn::{LearnStats, Learner, LearnerConfig, MinCriterion};
     pub use crate::query::{clause_covers, definition_covers, QueryConfig};
     pub use crate::semijoin_tree::{SemijoinTree, SjNode};
-    pub use crate::subsume::{theta_subsumes, PrefixProbe, SubsumeConfig, Workspace};
+    pub use crate::subsume::{
+        theta_subsumes, PrefixProbe, PreparedClause, SubsumeConfig, Workspace,
+    };
 }

@@ -33,6 +33,19 @@
 //! the answer is the whole prefix's. Folded literals are counted in
 //! `autobias_core_subsume_literals_folded_total`.
 //!
+//! What a test derives from the clause alone — its variable count and head
+//! variables, each literal's variable positions and candidate-signature
+//! shape, the fold, the variable→literal index, the components and the
+//! arc-consistency neighbours — is prepared once per clause in a
+//! [`PreparedClause`] that every example of a batch and every worker reads
+//! ([`Workspace::theta_subsumes_prepared`]); the coverage engine prepares
+//! each scored clause once per batch, evaluation each definition clause
+//! once per pass. armg lays its clause out once per call, mirrors each
+//! deletion on that layout, and has its [`PrefixProbe`]s rebuild only the
+//! prefix's fold, index and components per test, through the same
+//! functions. Only the head binding, the candidate lists
+//! and the search depend on the example.
+//!
 //! Every buffer a test needs lives in a caller-owned [`Workspace`], cleared
 //! between tests and never shrunk, so a caller that runs many tests (armg's
 //! probes, a coverage worker's chunk, an evaluation pass) allocates nothing
@@ -76,6 +89,7 @@ use crate::bottom::GroundClause;
 use crate::clause::{Clause, Literal, Term, VarId};
 use relstore::{Const, RelId};
 use std::borrow::BorrowMut;
+use std::sync::OnceLock;
 
 /// Search budget for one subsumption test.
 #[derive(Debug, Clone, Copy)]
@@ -112,12 +126,73 @@ pub fn theta_subsumes(clause: &Clause, ground: &GroundClause, cfg: &SubsumeConfi
     Workspace::default().theta_subsumes(clause, ground, cfg)
 }
 
-/// Every buffer a θ-subsumption test uses: the head binding, the candidate
-/// lists and their signatures, the variable→literal index, the component
-/// split, the domains and popcounts, the undo log, the trail, the
-/// per-depth candidate orders, the arc-consistency queue, the stamps and
-/// the neighbour index. A test clears what it uses and keeps the capacity,
-/// so the buffers grow to the largest test seen and stay there.
+/// A clause prepared for θ-tests against many examples: everything a test
+/// derives from the clause alone, built once and read by every test of a
+/// batch, from any number of threads. That is the variable count and the
+/// head's variables, each literal's variable positions and
+/// candidate-signature shape (`Layout`), and the private-variable fold,
+/// the variable→literal index, the components and the arc-consistency
+/// neighbours of the body's core (`Core`). A test through
+/// [`Workspace::theta_subsumes_prepared`] does only what depends on the
+/// example: the head binding, the candidate lists and the search. It
+/// answers exactly what [`theta_subsumes`] answers on the clause.
+///
+/// ```
+/// use autobias::bottom::{GroundClause, GroundLiteral};
+/// use autobias::clause::{Clause, Literal, Term, VarId};
+/// use autobias::example::Example;
+/// use autobias::subsume::{PreparedClause, SubsumeConfig, Workspace};
+/// use relstore::{Const, RelId};
+///
+/// let v = |n| Term::Var(VarId(n));
+/// // t(x, y) ← r(x, z)
+/// let clause = Clause::new(
+///     Literal::new(RelId(9), vec![v(0), v(1)]),
+///     vec![Literal::new(RelId(0), vec![v(0), v(2)])],
+/// );
+/// let ground = |x| {
+///     GroundClause::new(
+///         Example::new(RelId(9), vec![Const(x), Const(2)]),
+///         vec![GroundLiteral { rel: RelId(0), vals: vec![Const(1), Const(10)].into() }],
+///     )
+/// };
+/// let prepared = PreparedClause::new(&clause);
+/// let mut ws = Workspace::default();
+/// let cfg = SubsumeConfig::default();
+/// assert!(ws.theta_subsumes_prepared(&prepared, &ground(1), &cfg));
+/// assert!(!ws.theta_subsumes_prepared(&prepared, &ground(3), &cfg));
+/// ```
+#[derive(Debug)]
+pub struct PreparedClause<'c> {
+    clause: &'c Clause,
+    layout: Layout,
+    core: Core,
+}
+
+impl<'c> PreparedClause<'c> {
+    /// Prepares `clause` for tests of its whole body.
+    pub fn new(clause: &'c Clause) -> Self {
+        let mut layout = Layout::default();
+        layout.build(clause);
+        let mut core = Core::default();
+        core.build(&clause.body, &layout);
+        Self {
+            clause,
+            layout,
+            core,
+        }
+    }
+}
+
+/// Every buffer a θ-subsumption test uses. A test clears what it uses and
+/// keeps the capacity, so the buffers grow to the largest test seen and
+/// stay there.
+///
+/// The workspace holds the clause-derived `Layout` and `Core` of the
+/// clause it prepares itself, for [`Workspace::theta_subsumes`] and armg's
+/// [`PrefixProbe`]s, and the per-example state every test needs, for those
+/// and for [`Workspace::theta_subsumes_prepared`], whose clause comes
+/// prepared.
 ///
 /// The caller owns the workspace and decides how long it lives: armg keeps
 /// one per call, the coverage engine one per worker in each batched map,
@@ -125,13 +200,23 @@ pub fn theta_subsumes(clause: &Clause, ground: &GroundClause, cfg: &SubsumeConfi
 /// never kept in a global or thread-local pool.
 #[derive(Debug, Default)]
 pub struct Workspace {
+    /// Layout of the clause this workspace prepared itself.
+    layout: Layout,
+    /// Core of the prefix this workspace prepared itself.
+    core: Core,
+    /// What depends on the example.
+    ex: PerExample,
+}
+
+/// The per-example state of a test: the head binding, the candidate lists,
+/// the search state and its scratch.
+#[derive(Debug, Default)]
+struct PerExample {
     /// Head binding of the current probe: variable → constant fixed by the
     /// example.
     binding: Vec<Option<Const>>,
     /// Candidate lists of the current probe's body literals.
     cands: CandTable,
-    /// Variable→literal index and components of the current prefix.
-    prep: Prepared,
     /// Search state of the current test.
     search: BitsetSearch,
     /// Working copy of `binding` the search extends and undoes.
@@ -152,31 +237,63 @@ impl Workspace {
         PrefixProbe::with_workspace(clause, ground, self).covers(clause.body.len(), cfg)
     }
 
-    /// Mirrors `body.remove(i)` on the probed body's candidate table (see
-    /// [`PrefixProbe::resume`]).
+    /// [`theta_subsumes`] on a prepared clause: the same answer, with only
+    /// the per-example work done here.
+    pub fn theta_subsumes_prepared(
+        &mut self,
+        prepared: &PreparedClause,
+        ground: &GroundClause,
+        cfg: &SubsumeConfig,
+    ) -> bool {
+        crate::instrument::SUBSUMPTION_TESTS.bump();
+        let PreparedClause {
+            clause,
+            layout,
+            core,
+        } = prepared;
+        let ex = &mut self.ex;
+        ex.cands.clear();
+        if !ex.bind_head(&clause.head, layout.num_vars, ground) {
+            return false;
+        }
+        if clause.body.is_empty() {
+            return true;
+        }
+        if !ex.cands.fill(&clause.body, layout, &ex.binding, ground) {
+            return false;
+        }
+        bitset_subsumes(ex, &clause.body, layout, core, ground, cfg, 0).0
+    }
+
+    /// Mirrors `body.remove(i)` on the probed body's layout and candidate
+    /// table (see [`PrefixProbe::resume`]).
     pub(crate) fn remove_literal(&mut self, i: usize) {
-        self.cands.remove(i);
+        self.layout.remove(i);
+        self.ex.cands.remove(i);
     }
 
     /// Mirrors keeping only the body literals at the ascending positions
-    /// `kept` (`Clause::keep_body`) on the probed body's candidate table.
+    /// `kept` (`Clause::keep_body`) on the probed body's layout and
+    /// candidate table.
     pub(crate) fn keep_literals(&mut self, kept: &[usize]) {
-        self.cands.keep(kept);
+        self.layout.keep(kept);
+        self.ex.cands.keep(kept);
     }
+}
 
-    /// Binds `clause`'s head to `ground`'s example into `self.binding`.
-    /// Relation and arity must match; head vars bind to the example's
-    /// constants, head constants must equal them. `false` on mismatch.
-    fn bind_head(&mut self, clause: &Clause, ground: &GroundClause) -> bool {
+impl PerExample {
+    /// Binds `head` (of a clause with `num_vars` variable ids) to
+    /// `ground`'s example into `self.binding`. Relation and arity must
+    /// match; head vars bind to the example's constants, head constants
+    /// must equal them. `false` on mismatch.
+    fn bind_head(&mut self, head: &Literal, num_vars: usize, ground: &GroundClause) -> bool {
         let binding = &mut self.binding;
         binding.clear();
-        if clause.head.rel != ground.example.rel
-            || clause.head.args.len() != ground.example.args.len()
-        {
+        if head.rel != ground.example.rel || head.args.len() != ground.example.args.len() {
             return false;
         }
-        binding.resize(clause.num_vars() as usize, None);
-        for (term, &c) in clause.head.args.iter().zip(ground.example.args.iter()) {
+        binding.resize(num_vars, None);
+        for (term, &c) in head.args.iter().zip(ground.example.args.iter()) {
             match *term {
                 Term::Var(v) => match binding[v.index()] {
                     None => binding[v.index()] = Some(c),
@@ -194,15 +311,16 @@ impl Workspace {
 /// θ-subsumption tests of the prefix clauses `T ← L1, …, Llen` of one clause
 /// against one ground example, as armg's blocking-atom search asks them.
 ///
-/// The head binding and the per-literal candidate lists depend only on the
-/// example and on each literal itself, never on which prefix is tested, so
-/// the probe computes them once and shares them across every prefix it
-/// tests: the lists are filled lazily, up to the longest prefix asked for
-/// so far. Only the variable→literal index and the component split are
-/// rebuilt per prefix. [`PrefixProbe::covers`] answers exactly what
-/// [`theta_subsumes`] answers on the materialized prefix clause — the same
-/// search — without copying the prefix; `theta_subsumes` is itself a
-/// one-prefix probe.
+/// The clause's `Layout`, the head binding and the per-literal candidate
+/// lists depend only on the clause, the example and each literal itself,
+/// never on which prefix is tested, so the probe computes them once and
+/// shares them across every prefix it tests: the lists are filled lazily,
+/// up to the longest prefix asked for so far. Only the prefix's `Core`
+/// (fold, variable→literal index, components) is rebuilt per prefix, by
+/// the function that prepares a [`PreparedClause`].
+/// [`PrefixProbe::covers`] answers exactly what [`theta_subsumes`] answers
+/// on the materialized prefix clause — the same search — without copying
+/// the prefix; `theta_subsumes` is itself a one-prefix probe.
 ///
 /// The probe runs in a [`Workspace`] it owns (`PrefixProbe::new`) or
 /// borrows (`PrefixProbe::with_workspace(.., &mut ws)`).
@@ -226,19 +344,24 @@ impl<'a> PrefixProbe<'a> {
 }
 
 impl<'a, W: BorrowMut<Workspace>> PrefixProbe<'a, W> {
-    /// A probe of `clause`'s prefixes against `ground` in `ws`; binds the
-    /// head and empties the workspace's candidate table.
+    /// A probe of `clause`'s prefixes against `ground` in `ws`; lays the
+    /// clause out, binds the head and empties the workspace's candidate
+    /// table.
     pub fn with_workspace(clause: &'a Clause, ground: &'a GroundClause, mut ws: W) -> Self {
-        ws.borrow_mut().cands.clear();
+        let w = ws.borrow_mut();
+        w.ex.cands.clear();
+        w.layout.build(clause);
         Self::resume(clause, ground, ws)
     }
 
-    /// A probe that keeps the candidate table `ws` holds: filled by an
-    /// earlier probe of a clause with the same head against the same
-    /// `ground`, and remapped through every body edit since (see
+    /// A probe that keeps the layout and the candidate table `ws` holds:
+    /// made by an earlier probe of a clause with the same head against the
+    /// same `ground`, and remapped through every body edit since (see
     /// [`Workspace::remove_literal`] and [`Workspace::keep_literals`]).
     pub(crate) fn resume(clause: &'a Clause, ground: &'a GroundClause, mut ws: W) -> Self {
-        let head_matches = ws.borrow_mut().bind_head(clause, ground);
+        let w = ws.borrow_mut();
+        debug_assert_eq!(w.layout.len(), clause.body.len(), "layout out of step");
+        let head_matches = w.ex.bind_head(&clause.head, w.layout.num_vars, ground);
         Self {
             body: &clause.body,
             ground,
@@ -277,11 +400,12 @@ impl<'a, W: BorrowMut<Workspace>> PrefixProbe<'a, W> {
             return true;
         }
         let body = &self.body[..len];
-        let ws = self.ws.borrow_mut();
-        if !ws.cands.fill(body, &ws.binding, self.ground) {
+        let Workspace { layout, core, ex } = self.ws.borrow_mut();
+        if !ex.cands.fill(body, layout, &ex.binding, self.ground) {
             return false;
         }
-        let (covered, skipped) = bitset_subsumes(ws, body, self.ground, cfg, proven);
+        core.build(body, layout);
+        let (covered, skipped) = bitset_subsumes(ex, body, layout, core, self.ground, cfg, proven);
         self.skipped += skipped;
         covered
     }
@@ -336,28 +460,33 @@ impl CandTable {
         self.empty = false;
     }
 
-    /// Fills the lists of `body` (a prefix of the probed clause's body)
-    /// that are not filled yet. Returns `false` when one of them is empty,
-    /// which refutes the prefix without search — the common case for
-    /// `#`-literals whose constant does not occur in this example's
-    /// neighbourhood.
-    fn fill(&mut self, body: &[Literal], binding: &[Option<Const>], ground: &GroundClause) -> bool {
+    /// Fills the lists of `body` (a prefix of the probed clause's body,
+    /// laid out in `layout`) that are not filled yet. Returns `false` when
+    /// one of them is empty, which refutes the prefix without search — the
+    /// common case for `#`-literals whose constant does not occur in this
+    /// example's neighbourhood.
+    fn fill(
+        &mut self,
+        body: &[Literal],
+        layout: &Layout,
+        binding: &[Option<Const>],
+        ground: &GroundClause,
+    ) -> bool {
         while self.of.len() < body.len() {
             if self.empty {
                 return false;
             }
-            let lit = &body[self.of.len()];
+            let li = self.of.len();
+            let lit = &body[li];
             // The literal's signature goes at the end of `sig_vals`; it stays
             // there only if it is new.
             let start = self.sig_vals.len();
-            for (p, t) in lit.args.iter().enumerate() {
-                let req = match *t {
-                    Term::Const(c) => Some(c),
-                    Term::Var(v) => binding[v.index()],
+            for &(p, fixed) in layout.shape(li) {
+                let c = match fixed {
+                    Fixed::Const(c) => c,
+                    Fixed::Head(v) => binding[v.index()].expect("the head binds its variables"),
                 };
-                if let Some(c) = req {
-                    self.sig_vals.push((p as u32, c));
-                }
+                self.sig_vals.push((p, c));
             }
             let (known, sig) = self.sig_vals.split_at(start);
             if let Some(k) = self
@@ -430,12 +559,145 @@ impl CandTable {
 /// an answer.
 const FOLD_WALK: usize = 32;
 
-/// The per-prefix search structure: the private-variable fold, the
-/// variable→literal index and the components of this prefix's core, rebuilt
-/// in place for every test.
+/// A required term of a body literal's candidate signature: a constant, or
+/// a head variable, whose value the example's head binding fixes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fixed {
+    Const(Const),
+    Head(VarId),
+}
+
+/// What a test needs to know about a clause's head and each of its body
+/// literals: facts of the clause alone, the same for every example and
+/// every prefix tested. Deleting body literals keeps every fact of the
+/// others, so armg mirrors its deletions on the layout
+/// ([`Layout::remove`], [`Layout::keep`]) instead of laying each step's
+/// clause out again; `num_vars` may then exceed the smaller clause's
+/// variable count, which only leaves some binding slots unused.
 #[derive(Debug, Default)]
-struct Prepared {
-    /// Per body literal: folded out of the search (see [`Prepared::build`]).
+struct Layout {
+    /// `Clause::num_vars`: the length of a head binding.
+    num_vars: usize,
+    /// Per variable id: whether the head holds it. The head binding fixes
+    /// exactly these variables, so they never link literals in the search.
+    in_head: Vec<bool>,
+    /// Each body literal's variables with their argument positions, in
+    /// position order: literal `li`'s are `var_pos[var_off[li]..var_off[li
+    /// + 1]]`.
+    var_off: Vec<u32>,
+    var_pos: Vec<(VarId, u32)>,
+    /// Each body literal's candidate-signature *shape*: the positions that
+    /// hold a `#` constant or a head variable, with that term, at
+    /// `shape[shape_off[li]..shape_off[li + 1]]`.
+    shape_off: Vec<u32>,
+    shape: Vec<(u32, Fixed)>,
+}
+
+impl Layout {
+    /// Lays out `clause`.
+    fn build(&mut self, clause: &Clause) {
+        // `num_vars` is `Clause::num_vars`, the largest variable id plus
+        // one, found on the way.
+        self.in_head.clear();
+        for v in clause.head.vars() {
+            if v.index() >= self.in_head.len() {
+                self.in_head.resize(v.index() + 1, false);
+            }
+            self.in_head[v.index()] = true;
+        }
+        let mut num_vars = self.in_head.len();
+        self.var_off.clear();
+        self.var_pos.clear();
+        self.shape_off.clear();
+        self.shape.clear();
+        self.var_off.push(0);
+        self.shape_off.push(0);
+        for lit in &clause.body {
+            for (p, t) in lit.args.iter().enumerate() {
+                match *t {
+                    Term::Var(v) => {
+                        num_vars = num_vars.max(v.index() + 1);
+                        self.var_pos.push((v, p as u32));
+                        if self.in_head.get(v.index()) == Some(&true) {
+                            self.shape.push((p as u32, Fixed::Head(v)));
+                        }
+                    }
+                    Term::Const(c) => self.shape.push((p as u32, Fixed::Const(c))),
+                }
+            }
+            self.var_off.push(self.var_pos.len() as u32);
+            self.shape_off.push(self.shape.len() as u32);
+        }
+        self.in_head.resize(num_vars, false);
+        self.num_vars = num_vars;
+    }
+
+    /// Number of body literals laid out.
+    fn len(&self) -> usize {
+        self.var_off.len() - 1
+    }
+
+    /// Mirrors `body.remove(i)`.
+    fn remove(&mut self, i: usize) {
+        csr_remove(&mut self.var_off, &mut self.var_pos, i);
+        csr_remove(&mut self.shape_off, &mut self.shape, i);
+    }
+
+    /// Mirrors keeping only the body literals at the ascending positions
+    /// `kept`.
+    fn keep(&mut self, kept: &[usize]) {
+        csr_keep(&mut self.var_off, &mut self.var_pos, kept);
+        csr_keep(&mut self.shape_off, &mut self.shape, kept);
+    }
+
+    /// Body literal `li`'s variables with their positions, in position
+    /// order.
+    #[inline]
+    fn vars_of(&self, li: usize) -> &[(VarId, u32)] {
+        &self.var_pos[self.var_off[li] as usize..self.var_off[li + 1] as usize]
+    }
+
+    /// Body literal `li`'s candidate-signature shape.
+    #[inline]
+    fn shape(&self, li: usize) -> &[(u32, Fixed)] {
+        &self.shape[self.shape_off[li] as usize..self.shape_off[li + 1] as usize]
+    }
+}
+
+/// Removes row `i` of the CSR `(off, flat)`.
+fn csr_remove<T>(off: &mut Vec<u32>, flat: &mut Vec<T>, i: usize) {
+    let (a, b) = (off[i], off[i + 1]);
+    flat.drain(a as usize..b as usize);
+    off.remove(i + 1);
+    for o in &mut off[i + 1..] {
+        *o -= b - a;
+    }
+}
+
+/// Keeps only the rows at the ascending positions `kept` of the CSR
+/// `(off, flat)`, in order.
+fn csr_keep<T: Copy>(off: &mut Vec<u32>, flat: &mut Vec<T>, kept: &[usize]) {
+    let mut w = 0usize;
+    for (k, &i) in kept.iter().enumerate() {
+        // Row `i >= k` is read before row `k`'s offset is overwritten.
+        let (a, b) = (off[i] as usize, off[i + 1] as usize);
+        flat.copy_within(a..b, w);
+        off[k] = w as u32;
+        w += b - a;
+    }
+    off[kept.len()] = w as u32;
+    off.truncate(kept.len() + 1);
+    flat.truncate(w);
+}
+
+/// The search structure of a tested body (a whole clause, or one of armg's
+/// prefixes): the private-variable fold, the variable→literal index, the
+/// components of the body's core, and, built on first use, the
+/// arc-consistency neighbours. All of it depends on the body and the
+/// head's variables only, never on the example.
+#[derive(Debug, Default)]
+struct Core {
+    /// Per body literal: folded out of the search (see [`Core::build`]).
     /// A folded literal has no domain, appears in no variable's literal
     /// list and belongs to no component.
     folded: Vec<bool>,
@@ -463,18 +725,44 @@ struct Prepared {
     /// the unfolded literal of its relation before it (`u32::MAX`: none).
     rel_last: Vec<u32>,
     same_prev: Vec<u32>,
+    /// Literals folded out, and extra components split off: what each test
+    /// of this body adds to `autobias_core_subsume_literals_folded_total`
+    /// and `autobias_core_subsume_components_split_total`.
+    n_folded: u64,
+    n_split: u64,
+    /// The arc-consistency neighbours, built when a test first escalates to
+    /// the propagating phase: most tests finish in the forward-checking
+    /// pass and never need them.
+    neighbors: OnceLock<Neighbors>,
+}
+
+/// Distinct unfolded body literals sharing a variable the head does not
+/// bind with each literal — the propagation targets of an assignment — in
+/// CSR layout: literal `li`'s are `flat[off[li]..off[li + 1]]`.
+#[derive(Debug, Default)]
+struct Neighbors {
+    off: Vec<u32>,
+    flat: Vec<u32>,
+}
+
+impl Neighbors {
+    /// Literal `li`'s neighbours.
+    #[inline]
+    fn of(&self, li: usize) -> &[u32] {
+        &self.flat[self.off[li] as usize..self.off[li + 1] as usize]
+    }
 }
 
 /// The positions of `lit` holding a *private* variable, as a bit mask: a
-/// variable the head does not bind (`binding`) that occurs exactly once in
+/// variable the head does not hold (`in_head`) that occurs exactly once in
 /// the prefix — in no other literal (`lit_count[v]`, the number of prefix
 /// literals holding `v`, is 1) and at no other position of `lit`.
 /// Positions past 63 count as not private, which only folds less.
-fn private_mask(lit: &Literal, binding: &[Option<Const>], lit_count: &[u32]) -> u64 {
+fn private_mask(lit: &Literal, in_head: &[bool], lit_count: &[u32]) -> u64 {
     let mut mask = 0u64;
     for (p, &t) in lit.args.iter().enumerate().take(64) {
         if let Term::Var(v) = t {
-            if binding[v.index()].is_none()
+            if !in_head[v.index()]
                 && lit_count[v.index()] == 1
                 && lit.args.iter().filter(|&&u| u == t).count() == 1
             {
@@ -495,9 +783,9 @@ fn folds_onto(lit: &Literal, private: u64, onto: &Literal) -> bool {
             .all(|(p, (a, b))| a == b || (p < 64 && private >> p & 1 == 1))
 }
 
-impl Prepared {
-    /// Rebuilds the fold, the index and the components for `body` under
-    /// `binding`.
+impl Core {
+    /// Rebuilds the fold, the index and the components for `body`, a prefix
+    /// of the clause laid out in `layout`, and forgets the neighbours.
     ///
     /// Literal `Li` is *folded* when an earlier unfolded literal `Lj` of the
     /// same relation and arity agrees with it at every position where `Li`
@@ -506,13 +794,15 @@ impl Prepared {
     /// variables `Li[p]` to `θ(Lj[p])` — nothing else constrains them — so
     /// the prefix and its core of unfolded literals are θ-equivalent and
     /// the search runs on the core alone.
-    fn build(&mut self, body: &[Literal], binding: &[Option<Const>]) {
+    fn build(&mut self, body: &[Literal], layout: &Layout) {
         // Var → literals, CSR: count (deduping repeats within one literal via
         // a last-literal stamp), fold, uncount the folded literals,
         // prefix-sum, fill.
-        let num_vars = binding.len();
+        let in_head = &layout.in_head;
+        let num_vars = layout.num_vars;
         let n_body = body.len();
-        let Prepared {
+        self.neighbors.take();
+        let Core {
             folded,
             lbv_off,
             lbv_flat,
@@ -526,6 +816,9 @@ impl Prepared {
             comp_order,
             rel_last,
             same_prev,
+            n_folded,
+            n_split,
+            neighbors: _,
         } = self;
         lbv_off.clear();
         lbv_off.resize(num_vars + 1, 0);
@@ -553,7 +846,7 @@ impl Prepared {
             }
             let mut lj = rel_last[rel];
             if lj != u32::MAX {
-                let private = private_mask(lit, binding, &lbv_off[1..]);
+                let private = private_mask(lit, in_head, &lbv_off[1..]);
                 let mut walked = 0;
                 while lj != u32::MAX && walked < FOLD_WALK {
                     if folds_onto(lit, private, &body[lj as usize]) {
@@ -569,11 +862,11 @@ impl Prepared {
                 rel_last[rel] = li as u32;
             }
         }
-        let mut n_folded = 0;
+        *n_folded = 0;
         for (li, lit) in body.iter().enumerate() {
             rel_last[lit.rel.index()] = u32::MAX;
             if folded[li] {
-                n_folded += 1;
+                *n_folded += 1;
                 for (p, v) in lit.args.iter().enumerate() {
                     if let Term::Var(v) = *v {
                         if !lit.args[..p].contains(&Term::Var(v)) {
@@ -623,7 +916,7 @@ impl Prepared {
         }
         for v in 0..num_vars {
             let lits = &lbv_flat[lbv_off[v] as usize..lbv_off[v + 1] as usize];
-            if binding[v].is_some() || lits.len() < 2 {
+            if in_head[v] || lits.len() < 2 {
                 continue;
             }
             let first = find_root(comp_of, lits[0]);
@@ -669,17 +962,42 @@ impl Prepared {
             comp_off.push(end + comp_len[k as usize]);
         }
         comp_flat.clear();
-        comp_flat.resize(n_body - n_folded, 0);
+        comp_flat.resize(n_body - *n_folded as usize, 0);
         for (li, &k) in lit_comp.iter().enumerate() {
             if k != u32::MAX {
                 comp_flat[cursor[k as usize] as usize] = li as u32;
                 cursor[k as usize] += 1;
             }
         }
-        if comp_len.len() > 1 {
-            crate::instrument::SUBSUME_COMPONENTS_SPLIT.add(comp_len.len() as u64 - 1);
-        }
-        crate::instrument::SUBSUME_LITERALS_FOLDED.add(n_folded as u64);
+        *n_split = comp_len.len().saturating_sub(1) as u64;
+    }
+
+    /// The arc-consistency neighbours of `body` (the body this core was
+    /// built for), built on the first call.
+    fn neighbors(&self, body: &[Literal], layout: &Layout) -> &Neighbors {
+        self.neighbors.get_or_init(|| {
+            let n = body.len();
+            let mut seen = vec![u32::MAX; n];
+            let mut nb = Neighbors::default();
+            nb.off.push(0);
+            for li in 0..n {
+                if !self.folded[li] {
+                    for &(v, _) in layout.vars_of(li) {
+                        if layout.in_head[v.index()] {
+                            continue;
+                        }
+                        for &lk in self.lits_of_var(v.index()) {
+                            if lk as usize != li && seen[lk as usize] != li as u32 {
+                                seen[lk as usize] = li as u32;
+                                nb.flat.push(lk);
+                            }
+                        }
+                    }
+                }
+                nb.off.push(nb.flat.len() as u32);
+            }
+            nb
+        })
     }
 
     /// Body literals containing variable `v`, deduplicated, ascending.
@@ -724,13 +1042,14 @@ struct LitCsp {
     width: usize,
 }
 
-/// What one test searches: the prefix body, the ground clause, and the
-/// candidate lists, index and components built for them.
+/// What one test searches: the prefix body, its layout and core, the
+/// ground clause, and the head binding and candidate lists built for it.
 struct Ctx<'a> {
     body: &'a [Literal],
+    layout: &'a Layout,
+    core: &'a Core,
     ground: &'a GroundClause,
     cands: &'a CandTable,
-    prep: &'a Prepared,
     binding: &'a [Option<Const>],
 }
 
@@ -788,13 +1107,6 @@ struct BitsetSearch {
     /// test never equals the current generation.
     stamp: Vec<u64>,
     stamp_gen: u64,
-    /// Distinct body literals sharing a search-bound variable with each
-    /// literal (CSR layout: `neighbors_off[li]..neighbors_off[li + 1]`
-    /// indexes `neighbors_flat`) — the propagation targets of an
-    /// assignment — with the per-literal dedup stamps that build it.
-    neighbors_off: Vec<u32>,
-    neighbors_flat: Vec<u32>,
-    neighbors_seen: Vec<u32>,
 }
 
 /// Outcome of revising one literal's domain against a support set.
@@ -810,7 +1122,7 @@ impl BitsetSearch {
     /// empty and never read), everything else empty.
     fn init(&mut self, ctx: &Ctx, cfg: &SubsumeConfig) {
         let n = ctx.body.len();
-        let folded = &ctx.prep.folded;
+        let folded = &ctx.core.folded;
         let len_of = |li: usize| {
             if folded[li] {
                 0
@@ -854,44 +1166,6 @@ impl BitsetSearch {
         self.cause.clear();
         self.cause.resize(n, u32::MAX);
         self.stamp.resize(n, 0);
-        self.neighbors_off.clear();
-        self.neighbors_flat.clear();
-    }
-
-    /// Builds the propagation-target CSR on first escalation to the
-    /// arc-consistency phase — the distinct unfolded literals sharing a
-    /// variable that is unbound at prepare time (head-bound vars are folded
-    /// into the static candidate lists and never propagate). Most tests finish
-    /// in the forward-checking pass and never pay for this.
-    fn ensure_neighbors(&mut self, ctx: &Ctx) {
-        if !self.neighbors_off.is_empty() {
-            return;
-        }
-        let n = ctx.body.len();
-        let seen = &mut self.neighbors_seen;
-        seen.clear();
-        seen.resize(n, u32::MAX);
-        self.neighbors_off.push(0);
-        for (li, lit) in ctx.body.iter().enumerate() {
-            if ctx.prep.folded[li] {
-                self.neighbors_off.push(self.neighbors_flat.len() as u32);
-                continue;
-            }
-            for t in &lit.args {
-                if let Term::Var(v) = *t {
-                    if ctx.binding[v.index()].is_some() {
-                        continue;
-                    }
-                    for &lk in ctx.prep.lits_of_var(v.index()) {
-                        if lk as usize != li && seen[lk as usize] != li as u32 {
-                            seen[lk as usize] = li as u32;
-                            self.neighbors_flat.push(lk);
-                        }
-                    }
-                }
-            }
-            self.neighbors_off.push(self.neighbors_flat.len() as u32);
-        }
     }
 
     /// Resets domains and counts to their pristine (head-bound) state.
@@ -939,15 +1213,12 @@ impl BitsetSearch {
     /// trips, pruning simply stops (sound: the search then notices the
     /// cutoff itself). Returns `false` when a domain empties.
     fn propagate(&mut self, ctx: &Ctx, assigned: &[bool]) -> bool {
+        let neighbors = ctx.core.neighbors(ctx.body, ctx.layout);
         while let Some(lj) = self.queue.pop() {
             self.in_queue[lj as usize] = false;
             let skip = self.cause[lj as usize];
-            let (a, b) = (
-                self.neighbors_off[lj as usize] as usize,
-                self.neighbors_off[lj as usize + 1] as usize,
-            );
-            for slot in a..b {
-                let lk = self.neighbors_flat[slot] as usize;
+            for &lk in neighbors.of(lj as usize) {
+                let lk = lk as usize;
                 if assigned[lk] || lk as u32 == skip {
                     continue;
                 }
@@ -984,21 +1255,21 @@ impl BitsetSearch {
     }
 
     /// Extracts the position pairs constrained to be equal by a variable
-    /// shared between body literals `li` and `lj`. Tiny arities make this a
-    /// handful of comparisons — far cheaper than materializing and caching
+    /// shared between body literals `li` and `lj`, from the two literals'
+    /// variable positions in the layout. Tiny arities make this a handful
+    /// of comparisons — far cheaper than materializing and caching
     /// compatibility tables, which profiling showed are used ~1.4 times
     /// each before the test ends.
     #[inline]
-    fn cons_pairs(body: &[Literal], li: usize, lj: usize) -> ([(u8, u8); 16], usize) {
+    fn cons_pairs(layout: &Layout, li: usize, lj: usize) -> ([(u8, u8); 16], usize) {
         let mut cons: [(u8, u8); 16] = [(0, 0); 16];
         let mut n_cons = 0usize;
-        for (pi, t) in body[li].args.iter().enumerate() {
-            if let Term::Var(v) = *t {
-                for (pj, t2) in body[lj].args.iter().enumerate() {
-                    if matches!(t2, Term::Var(v2) if *v2 == v) && n_cons < cons.len() {
-                        cons[n_cons] = (pi as u8, pj as u8);
-                        n_cons += 1;
-                    }
+        let vars_j = layout.vars_of(lj);
+        for &(v, pi) in layout.vars_of(li) {
+            for &(v2, pj) in vars_j {
+                if v2 == v && n_cons < cons.len() {
+                    cons[n_cons] = (pi as u8, pj as u8);
+                    n_cons += 1;
                 }
             }
         }
@@ -1046,7 +1317,7 @@ impl BitsetSearch {
     /// over `lj`'s *currently set* bits only, so the scan shrinks as the
     /// domain does, and nothing is allocated or cached.
     fn fc_apply(&mut self, ctx: &Ctx, li: usize, lj: usize, ci: usize) -> Revised {
-        let (cons, n_cons) = Self::cons_pairs(ctx.body, li, lj);
+        let (cons, n_cons) = Self::cons_pairs(ctx.layout, li, lj);
         let BitsetSearch {
             lits,
             dom,
@@ -1110,7 +1381,7 @@ impl BitsetSearch {
             let ci = wd * 64 + self.dom[off_j + wd].trailing_zeros() as usize;
             return self.fc_apply(ctx, lj, lk, ci);
         }
-        let (cons, n_cons) = Self::cons_pairs(ctx.body, lj, lk);
+        let (cons, n_cons) = Self::cons_pairs(ctx.layout, lj, lk);
         let BitsetSearch {
             lits,
             dom,
@@ -1280,7 +1551,7 @@ impl BitsetSearch {
             let gen = self.stamp_gen;
             'fc: for ti in trail_mark..self.trail.len() {
                 let v = self.trail[ti];
-                for &lj in ctx.prep.lits_of_var(v.index()) {
+                for &lj in ctx.core.lits_of_var(v.index()) {
                     let lj = lj as usize;
                     if lj == li || assigned[lj] || self.stamp[lj] == gen {
                         continue;
@@ -1358,31 +1629,36 @@ impl BitsetSearch {
     }
 }
 
-/// Searches every component of `body` against `ground`, except those whose
-/// literals all lie in the proven prefix `body[..proven]` (satisfiable, see
-/// [`PrefixProbe::covers_given`]), in `ws`, whose candidate table is filled
-/// for `body`. Returns the answer and the number of components skipped.
+/// Searches every component of `body` (laid out in `layout`, with core
+/// `core`) against `ground`, except those whose literals all lie in the
+/// proven prefix `body[..proven]` (satisfiable, see
+/// [`PrefixProbe::covers_given`]), with `ex`, whose head binding and
+/// candidate table are filled for `body`. Returns the answer and the number
+/// of components skipped.
 fn bitset_subsumes(
-    ws: &mut Workspace,
+    ex: &mut PerExample,
     body: &[Literal],
+    layout: &Layout,
+    core: &Core,
     ground: &GroundClause,
     cfg: &SubsumeConfig,
     proven: usize,
 ) -> (bool, u64) {
-    let Workspace {
+    let PerExample {
         binding,
         cands,
-        prep,
         search,
         trial_binding,
         assigned,
-    } = ws;
-    prep.build(body, binding);
+    } = ex;
+    crate::instrument::SUBSUME_COMPONENTS_SPLIT.add(core.n_split);
+    crate::instrument::SUBSUME_LITERALS_FOLDED.add(core.n_folded);
     let ctx = Ctx {
         body,
+        layout,
+        core,
         ground,
         cands,
-        prep,
         binding,
     };
     search.init(&ctx, cfg);
@@ -1400,8 +1676,8 @@ fn bitset_subsumes(
     const FC_PASS_BUDGET: usize = 256;
     let mut covered = true;
     let mut skipped = 0u64;
-    for k in 0..prep.components() {
-        let comp = prep.component(k);
+    for k in 0..core.components() {
+        let comp = core.component(k);
         // Members are ascending, so the last one bounds the component.
         if comp.last().is_some_and(|&li| (li as usize) < proven) {
             skipped += 1;
@@ -1414,7 +1690,6 @@ fn bitset_subsumes(
                 // Escalate to the propagating search.
                 search.mac = true;
                 search.limit = cfg.node_limit;
-                search.ensure_neighbors(&ctx);
                 search.solve_component(&ctx, comp, trial_binding, assigned)
             }
             out => out,
@@ -1824,14 +2099,12 @@ mod tests {
     /// that every folded literal has a witness: an earlier unfolded literal
     /// it folds onto.
     fn fold_of(clause: &Clause, len: usize) -> Vec<bool> {
-        let mut binding = vec![None; clause.num_vars() as usize];
-        for v in clause.head.vars() {
-            binding[v.index()] = Some(c(0));
-        }
+        let mut layout = Layout::default();
+        layout.build(clause);
         let body = &clause.body[..len];
-        let mut prep = Prepared::default();
-        prep.build(body, &binding);
-        let mut count = vec![0u32; binding.len()];
+        let mut prep = Core::default();
+        prep.build(body, &layout);
+        let mut count = vec![0u32; layout.num_vars];
         for lit in body {
             let mut seen: Vec<VarId> = lit.vars().collect();
             seen.sort_unstable();
@@ -1845,7 +2118,7 @@ mod tests {
                 assert!(
                     (0..li).any(|lj| !prep.folded[lj]
                         && body[lj].rel == lit.rel
-                        && folds_onto(lit, private_mask(lit, &binding, &count), &body[lj])),
+                        && folds_onto(lit, private_mask(lit, &layout.in_head, &count), &body[lj])),
                     "literal {li} folded without an earlier unfolded witness"
                 );
                 assert!(prep.lbv_flat.iter().all(|&l| l as usize != li));
@@ -1973,6 +2246,46 @@ mod tests {
         let mut probe = PrefixProbe::new(&clause, &ground);
         let cfg = SubsumeConfig::unbounded();
         assert!(probe.covers(2, &cfg) && probe.covers(3, &cfg));
+    }
+
+    /// armg's deletions mirrored on a layout leave exactly the layout of
+    /// the edited clause (its variable count aside).
+    #[test]
+    fn mirrored_layout_edits_match_a_fresh_layout() {
+        let k = |n| Term::Const(c(n));
+        let mut clause = t_clause(vec![
+            lit(0, &[v(0), v(2)]),
+            lit(1, &[v(2), k(5), v(1)]),
+            lit(2, &[k(7)]),
+            lit(0, &[v(2), v(3)]),
+            lit(1, &[v(3), v(3), v(0)]),
+            lit(2, &[v(4)]),
+            lit(0, &[v(4), k(5)]),
+        ]);
+        let mut layout = Layout::default();
+        layout.build(&clause);
+        let same = |a: &Layout, b: &Layout| {
+            a.var_off == b.var_off
+                && a.var_pos == b.var_pos
+                && a.shape_off == b.shape_off
+                && a.shape == b.shape
+        };
+        for edit in [&[1usize][..], &[0, 2, 3, 5], &[0, 1, 3], &[2], &[0]] {
+            if let [i] = edit {
+                clause.body.remove(*i);
+                layout.remove(*i);
+            } else {
+                clause.keep_body(edit);
+                layout.keep(edit);
+            }
+            let mut fresh = Layout::default();
+            fresh.build(&clause);
+            assert!(
+                same(&layout, &fresh),
+                "after {edit:?}: {layout:?} vs {fresh:?}"
+            );
+            assert_eq!(layout.len(), clause.body.len());
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! on literal order. So any change to canonicalization that is meant to be
 //! a pure speedup must reproduce every form bit for bit, including the
 //! incomplete forms the individualization trial cap cuts off (whose literal
-//! order depends on input order). This test records one FNV-1a hash of all
-//! outputs; a rewrite of `canon.rs` must leave it unchanged.
+//! order depends on input order). Each test records one FNV-1a hash of all
+//! outputs of its clause family; a rewrite of `canon.rs` must leave every
+//! hash unchanged.
 
 use autobias::canon::canonical_form_status;
 use autobias::clause::{Clause, Literal, Term, VarId};
@@ -199,5 +200,153 @@ fn canonical_forms_are_pinned() {
         format!("{:016x}", h.0),
         "5ff23614e6e4c1b8",
         "canonical forms changed ({complete} complete, {incomplete} incomplete)"
+    );
+}
+
+/// Stars of leaves on one or two hubs, the shape whose swap-symmetric
+/// leaves individualization would otherwise try one after another. Each
+/// hub `h` hangs off the head through `p(x, h)` (or is the head variable
+/// `y` itself) and carries a run of 2–14 leaves `r(h, z_i)`; per run the
+/// leaves are either private, paired with `s(z_i, #k)` where `k` differs
+/// between neighbouring leaves (so the pair is not swap-symmetric), or
+/// joined to the head variable `y` through `s(z_i, y)`.
+fn star_clause(rng: &mut StdRng) -> Clause {
+    let (x, y) = (v(0), v(1));
+    let mut next = 2u32;
+    let mut body = Vec::new();
+    for _ in 0..rng.random_range(1..=2usize) {
+        let hub = if rng.random_range(0..4u32) == 0 {
+            y
+        } else {
+            let h = v(next);
+            next += 1;
+            body.push(Literal::new(RelId(3), vec![x, h]));
+            h
+        };
+        let rel = RelId(rng.random_range(0..2u32));
+        let style = rng.random_range(0..3u32);
+        for i in 0..rng.random_range(2..=14u32) {
+            let z = v(next);
+            next += 1;
+            body.push(Literal::new(rel, vec![hub, z]));
+            match style {
+                1 => body.push(Literal::new(
+                    RelId(2),
+                    vec![z, Term::Const(Const(100 + i % 2))],
+                )),
+                2 => body.push(Literal::new(RelId(2), vec![z, y])),
+                _ => {}
+            }
+        }
+    }
+    Clause::new(Literal::new(RelId(9), vec![x, y]), body)
+}
+
+/// Star clauses in three input orders each (as built, shuffled, gapped
+/// and shuffled), plus three orders of each of a few clauses big enough to
+/// exhaust the 64-trial individualization cap: three runs of 8–12 private
+/// leaves on three hubs.
+fn star_set() -> Vec<Clause> {
+    let mut rng = StdRng::seed_from_u64(0x5747_a125);
+    let mut out = Vec::new();
+    for _ in 0..200 {
+        let star = star_clause(&mut rng);
+        out.push(shuffled(&mut rng, star.clone()));
+        out.push(shuffled(&mut rng, gapped(&star)));
+        out.push(star);
+    }
+    for _ in 0..20 {
+        let mut big = Clause::new(Literal::new(RelId(9), vec![v(0), v(1)]), Vec::new());
+        let mut next = 2u32;
+        for hub_rel in 0..3u32 {
+            let h = v(next);
+            next += 1;
+            big.body
+                .push(Literal::new(RelId(3 + hub_rel), vec![v(0), h]));
+            for _ in 0..rng.random_range(8..=12u32) {
+                big.body.push(Literal::new(RelId(0), vec![h, v(next)]));
+                next += 1;
+            }
+        }
+        out.push(shuffled(&mut rng, big.clone()));
+        out.push(shuffled(&mut rng, gapped(&big)));
+        out.push(big);
+    }
+    out
+}
+
+#[test]
+fn star_canonical_forms_are_pinned() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut incomplete, mut complete) = (0usize, 0usize);
+    for c in star_set() {
+        let (form, done) = canonical_form_status(&c);
+        h.clause(&form, done);
+        if done {
+            complete += 1;
+        } else {
+            incomplete += 1;
+        }
+    }
+    assert!(incomplete >= 60, "only {incomplete} incomplete forms");
+    assert!(complete >= 100, "only {complete} complete forms");
+    assert_eq!(
+        format!("{:016x}", h.0),
+        "2a5c8c8cb3d8d8f4",
+        "star canonical forms changed ({complete} complete, {incomplete} incomplete)"
+    );
+}
+
+/// Two to four disjoint cycles `e(v1, v2), …, e(vk, v1)` of lengths 3–6,
+/// all directed or all undirected, beside a head they do not touch. Every
+/// vertex looks the same to color refinement, so all of them tie, but
+/// only some pairs are twins (two corners of an undirected triangle, the
+/// opposite corners of an undirected square): individualizing a vertex of
+/// a 3-cycle and one of a 6-cycle gives different forms. A trial skipped
+/// for a member that is not a twin therefore shows in the hash.
+fn cycles_clause(rng: &mut StdRng) -> Clause {
+    let undirected = rng.random_range(0..2u32) == 0;
+    let mut next = 2u32;
+    let mut body = Vec::new();
+    for _ in 0..rng.random_range(2..=4usize) {
+        let k = rng.random_range(3..=6u32);
+        for i in 0..k {
+            let (a, b) = (v(next + i), v(next + (i + 1) % k));
+            body.push(Literal::new(RelId(0), vec![a, b]));
+            if undirected {
+                body.push(Literal::new(RelId(0), vec![b, a]));
+            }
+        }
+        next += k;
+    }
+    Clause::new(Literal::new(RelId(9), vec![v(0), v(1)]), body)
+}
+
+#[test]
+fn cycle_canonical_forms_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(0x00c1_c1e5);
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut incomplete, mut complete) = (0usize, 0usize);
+    for _ in 0..150 {
+        let c = cycles_clause(&mut rng);
+        for form in [
+            shuffled(&mut rng, c.clone()),
+            shuffled(&mut rng, gapped(&c)),
+            c,
+        ] {
+            let (form, done) = canonical_form_status(&form);
+            h.clause(&form, done);
+            if done {
+                complete += 1;
+            } else {
+                incomplete += 1;
+            }
+        }
+    }
+    assert!(complete >= 400, "only {complete} complete forms");
+    assert_eq!(
+        format!("{:016x}", h.0),
+        "ce72d56e63ed4cfa",
+        "cycle canonical forms changed ({complete} complete, {incomplete} incomplete)"
     );
 }

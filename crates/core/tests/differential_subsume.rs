@@ -13,6 +13,8 @@
 //! (`star_clause`) builds the bodies armg leaves behind — hubs carrying runs
 //! of private-leaf literals, duplicates, repeated private variables and
 //! constants — so the private-variable fold is held to the same oracle.
+//! A clause prepared once ([`PreparedClause`]) and shared by several
+//! workers must answer every example of a batch as a fresh test does.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 #![cfg(not(miri))] // proptest-heavy: hundreds of cases, far too slow under miri
@@ -658,6 +660,85 @@ fn reused_workspace_matches_fresh_tests() {
         lost_to_budget > 100,
         "only {lost_to_budget} budget cut-offs were visible in the stream"
     );
+}
+
+/// The answers of one prepared clause for every ground clause of a batch,
+/// split across `workers` threads that each own a workspace and all read
+/// the one [`PreparedClause`], the way the coverage engine's workers do.
+fn prepared_batch(
+    clause: &Clause,
+    grounds: &[GroundClause],
+    cfg: &SubsumeConfig,
+    workers: usize,
+) -> Vec<bool> {
+    let prepared = PreparedClause::new(clause);
+    let chunk = grounds.len().div_ceil(workers).max(1);
+    std::thread::scope(|s| {
+        let parts: Vec<_> = grounds
+            .chunks(chunk)
+            .map(|part| {
+                let prepared = &prepared;
+                s.spawn(move || {
+                    let mut ws = Workspace::default();
+                    part.iter()
+                        .map(|g| ws.theta_subsumes_prepared(prepared, g, cfg))
+                        .collect::<Vec<bool>>()
+                })
+            })
+            .collect();
+        parts.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One prepared clause, shared by one or four workers, answers every
+    /// example of a batch exactly as a fresh `theta_subsumes` does, under
+    /// a tight and the unbounded budget. The batches are the differential
+    /// worlds, the star-heavy worlds (where most literals fold) and the
+    /// bipartite cycle instances (where searches escalate to arc
+    /// consistency, so workers build and share the lazy neighbour index).
+    #[test]
+    fn prepared_clause_answers_a_batch_as_fresh_tests_do(
+        seed in 0u64..u64::MAX / 2,
+        n_consts in 3usize..9,
+        n_edges in 0usize..16,
+        node_limit in 1usize..40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e9a);
+        let plain = build_world(seed, n_consts, n_edges, n_edges);
+        let star = build_star_world(seed, n_consts, n_edges);
+        let mut families = Vec::new();
+        for world in [&plain, &star] {
+            let grounds: Vec<GroundClause> = world
+                .examples
+                .iter()
+                .map(|e| full_bc(world, e, &mut rng))
+                .collect();
+            families.push((world.clauses.clone(), grounds));
+        }
+        families.push(graph_instances(&mut rng));
+        for (clauses, grounds) in &families {
+            for clause in clauses {
+                for cfg in [SubsumeConfig { node_limit }, SubsumeConfig::unbounded()] {
+                    let fresh: Vec<bool> =
+                        grounds.iter().map(|g| theta_subsumes(clause, g, &cfg)).collect();
+                    for workers in [1, 4] {
+                        prop_assert_eq!(
+                            prepared_batch(clause, grounds, &cfg, workers),
+                            fresh.clone(),
+                            "seed {}, {} workers, {:?}: {:?}",
+                            seed,
+                            workers,
+                            cfg,
+                            clause
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
