@@ -31,21 +31,19 @@ use obs::json::Json;
 /// Counters gated by [`compare`]: positive in the baseline ⇒ must stay
 /// positive in the fresh run. Deliberately a "still engaged" check, not a
 /// ratio — counter magnitudes shift with legitimate search-order changes.
-const GATED_COUNTERS: [&str; 6] = [
+const GATED_COUNTERS: [&str; 5] = [
     "autobias_plan_compiled_total",
     "autobias_http_keepalive_reuses_total",
     // A baseline that observed per-operator q-errors means the plan-stats
     // pipeline was on; a fresh run where it reads zero has silently lost
     // EXPLAIN ANALYZE (and the estimate-accuracy feedback loop with it).
     "autobias_plan_estimate_qerror_count",
-    // The bitset subsumption search and the constraint-driven beam pruner
-    // (DESIGN.md §15): a baseline that exercised them but a fresh run that
-    // reads zero means the run silently lost domain accounting, component
-    // splitting, or pruning — the coverage.theta phase tolerance assumes all
-    // three.
+    // The bitset subsumption search (DESIGN.md §15): a baseline that
+    // exercised it but a fresh run that reads zero means the run silently
+    // lost domain accounting or component splitting — the coverage.theta
+    // phase tolerance assumes both.
     "autobias_core_subsume_domain_words_total",
     "autobias_core_subsume_components_split_total",
-    "autobias_core_candidates_pruned_by_constraint_total",
 ];
 
 /// Serving-benchmark throughput metrics (`BENCH_serve_*.json`): a fresh
@@ -371,14 +369,14 @@ mod tests {
         assert_eq!(out.regressions[0].what, "phase:coverage.theta");
     }
 
-    fn doc_with_counters(pruned: u64) -> Json {
+    fn doc_with_counters(splits: u64) -> Json {
         Json::parse(&format!(
             r#"{{"dataset": "UW", "folds": 2, "methods": {{
                 "AutoBias": {{
                     "f_measure": 0.9, "time_secs": 10.0,
                     "phases": {{}},
                     "counters": {{
-                        "autobias_core_candidates_pruned_by_constraint_total": {pruned},
+                        "autobias_core_subsume_components_split_total": {splits},
                         "autobias_core_subsumption_tests_total": 5000
                     }}
                 }}
@@ -388,17 +386,17 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pruner_fails_the_counter_gate() {
+    fn disabled_component_splitting_fails_the_counter_gate() {
         let base = doc_with_counters(1200);
-        // An engaged pruner passes, whatever the magnitude.
+        // Engaged component splitting passes, whatever the magnitude.
         let out = compare(&base, &doc_with_counters(3), &CompareConfig::default()).unwrap();
         assert!(out.passed(), "{:?}", out.regressions);
-        // A zero or missing pruning counter fails.
+        // A zero or missing component-split counter fails.
         let out = compare(&base, &doc_with_counters(0), &CompareConfig::default()).unwrap();
         assert_eq!(out.regressions.len(), 1);
         assert_eq!(
             out.regressions[0].what,
-            "counter:autobias_core_candidates_pruned_by_constraint_total"
+            "counter:autobias_core_subsume_components_split_total"
         );
         let stripped = Json::parse(
             r#"{"dataset": "UW", "methods": {"AutoBias": {
@@ -422,29 +420,28 @@ mod tests {
     }
 
     #[test]
-    fn silently_disabled_subsume_engine_or_pruner_fails_the_counter_gate() {
-        let doc = |words: u64, pruned: u64| {
+    fn silently_disabled_subsume_engine_fails_the_counter_gate() {
+        let doc = |words: u64| {
             Json::parse(&format!(
                 r#"{{"dataset": "UW", "methods": {{
                     "AutoBias": {{
                         "f_measure": 0.9, "time_secs": 10.0, "phases": {{}},
                         "counters": {{
                             "autobias_core_subsume_domain_words_total": {words},
-                            "autobias_core_subsume_components_split_total": {words},
-                            "autobias_core_candidates_pruned_by_constraint_total": {pruned}
+                            "autobias_core_subsume_components_split_total": {words}
                         }}
                     }}
                 }}}}"#
             ))
             .unwrap()
         };
-        let base = doc(27_000_000, 54);
+        let base = doc(27_000_000);
         // Magnitudes may move freely as long as both stay engaged.
-        assert!(compare(&base, &doc(9, 1), &CompareConfig::default())
+        assert!(compare(&base, &doc(9), &CompareConfig::default())
             .unwrap()
             .passed());
         // Legacy-engine fallback: domain-word and component counters at zero.
-        let out = compare(&base, &doc(0, 54), &CompareConfig::default()).unwrap();
+        let out = compare(&base, &doc(0), &CompareConfig::default()).unwrap();
         let whats: Vec<&str> = out.regressions.iter().map(|r| r.what.as_str()).collect();
         assert_eq!(
             whats,
@@ -454,13 +451,6 @@ mod tests {
             ],
             "{:?}",
             out.regressions
-        );
-        // Pruning off: the constraint-store counter reads zero.
-        let out = compare(&base, &doc(5, 0), &CompareConfig::default()).unwrap();
-        assert_eq!(out.regressions.len(), 1);
-        assert_eq!(
-            out.regressions[0].what,
-            "counter:autobias_core_candidates_pruned_by_constraint_total"
         );
     }
 

@@ -227,11 +227,6 @@ impl LanguageBias {
         self.types_of(a).iter().any(|t| tb.contains(t))
     }
 
-    /// Whether any type of `attr` appears in the set `types`.
-    pub fn types_intersect(&self, attr: AttrRef, types: &FxHashSet<TypeId>) -> bool {
-        self.types_of(attr).iter().any(|t| types.contains(t))
-    }
-
     /// Mode definitions declared for `rel`.
     pub fn modes_for(&self, rel: RelId) -> impl Iterator<Item = &ModeDef> {
         self.modes_by_rel

@@ -1,5 +1,5 @@
-//! Evaluation: precision / recall / F-measure and k-fold cross validation
-//! (paper §6.1, "Measure").
+//! Evaluation: precision / recall / F-measure and k-fold cross-validation
+//! splits (paper §6.1, "Measure").
 //!
 //! ```
 //! use autobias::eval::Metrics;
@@ -14,15 +14,12 @@ use crate::bottom::{BcConfig, SamplingStrategy};
 use crate::clause::Definition;
 use crate::coverage::CoverageEngine;
 use crate::example::{Example, TrainingSet};
-use crate::learn::{
-    definition_covers_neg_in, definition_covers_pos_in, prepare_definition, Learner,
-};
+use crate::learn::{definition_covers_neg_in, definition_covers_pos_in, prepare_definition};
 use crate::subsume::{SubsumeConfig, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use relstore::Database;
-use std::time::{Duration, Instant};
 
 /// Confusion counts and derived measures for one evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -145,87 +142,6 @@ pub fn kfold_splits(
         .collect()
 }
 
-/// Result of one cross-validation fold.
-#[derive(Debug, Clone)]
-pub struct FoldResult {
-    /// Test-set metrics.
-    pub metrics: Metrics,
-    /// Learning wall-clock time (excludes evaluation).
-    pub learn_time: Duration,
-    /// Clauses learned.
-    pub clauses: usize,
-}
-
-/// Aggregated cross-validation result.
-#[derive(Debug, Clone, Default)]
-pub struct CvResult {
-    /// Per-fold results.
-    pub folds: Vec<FoldResult>,
-}
-
-impl CvResult {
-    /// Mean precision over folds.
-    pub fn precision(&self) -> f64 {
-        mean(self.folds.iter().map(|f| f.metrics.precision()))
-    }
-
-    /// Mean recall over folds.
-    pub fn recall(&self) -> f64 {
-        mean(self.folds.iter().map(|f| f.metrics.recall()))
-    }
-
-    /// Mean F-measure over folds.
-    pub fn f_measure(&self) -> f64 {
-        mean(self.folds.iter().map(|f| f.metrics.f_measure()))
-    }
-
-    /// Mean learning time over folds.
-    pub fn learn_time(&self) -> Duration {
-        let total: Duration = self.folds.iter().map(|f| f.learn_time).sum();
-        total
-            .checked_div(self.folds.len().max(1) as u32)
-            .unwrap_or_default()
-    }
-}
-
-fn mean(xs: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for x in xs {
-        sum += x;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
-/// Runs k-fold cross validation for one learner/bias pair.
-pub fn cross_validate(
-    db: &Database,
-    bias: &LanguageBias,
-    learner: &Learner,
-    pos: &[Example],
-    neg: &[Example],
-    k: usize,
-    seed: u64,
-) -> CvResult {
-    let mut folds = Vec::with_capacity(k);
-    for (train, test) in kfold_splits(pos, neg, k, seed) {
-        let t0 = Instant::now();
-        let (def, _) = learner.learn(db, bias, &train);
-        let learn_time = t0.elapsed();
-        let metrics = evaluate_definition(db, bias, &def, &test, learner.cfg.bc.depth, seed);
-        folds.push(FoldResult {
-            metrics,
-            learn_time,
-            clauses: def.len(),
-        });
-    }
-    CvResult { folds }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,77 +227,5 @@ mod tests {
     fn kfold_rejects_k_one() {
         let pos = fake_examples(4);
         kfold_splits(&pos, &pos, 1, 0);
-    }
-}
-
-#[cfg(test)]
-mod cv_tests {
-    use super::*;
-    use crate::bias::parse::parse_bias;
-    use crate::bottom::{BcConfig, SamplingStrategy};
-    use crate::learn::LearnerConfig;
-
-    /// cross_validate runs k folds end to end and aggregates sane metrics on
-    /// a clean co-authorship world.
-    #[test]
-    fn cross_validate_end_to_end() {
-        let mut db = Database::new();
-        let student = db.add_relation("student", &["stud"]);
-        let professor = db.add_relation("professor", &["prof"]);
-        let publ = db.add_relation("publication", &["title", "person"]);
-        let target = db.add_relation("advisedBy", &["stud", "prof"]);
-        let mut pos = Vec::new();
-        let mut neg = Vec::new();
-        for i in 0..12 {
-            let s = format!("s{i}");
-            let p = format!("f{i}");
-            let t = format!("t{i}");
-            db.insert(student, &[&s]);
-            db.insert(professor, &[&p]);
-            db.insert(publ, &[&t, &s]);
-            db.insert(publ, &[&t, &p]);
-            db.insert(target, &[&s, &p]);
-        }
-        for i in 0..12 {
-            let s = db.lookup(&format!("s{i}")).unwrap();
-            let p = db.lookup(&format!("f{i}")).unwrap();
-            let p2 = db.lookup(&format!("f{}", (i + 3) % 12)).unwrap();
-            pos.push(Example::new(target, vec![s, p]));
-            neg.push(Example::new(target, vec![s, p2]));
-        }
-        db.build_indexes();
-        let bias = parse_bias(
-            &db,
-            target,
-            "
-pred student(T1)
-pred professor(T3)
-pred publication(T5, T1)
-pred publication(T5, T3)
-pred advisedBy(T1, T3)
-mode student(+)
-mode professor(+)
-mode publication(-, +)
-",
-        )
-        .unwrap();
-        let learner = Learner::new(LearnerConfig {
-            bc: BcConfig {
-                depth: 2,
-                strategy: SamplingStrategy::Full,
-                max_tuples: 2000,
-                max_body_literals: 20_000,
-            },
-            ..LearnerConfig::default()
-        });
-        let cv = cross_validate(&db, &bias, &learner, &pos, &neg, 3, 9);
-        assert_eq!(cv.folds.len(), 3);
-        assert!(cv.f_measure() > 0.9, "CV FM {}", cv.f_measure());
-        assert!(cv.precision() > 0.9);
-        assert!(cv.recall() > 0.9);
-        assert!(cv.learn_time() > Duration::ZERO);
-        for f in &cv.folds {
-            assert!(f.clauses >= 1);
-        }
     }
 }

@@ -12,7 +12,6 @@ use crate::coverage::{Canonical, CoverageEngine};
 use crate::subsume::{PrefixProbe, PreparedClause, Workspace};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::hash::{Hash, Hasher};
 
 /// Beam-search configuration for `LearnClause`.
 #[derive(Debug, Clone, Copy)]
@@ -299,207 +298,6 @@ pub fn reduce_clause(clause: &Clause, engine: &CoverageEngine) -> Clause {
     current
 }
 
-/// Cap on stored constraints per kind: consults are linear scans, so the
-/// store must stay small. Beam runs produce at most a few hundred rejected
-/// candidates, so the cap is generous; overflow silently stops harvesting
-/// (pruning is an optimization, never required for correctness).
-const CONSTRAINT_STORE_CAP: usize = 4096;
-
-/// A canonical-form-keyed store of **coverage constraints** harvested from
-/// scored beam candidates (after Cropper & Hocquette, "Learning logic
-/// programs by discovering where not to search"), consulted before any
-/// coverage test:
-///
-/// - a candidate measured to cover **zero positives** dooms every
-///   *specialisation* (body ⊇ its body, same head): specialising only
-///   shrinks coverage, so the specialisation's positive count is injected
-///   as 0 without testing;
-/// - every candidate whose negative count was measured — whether rejected
-///   at its scoring cutoff (truncated count) or scored in full (exact
-///   count) — bounds every *generalisation* (body ⊆ its body, same head)
-///   from below: generalising only grows coverage, so when the inherited
-///   bound already exceeds the current cutoff the candidate is dropped
-///   before any negative test runs;
-/// - an **exact** negative count for a canonically identical re-encounter
-///   is injected outright: negatives are fixed for the whole learn run and
-///   θ-subsumption is a pure function of (clause, ground BC, budget), so
-///   the stored number *is* what the skipped scan would return.
-///
-/// Bodies are stored as sorted multisets of literal hashes of the
-/// *canonical* clause (all candidates are canonicalized before scoring), so
-/// the subset checks are linear merges and "specialisation" is literal
-/// multiset inclusion under the identity substitution — a sound
-/// under-approximation of θ-subsumption order, and an exact match (same
-/// multiset, same head) is α-equivalence. Constraints stay valid for a
-/// whole learn run: zero-positive claims are over the `uncovered` set, which
-/// only shrinks, and negative bounds are against the fixed negatives.
-///
-/// Every prune has a provably identical outcome to the test it skips, so
-/// learned output is bit-for-bit independent of
-/// `LearnerConfig::constraint_pruning`; the UW byte-identity suite pins that
-/// transparency.
-#[derive(Debug, Default)]
-pub struct ConstraintStore {
-    enabled: bool,
-    /// `(head key, sorted body literal keys)` of zero-positive candidates.
-    zero_pos: Vec<(u64, Box<[u64]>)>,
-    /// `(head key, sorted body literal keys, bound, exact)` per measured
-    /// candidate: `bound` is a lower bound on its negative count, exact when
-    /// `exact` (counting ran to completion rather than stopping at the
-    /// scoring cutoff).
-    neg_bounds: Vec<(u64, Box<[u64]>, usize, bool)>,
-    /// Dedup of zero-positive bodies (hash of head + body keys).
-    seen_zero: relstore::FxHashSet<u64>,
-    /// Index into `neg_bounds` by body hash, for exact-repeat lookup and
-    /// in-place upgrades (truncated bound → exact count).
-    seen_neg: relstore::FxHashMap<u64, usize>,
-}
-
-impl ConstraintStore {
-    /// An empty store that harvests and prunes.
-    pub fn new() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// A store that never prunes nor harvests: the unpruned reference path
-    /// (`LearnerConfig::constraint_pruning` off).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Number of stored constraints (both kinds).
-    pub fn len(&self) -> usize {
-        self.zero_pos.len() + self.neg_bounds.len()
-    }
-
-    /// Whether the store holds no constraints.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn keys_of(clause: &Clause) -> (u64, Box<[u64]>) {
-        let mut body: Vec<u64> = clause.body.iter().map(lit_key).collect();
-        body.sort_unstable();
-        (lit_key(&clause.head), body.into_boxed_slice())
-    }
-
-    fn harvest_key(head: u64, body: &[u64]) -> u64 {
-        let mut h = head.rotate_left(17);
-        for &k in body {
-            h = h.rotate_left(5) ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-        h
-    }
-
-    /// Records a candidate measured at zero positive coverage.
-    pub fn harvest_zero_pos(&mut self, clause: &Clause) {
-        if !self.enabled || self.zero_pos.len() >= CONSTRAINT_STORE_CAP {
-            return;
-        }
-        let (head, body) = Self::keys_of(clause);
-        if self.seen_zero.insert(Self::harvest_key(head, &body)) {
-            self.zero_pos.push((head, body));
-        }
-    }
-
-    /// Records a candidate whose measured negative count reached `bound`;
-    /// `exact` when counting ran to completion (the bound is the count)
-    /// rather than stopping at the scoring cutoff (truncated). Re-harvests
-    /// of the same body upgrade the stored entry in place.
-    pub fn harvest_neg_bound(&mut self, clause: &Clause, bound: usize, exact: bool) {
-        if !self.enabled {
-            return;
-        }
-        let (head, body) = Self::keys_of(clause);
-        match self.seen_neg.entry(Self::harvest_key(head, &body)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let slot = &mut self.neg_bounds[*e.get()];
-                if slot.0 == head && slot.1 == body {
-                    slot.2 = slot.2.max(bound);
-                    slot.3 |= exact;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                if self.neg_bounds.len() >= CONSTRAINT_STORE_CAP {
-                    return;
-                }
-                e.insert(self.neg_bounds.len());
-                self.neg_bounds.push((head, body, bound, exact));
-            }
-        }
-    }
-
-    /// Whether `clause` is a specialisation of a stored zero-positive
-    /// candidate — in which case its positive coverage is provably zero.
-    pub fn implies_zero_pos(&self, clause: &Clause) -> bool {
-        if !self.enabled || self.zero_pos.is_empty() {
-            return false;
-        }
-        let (head, body) = Self::keys_of(clause);
-        self.zero_pos
-            .iter()
-            .any(|(h, b)| *h == head && b.len() <= body.len() && multiset_subset(b, &body))
-    }
-
-    /// The exact negative count stored for a canonically identical clause,
-    /// if a fully measured one exists. O(1): hashed body lookup.
-    pub fn neg_exact(&self, clause: &Clause) -> Option<usize> {
-        if !self.enabled || self.neg_bounds.is_empty() {
-            return None;
-        }
-        let (head, body) = Self::keys_of(clause);
-        let &idx = self.seen_neg.get(&Self::harvest_key(head, &body))?;
-        let (h, b, n, exact) = &self.neg_bounds[idx];
-        (*exact && *h == head && *b == body).then_some(*n)
-    }
-
-    /// The largest stored negative lower bound applying to `clause` (i.e.
-    /// from a stored candidate `clause` generalises), if any.
-    pub fn neg_lower_bound(&self, clause: &Clause) -> Option<usize> {
-        if !self.enabled || self.neg_bounds.is_empty() {
-            return None;
-        }
-        let (head, body) = Self::keys_of(clause);
-        self.neg_bounds
-            .iter()
-            .filter(|(h, b, _, _)| *h == head && body.len() <= b.len() && multiset_subset(&body, b))
-            .map(|&(_, _, lb, _)| lb)
-            .max()
-    }
-}
-
-/// A structural key for one literal (relation + args, vars by id). Canonical
-/// clauses give α-equivalent literals equal keys; a 64-bit collision between
-/// distinct literals is the only failure mode and would at worst suppress or
-/// add a prune that the byte-identity suite detects.
-fn lit_key(l: &Literal) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    l.hash(&mut h);
-    h.finish()
-}
-
-/// Multiset inclusion over two ascending-sorted key slices.
-fn multiset_subset(small: &[u64], big: &[u64]) -> bool {
-    let mut bi = 0usize;
-    'outer: for &s in small {
-        while bi < big.len() {
-            match big[bi].cmp(&s) {
-                std::cmp::Ordering::Less => bi += 1,
-                std::cmp::Ordering::Equal => {
-                    bi += 1;
-                    continue 'outer;
-                }
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
 /// Statistics of one `LearnClause` invocation.
 #[derive(Debug, Clone, Default)]
 pub struct LearnClauseStats {
@@ -518,9 +316,6 @@ pub struct LearnClauseStats {
     /// armg results dropped as α-equivalent duplicates (canonical-form
     /// dedup) of a candidate already kept this iteration.
     pub candidates_deduped: usize,
-    /// Candidates answered or dropped by the failure-constraint store before
-    /// any coverage test ran ([`ConstraintStore`]).
-    pub candidates_pruned_by_constraint: usize,
 }
 
 /// The `LearnClause` step of Algorithm 1: builds candidates from the seed's
@@ -529,16 +324,12 @@ pub struct LearnClauseStats {
 ///
 /// `bottom` is the seed example's variable-ized bottom clause
 /// ([`crate::bottom::variablize`]); `uncovered` are the positive indices not
-/// yet covered by the definition under construction. `store` carries failure
-/// constraints across covering iterations — rejected candidates harvested
-/// here prune future beam candidates before any coverage test (pass
-/// [`ConstraintStore::disabled`] to opt out).
+/// yet covered by the definition under construction.
 pub fn learn_clause<R: Rng>(
     engine: &CoverageEngine,
     bottom: Clause,
     uncovered: &[usize],
     cfg: &GenConfig,
-    store: &mut ConstraintStore,
     rng: &mut R,
 ) -> (Clause, LearnClauseStats) {
     let mut stats = LearnClauseStats::default();
@@ -601,31 +392,11 @@ pub fn learn_clause<R: Rng>(
         stats.candidates_generated += unique.len();
         let score_sp = obs::span!("learn.score");
 
-        // Constraint consult #1: a specialisation of a stored zero-positive
-        // candidate provably covers zero positives — inject p = 0 without
-        // testing. Injection keeps the candidate in its original slot so the
-        // stable sorts below (and therefore the learned output) are
-        // bit-identical with pruning off.
-        let known_zero: Vec<bool> = unique.iter().map(|c| store.implies_zero_pos(c)).collect();
-        let test_idx: Vec<usize> = (0..unique.len()).filter(|&i| !known_zero[i]).collect();
-        stats.candidates_pruned_by_constraint += unique.len() - test_idx.len();
-
         // Positive halves of all candidates scored as one batched parallel
         // map over (candidate × example) pairs — balanced even when the
         // beam holds one expensive clause and several cheap ones.
-        let to_test: Vec<Canonical> = test_idx.iter().map(|&i| unique[i].clone()).collect();
-        let ps = engine.batch_covered_pos(&to_test, uncovered);
-        let mut p_of = vec![0usize; unique.len()];
-        for (k, &i) in test_idx.iter().enumerate() {
-            p_of[i] = ps[k];
-        }
-        let mut with_p: Vec<(Canonical, usize)> = unique.into_iter().zip(p_of).collect();
-        // Constraint harvest #1: freshly measured zero-positive candidates.
-        for (c, p) in &with_p {
-            if *p == 0 {
-                store.harvest_zero_pos(c);
-            }
-        }
+        let ps = engine.batch_covered_pos(&unique, uncovered);
+        let mut with_p: Vec<(Canonical, usize)> = unique.into_iter().zip(ps).collect();
         with_p.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.len().cmp(&b.0.len())));
 
         // Scoring with sound pruning: score = p − n ≤ p, so once a
@@ -656,48 +427,13 @@ pub fn learn_clause<R: Rng>(
             // a candidate could never displace a beam entry, so dropping it
             // leaves the final beam bit-identical to exact scoring.
             let cutoff = kth_best.map(|kth| (p as i64 - kth) as usize);
-            // Constraint consult #2: an exact count stored for a canonically
-            // identical clause IS what the scan below would measure —
-            // negatives are fixed and subsumption is a pure function — so
-            // inject it and take the same branch the scan would take.
-            // Otherwise, a generalisation of any stored candidate inherits
-            // its lower bound; when that already exceeds the cutoff, the
-            // negative scan would provably end in the same `continue`.
-            let known_n = store.neg_exact(&c);
-            if known_n.is_none() {
-                if let Some(lb) = store.neg_lower_bound(&c) {
-                    if cutoff.is_some_and(|k| lb > k) {
-                        stats.candidates_pruned_by_constraint += 1;
-                        continue;
-                    }
-                }
-            }
-            let (n_value, n_exceeds) = match known_n {
-                Some(n) => {
-                    stats.candidates_pruned_by_constraint += 1;
-                    (n, cutoff.is_some_and(|k| n > k))
-                }
-                None => {
-                    stats.candidates_scored += 1;
-                    let n = engine.count_neg_budget(&c, cutoff);
-                    (n.value(), n.exceeds(cutoff))
-                }
-            };
-            if n_exceeds {
-                // Constraint harvest #2: the measured count is a lower
-                // bound on this candidate's — and every generalisation's —
-                // negative coverage (exact only if counting finished).
-                store.harvest_neg_bound(&c, n_value, known_n.is_some());
+            stats.candidates_scored += 1;
+            let n = engine.count_neg_budget(&c, cutoff);
+            if n.exceeds(cutoff) {
                 stats.candidates_pruned += 1;
                 continue;
             }
-            // Constraint harvest #3: a fully counted number is exact and
-            // also bounds every generalisation from below (negatives are
-            // fixed, coverage is monotone under generalisation) —
-            // harvesting *accepted* candidates too is what makes the store
-            // fire on re-encounters across covering iterations.
-            store.harvest_neg_bound(&c, n_value, true);
-            let s = p as i64 - n_value as i64;
+            let s = p as i64 - n.value() as i64;
             candidates.push((c, s));
             candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.len().cmp(&b.0.len())));
         }
@@ -727,8 +463,6 @@ pub fn learn_clause<R: Rng>(
     crate::instrument::CANDIDATES_GENERATED.add(stats.candidates_generated as u64);
     crate::instrument::CANDIDATES_PRUNED.add(stats.candidates_pruned as u64);
     crate::instrument::CANDIDATES_DEDUPED.add(stats.candidates_deduped as u64);
-    crate::instrument::CANDIDATES_PRUNED_BY_CONSTRAINT
-        .add(stats.candidates_pruned_by_constraint as u64);
     if sp.is_active() {
         sp.note("iterations", stats.iterations as u64);
         sp.note("armg_calls", stats.armg_calls as u64);
@@ -736,10 +470,6 @@ pub fn learn_clause<R: Rng>(
         sp.note("candidates_scored", stats.candidates_scored as u64);
         sp.note("candidates_pruned", stats.candidates_pruned as u64);
         sp.note("candidates_deduped", stats.candidates_deduped as u64);
-        sp.note(
-            "candidates_pruned_by_constraint",
-            stats.candidates_pruned_by_constraint as u64,
-        );
         sp.note("best_len", best.len() as u64);
     }
     (best, stats)
@@ -950,13 +680,11 @@ mode publication(-, +)
         let engine = build_engine(&db, &train, &bias);
         let uncovered: Vec<usize> = (0..train.pos.len()).collect();
         let mut rng = StdRng::seed_from_u64(5);
-        let mut store = ConstraintStore::disabled();
         let (clause, stats) = learn_clause(
             &engine,
             variablize(&engine.pos[0], &bias, MAX_BODY_LITERALS),
             &uncovered,
             &GenConfig::default(),
-            &mut store,
             &mut rng,
         );
         let (_, p, n) = engine.score(&clause, &uncovered);
@@ -973,121 +701,5 @@ mode publication(-, +)
             clause.render(&db)
         );
         assert!(stats.armg_calls > 0);
-    }
-
-    #[test]
-    fn multiset_subset_is_inclusion_with_multiplicity() {
-        assert!(multiset_subset(&[], &[]));
-        assert!(multiset_subset(&[], &[1, 2]));
-        assert!(multiset_subset(&[2], &[1, 2, 3]));
-        assert!(multiset_subset(&[1, 2], &[1, 2]));
-        assert!(multiset_subset(&[2, 2], &[1, 2, 2, 3]));
-        assert!(!multiset_subset(&[2, 2], &[1, 2, 3])); // multiplicity counts
-        assert!(!multiset_subset(&[4], &[1, 2, 3]));
-        assert!(!multiset_subset(&[1, 2], &[2])); // bigger than big
-    }
-
-    /// Builds `t(V0, V1) ← body` over the given relation ids, with each body
-    /// literal reading `rel(V0, Vk)` for a fresh k — so dropping literals
-    /// gives genuine multiset-subset bodies (all vars hang off the head).
-    fn star_clause(rels: &[u32]) -> Clause {
-        use crate::clause::{Term, VarId};
-        use relstore::RelId;
-        let head = Literal::new(RelId(99), vec![Term::Var(VarId(0)), Term::Var(VarId(1))]);
-        let body = rels
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| {
-                Literal::new(
-                    RelId(r),
-                    vec![Term::Var(VarId(0)), Term::Var(VarId(i as u32 + 2))],
-                )
-            })
-            .collect();
-        Clause::new(head, body)
-    }
-
-    #[test]
-    fn zero_pos_constraint_dooms_specialisations_only() {
-        let mut store = ConstraintStore::new();
-        store.harvest_zero_pos(&star_clause(&[1, 2]));
-        // Specialisation (superset body): provably zero positives.
-        assert!(store.implies_zero_pos(&star_clause(&[1, 2, 3])));
-        // The stored clause itself is its own specialisation.
-        assert!(store.implies_zero_pos(&star_clause(&[1, 2])));
-        // Generalisations and unrelated bodies are NOT doomed.
-        assert!(!store.implies_zero_pos(&star_clause(&[1])));
-        assert!(!store.implies_zero_pos(&star_clause(&[1, 3])));
-        assert!(store.len() == 1 && !store.is_empty());
-    }
-
-    #[test]
-    fn neg_bound_flows_to_generalisations_and_upgrades_in_place() {
-        let mut store = ConstraintStore::new();
-        // Truncated bound on the specific clause.
-        store.harvest_neg_bound(&star_clause(&[1, 2, 3]), 4, false);
-        // Generalisations (subset bodies) inherit the bound...
-        assert_eq!(store.neg_lower_bound(&star_clause(&[1, 2])), Some(4));
-        // ...under the *identity* substitution only: `star_clause(&[3])`
-        // names its output V2 where the stored body names it V4, so the
-        // hash-multiset check conservatively declines (a missed prune, never
-        // an unsound one).
-        assert_eq!(store.neg_lower_bound(&star_clause(&[3])), None);
-        // A truncated bound is never served as exact.
-        assert_eq!(store.neg_exact(&star_clause(&[1, 2, 3])), None);
-        // Specialisations do not inherit (they may cover fewer negatives).
-        assert_eq!(store.neg_lower_bound(&star_clause(&[1, 2, 3, 4])), None);
-        // Re-harvesting the same body exactly upgrades the entry in place.
-        store.harvest_neg_bound(&star_clause(&[1, 2, 3]), 7, true);
-        assert_eq!(store.len(), 1, "upgrade must not duplicate the entry");
-        assert_eq!(store.neg_exact(&star_clause(&[1, 2, 3])), Some(7));
-        assert_eq!(store.neg_lower_bound(&star_clause(&[1])), Some(7));
-        // Exactness is keyed on the precise body: near misses stay inexact.
-        assert_eq!(store.neg_exact(&star_clause(&[1, 2])), None);
-    }
-
-    #[test]
-    fn disabled_store_never_harvests_nor_answers() {
-        let mut store = ConstraintStore::disabled();
-        store.harvest_zero_pos(&star_clause(&[1]));
-        store.harvest_neg_bound(&star_clause(&[1, 2]), 9, true);
-        assert!(store.is_empty());
-        assert!(!store.implies_zero_pos(&star_clause(&[1, 2])));
-        assert_eq!(store.neg_exact(&star_clause(&[1, 2])), None);
-        assert_eq!(store.neg_lower_bound(&star_clause(&[1])), None);
-    }
-
-    /// Pruning on vs off must learn the same clause on the co-authorship
-    /// world — the in-process version of the UW byte-identity suite.
-    #[test]
-    fn learn_clause_is_invariant_under_constraint_pruning() {
-        let (db, train, bias) = build_world();
-        let engine = build_engine(&db, &train, &bias);
-        let uncovered: Vec<usize> = (0..train.pos.len()).collect();
-        let run = |store: &mut ConstraintStore| {
-            let mut rng = StdRng::seed_from_u64(5);
-            learn_clause(
-                &engine,
-                variablize(&engine.pos[0], &bias, MAX_BODY_LITERALS),
-                &uncovered,
-                &GenConfig::default(),
-                store,
-                &mut rng,
-            )
-            .0
-        };
-        let without = run(&mut ConstraintStore::disabled());
-        let mut store = ConstraintStore::new();
-        let with = run(&mut store);
-        // Run twice with the same warm store: re-encounters answered from it.
-        let with_warm = run(&mut store);
-        assert_eq!(
-            without,
-            with,
-            "pruning changed the learned clause: {}",
-            with.render(&db)
-        );
-        assert_eq!(without, with_warm, "warm store changed the learned clause");
-        assert!(!store.is_empty(), "co-authorship run harvested nothing");
     }
 }

@@ -3,10 +3,10 @@
 
 use crate::bias::LanguageBias;
 use crate::bottom::{variablize, BcConfig};
-use crate::clause::{Clause, Definition};
+use crate::clause::Definition;
 use crate::coverage::{worker_threads, Bitset, CoverageEngine};
 use crate::example::TrainingSet;
-use crate::generalize::{learn_clause, ConstraintStore, GenConfig};
+use crate::generalize::{learn_clause, GenConfig};
 use crate::subsume::{PreparedClause, SubsumeConfig, Workspace};
 use obs::progress::{NullSink, ProgressEvent, ProgressSink};
 use rand::rngs::StdRng;
@@ -63,10 +63,6 @@ pub struct LearnerConfig {
     /// Worker threads for BC construction and coverage testing. Learned
     /// definitions do not depend on it.
     pub threads: usize,
-    /// Prune beam candidates through the constraint store before coverage
-    /// testing (DESIGN.md §15). Off is the unpruned reference path; learned
-    /// definitions do not depend on it.
-    pub constraint_pruning: bool,
 }
 
 impl Default for LearnerConfig {
@@ -81,7 +77,6 @@ impl Default for LearnerConfig {
             time_budget: None,
             reduce_clauses: false,
             threads: worker_threads(),
-            constraint_pruning: true,
         }
     }
 }
@@ -104,8 +99,6 @@ pub struct LearnStats {
     pub rejected_clauses: usize,
     /// Total ground-BC literals built (a proxy for sampling effort).
     pub ground_literals: usize,
-    /// Beam candidates answered or dropped by this run's constraint store.
-    pub pruned_by_constraint: usize,
 }
 
 /// The sequential covering learner.
@@ -209,14 +202,6 @@ impl Learner {
         let mut uncovered: Vec<usize> = (0..train.pos.len()).collect();
         let mut definition = Definition::new();
         let mut iteration = 0usize;
-        // Failure constraints persist across covering iterations: the
-        // uncovered set only shrinks, so zero-positive claims stay valid,
-        // and negative lower bounds are against the fixed negative set.
-        let mut constraints = if self.cfg.constraint_pruning {
-            ConstraintStore::new()
-        } else {
-            ConstraintStore::disabled()
-        };
 
         while !uncovered.is_empty() && definition.len() < self.cfg.max_clauses {
             if cancel.load(Ordering::Relaxed) {
@@ -244,14 +229,7 @@ impl Learner {
             });
             let mut gen_cfg = self.cfg.gen;
             gen_cfg.deadline = deadline;
-            let (clause, cstats) = learn_clause(
-                &engine,
-                bottom,
-                &uncovered,
-                &gen_cfg,
-                &mut constraints,
-                &mut rng,
-            );
+            let (clause, cstats) = learn_clause(&engine, bottom, &uncovered, &gen_cfg, &mut rng);
             sink.on_event(&ProgressEvent::ClauseSearched {
                 iteration,
                 beam_iterations: cstats.iterations,
@@ -259,7 +237,6 @@ impl Learner {
                 candidates_pruned: cstats.candidates_pruned,
                 armg_calls: cstats.armg_calls,
             });
-            stats.pruned_by_constraint += cstats.candidates_pruned_by_constraint;
 
             let uncovered_mask = Bitset::from_indices(train.pos.len(), &uncovered);
             let canon = engine.canonical(&clause);
@@ -413,15 +390,6 @@ pub fn definition_covers_neg_in(
     i: usize,
 ) -> bool {
     def.iter().any(|c| engine.covers_neg_prepared(ws, c, i))
-}
-
-/// Scores a clause for external callers: `(pos_covered, neg_covered)` over
-/// all engine examples.
-pub fn clause_confusion(clause: &Clause, engine: &CoverageEngine) -> (usize, usize) {
-    let all: Vec<usize> = (0..engine.pos.len()).collect();
-    let p = engine.covered_pos_subset(clause, &all).len();
-    let n = engine.count_neg(clause);
-    (p, n)
 }
 
 #[cfg(test)]

@@ -85,18 +85,12 @@ struct AppState {
 pub struct ServerHandle {
     addr: SocketAddr,
     accept_thread: JoinHandle<()>,
-    state: Arc<AppState>,
 }
 
 impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Number of models currently loaded.
-    pub fn models_loaded(&self) -> usize {
-        self.state.registry.len()
     }
 
     /// Blocks until the server has fully shut down (accept loop exited,
@@ -152,7 +146,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<(ServerHandle, crate::registry::Reload
         &crate::metrics::HANDLER_PANICS,
     );
 
-    let accept_state = state.clone();
+    let accept_state = state;
     let accept_thread = std::thread::Builder::new()
         .name("serve-accept".to_string())
         .spawn(move || {
@@ -176,7 +170,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<(ServerHandle, crate::registry::Reload
         ServerHandle {
             addr,
             accept_thread,
-            state,
         },
         report,
     ))
