@@ -76,7 +76,6 @@ mod tests {
         let target = db.add_relation("advisedBy", &["stud", "prof"]);
         db.insert(target, &["juan", "sarita"]);
         db.insert(target, &["john", "mary"]);
-        db.build_indexes();
         (db, target)
     }
 

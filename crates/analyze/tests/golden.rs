@@ -13,7 +13,6 @@ fn uw_db() -> (Database, RelId) {
     let target = db.add_relation("advisedBy", &["stud", "prof"]);
     db.insert(target, &["juan", "sarita"]);
     db.insert(target, &["john", "mary"]);
-    db.build_indexes();
     (db, target)
 }
 

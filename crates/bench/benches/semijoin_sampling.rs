@@ -26,7 +26,6 @@ fn skewed_db(n: usize, values: usize, seed: u64) -> (Database, Vec<Const>) {
         let key = ((u * u) * values as f64) as usize;
         db.insert(r, &[&format!("k{key}"), &format!("p{i}")]);
     }
-    db.build_indexes();
     let keys: Vec<Const> = (0..values)
         .filter_map(|k| db.lookup(&format!("k{k}")))
         .collect();
@@ -58,10 +57,7 @@ fn olken_sample(
     k: usize,
     rng: &mut StdRng,
 ) -> Vec<TupleId> {
-    let idx = db
-        .relation(attr.rel)
-        .index(attr.pos as usize)
-        .expect("index");
+    let idx = db.relation(attr.rel).index(attr.pos as usize);
     let max = idx.max_freq();
     let mut out = Vec::with_capacity(k);
     let mut seen = FxHashSet::default();

@@ -346,7 +346,6 @@ mod tests {
 
         let (mut db, target) = setup();
         db.insert(target, &["john", "mary"]);
-        db.build_indexes();
         let bias = parse_aleph_bias(&db, target, ALEPH).unwrap();
         let juan = db.lookup("juan").unwrap();
         let sarita = db.lookup("sarita").unwrap();

@@ -444,15 +444,12 @@ impl<'a, 's> Builder<'a, 's> {
     }
 
     /// σ_{attr ∈ vals}: all matching tuple ids, ascending, appended to
-    /// `out` (Full / Naive path). On an indexed attribute the values'
-    /// postings are marked in the selection set and drained in id order,
-    /// which is [`relstore::algebra::select_in`]'s sorted output (distinct
-    /// values have disjoint postings) without its hash set or sort.
+    /// `out` (Full / Naive path). The values' postings are marked in the
+    /// selection set and drained in id order, which is
+    /// [`relstore::algebra::select_in`]'s sorted output (distinct values
+    /// have disjoint postings) without its hash set or sort.
     fn select(&mut self, attr: AttrRef, vals: &[Const], out: &mut Vec<TupleId>) {
-        let Some(idx) = self.db.relation(attr.rel).index(attr.pos as usize) else {
-            out.extend(select_all(self.db, attr, vals));
-            return;
-        };
+        let idx = self.db.relation(attr.rel).index(attr.pos as usize);
         for &v in vals {
             for &id in idx.lookup(v) {
                 self.s.selected.insert(id);
@@ -481,9 +478,8 @@ pub fn build_bottom_clause<R: Rng>(
 /// Builds the ground bottom clause for `example` under `bias`: every tuple
 /// the collection pass keeps, as a fact, in collection order.
 ///
-/// Indexes should be built (`db.build_indexes()`) beforehand; the
-/// [`SamplingStrategy::Random`] strategy requires them for its frequency
-/// statistics and falls back to naive behaviour on unindexed relations.
+/// [`SamplingStrategy::Random`] reads its frequency statistics `m(a)` and
+/// `M` from the probed attributes' indexes.
 /// Callers that build many clauses reuse one [`BcScratch`] through
 /// [`build_ground_clause_in`].
 pub fn build_ground_clause<R: Rng>(
@@ -617,13 +613,6 @@ struct WalkStats {
     accepted: u64,
 }
 
-/// σ_{attr ∈ vals} through [`relstore::algebra::select_in`]: the path for
-/// unindexed attributes.
-fn select_all(db: &Database, attr: AttrRef, vals: &[Const]) -> Vec<TupleId> {
-    let set: FxHashSet<Const> = vals.iter().copied().collect();
-    relstore::algebra::select_in(db, attr, &set)
-}
-
 /// The §4.2.3 accept–reject sampler over the semi-join `{vals} ⋊ R`:
 /// pick a value `a` uniformly from the distinct left values, pick a tuple
 /// uniformly among those with `R[B] = a`, accept with probability
@@ -641,17 +630,7 @@ fn olken_semijoin_sample<R: Rng>(
     walk: &mut WalkStats,
     out: &mut Vec<TupleId>,
 ) {
-    let rel = b.db.relation(attr.rel);
-    let Some(idx) = rel.index(attr.pos as usize) else {
-        // No statistics available: degrade to naive uniform sampling.
-        let mut ids = select_all(b.db, attr, vals);
-        if ids.len() > want {
-            ids.shuffle(rng);
-            ids.truncate(want);
-        }
-        out.extend(ids);
-        return;
-    };
+    let idx = b.db.relation(attr.rel).index(attr.pos as usize);
     let max_freq = idx.max_freq();
     if max_freq == 0 || vals.is_empty() {
         return;
@@ -933,7 +912,6 @@ mode publication(-, +)
         let target = db.add_relation("advisedBy", &["stud", "prof"]);
         let juan = db.intern("juan");
         let sarita = db.intern("sarita");
-        db.build_indexes();
         let bias = parse_bias(&db, target, UW_BIAS).unwrap();
         let example = Example::new(target, vec![juan, sarita]);
         (db, target, bias, example)
@@ -1120,6 +1098,37 @@ mode publication(-, +)
             for lit in sampled.ground.literals() {
                 assert!(full_set.contains(&lit), "sampled a non-reachable tuple");
             }
+        }
+    }
+
+    /// The accept–reject sampler reads `m(a)` and `M` from indexes built on
+    /// first read, so a database that has read no index samples exactly
+    /// like one whose every index was read first.
+    #[test]
+    fn random_sampling_is_the_same_before_and_after_index_reads() {
+        let (warm, _, bias, example) = setup();
+        for attr in warm.catalog().all_attrs() {
+            warm.relation(attr.rel).index(attr.pos as usize);
+        }
+        let cfg = BcConfig {
+            depth: 2,
+            strategy: SamplingStrategy::Random {
+                per_selection: 1,
+                oversample: 10,
+            },
+            max_body_literals: 100_000,
+            max_tuples: 1000,
+        };
+        for seed in 0..16 {
+            let (cold, ..) = setup();
+            let build = |db: &Database| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let g = build_ground_clause(db, &bias, &example, &cfg, &mut rng);
+                g.literals()
+                    .map(|(rel, args)| (rel, args.to_vec()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(build(&cold), build(&warm), "seed {seed}");
         }
     }
 

@@ -504,7 +504,6 @@ mod tests {
         let sarita = db.intern("sarita");
         let john = db.intern("john");
         let mary = db.intern("mary");
-        db.build_indexes();
         let bias = parse_bias(
             &db,
             target,

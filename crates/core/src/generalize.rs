@@ -519,7 +519,6 @@ mod tests {
             pos.push(Example::new(target, vec![s, p]));
             neg.push(Example::new(target, vec![s, p_other]));
         }
-        db.build_indexes();
         let bias = parse_bias(
             &db,
             target,

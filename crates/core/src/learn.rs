@@ -438,7 +438,6 @@ mod tests {
             pos.push(Example::new(target, vec![s, p]));
             neg.push(Example::new(target, vec![s, p2]));
         }
-        db.build_indexes();
         let bias = parse_bias(
             &db,
             target,
@@ -498,7 +497,6 @@ mode taughtBy(+, -)
         train
             .pos
             .insert(0, Example::new(target, vec![ghost_a, ghost_b]));
-        db.build_indexes();
         let bias = parse_bias(
             &db,
             target,
@@ -758,7 +756,6 @@ mod budget_tests {
             let c = db.lookup(&format!("x{i}")).unwrap();
             pos.push(Example::new(target, vec![c]));
         }
-        db.build_indexes();
         let bias = parse_bias(
             &db,
             target,
@@ -793,7 +790,6 @@ mode r(-, +)
             let c = db.lookup(&format!("x{i}")).unwrap();
             pos.push(Example::new(target, vec![c]));
         }
-        db.build_indexes();
         let bias = parse_bias(
             &db,
             target,

@@ -40,7 +40,6 @@
 //!     pos.push(Example::new(target, vec![s, p]));
 //!     if let Some(p2) = p2 { neg.push(Example::new(target, vec![s, p2])); }
 //! }
-//! db.build_indexes();
 //!
 //! // Induce the language bias automatically and learn.
 //! let (bias, _graph, _stats) =

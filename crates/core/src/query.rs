@@ -134,38 +134,35 @@ struct Eval<'a> {
 }
 
 impl Eval<'_> {
-    /// Count of tuples matching the bound/constant positions of `lit`
-    /// (an optimistic selectivity estimate used for literal ordering),
-    /// plus the candidate list itself.
+    /// The ids of the tuples of `lit`'s relation that agree with its
+    /// constants and bound variables: the posting list of the most
+    /// selective bound position (every tuple when none is bound), filtered.
     fn candidates(&self, lit: &Literal, binding: &[Option<Const>]) -> Vec<TupleId> {
         let rel = self.db.relation(lit.rel);
-        // Use the most selective indexed bound position, then filter.
-        let mut best: Option<(usize, Const, usize)> = None; // (pos, val, freq)
+        let mut best: Option<&[TupleId]> = None;
         for (pos, t) in lit.args.iter().enumerate() {
             let val = match *t {
                 Term::Const(c) => Some(c),
                 Term::Var(v) => binding[v.index()],
             };
             if let Some(val) = val {
-                let freq = rel.index(pos).map_or(usize::MAX, |idx| idx.freq(val));
-                if best.is_none_or(|(_, _, f)| freq < f) {
-                    best = Some((pos, val, freq));
+                let postings = rel.index(pos).lookup(val);
+                if best.is_none_or(|b| postings.len() < b.len()) {
+                    best = Some(postings);
                 }
             }
         }
-        let base: Vec<TupleId> = match best {
-            Some((pos, val, _)) => rel.select_eq(pos, val),
-            None => rel.iter().map(|(id, _)| id).collect(),
-        };
-        base.into_iter()
-            .filter(|&id| {
-                let tuple = rel.tuple(id);
-                lit.args.iter().zip(tuple.iter()).all(|(t, &tv)| match *t {
-                    Term::Const(c) => c == tv,
-                    Term::Var(v) => binding[v.index()].is_none_or(|b| b == tv),
-                })
+        let matches = |&id: &TupleId| {
+            let tuple = rel.tuple(id);
+            lit.args.iter().zip(tuple.iter()).all(|(t, &tv)| match *t {
+                Term::Const(c) => c == tv,
+                Term::Var(v) => binding[v.index()].is_none_or(|b| b == tv),
             })
-            .collect()
+        };
+        match best {
+            Some(postings) => postings.iter().copied().filter(matches).collect(),
+            None => (0..rel.len() as TupleId).filter(matches).collect(),
+        }
     }
 
     fn solve(&mut self, binding: &mut [Option<Const>], assigned: &mut [bool]) -> bool {
@@ -246,7 +243,6 @@ mod tests {
     fn setup() -> (Database, RelId) {
         let mut db = uw_fragment();
         let target = db.add_relation("advisedBy", &["stud", "prof"]);
-        db.build_indexes();
         (db, target)
     }
 

@@ -269,7 +269,6 @@ mode student(+)
         let target = db.rel_id("advisedBy").unwrap();
         let juan = db.intern("juan");
         let sarita = db.intern("sarita");
-        db.build_indexes();
         let tree = SemijoinTree::build(&db, &bias, 2);
         let reachable = tree.reachable_rels();
         let mut rng = StdRng::seed_from_u64(0);

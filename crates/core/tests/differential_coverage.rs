@@ -78,7 +78,6 @@ fn build_world(seed: u64, n_consts: usize, n_r: usize, n_s: usize) -> World {
             db.insert(u, &[name]);
         }
     }
-    db.build_indexes();
 
     let consts: Vec<_> = names.iter().map(|n| db.lookup(n).unwrap()).collect();
     let examples: Vec<Example> = (0..5)
@@ -556,7 +555,6 @@ fn oracles_agree_on_known_world() {
     db.insert(u, &["m"]);
     db.insert(r, &["x2", "m2"]); // chain with no u(m2)
     db.insert(s, &["m2", "y2"]);
-    db.build_indexes();
     let bias = parse_bias(&db, t, BIAS_TEXT).unwrap();
 
     let v = |n| Term::Var(VarId(n));

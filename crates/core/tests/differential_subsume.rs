@@ -83,7 +83,6 @@ fn build_world(seed: u64, n_consts: usize, n_r: usize, n_s: usize) -> World {
             db.insert(u, &[name]);
         }
     }
-    db.build_indexes();
 
     let consts: Vec<_> = names.iter().map(|n| db.lookup(n).unwrap()).collect();
     let examples: Vec<Example> = (0..5)
@@ -240,7 +239,6 @@ fn decomposition_preserves_the_conjunction() {
     db.insert(r, &["x", "m"]); // component 1: r(V0, F1) — satisfiable
     db.insert(s, &["y", "k"]); // component 2: s(V1, F2) — satisfiable
     db.insert(u, &["z"]); // component 3: u(V0) — x is NOT in u
-    db.build_indexes();
     let x = db.lookup("x").unwrap();
     let y = db.lookup("y").unwrap();
 
@@ -440,7 +438,6 @@ fn prefix_probe_directed_cases() {
         db.insert(r, &[a, b]);
     }
     db.insert(u, &["m"]);
-    db.build_indexes();
     let c = |name: &str| db.lookup(name).unwrap();
     let ground = GroundClause::new(
         Example::new(t, vec![c("x"), c("y")]),
@@ -797,7 +794,6 @@ fn build_star_world(seed: u64, n_consts: usize, n_edges: usize) -> World {
             db.insert(u, &[name]);
         }
     }
-    db.build_indexes();
     let consts: Vec<_> = names.iter().map(|n| db.lookup(n).unwrap()).collect();
     let examples: Vec<Example> = (0..4)
         .map(|_| Example::new(t, vec![consts[pick(&mut rng)], consts[pick(&mut rng)]]))

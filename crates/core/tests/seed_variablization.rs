@@ -47,7 +47,6 @@ fn learning_variablizes_once_per_iteration_and_evaluation_never() {
     let mut db = uw_fragment();
     let target = db.add_relation("advisedBy", &["stud", "prof"]);
     let [juan, sarita, john, mary] = ["juan", "sarita", "john", "mary"].map(|n| db.intern(n));
-    db.build_indexes();
     let bias = parse_bias(&db, target, UW_TABLE3_BIAS).unwrap();
     let train = TrainingSet::new(
         vec![

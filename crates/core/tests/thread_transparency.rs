@@ -48,7 +48,6 @@ fn build_world(seed: u64, n_chains: usize, n_noise: usize) -> (Database, Trainin
             _ => db.insert(u, &[&format!("b{i}")]),
         };
     }
-    db.build_indexes();
 
     let mut pos = Vec::new();
     let mut neg = Vec::new();

@@ -186,7 +186,6 @@ pub fn generate(cfg: &FltConfig, seed: u64) -> Dataset {
     let _ = truth_consts;
 
     insert_positives(&mut db, target, &pos);
-    db.build_indexes();
     Dataset {
         name: "FLT",
         db,

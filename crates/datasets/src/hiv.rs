@@ -210,7 +210,6 @@ pub fn generate(cfg: &HivConfig, seed: u64) -> Dataset {
         vec![inactive_ids[rng.random_range(0..inactive_ids.len())]]
     });
 
-    db.build_indexes();
     Dataset {
         name: "HIV",
         db,

@@ -200,7 +200,6 @@ pub fn generate(cfg: &ImdbConfig, seed: u64) -> Dataset {
         vec![non_drama_ids[rng.random_range(0..non_drama_ids.len())]]
     });
 
-    db.build_indexes();
     Dataset {
         name: "IMDb",
         db,

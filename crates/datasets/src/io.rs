@@ -124,7 +124,6 @@ pub fn load_dataset(dir: &Path) -> Result<Dataset, IoError> {
     let pos = read_examples(&mut db, target, &dir.join("pos.csv"))?;
     let neg = read_examples(&mut db, target, &dir.join("neg.csv"))?;
     let manual_bias_text = fs::read_to_string(dir.join("manual_bias.txt")).unwrap_or_default();
-    db.build_indexes();
 
     let name: &'static str = Box::leak(
         dir.file_name()

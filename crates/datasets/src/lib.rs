@@ -40,8 +40,8 @@ use relstore::{Database, RelId};
 pub struct Dataset {
     /// Short dataset name as used in the paper's tables.
     pub name: &'static str,
-    /// The database instance (indexes already built). Contains the target
-    /// relation populated with the positive examples.
+    /// The database instance. Contains the target relation populated with
+    /// the positive examples.
     pub db: Database,
     /// The target relation.
     pub target: RelId,

@@ -110,7 +110,6 @@ pub fn generate(cfg: &SysConfig, seed: u64) -> Dataset {
         vec![benign_ids[rng.random_range(0..benign_ids.len())]]
     });
 
-    db.build_indexes();
     Dataset {
         name: "SYS",
         db,

@@ -286,7 +286,6 @@ pub fn generate(cfg: &UwConfig, seed: u64) -> Dataset {
         db.insert(publication, &[&t, &format!("prof{pi}")]);
     }
 
-    db.build_indexes();
     Dataset {
         name: "UW",
         db,
@@ -326,7 +325,7 @@ mod tests {
         // serving benchmark exercises.
         let publ = dense.db.rel_id("publication").unwrap();
         let rel = dense.db.relation(publ);
-        let idx = rel.index(1).expect("person attribute indexed");
+        let idx = rel.index(1);
         let prof0 = dense.db.lookup("prof0").unwrap();
         let s0 = dense.db.lookup("s0").unwrap();
         assert!(

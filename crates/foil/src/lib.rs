@@ -440,7 +440,6 @@ mod tests {
             pos.push(Example::new(target, vec![s, p]));
             neg.push(Example::new(target, vec![s, p2]));
         }
-        db.build_indexes();
         let bias = parse_bias(
             &db,
             target,
@@ -557,7 +556,6 @@ mod constant_tests {
                 neg.push(Example::new(target, vec![dc]));
             }
         }
-        db.build_indexes();
         let bias = parse_bias(
             &db,
             target,
@@ -611,7 +609,6 @@ mode genre(+, #)
             let c = db.lookup(&format!("x{i}")).unwrap();
             pos.push(Example::new(target, vec![c]));
         }
-        db.build_indexes();
         let bias = parse_bias(
             &db,
             target,

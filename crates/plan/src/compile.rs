@@ -8,7 +8,7 @@
 //! evaluation from the concrete head bindings). Each step names its access
 //! path — an
 //! [`AttrIndex`](relstore::AttrIndex) probe keyed by a constant or an
-//! already-bound variable slot, or a scan when no indexed position is bound
+//! already-bound variable slot, or a scan when no position is bound
 //! — plus the residual per-tuple ops (equality checks and slot binds). The
 //! body is first split into [connected components]
 //! (`autobias::clause::Clause::connected_body_components`): literals that
@@ -126,7 +126,7 @@ pub(crate) enum Access {
         /// Probe key.
         key: Key,
     },
-    /// No indexed bound position: iterate all tuple ids.
+    /// No bound position: iterate all tuple ids.
     Scan,
 }
 
@@ -191,7 +191,7 @@ pub(crate) struct Variant {
 
 /// A clause compiled into an ordered index-probe pipeline. Evaluate with
 /// [`CompiledClause::covers`](crate::exec). Plans are only valid against
-/// the database they were compiled for: access paths assume its indexes.
+/// the database they were compiled for: step order assumes its cardinalities.
 #[derive(Debug)]
 pub struct CompiledClause {
     pub(crate) head_rel: RelId,
@@ -406,8 +406,8 @@ impl CompiledDefinition {
 }
 
 /// Compiles one clause, or says why it declined. `db` supplies the catalog
-/// (arity checks), cardinalities (ordering), and index availability (access
-/// paths); the produced plan must be evaluated against the same database.
+/// (arity checks) and cardinalities (ordering, access paths); the produced
+/// plan must be evaluated against the same database.
 pub fn compile_clause(
     db: &Database,
     clause: &Clause,
@@ -591,8 +591,8 @@ fn term_op(t: Term, pos: usize, slots: &mut FxHashMap<VarId, u32>) -> Op {
 }
 
 /// Estimated candidate count and best access path for `lit` given the
-/// variables bound so far. Prefers the most selective indexed position;
-/// falls back to a scan costed at the relation's cardinality.
+/// variables bound so far. Prefers the most selective bound position; with
+/// none bound, a scan costed at the relation's cardinality.
 fn estimate(
     db: &Database,
     lit: &Literal,
@@ -610,9 +610,7 @@ fn estimate(
             ),
             Term::Var(_) => continue,
         };
-        let Some(est) = rel.estimated_matches(pos, value) else {
-            continue; // unindexed position: a probe is impossible here
-        };
+        let est = rel.estimated_matches(pos, value);
         if best.is_none() || est < best.as_ref().map_or(usize::MAX, |b| b.0) {
             best = Some((est, Access::Probe { pos, key }));
         }
@@ -636,7 +634,6 @@ mod tests {
     fn admit_declines_unsound_plans_to_the_interpreter() {
         let mut db = relstore::fixtures::uw_fragment();
         let target = db.add_relation("advisedBy", &["stud", "prof"]);
-        db.build_indexes();
         let publ = db.rel_id("publication").unwrap();
         let clause = Clause::new(
             Literal::new(target, vec![v(0), v(1)]),

@@ -147,11 +147,7 @@ impl CompiledClause {
     /// node budget.
     ///
     /// `db` must be the database the plan was compiled against: access
-    /// paths assume its indexes and cardinalities.
-    ///
-    /// # Panics
-    /// Panics if an index present at compile time is missing at run time
-    /// (impossible when the database is shared and immutable, as in serve).
+    /// paths assume its cardinalities.
     pub fn covers(&self, db: &Database, args: &[Const]) -> bool {
         self.covers_with(db, args, &mut ExecScratch::default())
     }
@@ -290,9 +286,7 @@ impl Variant {
                     Key::Const(c) => c,
                     Key::Slot(s) => slots[s as usize],
                 };
-                rel.index(pos)
-                    .expect("compiled plan evaluated against a database missing its indexes")
-                    .freq(k)
+                rel.index(pos).freq(k)
             }
             Access::Scan => rel.len(),
         }
@@ -308,11 +302,8 @@ fn enter<'a>(db: &'a Database, step: &Step, slots: &[Const]) -> StepState<'a> {
                 Key::Const(c) => c,
                 Key::Slot(s) => slots[s as usize],
             };
-            let idx = rel
-                .index(pos)
-                .expect("compiled plan evaluated against a database missing its indexes");
             StepState {
-                cands: idx.lookup(k),
+                cands: rel.index(pos).lookup(k),
                 cursor: 0,
                 scan: false,
                 scan_end: 0,
@@ -406,7 +397,6 @@ mod tests {
     fn setup() -> (Database, RelId) {
         let mut db = relstore::fixtures::uw_fragment();
         let target = db.add_relation("advisedBy", &["stud", "prof"]);
-        db.build_indexes();
         (db, target)
     }
 

@@ -337,7 +337,6 @@ mod tests {
     fn setup() -> (Database, Definition) {
         let mut db = relstore::fixtures::uw_fragment();
         let target = db.add_relation("advisedBy", &["stud", "prof"]);
-        db.build_indexes();
         let publ = db.rel_id("publication").unwrap();
         let student = db.rel_id("student").unwrap();
         let mut def = Definition::new();

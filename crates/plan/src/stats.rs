@@ -321,7 +321,6 @@ mod tests {
     fn absorb_and_snapshot_round_trip() {
         let mut db = relstore::fixtures::uw_fragment();
         let target = db.add_relation("advisedBy", &["stud", "prof"]);
-        db.build_indexes();
         use autobias::clause::{Clause, Definition, Literal, Term, VarId};
         let publ = db.rel_id("publication").unwrap();
         let v = |n| Term::Var(VarId(n));

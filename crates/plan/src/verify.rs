@@ -703,7 +703,6 @@ mod tests {
     fn setup() -> (Database, RelId) {
         let mut db = relstore::fixtures::uw_fragment();
         let target = db.add_relation("advisedBy", &["stud", "prof"]);
-        db.build_indexes();
         (db, target)
     }
 
@@ -1072,7 +1071,6 @@ mod tests {
                     db.insert(u, &[name]);
                 }
             }
-            db.build_indexes();
             let consts: Vec<Const> = names.iter().map(|x| db.lookup(x).unwrap()).collect();
             let examples: Vec<Example> = (0..6)
                 .map(|_| {

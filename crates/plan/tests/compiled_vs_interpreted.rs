@@ -64,7 +64,6 @@ fn build_world(seed: u64, n_consts: usize, n_r: usize, n_s: usize) -> World {
             db.insert(u, &[name]);
         }
     }
-    db.build_indexes();
 
     let consts: Vec<Const> = names.iter().map(|n| db.lookup(n).unwrap()).collect();
     let examples: Vec<Example> = (0..6)
@@ -228,7 +227,6 @@ fn compiled_engine_agrees_on_known_world() {
     db.insert(s, &["m2", "y2"]);
     db.insert(t, &["x", "y"]); // intern example constants
     db.insert(t, &["x2", "y2"]);
-    db.build_indexes();
 
     let v = |n| Term::Var(VarId(n));
     // t(a, b) ← r(a, z), s(z, b), u(z)

@@ -58,7 +58,6 @@ fn build_world(seed: u64, n_consts: usize, n_r: usize, n_s: usize) -> World {
             db.insert(u, &[name]);
         }
     }
-    db.build_indexes();
 
     let consts: Vec<Const> = names.iter().map(|n| db.lookup(n).unwrap()).collect();
     let tuples: Vec<[Const; 2]> = (0..8)

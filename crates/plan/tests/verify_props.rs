@@ -49,7 +49,6 @@ fn build_world(
             db.insert(u, &[name]);
         }
     }
-    db.build_indexes();
 
     let consts: Vec<Const> = names.iter().map(|n| db.lookup(n).unwrap()).collect();
     let examples: Vec<Example> = (0..6)
@@ -147,7 +146,6 @@ fn known_world_verifies_clean() {
     db.insert(s, &["m", "y"]);
     db.insert(u, &["m"]);
     db.insert(t, &["x", "y"]);
-    db.build_indexes();
 
     let v = |n| Term::Var(VarId(n));
     let definition = Definition {

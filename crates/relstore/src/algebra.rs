@@ -9,34 +9,25 @@ use crate::relation::TupleId;
 use crate::schema::AttrRef;
 
 /// σ_{A ∈ M}(R): ids of tuples of `attr.rel` whose value at `attr.pos` is in `values`.
-///
-/// Uses the attribute index when built (cost proportional to the result),
-/// otherwise a scan.
+/// Ascending; the cost is proportional to the result, through the attribute
+/// index.
 pub fn select_in(db: &Database, attr: AttrRef, values: &FxHashSet<Const>) -> Vec<TupleId> {
-    let rel = db.relation(attr.rel);
-    let pos = attr.pos as usize;
-    if let Some(idx) = rel.index(pos) {
-        // Probe the smaller side: the value set or the distinct values.
-        let mut out = Vec::new();
-        if values.len() <= idx.distinct_count() {
-            for &v in values {
+    let idx = db.relation(attr.rel).index(attr.pos as usize);
+    // Probe the smaller side: the value set or the distinct values.
+    let mut out = Vec::new();
+    if values.len() <= idx.distinct_count() {
+        for &v in values {
+            out.extend_from_slice(idx.lookup(v));
+        }
+    } else {
+        for v in idx.distinct_values() {
+            if values.contains(&v) {
                 out.extend_from_slice(idx.lookup(v));
             }
-        } else {
-            for v in idx.distinct_values() {
-                if values.contains(&v) {
-                    out.extend_from_slice(idx.lookup(v));
-                }
-            }
         }
-        out.sort_unstable();
-        out
-    } else {
-        rel.iter()
-            .filter(|(_, t)| values.contains(&t[pos]))
-            .map(|(id, _)| id)
-            .collect()
     }
+    out.sort_unstable();
+    out
 }
 
 /// π_{A}(ids): distinct values at `pos` across the given tuples of `rel`.
@@ -68,21 +59,21 @@ mod tests {
     }
 
     #[test]
-    fn select_in_matches_scan_with_and_without_index() {
-        let mut db = uw_fragment();
+    fn select_in_matches_a_brute_force_filter() {
+        let db = uw_fragment();
         let publ = db.rel_id("publication").unwrap();
         let juan = db.lookup("juan").unwrap();
         let mary = db.lookup("mary").unwrap();
         let attr = AttrRef::new(publ, 1);
         let vals = set([juan, mary]);
-        let scan = select_in(&db, attr, &vals);
-        db.build_indexes();
-        let mut indexed = select_in(&db, attr, &vals);
-        indexed.sort_unstable();
-        let mut scan_sorted = scan.clone();
-        scan_sorted.sort_unstable();
-        assert_eq!(indexed, scan_sorted);
-        assert_eq!(indexed.len(), 2);
+        let scan: Vec<TupleId> = db
+            .relation(publ)
+            .iter()
+            .filter(|(_, t)| vals.contains(&t[1]))
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(select_in(&db, attr, &vals), scan);
+        assert_eq!(scan.len(), 2);
     }
 
     #[test]
@@ -97,7 +88,6 @@ mod tests {
         db.insert(u2, &["a0", "c1"]);
         db.insert(u2, &["a2", "c2"]);
         db.insert(u2, &["a1", "c3"]);
-        db.build_indexes();
         let left = project_distinct(
             &db,
             AttrRef::new(u1, 0),

@@ -1,6 +1,10 @@
 //! The `Database`: a catalog, a value dictionary, and one [`Relation`] per
 //! schema entry. This is the in-memory substrate playing the role VoltDB
 //! plays in the paper's implementation.
+//!
+//! Loading is just inserting: every attribute of every relation is indexed
+//! the first time something reads it ([`Relation::index`]), so a loaded
+//! database needs no separate indexing step.
 
 use crate::dict::{Const, Dictionary};
 use crate::relation::{Relation, Tuple, TupleId};
@@ -93,15 +97,6 @@ impl Database {
         self.insert(rel, values)
     }
 
-    /// Builds all per-attribute indexes in every relation. Learners call this
-    /// once after loading; afterwards point lookups and the Olken statistics
-    /// (`freq`, `max_freq`) are O(1).
-    pub fn build_indexes(&mut self) {
-        for r in &mut self.relations {
-            r.build_indexes();
-        }
-    }
-
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
         self.relations.iter().map(Relation::len).sum()
@@ -140,8 +135,8 @@ mod tests {
         let juan = db.lookup("juan").unwrap();
         let student = db.rel_id("student").unwrap();
         let publ = db.rel_id("publication").unwrap();
-        assert_eq!(db.relation(student).select_eq(0, juan).len(), 1);
-        assert_eq!(db.relation(publ).select_eq(1, juan).len(), 1);
+        assert_eq!(db.relation(student).index(0).freq(juan), 1);
+        assert_eq!(db.relation(publ).index(1).freq(juan), 1);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! let publ = db.add_relation("publication", &["title", "person"]);
 //! db.insert(publ, &["p1", "juan"]);
 //! db.insert(publ, &["p1", "sarita"]);
-//! db.build_indexes();
 //!
+//! // Every attribute is indexed on first read.
 //! let juan = db.lookup("juan").unwrap();
-//! assert_eq!(db.relation(publ).select_eq(1, juan).len(), 1);
+//! assert_eq!(db.relation(publ).index(1).lookup(juan), &[0]);
 //! assert_eq!(db.distinct(AttrRef::new(publ, 0)).len(), 1);
 //! ```
 #![forbid(unsafe_code)]

@@ -1,6 +1,11 @@
 //! Tuple storage for a single relation, with per-attribute inverted indexes
 //! and the frequency statistics the Olken-style samplers need.
 //!
+//! Every attribute is indexed: [`Relation::index`] builds an attribute's
+//! index in one pass the first time it is read, and later inserts keep the
+//! built indexes current, so an attribute nobody reads never pays for its
+//! index.
+//!
 //! Layout is chosen for probe-heavy workloads (compiled clause evaluation,
 //! serving): tuples live in one flat `Vec<Const>` with a fixed stride equal
 //! to the relation's arity, so `tuple(id)` is a slice into contiguous memory
@@ -9,6 +14,7 @@
 //! plus one slice-header load instead of a hash computation and bucket walk.
 
 use crate::dict::Const;
+use std::sync::OnceLock;
 
 /// A tuple: one interned constant per attribute.
 pub type Tuple = Box<[Const]>;
@@ -81,7 +87,8 @@ impl AttrIndex {
     }
 }
 
-/// Tuples of one relation plus lazily built per-attribute indexes.
+/// Tuples of one relation plus its per-attribute indexes, each built on
+/// first read.
 #[derive(Debug, Clone)]
 pub struct Relation {
     arity: usize,
@@ -89,8 +96,9 @@ pub struct Relation {
     /// Flat arity-strided storage: tuple `id` occupies
     /// `data[id * arity .. (id + 1) * arity]`.
     data: Vec<Const>,
-    /// `indexes[pos]` is `Some` once built via [`Relation::build_indexes`].
-    indexes: Vec<Option<AttrIndex>>,
+    /// `indexes[pos]` is filled by the first [`Relation::index`] read of
+    /// attribute `pos`; [`Relation::insert`] keeps the filled ones current.
+    indexes: Box<[OnceLock<AttrIndex>]>,
 }
 
 impl Relation {
@@ -100,7 +108,7 @@ impl Relation {
             arity,
             len: 0,
             data: Vec::new(),
-            indexes: vec![None; arity],
+            indexes: (0..arity).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -128,9 +136,10 @@ impl Relation {
     pub fn insert(&mut self, tuple: Tuple) -> TupleId {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
         let id = self.len as TupleId;
-        // Keep any already-built indexes coherent with the new tuple.
+        // Keep the already-built indexes coherent with the new tuple; an
+        // unbuilt one sees it when its first read scans the data.
         for (pos, idx) in self.indexes.iter_mut().enumerate() {
-            if let Some(idx) = idx {
+            if let Some(idx) = idx.get_mut() {
                 idx.insert(tuple[pos], id);
             }
         }
@@ -151,73 +160,37 @@ impl Relation {
         (0..self.len as TupleId).map(|id| (id, self.tuple(id)))
     }
 
-    /// Builds the inverted index for attribute `pos` if not yet built.
-    pub fn build_index(&mut self, pos: usize) {
-        if self.indexes[pos].is_some() {
-            return;
-        }
-        let mut idx = AttrIndex::default();
-        for id in 0..self.len as TupleId {
-            idx.insert(self.data[id as usize * self.arity + pos], id);
-        }
-        self.indexes[pos] = Some(idx);
-    }
-
-    /// Builds indexes for all attributes.
-    pub fn build_indexes(&mut self) {
-        for pos in 0..self.arity {
-            self.build_index(pos);
-        }
-    }
-
-    /// The index for attribute `pos`, if built.
-    pub fn index(&self, pos: usize) -> Option<&AttrIndex> {
-        self.indexes[pos].as_ref()
-    }
-
-    /// Tuple ids where attribute `pos` equals `c`. Uses the index when built,
-    /// otherwise scans.
-    pub fn select_eq(&self, pos: usize, c: Const) -> Vec<TupleId> {
-        match self.index(pos) {
-            Some(idx) => idx.lookup(c).to_vec(),
-            None => self
-                .iter()
-                .filter(|(_, t)| t[pos] == c)
-                .map(|(id, _)| id)
-                .collect(),
-        }
-    }
-
-    /// Estimated number of tuples matching an equality on attribute `pos`:
-    /// the exact posting length when the probe value is known, the average
-    /// posting length (`len / distinct`) when the value is only known to be
-    /// bound at runtime, and `None` when the attribute has no index (a probe
-    /// is impossible; callers fall back to a scan costed at [`Self::len`]).
-    /// Query planners use this to order joins by selectivity.
-    pub fn estimated_matches(&self, pos: usize, value: Option<Const>) -> Option<usize> {
-        let idx = self.index(pos)?;
-        Some(match value {
-            Some(c) => idx.freq(c),
-            None => {
-                let distinct = idx.distinct_count().max(1);
-                self.len().div_ceil(distinct)
+    /// The inverted index for attribute `pos`, built in one pass over the
+    /// tuples on the first read.
+    // An attribute's index, not `Index`-style element access: the clippy
+    // name clash is only a name clash.
+    #[allow(clippy::should_implement_trait)]
+    pub fn index(&self, pos: usize) -> &AttrIndex {
+        self.indexes[pos].get_or_init(|| {
+            let mut idx = AttrIndex::default();
+            for id in 0..self.len as TupleId {
+                idx.insert(self.data[id as usize * self.arity + pos], id);
             }
+            idx
         })
     }
 
-    /// Distinct values of attribute `pos` (index-backed when available).
-    pub fn distinct(&self, pos: usize) -> Vec<Const> {
-        match self.index(pos) {
-            Some(idx) => idx.distinct_values().collect(),
-            None => {
-                let mut set: Vec<Const> = (0..self.len)
-                    .map(|id| self.data[id * self.arity + pos])
-                    .collect();
-                set.sort_unstable();
-                set.dedup();
-                set
-            }
+    /// Estimated number of tuples matching an equality on attribute `pos`:
+    /// the exact posting length when the probe value is known, and the
+    /// average posting length (`len / distinct`) when the value is only
+    /// known to be bound at runtime. Query planners use this to order joins
+    /// by selectivity.
+    pub fn estimated_matches(&self, pos: usize, value: Option<Const>) -> usize {
+        let idx = self.index(pos);
+        match value {
+            Some(c) => idx.freq(c),
+            None => self.len().div_ceil(idx.distinct_count().max(1)),
         }
+    }
+
+    /// Distinct values of attribute `pos`, in id order.
+    pub fn distinct(&self, pos: usize) -> Vec<Const> {
+        self.index(pos).distinct_values().collect()
     }
 }
 
@@ -240,26 +213,15 @@ mod tests {
     }
 
     #[test]
-    fn select_eq_without_index_scans() {
+    fn first_read_builds_the_index() {
         let mut r = Relation::new(2);
         r.insert(t(&[1, 2]));
         r.insert(t(&[1, 3]));
         r.insert(t(&[4, 2]));
-        assert_eq!(r.select_eq(0, Const(1)), vec![0, 1]);
-        assert_eq!(r.select_eq(1, Const(2)), vec![0, 2]);
-        assert_eq!(r.select_eq(0, Const(9)), Vec::<TupleId>::new());
-    }
-
-    #[test]
-    fn index_matches_scan() {
-        let mut r = Relation::new(2);
-        r.insert(t(&[1, 2]));
-        r.insert(t(&[1, 3]));
-        r.insert(t(&[4, 2]));
-        let scan = r.select_eq(0, Const(1));
-        r.build_index(0);
-        assert_eq!(r.select_eq(0, Const(1)), scan);
-        let idx = r.index(0).unwrap();
+        assert_eq!(r.index(0).lookup(Const(1)), &[0, 1]);
+        assert_eq!(r.index(1).lookup(Const(2)), &[0, 2]);
+        assert_eq!(r.index(0).lookup(Const(9)), &[] as &[TupleId]);
+        let idx = r.index(0);
         assert_eq!(idx.freq(Const(1)), 2);
         assert_eq!(idx.freq(Const(4)), 1);
         assert_eq!(idx.max_freq(), 2);
@@ -270,14 +232,64 @@ mod tests {
     fn insert_after_index_keeps_index_coherent() {
         let mut r = Relation::new(1);
         r.insert(t(&[5]));
-        r.build_index(0);
+        r.index(0);
         r.insert(t(&[5]));
         r.insert(t(&[6]));
-        let idx = r.index(0).unwrap();
+        let idx = r.index(0);
         assert_eq!(idx.freq(Const(5)), 2);
         assert_eq!(idx.freq(Const(6)), 1);
         assert_eq!(idx.max_freq(), 2);
         assert_eq!(idx.distinct_count(), 2);
+    }
+
+    /// Inserts interleaved with index reads: attribute 0 is read before the
+    /// first insert, attribute 1 from the 10th insert on, attribute 2 only
+    /// at the end. After every insert each index read so far (kept current
+    /// by `insert`) matches a recount of the stored tuples.
+    #[test]
+    fn interleaved_inserts_and_reads_match_a_recount() {
+        fn check(r: &Relation, pos: usize) {
+            let idx = r.index(pos);
+            let mut recount: Vec<Vec<TupleId>> = Vec::new();
+            for (id, tuple) in r.iter() {
+                let c = tuple[pos].index();
+                if c >= recount.len() {
+                    recount.resize_with(c + 1, Vec::new);
+                }
+                recount[c].push(id);
+            }
+            let values: Vec<Const> = (0..recount.len() as u32)
+                .map(Const)
+                .filter(|c| !recount[c.index()].is_empty())
+                .collect();
+            for c in 0..recount.len() as u32 + 2 {
+                let want = recount.get(c as usize).map_or(&[][..], Vec::as_slice);
+                assert_eq!(idx.lookup(Const(c)), want, "postings of {c} at {pos}");
+                assert_eq!(idx.freq(Const(c)), want.len(), "freq of {c} at {pos}");
+            }
+            let max = recount.iter().map(Vec::len).max().unwrap_or(0);
+            assert_eq!(idx.max_freq(), max, "max_freq at {pos}");
+            assert_eq!(idx.distinct_count(), values.len(), "distinct at {pos}");
+            assert_eq!(idx.distinct_values().collect::<Vec<_>>(), values);
+            assert_eq!(r.distinct(pos), values);
+        }
+        let mut r = Relation::new(3);
+        r.index(0);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m) as u32
+        };
+        for i in 0..200usize {
+            r.insert(t(&[draw(5), draw(12), draw(40)]));
+            check(&r, 0);
+            if i >= 9 {
+                check(&r, 1);
+            }
+        }
+        check(&r, 2);
     }
 
     #[test]
@@ -286,11 +298,9 @@ mod tests {
         // them must behave as "no matching tuples", not panic.
         let mut r = Relation::new(1);
         r.insert(t(&[2]));
-        r.build_index(0);
-        let idx = r.index(0).unwrap();
+        let idx = r.index(0);
         assert_eq!(idx.lookup(Const(1_000_000)), &[] as &[TupleId]);
         assert_eq!(idx.freq(Const(1_000_000)), 0);
-        assert_eq!(r.select_eq(0, Const(1_000_000)), Vec::<TupleId>::new());
     }
 
     #[test]
@@ -299,10 +309,6 @@ mod tests {
         for v in [3, 1, 3, 2, 1] {
             r.insert(t(&[v]));
         }
-        let mut d = r.distinct(0);
-        d.sort_unstable();
-        assert_eq!(d, vec![Const(1), Const(2), Const(3)]);
-        r.build_index(0);
         assert_eq!(r.distinct(0), vec![Const(1), Const(2), Const(3)]);
     }
 
@@ -311,22 +317,13 @@ mod tests {
         let mut r = Relation::new(2);
         r.insert(t(&[1, 2]));
         r.insert(t(&[1, 3]));
-        r.insert(t(&[4, 2]));
-        assert_eq!(r.estimated_matches(0, Some(Const(1))), None, "no index yet");
-        r.build_index(0);
-        assert_eq!(
-            r.estimated_matches(0, Some(Const(1))),
-            Some(2),
-            "exact freq"
-        );
-        assert_eq!(
-            r.estimated_matches(0, Some(Const(9))),
-            Some(0),
-            "absent value"
-        );
+        r.insert(t(&[4, 5]));
+        assert_eq!(r.estimated_matches(0, Some(Const(1))), 2, "exact freq");
+        assert_eq!(r.estimated_matches(0, Some(Const(9))), 0, "absent value");
         // Unknown probe value: average posting length, rounded up (3/2 → 2).
-        assert_eq!(r.estimated_matches(0, None), Some(2));
-        assert_eq!(r.estimated_matches(1, None), None, "other attr unindexed");
+        assert_eq!(r.estimated_matches(0, None), 2);
+        // Three tuples over three distinct values.
+        assert_eq!(r.estimated_matches(1, None), 1);
     }
 
     #[test]

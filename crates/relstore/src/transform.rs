@@ -92,7 +92,6 @@ pub fn vertical_partition(db: &Database, rel: RelId) -> Result<Partitioned, Tran
             out.insert(fragments[pos], &[&surrogate, db.const_name(c)]);
         }
     }
-    out.build_indexes();
     Ok(Partitioned { db: out, fragments })
 }
 
@@ -156,7 +155,6 @@ pub fn denormalize(
             out.insert(joined, &vals);
         }
     }
-    out.build_indexes();
     Ok(out)
 }
 

@@ -13,7 +13,7 @@
 //! auditable and dependency-free — the same idiom as the rest of the
 //! workspace.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, Write};
 use std::net::TcpStream;
 
 /// Largest accepted header block.
@@ -66,15 +66,6 @@ impl std::fmt::Display for HttpError {
             HttpError::Bad(m) => write!(f, "bad request: {m}"),
         }
     }
-}
-
-/// Reads one request from `stream`. One-shot convenience (tests, simple
-/// clients): the internal buffer dies with the call, so use
-/// [`read_request_from`] with a persistent `BufReader` when more requests
-/// may follow on the same connection.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    read_request_from(&mut reader)
 }
 
 /// Reads one request from a persistent buffered reader — the keep-alive
@@ -171,46 +162,23 @@ pub fn read_request_from(reader: &mut impl BufRead) -> Result<Request, HttpError
     })
 }
 
-/// Writes one `text/plain` response and flushes.
+/// Writes one `text/plain` response that closes the connection, and flushes.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
     body: &str,
 ) -> io::Result<()> {
-    write_response_typed(stream, status, reason, "text/plain; charset=utf-8", body)
+    let plain = "text/plain; charset=utf-8";
+    write_response_extra(stream, status, reason, plain, body, false, &[])
 }
 
-/// Writes one response with an explicit content type and flushes — the
-/// JSON-producing routes (model upload diagnostics) use this. Always closes
-/// the connection; the server's request loop uses [`write_response_conn`].
-pub fn write_response_typed(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-) -> io::Result<()> {
-    write_response_conn(stream, status, reason, content_type, body, false)
-}
-
-/// Writes one response, advertising whether the server will keep the
-/// connection open for another request (`Connection: keep-alive`) or close
-/// it after this response (`Connection: close`).
-pub fn write_response_conn(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response_extra(stream, status, reason, content_type, body, keep_alive, &[])
-}
-
-/// [`write_response_conn`] with additional response headers — the server
-/// uses this to stamp `x-autobias-trace-id` on every routed response.
-/// Header names and values must be pre-sanitized (no CR/LF).
+/// Writes one response and flushes, advertising whether the server will
+/// keep the connection open for another request (`Connection: keep-alive`)
+/// or close it after this response (`Connection: close`), plus `extra`
+/// headers — the server uses these to stamp `x-autobias-trace-id` on every
+/// routed response. Header names and values must be pre-sanitized (no
+/// CR/LF).
 #[allow(clippy::too_many_arguments)]
 pub fn write_response_extra(
     stream: &mut TcpStream,
@@ -384,7 +352,7 @@ mod tests {
             let _ = s.read_to_end(&mut buf);
         });
         let (mut conn, _) = listener.accept().unwrap();
-        let req = read_request(&mut conn);
+        let req = read_request_from(&mut std::io::BufReader::new(&mut conn));
         drop(conn);
         client.join().unwrap();
         req
@@ -455,7 +423,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            write_response_conn(&mut conn, 200, "OK", "text/plain", "ok", true).unwrap();
+            write_response_extra(&mut conn, 200, "OK", "text/plain", "ok", true, &[]).unwrap();
         });
         let s = TcpStream::connect(addr).unwrap();
         let mut r = std::io::BufReader::new(s);

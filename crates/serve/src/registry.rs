@@ -233,7 +233,6 @@ mod tests {
     fn test_db() -> Database {
         let mut db = relstore::fixtures::uw_fragment();
         db.add_relation("advisedBy", &["stud", "prof"]);
-        db.build_indexes();
         db
     }
 

@@ -58,7 +58,6 @@ fn main() {
     for e in &pos {
         db.insert_consts(grandparent, &e.args);
     }
-    db.build_indexes();
 
     // 3. Look at what the constraint-discovery layer sees.
     let inds = discover_inds(&db, &IndConfig::default());

@@ -43,7 +43,6 @@ fn main() {
             neg.push(Example::new(advised_by, vec![s_c, other]));
         }
     }
-    db.build_indexes();
 
     // 2. Induce the language bias automatically (paper §3): exact and
     //    approximate INDs → type graph → predicate definitions; attribute

@@ -45,7 +45,6 @@ fn coauthor_world(n: usize) -> (Database, relstore::RelId, TrainingSet, Language
         pos.push(Example::new(target, vec![s, p]));
         neg.push(Example::new(target, vec![s, p2]));
     }
-    db.build_indexes();
     let bias = parse_bias(
         &db,
         target,
@@ -295,7 +294,6 @@ fn armg_shrinks_the_proven_prefix_when_pruning_drops_part_of_it() {
     db.insert(r, &["w", "m"]);
     db.insert(u, &["w"]);
     db.intern("y");
-    db.build_indexes();
     let bias = parse_bias(
         &db,
         t,
@@ -368,7 +366,6 @@ fn armg_drops_a_stranded_literal_the_carried_table_holds() {
     db.insert(s, &["a", "k"]);
     db.insert(u, &["k"]);
     db.intern("y");
-    db.build_indexes();
     let bias = parse_bias(
         &db,
         t,

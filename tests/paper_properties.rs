@@ -32,7 +32,6 @@ fn uw_with_target() -> (Database, autobias_repro::relstore::RelId) {
     let target = db.add_relation("advisedBy", &["stud", "prof"]);
     db.insert(target, &["juan", "sarita"]);
     db.insert(target, &["john", "mary"]);
-    db.build_indexes();
     (db, target)
 }
 

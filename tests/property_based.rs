@@ -17,7 +17,6 @@
 use autobias_repro::autobias::bottom::GroundLiteral;
 use autobias_repro::autobias::prelude::*;
 use autobias_repro::constraints::{build_type_graph, check_ind, discover_inds, IndConfig, TypeId};
-use autobias_repro::relstore::algebra::select_in;
 use autobias_repro::relstore::fixtures::uw_fragment;
 use autobias_repro::relstore::{AttrRef, Const, Database, FxHashMap, FxHashSet, RelId};
 use proptest::prelude::*;
@@ -191,7 +190,6 @@ fn small_uw(seed: u64, n: usize) -> (Database, RelId) {
         db.insert(publ, &[&t, &format!("s{i}")]);
     }
     db.insert(target, &["s0", "s1"]);
-    db.build_indexes();
     (db, target)
 }
 
@@ -285,7 +283,6 @@ proptest! {
     ) {
         let mut db = uw_fragment();
         let target = db.add_relation("advisedBy", &["stud", "prof"]);
-        db.build_indexes();
         let bias = parse_bias(&db, target, UW_FRAGMENT_BIAS).unwrap();
         let s = db.lookup(["juan", "john"][stud]).unwrap();
         let p = db.lookup(["sarita", "mary"][prof]).unwrap();
@@ -329,15 +326,9 @@ mode u(+)
 ";
 
 /// A random database for [`SCRATCH_BIAS`] over constants `c0..c{consts}`,
-/// with `rows` tuples in each binary relation (duplicates allowed) and
-/// indexes on every relation except `r` when `index_r` is false, plus four
-/// random examples of `t`.
-fn scratch_world(
-    seed: u64,
-    consts: usize,
-    rows: usize,
-    index_r: bool,
-) -> (Database, LanguageBias, Vec<Example>) {
+/// with `rows` tuples in each binary relation (duplicates allowed), plus
+/// four random examples of `t`.
+fn scratch_world(seed: u64, consts: usize, rows: usize) -> (Database, LanguageBias, Vec<Example>) {
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = Database::new();
@@ -361,18 +352,22 @@ fn scratch_world(
             Example::new(t, vec![db.intern(&a), db.intern(&b)])
         })
         .collect();
-    for rel in [binary[1], binary[2], u, t] {
-        db.relation_mut(rel).build_indexes();
-    }
-    if index_r {
-        db.relation_mut(binary[0]).build_indexes();
-    }
     let bias = parse_bias(&db, t, SCRATCH_BIAS).unwrap();
     (db, bias, examples)
 }
 
+/// σ_{attr ∈ values} by brute force: the ids of every tuple whose value at
+/// `attr` is in `values`, ascending.
+fn scan_in(db: &Database, attr: AttrRef, values: &FxHashSet<Const>) -> Vec<u32> {
+    db.relation(attr.rel)
+        .iter()
+        .filter(|(_, t)| values.contains(&t[attr.pos as usize]))
+        .map(|(id, _)| id)
+        .collect()
+}
+
 /// Bottom-clause construction as it was before the scratch: a hash set of
-/// constants and `select_in` per probe, a hash-set dedup of collected
+/// constants and a brute-force selection per probe, a hash-set dedup of collected
 /// tuples, and a frontier grown at every depth (by Algorithm 4 too, which
 /// never reads it). The oracle for the scratch-based construction.
 struct ReferenceBc<'a> {
@@ -426,7 +421,7 @@ impl ReferenceBc<'_> {
 
     fn select(&self, attr: AttrRef, vals: &[Const]) -> Vec<u32> {
         let set: FxHashSet<Const> = vals.iter().copied().collect();
-        select_in(self.db, attr, &set)
+        scan_in(self.db, attr, &set)
     }
 
     fn naive(&self, attr: AttrRef, vals: &[Const], want: usize, rng: &mut StdRng) -> Vec<u32> {
@@ -448,9 +443,7 @@ impl ReferenceBc<'_> {
         rng: &mut StdRng,
     ) -> Vec<u32> {
         use rand::Rng;
-        let Some(idx) = self.db.relation(attr.rel).index(attr.pos as usize) else {
-            return self.naive(attr, vals, want, rng);
-        };
+        let idx = self.db.relation(attr.rel).index(attr.pos as usize);
         let max_freq = idx.max_freq();
         if max_freq == 0 {
             return Vec::new();
@@ -507,7 +500,7 @@ impl ReferenceBc<'_> {
         if self.at_capacity() || values.is_empty() {
             return Vec::new();
         }
-        let i_r = select_in(self.db, probe, values);
+        let i_r = scan_in(self.db, probe, values);
         if i_r.is_empty() {
             return Vec::new();
         }
@@ -701,10 +694,9 @@ proptest! {
         seed in 0u64..10_000,
         consts in 3usize..12,
         rows in 1usize..30,
-        index_r in 0usize..2,
     ) {
         use rand::Rng;
-        let (db, bias, examples) = scratch_world(seed, consts, rows, index_r == 1);
+        let (db, bias, examples) = scratch_world(seed, consts, rows);
         let mut stream = StdRng::seed_from_u64(seed ^ 0x5eed);
         let mut scratch = BcScratch::default();
         for build in 0..12u64 {
@@ -831,7 +823,6 @@ fn armg_is_a_generalization() {
         db.insert(publ, &[&t, &p]);
         db.insert(in_phase, &[&s, phases[i % 3]]);
     }
-    db.build_indexes();
     let bias = parse_bias(
         &db,
         target,

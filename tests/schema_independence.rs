@@ -34,7 +34,6 @@ fn movie_world() -> (Database, relstore::RelId, Vec<Example>, Vec<Example>) {
             neg.push(Example::new(target, vec![dc]));
         }
     }
-    db.build_indexes();
     (db, target, pos, neg)
 }
 
@@ -116,7 +115,6 @@ fn autobias_learns_equally_well_on_partitioned_schema() {
             Example::new(new_target, vec![c])
         })
         .collect();
-    new_db.build_indexes();
 
     // One extra hop in the join path → depth 3.
     let fm_partitioned = learn_fm(&new_db, new_target, &new_pos, &new_neg, 3);
