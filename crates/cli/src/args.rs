@@ -18,14 +18,20 @@ impl Args {
             .map(String::as_str)
     }
 
-    /// Parsed value of `--key <v>`, if present and parseable.
-    pub fn try_get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.get_str(key).and_then(|v| v.parse().ok())
+    /// Parsed value of `--key <v>`, if present. A value that does not parse
+    /// is an error naming the flag, never a silent default.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get_str(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value {v:?} for {key}"))
+            })
+            .transpose()
     }
 
-    /// Parsed value of `--key <v>` or `default`.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.try_get(key).unwrap_or(default)
+    /// Parsed value of `--key <v>`, or `default` when the flag is absent.
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.try_get(key)?.unwrap_or(default))
     }
 
     /// Whether the bare flag `--key` is present.
@@ -63,9 +69,17 @@ mod tests {
     fn lookup_and_parse() {
         let a = args(&["--seed", "42", "--out", "dir/x"]);
         assert_eq!(a.get_str("--out"), Some("dir/x"));
-        assert_eq!(a.get("--seed", 0u64), 42);
-        assert_eq!(a.get("--missing", 7u64), 7);
-        assert_eq!(a.try_get::<u64>("--out"), None);
+        assert_eq!(a.get("--seed", 0u64), Ok(42));
+        assert_eq!(a.get("--missing", 7u64), Ok(7));
+        assert_eq!(a.try_get::<u64>("--missing"), Ok(None));
+    }
+
+    #[test]
+    fn malformed_values_are_errors_naming_the_flag() {
+        let a = args(&["--depth", "two", "--out", "dir/x"]);
+        let err = a.get("--depth", 2usize).unwrap_err();
+        assert!(err.contains("--depth") && err.contains("\"two\""), "{err}");
+        assert!(a.try_get::<u64>("--out").unwrap_err().contains("--out"));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! autobias induce  --data data/uw [--absolute 50 | --relative 0.18] [--out bias.txt]
 //! autobias learn   --data data/uw --bias auto|manual|FILE [--out model.txt]
 //!                  [--sampling naive|random|stratified|full] [--depth 2] [--seed 7]
+//!                  [--sample-size 20] [--no-reduce] [--absolute 50 | --relative 0.18]
 //! autobias eval    --data data/uw --model model.txt
 //! autobias predict --data data/uw --model model.txt --args "s3,prof1"
 //! autobias jobs    watch 3 [--addr 127.0.0.1:8720]
@@ -15,14 +16,16 @@
 //!
 //! `eval` and `predict` use exact direct evaluation (`I ∧ C ⊨ e`) — learned
 //! clauses are short, so no bias or sampling is needed at prediction time.
+//! `learn` runs the server's learning-job pipeline
+//! ([`autobias_serve::jobs::learn_model`]) with the same options.
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use autobias::bias::auto::{induce_bias, AutoBiasConfig, ConstantThreshold};
-use autobias::bottom::{BcConfig, SamplingStrategy};
 use autobias::clause_text::parse_definition;
 use autobias::eval::Metrics;
-use autobias::learn::{Learner, LearnerConfig};
 use autobias::query::{definition_covers, QueryConfig};
+use autobias_serve::jobs::{learn_model, LearnOptions, DEFAULT_SAMPLE_SIZE};
 use datasets::io::{load_dataset, save_dataset};
 use datasets::Dataset;
 use std::path::{Path, PathBuf};
@@ -90,7 +93,8 @@ USAGE:
   autobias induce  --data DIR [--absolute N | --relative F] [--out FILE]
                    [--format native|aleph]
   autobias learn   --data DIR [--bias auto|manual|FILE] [--out FILE]
-                   [--sampling naive|random|stratified|full] [--depth N] [--seed N]
+                   [--sampling naive|random|stratified|full] [--sample-size N]
+                   [--depth N] [--seed N] [--no-reduce] [--absolute N | --relative F]
                    [--trace-out FILE] [--profile] [--report-out FILE]
   autobias eval    --data DIR --model FILE
   autobias predict --data DIR --model FILE --args \"v1,v2\"
@@ -108,7 +112,10 @@ check: static verification (lints AB0xx/AB1xx, plan soundness AB2xx);
        exits non-zero on Error findings. --bias alone lints a bias file
        against the data's type graph; --model lints a learned theory and
        verifies its compiled plans (add --bias for mode checks).
-learn: --trace-out writes a chrome-trace JSON (open in ui.perfetto.dev);
+learn: the same pipeline and options as a server learning job (POST
+       /jobs/learn); --absolute/--relative set the constant threshold of
+       --bias auto (default --absolute 50);
+       --trace-out writes a chrome-trace JSON (open in ui.perfetto.dev);
        --profile prints per-phase wall-clock and counter tables to stderr;
        --report-out writes a structured JSON run report (schema v2).
 explain: renders the compiled evaluation plan per clause — access paths,
@@ -142,7 +149,7 @@ fn load(args: &Args) -> Result<Dataset, String> {
 fn cmd_gen(args: &Args) -> Result<(), String> {
     let which = args.get_str("--dataset").ok_or("missing --dataset NAME")?;
     let out = PathBuf::from(args.get_str("--out").ok_or("missing --out DIR")?);
-    let seed: u64 = args.get("--seed", 7);
+    let seed: u64 = args.get("--seed", 7)?;
     let profile = args.get_str("--profile").unwrap_or("paper");
     let uw_config = match profile {
         "paper" => datasets::uw::UwConfig::default(),
@@ -190,7 +197,7 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
 fn cmd_inds(args: &Args) -> Result<(), String> {
     let ds = load(args)?;
     let cfg = constraints::IndConfig {
-        max_error: args.get("--max-error", 0.5),
+        max_error: args.get("--max-error", 0.5)?,
         ..constraints::IndConfig::default()
     };
     let inds = constraints::discover_inds(&ds.db, &cfg);
@@ -207,20 +214,20 @@ fn cmd_inds(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn threshold(args: &Args) -> ConstantThreshold {
-    if let Some(n) = args.try_get::<usize>("--absolute") {
+fn threshold(args: &Args) -> Result<ConstantThreshold, String> {
+    Ok(if let Some(n) = args.try_get::<usize>("--absolute")? {
         ConstantThreshold::Absolute(n)
-    } else if let Some(f) = args.try_get::<f64>("--relative") {
+    } else if let Some(f) = args.try_get::<f64>("--relative")? {
         ConstantThreshold::Relative(f)
     } else {
         ConstantThreshold::Absolute(50)
-    }
+    })
 }
 
 fn cmd_induce(args: &Args) -> Result<(), String> {
     let ds = load(args)?;
     let cfg = AutoBiasConfig {
-        constant_threshold: threshold(args),
+        constant_threshold: threshold(args)?,
         ..AutoBiasConfig::default()
     };
     let (bias, _, stats) = induce_bias(&ds.db, ds.target, &cfg).map_err(|e| e.to_string())?;
@@ -251,7 +258,7 @@ fn pick_bias(args: &Args, ds: &Dataset) -> Result<autobias::bias::LanguageBias, 
     match args.get_str("--bias").unwrap_or("auto") {
         "auto" => {
             let cfg = AutoBiasConfig {
-                constant_threshold: threshold(args),
+                constant_threshold: threshold(args)?,
                 ..AutoBiasConfig::default()
             };
             let (bias, _, _) = induce_bias(&ds.db, ds.target, &cfg).map_err(|e| e.to_string())?;
@@ -272,6 +279,22 @@ fn pick_bias(args: &Args, ds: &Dataset) -> Result<autobias::bias::LanguageBias, 
     }
 }
 
+/// The learn options `autobias learn` takes as flags.
+fn learn_options(args: &Args) -> Result<LearnOptions, String> {
+    let defaults = LearnOptions::default();
+    Ok(LearnOptions {
+        bias: args.get_str("--bias").unwrap_or("auto").to_string(),
+        sampling: LearnOptions::parse_sampling(
+            args.get_str("--sampling").unwrap_or("naive"),
+            args.get("--sample-size", DEFAULT_SAMPLE_SIZE)?,
+        )?,
+        depth: args.get("--depth", defaults.depth)?,
+        seed: args.get("--seed", defaults.seed)?,
+        reduce: !args.has("--no-reduce"),
+        ..defaults
+    })
+}
+
 fn cmd_learn(args: &Args) -> Result<(), String> {
     let trace_out = args.get_str("--trace-out");
     let report_out = args.get_str("--report-out");
@@ -287,96 +310,33 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
         obs::enable_at_least(obs::Mode::Summary);
     }
     obs::reset();
+    let opts = learn_options(args)?;
     let ds = load(args)?;
+    let report = obs::ReportBuilder::new(ds.name, opts.report_params());
     let bias = pick_bias(args, &ds)?;
-    let sample = args.get("--sample-size", 20usize);
-    let strategy = match args.get_str("--sampling").unwrap_or("naive") {
-        "naive" => SamplingStrategy::Naive {
-            per_selection: sample,
-        },
-        "random" => SamplingStrategy::Random {
-            per_selection: sample,
-            oversample: 10,
-        },
-        "stratified" => SamplingStrategy::Stratified { per_stratum: 2 },
-        "full" => SamplingStrategy::Full,
-        other => return Err(format!("unknown sampling {other:?}")),
-    };
-    let cfg = LearnerConfig {
-        bc: BcConfig {
-            depth: args.get("--depth", 2),
-            strategy,
-            ..BcConfig::default()
-        },
-        seed: args.get("--seed", 7),
-        reduce_clauses: !args.has("--no-reduce"),
-        ..LearnerConfig::default()
-    };
-    let train = autobias::example::TrainingSet::new(ds.pos.clone(), ds.neg.clone());
     let t0 = std::time::Instant::now();
-    let learner = Learner::new(cfg);
-    let (def, stats, report) = match report_out {
-        Some(_) => {
-            let params = vec![
-                (
-                    "bias".to_string(),
-                    args.get_str("--bias").unwrap_or("auto").to_string(),
-                ),
-                (
-                    "sampling".to_string(),
-                    args.get_str("--sampling").unwrap_or("naive").to_string(),
-                ),
-                ("depth".to_string(), args.get("--depth", 2usize).to_string()),
-                ("seed".to_string(), args.get("--seed", 7u64).to_string()),
-                ("reduce".to_string(), (!args.has("--no-reduce")).to_string()),
-            ];
-            let builder = obs::ReportBuilder::new(ds.name, params);
-            let cancel = std::sync::atomic::AtomicBool::new(false);
-            let (def, stats) =
-                learner.learn_with_progress(&ds.db, &bias, &train, &cancel, &builder);
-            (def, stats, Some(builder))
-        }
-        None => {
-            let (def, stats) = learner.learn(&ds.db, &bias, &train);
-            (def, stats, None)
-        }
-    };
-    // Post-learn verification (stderr only, never alters the model output).
-    let verdict = analyze::check_definition(&ds.db, &def, Some(&bias));
-    if !verdict.is_clean() {
-        eprint!("{}", verdict.render_text());
+    let never = std::sync::atomic::AtomicBool::new(false);
+    let run = learn_model(
+        &ds,
+        &bias,
+        &opts,
+        ds.name.to_string(),
+        &report,
+        &obs::progress::NullSink,
+        &never,
+    );
+    // Verification findings go to stderr and never alter the model output;
+    // Error findings fail the command.
+    if !run.verdict.is_clean() {
+        eprint!("{}", run.verdict.render_text());
     }
-    if verdict.has_errors() {
+    if run.verdict.has_errors() {
         return Err(format!(
             "learned definition failed static verification: {}",
-            verdict.summary()
+            run.verdict.summary()
         ));
     }
-    // Serving readiness: compile the learned definition the same way the
-    // registry will at model load, so `--profile` / `--report-out` surface
-    // `plan.compile` timings and any interpreter-fallback clauses show up
-    // now rather than at first serve. Observational only: the model text
-    // does not depend on it.
-    {
-        let mut sp = obs::span!("plan.compile");
-        let compiled = plan::compile_definition(&ds.db, &def, &plan::CompileConfig::default());
-        sp.note("compiled", compiled.num_compiled() as u64);
-        sp.note("declined", compiled.num_declined() as u64);
-        for (i, why) in compiled.declined() {
-            obs::warn!("clause {i} declined by plan compiler ({why}); will serve interpreted");
-        }
-        if let Some(builder) = report.as_ref() {
-            builder.set_plan(obs::PlanReport {
-                compiled_clauses: compiled.num_compiled(),
-                fallback_clauses: compiled.num_declined(),
-                declined: compiled
-                    .declined()
-                    .iter()
-                    .map(|(i, why)| format!("clause {i}: {why}"))
-                    .collect(),
-            });
-        }
-    }
+    let def = &run.model.definition;
     let text = def.render(&ds.db);
     match args.get_str("--out") {
         Some(path) => {
@@ -388,14 +348,13 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
     obs::info!(
         "learned in {:?} ({} uncovered positives, BC time {:?})",
         t0.elapsed(),
-        stats.uncovered_pos,
-        stats.bc_time
+        run.stats.uncovered_pos,
+        run.stats.bc_time
     );
-    if let (Some(path), Some(builder)) = (report_out, report) {
-        // finish() after the learn spans have dropped, so their phase
+    if let Some(path) = report_out {
+        // Read after the learn spans have dropped, so their phase
         // aggregates are included in the delta.
-        let json = builder.finish().to_json();
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, report.finish().to_json()).map_err(|e| format!("{path}: {e}"))?;
         obs::info!("wrote run report to {path}");
     }
     if let Some(path) = trace_out {
@@ -455,7 +414,7 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
                 ds.target,
                 &text,
                 Some(&graph),
-                Some(threshold(args)),
+                Some(threshold(args)?),
             )
         }
         (None, None) => return Err("missing --bias FILE or --model FILE".to_string()),
@@ -581,7 +540,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .to_string(),
         data_dir: PathBuf::from(data),
         models_dir: PathBuf::from(models),
-        threads: args.get("--threads", 4usize),
+        threads: args.get("--threads", 4usize)?,
         access_log: args.get_str("--access-log").map(PathBuf::from),
         // Read once per boot: `AUTOBIAS_TRACE=0` serves untraced.
         request_trace: std::env::var("AUTOBIAS_TRACE").map_or(true, |v| v != "0"),
@@ -792,4 +751,46 @@ fn render_event(event: &str, data: &str) -> Option<String> {
         }
         other => format!("{other}: {data}"),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `autobias learn` flags and a `POST /jobs/learn` body naming the same
+    /// options select the same learner and the same report params.
+    #[test]
+    fn cli_flags_and_job_body_select_the_same_run() {
+        let cases: [(&[&str], &str); 3] = [
+            (&[], ""),
+            (
+                &[
+                    "--bias",
+                    "manual",
+                    "--depth",
+                    "3",
+                    "--seed",
+                    "42",
+                    "--no-reduce",
+                ],
+                "bias manual\ndepth 3\nseed 42\nreduce false\n",
+            ),
+            (
+                &["--sampling", "random", "--sample-size", "5"],
+                "sampling random\nsample-size 5\n",
+            ),
+        ];
+        for (flags, body) in cases {
+            let cli =
+                learn_options(&Args::new(flags.iter().map(|f| f.to_string()).collect())).unwrap();
+            let job = autobias_serve::jobs::JobSpec::parse(body).unwrap().learn;
+            assert_eq!(
+                format!("{:?}", cli.learner_config()),
+                format!("{:?}", job.learner_config()),
+                "{flags:?}"
+            );
+            assert_eq!(cli.report_params(), job.report_params(), "{flags:?}");
+            assert_eq!(cli, job);
+        }
+    }
 }

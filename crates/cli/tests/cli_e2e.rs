@@ -155,6 +155,52 @@ fn missing_flags_print_usage() {
     }
 }
 
+/// A present but malformed flag value fails the command with the flag
+/// named, instead of falling back to the flag's default.
+#[test]
+fn malformed_flag_values_are_rejected() {
+    let tmp = TempDir::new("badflags");
+    let data = tmp.path("uw");
+    let (ok, _, err) = run(&["gen", "--dataset", "uw", "--out", &data, "--seed", "3"]);
+    assert!(ok, "gen failed: {err}");
+    // `serve` gets no data, so a regression fails on loading instead of
+    // starting a server that never returns.
+    for (argv, flag) in [
+        (
+            vec![
+                "learn", "--data", &data, "--bias", "manual", "--depth", "two",
+            ],
+            "--depth",
+        ),
+        (
+            vec![
+                "learn", "--data", &data, "--bias", "manual", "--seed", "abc",
+            ],
+            "--seed",
+        ),
+        (
+            vec![
+                "serve",
+                "--data",
+                "nowhere",
+                "--models",
+                "nowhere",
+                "--threads",
+                "x",
+            ],
+            "--threads",
+        ),
+        (
+            vec!["induce", "--data", &data, "--absolute", "many"],
+            "--absolute",
+        ),
+    ] {
+        let (ok, _, err) = run(&argv);
+        assert!(!ok, "{argv:?} should fail");
+        assert!(err.contains(flag), "{argv:?} stderr: {err}");
+    }
+}
+
 #[test]
 fn predict_rejects_malformed_tuples() {
     let tmp = TempDir::new("badtuple");

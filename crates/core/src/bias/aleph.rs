@@ -341,8 +341,13 @@ mod tests {
     #[test]
     fn imported_bias_learns() {
         use crate::bottom::{BcConfig, SamplingStrategy};
+        use crate::coverage::CoverageEngine;
         use crate::example::{Example, TrainingSet};
-        use crate::learn::{Learner, LearnerConfig};
+        use crate::learn::{
+            definition_covers_neg_in, definition_covers_pos_in, prepare_definition, Learner,
+            LearnerConfig,
+        };
+        use crate::subsume::Workspace;
 
         let (mut db, target) = setup();
         db.insert(target, &["john", "mary"]);
@@ -370,9 +375,16 @@ mod tests {
             },
             ..LearnerConfig::default()
         };
-        let (def, _, pos_cov, neg_cov) = Learner::new(cfg).learn_with_coverage(&db, &bias, &train);
+        let (def, _) = Learner::new(cfg).learn(&db, &bias, &train);
         assert!(!def.is_empty());
-        assert!(pos_cov.iter().all(|&c| c));
-        assert!(neg_cov.iter().all(|&c| !c));
+        let engine = CoverageEngine::for_learner(&db, &bias, &train, &cfg);
+        let prepared = prepare_definition(&def);
+        let mut ws = Workspace::default();
+        assert!(
+            (0..train.pos.len()).all(|i| definition_covers_pos_in(&mut ws, &prepared, &engine, i))
+        );
+        assert!(
+            !(0..train.neg.len()).any(|i| definition_covers_neg_in(&mut ws, &prepared, &engine, i))
+        );
     }
 }

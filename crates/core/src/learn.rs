@@ -93,7 +93,7 @@ pub struct LearnStats {
     /// Whether the time budget expired before the loop finished.
     pub timed_out: bool,
     /// Whether an external cancellation flag stopped the run early (see
-    /// [`Learner::learn_cancellable`]).
+    /// [`Learner::learn_with_progress`]).
     pub cancelled: bool,
     /// Clauses proposed by `LearnClause` that failed the minimum criterion.
     pub rejected_clauses: usize,
@@ -123,26 +123,15 @@ impl Learner {
         train: &TrainingSet,
     ) -> (Definition, LearnStats) {
         static NEVER: AtomicBool = AtomicBool::new(false);
-        self.learn_cancellable(db, bias, train, &NEVER)
+        self.learn_with_progress(db, bias, train, &NEVER, &NullSink)
     }
 
-    /// [`Learner::learn`] with cooperative cancellation: `cancel` is polled
-    /// before the (expensive) ground-BC build and once per covering-loop
-    /// iteration. When it reads `true`, the loop stops and the definition
-    /// learned so far is returned with `stats.cancelled` set. This is what
-    /// lets a resident server abort background learning jobs without killing
-    /// the process.
-    pub fn learn_cancellable(
-        &self,
-        db: &Database,
-        bias: &LanguageBias,
-        train: &TrainingSet,
-        cancel: &AtomicBool,
-    ) -> (Definition, LearnStats) {
-        self.learn_with_progress(db, bias, train, cancel, &NullSink)
-    }
-
-    /// [`Learner::learn_cancellable`] with a structured progress channel:
+    /// [`Learner::learn`] with cooperative cancellation and a structured
+    /// progress channel. `cancel` is polled before the (expensive) ground-BC
+    /// build and once per covering-loop iteration; when it reads `true`, the
+    /// loop stops and the definition learned so far is returned with
+    /// `stats.cancelled` set, which lets a resident server abort background
+    /// learning jobs without killing the process.
     /// `sink` receives one [`ProgressEvent`] per covering-loop decision —
     /// `BcBuildFinished` after ground-BC construction, then per iteration
     /// `IterationStarted` → `ClauseSearched` → (`ClauseAccepted` |
@@ -310,27 +299,6 @@ impl Learner {
         sink.on_event(&finished(&definition, &stats));
         (definition, stats)
     }
-
-    /// Convenience: learns and also returns whether each training positive /
-    /// negative ends up covered (computed against the training engine).
-    pub fn learn_with_coverage(
-        &self,
-        db: &Database,
-        bias: &LanguageBias,
-        train: &TrainingSet,
-    ) -> (Definition, LearnStats, Vec<bool>, Vec<bool>) {
-        let (def, stats) = self.learn(db, bias, train);
-        let engine = CoverageEngine::for_learner(db, bias, train, &self.cfg);
-        let mut ws = Workspace::default();
-        let prepared = prepare_definition(&def);
-        let pos_cov = (0..train.pos.len())
-            .map(|i| definition_covers_pos_in(&mut ws, &prepared, &engine, i))
-            .collect();
-        let neg_cov = (0..train.neg.len())
-            .map(|i| definition_covers_neg_in(&mut ws, &prepared, &engine, i))
-            .collect();
-        (def, stats, pos_cov, neg_cov)
-    }
 }
 
 /// Training precision `p / (p + n)`, with the empty-coverage convention of
@@ -399,6 +367,27 @@ mod tests {
     use crate::bottom::SamplingStrategy;
     use crate::example::Example;
     use relstore::Database;
+
+    /// Whether each training positive / negative is covered by `def`,
+    /// tested against the learner's own ground bottom clauses.
+    fn training_coverage(
+        def: &Definition,
+        db: &Database,
+        bias: &LanguageBias,
+        train: &TrainingSet,
+        cfg: &LearnerConfig,
+    ) -> (Vec<bool>, Vec<bool>) {
+        let engine = CoverageEngine::for_learner(db, bias, train, cfg);
+        let prepared = prepare_definition(def);
+        let mut ws = Workspace::default();
+        let pos = (0..train.pos.len())
+            .map(|i| definition_covers_pos_in(&mut ws, &prepared, &engine, i))
+            .collect();
+        let neg = (0..train.neg.len())
+            .map(|i| definition_covers_neg_in(&mut ws, &prepared, &engine, i))
+            .collect();
+        (pos, neg)
+    }
 
     /// World with a two-rule target: advisedBy(s,p) holds iff s,p co-author
     /// OR s TAs a course p teaches. Tests that sequential covering finds
@@ -474,8 +463,8 @@ mode taughtBy(+, -)
             },
             ..LearnerConfig::default()
         };
-        let (def, stats, pos_cov, neg_cov) =
-            Learner::new(cfg).learn_with_coverage(&db, &bias, &train);
+        let (def, stats) = Learner::new(cfg).learn(&db, &bias, &train);
+        let (pos_cov, neg_cov) = training_coverage(&def, &db, &bias, &train, &cfg);
         assert!(
             def.len() >= 2,
             "expected ≥2 clauses, got:\n{}",
@@ -572,10 +561,10 @@ mode taughtBy(+, -)
             reduce_clauses: true,
             ..base_cfg
         };
-        let (plain, _, p_pos, p_neg) =
-            Learner::new(base_cfg).learn_with_coverage(&db, &bias, &train);
-        let (reduced, _, r_pos, r_neg) =
-            Learner::new(reduced_cfg).learn_with_coverage(&db, &bias, &train);
+        let (plain, _) = Learner::new(base_cfg).learn(&db, &bias, &train);
+        let (p_pos, p_neg) = training_coverage(&plain, &db, &bias, &train, &base_cfg);
+        let (reduced, _) = Learner::new(reduced_cfg).learn(&db, &bias, &train);
+        let (r_pos, r_neg) = training_coverage(&reduced, &db, &bias, &train, &reduced_cfg);
         assert!(
             reduced.total_literals() < plain.total_literals(),
             "reduced {} vs plain {}:\n{}",
@@ -805,13 +794,14 @@ mode r(-, +)
         let learner = Learner::default();
 
         let cancelled = AtomicBool::new(true);
-        let (def, stats) = learner.learn_cancellable(&db, &bias, &train, &cancelled);
+        let (def, stats) = learner.learn_with_progress(&db, &bias, &train, &cancelled, &NullSink);
         assert!(stats.cancelled);
         assert!(def.is_empty());
         assert_eq!(stats.uncovered_pos, train.pos.len());
 
         let live = AtomicBool::new(false);
-        let (def_live, stats_live) = learner.learn_cancellable(&db, &bias, &train, &live);
+        let (def_live, stats_live) =
+            learner.learn_with_progress(&db, &bias, &train, &live, &NullSink);
         let (def_plain, _) = learner.learn(&db, &bias, &train);
         assert!(!stats_live.cancelled);
         assert_eq!(def_live, def_plain, "unset flag must not change results");

@@ -64,7 +64,6 @@ pub mod generalize;
 pub mod instrument;
 pub mod learn;
 pub mod query;
-pub mod semijoin_tree;
 pub mod subsume;
 
 /// Convenience re-exports of the most commonly used items.
@@ -91,7 +90,6 @@ pub mod prelude {
     pub use crate::generalize::{armg, learn_clause, reduce_clause, GenConfig};
     pub use crate::learn::{LearnStats, Learner, LearnerConfig, MinCriterion};
     pub use crate::query::{clause_covers, definition_covers, QueryConfig};
-    pub use crate::semijoin_tree::{SemijoinTree, SjNode};
     pub use crate::subsume::{
         theta_subsumes, PrefixProbe, PreparedClause, SubsumeConfig, Workspace,
     };

@@ -230,42 +230,6 @@ impl CompiledClause {
     pub fn step_est(&self, vi: usize, si: usize) -> usize {
         self.variants[vi].steps[si].est_cost
     }
-
-    /// Step order and access paths, one line per step — for `--profile`
-    /// output and tests that pin the ordering heuristic. Multi-variant
-    /// plans list each ordering under a `variant` header.
-    pub fn describe(&self, db: &Database) -> String {
-        let mut out = String::new();
-        for (vi, variant) in self.variants.iter().enumerate() {
-            if self.variants.len() > 1 {
-                out.push_str(&format!("  variant {vi} (runtime-selected):\n"));
-            }
-            for (i, s) in variant.steps.iter().enumerate() {
-                let name = &db.catalog().schema(s.rel).name;
-                let access = match s.access {
-                    Access::Probe {
-                        pos,
-                        key: Key::Const(c),
-                    } => {
-                        format!("probe {name}.{pos} = {}", db.const_name(c))
-                    }
-                    Access::Probe {
-                        pos,
-                        key: Key::Slot(s),
-                    } => {
-                        format!("probe {name}.{pos} = ?{s}")
-                    }
-                    Access::Scan => format!("scan {name}"),
-                };
-                let barrier = if s.barrier { " [component]" } else { "" };
-                out.push_str(&format!(
-                    "  step {i}: {access} (est {}){barrier}\n",
-                    s.est_cost
-                ));
-            }
-        }
-        out
-    }
 }
 
 /// A whole definition compiled: the plans that compiled plus the indices of

@@ -9,10 +9,9 @@
 //!   property the `explain_roundtrip` suite pins). Numbers are exact: step
 //!   counters are integers, ratios are `f64` printed in Rust's shortest
 //!   round-trip form.
-//! - [`explain_text`] — the human rendering `autobias explain` prints, a
-//!   superset of [`crate::CompiledClause::describe`] that adds decline reasons,
-//!   variant selection counts, and (with analyze data) per-operator
-//!   observed cardinalities and q-errors.
+//! - [`explain_text`] — the human rendering `autobias explain` prints: step
+//!   order and access paths, decline reasons, variant selection counts, and
+//!   (with analyze data) per-operator observed cardinalities and q-errors.
 //!
 //! A clause appears exactly once, whichever engine serves it: compiled
 //! clauses carry their variants, access paths, residual ops, and

@@ -13,8 +13,8 @@
 //!
 //! [`compile_definition`] turns each clause into a [`CompiledClause`]: an
 //! ordered pipeline of index-probe steps (literal order chosen greedily by
-//! estimated selectivity from relation cardinalities, in the spirit of
-//! `core::semijoin_tree`), with every bound/free argument decision resolved
+//! estimated selectivity from relation cardinalities), with every
+//! bound/free argument decision resolved
 //! at compile time into a flat op list. Execution is a zero-allocation
 //! backtracking walk over `relstore`'s posting lists — see [`exec`].
 //!

@@ -1,12 +1,14 @@
 //! The per-job live event log behind `GET /jobs/{id}/events`.
 //!
-//! The learning thread pushes pre-rendered SSE frames; any number of stream
+//! The log is the learning run's SSE sink: each [`ProgressEvent`] it
+//! receives becomes one pre-rendered frame. Any number of stream
 //! handlers replay the log from the beginning and then block on a condvar
 //! for more, so a watcher attaching mid-run still sees the whole story. The
 //! log is bounded: past [`EventLog::DEFAULT_CAP`] frames the oldest are
 //! dropped (tracked by a rising `start` offset, so late readers know how
 //! many they missed rather than silently skipping).
 
+use obs::progress::{ProgressEvent, ProgressSink};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -121,6 +123,12 @@ impl EventLog {
             missed: effective - from,
             closed: g.closed,
         }
+    }
+}
+
+impl ProgressSink for EventLog {
+    fn on_event(&self, ev: &ProgressEvent) {
+        self.push(ev.to_sse_frame());
     }
 }
 

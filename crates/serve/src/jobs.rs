@@ -1,21 +1,26 @@
-//! Background learning jobs: a `POST /jobs/learn` request returns
-//! immediately with a job id; the learning run happens on its own thread
-//! against the shared read-only [`relstore::Database`], and clients poll
-//! `GET /jobs/{id}` for status. Cancellation is cooperative — the flag is
-//! polled by [`autobias::learn::Learner::learn_cancellable`] once per
-//! covering-loop iteration, so a cancelled job still returns the clauses
-//! accepted so far.
+//! Learning runs. [`learn_model`] is the one learn → verify → compile →
+//! report pipeline, shared by `autobias learn` and the server's background
+//! jobs; [`LearnOptions`] is the one set of options both take.
+//!
+//! A `POST /jobs/learn` request returns immediately with a job id; the run
+//! happens on its own thread against the shared read-only
+//! [`relstore::Database`], and clients poll `GET /jobs/{id}`, a view over
+//! the job's run report ([`Job::report`]). Cancellation is cooperative —
+//! the flag is polled by [`autobias::learn::Learner::learn_with_progress`]
+//! once per covering-loop iteration, so a cancelled job still returns the
+//! clauses accepted so far.
 
 use crate::events::EventLog;
 use crate::ledger::RunLedger;
 use crate::registry::{ModelEntry, ModelRegistry};
 use autobias::bias::auto::{induce_bias, AutoBiasConfig};
+use autobias::bias::LanguageBias;
 use autobias::bottom::{BcConfig, SamplingStrategy};
 use autobias::example::TrainingSet;
-use autobias::learn::{Learner, LearnerConfig};
+use autobias::learn::{LearnStats, Learner, LearnerConfig};
 use datasets::Dataset;
-use obs::progress::{ProgressEvent, ProgressSink};
-use obs::report::ReportBuilder;
+use obs::progress::{ProgressSink, Tee};
+use obs::report::{PlanReport, ReportBuilder};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -23,14 +28,19 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// What to learn and how; parsed from the request body (`key value` lines).
-#[derive(Debug, Clone)]
-pub struct JobSpec {
-    /// Registry name for the learned model (default `job-<id>`).
-    pub model_name: Option<String>,
-    /// `auto` (induced from constraints) or `manual` (the dataset's expert
-    /// bias file).
-    pub bias: BiasChoice,
+/// Tuples kept per selection by the sampling strategies that sample, unless
+/// a `sample-size` is given.
+pub const DEFAULT_SAMPLE_SIZE: usize = 20;
+
+/// How to learn: the options `autobias learn` takes as flags and
+/// `POST /jobs/learn` as body keys. Resolving the bias stays with the
+/// caller, which alone knows where a bias may come from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LearnOptions {
+    /// The bias as the caller named it: `auto` (induced from constraints),
+    /// `manual` (the dataset's expert bias file), or, for the CLI, a bias
+    /// file.
+    pub bias: String,
     /// Bottom-clause sampling strategy.
     pub sampling: SamplingStrategy,
     /// Bottom-clause depth.
@@ -43,21 +53,13 @@ pub struct JobSpec {
     pub reduce: bool,
 }
 
-/// Which language bias the job uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BiasChoice {
-    /// Induce the bias from database constraints (the paper's AutoBias).
-    Auto,
-    /// Use the dataset's expert-written bias.
-    Manual,
-}
-
-impl Default for JobSpec {
+impl Default for LearnOptions {
     fn default() -> Self {
         Self {
-            model_name: None,
-            bias: BiasChoice::Auto,
-            sampling: SamplingStrategy::Naive { per_selection: 20 },
+            bias: "auto".to_string(),
+            sampling: SamplingStrategy::Naive {
+                per_selection: DEFAULT_SAMPLE_SIZE,
+            },
             depth: 2,
             seed: 7,
             max_clauses: LearnerConfig::default().max_clauses,
@@ -66,57 +68,11 @@ impl Default for JobSpec {
     }
 }
 
-impl JobSpec {
-    /// Parses `key value` lines (blank lines and `#` comments ignored).
-    /// An empty body yields the default spec.
-    pub fn parse(body: &str) -> Result<Self, String> {
-        let mut spec = Self::default();
-        let mut sample_size = 20usize;
-        let mut sampling_word = "naive".to_string();
-        for line in body.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line
-                .split_once(char::is_whitespace)
-                .map(|(k, v)| (k, v.trim()))
-                .ok_or_else(|| format!("expected `key value`, got {line:?}"))?;
-            match key {
-                "name" => spec.model_name = Some(value.to_string()),
-                "bias" => {
-                    spec.bias = match value {
-                        "auto" => BiasChoice::Auto,
-                        "manual" => BiasChoice::Manual,
-                        other => return Err(format!("unknown bias {other:?} (auto|manual)")),
-                    }
-                }
-                "sampling" => sampling_word = value.to_string(),
-                "sample-size" => {
-                    sample_size = value
-                        .parse()
-                        .map_err(|_| format!("bad sample-size {value:?}"))?;
-                }
-                "depth" => {
-                    spec.depth = value.parse().map_err(|_| format!("bad depth {value:?}"))?;
-                }
-                "seed" => {
-                    spec.seed = value.parse().map_err(|_| format!("bad seed {value:?}"))?;
-                }
-                "max-clauses" => {
-                    spec.max_clauses = value
-                        .parse()
-                        .map_err(|_| format!("bad max-clauses {value:?}"))?;
-                }
-                "reduce" => {
-                    spec.reduce = value
-                        .parse()
-                        .map_err(|_| format!("bad reduce {value:?} (true|false)"))?;
-                }
-                other => return Err(format!("unknown job option {other:?}")),
-            }
-        }
-        spec.sampling = match sampling_word.as_str() {
+impl LearnOptions {
+    /// The strategy a sampling word names, keeping `sample_size` tuples per
+    /// selection where the strategy samples.
+    pub fn parse_sampling(word: &str, sample_size: usize) -> Result<SamplingStrategy, String> {
+        Ok(match word {
             "naive" => SamplingStrategy::Naive {
                 per_selection: sample_size,
             },
@@ -131,7 +87,153 @@ impl JobSpec {
                     "unknown sampling {other:?} (naive|random|stratified|full)"
                 ))
             }
+        })
+    }
+
+    /// The learner configuration these options select.
+    pub fn learner_config(&self) -> LearnerConfig {
+        LearnerConfig {
+            bc: BcConfig {
+                depth: self.depth,
+                strategy: self.sampling,
+                ..BcConfig::default()
+            },
+            seed: self.seed,
+            max_clauses: self.max_clauses,
+            reduce_clauses: self.reduce,
+            ..LearnerConfig::default()
+        }
+    }
+
+    /// The options as run-report params, in report order.
+    pub fn report_params(&self) -> Vec<(String, String)> {
+        let sampling = match self.sampling {
+            SamplingStrategy::Naive { per_selection } => format!("naive:{per_selection}"),
+            SamplingStrategy::Random { per_selection, .. } => format!("random:{per_selection}"),
+            SamplingStrategy::Stratified { per_stratum } => format!("stratified:{per_stratum}"),
+            SamplingStrategy::Full => "full".to_string(),
         };
+        [
+            ("bias", self.bias.clone()),
+            ("sampling", sampling),
+            ("depth", self.depth.to_string()),
+            ("seed", self.seed.to_string()),
+            ("max_clauses", self.max_clauses.to_string()),
+            ("reduce", self.reduce.to_string()),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
+    }
+}
+
+/// What one learn run produced.
+pub struct LearnedModel {
+    /// The learned definition (`model.definition`), compiled for serving.
+    pub model: ModelEntry,
+    /// Learner statistics.
+    pub stats: LearnStats,
+    /// The static verifier's findings on the learned definition; acting on
+    /// them is the caller's policy.
+    pub verdict: analyze::Report,
+}
+
+/// The one learning run behind `autobias learn` and `POST /jobs/learn`.
+/// Learns from `ds` under `bias` with every progress event going to both
+/// `report` and `progress`, checks the definition with the static verifier,
+/// compiles it the way the registry loads a model (named `name`), and
+/// records the compile outcome in `report`. `cancel` stops the covering
+/// loop early, keeping the clauses accepted so far.
+pub fn learn_model(
+    ds: &Dataset,
+    bias: &LanguageBias,
+    opts: &LearnOptions,
+    name: String,
+    report: &ReportBuilder,
+    progress: &dyn ProgressSink,
+    cancel: &AtomicBool,
+) -> LearnedModel {
+    let train = TrainingSet::new(ds.pos.clone(), ds.neg.clone());
+    let sinks = Tee::new(vec![report, progress]);
+    let (definition, stats) = Learner::new(opts.learner_config())
+        .learn_with_progress(&ds.db, bias, &train, cancel, &sinks);
+    let verdict = analyze::check_definition(&ds.db, &definition, Some(bias));
+    let model = ModelEntry::new(&ds.db, name, definition, vec![], None);
+    report.set_plan(PlanReport {
+        compiled_clauses: model.plan.num_compiled(),
+        fallback_clauses: model.plan.num_declined(),
+        declined: model
+            .plan
+            .declined()
+            .iter()
+            .map(|(i, why)| format!("clause {i}: {why}"))
+            .collect(),
+    });
+    LearnedModel {
+        model,
+        stats,
+        verdict,
+    }
+}
+
+/// A `POST /jobs/learn` body: `key value` lines.
+#[derive(Debug, Clone, Default)]
+pub struct JobSpec {
+    /// Registry name for the learned model (default `job-<id>`).
+    pub model_name: Option<String>,
+    /// What to learn and how. `bias` is `auto` or `manual`.
+    pub learn: LearnOptions,
+}
+
+impl JobSpec {
+    /// Parses `key value` lines (blank lines and `#` comments ignored).
+    /// An empty body yields the default spec.
+    pub fn parse(body: &str) -> Result<Self, String> {
+        let mut spec = Self::default();
+        let opts = &mut spec.learn;
+        let mut sample_size = DEFAULT_SAMPLE_SIZE;
+        let mut sampling_word = "naive";
+        for line in body.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let (key, value) = line
+                .split_once(char::is_whitespace)
+                .map(|(k, v)| (k, v.trim()))
+                .ok_or_else(|| format!("expected `key value`, got {line:?}"))?;
+            match key {
+                "name" => spec.model_name = Some(value.to_string()),
+                "bias" => match value {
+                    "auto" | "manual" => opts.bias = value.to_string(),
+                    other => return Err(format!("unknown bias {other:?} (auto|manual)")),
+                },
+                "sampling" => sampling_word = value,
+                "sample-size" => {
+                    sample_size = value
+                        .parse()
+                        .map_err(|_| format!("bad sample-size {value:?}"))?;
+                }
+                "depth" => {
+                    opts.depth = value.parse().map_err(|_| format!("bad depth {value:?}"))?;
+                }
+                "seed" => {
+                    opts.seed = value.parse().map_err(|_| format!("bad seed {value:?}"))?;
+                }
+                "max-clauses" => {
+                    opts.max_clauses = value
+                        .parse()
+                        .map_err(|_| format!("bad max-clauses {value:?}"))?;
+                }
+                "reduce" => {
+                    opts.reduce = value
+                        .parse()
+                        .map_err(|_| format!("bad reduce {value:?} (true|false)"))?;
+                }
+                other => return Err(format!("unknown job option {other:?}")),
+            }
+        }
+        opts.sampling = LearnOptions::parse_sampling(sampling_word, sample_size)?;
         Ok(spec)
     }
 }
@@ -173,35 +275,17 @@ impl JobState {
     }
 }
 
-/// Mutable job status, read by pollers.
+/// What the job's thread knows and its run report does not: the lifecycle
+/// state and how it ended. Everything about the run's progress is read from
+/// [`Job::report`].
 #[derive(Debug, Clone)]
 pub struct JobStatus {
     /// Current lifecycle state.
     pub state: JobState,
     /// Human-readable detail (error message, completion summary).
     pub detail: String,
-    /// Clauses in the learned definition so far (live while running).
-    pub clauses: usize,
-    /// Positives left uncovered (live while running).
-    pub uncovered_pos: usize,
-    /// Covering-loop iteration currently in progress (0 before the first).
-    pub iteration: usize,
-    /// Positive training examples in total (0 until the BC build finishes).
-    pub pos_total: usize,
-    /// Positives covered so far (`pos_total - uncovered_pos` once known).
-    pub pos_covered: usize,
     /// Wall-clock seconds once terminal.
     pub elapsed_secs: Option<f64>,
-    /// Seconds spent building ground bottom clauses, once terminal.
-    pub bc_secs: Option<f64>,
-    /// Seconds spent in clause search (the covering loop), once terminal.
-    pub search_secs: Option<f64>,
-    /// Clauses of the learned model compiled into evaluation plans, once
-    /// the job completed and the model was registered.
-    pub plan_compiled: Option<usize>,
-    /// Clauses declined by the plan compiler (interpreter fallback), once
-    /// the job completed.
-    pub plan_fallback: Option<usize>,
 }
 
 /// One background learning job.
@@ -214,8 +298,14 @@ pub struct Job {
     /// the server's trace store once the job terminates, so a run found in
     /// `GET /jobs/{id}` resolves at `GET /debug/traces/{trace_id}`.
     pub trace_id: String,
-    /// Live SSE frames of this job's [`ProgressEvent`]s; closed once the
-    /// job is terminal, ending any `GET /jobs/{id}/events` streams.
+    /// Positive training examples the job learns from.
+    pub pos_total: usize,
+    /// The job's one record of its run: fed every progress event, read live
+    /// by `GET /jobs/{id}` and archived in the run ledger once the job
+    /// completes.
+    pub report: ReportBuilder,
+    /// Live SSE frames of this job's progress events; closed once the job
+    /// is terminal, ending any `GET /jobs/{id}/events` streams.
     pub events: Arc<EventLog>,
     status: Mutex<JobStatus>,
     cancel: AtomicBool,
@@ -281,24 +371,24 @@ impl JobManager {
             .clone()
             .unwrap_or_else(|| format!("job-{id}"));
         let ctx = obs::trace::TraceCtx::begin(None);
+        let trace_id = ctx.trace_id_hex();
+        let mut params = vec![("model".to_string(), model_name.clone())];
+        params.extend(spec.learn.report_params());
+        // Counter/phase deltas in the report are process-global; with several
+        // jobs running concurrently they describe the overlap, not one job.
+        let report = ReportBuilder::new(ds.name, params);
+        report.set_trace_id(trace_id.clone());
         let job = Arc::new(Job {
             id,
-            model_name: model_name.clone(),
-            trace_id: ctx.trace_id_hex(),
+            model_name,
+            trace_id,
+            pos_total: ds.pos.len(),
+            report,
             events: Arc::new(EventLog::default()),
             status: Mutex::new(JobStatus {
                 state: JobState::Queued,
                 detail: String::new(),
-                clauses: 0,
-                uncovered_pos: 0,
-                iteration: 0,
-                pos_total: ds.pos.len(),
-                pos_covered: 0,
                 elapsed_secs: None,
-                bc_secs: None,
-                search_secs: None,
-                plan_compiled: None,
-                plan_fallback: None,
             }),
             cancel: AtomicBool::new(false),
             handle: Mutex::new(None),
@@ -318,42 +408,28 @@ impl JobManager {
                     // Installed inside the closure so the guard unwinds with
                     // a panic instead of leaking the thread-local context.
                     let _traced = ctx.install();
-                    run_learn(&worker_job, &spec, &ds, &registry, ledger.as_deref())
+                    run_learn(&worker_job, &spec.learn, &ds, &registry, ledger.as_deref())
                 }));
-                let elapsed = t0.elapsed().as_secs_f64();
+                let elapsed = t0.elapsed();
                 if let Some(traces) = &traces {
                     traces.keep(crate::trace::StoredTrace::new(
                         "job",
                         0,
-                        t0.elapsed().as_micros() as u64,
+                        elapsed.as_micros() as u64,
                         crate::trace::KeepReason::Job,
                         ctx.finish(),
                     ));
                 }
-                match result {
-                    Ok(Ok(outcome)) => worker_job.set_status(|s| {
-                        s.state = outcome.state;
-                        s.detail = outcome.detail;
-                        s.clauses = outcome.clauses;
-                        s.uncovered_pos = outcome.uncovered_pos;
-                        s.pos_covered = s.pos_total.saturating_sub(outcome.uncovered_pos);
-                        s.elapsed_secs = Some(elapsed);
-                        s.bc_secs = Some(outcome.bc_secs);
-                        s.search_secs = Some(outcome.search_secs);
-                        s.plan_compiled = Some(outcome.plan_compiled);
-                        s.plan_fallback = Some(outcome.plan_fallback);
-                    }),
-                    Ok(Err(msg)) => worker_job.set_status(|s| {
-                        s.state = JobState::Failed;
-                        s.detail = msg;
-                        s.elapsed_secs = Some(elapsed);
-                    }),
-                    Err(_) => worker_job.set_status(|s| {
-                        s.state = JobState::Failed;
-                        s.detail = "learning thread panicked".to_string();
-                        s.elapsed_secs = Some(elapsed);
-                    }),
-                }
+                let (state, detail) = match result {
+                    Ok(Ok(settled)) => settled,
+                    Ok(Err(msg)) => (JobState::Failed, msg),
+                    Err(_) => (JobState::Failed, "learning thread panicked".to_string()),
+                };
+                worker_job.set_status(|s| {
+                    s.state = state;
+                    s.detail = detail;
+                    s.elapsed_secs = Some(elapsed.as_secs_f64());
+                });
                 // Close after the terminal status is visible, so a watcher
                 // whose stream just ended polls a final, settled state.
                 worker_job.events.close();
@@ -410,131 +486,43 @@ impl JobManager {
     }
 }
 
-struct LearnOutcome {
-    state: JobState,
-    detail: String,
-    clauses: usize,
-    uncovered_pos: usize,
-    bc_secs: f64,
-    search_secs: f64,
-    plan_compiled: usize,
-    plan_fallback: usize,
-}
-
-/// Fans the learner's progress stream out to the job's live status fields,
-/// its SSE event log, and the run-report builder.
-struct JobSink<'a> {
-    job: &'a Job,
-    report: &'a ReportBuilder,
-}
-
-impl ProgressSink for JobSink<'_> {
-    fn on_event(&self, ev: &ProgressEvent) {
-        self.report.on_event(ev);
-        match ev {
-            ProgressEvent::BcBuildFinished { pos_examples, .. } => {
-                let pos_examples = *pos_examples;
-                self.job.set_status(|s| {
-                    s.pos_total = pos_examples;
-                    s.uncovered_pos = pos_examples;
-                });
-            }
-            ProgressEvent::IterationStarted {
-                iteration,
-                uncovered_pos,
-                clauses_so_far,
-                ..
-            } => {
-                let (iteration, uncovered_pos, clauses) =
-                    (*iteration, *uncovered_pos, *clauses_so_far);
-                self.job.set_status(|s| {
-                    s.iteration = iteration;
-                    s.uncovered_pos = uncovered_pos;
-                    s.pos_covered = s.pos_total.saturating_sub(uncovered_pos);
-                    s.clauses = clauses;
-                });
-            }
-            ProgressEvent::ClauseAccepted {
-                uncovered_after, ..
-            } => {
-                let uncovered_after = *uncovered_after;
-                self.job.set_status(|s| {
-                    s.clauses += 1;
-                    s.uncovered_pos = uncovered_after;
-                    s.pos_covered = s.pos_total.saturating_sub(uncovered_after);
-                });
-            }
-            _ => {}
-        }
-        self.job.events.push(ev.to_sse_frame());
-    }
-}
-
+/// The job thread's run: resolves the bias, runs [`learn_model`], saves and
+/// registers the model, and archives the run report. Returns the terminal
+/// state and its detail line.
 fn run_learn(
     job: &Job,
-    spec: &JobSpec,
+    opts: &LearnOptions,
     ds: &Dataset,
     registry: &ModelRegistry,
     ledger: Option<&RunLedger>,
-) -> Result<LearnOutcome, String> {
-    let bias = match spec.bias {
-        BiasChoice::Auto => {
+) -> Result<(JobState, String), String> {
+    let bias = match opts.bias.as_str() {
+        "auto" => {
             let (bias, _, _) = induce_bias(&ds.db, ds.target, &AutoBiasConfig::default())
                 .map_err(|e| format!("bias induction: {e}"))?;
             bias
         }
-        BiasChoice::Manual => ds.manual_bias().map_err(|e| format!("manual bias: {e}"))?,
+        "manual" => ds.manual_bias().map_err(|e| format!("manual bias: {e}"))?,
+        other => return Err(format!("unknown bias {other:?} (auto|manual)")),
     };
-    let cfg = LearnerConfig {
-        bc: BcConfig {
-            depth: spec.depth,
-            strategy: spec.sampling,
-            ..BcConfig::default()
-        },
-        seed: spec.seed,
-        max_clauses: spec.max_clauses,
-        reduce_clauses: spec.reduce,
-        ..LearnerConfig::default()
-    };
-    let train = TrainingSet::new(ds.pos.clone(), ds.neg.clone());
-    let sampling = match spec.sampling {
-        SamplingStrategy::Naive { per_selection } => format!("naive:{per_selection}"),
-        SamplingStrategy::Random { per_selection, .. } => format!("random:{per_selection}"),
-        SamplingStrategy::Stratified { per_stratum } => format!("stratified:{per_stratum}"),
-        SamplingStrategy::Full => "full".to_string(),
-    };
-    // Counter/phase deltas in the report are process-global; with several
-    // jobs running concurrently they describe the overlap, not one job.
-    let report = ReportBuilder::new(
-        ds.name,
-        vec![
-            ("model".to_string(), job.model_name.clone()),
-            (
-                "bias".to_string(),
-                match spec.bias {
-                    BiasChoice::Auto => "auto".to_string(),
-                    BiasChoice::Manual => "manual".to_string(),
-                },
-            ),
-            ("sampling".to_string(), sampling),
-            ("depth".to_string(), spec.depth.to_string()),
-            ("seed".to_string(), spec.seed.to_string()),
-            ("max_clauses".to_string(), spec.max_clauses.to_string()),
-            ("reduce".to_string(), spec.reduce.to_string()),
-        ],
+    // Compile-at-insert happens inside the run, before the report is
+    // archived, so the `plan.compile` span shows up in its phase table.
+    let LearnedModel {
+        mut model,
+        stats,
+        verdict,
+    } = learn_model(
+        ds,
+        &bias,
+        opts,
+        job.model_name.clone(),
+        &job.report,
+        job.events.as_ref(),
+        &job.cancel,
     );
-    report.set_trace_id(job.trace_id.clone());
-    let sink = JobSink {
-        job,
-        report: &report,
-    };
-    let (def, stats) =
-        Learner::new(cfg).learn_with_progress(&ds.db, &bias, &train, &job.cancel, &sink);
-
     // Learned models are verified observationally (warnings logged, never
     // rejected): the learner's own invariants make Error findings a bug, and
     // a partial model from a cancelled job is still worth serving.
-    let verdict = analyze::check_definition(&ds.db, &def, Some(&bias));
     if !verdict.is_clean() {
         obs::warn!(
             "job {} model {}: verifier found {}",
@@ -544,30 +532,16 @@ fn run_learn(
         );
     }
 
-    let clauses = def.len();
-    let uncovered_pos = stats.uncovered_pos;
-    let text = def.render(&ds.db);
+    let clauses = model.definition.len();
+    let text = model.definition.render(&ds.db);
     let path = registry.dir().join(format!("{}.model", job.model_name));
     // Persist before registering so a restart reloads the same model; a
     // cancelled job's partial definition is still a valid (weaker) model.
     std::fs::write(&path, format!("{text}\n")).map_err(|e| format!("{}: {e}", path.display()))?;
-    // Compile-at-insert happens before the report is finished, so the
-    // `plan.compile` span shows up in the archived run's phase table.
-    let entry = ModelEntry::new(&ds.db, job.model_name.clone(), def, vec![], Some(path));
-    let (plan_compiled, plan_fallback) = (entry.plan.num_compiled(), entry.plan.num_declined());
-    report.set_plan(obs::PlanReport {
-        compiled_clauses: plan_compiled,
-        fallback_clauses: plan_fallback,
-        declined: entry
-            .plan
-            .declined()
-            .iter()
-            .map(|(i, why)| format!("clause {i}: {why}"))
-            .collect(),
-    });
-    registry.insert(entry);
+    model.source = Some(path);
+    registry.insert(model);
     if let Some(ledger) = ledger {
-        let json = report.finish().to_json();
+        let json = job.report.finish().to_json();
         if let Err(e) = ledger.archive(job.id, &json) {
             obs::warn!("archiving run report for job {}: {e}", job.id);
         }
@@ -578,47 +552,269 @@ fn run_learn(
     } else {
         JobState::Done
     };
-    Ok(LearnOutcome {
+    Ok((
         state,
-        detail: format!(
-            "{clauses} clause(s), {uncovered_pos} uncovered positive(s), bc {:?}, search {:?}",
-            stats.bc_time, stats.search_time
+        format!(
+            "{clauses} clause(s), {} uncovered positive(s), bc {:?}, search {:?}",
+            stats.uncovered_pos, stats.bc_time, stats.search_time
         ),
-        clauses,
-        uncovered_pos,
-        bc_secs: stats.bc_time.as_secs_f64(),
-        search_secs: stats.search_time.as_secs_f64(),
-        plan_compiled,
-        plan_fallback,
-    })
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::progress::ProgressEvent;
+
+    /// A job that never spawned a thread, for driving `render_job` by hand.
+    fn fixture_job(pos_total: usize) -> Job {
+        Job {
+            id: 3,
+            model_name: "pinned".to_string(),
+            trace_id: "0af7651916cd43dd8448eb211c80319c".to_string(),
+            pos_total,
+            report: ReportBuilder::new("UW", vec![]),
+            events: Arc::new(EventLog::default()),
+            status: Mutex::new(JobStatus {
+                state: JobState::Queued,
+                detail: String::new(),
+                elapsed_secs: None,
+            }),
+            cancel: AtomicBool::new(false),
+            handle: Mutex::new(None),
+        }
+    }
+
+    /// Delivers one progress event the way `learn_model` does.
+    fn feed(job: &Job, ev: ProgressEvent) {
+        Tee::new(vec![&job.report, job.events.as_ref()]).on_event(&ev);
+    }
+
+    /// Settles a job the way its thread does once `run_learn` returns:
+    /// `finished` is the learner's last event and `plan` the compile
+    /// outcome, both absent when the run failed before learning.
+    fn settle(
+        job: &Job,
+        state: JobState,
+        detail: &str,
+        elapsed: f64,
+        finished: Option<ProgressEvent>,
+        plan: Option<(usize, usize)>,
+    ) {
+        if let Some(ev) = finished {
+            feed(job, ev);
+        }
+        if let Some((compiled, fallback)) = plan {
+            job.report.set_plan(PlanReport {
+                compiled_clauses: compiled,
+                fallback_clauses: fallback,
+                declined: vec![],
+            });
+        }
+        job.set_status(|s| {
+            s.state = state;
+            s.detail = detail.to_string();
+            s.elapsed_secs = Some(elapsed);
+        });
+    }
+
+    /// `GET /jobs/{id}` text at each point of a fixed event sequence.
+    #[test]
+    fn job_status_text_is_pinned_through_a_run() {
+        use crate::server::render_job;
+        const HEAD: &str = "id 3\nmodel pinned\ntrace 0af7651916cd43dd8448eb211c80319c\n";
+        let job = fixture_job(10);
+        assert_eq!(
+            render_job(&job),
+            format!("{HEAD}state queued\nclauses 0\nuncovered 0\niteration 0\nprogress 0/10\n")
+        );
+
+        job.set_status(|s| s.state = JobState::Running);
+        feed(
+            &job,
+            ProgressEvent::BcBuildFinished {
+                pos_examples: 10,
+                neg_examples: 20,
+                ground_literals: 345,
+                elapsed_us: 1_234,
+            },
+        );
+        assert_eq!(
+            render_job(&job),
+            format!("{HEAD}state running\nclauses 0\nuncovered 10\niteration 0\nprogress 0/10\n")
+        );
+
+        feed(
+            &job,
+            ProgressEvent::IterationStarted {
+                iteration: 1,
+                uncovered_pos: 10,
+                clauses_so_far: 0,
+                seed_bc_literals: 17,
+            },
+        );
+        feed(
+            &job,
+            ProgressEvent::ClauseSearched {
+                iteration: 1,
+                beam_iterations: 3,
+                candidates_generated: 12,
+                candidates_pruned: 4,
+                armg_calls: 9,
+            },
+        );
+        assert_eq!(
+            render_job(&job),
+            format!("{HEAD}state running\nclauses 0\nuncovered 10\niteration 1\nprogress 0/10\n")
+        );
+
+        feed(
+            &job,
+            ProgressEvent::ClauseAccepted {
+                iteration: 1,
+                covered_pos: 6,
+                covered_neg: 0,
+                precision: 1.0,
+                literals: 2,
+                uncovered_after: 4,
+                clause: "advisedBy(x, y) ← publication(z, x), publication(z, y)".to_string(),
+            },
+        );
+        assert_eq!(
+            render_job(&job),
+            format!("{HEAD}state running\nclauses 1\nuncovered 4\niteration 1\nprogress 6/10\n")
+        );
+
+        for ev in [
+            ProgressEvent::IterationStarted {
+                iteration: 2,
+                uncovered_pos: 4,
+                clauses_so_far: 1,
+                seed_bc_literals: 9,
+            },
+            ProgressEvent::ClauseSearched {
+                iteration: 2,
+                beam_iterations: 2,
+                candidates_generated: 5,
+                candidates_pruned: 1,
+                armg_calls: 4,
+            },
+            ProgressEvent::ClauseAccepted {
+                iteration: 2,
+                covered_pos: 3,
+                covered_neg: 1,
+                precision: 0.75,
+                literals: 1,
+                uncovered_after: 1,
+                clause: "advisedBy(x, y) ← ta(c, x), taughtBy(c, y)".to_string(),
+            },
+        ] {
+            feed(&job, ev);
+        }
+        settle(
+            &job,
+            JobState::Done,
+            "2 clause(s), 1 uncovered positive(s), bc 1.234ms, search 56.789ms",
+            0.25,
+            Some(ProgressEvent::Finished {
+                clauses: 2,
+                uncovered_pos: 1,
+                timed_out: false,
+                cancelled: false,
+                bc_us: 1_234,
+                search_us: 56_789,
+            }),
+            Some((1, 1)),
+        );
+        assert_eq!(
+            render_job(&job),
+            format!(
+                "{HEAD}state done\nclauses 2\nuncovered 1\niteration 2\nprogress 9/10\n\
+                 elapsed 0.250\nphase bc_build 0.001\nphase clause_search 0.057\n\
+                 plan compiled=1 fallback=1\n\
+                 detail 2 clause(s), 1 uncovered positive(s), bc 1.234ms, search 56.789ms\n"
+            )
+        );
+        let batch = job.events.wait_from(0, std::time::Duration::ZERO);
+        assert_eq!(batch.frames.len(), 8, "every event reaches the SSE log");
+
+        let failed = fixture_job(10);
+        failed.set_status(|s| s.state = JobState::Running);
+        settle(
+            &failed,
+            JobState::Failed,
+            "bias induction: no modes",
+            0.012,
+            None,
+            None,
+        );
+        assert_eq!(
+            render_job(&failed),
+            format!(
+                "{HEAD}state failed\nclauses 0\nuncovered 0\niteration 0\nprogress 0/10\n\
+                 elapsed 0.012\ndetail bias induction: no modes\n"
+            )
+        );
+    }
 
     #[test]
     fn spec_parses_options_and_rejects_garbage() {
         let spec = JobSpec::parse("").unwrap();
         assert!(spec.model_name.is_none());
-        assert_eq!(spec.bias, BiasChoice::Auto);
+        assert_eq!(spec.learn, LearnOptions::default());
+        assert_eq!(spec.learn.bias, "auto");
 
         let spec = JobSpec::parse(
             "name mymodel\nbias manual\nsampling full\ndepth 3\nseed 42\nmax-clauses 5\nreduce false\n",
         )
         .unwrap();
         assert_eq!(spec.model_name.as_deref(), Some("mymodel"));
-        assert_eq!(spec.bias, BiasChoice::Manual);
-        assert!(matches!(spec.sampling, SamplingStrategy::Full));
-        assert_eq!(spec.depth, 3);
-        assert_eq!(spec.seed, 42);
-        assert_eq!(spec.max_clauses, 5);
-        assert!(!spec.reduce);
+        assert_eq!(spec.learn.bias, "manual");
+        assert!(matches!(spec.learn.sampling, SamplingStrategy::Full));
+        assert_eq!(spec.learn.depth, 3);
+        assert_eq!(spec.learn.seed, 42);
+        assert_eq!(spec.learn.max_clauses, 5);
+        assert!(!spec.learn.reduce);
 
         assert!(JobSpec::parse("bias nonsense").is_err());
+        assert!(JobSpec::parse("bias /etc/bias.txt").is_err());
         assert!(JobSpec::parse("sampling nonsense").is_err());
         assert!(JobSpec::parse("frobnicate 9").is_err());
         assert!(JobSpec::parse("justakey").is_err());
+    }
+
+    #[test]
+    fn options_map_to_learner_config_and_report_params() {
+        let opts = JobSpec::parse("bias manual\nsampling random\nsample-size 5\nseed 3\n")
+            .unwrap()
+            .learn;
+        let cfg = opts.learner_config();
+        assert_eq!(
+            cfg.bc.strategy,
+            SamplingStrategy::Random {
+                per_selection: 5,
+                oversample: 10
+            }
+        );
+        assert_eq!((cfg.bc.depth, cfg.seed), (2, 3));
+        assert_eq!(cfg.max_clauses, LearnerConfig::default().max_clauses);
+        assert!(cfg.reduce_clauses);
+        let params: Vec<String> = opts
+            .report_params()
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        assert_eq!(
+            params,
+            [
+                "bias=manual",
+                "sampling=random:5",
+                "depth=2",
+                "seed=3",
+                "max_clauses=20",
+                "reduce=true"
+            ]
+        );
     }
 
     #[test]
@@ -653,20 +849,27 @@ mod tests {
         job.wait();
         let status = job.status();
         assert_eq!(status.state, JobState::Done, "{}", status.detail);
-        assert!(status.clauses > 0);
+        let record = job.report.finish();
+        let clauses = record.clauses.len();
+        assert!(clauses > 0);
         assert!(registry.get("learned").is_some());
         assert!(dir.join("learned.model").exists());
 
-        // The final compile outcome is part of the terminal status: every
+        // The final compile outcome is part of the job's record: every
         // learned clause either compiled or was declined to the interpreter.
-        let compiled = status.plan_compiled.expect("compile outcome recorded");
-        let fallback = status.plan_fallback.expect("compile outcome recorded");
-        assert_eq!(compiled + fallback, status.clauses);
+        let plan = record.plan.as_ref().expect("compile outcome recorded");
+        let compiled = plan.compiled_clauses;
+        assert_eq!(compiled + plan.fallback_clauses, clauses);
 
-        // Live progress fields settled to the final values.
-        assert_eq!(status.pos_total, ds.pos.len());
-        assert_eq!(status.pos_covered, status.pos_total - status.uncovered_pos);
-        assert!(status.iteration >= 1, "at least one iteration recorded");
+        // The record settled to the final values.
+        assert_eq!(job.pos_total, ds.pos.len());
+        let outcome = record.outcome.as_ref().expect("run finished");
+        assert_eq!(outcome.clauses, clauses);
+        assert_eq!(record.bc.as_ref().unwrap().pos_examples, ds.pos.len());
+        assert!(
+            !record.iterations.is_empty(),
+            "at least one iteration recorded"
+        );
 
         // The event log replayed the whole run and is closed.
         assert!(job.events.is_closed());
@@ -691,7 +894,7 @@ mod tests {
         let report = obs::json::Json::parse(&json).expect("report is valid JSON");
         assert_eq!(
             report.path(&["outcome", "clauses"]).unwrap().as_f64(),
-            Some(status.clauses as f64)
+            Some(clauses as f64)
         );
         assert_eq!(report.get("dataset").unwrap().as_str(), Some("UW"));
         // Every job is traced; the archived report correlates back to the

@@ -16,16 +16,18 @@
 //!   [`relstore::ConstResolver`] instead of interning ([`registry`]).
 //! - **Models swap atomically.** The registry replaces an `Arc`'d map on
 //!   reload; in-flight requests keep the snapshot they started with.
-//! - **Jobs are cancellable.** Learning runs on dedicated threads polling a
+//! - **One learn pipeline.** A learning job and `autobias learn` run the
+//!   same learn → verify → compile → report path
+//!   ([`jobs::learn_model`]). Jobs run on dedicated threads polling a
 //!   cancellation flag through
-//!   [`autobias::learn::Learner::learn_cancellable`] ([`jobs`]).
+//!   [`autobias::learn::Learner::learn_with_progress`].
 //! - **Observable.** `GET /metrics` exports request counters, latency
 //!   histograms, and the core engine's subsumption/coverage/bottom-clause
 //!   counters in the Prometheus text format ([`metrics`]). Every learning
-//!   job additionally feeds a flight recorder: live progress in
-//!   `GET /jobs/{id}` and as an SSE stream on `GET /jobs/{id}/events`
-//!   ([`events`]), plus an archived JSON run report in a bounded on-disk
-//!   ledger served by `GET /runs/{id}` ([`ledger`]).
+//!   job additionally keeps one run report: `GET /jobs/{id}` is a live
+//!   view over it, the bounded on-disk ledger archives it for
+//!   `GET /runs/{id}` ([`ledger`]), and the same progress events stream
+//!   as SSE on `GET /jobs/{id}/events` ([`events`]).
 //! - **Traceable.** Every request runs under an [`obs::trace::TraceCtx`]
 //!   (W3C `traceparent` in, `x-autobias-trace-id` out); requests that
 //!   error, fall back to the interpreter, or land above a rolling latency

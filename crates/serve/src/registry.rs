@@ -43,9 +43,10 @@ pub struct ModelEntry {
 impl ModelEntry {
     /// Builds an entry, compiling the definition into evaluation plans
     /// against `db` (the database requests will be answered from). Every
-    /// load path — directory scan, upload, learn-job completion — goes
-    /// through here, so a model is compiled exactly once per load, under
-    /// the `plan.compile` span.
+    /// load path — directory scan, upload, and the learn run of a job or
+    /// of `autobias learn` ([`crate::jobs::learn_model`]) — goes through
+    /// here, so a model is compiled exactly once per load, under the
+    /// `plan.compile` span.
     pub fn new(
         db: &Database,
         name: String,

@@ -766,13 +766,12 @@ fn route_text(state: &Arc<AppState>, req: &Request) -> (Endpoint, u16, &'static 
         ("GET", "/jobs") => {
             let mut out = String::new();
             for job in state.jobs.list() {
-                let s = job.status();
                 out.push_str(&format!(
                     "{}\t{}\t{}\tclauses={}\n",
                     job.id,
                     job.model_name,
-                    s.state.as_str(),
-                    s.clauses
+                    job.status().state.as_str(),
+                    job.report.finish().clauses.len()
                 ));
             }
             (Endpoint::Jobs, 200, "OK", out)
@@ -853,31 +852,42 @@ fn parse_job_id(path: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
-fn render_job(job: &crate::jobs::Job) -> String {
+/// `GET /jobs/{id}`: the job's state and a view over its run report.
+pub(crate) fn render_job(job: &crate::jobs::Job) -> String {
     let s = job.status();
+    let r = job.report.finish();
+    // Positives still uncovered as of the latest event; unknown until the
+    // bottom clauses are built.
+    let uncovered = r
+        .outcome
+        .as_ref()
+        .map(|o| o.uncovered_pos)
+        .or_else(|| r.iterations.last().map(|it| it.uncovered_after))
+        .or_else(|| r.bc.as_ref().map(|bc| bc.pos_examples));
     let mut out = format!(
         "id {}\nmodel {}\ntrace {}\nstate {}\nclauses {}\nuncovered {}\niteration {}\nprogress {}/{}\n",
         job.id,
         job.model_name,
         job.trace_id,
         s.state.as_str(),
-        s.clauses,
-        s.uncovered_pos,
-        s.iteration,
-        s.pos_covered,
-        s.pos_total
+        r.clauses.len(),
+        uncovered.unwrap_or(0),
+        r.iterations.last().map_or(0, |it| it.iteration),
+        uncovered.map_or(0, |u| job.pos_total.saturating_sub(u)),
+        job.pos_total
     );
     if let Some(secs) = s.elapsed_secs {
         out.push_str(&format!("elapsed {secs:.3}\n"));
     }
-    if let Some(secs) = s.bc_secs {
-        out.push_str(&format!("phase bc_build {secs:.3}\n"));
+    if let Some(o) = &r.outcome {
+        out.push_str(&format!("phase bc_build {:.3}\n", o.bc_secs));
+        out.push_str(&format!("phase clause_search {:.3}\n", o.search_secs));
     }
-    if let Some(secs) = s.search_secs {
-        out.push_str(&format!("phase clause_search {secs:.3}\n"));
-    }
-    if let (Some(compiled), Some(fallback)) = (s.plan_compiled, s.plan_fallback) {
-        out.push_str(&format!("plan compiled={compiled} fallback={fallback}\n"));
+    if let Some(plan) = &r.plan {
+        out.push_str(&format!(
+            "plan compiled={} fallback={}\n",
+            plan.compiled_clauses, plan.fallback_clauses
+        ));
     }
     if !s.detail.is_empty() {
         out.push_str(&format!("detail {}\n", s.detail));

@@ -4,6 +4,9 @@
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
+use autobias_repro::autobias::learn::{
+    definition_covers_neg_in, definition_covers_pos_in, prepare_definition,
+};
 use autobias_repro::autobias::prelude::*;
 use autobias_repro::constraints::{build_type_graph, discover_inds, IndConfig};
 use autobias_repro::relstore::fixtures::uw_fragment;
@@ -186,7 +189,7 @@ fn uw_fragment_learns_coauthorship() {
             Example::new(target, vec![john, sarita]),
         ],
     );
-    let learner = Learner::new(LearnerConfig {
+    let cfg = LearnerConfig {
         bc: BcConfig {
             depth: 2,
             strategy: SamplingStrategy::Full,
@@ -194,11 +197,16 @@ fn uw_fragment_learns_coauthorship() {
             max_tuples: 1000,
         },
         ..LearnerConfig::default()
-    });
-    let (def, _, pos_cov, neg_cov) = learner.learn_with_coverage(&db, &bias, &train);
+    };
+    let (def, _) = Learner::new(cfg).learn(&db, &bias, &train);
     assert!(!def.is_empty());
-    assert!(pos_cov.iter().all(|&c| c));
-    assert!(neg_cov.iter().all(|&c| !c));
+    // Every positive and no negative is covered, tested against the
+    // learner's own ground bottom clauses.
+    let engine = CoverageEngine::for_learner(&db, &bias, &train, &cfg);
+    let prepared = prepare_definition(&def);
+    let mut ws = Workspace::default();
+    assert!((0..train.pos.len()).all(|i| definition_covers_pos_in(&mut ws, &prepared, &engine, i)));
+    assert!(!(0..train.neg.len()).any(|i| definition_covers_neg_in(&mut ws, &prepared, &engine, i)));
 }
 
 /// FNV-1a over a string's bytes.
