@@ -2,9 +2,11 @@
 //!
 //! The obs layer's budget is "Off mode costs one relaxed atomic load per
 //! span event" — instrumentation must be free when nobody is looking. This
-//! bench runs the same small learn under `Mode::Off`, `Mode::Summary`, and
-//! `Mode::Full` so the three wall-clocks can be compared directly; they
-//! should agree within measurement noise.
+//! bench runs the same small learn untraced under `Mode::Off` and
+//! `Mode::Summary`, and traced (`Mode::Off` with a run's trace context
+//! installed, as `autobias learn` and server jobs run), so the three
+//! wall-clocks can be compared directly; they should agree within
+//! measurement noise.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
@@ -40,15 +42,17 @@ fn bench_modes(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("obs/span_overhead");
     group.sample_size(10);
-    for (label, mode) in [
-        ("learn_off", obs::Mode::Off),
-        ("learn_summary", obs::Mode::Summary),
-        ("learn_full", obs::Mode::Full),
+    for (label, mode, traced) in [
+        ("learn_off", obs::Mode::Off, false),
+        ("learn_summary", obs::Mode::Summary, false),
+        ("learn_traced", obs::Mode::Off, true),
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
                 obs::set_mode(mode);
                 obs::reset();
+                let run = obs::ReportBuilder::new(ds.name, vec![]);
+                let _traced = traced.then(|| run.trace().install());
                 let (def, _stats) = learner.learn(black_box(&ds.db), &bias, &train);
                 black_box(def)
             })

@@ -27,7 +27,7 @@ fn main() {
         ..HarnessConfig::default()
     };
     let out_dir = std::path::PathBuf::from(args.get_str("--out-dir").unwrap_or("."));
-    obs::enable_at_least(obs::Mode::Summary);
+    obs::set_mode(obs::Mode::Summary);
 
     for ds in selected_datasets(&args, h.seed) {
         let mut json = String::new();

@@ -115,9 +115,11 @@ check: static verification (lints AB0xx/AB1xx, plan soundness AB2xx);
 learn: the same pipeline and options as a server learning job (POST
        /jobs/learn); --absolute/--relative set the constant threshold of
        --bias auto (default --absolute 50);
-       --trace-out writes a chrome-trace JSON (open in ui.perfetto.dev);
-       --profile prints per-phase wall-clock and counter tables to stderr;
-       --report-out writes a structured JSON run report (schema v2).
+       --trace-out writes the run's span tree (bias, learn, worker
+       threads) as chrome-trace JSON (open in ui.perfetto.dev);
+       --profile prints the run's per-phase wall-clock and counter tables
+       to stderr; --report-out writes a structured JSON run report
+       (schema v2). All three read the one record of the run.
 explain: renders the compiled evaluation plan per clause — access paths,
        probe keys, residual checks, cost estimates, and declined clauses
        with reasons. --json emits the same versioned document served by
@@ -299,32 +301,27 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
     let trace_out = args.get_str("--trace-out");
     let report_out = args.get_str("--report-out");
     let profile = args.has("--profile");
-    if trace_out.is_some() {
-        obs::set_mode(obs::Mode::Full);
-    } else if profile {
-        obs::enable_at_least(obs::Mode::Summary);
-    }
-    if report_out.is_some() {
-        // The run report folds in per-phase timings, which only the span
-        // summary registry records.
-        obs::enable_at_least(obs::Mode::Summary);
-    }
-    obs::reset();
     let opts = learn_options(args)?;
     let ds = load(args)?;
+    // The run's record: its trace tree is installed around bias resolution
+    // and learning, and --report-out, --profile and --trace-out all read it.
     let report = obs::ReportBuilder::new(ds.name, opts.report_params());
-    let bias = pick_bias(args, &ds)?;
-    let t0 = std::time::Instant::now();
-    let never = std::sync::atomic::AtomicBool::new(false);
-    let run = learn_model(
-        &ds,
-        &bias,
-        &opts,
-        ds.name.to_string(),
-        &report,
-        &obs::progress::NullSink,
-        &never,
-    );
+    let t0;
+    let run = {
+        let _traced = report.trace().install();
+        let bias = pick_bias(args, &ds)?;
+        t0 = std::time::Instant::now();
+        let never = std::sync::atomic::AtomicBool::new(false);
+        learn_model(
+            &ds,
+            &bias,
+            &opts,
+            ds.name.to_string(),
+            &report,
+            &obs::progress::NullSink,
+            &never,
+        )
+    };
     // Verification findings go to stderr and never alter the model output;
     // Error findings fail the command.
     if !run.verdict.is_clean() {
@@ -351,23 +348,18 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
         run.stats.uncovered_pos,
         run.stats.bc_time
     );
+    let record = report.finish();
     if let Some(path) = report_out {
-        // Read after the learn spans have dropped, so their phase
-        // aggregates are included in the delta.
-        std::fs::write(path, report.finish().to_json()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, record.to_json()).map_err(|e| format!("{path}: {e}"))?;
         obs::info!("wrote run report to {path}");
     }
     if let Some(path) = trace_out {
-        let json = obs::chrome::export_current();
+        let json = report.trace().finish().to_chrome();
         std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
         obs::info!("wrote chrome trace to {path} (open in ui.perfetto.dev)");
     }
     if profile {
-        eprint!("{}", obs::render_summary_table());
-        let counters = obs::metrics::render_counters_table();
-        if !counters.is_empty() {
-            eprint!("\n{counters}");
-        }
+        eprint!("{}", record.render_profile());
     }
     Ok(())
 }

@@ -459,6 +459,8 @@ pub(crate) fn parallel_map_in<S: Send, T: Sync, U: Send>(
 /// Maps `f` over the index range `start..end` in parallel, one worker per
 /// element of `states` — the rangewise sibling of [`parallel_map_in`], so
 /// callers counting over `0..n` do not allocate an index `Vec` per call.
+/// Workers record their spans into the caller's trace context, if one is
+/// installed, under the caller's open span.
 pub(crate) fn parallel_map_range_in<S: Send, U: Send>(
     states: &mut [S],
     start: usize,
@@ -474,11 +476,14 @@ pub(crate) fn parallel_map_range_in<S: Send, U: Send>(
     let chunk = len.div_ceil(threads);
     let mut out: Vec<Option<U>> = Vec::with_capacity(len);
     out.resize_with(len, || None);
+    let handoff = obs::trace::handoff();
     crossbeam::thread::scope(|s| {
         for ((ti, out_chunk), state) in out.chunks_mut(chunk).enumerate().zip(states.iter_mut()) {
             let f = &f;
+            let handoff = &handoff;
             let base = start + ti * chunk;
             s.spawn(move |_| {
+                let _traced = handoff.as_ref().map(obs::trace::Handoff::install);
                 for (j, slot) in out_chunk.iter_mut().enumerate() {
                     *slot = Some(f(state, base + j));
                 }
@@ -707,6 +712,38 @@ mode publication(-, +)
                 Vec::<usize>::new()
             );
         }
+    }
+
+    /// A traced caller's fan-out is one tree: every worker's span lands in
+    /// the caller's context, parented to the span open at the call.
+    #[test]
+    fn parallel_map_workers_record_into_the_callers_trace() {
+        let ctx = obs::trace::TraceCtx::begin(None);
+        {
+            let _traced = ctx.install();
+            let _caller = obs::span!("test.fan_out");
+            let out = parallel_map_range_in(&mut [(), ()], 0, 32, |_, i| {
+                let _sp = obs::span!("test.fan_out_item");
+                i
+            });
+            assert_eq!(out, (0..32).collect::<Vec<_>>());
+        }
+        let tree = ctx.finish();
+        let caller = tree
+            .spans
+            .iter()
+            .find(|s| s.name == "test.fan_out")
+            .expect("caller span");
+        let items: Vec<_> = tree
+            .spans
+            .iter()
+            .filter(|s| s.name == "test.fan_out_item")
+            .collect();
+        assert_eq!(items.len(), 32, "every item's span is in the tree");
+        assert!(items.iter().all(|s| s.parent_id == caller.span_id));
+        let tids: std::collections::HashSet<u32> = items.iter().map(|s| s.tid).collect();
+        assert_eq!(tids.len(), 2, "both workers recorded");
+        assert!(!tids.contains(&caller.tid));
     }
 
     /// `AUTOBIAS_THREADS` values: clamped to ≥1, no upper bound,

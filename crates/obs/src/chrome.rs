@@ -2,9 +2,10 @@
 //! the Trace Event specification — an object with a `traceEvents` array of
 //! complete (`"ph":"X"`) events — and loads directly in `about://tracing`
 //! or <https://ui.perfetto.dev>. Timestamps and durations are microseconds
-//! since the recorder epoch, as the format requires.
+//! (since the trace began, for a [`crate::trace::TraceTree`] export), as the
+//! format requires.
 
-use crate::span::{dropped_events, snapshot_events, SpanEvent};
+use crate::span::SpanEvent;
 
 /// Escapes `s` for inclusion inside a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -47,14 +48,19 @@ fn push_event(out: &mut String, e: &SpanEvent) {
     out.push_str("}}");
 }
 
-/// Serializes `events` (plus a process-name metadata event and, when the
-/// buffer overflowed, a `dropped_events` count) as chrome-trace JSON.
+/// Serializes `events` (plus a process-name metadata event) as
+/// chrome-trace JSON.
 pub fn export_chrome_trace(events: &[SpanEvent]) -> String {
+    export_with_dropped(events, 0)
+}
+
+/// [`export_chrome_trace`] with the count of spans the source dropped (a
+/// trace tree past its cap) in the metadata event's `dropped_events`.
+pub(crate) fn export_with_dropped(events: &[SpanEvent], dropped: u64) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 256);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     out.push_str(&format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"autobias\",\"dropped_events\":{}}}}}",
-        dropped_events()
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"autobias\",\"dropped_events\":{dropped}}}}}"
     ));
     for e in events {
         out.push(',');
@@ -62,11 +68,6 @@ pub fn export_chrome_trace(events: &[SpanEvent]) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// Exports the recorder's current event buffer.
-pub fn export_current() -> String {
-    export_chrome_trace(&snapshot_events())
 }
 
 #[cfg(test)]
@@ -123,9 +124,6 @@ mod tests {
 
     #[test]
     fn empty_export_is_parseable_with_single_metadata_event() {
-        let _g = crate::span::test_lock();
-        crate::set_mode(crate::Mode::Off);
-        crate::reset();
         let json = export_chrome_trace(&[]);
         let parsed = crate::json::Json::parse(&json).expect("empty export parses");
         let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
@@ -141,33 +139,35 @@ mod tests {
     }
 
     #[test]
-    fn buffer_overflow_drops_are_counted_and_exported() {
+    fn tree_cap_drops_are_exported() {
         let _g = crate::span::test_lock();
-        crate::set_mode(crate::Mode::Full);
-        crate::reset();
+        crate::set_mode(crate::Mode::Off);
         const EXTRA: usize = 5;
-        for _ in 0..crate::span::MAX_EVENTS + EXTRA {
-            let _sp = crate::span!("test.overflow");
+        let ctx = crate::TraceCtx::begin(None);
+        {
+            let _install = ctx.install();
+            for _ in 0..crate::trace::MAX_TRACE_SPANS + EXTRA {
+                let _sp = crate::span!("test.overflow");
+            }
         }
-        assert_eq!(crate::span::events_len(), crate::span::MAX_EVENTS);
-        assert_eq!(dropped_events(), EXTRA as u64);
-        // The drop count rides along even when exporting a detached slice.
-        let json = export_chrome_trace(&[]);
+        let json = ctx.finish().to_chrome();
         assert!(
             json.contains(&format!("\"dropped_events\":{EXTRA}")),
-            "{json}"
+            "{}",
+            &json[..200]
         );
-        crate::reset();
-        crate::set_mode(crate::Mode::Off);
-        assert_eq!(dropped_events(), 0, "reset clears the drop counter");
+        let parsed = crate::json::Json::parse(&json).expect("capped export parses");
+        let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
+        assert_eq!(events.len(), 1 + crate::trace::MAX_TRACE_SPANS);
     }
 
     #[test]
     fn nested_spans_export_child_before_parent_and_inside_it() {
         let _g = crate::span::test_lock();
-        crate::set_mode(crate::Mode::Full);
-        crate::reset();
+        crate::set_mode(crate::Mode::Off);
+        let ctx = crate::TraceCtx::begin(None);
         {
+            let _install = ctx.install();
             let _outer = crate::span!("test.parent");
             std::thread::sleep(std::time::Duration::from_millis(1));
             {
@@ -176,9 +176,7 @@ mod tests {
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let json = export_current();
-        crate::reset();
-        crate::set_mode(crate::Mode::Off);
+        let json = ctx.finish().to_chrome();
 
         let parsed = crate::json::Json::parse(&json).expect("nested export parses");
         let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();

@@ -84,35 +84,6 @@ pub fn registered() -> Vec<&'static Counter> {
     v
 }
 
-/// A plain-text table of every registered counter with a non-zero value,
-/// sorted by name — the counter companion to
-/// [`render_summary_table`](crate::summary::render_summary_table), printed
-/// by the CLI under `--profile`. Zero counters are elided: a learning run
-/// registers every counter in the process, most of which are silent for any
-/// one configuration.
-pub fn render_counters_table() -> String {
-    let counters: Vec<_> = registered()
-        .into_iter()
-        .map(|c| (c.name(), c.get()))
-        .filter(|&(_, v)| v != 0)
-        .collect();
-    if counters.is_empty() {
-        return String::new();
-    }
-    let name_w = counters
-        .iter()
-        .map(|(n, _)| n.len())
-        .chain(std::iter::once("counter".len()))
-        .max()
-        .unwrap_or(7);
-    let mut out = String::new();
-    out.push_str(&format!("{:name_w$}  {:>12}\n", "counter", "value"));
-    for (name, value) in counters {
-        out.push_str(&format!("{name:name_w$}  {value:>12}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,21 +114,5 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["obs_test_a_total", "obs_test_b_total"]);
         assert_eq!(TEST_A.help(), "Test counter A.");
-    }
-
-    // Named outside the `obs_test_` prefix that
-    // `register_is_idempotent_and_sorted` snapshots — the registry is
-    // process-global, so that test would see these otherwise.
-    #[test]
-    fn counters_table_elides_zeros_and_aligns() {
-        static SHOWN: Counter = Counter::new("obs_table_demo_shown_total", "Shown.");
-        static ZERO: Counter = Counter::new("obs_table_demo_zero_total", "Elided.");
-        register(&SHOWN);
-        register(&ZERO);
-        SHOWN.add(3);
-        let table = render_counters_table();
-        assert!(table.contains("obs_table_demo_shown_total"), "{table}");
-        assert!(!table.contains("obs_table_demo_zero_total"), "{table}");
-        assert!(table.starts_with("counter"), "{table}");
     }
 }

@@ -4,14 +4,18 @@
 //! archived per-job by the serving layer's run ledger, so a run's story
 //! survives the process that produced it.
 //!
-//! [`ReportBuilder`] is a [`ProgressSink`]: feed it the learner's event
-//! stream, then call [`ReportBuilder::finish`] to fold in the deltas of the
-//! span summary ([`crate::summary`]) and counter registry
-//! ([`crate::metrics`]) since the builder was created. Deltas — not absolute
-//! values — so a report from a long-lived server describes *this* run, not
-//! the process lifetime.
+//! [`ReportBuilder`] is a [`ProgressSink`] that owns the run's trace tree
+//! ([`ReportBuilder::trace`]): install that context around the run and feed
+//! the builder the learner's event stream, then call
+//! [`ReportBuilder::finish`]. The report's phases are folded from the run's
+//! own spans — worker threads included — so they describe *this* run and
+//! nothing else a long-lived server did meanwhile; the chrome-trace export
+//! (`--trace-out`) and a server job's kept trace are views of the same tree.
+//! Counters are process-global, so the report carries their deltas since the
+//! builder was created.
 
 use crate::progress::{ProgressEvent, ProgressSink};
+use crate::trace::TraceCtx;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -99,17 +103,16 @@ pub struct PlanReport {
     pub declined: Vec<String>,
 }
 
-/// Wall-clock delta of one span phase over the run.
+/// Wall-clock totals of one span name over the run's trace tree.
 #[derive(Debug, Clone)]
-pub struct PhaseDelta {
+pub struct RunPhase {
     /// Span name.
     pub name: &'static str,
-    /// Completions during the run.
+    /// Spans of this name the run completed.
     pub count: u64,
-    /// Total microseconds during the run.
+    /// Total microseconds.
     pub total_us: u64,
-    /// Longest single span observed by process end (not delta'd — maxima
-    /// don't subtract).
+    /// Longest single span of the run, microseconds.
     pub max_us: u64,
 }
 
@@ -118,10 +121,10 @@ pub struct PhaseDelta {
 pub struct RunReport {
     /// Dataset name or directory the run learned from.
     pub dataset: String,
-    /// Trace id (32 hex digits) of the run's span tree, when the run was
-    /// traced — correlates the archived report with the serving layer's
-    /// trace store. Additive and optional, so the schema stays v2.
-    pub trace_id: Option<String>,
+    /// Trace id (32 hex digits) of the run's span tree — correlates the
+    /// archived report with the serving layer's trace store. Additive, so
+    /// the schema stays v2 (readers of older reports see it null or absent).
+    pub trace_id: String,
     /// Hyper-parameters as `(key, value)` pairs, in insertion order.
     pub params: Vec<(String, String)>,
     /// Ground-BC construction summary, when the run got that far.
@@ -130,8 +133,8 @@ pub struct RunReport {
     pub iterations: Vec<IterationRecord>,
     /// Rendered clauses of the learned definition, in acceptance order.
     pub clauses: Vec<String>,
-    /// Span-phase wall-clock deltas over the run.
-    pub phases: Vec<PhaseDelta>,
+    /// Per-span-name wall-clock totals of the run, sorted by name.
+    pub phases: Vec<RunPhase>,
     /// Counter deltas over the run, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Compile outcome of the learned definition, when recorded (v2).
@@ -149,10 +152,7 @@ impl RunReport {
         out.push_str("{\n");
         out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
         out.push_str(&format!("  \"dataset\": \"{}\",\n", esc(&self.dataset)));
-        match &self.trace_id {
-            Some(id) => out.push_str(&format!("  \"trace_id\": \"{}\",\n", esc(id))),
-            None => out.push_str("  \"trace_id\": null,\n"),
-        }
+        out.push_str(&format!("  \"trace_id\": \"{}\",\n", esc(&self.trace_id)));
 
         out.push_str("  \"params\": {");
         for (i, (k, v)) in self.params.iter().enumerate() {
@@ -274,11 +274,66 @@ impl RunReport {
         out.push_str("}\n");
         out
     }
+
+    /// The human view printed by `autobias learn --profile`: the per-phase
+    /// table sorted by total time descending (the dominating phase on top),
+    /// then the counters the run moved. Zero counters are elided: a run
+    /// registers every counter in the process, most of which are silent for
+    /// any one configuration.
+    pub fn render_profile(&self) -> String {
+        let mut phases: Vec<&RunPhase> = self.phases.iter().collect();
+        phases.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.name.cmp(b.name)));
+        let name_w = phases
+            .iter()
+            .map(|p| p.name.len())
+            .chain(std::iter::once("phase".len()))
+            .max()
+            .unwrap_or(5);
+        let mut out = format!(
+            "{:name_w$}  {:>9}  {:>10}  {:>10}  {:>10}\n",
+            "phase", "count", "total", "mean", "max"
+        );
+        for p in phases {
+            out.push_str(&format!(
+                "{:name_w$}  {:>9}  {:>10}  {:>10}  {:>10}\n",
+                p.name,
+                p.count,
+                fmt_us(p.total_us),
+                fmt_us(p.total_us.checked_div(p.count).unwrap_or(0)),
+                fmt_us(p.max_us),
+            ));
+        }
+        let counters: Vec<_> = self.counters.iter().filter(|(_, v)| *v != 0).collect();
+        if counters.is_empty() {
+            return out;
+        }
+        let name_w = counters
+            .iter()
+            .map(|(n, _)| n.len())
+            .chain(std::iter::once("counter".len()))
+            .max()
+            .unwrap_or(7);
+        out.push_str(&format!("\n{:name_w$}  {:>12}\n", "counter", "value"));
+        for (name, value) in counters {
+            out.push_str(&format!("{name:name_w$}  {value:>12}\n"));
+        }
+        out
+    }
+}
+
+/// Formats microseconds as a human duration (`873µs`, `12.3ms`, `4.56s`).
+fn fmt_us(us: u64) -> String {
+    if us < 1_000 {
+        format!("{us}µs")
+    } else if us < 1_000_000 {
+        format!("{:.1}ms", us as f64 / 1e3)
+    } else {
+        format!("{:.2}s", us as f64 / 1e6)
+    }
 }
 
 #[derive(Clone, Default)]
 struct BuilderState {
-    trace_id: Option<String>,
     bc: Option<BcSummary>,
     iterations: Vec<IterationRecord>,
     clauses: Vec<String>,
@@ -286,36 +341,44 @@ struct BuilderState {
     outcome: Option<RunOutcome>,
 }
 
-/// Accumulates [`ProgressEvent`]s into a [`RunReport`]. Create it *before*
-/// the run (it snapshots the counter registry and phase table for deltas),
-/// feed it as the run's sink, then read it with [`ReportBuilder::finish`].
+/// Accumulates one run's record into a [`RunReport`]. Create it *before*
+/// the run (it begins the run's trace tree and snapshots the counter
+/// registry), install [`ReportBuilder::trace`] on the running thread, feed
+/// the builder as the run's sink, then read it with
+/// [`ReportBuilder::finish`].
 pub struct ReportBuilder {
     dataset: String,
     params: Vec<(String, String)>,
     counter_base: HashMap<&'static str, u64>,
-    phase_base: HashMap<&'static str, (u64, u64)>,
+    trace: TraceCtx,
     state: Mutex<BuilderState>,
 }
 
 impl ReportBuilder {
-    /// Creates a builder, snapshotting counters and phase aggregates as the
-    /// run's baseline.
+    /// Creates a builder: begins the run's trace tree
+    /// ([`TraceCtx::begin_run`]) and snapshots counters as the run's
+    /// baseline.
     pub fn new(dataset: impl Into<String>, params: Vec<(String, String)>) -> Self {
+        // A run whose tree hits its cap says so in its counters.
+        crate::metrics::register(&crate::trace::DROPPED_SPANS);
         let counter_base = crate::metrics::registered()
             .iter()
             .map(|c| (c.name(), c.get()))
-            .collect();
-        let phase_base = crate::summary::phase_snapshot()
-            .iter()
-            .map(|p| (p.name, (p.count, p.total_us)))
             .collect();
         Self {
             dataset: dataset.into(),
             params,
             counter_base,
-            phase_base,
+            trace: TraceCtx::begin_run(),
             state: Mutex::new(BuilderState::default()),
         }
+    }
+
+    /// The run's trace context: install it on the thread that runs the
+    /// learn, and the spans entered there (and on the workers it fans out
+    /// to) make up the report's phases.
+    pub fn trace(&self) -> &TraceCtx {
+        &self.trace
     }
 
     /// Records the compile outcome of the learned definition. Called by the
@@ -326,15 +389,9 @@ impl ReportBuilder {
         self.state.lock().expect("report builder poisoned").plan = Some(plan);
     }
 
-    /// Records the trace id of the run's span tree (serve jobs run under a
-    /// per-job [`crate::trace::TraceCtx`]).
-    pub fn set_trace_id(&self, trace_id: impl Into<String>) {
-        self.state.lock().expect("report builder poisoned").trace_id = Some(trace_id.into());
-    }
-
-    /// The report so far: the events fed until now, with counter and phase
-    /// deltas since construction folded in. Leaves the builder open, so a
-    /// live run can be read as often as it is polled.
+    /// The report so far: the events fed until now, the phases of the spans
+    /// the run's tree holds, and counter deltas since construction. Leaves
+    /// the builder open, so a live run can be read as often as it is polled.
     pub fn finish(&self) -> RunReport {
         let state = self.state.lock().expect("report builder poisoned").clone();
         let mut counters: Vec<(String, u64)> = crate::metrics::registered()
@@ -345,25 +402,23 @@ impl ReportBuilder {
             })
             .collect();
         counters.sort();
-        let phases: Vec<PhaseDelta> = crate::summary::phase_snapshot()
-            .iter()
-            .filter_map(|p| {
-                let (bc, bt) = self.phase_base.get(p.name).copied().unwrap_or((0, 0));
-                let count = p.count.saturating_sub(bc);
-                if count == 0 {
-                    return None; // phase saw no completions during this run
-                }
-                Some(PhaseDelta {
-                    name: p.name,
-                    count,
-                    total_us: p.total_us.saturating_sub(bt),
-                    max_us: p.max_us,
-                })
-            })
-            .collect();
+        let mut by_name: HashMap<&'static str, RunPhase> = HashMap::new();
+        for s in self.trace.spans().iter() {
+            let p = by_name.entry(s.name).or_insert(RunPhase {
+                name: s.name,
+                count: 0,
+                total_us: 0,
+                max_us: 0,
+            });
+            p.count += 1;
+            p.total_us += s.dur_us;
+            p.max_us = p.max_us.max(s.dur_us);
+        }
+        let mut phases: Vec<RunPhase> = by_name.into_values().collect();
+        phases.sort_by_key(|p| p.name);
         RunReport {
             dataset: self.dataset.clone(),
-            trace_id: state.trace_id,
+            trace_id: self.trace.trace_id_hex(),
             params: self.params.clone(),
             bc: state.bc,
             iterations: state.iterations,
@@ -652,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_phases_are_deltas() {
+    fn phases_are_the_runs_own_and_counters_are_deltas() {
         let _g = crate::span::test_lock();
         crate::set_mode(crate::Mode::Summary);
         // Pre-run noise the report must not include.
@@ -667,11 +722,18 @@ mod tests {
         let builder = ReportBuilder::new("d", vec![]);
         PRE.add(3);
         {
+            let _traced = builder.trace().install();
             let _sp = crate::span!("test.report_phase");
             let _sp2 = crate::span!("test.report_phase");
         }
+        // Spans outside the run's context (another request on a server)
+        // stay out of its report.
+        {
+            let _sp = crate::span!("test.report_phase");
+        }
         let report = builder.finish();
         crate::set_mode(crate::Mode::Off);
+        crate::reset();
 
         let c = report
             .counters
@@ -684,6 +746,78 @@ mod tests {
             .iter()
             .find(|p| p.name == "test.report_phase")
             .expect("phase in report");
-        assert_eq!(p.count, 2, "phase count must be the delta");
+        assert_eq!(p.count, 2, "phase count must be the run's own");
+        assert_eq!(report.trace_id, builder.trace().trace_id_hex());
+    }
+
+    /// Two runs in sequence: the first one's span is the longer, and each
+    /// report's `max_us` must still be its own.
+    #[test]
+    fn each_runs_max_us_is_its_own() {
+        let _g = crate::span::test_lock();
+        crate::set_mode(crate::Mode::Off);
+        let run = |sleep_ms: u64| {
+            let builder = ReportBuilder::new("d", vec![]);
+            {
+                let _traced = builder.trace().install();
+                let _sp = crate::span!("test.report_max");
+                std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
+            }
+            let report = builder.finish();
+            report
+                .phases
+                .iter()
+                .find(|p| p.name == "test.report_max")
+                .expect("phase in report")
+                .max_us
+        };
+        let first = run(30);
+        let second = run(1);
+        assert!(first >= 30_000, "{first}");
+        assert!(
+            second < 30_000,
+            "second run reports {second}us, first {first}us"
+        );
+    }
+
+    #[test]
+    fn profile_sorts_phases_by_total_and_elides_zero_counters() {
+        let report = RunReport {
+            phases: vec![
+                RunPhase {
+                    name: "test.fast",
+                    count: 1,
+                    total_us: 10,
+                    max_us: 10,
+                },
+                RunPhase {
+                    name: "test.slow",
+                    count: 2,
+                    total_us: 2_000_000,
+                    max_us: 1_500_000,
+                },
+            ],
+            counters: vec![
+                ("demo_shown_total".to_string(), 3),
+                ("demo_zero_total".to_string(), 0),
+            ],
+            ..RunReport::default()
+        };
+        let table = report.render_profile();
+        assert!(table.starts_with("phase"), "{table}");
+        let slow = table.find("test.slow").unwrap();
+        let fast = table.find("test.fast").unwrap();
+        assert!(slow < fast, "dominating phase first:\n{table}");
+        assert!(table.contains("1.00s"), "mean of the slow phase: {table}");
+        assert!(table.contains("\ncounter"), "{table}");
+        assert!(table.contains("demo_shown_total"), "{table}");
+        assert!(!table.contains("demo_zero_total"), "{table}");
+    }
+
+    #[test]
+    fn fmt_us_scales_units() {
+        assert_eq!(fmt_us(873), "873µs");
+        assert_eq!(fmt_us(12_300), "12.3ms");
+        assert_eq!(fmt_us(4_560_000), "4.56s");
     }
 }

@@ -1,43 +1,40 @@
-//! Hierarchical RAII spans over a process-wide recorder, plus per-context
-//! trace trees.
+//! Hierarchical RAII spans over the process-wide phase table, plus
+//! per-context trace trees.
 //!
 //! A span is opened with [`enter`] (or the [`crate::span!`] macro) and
-//! closed by dropping the returned [`SpanGuard`]. Nesting is tracked per
-//! thread; the chrome-trace exporter relies on time containment within one
-//! thread track, so the process-wide buffer stores no explicit parent ids.
-//! The recorder has three modes (see [`Mode`]); everything is monotonic and
-//! thread-safe.
+//! closed by dropping the returned [`SpanGuard`]. The global recorder has
+//! two modes (see [`Mode`]): off, or folding every completion into the
+//! per-phase aggregates of [`crate::summary`].
 //!
-//! Independently of the global mode, a [`crate::trace::TraceCtx`] can be
-//! installed on a thread: every span entered while it is installed is also
-//! recorded into that context's tree with explicit `span_id`/`parent_id`
-//! links (see [`crate::trace`]). Both sinks share the single fast-path
-//! check: one relaxed atomic load of a combined state byte (mode in the low
-//! bits, a "some trace installed" flag above them), so a span costs nothing
-//! extra when both are off.
+//! Independently of the mode, a [`crate::trace::TraceCtx`] can be installed
+//! on a thread: every span entered while it is installed is recorded into
+//! that context's tree with explicit `span_id`/`parent_id` links (see
+//! [`crate::trace`]). The tree is the one per-span record — a learn run's
+//! report, its chrome-trace export and a server's kept traces all read it.
+//! Both sinks share the single fast-path check: one relaxed atomic load of
+//! a combined state byte (the mode bit and a "some trace installed" bit),
+//! so a span costs nothing extra when both are off.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::time::Instant;
 
-/// What the recorder captures.
+/// What the global recorder captures. Per-span records live in trace trees
+/// ([`crate::trace`]), whatever the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Mode {
     /// Nothing. Entering a span costs one relaxed atomic load.
     Off = 0,
-    /// Per-phase aggregates only ([`crate::summary`]).
+    /// Per-phase aggregates ([`crate::summary`]).
     Summary = 1,
-    /// Aggregates plus the bounded event buffer for chrome-trace export.
-    Full = 2,
 }
 
-/// Combined recorder state: mode in the low two bits, [`TRACE_BIT`] set
+/// Combined recorder state: [`SUMMARY_BIT`] for the mode, [`TRACE_BIT`] set
 /// while at least one `TraceCtx` is installed anywhere in the process.
 static STATE: AtomicU8 = AtomicU8::new(0);
 
-const MODE_MASK: u8 = 0b0011;
-const TRACE_BIT: u8 = 0b0100;
+const SUMMARY_BIT: u8 = 0b01;
+const TRACE_BIT: u8 = 0b10;
 
 /// Raises/clears the trace flag in the combined state. Called only by
 /// [`crate::trace`] when the count of installed contexts crosses zero.
@@ -49,43 +46,32 @@ pub(crate) fn set_trace_flag(on: bool) {
     }
 }
 
-/// Cap on buffered events; completions beyond it are aggregated but not
-/// buffered, and counted in [`dropped_events`].
-pub const MAX_EVENTS: usize = 262_144;
-
-static DROPPED: AtomicU64 = AtomicU64::new(0);
+/// Whether any trace context is installed anywhere — one relaxed load.
+#[inline]
+pub(crate) fn trace_flag() -> bool {
+    STATE.load(Ordering::Relaxed) & TRACE_BIT != 0
+}
 
 /// Current recorder mode.
 #[inline]
 pub fn mode() -> Mode {
-    match STATE.load(Ordering::Relaxed) & MODE_MASK {
-        0 => Mode::Off,
-        1 => Mode::Summary,
-        _ => Mode::Full,
+    if STATE.load(Ordering::Relaxed) & SUMMARY_BIT != 0 {
+        Mode::Summary
+    } else {
+        Mode::Off
     }
 }
 
 /// Sets the recorder mode (the trace flag is left untouched).
 pub fn set_mode(m: Mode) {
-    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-        Some((s & !MODE_MASK) | m as u8)
-    });
+    match m {
+        Mode::Off => STATE.fetch_and(!SUMMARY_BIT, Ordering::Relaxed),
+        Mode::Summary => STATE.fetch_or(SUMMARY_BIT, Ordering::Relaxed),
+    };
 }
 
-/// Raises the recorder mode if `m` is more detailed than the current one —
-/// safe to call from several subsystems without clobbering each other.
-pub fn enable_at_least(m: Mode) {
-    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-        Some((s & !MODE_MASK) | (s & MODE_MASK).max(m as u8))
-    });
-}
-
-/// Events dropped because the buffer hit [`MAX_EVENTS`].
-pub fn dropped_events() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
-/// One completed span, ready for export.
+/// One completed span in the form the chrome-trace exporter
+/// ([`crate::chrome::export_chrome_trace`]) takes.
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
     /// Static span name (see the naming table in the crate docs).
@@ -96,41 +82,19 @@ pub struct SpanEvent {
     pub notes: Vec<(&'static str, u64)>,
     /// Small dense thread id (not the OS tid).
     pub tid: u32,
-    /// Nesting depth on its thread when opened (0 = top level).
+    /// Nesting depth when opened (0 = top level).
     pub depth: u32,
-    /// Start, microseconds since the recorder epoch.
+    /// Start, microseconds since the exporter's epoch.
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
 }
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-fn events() -> &'static Mutex<Vec<SpanEvent>> {
-    static EVENTS: OnceLock<Mutex<Vec<SpanEvent>>> = OnceLock::new();
-    EVENTS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Snapshot of the buffered events.
-pub fn snapshot_events() -> Vec<SpanEvent> {
-    events().lock().expect("span buffer poisoned").clone()
-}
-
-/// Number of buffered events.
-pub fn events_len() -> usize {
-    events().lock().expect("span buffer poisoned").len()
-}
-
-/// Clears buffered events and per-phase aggregates (counters and the mode
-/// are left untouched). Intended for process-owned flows — the CLI before a
-/// traced run, tests — not for concurrent servers, where clearing would
-/// race other threads' open spans.
+/// Clears the per-phase aggregates (counters and the mode are left
+/// untouched). Intended for process-owned flows — benchmarks, tests — not
+/// for concurrent servers, where clearing would race other threads' open
+/// spans.
 pub fn reset() {
-    events().lock().expect("span buffer poisoned").clear();
-    DROPPED.store(0, Ordering::Relaxed);
     crate::summary::reset();
 }
 
@@ -138,26 +102,34 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
 thread_local! {
     static TID: u32 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    static DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
-/// RAII guard for one span; records on drop. Inactive guards (recorder off)
-/// do nothing.
+/// RAII guard for one span; records on drop. Inactive guards (recorder off,
+/// no trace installed on this thread) do nothing.
 #[must_use = "a span measures the scope it lives in; bind it to a variable"]
 pub struct SpanGuard {
     name: &'static str,
     label: Option<&'static str>,
     notes: Vec<(&'static str, u64)>,
-    /// `None` while the recorder is fully off — an inactive guard never
-    /// reads the clock.
+    /// `None` while the guard is inactive — an inactive guard never reads
+    /// the clock.
     start: Option<Instant>,
-    depth: u32,
     /// Set when a [`crate::trace::TraceCtx`] was installed on this thread at
-    /// entry; the span is then also recorded into that trace tree.
+    /// entry; the span is then recorded into that trace tree.
     trace: Option<crate::trace::TraceAttach>,
 }
 
 impl SpanGuard {
+    fn inactive(name: &'static str, label: Option<&'static str>) -> Self {
+        Self {
+            name,
+            label,
+            notes: Vec::new(),
+            start: None,
+            trace: None,
+        }
+    }
+
     /// Attaches a numeric note, exported as a chrome-trace `args` entry.
     /// No-op on an inactive guard.
     #[inline]
@@ -180,7 +152,8 @@ impl SpanGuard {
         }
     }
 
-    /// Whether this guard is recording (recorder was on at entry).
+    /// Whether this guard is recording (recorder on or trace installed at
+    /// entry).
     #[inline]
     pub fn is_active(&self) -> bool {
         self.start.is_some()
@@ -193,14 +166,7 @@ pub fn enter(name: &'static str, label: Option<&'static str>) -> SpanGuard {
     // The off fast path: one relaxed load covering both the global mode and
     // the "any trace installed" flag. No clock read, no allocation.
     if STATE.load(Ordering::Relaxed) == 0 {
-        return SpanGuard {
-            name,
-            label,
-            notes: Vec::new(),
-            start: None,
-            depth: 0,
-            trace: None,
-        };
+        return SpanGuard::inactive(name, label);
     }
     enter_slow(name, label)
 }
@@ -211,26 +177,13 @@ fn enter_slow(name: &'static str, label: Option<&'static str>) -> SpanGuard {
     if trace.is_none() && mode() == Mode::Off {
         // The trace flag is set but this thread carries no context (another
         // thread's trace raised it). Stay inactive.
-        return SpanGuard {
-            name,
-            label,
-            notes: Vec::new(),
-            start: None,
-            depth: 0,
-            trace: None,
-        };
+        return SpanGuard::inactive(name, label);
     }
-    let depth = DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v + 1);
-        v
-    });
     SpanGuard {
         name,
         label,
         notes: Vec::new(),
         start: Some(Instant::now()),
-        depth,
         trace,
     }
 }
@@ -241,37 +194,13 @@ impl Drop for SpanGuard {
             return;
         };
         let dur = start.elapsed();
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let notes = std::mem::take(&mut self.notes);
-        let tid = TID.with(|t| *t);
         if let Some(attach) = self.trace.take() {
-            crate::trace::record(attach, self.name, self.label, &notes, tid, start, dur);
+            let notes = std::mem::take(&mut self.notes);
+            let tid = TID.with(|t| *t);
+            crate::trace::record(attach, self.name, self.label, notes, tid, start, dur);
         }
-        let m = mode();
-        if m == Mode::Off {
-            return;
-        }
-        crate::summary::record(self.name, dur);
-        if m == Mode::Full {
-            let start_us = start
-                .saturating_duration_since(epoch())
-                .as_micros()
-                .min(u64::MAX as u128) as u64;
-            let event = SpanEvent {
-                name: self.name,
-                label: self.label,
-                notes,
-                tid,
-                depth: self.depth,
-                start_us,
-                dur_us: dur.as_micros().min(u64::MAX as u128) as u64,
-            };
-            let mut buf = events().lock().expect("span buffer poisoned");
-            if buf.len() < MAX_EVENTS {
-                buf.push(event);
-            } else {
-                DROPPED.fetch_add(1, Ordering::Relaxed);
-            }
+        if mode() == Mode::Summary {
+            crate::summary::record(self.name, dur);
         }
     }
 }
@@ -290,7 +219,7 @@ macro_rules! span {
 
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     match LOCK.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -312,7 +241,6 @@ mod tests {
             sp.note("k", 1);
             assert!(!sp.is_active());
         }
-        assert_eq!(events_len(), 0);
         assert!(crate::summary::phase_snapshot().is_empty());
     }
 
@@ -337,39 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn full_mode_buffers_nested_events() {
-        let _g = test_lock();
-        set_mode(Mode::Full);
-        reset();
-        {
-            let mut outer = crate::span!("test.outer");
-            outer.note("n", 7);
-            outer.add_note("n", 3);
-            std::thread::sleep(Duration::from_millis(2));
-            {
-                let _inner = crate::span!("test.inner", "labelled");
-            }
-        }
-        set_mode(Mode::Off);
-        let evs = snapshot_events();
-        assert_eq!(evs.len(), 2);
-        // Inner completes (and is buffered) first.
-        let inner = &evs[0];
-        let outer = &evs[1];
-        assert_eq!(inner.name, "test.inner");
-        assert_eq!(inner.label, Some("labelled"));
-        assert_eq!(inner.depth, outer.depth + 1);
-        assert_eq!(outer.notes, vec![("n", 10)]);
-        assert!(outer.dur_us >= inner.dur_us);
-        // Containment: inner lies within outer on the same thread.
-        assert_eq!(inner.tid, outer.tid);
-        assert!(inner.start_us >= outer.start_us);
-        assert!(inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us);
-        reset();
-    }
-
-    #[test]
-    fn summary_mode_aggregates_without_buffering() {
+    fn summary_mode_aggregates_per_phase() {
         let _g = test_lock();
         set_mode(Mode::Summary);
         reset();
@@ -377,24 +273,9 @@ mod tests {
             let _sp = crate::span!("test.agg");
         }
         set_mode(Mode::Off);
-        assert_eq!(events_len(), 0);
         let phases = crate::summary::phase_snapshot();
         let agg = phases.iter().find(|p| p.name == "test.agg").unwrap();
         assert_eq!(agg.count, 3);
         reset();
-    }
-
-    #[test]
-    fn enable_at_least_never_downgrades() {
-        let _g = test_lock();
-        set_mode(Mode::Full);
-        enable_at_least(Mode::Summary);
-        assert_eq!(mode(), Mode::Full);
-        enable_at_least(Mode::Full);
-        assert_eq!(mode(), Mode::Full);
-        set_mode(Mode::Off);
-        enable_at_least(Mode::Summary);
-        assert_eq!(mode(), Mode::Summary);
-        set_mode(Mode::Off);
     }
 }

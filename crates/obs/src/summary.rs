@@ -1,8 +1,9 @@
-//! Flat per-phase statistics: every span completion (in `Summary` or `Full`
-//! mode) is folded into a count / total / max / latency-bucket aggregate
-//! keyed by span name. [`phase_snapshot`] is the raw data the serving layer
-//! renders as Prometheus histograms; [`render_summary_table`] is the human
-//! view printed by `autobias learn --profile`.
+//! Flat per-phase statistics: in `Summary` mode every span completion is
+//! folded into a process-wide count / total / max / latency-bucket
+//! aggregate keyed by span name. [`phase_snapshot`] is the raw data the
+//! serving layer renders as Prometheus histograms and the benchmarks read
+//! per phase. A single run's phases come from its own trace tree instead
+//! ([`crate::report`]).
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -105,46 +106,6 @@ pub fn phase_snapshot() -> Vec<PhaseStat> {
     out
 }
 
-/// Formats microseconds as a human duration (`873µs`, `12.3ms`, `4.56s`).
-fn fmt_us(us: u64) -> String {
-    if us < 1_000 {
-        format!("{us}µs")
-    } else if us < 1_000_000 {
-        format!("{:.1}ms", us as f64 / 1e3)
-    } else {
-        format!("{:.2}s", us as f64 / 1e6)
-    }
-}
-
-/// Renders the per-phase summary table printed by `--profile`, sorted by
-/// total time descending so the dominating phase is on top.
-pub fn render_summary_table() -> String {
-    let mut phases = phase_snapshot();
-    phases.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.name.cmp(b.name)));
-    let name_w = phases
-        .iter()
-        .map(|p| p.name.len())
-        .chain(std::iter::once("phase".len()))
-        .max()
-        .unwrap_or(5);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:name_w$}  {:>9}  {:>10}  {:>10}  {:>10}\n",
-        "phase", "count", "total", "mean", "max"
-    ));
-    for p in &phases {
-        out.push_str(&format!(
-            "{:name_w$}  {:>9}  {:>10}  {:>10}  {:>10}\n",
-            p.name,
-            p.count,
-            fmt_us(p.total_us),
-            fmt_us(p.mean_us()),
-            fmt_us(p.max_us),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,26 +135,5 @@ mod tests {
         assert_eq!(p.bucket_counts[0], 1);
         assert_eq!(p.bucket_counts.iter().sum::<u64>(), 3);
         reset();
-    }
-
-    #[test]
-    fn summary_table_sorted_by_total() {
-        let _g = crate::span::test_lock();
-        reset();
-        record("test.fast", Duration::from_micros(10));
-        record("test.slow", Duration::from_secs(1));
-        let table = render_summary_table();
-        let slow = table.find("test.slow").unwrap();
-        let fast = table.find("test.fast").unwrap();
-        assert!(slow < fast, "dominating phase first:\n{table}");
-        assert!(table.starts_with("phase"));
-        reset();
-    }
-
-    #[test]
-    fn fmt_us_scales_units() {
-        assert_eq!(fmt_us(873), "873µs");
-        assert_eq!(fmt_us(12_300), "12.3ms");
-        assert_eq!(fmt_us(4_560_000), "4.56s");
     }
 }

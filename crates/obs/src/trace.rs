@@ -1,12 +1,21 @@
 //! Context-carried trace trees with W3C `traceparent` propagation.
 //!
-//! The process-wide recorder in [`mod@crate::span`] answers "where does this
-//! *process* spend time"; this module answers "where did *this request* go".
-//! A [`TraceCtx`] is one trace: a 128-bit trace id plus a tree of spans with
-//! explicit `span_id`/`parent_id` links. Installing a context on a thread
-//! ([`TraceCtx::install`]) makes every span entered via [`crate::span!`]
-//! record into that tree as well as into the global recorder; the install
-//! guard restores the previous context on drop, so contexts nest.
+//! The process-wide phase table in [`crate::summary`] answers "where does
+//! this *process* spend time"; this module answers "where did *this request*
+//! or *this learn run* go". A [`TraceCtx`] is one trace: a 128-bit trace id
+//! plus a tree of spans with explicit `span_id`/`parent_id` links.
+//! Installing a context on a thread ([`TraceCtx::install`]) makes every span
+//! entered via [`crate::span!`] record into that tree (and, in
+//! [`crate::Mode::Summary`], into the phase table too); the install guard
+//! restores the previous context on drop, so contexts nest. A thread that
+//! fans work out hands its context and open span to the workers
+//! ([`handoff`]), so their spans join the same tree under the span that
+//! spawned them.
+//!
+//! A request's tree holds up to [`MAX_TRACE_SPANS`]; a learn run's
+//! ([`TraceCtx::begin_run`], begun by [`crate::ReportBuilder::new`]) up to
+//! [`MAX_RUN_SPANS`]. Spans past the cap are counted in the tree and in
+//! [`DROPPED_SPANS`], never silently lost.
 //!
 //! The fast path is unchanged: while no context is installed anywhere and
 //! the global mode is [`crate::Mode::Off`], entering a span is still a
@@ -29,17 +38,30 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
+use crate::metrics::Counter;
 use crate::span::SpanEvent;
 
-/// Cap on spans recorded into one trace tree. A request executes a handful
-/// of coarse spans; thousands means a span was opened per tuple, which the
-/// naming convention forbids. Overflow is counted, never silent.
+/// Cap on spans recorded into one request's trace tree. A request executes
+/// a handful of coarse spans; thousands means a span was opened per tuple,
+/// which the naming convention forbids. Overflow is counted, never silent.
 pub const MAX_TRACE_SPANS: usize = 4096;
+
+/// Cap on spans recorded into one learn run's tree ([`TraceCtx::begin_run`]).
+/// A UW run with automatic bias records a few thousand (one `bc.build` per
+/// example, one `learn.armg` per generalization); the cap bounds the memory
+/// a runaway run can hold at a few tens of MB.
+pub const MAX_RUN_SPANS: usize = 262_144;
+
+/// Spans dropped process-wide because their trace tree was at its cap.
+pub static DROPPED_SPANS: Counter = Counter::new(
+    "autobias_trace_dropped_events_total",
+    "Spans dropped because their trace tree was full (4096 per request, 262144 per learn run).",
+);
 
 /// One completed span inside a trace tree.
 #[derive(Debug, Clone)]
 pub struct TraceSpan {
-    /// Static span name (same naming table as the global recorder).
+    /// Static span name (see the naming table in the crate docs).
     pub name: &'static str,
     /// Optional static label.
     pub label: Option<&'static str>,
@@ -49,7 +71,7 @@ pub struct TraceSpan {
     pub span_id: u64,
     /// Id of the enclosing span on the same thread; 0 for tree roots.
     pub parent_id: u64,
-    /// Small dense thread id (same numbering as the global recorder).
+    /// Small dense thread id (not the OS tid), one per recording thread.
     pub tid: u32,
     /// Start, microseconds since the trace began.
     pub start_us: u64,
@@ -62,6 +84,8 @@ struct TraceInner {
     /// Caller's span id from an incoming `traceparent`, 0 if none.
     remote_parent: u64,
     start: Instant,
+    /// Most spans the tree keeps.
+    cap: usize,
     next_span_id: AtomicU64,
     dropped: AtomicU64,
     spans: Mutex<Vec<TraceSpan>>,
@@ -81,7 +105,8 @@ pub struct TraceTree {
     pub trace_id: String,
     /// Caller's span id from the incoming `traceparent`, 0 if none.
     pub remote_parent_id: u64,
-    /// Spans dropped past [`MAX_TRACE_SPANS`].
+    /// Spans dropped past the tree's cap ([`MAX_TRACE_SPANS`] for a
+    /// request, [`MAX_RUN_SPANS`] for a learn run).
     pub dropped: u64,
     /// Completed spans in completion order (children before parents).
     pub spans: Vec<TraceSpan>,
@@ -126,12 +151,13 @@ pub(crate) fn attach() -> Option<TraceAttach> {
 }
 
 /// Completes an attached span: pops it from the thread's open stack and
-/// pushes the finished [`TraceSpan`] into its tree (bounded).
+/// pushes the finished [`TraceSpan`] into its tree (bounded by the tree's
+/// cap; a span past it bumps the tree's and the process's drop counts).
 pub(crate) fn record(
     attach: TraceAttach,
     name: &'static str,
     label: Option<&'static str>,
-    notes: &[(&'static str, u64)],
+    notes: Vec<(&'static str, u64)>,
     tid: u32,
     start: Instant,
     dur: Duration,
@@ -150,7 +176,7 @@ pub(crate) fn record(
     let span = TraceSpan {
         name,
         label,
-        notes: notes.to_vec(),
+        notes,
         span_id: attach.span_id,
         parent_id: attach.parent_id,
         tid,
@@ -161,10 +187,61 @@ pub(crate) fn record(
         dur_us: dur.as_micros().min(u64::MAX as u128) as u64,
     };
     let mut spans = attach.inner.spans.lock().expect("trace spans poisoned");
-    if spans.len() < MAX_TRACE_SPANS {
+    if spans.len() < attach.inner.cap {
         spans.push(span);
     } else {
         attach.inner.dropped.fetch_add(1, Ordering::Relaxed);
+        DROPPED_SPANS.bump();
+    }
+}
+
+/// Makes `active` the thread's context; the guard restores the previous one.
+fn install_active(active: ActiveTrace) -> TraceGuard {
+    let prev = ACTIVE.with(|a| a.borrow_mut().replace(active));
+    if INSTALLED.fetch_add(1, Ordering::Relaxed) == 0 {
+        crate::span::set_trace_flag(true);
+    }
+    TraceGuard {
+        prev,
+        restored: false,
+        _not_send: std::marker::PhantomData,
+    }
+}
+
+/// A thread's installed context and innermost open span, captured so that
+/// worker threads it spawns record into the same tree: each worker installs
+/// the handoff ([`Handoff::install`]), and its top-level spans parent to the
+/// span that was open where the work was handed off.
+pub struct Handoff {
+    inner: Arc<TraceInner>,
+    parent_id: u64,
+}
+
+/// Captures the calling thread's context for its workers; `None` when none
+/// is installed. One relaxed load when nothing is traced anywhere.
+#[inline]
+pub fn handoff() -> Option<Handoff> {
+    if !crate::span::trace_flag() {
+        return None;
+    }
+    ACTIVE.with(|a| {
+        a.borrow().as_ref().map(|at| Handoff {
+            inner: Arc::clone(&at.inner),
+            parent_id: at.stack.last().copied().unwrap_or(0),
+        })
+    })
+}
+
+impl Handoff {
+    /// Installs the handed-off context on the current (worker) thread.
+    #[must_use = "spans record into the trace only while the guard lives"]
+    pub fn install(&self) -> TraceGuard {
+        // A bottom entry of 0 (nothing open at the handoff) makes the
+        // worker's spans roots, as on an empty stack; no span has id 0.
+        install_active(ActiveTrace {
+            inner: Arc::clone(&self.inner),
+            stack: vec![self.parent_id],
+        })
     }
 }
 
@@ -201,16 +278,28 @@ impl TraceCtx {
     /// Starts a trace. With `parent` (a parsed incoming `traceparent`), the
     /// caller's trace id is continued and its span id becomes the tree's
     /// remote parent; without, a fresh random trace id is drawn.
+    /// Holds up to [`MAX_TRACE_SPANS`] spans.
     pub fn begin(parent: Option<(u128, u64)>) -> Self {
         let (trace_id, remote_parent) = match parent {
             Some((t, s)) => (t, s),
             None => (new_trace_id(), 0),
         };
+        Self::with_cap(trace_id, remote_parent, MAX_TRACE_SPANS)
+    }
+
+    /// Starts a learn run's trace under a fresh id, holding up to
+    /// [`MAX_RUN_SPANS`] spans.
+    pub fn begin_run() -> Self {
+        Self::with_cap(new_trace_id(), 0, MAX_RUN_SPANS)
+    }
+
+    fn with_cap(trace_id: u128, remote_parent: u64, cap: usize) -> Self {
         Self {
             inner: Arc::new(TraceInner {
                 trace_id,
                 remote_parent,
                 start: Instant::now(),
+                cap,
                 next_span_id: AtomicU64::new(1),
                 dropped: AtomicU64::new(0),
                 spans: Mutex::new(Vec::new()),
@@ -233,31 +322,22 @@ impl TraceCtx {
     /// restores whatever was installed before.
     #[must_use = "spans record into the trace only while the guard lives"]
     pub fn install(&self) -> TraceGuard {
-        let prev = ACTIVE.with(|a| {
-            a.borrow_mut().replace(ActiveTrace {
-                inner: Arc::clone(&self.inner),
-                stack: Vec::new(),
-            })
-        });
-        if INSTALLED.fetch_add(1, Ordering::Relaxed) == 0 {
-            crate::span::set_trace_flag(true);
-        }
-        TraceGuard {
-            prev,
-            restored: false,
-            _not_send: std::marker::PhantomData,
-        }
+        install_active(ActiveTrace {
+            inner: Arc::clone(&self.inner),
+            stack: Vec::new(),
+        })
     }
 
-    /// Number of spans recorded so far.
-    pub fn span_count(&self) -> usize {
-        self.inner.spans.lock().expect("trace spans poisoned").len()
+    /// The spans recorded so far, in completion order.
+    pub(crate) fn spans(&self) -> std::sync::MutexGuard<'_, Vec<TraceSpan>> {
+        self.inner.spans.lock().expect("trace spans poisoned")
     }
 
-    /// Takes the recorded spans out as a finished [`TraceTree`]. Call after
-    /// every install guard for this context has dropped.
+    /// The tree as recorded so far, as a [`TraceTree`]. The context keeps
+    /// its spans, so a live run can be read as often as it is polled; call
+    /// after every install guard has dropped for the complete tree.
     pub fn finish(&self) -> TraceTree {
-        let spans = std::mem::take(&mut *self.inner.spans.lock().expect("trace spans poisoned"));
+        let spans = self.spans().clone();
         TraceTree {
             trace_id: self.trace_id_hex(),
             remote_parent_id: self.inner.remote_parent,
@@ -344,7 +424,7 @@ impl TraceTree {
                 dur_us: s.dur_us,
             })
             .collect();
-        crate::chrome::export_chrome_trace(&events)
+        crate::chrome::export_with_dropped(&events, self.dropped)
     }
 }
 
@@ -466,14 +546,15 @@ mod tests {
             let _install = ctx.install();
             let mut root = crate::span!("test.root");
             root.note("n", 5);
+            root.add_note("n", 3);
+            root.add_note("m", 2);
             {
                 let _child = crate::span!("test.child", "lbl");
                 let _grandchild = crate::span!("test.grandchild");
             }
             let _sibling = crate::span!("test.sibling");
         }
-        // Nothing leaked into the global recorder.
-        assert_eq!(crate::span::events_len(), 0);
+        // Nothing leaked into the global phase table.
         assert!(crate::summary::phase_snapshot().is_empty());
         let tree = ctx.finish();
         assert_eq!(tree.spans.len(), 4);
@@ -486,13 +567,83 @@ mod tests {
         assert_eq!(child.parent_id, root.span_id);
         assert_eq!(grandchild.parent_id, child.span_id);
         assert_eq!(sibling.parent_id, root.span_id);
-        assert_eq!(root.notes, vec![("n", 5)]);
+        // add_note accumulates into an existing key and creates a new one.
+        assert_eq!(root.notes, vec![("n", 8), ("m", 2)]);
         assert_eq!(child.label, Some("lbl"));
         // Spans outside the install guard do not record.
         {
             let _after = crate::span!("test.after");
         }
-        assert_eq!(ctx.span_count(), 0, "finish drained and nothing new landed");
+        assert_eq!(ctx.finish().spans.len(), 4, "nothing new landed");
+        let again = ctx.finish();
+        assert_eq!(again.spans.len(), tree.spans.len(), "finish is repeatable");
+        assert_eq!(again.trace_id, tree.trace_id);
+    }
+
+    #[test]
+    fn trees_cap_at_their_kind_and_count_drops() {
+        let _g = crate::span::test_lock();
+        crate::set_mode(crate::Mode::Off);
+        const EXTRA: usize = 5;
+        let before = DROPPED_SPANS.get();
+        let request = TraceCtx::begin(None);
+        let run = TraceCtx::begin_run();
+        {
+            let _install = request.install();
+            for _ in 0..MAX_TRACE_SPANS + EXTRA {
+                let _sp = crate::span!("test.overflow");
+            }
+        }
+        {
+            let _install = run.install();
+            for _ in 0..MAX_TRACE_SPANS + EXTRA {
+                let _sp = crate::span!("test.overflow");
+            }
+        }
+        let tree = request.finish();
+        assert_eq!(tree.spans.len(), MAX_TRACE_SPANS);
+        assert_eq!(tree.dropped, EXTRA as u64);
+        // Other tests may overflow their own trees concurrently; the process
+        // counter only grows.
+        assert!(DROPPED_SPANS.get() >= before + EXTRA as u64);
+        let run_tree = run.finish();
+        assert_eq!(run_tree.spans.len(), MAX_TRACE_SPANS + EXTRA);
+        assert_eq!(run_tree.dropped, 0, "a run's tree holds {MAX_RUN_SPANS}");
+    }
+
+    #[test]
+    fn handoff_parents_worker_spans_to_the_open_span() {
+        let _g = crate::span::test_lock();
+        crate::set_mode(crate::Mode::Off);
+        assert!(handoff().is_none(), "nothing installed, nothing handed off");
+        let ctx = TraceCtx::begin(None);
+        {
+            let _install = ctx.install();
+            let _outer = crate::span!("test.spawner");
+            let handed = handoff().expect("context installed");
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let _traced = handed.install();
+                        let _sp = crate::span!("test.worker");
+                    });
+                }
+            });
+        }
+        let tree = ctx.finish();
+        let spawner = tree
+            .spans
+            .iter()
+            .find(|s| s.name == "test.spawner")
+            .unwrap();
+        let workers: Vec<_> = tree
+            .spans
+            .iter()
+            .filter(|s| s.name == "test.worker")
+            .collect();
+        assert_eq!(workers.len(), 2);
+        assert!(workers.iter().all(|w| w.parent_id == spawner.span_id));
+        assert!(workers.iter().all(|w| w.tid != spawner.tid));
     }
 
     #[test]

@@ -294,15 +294,16 @@ pub struct Job {
     pub id: u64,
     /// Name the learned model is registered under.
     pub model_name: String,
-    /// Trace id (32 hex digits) of the job's span tree; the tree is kept in
-    /// the server's trace store once the job terminates, so a run found in
-    /// `GET /jobs/{id}` resolves at `GET /debug/traces/{trace_id}`.
+    /// Trace id (32 hex digits) of the run's span tree, the one its report
+    /// owns; the tree is kept in the server's trace store once the job
+    /// terminates, so a run found in `GET /jobs/{id}` resolves at
+    /// `GET /debug/traces/{trace_id}`.
     pub trace_id: String,
     /// Positive training examples the job learns from.
     pub pos_total: usize,
-    /// The job's one record of its run: fed every progress event, read live
-    /// by `GET /jobs/{id}` and archived in the run ledger once the job
-    /// completes.
+    /// The job's one record of its run: owns the run's span tree and is fed
+    /// every progress event, read live by `GET /jobs/{id}` and archived in
+    /// the run ledger once the job completes.
     pub report: ReportBuilder,
     /// Live SSE frames of this job's progress events; closed once the job
     /// is terminal, ending any `GET /jobs/{id}/events` streams.
@@ -354,9 +355,10 @@ impl JobManager {
     /// Spawns a learning job over the shared dataset; the learned model is
     /// written to the registry's directory and inserted into the registry,
     /// and the run report is archived in `ledger` (when given) once the job
-    /// completes. When a trace store is given, the job runs under its own
-    /// [`obs::trace::TraceCtx`] and the finished span tree — bias induction,
-    /// BC build, clause search, plan compile — is kept there unconditionally.
+    /// completes. The job's thread runs under its report's trace context,
+    /// and when a trace store is given the finished span tree — bias
+    /// induction, BC build (worker threads included), clause search,
+    /// verification, plan compile — is kept there unconditionally.
     pub fn spawn_learn(
         &self,
         spec: JobSpec,
@@ -370,18 +372,16 @@ impl JobManager {
             .model_name
             .clone()
             .unwrap_or_else(|| format!("job-{id}"));
-        let ctx = obs::trace::TraceCtx::begin(None);
-        let trace_id = ctx.trace_id_hex();
         let mut params = vec![("model".to_string(), model_name.clone())];
         params.extend(spec.learn.report_params());
-        // Counter/phase deltas in the report are process-global; with several
-        // jobs running concurrently they describe the overlap, not one job.
+        // The report's phases come from the job's own span tree; its counter
+        // deltas are process-global, so with several jobs running
+        // concurrently they describe the overlap, not one job.
         let report = ReportBuilder::new(ds.name, params);
-        report.set_trace_id(trace_id.clone());
         let job = Arc::new(Job {
             id,
             model_name,
-            trace_id,
+            trace_id: report.trace().trace_id_hex(),
             pos_total: ds.pos.len(),
             report,
             events: Arc::new(EventLog::default()),
@@ -407,7 +407,7 @@ impl JobManager {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     // Installed inside the closure so the guard unwinds with
                     // a panic instead of leaking the thread-local context.
-                    let _traced = ctx.install();
+                    let _traced = worker_job.report.trace().install();
                     run_learn(&worker_job, &spec.learn, &ds, &registry, ledger.as_deref())
                 }));
                 let elapsed = t0.elapsed();
@@ -417,7 +417,7 @@ impl JobManager {
                         0,
                         elapsed.as_micros() as u64,
                         crate::trace::KeepReason::Job,
-                        ctx.finish(),
+                        worker_job.report.trace().finish(),
                     ));
                 }
                 let (state, detail) = match result {

@@ -467,15 +467,6 @@ impl Metrics {
         render_qerror_histogram(&mut out);
         render_registered_counters(&mut out, models);
 
-        out.push_str(
-            "# HELP autobias_trace_dropped_events_total Span events dropped by the bounded trace buffer.\n\
-             # TYPE autobias_trace_dropped_events_total counter\n",
-        );
-        out.push_str(&format!(
-            "autobias_trace_dropped_events_total {}\n",
-            obs::span::dropped_events()
-        ));
-
         for g in gauges {
             out.push_str(&format!(
                 "# HELP {} {}\n# TYPE {} gauge\n{} {}\n",
@@ -566,6 +557,7 @@ fn render_registered_counters(out: &mut String, models: &[ModelPlanSample]) {
     obs::metrics::register(&PREDICT_TUPLES);
     obs::metrics::register(&PREDICT_INTERPRETED_TUPLES);
     obs::metrics::register(&PLAN_VARIANT_SELECTIONS);
+    obs::metrics::register(&obs::trace::DROPPED_SPANS);
     for c in obs::metrics::registered() {
         out.push_str(&format!(
             "# HELP {} {}\n# TYPE {} counter\n{} {}\n",
@@ -823,6 +815,34 @@ mod tests {
         assert!(text.contains("trace_id=\"cafe0000000000000000000000000001\""));
     }
 
+    /// Spans a trace tree drops past its cap show on `/metrics`.
+    #[test]
+    fn trace_tree_drops_are_counted() {
+        const EXTRA: usize = 3;
+        let scrape = || {
+            let text = Metrics::new().render(&[], &[]);
+            assert!(
+                text.contains("# HELP autobias_trace_dropped_events_total Spans dropped"),
+                "{text}"
+            );
+            text.lines()
+                .find_map(|l| l.strip_prefix("autobias_trace_dropped_events_total "))
+                .and_then(|v| v.parse::<u64>().ok())
+                .expect("dropped-spans counter rendered")
+        };
+        let before = scrape();
+        let ctx = obs::trace::TraceCtx::begin(None);
+        {
+            let _traced = ctx.install();
+            for _ in 0..obs::trace::MAX_TRACE_SPANS + EXTRA {
+                let _sp = obs::span!("test.metrics_overflow");
+            }
+        }
+        assert_eq!(ctx.finish().dropped, EXTRA as u64);
+        // Other tests may drop spans concurrently; the counter only grows.
+        assert!(scrape() >= before + EXTRA as u64);
+    }
+
     #[test]
     fn in_flight_gauge_tracks_inc_dec() {
         let m = Metrics::new();
@@ -859,7 +879,7 @@ mod tests {
         m.observe(Endpoint::Jobs, Duration::from_secs(100), false); // +Inf-only bucket
         {
             // Make sure at least one phase aggregate exists.
-            obs::enable_at_least(obs::Mode::Summary);
+            obs::set_mode(obs::Mode::Summary);
             let _sp = obs::span!("test.metrics_conformance");
         }
         let text = m.render(

@@ -104,9 +104,8 @@ impl ServerHandle {
 /// handle plus the names of models loaded at startup and any per-file parse
 /// errors (non-fatal).
 pub fn serve(cfg: &ServeConfig) -> Result<(ServerHandle, crate::registry::ReloadReport), String> {
-    // Per-phase aggregates power the /metrics phase histograms; the bounded
-    // event buffer (Full mode) is a CLI concern, not a server one.
-    obs::enable_at_least(obs::Mode::Summary);
+    // Per-phase aggregates power the /metrics phase histograms.
+    obs::set_mode(obs::Mode::Summary);
     autobias::instrument::register();
     let ds = load_dataset(&cfg.data_dir)
         .map_err(|e| format!("loading {}: {e}", cfg.data_dir.display()))?;

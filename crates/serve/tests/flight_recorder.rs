@@ -309,3 +309,81 @@ fn flight_recorder_end_to_end() {
     handle.join();
     let _ = std::fs::remove_dir_all(data.parent().unwrap());
 }
+
+/// A job's record is its own run's: polling the job while it runs (each
+/// poll an `http.request` span on a traced request thread) leaves no
+/// `http.*` phase in its archived report, and its kept span tree is whole.
+#[test]
+fn job_record_excludes_the_requests_that_poll_it() {
+    let (data, models) = setup_dirs("polled");
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        data_dir: data,
+        models_dir: models,
+        threads: 2,
+        access_log: None,
+        request_trace: true,
+    };
+    let (handle, _) = serve(&cfg).expect("server boots");
+    let addr = handle.addr();
+
+    let (status, body) = request(addr, "POST", "/jobs/learn", "name polled\nbias manual\n");
+    assert_eq!(status, 202, "{body}");
+    let field = |body: &str, key: &str| {
+        body.lines()
+            .find_map(|l| l.strip_prefix(key))
+            .unwrap_or_else(|| panic!("no {key:?} line in {body:?}"))
+            .to_string()
+    };
+    let id = field(&body, "id ");
+    let trace = field(&body, "trace ");
+    let t0 = Instant::now();
+    let mut polls = 0;
+    loop {
+        let (status, body) = request(addr, "GET", &format!("/jobs/{id}"), "");
+        assert_eq!(status, 200, "{body}");
+        polls += 1;
+        if field(&body, "state ") == "done" {
+            break;
+        }
+        assert!(t0.elapsed() < Duration::from_secs(120), "{body}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let (status, body) = request(addr, "GET", &format!("/runs/{id}"), "");
+    assert_eq!(status, 200, "{body}");
+    let report = Json::parse(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    let phases = report.get("phases").unwrap().as_obj().unwrap();
+    let names: Vec<&str> = phases.iter().map(|(n, _)| n.as_str()).collect();
+    assert!(
+        !names.iter().any(|n| n.starts_with("http.")),
+        "{polls} poll(s) leaked into the job's phases: {names:?}"
+    );
+    for phase in ["learn", "bc.build", "analyze.check", "plan.compile"] {
+        assert!(names.contains(&phase), "no {phase} phase: {names:?}");
+    }
+    assert_eq!(
+        report.get("trace_id").unwrap().as_str(),
+        Some(trace.as_str())
+    );
+
+    let (status, body) = request(addr, "GET", &format!("/debug/traces/{trace}"), "");
+    assert_eq!(status, 200, "{body}");
+    let kept = Json::parse(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    assert_eq!(kept.path(&["tree", "dropped"]).unwrap().as_f64(), Some(0.0));
+    let spans = kept.path(&["tree", "spans"]).unwrap().as_arr().unwrap();
+    // The report's phases are a view over the kept tree.
+    let learn = phases
+        .iter()
+        .find(|(n, _)| n == "learn")
+        .map(|(_, p)| p.get("count").unwrap().as_f64().unwrap() as usize)
+        .unwrap();
+    let learn_spans = spans
+        .iter()
+        .filter(|s| s.get("name").unwrap().as_str() == Some("learn"))
+        .count();
+    assert_eq!(learn, learn_spans);
+
+    request(addr, "POST", "/shutdown", "");
+    handle.join();
+}
