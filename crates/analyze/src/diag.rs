@@ -12,6 +12,7 @@
 //! buggy build. **Warn** marks constructs that are legal but shrink or
 //! pollute the hypothesis space; **Info** is informational only.
 
+use obs::json::Json;
 use std::fmt;
 
 /// Severity of a finding. Order matters: `Error > Warn > Info`.
@@ -303,54 +304,35 @@ impl Report {
     /// JSON rendering:
     ///
     /// ```json
-    /// {"findings": [{"rule": "AB102", "name": "disconnected-literal",
-    ///   "severity": "error", "message": "...", "location": "...",
-    ///   "line": 3}], "errors": 1, "warnings": 0, "infos": 0}
+    /// {"findings":[{"rule":"AB102","name":"disconnected-literal",
+    ///   "severity":"error","message":"...","location":"...",
+    ///   "line":3}],"errors":1,"warnings":0,"infos":0}
     /// ```
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"findings\": [");
-        for (i, d) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"rule\": \"{}\", \"name\": \"{}\", \"severity\": \"{}\", \
-                 \"message\": \"{}\", \"location\": \"{}\"",
-                d.rule.code(),
-                d.rule.name(),
-                d.severity().as_str(),
-                escape_json(&d.message),
-                escape_json(&d.location),
-            ));
-            if let Some(line) = d.line {
-                out.push_str(&format!(", \"line\": {line}"));
-            }
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "], \"errors\": {}, \"warnings\": {}, \"infos\": {}}}",
-            self.count(Severity::Error),
-            self.count(Severity::Warn),
-            self.count(Severity::Info)
-        ));
-        out
+    pub fn to_json(&self) -> Json {
+        let findings = self
+            .findings
+            .iter()
+            .map(|d| {
+                let mut m = vec![
+                    ("rule", d.rule.code().into()),
+                    ("name", d.rule.name().into()),
+                    ("severity", d.severity().as_str().into()),
+                    ("message", d.message.as_str().into()),
+                    ("location", d.location.as_str().into()),
+                ];
+                if let Some(line) = d.line {
+                    m.push(("line", line.into()));
+                }
+                Json::obj(m)
+            })
+            .collect();
+        Json::obj([
+            ("findings", Json::Arr(findings)),
+            ("errors", self.count(Severity::Error).into()),
+            ("warnings", self.count(Severity::Warn).into()),
+            ("infos", self.count(Severity::Info).into()),
+        ])
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -407,8 +389,8 @@ mod tests {
             "bad\ntext".into(),
         );
         r.findings[0].line = Some(3);
-        let json = r.finish().to_json();
-        let parsed = obs::json::Json::parse(&json).expect("report JSON must parse");
+        let json = r.finish().to_json().to_string();
+        let parsed = Json::parse(&json).expect("report JSON must parse");
         let findings = parsed.get("findings").and_then(|f| f.as_arr()).unwrap();
         assert_eq!(findings.len(), 1);
         assert_eq!(

@@ -61,7 +61,7 @@ fn assert_golden(name: &str, report: &analyze::Report, rule: Rule, errors: bool)
         text.contains(rule.code()),
         "{name}: text missing id\n{text}"
     );
-    let json = report.to_json();
+    let json = report.to_json().to_string();
     assert!(
         json.contains(rule.code()),
         "{name}: json missing id\n{json}"

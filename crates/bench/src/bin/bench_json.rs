@@ -17,7 +17,7 @@
 #![allow(clippy::unwrap_used)] // bench harness: fail fast on bad JSON
 
 use autobias_bench::harness::{run_table5_cell, selected_datasets, Args, HarnessConfig, Method};
-use obs::chrome::json_escape;
+use obs::json::json_escape;
 use std::fmt::Write as _;
 
 fn main() {

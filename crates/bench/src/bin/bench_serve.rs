@@ -29,7 +29,7 @@ use autobias::query::{clause_covers_args, definition_covers_args, EvalScratch, Q
 use autobias_bench::harness::Args;
 use autobias_serve::http::read_response_head;
 use autobias_serve::{serve, ServeConfig};
-use obs::chrome::json_escape;
+use obs::json::json_escape;
 use relstore::Const;
 use std::fmt::Write as _;
 use std::io::{BufReader, Read, Write};

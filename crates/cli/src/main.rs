@@ -25,7 +25,9 @@ use autobias::bias::auto::{induce_bias, AutoBiasConfig, ConstantThreshold};
 use autobias::clause_text::parse_definition;
 use autobias::eval::Metrics;
 use autobias::query::{definition_covers, QueryConfig};
-use autobias_serve::jobs::{learn_model, LearnOptions, DEFAULT_SAMPLE_SIZE};
+use autobias_serve::jobs::{
+    learn_model, resolve_bias, LearnOptions, DEFAULT_CONSTANT_THRESHOLD, DEFAULT_SAMPLE_SIZE,
+};
 use datasets::io::{load_dataset, save_dataset};
 use datasets::Dataset;
 use std::path::{Path, PathBuf};
@@ -222,7 +224,7 @@ fn threshold(args: &Args) -> Result<ConstantThreshold, String> {
     } else if let Some(f) = args.try_get::<f64>("--relative")? {
         ConstantThreshold::Relative(f)
     } else {
-        ConstantThreshold::Absolute(50)
+        DEFAULT_CONSTANT_THRESHOLD
     })
 }
 
@@ -258,15 +260,7 @@ fn cmd_induce(args: &Args) -> Result<(), String> {
 
 fn pick_bias(args: &Args, ds: &Dataset) -> Result<autobias::bias::LanguageBias, String> {
     match args.get_str("--bias").unwrap_or("auto") {
-        "auto" => {
-            let cfg = AutoBiasConfig {
-                constant_threshold: threshold(args)?,
-                ..AutoBiasConfig::default()
-            };
-            let (bias, _, _) = induce_bias(&ds.db, ds.target, &cfg).map_err(|e| e.to_string())?;
-            Ok(bias)
-        }
-        "manual" => ds.manual_bias().map_err(|e| e.to_string()),
+        which @ ("auto" | "manual") => resolve_bias(ds, which, threshold(args)?),
         path => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             // Auto-detect Aleph mode declarations.
@@ -350,7 +344,8 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
     );
     let record = report.finish();
     if let Some(path) = report_out {
-        std::fs::write(path, record.to_json()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, format!("{}\n", record.to_json()))
+            .map_err(|e| format!("{path}: {e}"))?;
         obs::info!("wrote run report to {path}");
     }
     if let Some(path) = trace_out {
@@ -501,9 +496,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         let name = Path::new(path).file_stem().and_then(|s| s.to_str());
         let mut doc = plan::explain::explain(&ds.db, name, &[], &def, &compiled, None);
         if let (Some(report), obs::json::Json::Obj(fields)) = (&verify, &mut doc) {
-            let parsed = obs::json::Json::parse(&report.to_json())
-                .map_err(|e| format!("rendering verify report: {e}"))?;
-            fields.push(("verify".to_string(), parsed));
+            fields.push(("verify".to_string(), report.to_json()));
         }
         println!("{doc}");
     } else {

@@ -444,60 +444,97 @@ fn report_out_writes_structured_run_report() {
     );
 }
 
+/// A running `autobias serve` on an ephemeral port, shut down on drop.
+struct Server {
+    child: std::process::Child,
+    /// Held open so the server's later stdout lines have a reader.
+    _stdout: std::io::BufReader<std::process::ChildStdout>,
+    addr: String,
+}
+
+impl Server {
+    fn start(data: &str, models: &str) -> Self {
+        use std::io::{BufRead, BufReader};
+        let mut child = bin()
+            .args([
+                "serve",
+                "--data",
+                data,
+                "--models",
+                models,
+                "--addr",
+                "127.0.0.1:0",
+            ])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn serve");
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).unwrap();
+        let addr = banner
+            .split("http://")
+            .nth(1)
+            .and_then(|s| s.split_whitespace().next())
+            .unwrap_or_else(|| panic!("no address in banner: {banner:?}"))
+            .to_string();
+        Self {
+            child,
+            _stdout: stdout,
+            addr,
+        }
+    }
+
+    /// One `Connection: close` request; the raw response.
+    fn request(&self, method: &str, path: &str, body: &str) -> String {
+        use std::io::{Read, Write};
+        let mut conn = std::net::TcpStream::connect(&self.addr).unwrap();
+        conn.write_all(
+            format!(
+                "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    /// Starts a learning job and returns its id.
+    fn submit_job(&self, body: &str) -> String {
+        let response = self.request("POST", "/jobs/learn", body);
+        response
+            .lines()
+            .find_map(|l| l.strip_prefix("id "))
+            .unwrap_or_else(|| panic!("no job id in: {response}"))
+            .to_string()
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.request("POST", "/shutdown", "");
+        let status = self.child.wait().expect("serve exits");
+        if !std::thread::panicking() {
+            assert!(status.success(), "serve exit: {status:?}");
+        }
+    }
+}
+
 #[test]
 fn jobs_watch_streams_progress_from_a_server() {
-    use std::io::{BufRead, BufReader, Read, Write};
-    use std::net::TcpStream;
-
     let tmp = TempDir::new("watch");
     let data = tmp.path("uw");
     let (ok, _, err) = run(&["gen", "--dataset", "uw", "--out", &data, "--seed", "8"]);
     assert!(ok, "gen failed: {err}");
     let models = tmp.path("models");
     std::fs::create_dir_all(&models).unwrap();
-
-    let mut child = bin()
-        .args([
-            "serve",
-            "--data",
-            &data,
-            "--models",
-            &models,
-            "--addr",
-            "127.0.0.1:0",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn serve");
-    let stdout = child.stdout.take().unwrap();
-    let mut reader = BufReader::new(stdout);
-    let mut banner = String::new();
-    reader.read_line(&mut banner).unwrap();
-    let addr = banner
-        .split("http://")
-        .nth(1)
-        .and_then(|s| s.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no address in banner: {banner:?}"))
-        .to_string();
+    let server = Server::start(&data, &models);
+    let addr = server.addr.clone();
 
     // Start a learning job over the raw API, then watch it via the CLI.
-    let body = "name watched\nbias manual\n";
-    let mut conn = TcpStream::connect(&addr).unwrap();
-    conn.write_all(
-        format!(
-            "POST /jobs/learn HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-    .unwrap();
-    let mut response = String::new();
-    conn.read_to_string(&mut response).unwrap();
-    let id = response
-        .lines()
-        .find_map(|l| l.strip_prefix("id "))
-        .unwrap_or_else(|| panic!("no job id in: {response}"))
-        .to_string();
+    let id = server.submit_job("name watched\nbias manual\n");
 
     let (ok, out, err) = run(&["jobs", "watch", &id, "--addr", &addr]);
     assert!(ok, "watch failed: {err}");
@@ -513,14 +550,35 @@ fn jobs_watch_streams_progress_from_a_server() {
     let (ok, _, err) = run(&["jobs", "frobnicate"]);
     assert!(!ok);
     assert!(err.contains("usage: autobias jobs watch"), "{err}");
+}
 
-    let mut conn = TcpStream::connect(&addr).unwrap();
-    conn.write_all(b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut drain = String::new();
-    conn.read_to_string(&mut drain).unwrap();
-    let status = child.wait().expect("serve exits");
-    assert!(status.success(), "serve exit: {status:?}");
+/// `autobias learn --bias auto` and a `bias auto` job resolve the bias the
+/// same way, so with equal options they write the same model.
+#[test]
+fn bias_auto_learns_the_same_model_from_the_cli_and_a_job() {
+    let tmp = TempDir::new("bias_auto");
+    let data = tmp.path("uw");
+    let (ok, _, err) = run(&["gen", "--dataset", "uw", "--out", &data, "--seed", "7"]);
+    assert!(ok, "gen failed: {err}");
+    let cli_model = tmp.path("cli.model");
+    let (ok, _, err) = run(&[
+        "learn", "--data", &data, "--bias", "auto", "--depth", "1", "--out", &cli_model,
+    ]);
+    assert!(ok, "learn failed: {err}");
+    let models = tmp.path("models");
+    std::fs::create_dir_all(&models).unwrap();
+    let server = Server::start(&data, &models);
+    let id = server.submit_job("name auto\nbias auto\ndepth 1\n");
+    // `jobs watch` returns once the job is terminal, after its model is saved.
+    let (ok, out, err) = run(&["jobs", "watch", &id, "--addr", &server.addr]);
+    assert!(ok, "watch failed: {err}");
+    assert!(out.contains("finished:"), "{out}");
+    let status = server.request("GET", &format!("/jobs/{id}"), "");
+    assert!(status.contains("state done"), "{status}");
+    assert_eq!(
+        std::fs::read_to_string(tmp.0.join("models/auto.model")).unwrap(),
+        std::fs::read_to_string(&cli_model).unwrap()
+    );
 }
 
 #[test]

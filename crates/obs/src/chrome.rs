@@ -5,69 +5,68 @@
 //! (since the trace began, for a [`crate::trace::TraceTree`] export), as the
 //! format requires.
 
+use crate::json::{render_with_array, Json};
 use crate::span::SpanEvent;
 
-/// Escapes `s` for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn push_event(out: &mut String, e: &SpanEvent) {
-    out.push_str(&format!(
-        "{{\"name\":\"{}\",\"cat\":\"autobias\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}",
-        json_escape(e.name),
-        e.tid,
-        e.start_us,
-        e.dur_us
-    ));
-    out.push_str(",\"args\":{");
-    let mut first = true;
-    if let Some(label) = e.label {
-        out.push_str(&format!("\"label\":\"{}\"", json_escape(label)));
-        first = false;
-    }
-    for (k, v) in &e.notes {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{v}", json_escape(k)));
-        first = false;
-    }
-    out.push_str("}}");
+/// One complete (`"ph":"X"`) event: the span's name, thread and interval,
+/// with its label and notes as `args`.
+pub(crate) fn event(
+    name: &str,
+    label: Option<&str>,
+    notes: &[(&str, u64)],
+    tid: u32,
+    start_us: u64,
+    dur_us: u64,
+) -> Json {
+    let args = label
+        .map(|l| ("label", l.into()))
+        .into_iter()
+        .chain(notes.iter().map(|&(k, v)| (k, v.into())));
+    Json::obj([
+        ("name", name.into()),
+        ("cat", "autobias".into()),
+        ("ph", "X".into()),
+        ("pid", 1u64.into()),
+        ("tid", u64::from(tid).into()),
+        ("ts", start_us.into()),
+        ("dur", dur_us.into()),
+        ("args", Json::obj(args)),
+    ])
 }
 
 /// Serializes `events` (plus a process-name metadata event) as
 /// chrome-trace JSON.
 pub fn export_chrome_trace(events: &[SpanEvent]) -> String {
-    export_with_dropped(events, 0)
+    export(
+        events
+            .iter()
+            .map(|e| event(e.name, e.label, &e.notes, e.tid, e.start_us, e.dur_us)),
+        0,
+    )
 }
 
-/// [`export_chrome_trace`] with the count of spans the source dropped (a
-/// trace tree past its cap) in the metadata event's `dropped_events`.
-pub(crate) fn export_with_dropped(events: &[SpanEvent], dropped: u64) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 256);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    out.push_str(&format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"autobias\",\"dropped_events\":{dropped}}}}}"
-    ));
-    for e in events {
-        out.push(',');
-        push_event(&mut out, e);
-    }
-    out.push_str("]}");
-    out
+/// The chrome-trace document over `events`, each rendered as it is drawn,
+/// led by the metadata event that carries the count of spans the source
+/// dropped (a trace tree past its cap) as `dropped_events`.
+pub(crate) fn export(events: impl Iterator<Item = Json>, dropped: u64) -> String {
+    let metadata = Json::obj([
+        ("name", "process_name".into()),
+        ("ph", "M".into()),
+        ("pid", 1u64.into()),
+        ("tid", 0u64.into()),
+        (
+            "args",
+            Json::obj([
+                ("name", "autobias".into()),
+                ("dropped_events", dropped.into()),
+            ]),
+        ),
+    ]);
+    render_with_array(
+        &[("displayTimeUnit", "ms".into())],
+        "traceEvents",
+        std::iter::once(metadata).chain(events),
+    )
 }
 
 #[cfg(test)]
@@ -113,13 +112,6 @@ mod tests {
         let json = export_chrome_trace(&[]);
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("\"dropped_events\""));
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
     }
 
     #[test]

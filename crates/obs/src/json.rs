@@ -1,10 +1,12 @@
-//! A minimal JSON value parser (recursive descent, `std` only), used by the
-//! run-report machinery and the `bench_compare` perf-regression gate to read
-//! back the JSON this workspace writes. It accepts standard JSON (RFC 8259)
-//! with two deliberate simplifications: numbers are parsed as `f64` and
-//! object key order is preserved (no deduplication — last write wins on
-//! lookup is *not* implemented; [`Json::get`] returns the first match, which
-//! is what our own writers produce).
+//! The workspace's one JSON value: parse and render. Every JSON document
+//! the workspace emits — run reports, progress events, diagnostics, EXPLAIN
+//! plans, trace trees, chrome traces, server bodies — is built as a [`Json`]
+//! and rendered by its `Display`, which writes compact canonical text; the
+//! perf gates and tests read the same documents back with [`Json::parse`].
+//! `std` only. Two deliberate simplifications: numbers are held as `f64`
+//! (integers are exact up to 2^53, so wider ids render as hex strings), and
+//! object members keep their order with no deduplication ([`Json::get`]
+//! returns the first match, which is what our own documents hold).
 
 use std::fmt;
 
@@ -26,11 +28,18 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object of `members`, in order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -99,13 +108,82 @@ impl Json {
     }
 }
 
+/// `From` conversions for the scalars documents are built from.
+macro_rules! json_from {
+    ($($t:ty => |$v:ident| $e:expr,)*) => {
+        $(impl From<$t> for Json {
+            fn from($v: $t) -> Self {
+                $e
+            }
+        })*
+    };
+}
+
+json_from! {
+    &str => |s| Json::Str(s.to_string()),
+    String => |s| Json::Str(s),
+    bool => |b| Json::Bool(b),
+    f64 => |n| Json::Num(n),
+    u64 => |n| Json::Num(n as f64),
+    usize => |n| Json::Num(n as f64),
+}
+
+/// Escapes `s` for inclusion inside a JSON string literal: the quote, the
+/// backslash and every control character (RFC 8259 §7).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Renders the object `head` with one more member, `key`, holding `items`
+/// as an array. Each item is rendered as it is drawn, so an array too long
+/// to hold as one tree (a learn run's chrome trace, up to 262,144 spans)
+/// never is.
+pub(crate) fn render_with_array(
+    head: &[(&str, Json)],
+    key: &str,
+    items: impl IntoIterator<Item = Json>,
+) -> String {
+    use fmt::Write;
+    let items = items.into_iter();
+    let mut out = String::with_capacity(128 * items.size_hint().0 + 64);
+    out.push('{');
+    for (k, v) in head {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "\"{}\":{v},", json_escape(k));
+    }
+    let _ = write!(out, "\"{}\":[", json_escape(key));
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{item}");
+    }
+    out.push_str("]}");
+    out
+}
+
 impl fmt::Display for Json {
+    /// Compact canonical text. A non-finite number, which JSON cannot
+    /// spell, renders as `null`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => write!(f, "{n}"),
-            Json::Str(s) => write!(f, "\"{}\"", crate::chrome::json_escape(s)),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => write!(f, "null"),
+            Json::Str(s) => write!(f, "\"{}\"", json_escape(s)),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -122,7 +200,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write!(f, "\"{}\":{v}", crate::chrome::json_escape(k))?;
+                    write!(f, "\"{}\":{v}", json_escape(k))?;
                 }
                 write!(f, "}}")
             }
@@ -130,9 +208,15 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts; deeper input is
+/// an error rather than a stack overflow.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -166,8 +250,12 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -179,6 +267,13 @@ impl<'a> Parser<'a> {
                 self.pos
             )),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -245,10 +340,9 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("nonempty");
+                    // Consume one code point: `pos` only ever advances by
+                    // whole characters, so it sits on a char boundary.
+                    let c = self.src[self.pos..].chars().next().expect("nonempty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -415,6 +509,184 @@ mod tests {
         assert_eq!(rendered, "{\"a\\u0001b\":\"\\u0007\"}");
         let back = Json::parse(&rendered).unwrap();
         assert_eq!(back.get("a\u{1}b").unwrap().as_str(), Some("\u{7}"));
+    }
+
+    #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("plain"), "plain");
+    }
+
+    #[test]
+    fn conversions_and_obj_build_the_same_value() {
+        let built = Json::obj([
+            ("s", "x".into()),
+            ("owned", String::from("y").into()),
+            ("b", true.into()),
+            ("f", 0.5.into()),
+            ("u", 7u64.into()),
+            ("n", 3usize.into()),
+        ]);
+        assert_eq!(
+            built.to_string(),
+            r#"{"s":"x","owned":"y","b":true,"f":0.5,"u":7,"n":3}"#
+        );
+        assert_eq!(Json::parse(&built.to_string()).unwrap(), built);
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        let j = Json::Arr(vec![
+            f64::NAN.into(),
+            f64::INFINITY.into(),
+            f64::NEG_INFINITY.into(),
+        ]);
+        assert_eq!(j.to_string(), "[null,null,null]");
+    }
+
+    #[test]
+    fn streamed_array_renders_like_the_whole_object() {
+        let items = || (0..3u64).map(|i| Json::obj([("i", i.into())]));
+        let streamed = render_with_array(&[("unit", "ms".into())], "events", items());
+        let whole = Json::obj([
+            ("unit", "ms".into()),
+            ("events", Json::Arr(items().collect())),
+        ]);
+        assert_eq!(streamed, whole.to_string());
+        assert_eq!(
+            render_with_array(&[], "k\"", std::iter::empty()),
+            r#"{"k\"":[]}"#
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(Json::parse(&deep).is_err());
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+    }
+
+    /// SplitMix64: a seeded generator for the property tests below, so they
+    /// need no dependency and every failure replays.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Characters a string draws from: every control character, the two
+    /// characters the escaper must quote, ASCII, and non-ASCII up to
+    /// four UTF-8 bytes.
+    fn gen_char(rng: &mut Rng) -> char {
+        match rng.below(6) {
+            0 => char::from_u32(rng.below(0x20) as u32).unwrap(),
+            1 => ['"', '\\', '/', '\u{7f}'][rng.below(4) as usize],
+            2 => [
+                'é',
+                'ß',
+                '←',
+                '中',
+                '€',
+                '\u{2028}',
+                '\u{feff}',
+                '😀',
+                '\u{10ffff}',
+            ][rng.below(9) as usize],
+            _ => char::from_u32(0x20 + rng.below(0x5f) as u32).unwrap(),
+        }
+    }
+
+    fn gen_string(rng: &mut Rng) -> String {
+        let len = rng.below(12);
+        (0..len).map(|_| gen_char(rng)).collect()
+    }
+
+    fn gen_num(rng: &mut Rng) -> f64 {
+        const TWO_53: u64 = 1 << 53;
+        match rng.below(5) {
+            0 => rng.below(TWO_53 + 1) as f64,
+            1 => -(rng.below(TWO_53 + 1) as f64),
+            2 => rng.below(1000) as f64,
+            // Any finite double, bit pattern and all.
+            3 => loop {
+                let f = f64::from_bits(rng.next());
+                if f.is_finite() {
+                    break f;
+                }
+            },
+            _ => (rng.below(1_000_000) as f64) / 1e4,
+        }
+    }
+
+    fn gen_value(rng: &mut Rng, depth: u32) -> Json {
+        let leaf = depth == 0 || rng.below(3) == 0;
+        match rng.below(if leaf { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 => Json::Num(gen_num(rng)),
+            3 => Json::Str(gen_string(rng)),
+            4 => Json::Arr(
+                (0..rng.below(5))
+                    .map(|_| gen_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (gen_string(rng), gen_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn arbitrary_values_round_trip_through_display_and_parse() {
+        let mut rng = Rng(0x5eed_0001);
+        for case in 0..5_000 {
+            let v = gen_value(&mut rng, 5);
+            let text = v.to_string();
+            let back = Json::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            assert_eq!(back, v, "case {case}: {text}");
+            assert!(
+                !text.bytes().any(|b| b < 0x20),
+                "case {case}: raw control byte in {text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_never_panics_on_arbitrary_bytes_or_truncations() {
+        let mut rng = Rng(0x5eed_0002);
+        let alphabet = b"{}[]:,\"\\/ntrufalse0123456789.eE+-u \n\t";
+        for _ in 0..20_000 {
+            let len = rng.below(40) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match rng.below(3) {
+                    0 => rng.next() as u8,
+                    _ => alphabet[rng.below(alphabet.len() as u64) as usize],
+                })
+                .collect();
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        }
+        for _ in 0..500 {
+            let text = gen_value(&mut rng, 4).to_string();
+            for (cut, _) in text.char_indices() {
+                let _ = Json::parse(&text[..cut]);
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   installed" flag live in one state byte, so a span still costs one
 //!   relaxed load when both are off.
 //! - [`chrome`] — exports spans as chrome-trace JSON, loadable in
-//!   `about://tracing` or [Perfetto](https://ui.perfetto.dev).
+//!   `about://tracing` or [Perfetto](https://ui.perfetto.dev), one
+//!   [`json::Json`] event at a time.
 //! - [`summary`] — flat process-wide per-phase statistics (count, total,
 //!   mean, max, and fixed latency buckets): the raw data the serving layer
 //!   renders as Prometheus histograms.
@@ -44,8 +45,10 @@
 //!   into a versioned JSON [`report::RunReport`] — the artifact behind
 //!   `autobias learn --report-out`/`--profile`/`--trace-out`, a server
 //!   job's status page and the server's run ledger.
-//! - [`json`] — a minimal `std`-only JSON parser for reading back the JSON
-//!   this workspace writes (run reports, bench results, traces).
+//! - [`json`] — the workspace's one JSON value: parse and render. Every
+//!   JSON document the workspace emits (run reports, progress events,
+//!   diagnostics, traces, server bodies) is a [`json::Json`] rendered by
+//!   its one serializer, and the perf gates read them back with its parser.
 //!
 //! ## Span naming convention
 //!

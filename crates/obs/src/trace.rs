@@ -27,11 +27,10 @@
 //! trace id is reused, and [`format_traceparent`] renders the header for
 //! downstream hops. Finished trees ([`TraceCtx::finish`]) serialize to JSON
 //! ([`TraceTree::to_json`]) or to chrome-trace ([`TraceTree::to_chrome`],
-//! reusing [`crate::chrome`]).
+//! through [`crate::chrome`]'s exporter).
 
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -39,7 +38,6 @@ use std::time::{Duration, Instant};
 
 use crate::json::Json;
 use crate::metrics::Counter;
-use crate::span::SpanEvent;
 
 /// Cap on spans recorded into one request's trace tree. A request executes
 /// a handful of coarse spans; thousands means a span was opened per tuple,
@@ -348,83 +346,55 @@ impl TraceCtx {
 }
 
 impl TraceTree {
-    /// Serializes the tree as a JSON object: trace id, drop count, and one
-    /// object per span carrying its `span_id`/`parent_id` links and notes.
+    /// Serializes the tree as a JSON object: trace id, the caller's span id
+    /// (16 hex digits, its `traceparent` form), drop count, and one object
+    /// per span carrying its `span_id`/`parent_id` links and notes.
     pub fn to_json(&self) -> Json {
         let spans = self
             .spans
             .iter()
             .map(|s| {
                 let mut m = vec![
-                    ("span_id".to_string(), Json::Num(s.span_id as f64)),
-                    ("parent_id".to_string(), Json::Num(s.parent_id as f64)),
-                    ("name".to_string(), Json::Str(s.name.to_string())),
-                    ("tid".to_string(), Json::Num(s.tid as f64)),
-                    ("start_us".to_string(), Json::Num(s.start_us as f64)),
-                    ("dur_us".to_string(), Json::Num(s.dur_us as f64)),
+                    ("span_id", s.span_id.into()),
+                    ("parent_id", s.parent_id.into()),
+                    ("name", s.name.into()),
+                    ("tid", u64::from(s.tid).into()),
+                    ("start_us", s.start_us.into()),
+                    ("dur_us", s.dur_us.into()),
                 ];
                 if let Some(label) = s.label {
-                    m.push(("label".to_string(), Json::Str(label.to_string())));
+                    m.push(("label", label.into()));
                 }
                 if !s.notes.is_empty() {
                     m.push((
-                        "notes".to_string(),
-                        Json::Obj(
-                            s.notes
-                                .iter()
-                                .map(|(k, v)| (k.to_string(), Json::Num(*v as f64)))
-                                .collect(),
-                        ),
+                        "notes",
+                        Json::obj(s.notes.iter().map(|&(k, v)| (k, v.into()))),
                     ));
                 }
-                Json::Obj(m)
+                Json::obj(m)
             })
             .collect();
-        Json::Obj(vec![
-            ("trace_id".to_string(), Json::Str(self.trace_id.clone())),
+        Json::obj([
+            ("trace_id", self.trace_id.as_str().into()),
             (
-                "remote_parent_id".to_string(),
-                Json::Num(self.remote_parent_id as f64),
+                "remote_parent_id",
+                format!("{:016x}", self.remote_parent_id).into(),
             ),
-            ("dropped".to_string(), Json::Num(self.dropped as f64)),
-            ("spans".to_string(), Json::Arr(spans)),
+            ("dropped", self.dropped.into()),
+            ("spans", Json::Arr(spans)),
         ])
     }
 
-    /// Exports the tree as chrome-trace JSON via [`crate::chrome`]. Depths
-    /// are recomputed from the parent links so the exporter's nesting notes
-    /// stay meaningful.
+    /// Exports the tree as chrome-trace JSON via [`crate::chrome`], one
+    /// event per span rendered as it is drawn; the viewer nests spans by
+    /// thread and interval.
     pub fn to_chrome(&self) -> String {
-        let parents: HashMap<u64, u64> = self
-            .spans
-            .iter()
-            .map(|s| (s.span_id, s.parent_id))
-            .collect();
-        let depth_of = |mut id: u64| -> u32 {
-            let mut depth = 0u32;
-            while let Some(&p) = parents.get(&id) {
-                if p == 0 || depth > 64 {
-                    break;
-                }
-                depth += 1;
-                id = p;
-            }
-            depth
-        };
-        let events: Vec<SpanEvent> = self
-            .spans
-            .iter()
-            .map(|s| SpanEvent {
-                name: s.name,
-                label: s.label,
-                notes: s.notes.clone(),
-                tid: s.tid,
-                depth: depth_of(s.span_id),
-                start_us: s.start_us,
-                dur_us: s.dur_us,
-            })
-            .collect();
-        crate::chrome::export_with_dropped(&events, self.dropped)
+        crate::chrome::export(
+            self.spans.iter().map(|s| {
+                crate::chrome::event(s.name, s.label, &s.notes, s.tid, s.start_us, s.dur_us)
+            }),
+            self.dropped,
+        )
     }
 }
 
@@ -675,6 +645,12 @@ mod tests {
         assert_eq!(ctx.trace_id_hex(), format!("{:032x}", 0xabcu128));
         let tree = ctx.finish();
         assert_eq!(tree.remote_parent_id, 0x77);
+        assert_eq!(
+            tree.to_json()
+                .get("remote_parent_id")
+                .and_then(Json::as_str),
+            Some("0000000000000077")
+        );
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Two renderings of the same facts, both stable enough to build tooling
 //! on:
 //!
-//! - [`explain_json`] — a versioned (`"explain_version"`) JSON document,
-//!   emitted through [`obs::json::Json`]'s canonical `Display` so it
-//!   round-trips byte-identically through `Json::parse` + re-render (the
-//!   property the `explain_roundtrip` suite pins). Numbers are exact: step
+//! - [`explain`] — a versioned (`"explain_version"`) JSON document as an
+//!   [`obs::json::Json`] value; its canonical `Display` round-trips
+//!   byte-identically through `Json::parse` + re-render (the property the
+//!   `explain_roundtrip` suite pins). Numbers are exact: step
 //!   counters are integers, ratios are `f64` printed in Rust's shortest
 //!   round-trip form.
 //! - [`explain_text`] — the human rendering `autobias explain` prints: step
@@ -38,10 +38,6 @@ pub struct Analyzed<'a> {
     pub tally: &'a BatchTally,
     /// Predict batches the aggregates cover.
     pub batches: u64,
-}
-
-fn num(n: u64) -> Json {
-    Json::Num(n as f64)
 }
 
 /// Constant names for rendering a model's plans: the database dictionary
@@ -104,125 +100,90 @@ pub fn explain(
         db,
         unknown: unknown_constants,
     };
-    let mut top: Vec<(String, Json)> = vec![("explain_version".into(), num(EXPLAIN_VERSION))];
+    let mut top: Vec<(&str, Json)> = vec![("explain_version", EXPLAIN_VERSION.into())];
     if let Some(name) = model {
-        top.push(("model".into(), Json::Str(name.to_string())));
+        top.push(("model", name.into()));
     }
-    top.push(("compiled".into(), num(compiled.num_compiled() as u64)));
-    top.push(("fallback".into(), num(compiled.num_declined() as u64)));
-    top.push(("analyze".into(), Json::Bool(analyzed.is_some())));
+    top.push(("compiled", compiled.num_compiled().into()));
+    top.push(("fallback", compiled.num_declined().into()));
+    top.push(("analyze", analyzed.is_some().into()));
     if let Some(a) = analyzed {
-        top.push(("batches".into(), num(a.batches)));
+        top.push(("batches", a.batches.into()));
     }
 
     let mut clauses = Vec::with_capacity(definition.clauses.len());
     let mut plan_idx = 0usize;
     for (ci, clause) in definition.clauses.iter().enumerate() {
-        let mut obj: Vec<(String, Json)> = vec![
-            ("clause".into(), num(ci as u64)),
-            ("text".into(), Json::Str(names.clause(clause))),
-        ];
+        let mut obj: Vec<(&str, Json)> =
+            vec![("clause", ci.into()), ("text", names.clause(clause).into())];
         if let Some(reason) = declined_reason(compiled, ci) {
-            obj.push(("engine".into(), Json::Str("interpreted".into())));
-            obj.push(("reason".into(), Json::Str(reason)));
-            clauses.push(Json::Obj(obj));
+            obj.push(("engine", "interpreted".into()));
+            obj.push(("reason", reason.into()));
+            clauses.push(Json::obj(obj));
             continue;
         }
         let plan = &compiled.plans()[plan_idx];
         let ctally = analyzed.map(|a| &a.tally.clauses[plan_idx]);
         plan_idx += 1;
-        obj.push(("engine".into(), Json::Str("compiled".into())));
-        obj.push((
-            "head".into(),
-            Json::Str(db.catalog().schema(plan.head_rel).name.clone()),
-        ));
-        obj.push(("node_limit".into(), num(plan.node_limit as u64)));
+        obj.push(("engine", "compiled".into()));
+        let head = &db.catalog().schema(plan.head_rel).name;
+        obj.push(("head", head.as_str().into()));
+        obj.push(("node_limit", plan.node_limit.into()));
         if let Some(ct) = ctally {
-            obj.push(("evals".into(), num(ct.evals)));
-            obj.push(("matches".into(), num(ct.matches)));
-            obj.push(("backtracks".into(), num(ct.backtracks)));
-            obj.push(("node_limit_hits".into(), num(ct.node_limit_hits)));
+            obj.push(("evals", ct.evals.into()));
+            obj.push(("matches", ct.matches.into()));
+            obj.push(("backtracks", ct.backtracks.into()));
+            obj.push(("node_limit_hits", ct.node_limit_hits.into()));
         }
         let mut variants = Vec::with_capacity(plan.variants.len());
         for (vi, variant) in plan.variants.iter().enumerate() {
             let vtally = ctally.map(|c| &c.variants[vi]);
-            let mut vobj: Vec<(String, Json)> = vec![("variant".into(), num(vi as u64))];
+            let mut vobj: Vec<(&str, Json)> = vec![("variant", vi.into())];
             if let Some(vt) = vtally {
-                vobj.push(("selected".into(), num(vt.selected)));
+                vobj.push(("selected", vt.selected.into()));
             }
             let mut steps = Vec::with_capacity(variant.steps.len());
             for (si, s) in variant.steps.iter().enumerate() {
                 let name = &db.catalog().schema(s.rel).name;
-                let mut sobj: Vec<(String, Json)> = vec![
-                    ("step".into(), num(si as u64)),
-                    ("rel".into(), Json::Str(name.clone())),
-                ];
+                let mut sobj: Vec<(&str, Json)> =
+                    vec![("step", si.into()), ("rel", name.as_str().into())];
                 match s.access {
                     Access::Probe { pos, key } => {
-                        sobj.push(("access".into(), Json::Str("probe".into())));
-                        sobj.push(("pos".into(), num(pos as u64)));
+                        sobj.push(("access", "probe".into()));
+                        sobj.push(("pos", pos.into()));
                         let key = match key {
                             Key::Const(c) => names.name(c),
                             Key::Slot(slot) => format!("?{slot}"),
                         };
-                        sobj.push(("key".into(), Json::Str(key)));
+                        sobj.push(("key", key.into()));
                     }
-                    Access::Scan => sobj.push(("access".into(), Json::Str("scan".into()))),
+                    Access::Scan => sobj.push(("access", "scan".into())),
                 }
-                sobj.push((
-                    "ops".into(),
-                    Json::Arr(
-                        s.ops
-                            .iter()
-                            .map(|op| Json::Str(op_text(names, op)))
-                            .collect(),
-                    ),
-                ));
-                sobj.push(("barrier".into(), Json::Bool(s.barrier)));
-                sobj.push(("est".into(), num(s.est_cost as u64)));
+                let ops = s.ops.iter().map(|op| op_text(names, op).into()).collect();
+                sobj.push(("ops", Json::Arr(ops)));
+                sobj.push(("barrier", s.barrier.into()));
+                sobj.push(("est", s.est_cost.into()));
                 if let Some(vt) = vtally {
                     let st = &vt.steps[si];
-                    sobj.push(("entries".into(), num(st.entries)));
-                    sobj.push(("candidates".into(), num(st.candidates)));
-                    sobj.push(("emitted".into(), num(st.emitted)));
-                    sobj.push(("rejected".into(), num(st.rejected)));
-                    match st.avg_candidates() {
-                        Some(avg) => {
-                            sobj.push(("avg_candidates".into(), Json::Num(avg)));
-                            sobj.push((
-                                "qerror".into(),
-                                Json::Num(q_error(s.est_cost as f64, avg)),
-                            ));
-                        }
-                        None => {
-                            sobj.push(("avg_candidates".into(), Json::Null));
-                            sobj.push(("qerror".into(), Json::Null));
-                        }
-                    }
+                    sobj.push(("entries", st.entries.into()));
+                    sobj.push(("candidates", st.candidates.into()));
+                    sobj.push(("emitted", st.emitted.into()));
+                    sobj.push(("rejected", st.rejected.into()));
+                    let avg = st.avg_candidates();
+                    sobj.push(("avg_candidates", avg.map_or(Json::Null, Json::Num)));
+                    let qerror = avg.map(|avg| q_error(s.est_cost as f64, avg));
+                    sobj.push(("qerror", qerror.map_or(Json::Null, Json::Num)));
                 }
-                steps.push(Json::Obj(sobj));
+                steps.push(Json::obj(sobj));
             }
-            vobj.push(("steps".into(), Json::Arr(steps)));
-            variants.push(Json::Obj(vobj));
+            vobj.push(("steps", Json::Arr(steps)));
+            variants.push(Json::obj(vobj));
         }
-        obj.push(("variants".into(), Json::Arr(variants)));
-        clauses.push(Json::Obj(obj));
+        obj.push(("variants", Json::Arr(variants)));
+        clauses.push(Json::obj(obj));
     }
-    top.push(("clauses".into(), Json::Arr(clauses)));
-    Json::Obj(top)
-}
-
-/// [`explain`] rendered as compact canonical JSON text (byte-identical
-/// through `obs::json::Json::parse` + `to_string`).
-pub fn explain_json(
-    db: &Database,
-    model: Option<&str>,
-    unknown_constants: &[String],
-    definition: &Definition,
-    compiled: &CompiledDefinition,
-    analyzed: Option<Analyzed<'_>>,
-) -> String {
-    explain(db, model, unknown_constants, definition, compiled, analyzed).to_string()
+    top.push(("clauses", Json::Arr(clauses)));
+    Json::obj(top)
 }
 
 /// The pretty-text rendering `autobias explain` prints; constants are named
@@ -361,7 +322,7 @@ mod tests {
         assert_eq!(compiled.num_compiled(), 1);
         assert_eq!(compiled.num_declined(), 1);
 
-        let json = explain_json(&db, Some("uw"), &[], &def, &compiled, None);
+        let json = explain(&db, Some("uw"), &[], &def, &compiled, None).to_string();
         let parsed = Json::parse(&json).expect("explain emits valid JSON");
         assert_eq!(parsed.to_string(), json, "canonical rendering round-trips");
         assert_eq!(
@@ -415,7 +376,7 @@ mod tests {
             tally: &tally,
             batches: 1,
         };
-        let json = explain_json(&db, None, &[], &def, &compiled, Some(analyzed));
+        let json = explain(&db, None, &[], &def, &compiled, Some(analyzed)).to_string();
         let parsed = Json::parse(&json).unwrap();
         assert_eq!(parsed.to_string(), json, "analyze JSON round-trips too");
         assert_eq!(parsed.get("analyze").unwrap().as_bool(), Some(true));

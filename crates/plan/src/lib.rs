@@ -42,7 +42,7 @@ pub use compile::{
     compile_clause, compile_definition, CompileConfig, CompiledClause, CompiledDefinition, Declined,
 };
 pub use exec::ExecScratch;
-pub use explain::{explain_json, explain_text, Analyzed, EXPLAIN_VERSION};
+pub use explain::{explain, explain_text, Analyzed, EXPLAIN_VERSION};
 pub use stats::{
     q_error, step_q_errors, BatchTally, ClauseTally, PlanStats, StepTally, TallyTotals,
     VariantTally,

@@ -135,9 +135,9 @@ proptest! {
                 let _ = plans.covers_compiled_tallied(&world.db, args, &mut scratch, &mut tally);
             }
             for analyzed in [None, Some(Analyzed { tally: &tally, batches: 1 })] {
-                let json = plan::explain_json(
+                let json = plan::explain(
                     &world.db, Some("w"), &[], &world.definition, &plans, analyzed,
-                );
+                ).to_string();
                 let parsed = Json::parse(&json)
                     .unwrap_or_else(|e| panic!("seed {}: invalid JSON: {e}", world.seed));
                 prop_assert_eq!(

@@ -51,44 +51,32 @@ impl AccessRecord<'_> {
     /// Renders the record as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut m = vec![
-            ("trace_id".to_string(), Json::Str(self.trace_id.to_string())),
-            ("route".to_string(), Json::Str(self.route.to_string())),
-            ("method".to_string(), Json::Str(self.method.to_string())),
-            ("path".to_string(), Json::Str(self.path.to_string())),
-            ("status".to_string(), Json::Num(self.status as f64)),
-            ("latency_us".to_string(), Json::Num(self.latency_us as f64)),
+            ("trace_id", self.trace_id.into()),
+            ("route", self.route.into()),
+            ("method", self.method.into()),
+            ("path", self.path.into()),
+            ("status", u64::from(self.status).into()),
+            ("latency_us", self.latency_us.into()),
         ];
         if let Some(p) = self.predict {
-            m.push(("model".to_string(), Json::Str(p.model.clone())));
+            m.push(("model", p.model.as_str().into()));
+            m.push(("engine", PredictInfo::ENGINE.into()));
+            m.push(("tuples", p.tuples.into()));
             m.push((
-                "engine".to_string(),
-                Json::Str(PredictInfo::ENGINE.to_string()),
-            ));
-            m.push(("tuples".to_string(), Json::Num(p.tuples as f64)));
-            m.push((
-                "plan".to_string(),
-                Json::Obj(vec![
-                    ("entries".to_string(), Json::Num(p.plan.entries as f64)),
-                    (
-                        "candidates".to_string(),
-                        Json::Num(p.plan.candidates as f64),
-                    ),
-                    ("rejected".to_string(), Json::Num(p.plan.rejected as f64)),
-                    (
-                        "backtracks".to_string(),
-                        Json::Num(p.plan.backtracks as f64),
-                    ),
-                    (
-                        "node_limit_hits".to_string(),
-                        Json::Num(p.plan.node_limit_hits as f64),
-                    ),
+                "plan",
+                Json::obj([
+                    ("entries", p.plan.entries.into()),
+                    ("candidates", p.plan.candidates.into()),
+                    ("rejected", p.plan.rejected.into()),
+                    ("backtracks", p.plan.backtracks.into()),
+                    ("node_limit_hits", p.plan.node_limit_hits.into()),
                 ]),
             ));
         }
         if let Some(kept) = self.kept {
-            m.push(("kept".to_string(), Json::Str(kept.to_string())));
+            m.push(("kept", kept.into()));
         }
-        Json::Obj(m).to_string()
+        Json::obj(m).to_string()
     }
 }
 

@@ -8,9 +8,16 @@
 //! dropped (tracked by a rising `start` offset, so late readers know how
 //! many they missed rather than silently skipping).
 
+use obs::json::Json;
 use obs::progress::{ProgressEvent, ProgressSink};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
+
+/// One server-sent-events frame: `event: {kind}`, then `data` as one line
+/// of JSON. Every frame `GET /jobs/{id}/events` sends is written here.
+pub(crate) fn sse_frame(kind: &str, data: &Json) -> String {
+    format!("event: {kind}\ndata: {data}\n\n")
+}
 
 #[derive(Default)]
 struct Inner {
@@ -128,7 +135,7 @@ impl EventLog {
 
 impl ProgressSink for EventLog {
     fn on_event(&self, ev: &ProgressEvent) {
-        self.push(ev.to_sse_frame());
+        self.push(sse_frame(ev.kind(), &ev.to_json()));
     }
 }
 
@@ -175,6 +182,33 @@ mod tests {
         // Pushes after close are ignored.
         log.push("zombie".into());
         assert_eq!(log.len(), 3);
+    }
+
+    #[test]
+    fn progress_events_become_one_frame_each_with_json_data() {
+        let log = EventLog::default();
+        let ev = ProgressEvent::ClauseAccepted {
+            iteration: 1,
+            covered_pos: 6,
+            covered_neg: 0,
+            precision: 1.0,
+            literals: 2,
+            uncovered_after: 4,
+            clause: "t(x) ← r(x, \"y\")".to_string(),
+        };
+        log.on_event(&ev);
+        let b = log.wait_from(0, Duration::ZERO);
+        let frame = &b.frames[0];
+        assert!(
+            frame.starts_with("event: clause_accepted\ndata: "),
+            "{frame}"
+        );
+        assert!(frame.ends_with("\n\n"), "{frame}");
+        let data = frame
+            .lines()
+            .find_map(|l| l.strip_prefix("data: "))
+            .expect("frame has a data line");
+        assert_eq!(Json::parse(data).unwrap(), ev.to_json());
     }
 
     #[test]

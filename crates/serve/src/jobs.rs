@@ -13,7 +13,7 @@
 use crate::events::EventLog;
 use crate::ledger::RunLedger;
 use crate::registry::{ModelEntry, ModelRegistry};
-use autobias::bias::auto::{induce_bias, AutoBiasConfig};
+use autobias::bias::auto::{induce_bias, AutoBiasConfig, ConstantThreshold};
 use autobias::bias::LanguageBias;
 use autobias::bottom::{BcConfig, SamplingStrategy};
 use autobias::example::TrainingSet;
@@ -32,9 +32,15 @@ use std::time::Instant;
 /// a `sample-size` is given.
 pub const DEFAULT_SAMPLE_SIZE: usize = 20;
 
+/// The constant threshold `bias auto` induces with: an attribute with fewer
+/// than 50 distinct values may hold constants in modes. A job always uses
+/// it; `autobias learn` and `autobias induce` unless given `--absolute` or
+/// `--relative`.
+pub const DEFAULT_CONSTANT_THRESHOLD: ConstantThreshold = ConstantThreshold::Absolute(50);
+
 /// How to learn: the options `autobias learn` takes as flags and
-/// `POST /jobs/learn` as body keys. Resolving the bias stays with the
-/// caller, which alone knows where a bias may come from.
+/// `POST /jobs/learn` as body keys. [`resolve_bias`] turns `auto` and
+/// `manual` into a bias; a bias file is the CLI's alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnOptions {
     /// The bias as the caller named it: `auto` (induced from constraints),
@@ -124,6 +130,29 @@ impl LearnOptions {
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect()
+    }
+}
+
+/// The bias `auto` or `manual` names over `ds`: induced from the data's
+/// constraints under `threshold`, or the dataset's expert bias file. The one
+/// resolution behind `autobias learn` and `POST /jobs/learn`.
+pub fn resolve_bias(
+    ds: &Dataset,
+    bias: &str,
+    threshold: ConstantThreshold,
+) -> Result<LanguageBias, String> {
+    match bias {
+        "auto" => {
+            let cfg = AutoBiasConfig {
+                constant_threshold: threshold,
+                ..AutoBiasConfig::default()
+            };
+            let (bias, _, _) =
+                induce_bias(&ds.db, ds.target, &cfg).map_err(|e| format!("bias induction: {e}"))?;
+            Ok(bias)
+        }
+        "manual" => ds.manual_bias().map_err(|e| format!("manual bias: {e}")),
+        other => Err(format!("unknown bias {other:?} (auto|manual)")),
     }
 }
 
@@ -339,7 +368,8 @@ impl Job {
     }
 }
 
-/// Owns all jobs of one server.
+/// Owns the jobs of one server: every running job and the most recent
+/// finished ones.
 #[derive(Default)]
 pub struct JobManager {
     next_id: AtomicU64,
@@ -358,7 +388,10 @@ impl JobManager {
     /// completes. The job's thread runs under its report's trace context,
     /// and when a trace store is given the finished span tree — bias
     /// induction, BC build (worker threads included), clause search,
-    /// verification, plan compile — is kept there unconditionally.
+    /// verification, plan compile — is kept there unconditionally. The
+    /// table then forgets the oldest finished jobs past
+    /// [`RunLedger::DEFAULT_CAP`]; their reports and trees stay in the
+    /// ledger and the trace store.
     pub fn spawn_learn(
         &self,
         spec: JobSpec,
@@ -393,10 +426,14 @@ impl JobManager {
             cancel: AtomicBool::new(false),
             handle: Mutex::new(None),
         });
-        self.jobs
-            .lock()
-            .expect("jobs lock poisoned")
-            .insert(id, job.clone());
+        let evicted = {
+            let mut jobs = self.jobs.lock().expect("jobs lock poisoned");
+            jobs.insert(id, job.clone());
+            evict_oldest_terminal(&mut jobs)
+        };
+        for old in evicted {
+            old.wait();
+        }
 
         let worker_job = job.clone();
         let handle = std::thread::Builder::new()
@@ -461,6 +498,12 @@ impl JobManager {
         all
     }
 
+    /// Jobs submitted since startup (ids are dense from 1), evicted ones
+    /// included.
+    pub fn submitted(&self) -> u64 {
+        self.next_id.load(Ordering::Relaxed)
+    }
+
     /// Number of jobs not yet terminal.
     pub fn running_count(&self) -> u64 {
         self.list()
@@ -486,6 +529,24 @@ impl JobManager {
     }
 }
 
+/// Drops the oldest terminal jobs past [`RunLedger::DEFAULT_CAP`] from
+/// `jobs` and returns them. A finished job still holds its run record (up
+/// to 262,144 spans) and event log, so the table keeps no more of them than
+/// the ledger archives. Running and queued jobs always stay.
+fn evict_oldest_terminal(jobs: &mut HashMap<u64, Arc<Job>>) -> Vec<Arc<Job>> {
+    let mut terminal: Vec<u64> = jobs
+        .values()
+        .filter(|j| j.status().state.is_terminal())
+        .map(|j| j.id)
+        .collect();
+    let excess = terminal.len().saturating_sub(RunLedger::DEFAULT_CAP);
+    terminal.sort_unstable();
+    terminal[..excess]
+        .iter()
+        .filter_map(|id| jobs.remove(id))
+        .collect()
+}
+
 /// The job thread's run: resolves the bias, runs [`learn_model`], saves and
 /// registers the model, and archives the run report. Returns the terminal
 /// state and its detail line.
@@ -496,15 +557,7 @@ fn run_learn(
     registry: &ModelRegistry,
     ledger: Option<&RunLedger>,
 ) -> Result<(JobState, String), String> {
-    let bias = match opts.bias.as_str() {
-        "auto" => {
-            let (bias, _, _) = induce_bias(&ds.db, ds.target, &AutoBiasConfig::default())
-                .map_err(|e| format!("bias induction: {e}"))?;
-            bias
-        }
-        "manual" => ds.manual_bias().map_err(|e| format!("manual bias: {e}"))?,
-        other => return Err(format!("unknown bias {other:?} (auto|manual)")),
-    };
+    let bias = resolve_bias(ds, &opts.bias, DEFAULT_CONSTANT_THRESHOLD)?;
     // Compile-at-insert happens inside the run, before the report is
     // archived, so the `plan.compile` span shows up in its phase table.
     let LearnedModel {
@@ -541,7 +594,7 @@ fn run_learn(
     model.source = Some(path);
     registry.insert(model);
     if let Some(ledger) = ledger {
-        let json = job.report.finish().to_json();
+        let json = format!("{}\n", job.report.finish().to_json());
         if let Err(e) = ledger.archive(job.id, &json) {
             obs::warn!("archiving run report for job {}: {e}", job.id);
         }
@@ -817,9 +870,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn job_runs_to_done_and_registers_model() {
-        let ds = Arc::new(datasets::uw::generate(
+    /// A UW instance small enough to learn from in a few milliseconds.
+    fn tiny_uw() -> Arc<Dataset> {
+        Arc::new(datasets::uw::generate(
             &datasets::uw::UwConfig {
                 students: 20,
                 professors: 8,
@@ -830,7 +883,12 @@ mod tests {
                 ..datasets::uw::UwConfig::default()
             },
             3,
-        ));
+        ))
+    }
+
+    #[test]
+    fn job_runs_to_done_and_registers_model() {
+        let ds = tiny_uw();
         let dir = std::env::temp_dir().join(format!("autobias_jobs_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (registry, _) = ModelRegistry::open(&ds.db, &dir).unwrap();
@@ -923,6 +981,62 @@ mod tests {
             status.state
         );
         assert!(job2.events.is_closed(), "terminal job closes its event log");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The table keeps every running job and the newest
+    /// `RunLedger::DEFAULT_CAP` finished ones; an evicted job's report stays
+    /// in the ledger, and `submitted` still counts it.
+    #[test]
+    fn finished_jobs_past_the_cap_are_evicted_oldest_first() {
+        let ds = tiny_uw();
+        let dir = std::env::temp_dir().join(format!("autobias_jobs_evict_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (registry, _) = ModelRegistry::open(&ds.db, &dir).unwrap();
+        let registry = Arc::new(registry);
+        let ledger =
+            Arc::new(RunLedger::open(dir.join("runs"), 2 * RunLedger::DEFAULT_CAP).unwrap());
+        let mgr = JobManager::new();
+        // A job that never finishes, older than every other.
+        let running = Arc::new(Job {
+            id: 0,
+            ..fixture_job(1)
+        });
+        running.set_status(|s| s.state = JobState::Running);
+        mgr.jobs.lock().unwrap().insert(0, running);
+
+        let extra = 3;
+        let total = RunLedger::DEFAULT_CAP + extra + 1;
+        for _ in 0..total {
+            let spec = JobSpec::parse("name tiny\nbias manual\nmax-clauses 1\n").unwrap();
+            let job = mgr.spawn_learn(
+                spec,
+                ds.clone(),
+                registry.clone(),
+                Some(ledger.clone()),
+                None,
+            );
+            job.wait();
+            assert_eq!(
+                job.status().state,
+                JobState::Done,
+                "{}",
+                job.status().detail
+            );
+        }
+        assert_eq!(mgr.submitted(), total as u64);
+        // The last spawn saw every earlier job finished: it evicted the
+        // oldest `extra` of them, and the running job stayed.
+        let ids: Vec<u64> = mgr.list().iter().map(|j| j.id).collect();
+        let kept: Vec<u64> = std::iter::once(0)
+            .chain(extra as u64 + 1..=total as u64)
+            .collect();
+        assert_eq!(ids, kept);
+        assert!(mgr.get(1).is_none(), "evicted job is gone from the table");
+        assert!(
+            ledger.get(1).is_some(),
+            "its run report stays in the ledger"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

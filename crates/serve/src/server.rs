@@ -11,6 +11,7 @@
 //! connections finish, job threads are cancelled and joined.
 
 use crate::access_log::{AccessLog, AccessRecord};
+use crate::events::sse_frame;
 use crate::http::{
     finish_chunked, read_request_from, write_chunk, write_response, write_response_extra,
     write_stream_head, HttpError, Request, MAX_REQUESTS_PER_CONN,
@@ -25,6 +26,7 @@ use autobias::example::parse_arg_tuple;
 use autobias::query::{clause_covers_args, EvalScratch, QueryConfig};
 use datasets::io::load_dataset;
 use datasets::Dataset;
+use obs::json::Json;
 use relstore::ConstResolver;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -327,16 +329,34 @@ struct Routed {
     predict: Option<PredictInfo>,
 }
 
+const TEXT: &str = "text/plain; charset=utf-8";
+const JSON: &str = "application/json";
+
 impl Routed {
-    fn json(endpoint: Endpoint, status: u16, reason: &'static str, body: String) -> Self {
+    fn new(
+        endpoint: Endpoint,
+        status: u16,
+        reason: &'static str,
+        content_type: &'static str,
+        body: String,
+    ) -> Self {
         Self {
             endpoint,
             status,
             reason,
-            content_type: "application/json",
+            content_type,
             body,
             predict: None,
         }
+    }
+
+    fn json(endpoint: Endpoint, status: u16, reason: &'static str, body: Json) -> Self {
+        Self::new(endpoint, status, reason, JSON, format!("{body}\n"))
+    }
+
+    /// The one error body of the JSON routes: `{"error": msg}`.
+    fn error(endpoint: Endpoint, status: u16, reason: &'static str, msg: String) -> Self {
+        Self::json(endpoint, status, reason, Json::obj([("error", msg.into())]))
     }
 }
 
@@ -363,9 +383,12 @@ fn handle_events_stream(state: &Arc<AppState>, conn: &mut TcpStream, req: &Reque
     // Lead with the job's trace id so a watcher can correlate the stream
     // with the archived trace (`GET /debug/traces/{trace_id}`) before any
     // progress event arrives.
-    let trace_frame = format!(
-        "event: trace\ndata: {{\"event\":\"trace\",\"trace_id\":\"{}\"}}\n\n",
-        job.trace_id
+    let trace_frame = sse_frame(
+        "trace",
+        &Json::obj([
+            ("event", "trace".into()),
+            ("trace_id", job.trace_id.as_str().into()),
+        ]),
     );
     if write_chunk(conn, trace_frame.as_bytes()).is_err() {
         state.metrics.disconnect();
@@ -378,9 +401,9 @@ fn handle_events_stream(state: &Arc<AppState>, conn: &mut TcpStream, req: &Reque
         let batch = job.events.wait_from(next, Duration::from_millis(500));
         next = batch.next;
         if batch.missed > 0 {
-            let frame = format!(
-                "event: dropped\ndata: {{\"event\":\"dropped\",\"missed\":{}}}\n\n",
-                batch.missed
+            let frame = sse_frame(
+                "dropped",
+                &Json::obj([("event", "dropped".into()), ("missed", batch.missed.into())]),
             );
             if write_chunk(conn, frame.as_bytes()).is_err() {
                 disconnected = true;
@@ -452,21 +475,12 @@ fn route(state: &Arc<AppState>, req: &Request, trace_id: Option<&str>) -> Routed
     if req.method == "POST" && req.path == "/predict" {
         return match handle_predict(state, &req.body, trace_id) {
             Ok((body, info)) => Routed {
-                endpoint: Endpoint::Predict,
-                status: 200,
-                reason: "OK",
-                content_type: "text/plain; charset=utf-8",
-                body,
                 predict: Some(info),
+                ..Routed::new(Endpoint::Predict, 200, "OK", TEXT, body)
             },
-            Err((status, reason, body)) => Routed {
-                endpoint: Endpoint::Predict,
-                status,
-                reason,
-                content_type: "text/plain; charset=utf-8",
-                body,
-                predict: None,
-            },
+            Err((status, reason, body)) => {
+                Routed::new(Endpoint::Predict, status, reason, TEXT, body)
+            }
         };
     }
     if req.method == "GET" {
@@ -478,54 +492,38 @@ fn route(state: &Arc<AppState>, req: &Request, trace_id: Option<&str>) -> Routed
             return handle_plan(state, name, &req.query);
         }
         if req.path == "/debug/slow" {
-            return Routed::json(
-                Endpoint::Debug,
-                200,
-                "OK",
-                format!("{}\n", state.traces.slow_json()),
-            );
+            return Routed::json(Endpoint::Debug, 200, "OK", state.traces.slow_json());
         }
         if req.path == "/debug/traces" {
-            return Routed::json(
-                Endpoint::Debug,
-                200,
-                "OK",
-                format!("{}\n", state.traces.list_json()),
-            );
+            return Routed::json(Endpoint::Debug, 200, "OK", state.traces.list_json());
         }
         if let Some(id) = req.path.strip_prefix("/debug/traces/") {
             let chrome = req.query.split('&').any(|kv| kv == "format=chrome");
-            let doc = if chrome {
-                state.traces.get_chrome(id)
+            let found = if chrome {
+                // A learn run's export is rendered event by event, never
+                // held as one value, so it arrives as text.
+                state
+                    .traces
+                    .get_chrome(id)
+                    .map(|doc| Routed::new(Endpoint::Debug, 200, "OK", JSON, format!("{doc}\n")))
             } else {
-                state.traces.get_json(id)
+                state
+                    .traces
+                    .get_json(id)
+                    .map(|doc| Routed::json(Endpoint::Debug, 200, "OK", doc))
             };
-            return match doc {
-                Some(doc) => Routed::json(Endpoint::Debug, 200, "OK", format!("{doc}\n")),
-                None => Routed::json(
+            return found.unwrap_or_else(|| {
+                Routed::error(
                     Endpoint::Debug,
                     404,
                     "Not Found",
-                    format!(
-                        "{}\n",
-                        obs::json::Json::Obj(vec![(
-                            "error".to_string(),
-                            obs::json::Json::Str(format!("no kept trace {id}")),
-                        )])
-                    ),
-                ),
-            };
+                    format!("no kept trace {id}"),
+                )
+            });
         }
     }
     let (endpoint, status, reason, body) = route_text(state, req);
-    Routed {
-        endpoint,
-        status,
-        reason,
-        content_type: "text/plain; charset=utf-8",
-        body,
-        predict: None,
-    }
+    Routed::new(endpoint, status, reason, TEXT, body)
 }
 
 /// `POST /models/{name}`: admission-checked model upload. The body is model
@@ -542,14 +540,11 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
     {
-        return Routed::json(
+        return Routed::error(
             Endpoint::Models,
             400,
             "Bad Request",
-            format!(
-                "{{\"error\": \"model name must be 1-64 chars of [A-Za-z0-9_-], got {:?}\"}}\n",
-                name
-            ),
+            format!("model name must be 1-64 chars of [A-Za-z0-9_-], got {name:?}"),
         );
     }
     let (report, parsed) = analyze::check_model_source(&state.ds.db, body, None);
@@ -560,15 +555,15 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
             Endpoint::Models,
             422,
             "Unprocessable Entity",
-            format!("{}\n", report.to_json()),
+            report.to_json(),
         );
     };
     if definition.clauses.is_empty() {
-        return Routed::json(
+        return Routed::error(
             Endpoint::Models,
             400,
             "Bad Request",
-            "{\"error\": \"model has no clauses\"}\n".to_string(),
+            "model has no clauses".to_string(),
         );
     }
     let path = state.registry.dir().join(format!("{name}.model"));
@@ -590,7 +585,7 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
             Endpoint::Models,
             422,
             "Unprocessable Entity",
-            format!("{}\n", verify.to_json()),
+            verify.to_json(),
         );
     }
     let text = if body.ends_with('\n') {
@@ -599,11 +594,11 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
         format!("{body}\n")
     };
     if let Err(e) = std::fs::write(&path, &text) {
-        return Routed::json(
+        return Routed::error(
             Endpoint::Models,
             500,
             "Internal Server Error",
-            format!("{{\"error\": \"persisting model: {e}\"}}\n"),
+            format!("persisting model: {e}"),
         );
     }
     state.registry.insert(entry);
@@ -612,10 +607,11 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
         Endpoint::Models,
         201,
         "Created",
-        format!(
-            "{{\"name\": \"{name}\", \"clauses\": {clauses}, \"diagnostics\": {}}}\n",
-            report.to_json()
-        ),
+        Json::obj([
+            ("name", name.into()),
+            ("clauses", clauses.into()),
+            ("diagnostics", report.to_json()),
+        ]),
     )
 }
 
@@ -627,11 +623,11 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
 /// into the same document.
 fn handle_plan(state: &Arc<AppState>, name: &str, query: &str) -> Routed {
     let Some(entry) = state.registry.get(name) else {
-        return Routed::json(
+        return Routed::error(
             Endpoint::Plan,
             404,
             "Not Found",
-            format!("{{\"error\": \"no model {name} (see GET /models)\"}}\n"),
+            format!("no model {name} (see GET /models)"),
         );
     };
     let want_analyze = query
@@ -642,7 +638,7 @@ fn handle_plan(state: &Arc<AppState>, name: &str, query: &str) -> Routed {
         tally,
         batches: *batches,
     });
-    let json = plan::explain_json(
+    let json = plan::explain(
         &state.ds.db,
         Some(name),
         &entry.unknown_constants,
@@ -650,7 +646,7 @@ fn handle_plan(state: &Arc<AppState>, name: &str, query: &str) -> Routed {
         &entry.plan,
         analyzed,
     );
-    Routed::json(Endpoint::Plan, 200, "OK", format!("{json}\n"))
+    Routed::json(Endpoint::Plan, 200, "OK", json)
 }
 
 fn route_text(state: &Arc<AppState>, req: &Request) -> (Endpoint, u16, &'static str, String) {
@@ -678,7 +674,7 @@ fn route_text(state: &Arc<AppState>, req: &Request) -> (Endpoint, u16, &'static 
                 GaugeSample {
                     name: "autobias_jobs_total",
                     help: "Learning jobs submitted since startup.",
-                    value: state.jobs.list().len() as f64,
+                    value: state.jobs.submitted() as f64,
                 },
                 GaugeSample {
                     name: "autobias_dataset_tuples",

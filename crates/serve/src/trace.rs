@@ -287,41 +287,34 @@ impl TraceStore {
 
     /// The `GET /debug/traces` body: newest-first summaries plus the
     /// store's sampling state.
-    pub fn list_json(&self) -> String {
+    pub fn list_json(&self) -> Json {
         let entries = self.entries.lock().expect("trace store poisoned");
         let traces = entries
             .iter()
             .map(|t| {
-                Json::Obj(vec![
-                    ("trace_id".into(), Json::Str(t.tree.trace_id.clone())),
-                    ("route".into(), Json::Str(t.route.to_string())),
-                    ("status".into(), Json::Num(t.status as f64)),
-                    ("latency_us".into(), Json::Num(t.latency_us as f64)),
-                    ("reason".into(), Json::Str(t.reason.as_str().to_string())),
-                    ("spans".into(), Json::Num(t.tree.spans.len() as f64)),
+                Json::obj([
+                    ("trace_id", t.tree.trace_id.as_str().into()),
+                    ("route", t.route.into()),
+                    ("status", u64::from(t.status).into()),
+                    ("latency_us", t.latency_us.into()),
+                    ("reason", t.reason.as_str().into()),
+                    ("spans", t.tree.spans.len().into()),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("cap".into(), Json::Num(self.cap as f64)),
-            ("kept".into(), Json::Num(self.kept() as f64)),
-            (
-                "observed".into(),
-                Json::Num(self.observed.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "slow_threshold_us".into(),
-                Json::Num(self.slow_threshold_us() as f64),
-            ),
-            ("traces".into(), Json::Arr(traces)),
+        Json::obj([
+            ("cap", self.cap.into()),
+            ("kept", self.kept().into()),
+            ("observed", self.observed.load(Ordering::Relaxed).into()),
+            ("slow_threshold_us", self.slow_threshold_us().into()),
+            ("traces", Json::Arr(traces)),
         ])
-        .to_string()
     }
 
     /// The `GET /debug/slow` body: the retained `/predict` requests that
     /// served a batch, worst latency first, each with its batch context and
     /// the trace id that resolves at `GET /debug/traces/{id}`.
-    pub fn slow_json(&self) -> String {
+    pub fn slow_json(&self) -> Json {
         let entries = self.entries.lock().expect("trace store poisoned");
         let mut kept: Vec<(&StoredTrace, &PredictInfo)> = entries
             .iter()
@@ -332,46 +325,36 @@ impl TraceStore {
         let slow = kept
             .into_iter()
             .map(|(t, p)| {
-                Json::Obj(vec![
-                    ("latency_us".into(), Json::Num(t.latency_us as f64)),
-                    ("model".into(), Json::Str(p.model.clone())),
-                    ("engine".into(), Json::Str(PredictInfo::ENGINE.to_string())),
-                    ("trace_id".into(), Json::Str(t.tree.trace_id.clone())),
-                    ("tuples".into(), Json::Num(p.tuples as f64)),
-                    ("args_sample".into(), Json::Str(t.args_sample.clone())),
-                    ("entries".into(), Json::Num(p.plan.entries as f64)),
-                    ("candidates".into(), Json::Num(p.plan.candidates as f64)),
-                    ("rejected".into(), Json::Num(p.plan.rejected as f64)),
-                    ("backtracks".into(), Json::Num(p.plan.backtracks as f64)),
-                    (
-                        "node_limit_hits".into(),
-                        Json::Num(p.plan.node_limit_hits as f64),
-                    ),
-                    (
-                        "max_qerror".into(),
-                        p.max_qerror.map_or(Json::Null, Json::Num),
-                    ),
+                Json::obj([
+                    ("latency_us", t.latency_us.into()),
+                    ("model", p.model.as_str().into()),
+                    ("engine", PredictInfo::ENGINE.into()),
+                    ("trace_id", t.tree.trace_id.as_str().into()),
+                    ("tuples", p.tuples.into()),
+                    ("args_sample", t.args_sample.as_str().into()),
+                    ("entries", p.plan.entries.into()),
+                    ("candidates", p.plan.candidates.into()),
+                    ("rejected", p.plan.rejected.into()),
+                    ("backtracks", p.plan.backtracks.into()),
+                    ("node_limit_hits", p.plan.node_limit_hits.into()),
+                    ("max_qerror", p.max_qerror.map_or(Json::Null, Json::Num)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("cap".into(), Json::Num(self.cap as f64)),
-            ("slow".into(), Json::Arr(slow)),
-        ])
-        .to_string()
+        Json::obj([("cap", self.cap.into()), ("slow", Json::Arr(slow))])
     }
 
     /// The `GET /debug/traces/{id}` body: the stored span tree with its
     /// request context, from memory or (for evicted traces) from disk.
     /// `None` when the id was never kept or has been pruned everywhere.
-    pub fn get_json(&self, trace_id: &str) -> Option<String> {
+    pub fn get_json(&self, trace_id: &str) -> Option<Json> {
         {
             let entries = self.entries.lock().expect("trace store poisoned");
             if let Some(t) = entries.iter().find(|t| t.tree.trace_id == trace_id) {
-                return Some(stored_trace_json(t).to_string());
+                return Some(stored_trace_json(t));
             }
         }
-        self.read_disk(trace_id, "json")
+        Json::parse(&self.read_disk(trace_id, "json")?).ok()
     }
 
     /// The `?format=chrome` body for one trace: chrome-trace JSON, from
@@ -399,13 +382,13 @@ impl TraceStore {
 
 /// Serializes one stored trace: request context wrapping the span tree.
 fn stored_trace_json(t: &StoredTrace) -> Json {
-    Json::Obj(vec![
-        ("trace_id".into(), Json::Str(t.tree.trace_id.clone())),
-        ("route".into(), Json::Str(t.route.to_string())),
-        ("status".into(), Json::Num(t.status as f64)),
-        ("latency_us".into(), Json::Num(t.latency_us as f64)),
-        ("reason".into(), Json::Str(t.reason.as_str().to_string())),
-        ("tree".into(), t.tree.to_json()),
+    Json::obj([
+        ("trace_id", t.tree.trace_id.as_str().into()),
+        ("route", t.route.into()),
+        ("status", u64::from(t.status).into()),
+        ("latency_us", t.latency_us.into()),
+        ("reason", t.reason.as_str().into()),
+        ("tree", t.tree.to_json()),
     ])
 }
 
@@ -495,7 +478,7 @@ mod tests {
                 tree,
             ));
         }
-        let listed = Json::parse(&s.list_json()).unwrap();
+        let listed = Json::parse(&s.list_json().to_string()).unwrap();
         let traces = listed.get("traces").unwrap().as_arr().unwrap();
         assert_eq!(traces.len(), 4, "bounded to cap");
         // Newest first.
@@ -505,8 +488,7 @@ mod tests {
         );
         // Evicted ids are gone; retained ones resolve with a parented tree.
         assert!(s.get_json(&ids[0]).is_none());
-        let doc = s.get_json(&ids[5]).unwrap();
-        let parsed = Json::parse(&doc).unwrap();
+        let parsed = s.get_json(&ids[5]).unwrap();
         assert_eq!(parsed.get("reason").unwrap().as_str(), Some("slow"));
         let spans = parsed.path(&["tree", "spans"]).unwrap().as_arr().unwrap();
         assert_eq!(spans.len(), 1);
@@ -557,7 +539,7 @@ mod tests {
         s.keep(predict(50, "worst"));
         s.keep(predict(30, "middle"));
 
-        let json = s.slow_json();
+        let json = s.slow_json().to_string();
         let parsed = Json::parse(&json).unwrap();
         assert_eq!(parsed.to_string(), json, "canonical rendering");
         assert_eq!(parsed.get("cap").unwrap().as_f64(), Some(4.0));

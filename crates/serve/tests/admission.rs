@@ -93,7 +93,12 @@ fn upload_admission_and_rejection() {
     let (status, headers, body) = request(addr, "POST", "/models/coauthor", good);
     assert_eq!(status, 201, "{body}");
     assert!(headers.contains("application/json"), "{headers}");
-    assert!(body.contains("\"clauses\": 1"), "{body}");
+    let created = obs::json::Json::parse(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    assert_eq!(
+        created.get("clauses").and_then(|v| v.as_f64()),
+        Some(1.0),
+        "{body}"
+    );
     assert!(models.join("coauthor.model").exists());
     let (status, _, listing) = request(addr, "GET", "/models", "");
     assert_eq!(status, 200);
@@ -120,9 +125,17 @@ fn upload_admission_and_rejection() {
     assert_eq!(status, 422, "{body}");
     assert!(body.contains("AB101"), "{body}");
 
-    // Invalid names never reach the verifier.
-    let (status, _, _) = request(addr, "POST", "/models/bad%2Fname", good);
+    // Invalid names never reach the verifier, and the 400 is JSON that
+    // quotes the rejected name.
+    let (status, headers, body) = request(addr, "POST", "/models/bad%2Fname", good);
     assert_eq!(status, 400);
+    assert!(headers.contains("application/json"), "{headers}");
+    let rejected = obs::json::Json::parse(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    let error = rejected.get("error").and_then(|v| v.as_str());
+    assert!(
+        error.is_some_and(|m| m.contains("\"bad%2Fname\"")),
+        "{body}"
+    );
 
     let after = rejections_from_metrics(addr);
     assert_eq!(after, before + 2, "two rejected uploads counted");

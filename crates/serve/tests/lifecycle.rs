@@ -187,13 +187,15 @@ fn full_server_lifecycle() {
     // --- request tracing: a traceparent-continued errored request is
     // tail-sampled and retrievable by its trace id ---
     let client_trace = "cafe000000000000000000000000feed";
+    // A random-looking 64-bit parent id, too wide for an f64.
+    let client_parent = "b7ad6b7169203331";
     let traced_body = "model nosuch\na, b\n";
     let mut conn = TcpStream::connect(addr).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     let head = format!(
         "POST /predict HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
-         traceparent: 00-{client_trace}-00000000000000ab-01\r\nConnection: close\r\n\r\n",
+         traceparent: 00-{client_trace}-{client_parent}-01\r\nConnection: close\r\n\r\n",
         traced_body.len()
     );
     conn.write_all(head.as_bytes()).unwrap();
@@ -213,6 +215,13 @@ fn full_server_lifecycle() {
     assert!(
         tree.contains("\"http.request\""),
         "root span in tree: {tree}"
+    );
+    let kept = obs::json::Json::parse(&tree).unwrap_or_else(|e| panic!("{e}\n{tree}"));
+    assert_eq!(
+        kept.path(&["tree", "remote_parent_id"])
+            .and_then(|v| v.as_str()),
+        Some(client_parent),
+        "the caller's span id reads back exactly: {tree}"
     );
     let (status, chrome) = request(
         addr,
@@ -253,8 +262,10 @@ fn full_server_lifecycle() {
     // The archived run report carries the same trace id.
     let (status, run_report) = request(addr, "GET", &format!("/runs/{id}"), "");
     assert_eq!(status, 200, "{run_report}");
-    assert!(
-        run_report.contains(&format!("\"trace_id\": \"{job_trace}\"")),
+    let run = obs::json::Json::parse(&run_report).unwrap_or_else(|e| panic!("{e}\n{run_report}"));
+    assert_eq!(
+        run.get("trace_id").and_then(|v| v.as_str()),
+        Some(job_trace.as_str()),
         "{run_report}"
     );
     let (_, body) = request(addr, "GET", "/models", "");

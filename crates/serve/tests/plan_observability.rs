@@ -115,9 +115,15 @@ fn explain_analyze_and_metrics() {
         steps[0].get("entries").is_none(),
         "no runtime counters without analyze=1"
     );
-    // Unknown model is a clean 404.
+    // Unknown model is a clean 404 whose JSON body survives a name that
+    // needs escaping.
     let (status, _) = request(addr, "GET", "/models/nope/plan", "");
     assert_eq!(status, 404);
+    let (status, body) = request(addr, "GET", "/models/a\"b\\c/plan", "");
+    assert_eq!(status, 404);
+    let missing = Json::parse(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
+    let error = missing.get("error").and_then(|v| v.as_str());
+    assert!(error.is_some_and(|m| m.contains("a\"b\\c")), "{body}");
 
     // --- drive a real /predict batch so the tallies move ---
     let ds = datasets::io::load_dataset(&data).expect("load");
