@@ -1,13 +1,14 @@
 //! Shared experiment harness: runs one (dataset, method) cell of Table 5 or
 //! one (dataset, sampling) cell of Table 6 and formats the tables.
 
-use autobias::bias::auto::{induce_bias, AutoBiasConfig, ConstantThreshold};
+use autobias::bias::auto::AutoBiasConfig;
 use autobias::bias::baseline::{castor_bias, no_const_bias};
 use autobias::bias::overlap::overlap_bias;
 use autobias::bias::LanguageBias;
 use autobias::bottom::{BcConfig, SamplingStrategy};
 use autobias::eval::{evaluate_definition, kfold_splits, Metrics};
 use autobias::learn::{Learner, LearnerConfig};
+use autobias_serve::jobs::{resolve_bias, DEFAULT_CONSTANT_THRESHOLD};
 use datasets::Dataset;
 use foil::{FoilConfig, FoilLearner};
 use std::time::{Duration, Instant};
@@ -120,28 +121,19 @@ pub fn bias_for(method: Method, ds: &Dataset) -> Result<(LanguageBias, Duration)
     let bias = match method {
         Method::Castor => castor_bias(&ds.db, ds.target, 2).map_err(|e| e.to_string())?,
         Method::NoConst => no_const_bias(&ds.db, ds.target).map_err(|e| e.to_string())?,
-        Method::Manual | Method::Aleph => ds.manual_bias().map_err(|e| e.to_string())?,
+        Method::Manual | Method::Aleph => resolve_bias(ds, "manual", DEFAULT_CONSTANT_THRESHOLD)?,
         Method::Overlap => overlap_bias(
             &ds.db,
             ds.target,
-            ConstantThreshold::Absolute(50),
+            DEFAULT_CONSTANT_THRESHOLD,
             AutoBiasConfig::default().max_constant_set_size,
         )
         .map_err(|e| e.to_string())?,
-        Method::AutoBias => {
-            // The paper tunes the constant-threshold per data (18% relative
-            // on their multi-million-tuple datasets). At our synthetic scale
-            // a relative threshold misfires on key-like attributes (flight
-            // ids, process ids have few distinct values relative to tuple
-            // counts), so the harness uses the equivalent absolute setting:
-            // attributes with < 50 distinct values may be constants.
-            let cfg = AutoBiasConfig {
-                constant_threshold: ConstantThreshold::Absolute(50),
-                ..AutoBiasConfig::default()
-            };
-            let (bias, _, _) = induce_bias(&ds.db, ds.target, &cfg).map_err(|e| e.to_string())?;
-            bias
-        }
+        // The paper tunes the constant threshold per dataset (18% relative
+        // on its multi-million-tuple data). At our synthetic scale a
+        // relative threshold misfires on key-like attributes, so AutoBias
+        // runs with the CLI's and the server's absolute default.
+        Method::AutoBias => resolve_bias(ds, "auto", DEFAULT_CONSTANT_THRESHOLD)?,
     };
     Ok((bias, t0.elapsed()))
 }

@@ -324,16 +324,22 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writers;
-                            // map lone surrogates to U+FFFD instead of erroring.
+                            let mut code = self.hex4()?;
+                            // A high surrogate escape followed by a low one is
+                            // one non-BMP character (Python's `json.dumps`
+                            // writes them so); a lone surrogate becomes U+FFFD.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes[self.pos..].starts_with(b"\\u")
+                            {
+                                let rewind = self.pos;
+                                self.pos += 2;
+                                let low = self.hex4()?;
+                                if (0xDC00..0xE000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                } else {
+                                    self.pos = rewind;
+                                }
+                            }
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         other => return Err(format!("bad escape \\{}", other as char)),
@@ -348,6 +354,18 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -457,6 +475,21 @@ mod tests {
     fn unescapes_strings() {
         let j = Json::parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(j.as_str(), Some("a\"b\\c\ndA"));
+        // Python's `json.dumps("😀")`: one character from a surrogate pair.
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("😀")
+        );
+        // Lone or misordered surrogates each become U+FFFD.
+        for (src, want) in [
+            (r#""\ud83d""#, "\u{FFFD}"),
+            (r#""\ude00x""#, "\u{FFFD}x"),
+            (r#""\ud83d\u0041""#, "\u{FFFD}A"),
+            (r#""\ude00\ud83d""#, "\u{FFFD}\u{FFFD}"),
+        ] {
+            assert_eq!(Json::parse(src).unwrap().as_str(), Some(want), "{src}");
+        }
+        assert!(Json::parse(r#""\ud83d\u12""#).is_err());
     }
 
     #[test]

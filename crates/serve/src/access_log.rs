@@ -1,11 +1,10 @@
 //! Structured JSONL access log with size-capped rotation.
 //!
-//! `autobias serve --access-log FILE` appends one JSON object per finished
-//! request — trace id, route, method, path, status, latency, and (for
-//! predictions) the model, engine, and plan-tally totals — so a slow or
-//! failing request found in the log correlates directly with its stored
-//! trace (`GET /debug/traces/{trace_id}`) and the `/metrics` exemplars by
-//! trace id.
+//! `autobias serve --access-log FILE` appends one line per finished request:
+//! its [`RequestRecord`], rendered by the same `to_json` the trace store's
+//! views use, so a slow or failing request found in the log carries the
+//! values its stored trace (`GET /debug/traces/{trace_id}`) and the
+//! `/metrics` exemplars show under the same trace id.
 //!
 //! Rotation is deliberately simple: when the current file would exceed the
 //! size cap, it is renamed to `FILE.1` (replacing any previous `.1`) and a
@@ -19,66 +18,10 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use crate::trace::PredictInfo;
-use obs::json::Json;
+use crate::trace::RequestRecord;
 
 /// Default rotation threshold.
 pub const DEFAULT_MAX_BYTES: u64 = 16 * 1024 * 1024;
-
-/// One request's worth of access-log context.
-#[derive(Debug, Clone, Default)]
-pub struct AccessRecord<'a> {
-    /// Trace id (32 hex digits; empty when tracing is off).
-    pub trace_id: &'a str,
-    /// Route label (the metrics endpoint name).
-    pub route: &'a str,
-    /// HTTP method.
-    pub method: &'a str,
-    /// Request path.
-    pub path: &'a str,
-    /// Response status.
-    pub status: u16,
-    /// Wall-clock latency in microseconds.
-    pub latency_us: u64,
-    /// The batch, when the request was a served prediction.
-    pub predict: Option<&'a PredictInfo>,
-    /// Tail-sampler verdict (`"error"`, `"slow"`, …) when the trace was
-    /// kept.
-    pub kept: Option<&'static str>,
-}
-
-impl AccessRecord<'_> {
-    /// Renders the record as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut m = vec![
-            ("trace_id", self.trace_id.into()),
-            ("route", self.route.into()),
-            ("method", self.method.into()),
-            ("path", self.path.into()),
-            ("status", u64::from(self.status).into()),
-            ("latency_us", self.latency_us.into()),
-        ];
-        if let Some(p) = self.predict {
-            m.push(("model", p.model.as_str().into()));
-            m.push(("engine", PredictInfo::ENGINE.into()));
-            m.push(("tuples", p.tuples.into()));
-            m.push((
-                "plan",
-                Json::obj([
-                    ("entries", p.plan.entries.into()),
-                    ("candidates", p.plan.candidates.into()),
-                    ("rejected", p.plan.rejected.into()),
-                    ("backtracks", p.plan.backtracks.into()),
-                    ("node_limit_hits", p.plan.node_limit_hits.into()),
-                ]),
-            ));
-        }
-        if let Some(kept) = self.kept {
-            m.push(("kept", kept.into()));
-        }
-        Json::obj(m).to_string()
-    }
-}
 
 struct LogFile {
     file: File,
@@ -119,8 +62,8 @@ impl AccessLog {
     /// Appends one record as a JSON line. Errors are swallowed after
     /// disabling the writer — logging must never take the serving path
     /// down.
-    pub fn log(&self, record: &AccessRecord<'_>) {
-        let mut line = record.to_json();
+    pub fn log(&self, record: &RequestRecord) {
+        let mut line = record.to_json().to_string();
         line.push('\n');
         let mut guard = self.inner.lock().expect("access log poisoned");
         let Some(lf) = guard.as_mut() else {
@@ -153,6 +96,8 @@ impl AccessLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{KeepReason, PredictInfo};
+    use obs::json::Json;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -166,14 +111,14 @@ mod tests {
     fn lines_carry_context_and_parse_back() {
         let path = temp_path("basic");
         let log = AccessLog::open(path.clone(), DEFAULT_MAX_BYTES).unwrap();
-        log.log(&AccessRecord {
-            trace_id: "cafe0000000000000000000000000003",
+        log.log(&RequestRecord {
+            trace_id: "cafe0000000000000000000000000003".to_string(),
             route: "predict",
-            method: "POST",
-            path: "/predict",
+            method: "POST".to_string(),
+            path: "/predict".to_string(),
             status: 200,
             latency_us: 742,
-            predict: Some(&PredictInfo {
+            predict: Some(PredictInfo {
                 model: "uw_coauthor".to_string(),
                 tuples: 3,
                 interpreter_fallback: false,
@@ -186,13 +131,13 @@ mod tests {
                 },
                 max_qerror: None,
             }),
-            kept: Some("slow"),
+            args_sample: "s1,p1".to_string(),
+            reason: Some(KeepReason::Slow),
         });
-        log.log(&AccessRecord {
-            trace_id: "",
+        log.log(&RequestRecord {
             route: "healthz",
-            method: "GET",
-            path: "/healthz",
+            method: "GET".to_string(),
+            path: "/healthz".to_string(),
             status: 200,
             latency_us: 12,
             ..Default::default()
@@ -211,10 +156,13 @@ mod tests {
             first.path(&["plan", "candidates"]).unwrap().as_f64(),
             Some(12.0)
         );
-        assert_eq!(first.get("kept").unwrap().as_str(), Some("slow"));
+        assert_eq!(first.get("args_sample").unwrap().as_str(), Some("s1,p1"));
+        assert_eq!(first.get("reason").unwrap().as_str(), Some("slow"));
         let second = Json::parse(lines[1]).unwrap();
         assert_eq!(second.get("route").unwrap().as_str(), Some("healthz"));
+        assert_eq!(second.get("trace_id").unwrap().as_str(), Some(""));
         assert!(second.get("model").is_none());
+        assert!(second.get("reason").is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -225,11 +173,11 @@ mod tests {
         // rotation triggers every ~8 lines.
         let log = AccessLog::open(path.clone(), 1024).unwrap();
         for i in 0..100 {
-            log.log(&AccessRecord {
-                trace_id: "ffff0000000000000000000000000000",
+            log.log(&RequestRecord {
+                trace_id: "ffff0000000000000000000000000000".to_string(),
                 route: "predict",
-                method: "POST",
-                path: "/predict",
+                method: "POST".to_string(),
+                path: "/predict".to_string(),
                 status: 200,
                 latency_us: i,
                 ..Default::default()
@@ -260,16 +208,16 @@ mod tests {
     #[test]
     fn control_characters_in_paths_round_trip() {
         let hostile = "/predict\u{0}\u{1}\t\r\nx\u{1f}";
-        let rec = AccessRecord {
-            trace_id: "cafe0000000000000000000000000004",
+        let rec = RequestRecord {
+            trace_id: "cafe0000000000000000000000000004".to_string(),
             route: "other",
-            method: "GET",
-            path: hostile,
+            method: "GET".to_string(),
+            path: hostile.to_string(),
             status: 404,
             latency_us: 5,
             ..Default::default()
         };
-        let line = rec.to_json();
+        let line = rec.to_json().to_string();
         assert!(
             !line.contains('\n'),
             "escaped line must be one physical line"

@@ -13,6 +13,7 @@
 use crate::events::EventLog;
 use crate::ledger::RunLedger;
 use crate::registry::{ModelEntry, ModelRegistry};
+use crate::trace::{KeepReason, RequestRecord, StoredTrace};
 use autobias::bias::auto::{induce_bias, AutoBiasConfig, ConstantThreshold};
 use autobias::bias::LanguageBias;
 use autobias::bottom::{BcConfig, SamplingStrategy};
@@ -449,13 +450,15 @@ impl JobManager {
                 }));
                 let elapsed = t0.elapsed();
                 if let Some(traces) = &traces {
-                    traces.keep(crate::trace::StoredTrace::new(
-                        "job",
-                        0,
-                        elapsed.as_micros() as u64,
-                        crate::trace::KeepReason::Job,
-                        worker_job.report.trace().finish(),
-                    ));
+                    let tree = worker_job.report.trace().finish();
+                    let record = RequestRecord {
+                        trace_id: tree.trace_id.clone(),
+                        route: "job",
+                        latency_us: elapsed.as_micros() as u64,
+                        reason: Some(KeepReason::Job),
+                        ..RequestRecord::default()
+                    };
+                    traces.keep(StoredTrace { record, tree });
                 }
                 let (state, detail) = match result {
                     Ok(Ok(settled)) => settled,

@@ -34,8 +34,8 @@
 //!   threshold keep their full span tree in a bounded store behind
 //!   `GET /debug/traces` ([`trace`]); `GET /debug/slow` is the same store's
 //!   kept predictions, worst latency first, with their batch context. An
-//!   optional JSONL access log ([`access_log`]) carries one correlated line
-//!   per request.
+//!   optional JSONL access log ([`access_log`]) writes each request's
+//!   record, the same [`trace::RequestRecord`] a kept trace holds.
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 #![warn(missing_docs)]

@@ -10,7 +10,7 @@
 //! loop with a loopback connection, and the server drains: queued
 //! connections finish, job threads are cancelled and joined.
 
-use crate::access_log::{AccessLog, AccessRecord};
+use crate::access_log::AccessLog;
 use crate::events::sse_frame;
 use crate::http::{
     finish_chunked, read_request_from, write_chunk, write_response, write_response_extra,
@@ -18,10 +18,10 @@ use crate::http::{
 };
 use crate::jobs::{JobManager, JobSpec};
 use crate::ledger::RunLedger;
-use crate::metrics::{Endpoint, GaugeSample, Metrics};
+use crate::metrics::{endpoint_name, Endpoint, GaugeSample, Metrics};
 use crate::pool::WorkerPool;
 use crate::registry::{ModelEntry, ModelRegistry};
-use crate::trace::{PredictInfo, StoredTrace, TraceStore};
+use crate::trace::{truncate_sample, PredictInfo, RequestRecord, StoredTrace, TraceStore};
 use autobias::example::parse_arg_tuple;
 use autobias::query::{clause_covers_args, EvalScratch, QueryConfig};
 use datasets::io::load_dataset;
@@ -249,7 +249,7 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
         });
         let trace_hex = trace.as_ref().map(|c| c.trace_id_hex()).unwrap_or_default();
         let trace_id = (!trace_hex.is_empty()).then_some(trace_hex.as_str());
-        let r = {
+        let mut r = {
             let _installed = trace.as_ref().map(|c| c.install());
             let mut root = obs::span!("http.request");
             let r = route(state, &req, trace_id);
@@ -265,37 +265,39 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
         state
             .metrics
             .observe_traced(r.endpoint, latency, r.status >= 400, trace_id);
-        let route_name = crate::metrics::endpoint_name(r.endpoint);
         // Tail sampling: the finished tree is kept only when the request is
         // worth a postmortem (error / interpreter fallback / slow outlier).
-        // A kept prediction carries its batch context for `/debug/slow`;
-        // the argument sample is cut from the body only now, so requests
-        // that are not kept pay nothing for it.
-        let mut kept_reason = None;
-        if let Some(ctx) = trace {
+        let reason = trace.as_ref().and_then(|_| {
             let fallback = r.predict.as_ref().is_some_and(|p| p.interpreter_fallback);
-            if let Some(reason) = state.traces.keep_reason(r.status, fallback, latency_us) {
-                state.traces.keep(StoredTrace {
-                    predict: r.predict.clone(),
-                    args_sample: r.predict.as_ref().map_or_else(String::new, |_| {
-                        crate::trace::truncate_sample(&first_tuple(&req.body))
-                    }),
-                    ..StoredTrace::new(route_name, r.status, latency_us, reason, ctx.finish())
-                });
-                kept_reason = Some(reason);
-            }
-        }
-        if let Some(log) = &state.access_log {
-            log.log(&AccessRecord {
-                trace_id: &trace_hex,
-                route: route_name,
-                method: &req.method,
-                path: &req.path,
+            state.traces.keep_reason(r.status, fallback, latency_us)
+        });
+        // One record per request that is logged or kept; a request that is
+        // neither builds none, and pays nothing for the argument sample cut
+        // from its body.
+        if reason.is_some() || state.access_log.is_some() {
+            let record = RequestRecord {
+                trace_id: trace_hex.clone(),
+                route: endpoint_name(r.endpoint),
+                method: req.method.clone(),
+                path: req.path.clone(),
                 status: r.status,
                 latency_us,
-                predict: r.predict.as_ref(),
-                kept: kept_reason.map(crate::trace::KeepReason::as_str),
-            });
+                args_sample: r
+                    .predict
+                    .as_ref()
+                    .map_or_else(String::new, |_| truncate_sample(&first_tuple(&req.body))),
+                predict: r.predict.take(),
+                reason,
+            };
+            if let Some(log) = &state.access_log {
+                log.log(&record);
+            }
+            if let (Some(ctx), Some(_)) = (trace, reason) {
+                state.traces.keep(StoredTrace {
+                    record,
+                    tree: ctx.finish(),
+                });
+            }
         }
         let trace_header = [("x-autobias-trace-id", trace_hex.as_str())];
         let extra: &[(&str, &str)] = if trace_id.is_some() {
@@ -318,8 +320,8 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
     }
 }
 
-/// A routed response. Most routes speak `text/plain`; the model-upload
-/// admission path returns its diagnostics as JSON.
+/// A routed response, plus the batch a served prediction hands to the
+/// request's record.
 struct Routed {
     endpoint: Endpoint,
     status: u16,
@@ -329,33 +331,45 @@ struct Routed {
     predict: Option<PredictInfo>,
 }
 
-const TEXT: &str = "text/plain; charset=utf-8";
-const JSON: &str = "application/json";
-
 impl Routed {
-    fn new(
+    fn text(
         endpoint: Endpoint,
         status: u16,
         reason: &'static str,
-        content_type: &'static str,
-        body: String,
+        body: impl Into<String>,
     ) -> Self {
         Self {
             endpoint,
             status,
             reason,
-            content_type,
-            body,
+            content_type: "text/plain; charset=utf-8",
+            body: body.into(),
             predict: None,
         }
     }
 
-    fn json(endpoint: Endpoint, status: u16, reason: &'static str, body: Json) -> Self {
-        Self::new(endpoint, status, reason, JSON, format!("{body}\n"))
+    /// A JSON body: a [`Json`] value, or a document rendered as text
+    /// elsewhere (a chrome export, which is streamed, never held whole).
+    fn json(
+        endpoint: Endpoint,
+        status: u16,
+        reason: &'static str,
+        body: impl std::fmt::Display,
+    ) -> Self {
+        Self {
+            content_type: "application/json",
+            ..Self::text(endpoint, status, reason, format!("{body}\n"))
+        }
     }
 
     /// The one error body of the JSON routes: `{"error": msg}`.
-    fn error(endpoint: Endpoint, status: u16, reason: &'static str, msg: String) -> Self {
+    fn error(
+        endpoint: Endpoint,
+        status: u16,
+        reason: &'static str,
+        msg: impl Into<String>,
+    ) -> Self {
+        let msg: String = msg.into();
         Self::json(endpoint, status, reason, Json::obj([("error", msg.into())]))
     }
 }
@@ -462,68 +476,124 @@ endpoints:
   POST /shutdown           drain and stop
 ";
 
+/// The one router: every request but the SSE stream is one arm of this
+/// match on `(method, path)`.
 fn route(state: &Arc<AppState>, req: &Request, trace_id: Option<&str>) -> Routed {
-    // JSON-speaking routes are intercepted before the plain-text router:
-    // model upload, plan EXPLAIN, and the trace store's debug views. The
-    // predict path is intercepted too so its batch context (model,
-    // fallback, plan totals) reaches the connection loop.
-    if matches!(req.method.as_str(), "POST" | "PUT") {
-        if let Some(name) = req.path.strip_prefix("/models/") {
-            return handle_model_upload(state, name, &req.body);
-        }
-    }
-    if req.method == "POST" && req.path == "/predict" {
-        return match handle_predict(state, &req.body, trace_id) {
-            Ok((body, info)) => Routed {
-                predict: Some(info),
-                ..Routed::new(Endpoint::Predict, 200, "OK", TEXT, body)
-            },
-            Err((status, reason, body)) => {
-                Routed::new(Endpoint::Predict, status, reason, TEXT, body)
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => Routed::text(Endpoint::Healthz, 200, "OK", "ok\n"),
+        ("GET", "/metrics") => handle_metrics(state),
+        ("GET", "/models") => {
+            let mut out = String::new();
+            for m in state.registry.list() {
+                out.push_str(&format!(
+                    "{}\tclauses={}\tunknown_constants={}\n",
+                    m.name,
+                    m.definition.len(),
+                    m.unknown_constants.len()
+                ));
             }
-        };
-    }
-    if req.method == "GET" {
-        if let Some(name) = req
-            .path
-            .strip_prefix("/models/")
-            .and_then(|rest| rest.strip_suffix("/plan"))
+            Routed::text(Endpoint::Models, 200, "OK", out)
+        }
+        ("POST", "/models") => {
+            let report = state.registry.reload(&state.ds.db);
+            let mut out = format!("loaded {}\n", report.loaded.join(" "));
+            for (file, err) in &report.errors {
+                out.push_str(&format!("error {file}: {err}\n"));
+            }
+            Routed::text(Endpoint::Models, 200, "OK", out)
+        }
+        ("POST" | "PUT", path) if let Some(name) = path.strip_prefix("/models/") => {
+            handle_model_upload(state, name, &req.body)
+        }
+        ("GET", path)
+            if let Some(name) = path
+                .strip_prefix("/models/")
+                .and_then(|rest| rest.strip_suffix("/plan")) =>
         {
-            return handle_plan(state, name, &req.query);
+            handle_plan(state, name, &req.query)
         }
-        if req.path == "/debug/slow" {
-            return Routed::json(Endpoint::Debug, 200, "OK", state.traces.slow_json());
+        ("POST", "/predict") => handle_predict(state, &req.body, trace_id),
+        ("GET", "/debug/slow") => {
+            Routed::json(Endpoint::Debug, 200, "OK", state.traces.slow_json())
         }
-        if req.path == "/debug/traces" {
-            return Routed::json(Endpoint::Debug, 200, "OK", state.traces.list_json());
+        ("GET", "/debug/traces") => {
+            Routed::json(Endpoint::Debug, 200, "OK", state.traces.list_json())
         }
-        if let Some(id) = req.path.strip_prefix("/debug/traces/") {
-            let chrome = req.query.split('&').any(|kv| kv == "format=chrome");
-            let found = if chrome {
-                // A learn run's export is rendered event by event, never
-                // held as one value, so it arrives as text.
+        ("GET", path) if let Some(id) = path.strip_prefix("/debug/traces/") => {
+            let found = if req.query.split('&').any(|kv| kv == "format=chrome") {
                 state
                     .traces
                     .get_chrome(id)
-                    .map(|doc| Routed::new(Endpoint::Debug, 200, "OK", JSON, format!("{doc}\n")))
+                    .map(|doc| Routed::json(Endpoint::Debug, 200, "OK", doc))
             } else {
                 state
                     .traces
                     .get_json(id)
                     .map(|doc| Routed::json(Endpoint::Debug, 200, "OK", doc))
             };
-            return found.unwrap_or_else(|| {
+            found.unwrap_or_else(|| {
                 Routed::error(
                     Endpoint::Debug,
                     404,
                     "Not Found",
                     format!("no kept trace {id}"),
                 )
-            });
+            })
         }
+        ("POST", "/jobs/learn") => handle_learn(state, &req.body),
+        ("GET", "/jobs") => {
+            let mut out = String::new();
+            for job in state.jobs.list() {
+                out.push_str(&format!(
+                    "{}\t{}\t{}\tclauses={}\n",
+                    job.id,
+                    job.model_name,
+                    job.status().state.as_str(),
+                    job.report.finish().clauses.len()
+                ));
+            }
+            Routed::text(Endpoint::Jobs, 200, "OK", out)
+        }
+        ("GET", path) if path.starts_with("/jobs/") => handle_job(state, path, "", |_| {}),
+        ("POST", path) if path.starts_with("/jobs/") && path.ends_with("/cancel") => {
+            handle_job(state, path, "/cancel", crate::jobs::Job::cancel)
+        }
+        ("GET", "/runs") => {
+            let mut out = String::new();
+            for id in state.ledger.list() {
+                out.push_str(&format!("{id}\n"));
+            }
+            Routed::text(Endpoint::Runs, 200, "OK", out)
+        }
+        ("GET", path) if let Some(id) = path.strip_prefix("/runs/") => {
+            let Ok(id) = id.parse::<u64>() else {
+                return Routed::error(Endpoint::Runs, 400, "Bad Request", "expected /runs/{id}");
+            };
+            // Served like a kept tree from disk: the ledger's text is parsed
+            // back, so a damaged file is never sent as JSON.
+            match state
+                .ledger
+                .get(id)
+                .and_then(|text| Json::parse(&text).ok())
+            {
+                Some(report) => Routed::json(Endpoint::Runs, 200, "OK", report),
+                None => Routed::error(Endpoint::Runs, 404, "Not Found", format!("no run {id}")),
+            }
+        }
+        ("POST", "/shutdown") => {
+            state.shutting_down.store(true, Ordering::SeqCst);
+            // Wake the accept loop so it observes the flag; it drops this
+            // throwaway connection and begins the drain.
+            let _ = TcpStream::connect(state.addr);
+            Routed::text(Endpoint::Shutdown, 200, "OK", "shutting down\n")
+        }
+        (method, path) => Routed::text(
+            Endpoint::Other,
+            404,
+            "Not Found",
+            format!("no route {method} {path}\n{API_HELP}"),
+        ),
     }
-    let (endpoint, status, reason, body) = route_text(state, req);
-    Routed::new(endpoint, status, reason, TEXT, body)
 }
 
 /// `POST /models/{name}`: admission-checked model upload. The body is model
@@ -559,12 +629,7 @@ fn handle_model_upload(state: &Arc<AppState>, name: &str, body: &str) -> Routed 
         );
     };
     if definition.clauses.is_empty() {
-        return Routed::error(
-            Endpoint::Models,
-            400,
-            "Bad Request",
-            "model has no clauses".to_string(),
-        );
+        return Routed::error(Endpoint::Models, 400, "Bad Request", "model has no clauses");
     }
     let path = state.registry.dir().join(format!("{name}.model"));
     // Compile (and verify) before persisting anything: an AB2xx verifier
@@ -649,195 +714,117 @@ fn handle_plan(state: &Arc<AppState>, name: &str, query: &str) -> Routed {
     Routed::json(Endpoint::Plan, 200, "OK", json)
 }
 
-fn route_text(state: &Arc<AppState>, req: &Request) -> (Endpoint, u16, &'static str, String) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => (Endpoint::Healthz, 200, "OK", "ok\n".to_string()),
-        ("GET", "/metrics") => {
-            let draws = autobias::instrument::BC_WALK_DRAWS.get();
-            let accepted = autobias::instrument::BC_WALK_ACCEPTED.get();
-            let acceptance = if draws > 0 {
-                accepted as f64 / draws as f64
-            } else {
-                0.0
-            };
-            let gauges = [
-                GaugeSample {
-                    name: "autobias_models_loaded",
-                    help: "Models currently in the registry.",
-                    value: state.registry.len() as f64,
-                },
-                GaugeSample {
-                    name: "autobias_jobs_running",
-                    help: "Learning jobs currently running.",
-                    value: state.jobs.running_count() as f64,
-                },
-                GaugeSample {
-                    name: "autobias_jobs_total",
-                    help: "Learning jobs submitted since startup.",
-                    value: state.jobs.submitted() as f64,
-                },
-                GaugeSample {
-                    name: "autobias_dataset_tuples",
-                    help: "Tuples in the resident dataset.",
-                    value: state.ds.db.total_tuples() as f64,
-                },
-                GaugeSample {
-                    name: "autobias_sampler_acceptance_ratio",
-                    help: "Accepted fraction of accept-reject semijoin walk draws (0 before any Random-sampling BC build).",
-                    value: acceptance,
-                },
-            ];
-            // Per-model plan samples come from the live registry snapshot,
-            // so rotated models drop out of the label set at the next
-            // scrape instead of leaving stale series behind.
-            let models: Vec<crate::metrics::ModelPlanSample> = state
-                .registry
-                .list()
-                .iter()
-                .map(|m| crate::metrics::ModelPlanSample {
-                    name: m.name.clone(),
-                    compiled: m.plan.num_compiled() as u64,
-                    fallback: m.plan.num_declined() as u64,
-                })
-                .collect();
-            (
-                Endpoint::Metrics,
-                200,
-                "OK",
-                state.metrics.render(&gauges, &models),
+/// `GET /metrics`: Prometheus text, with gauges read at scrape time.
+fn handle_metrics(state: &Arc<AppState>) -> Routed {
+    let draws = autobias::instrument::BC_WALK_DRAWS.get();
+    let accepted = autobias::instrument::BC_WALK_ACCEPTED.get();
+    let acceptance = if draws > 0 {
+        accepted as f64 / draws as f64
+    } else {
+        0.0
+    };
+    let gauges = [
+        GaugeSample {
+            name: "autobias_models_loaded",
+            help: "Models currently in the registry.",
+            value: state.registry.len() as f64,
+        },
+        GaugeSample {
+            name: "autobias_jobs_running",
+            help: "Learning jobs currently running.",
+            value: state.jobs.running_count() as f64,
+        },
+        GaugeSample {
+            name: "autobias_jobs_total",
+            help: "Learning jobs submitted since startup.",
+            value: state.jobs.submitted() as f64,
+        },
+        GaugeSample {
+            name: "autobias_dataset_tuples",
+            help: "Tuples in the resident dataset.",
+            value: state.ds.db.total_tuples() as f64,
+        },
+        GaugeSample {
+            name: "autobias_sampler_acceptance_ratio",
+            help: "Accepted fraction of accept-reject semijoin walk draws (0 before any Random-sampling BC build).",
+            value: acceptance,
+        },
+    ];
+    // Per-model plan samples come from the live registry snapshot, so
+    // rotated models drop out of the label set at the next scrape instead
+    // of leaving stale series behind.
+    let models: Vec<crate::metrics::ModelPlanSample> = state
+        .registry
+        .list()
+        .iter()
+        .map(|m| crate::metrics::ModelPlanSample {
+            name: m.name.clone(),
+            compiled: m.plan.num_compiled() as u64,
+            fallback: m.plan.num_declined() as u64,
+        })
+        .collect();
+    Routed::text(
+        Endpoint::Metrics,
+        200,
+        "OK",
+        state.metrics.render(&gauges, &models),
+    )
+}
+
+/// `POST /jobs/learn`: starts a background learning job.
+fn handle_learn(state: &Arc<AppState>, body: &str) -> Routed {
+    if state.shutting_down.load(Ordering::SeqCst) {
+        return Routed::text(
+            Endpoint::Jobs,
+            503,
+            "Service Unavailable",
+            "shutting down\n",
+        );
+    }
+    match JobSpec::parse(body) {
+        Ok(spec) => {
+            let job = state.jobs.spawn_learn(
+                spec,
+                state.ds.clone(),
+                state.registry.clone(),
+                Some(state.ledger.clone()),
+                Some(state.traces.clone()),
+            );
+            Routed::text(
+                Endpoint::Jobs,
+                202,
+                "Accepted",
+                format!(
+                    "id {}\nmodel {}\ntrace {}\n",
+                    job.id, job.model_name, job.trace_id
+                ),
             )
         }
-        ("GET", "/models") => {
-            let mut out = String::new();
-            for m in state.registry.list() {
-                out.push_str(&format!(
-                    "{}\tclauses={}\tunknown_constants={}\n",
-                    m.name,
-                    m.definition.len(),
-                    m.unknown_constants.len()
-                ));
-            }
-            (Endpoint::Models, 200, "OK", out)
-        }
-        ("POST", "/models") => {
-            let report = state.registry.reload(&state.ds.db);
-            let mut out = format!("loaded {}\n", report.loaded.join(" "));
-            for (file, err) in &report.errors {
-                out.push_str(&format!("error {file}: {err}\n"));
-            }
-            (Endpoint::Models, 200, "OK", out)
-        }
-        ("POST", "/jobs/learn") => {
-            if state.shutting_down.load(Ordering::SeqCst) {
-                return (
-                    Endpoint::Jobs,
-                    503,
-                    "Service Unavailable",
-                    "shutting down\n".to_string(),
-                );
-            }
-            match JobSpec::parse(&req.body) {
-                Ok(spec) => {
-                    let job = state.jobs.spawn_learn(
-                        spec,
-                        state.ds.clone(),
-                        state.registry.clone(),
-                        Some(state.ledger.clone()),
-                        Some(state.traces.clone()),
-                    );
-                    (
-                        Endpoint::Jobs,
-                        202,
-                        "Accepted",
-                        format!(
-                            "id {}\nmodel {}\ntrace {}\n",
-                            job.id, job.model_name, job.trace_id
-                        ),
-                    )
-                }
-                Err(e) => (Endpoint::Jobs, 400, "Bad Request", format!("{e}\n")),
-            }
-        }
-        ("GET", "/jobs") => {
-            let mut out = String::new();
-            for job in state.jobs.list() {
-                out.push_str(&format!(
-                    "{}\t{}\t{}\tclauses={}\n",
-                    job.id,
-                    job.model_name,
-                    job.status().state.as_str(),
-                    job.report.finish().clauses.len()
-                ));
-            }
-            (Endpoint::Jobs, 200, "OK", out)
-        }
-        ("GET", path) if path.starts_with("/jobs/") => match parse_job_id(path, "") {
-            Some(id) => match state.jobs.get(id) {
-                Some(job) => (Endpoint::Jobs, 200, "OK", render_job(&job)),
-                None => (Endpoint::Jobs, 404, "Not Found", format!("no job {id}\n")),
-            },
-            None => (
-                Endpoint::Jobs,
-                400,
-                "Bad Request",
-                "expected /jobs/{id}\n".to_string(),
-            ),
-        },
-        ("POST", path) if path.starts_with("/jobs/") && path.ends_with("/cancel") => {
-            match parse_job_id(path, "/cancel") {
-                Some(id) => match state.jobs.get(id) {
-                    Some(job) => {
-                        job.cancel();
-                        (Endpoint::Jobs, 200, "OK", render_job(&job))
-                    }
-                    None => (Endpoint::Jobs, 404, "Not Found", format!("no job {id}\n")),
-                },
-                None => (
-                    Endpoint::Jobs,
-                    400,
-                    "Bad Request",
-                    "expected /jobs/{id}/cancel\n".to_string(),
-                ),
-            }
-        }
-        ("GET", "/runs") => {
-            let mut out = String::new();
-            for id in state.ledger.list() {
-                out.push_str(&format!("{id}\n"));
-            }
-            (Endpoint::Runs, 200, "OK", out)
-        }
-        ("GET", path) if path.starts_with("/runs/") => {
-            match path
-                .strip_prefix("/runs/")
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                Some(id) => match state.ledger.get(id) {
-                    Some(json) => (Endpoint::Runs, 200, "OK", json),
-                    None => (Endpoint::Runs, 404, "Not Found", format!("no run {id}\n")),
-                },
-                None => (
-                    Endpoint::Runs,
-                    400,
-                    "Bad Request",
-                    "expected /runs/{id}\n".to_string(),
-                ),
-            }
-        }
-        ("POST", "/shutdown") => {
-            state.shutting_down.store(true, Ordering::SeqCst);
-            // Wake the accept loop so it observes the flag; it drops this
-            // throwaway connection and begins the drain.
-            let _ = TcpStream::connect(state.addr);
-            (Endpoint::Shutdown, 200, "OK", "shutting down\n".to_string())
-        }
-        _ => (
-            Endpoint::Other,
-            404,
-            "Not Found",
-            format!("no route {} {}\n{API_HELP}", req.method, req.path),
-        ),
+        Err(e) => Routed::text(Endpoint::Jobs, 400, "Bad Request", format!("{e}\n")),
     }
+}
+
+/// `GET /jobs/{id}` and `POST /jobs/{id}/cancel`: applies `act` to the job
+/// `path` names (ending in `suffix`) and renders it.
+fn handle_job(
+    state: &Arc<AppState>,
+    path: &str,
+    suffix: &str,
+    act: impl FnOnce(&crate::jobs::Job),
+) -> Routed {
+    let Some(id) = parse_job_id(path, suffix) else {
+        return Routed::text(
+            Endpoint::Jobs,
+            400,
+            "Bad Request",
+            format!("expected /jobs/{{id}}{suffix}\n"),
+        );
+    };
+    let Some(job) = state.jobs.get(id) else {
+        return Routed::text(Endpoint::Jobs, 404, "Not Found", format!("no job {id}\n"));
+    };
+    act(&job);
+    Routed::text(Endpoint::Jobs, 200, "OK", render_job(&job))
 }
 
 fn parse_job_id(path: &str, suffix: &str) -> Option<u64> {
@@ -912,34 +899,30 @@ fn first_tuple(body: &str) -> String {
 /// declined, through the interpreter with scratch buffers reused across
 /// tuples. The verdicts equal the interpreter's over the whole definition —
 /// the differential suites hold them to that.
-fn handle_predict(
-    state: &Arc<AppState>,
-    body: &str,
-    trace_id: Option<&str>,
-) -> Result<(String, PredictInfo), (u16, &'static str, String)> {
+fn handle_predict(state: &Arc<AppState>, body: &str, trace_id: Option<&str>) -> Routed {
+    let bad = |msg: String| Routed::text(Endpoint::Predict, 400, "Bad Request", msg);
     let mut lines = body
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'));
-    let header = lines.next().ok_or((
-        400,
-        "Bad Request",
-        "empty body: expected `model NAME`\n".to_string(),
-    ))?;
-    let name = header
+    let Some(header) = lines.next() else {
+        return bad("empty body: expected `model NAME`\n".to_string());
+    };
+    let Some(name) = header
         .strip_prefix("model ")
         .map(str::trim)
         .filter(|n| !n.is_empty())
-        .ok_or((
-            400,
-            "Bad Request",
-            format!("first line must be `model NAME`, got {header:?}\n"),
-        ))?;
-    let entry = state.registry.get(name).ok_or((
-        404,
-        "Not Found",
-        format!("no model {name:?} (see GET /models)\n"),
-    ))?;
+    else {
+        return bad(format!("first line must be `model NAME`, got {header:?}\n"));
+    };
+    let Some(entry) = state.registry.get(name) else {
+        return Routed::text(
+            Endpoint::Predict,
+            404,
+            "Not Found",
+            format!("no model {name:?} (see GET /models)\n"),
+        );
+    };
 
     let db = &state.ds.db;
     // Re-derive the model's ephemeral constant ids: resolving its unknown
@@ -964,28 +947,22 @@ fn handle_predict(
     let mut echo: Vec<String> = Vec::new();
     let mut consts: Vec<relstore::Const> = Vec::new();
     for (i, line) in lines.enumerate() {
-        let fields = parse_arg_tuple(line)
-            .map_err(|e| (400, "Bad Request", format!("tuple {}: {e}\n", i + 1)))?;
+        let fields = match parse_arg_tuple(line) {
+            Ok(fields) => fields,
+            Err(e) => return bad(format!("tuple {}: {e}\n", i + 1)),
+        };
         if fields.len() != arity {
-            return Err((
-                400,
-                "Bad Request",
-                format!(
-                    "tuple {}: target takes {arity} arguments, got {}\n",
-                    i + 1,
-                    fields.len()
-                ),
+            return bad(format!(
+                "tuple {}: target takes {arity} arguments, got {}\n",
+                i + 1,
+                fields.len()
             ));
         }
         consts.extend(fields.iter().map(|f| resolver.resolve(f)));
         echo.push(fields.join(","));
     }
     if echo.is_empty() {
-        return Err((
-            400,
-            "Bad Request",
-            "no tuples: expected one CSV tuple per line after `model NAME`\n".to_string(),
-        ));
+        return bad("no tuples: expected one CSV tuple per line after `model NAME`\n".to_string());
     }
 
     let qcfg = QueryConfig::default();
@@ -1044,5 +1021,8 @@ fn handle_predict(
         plan: tally.totals(),
         max_qerror: q_errors.into_iter().reduce(f64::max),
     };
-    Ok((out, info))
+    Routed {
+        predict: Some(info),
+        ..Routed::text(Endpoint::Predict, 200, "OK", out)
+    }
 }

@@ -18,10 +18,10 @@
 //! directory, as JSON documents on disk — both the span tree
 //! (`<trace_id>.json`) and the chrome-trace export (`<trace_id>.chrome.json`,
 //! loadable in Perfetto) — pruned oldest-first past
-//! [`TraceStore::DEFAULT_DISK_CAP`] pairs. A kept `/predict` request also
-//! carries its batch context ([`PredictInfo`] plus a sample of the first
-//! tuple), which `GET /debug/slow` renders worst latency first: one record
-//! per retained request, two views.
+//! [`TraceStore::DEFAULT_DISK_CAP`] pairs. A kept trace is its request's
+//! [`RequestRecord`] plus the tree; the record — for a `/predict`, with its
+//! batch context ([`PredictInfo`] plus a sample of the first tuple) — is
+//! what the access log writes too, and every view here renders it.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -57,8 +57,7 @@ impl KeepReason {
 }
 
 /// What one `/predict` batch did: handed from the predict handler to the
-/// access log and, when the tail sampler keeps the request, stored on its
-/// [`StoredTrace`].
+/// request's [`RequestRecord`].
 #[derive(Debug, Clone)]
 pub struct PredictInfo {
     /// Model that served the batch.
@@ -75,55 +74,96 @@ pub struct PredictInfo {
 }
 
 impl PredictInfo {
-    /// The `engine` label of access-log lines and `/debug/slow` entries.
-    /// Every batch runs the compiled loop; declined clauses are interpreted
-    /// inside it.
+    /// The `engine` label of a served prediction's record. Every batch runs
+    /// the compiled loop; declined clauses are interpreted inside it.
     pub const ENGINE: &'static str = "compiled";
 }
 
-/// One retained trace with its request context.
-#[derive(Debug, Clone)]
-pub struct StoredTrace {
+/// One finished request, built once by the connection loop when the
+/// request is access-logged or its trace is kept (a learn job's kept trace
+/// carries one too). Its [`to_json`](RequestRecord::to_json) is the one
+/// rendering of request fields: the access-log line, and the body of every
+/// trace-store view.
+#[derive(Debug, Clone, Default)]
+pub struct RequestRecord {
+    /// Trace id (32 hex digits; empty when tracing is off).
+    pub trace_id: String,
     /// Route label (the metrics endpoint name, or `"job"`).
     pub route: &'static str,
-    /// Response status (0 for job traces).
+    /// HTTP method (empty for a job).
+    pub method: String,
+    /// Request path (empty for a job).
+    pub path: String,
+    /// Response status (0 for a job).
     pub status: u16,
-    /// Request wall-clock latency in microseconds.
+    /// Wall-clock latency in microseconds (a job's run time).
     pub latency_us: u64,
-    /// Why the tail sampler kept it.
-    pub reason: KeepReason,
-    /// The finished span tree.
-    pub tree: TraceTree,
-    /// The batch a `/predict` request served (`None` for other routes and
-    /// for rejected predictions).
+    /// The batch a served `/predict` ran.
     pub predict: Option<PredictInfo>,
-    /// The first tuple of a `/predict` body, cut to [`ARGS_SAMPLE_MAX`]
-    /// bytes (empty for other routes).
+    /// The first tuple of a served `/predict` body, cut to
+    /// [`ARGS_SAMPLE_MAX`] bytes (empty otherwise).
     pub args_sample: String,
+    /// Why the tail sampler kept the request's trace, when it did.
+    pub reason: Option<KeepReason>,
 }
 
-impl StoredTrace {
-    /// A trace with no `/predict` context.
-    pub fn new(
-        route: &'static str,
-        status: u16,
-        latency_us: u64,
-        reason: KeepReason,
-        tree: TraceTree,
-    ) -> Self {
-        Self {
-            route,
-            status,
-            latency_us,
-            reason,
-            tree,
-            predict: None,
-            args_sample: String::new(),
+impl RequestRecord {
+    /// The record as one JSON object; a served prediction adds its batch
+    /// context, a kept trace its `reason`.
+    pub fn to_json(&self) -> Json {
+        let mut members = vec![
+            ("trace_id", self.trace_id.as_str().into()),
+            ("route", self.route.into()),
+            ("method", self.method.as_str().into()),
+            ("path", self.path.as_str().into()),
+            ("status", u64::from(self.status).into()),
+            ("latency_us", self.latency_us.into()),
+        ];
+        if let Some(p) = &self.predict {
+            let plan = Json::obj([
+                ("entries", p.plan.entries.into()),
+                ("candidates", p.plan.candidates.into()),
+                ("rejected", p.plan.rejected.into()),
+                ("backtracks", p.plan.backtracks.into()),
+                ("node_limit_hits", p.plan.node_limit_hits.into()),
+            ]);
+            members.extend([
+                ("model", p.model.as_str().into()),
+                ("engine", PredictInfo::ENGINE.into()),
+                ("tuples", p.tuples.into()),
+                ("args_sample", self.args_sample.as_str().into()),
+                ("plan", plan),
+                ("max_qerror", p.max_qerror.map_or(Json::Null, Json::Num)),
+            ]);
         }
+        if let Some(reason) = self.reason {
+            members.push(("reason", reason.as_str().into()));
+        }
+        Json::obj(members)
     }
 }
 
-/// `StoredTrace::args_sample` is cut to this many bytes.
+/// One retained trace: the request's record and its span tree.
+#[derive(Debug, Clone)]
+pub struct StoredTrace {
+    /// The kept request (its `reason` is set).
+    pub record: RequestRecord,
+    /// The finished span tree.
+    pub tree: TraceTree,
+}
+
+impl StoredTrace {
+    /// The record's rendering with `key: value` appended.
+    fn to_json_with(&self, key: &str, value: Json) -> Json {
+        let mut doc = self.record.to_json();
+        if let Json::Obj(members) = &mut doc {
+            members.push((key.to_string(), value));
+        }
+        doc
+    }
+}
+
+/// `RequestRecord::args_sample` is cut to this many bytes.
 pub const ARGS_SAMPLE_MAX: usize = 120;
 
 /// Cuts `tuple` to at most [`ARGS_SAMPLE_MAX`] bytes on a char boundary,
@@ -270,7 +310,9 @@ impl TraceStore {
         let id = &stored.tree.trace_id;
         let tree_path = dir.join(format!("{id}.json"));
         let chrome_path = dir.join(format!("{id}.chrome.json"));
-        let doc = stored_trace_json(stored).to_string();
+        let doc = stored
+            .to_json_with("tree", stored.tree.to_json())
+            .to_string();
         if std::fs::write(&tree_path, doc).is_err() {
             return;
         }
@@ -285,22 +327,13 @@ impl TraceStore {
         }
     }
 
-    /// The `GET /debug/traces` body: newest-first summaries plus the
-    /// store's sampling state.
+    /// The `GET /debug/traces` body: newest-first records with their span
+    /// counts, plus the store's sampling state.
     pub fn list_json(&self) -> Json {
         let entries = self.entries.lock().expect("trace store poisoned");
         let traces = entries
             .iter()
-            .map(|t| {
-                Json::obj([
-                    ("trace_id", t.tree.trace_id.as_str().into()),
-                    ("route", t.route.into()),
-                    ("status", u64::from(t.status).into()),
-                    ("latency_us", t.latency_us.into()),
-                    ("reason", t.reason.as_str().into()),
-                    ("spans", t.tree.spans.len().into()),
-                ])
-            })
+            .map(|t| t.to_json_with("spans", t.tree.spans.len().into()))
             .collect();
         Json::obj([
             ("cap", self.cap.into()),
@@ -311,47 +344,30 @@ impl TraceStore {
         ])
     }
 
-    /// The `GET /debug/slow` body: the retained `/predict` requests that
-    /// served a batch, worst latency first, each with its batch context and
-    /// the trace id that resolves at `GET /debug/traces/{id}`.
+    /// The `GET /debug/slow` body: the records of retained `/predict`
+    /// requests that served a batch, worst latency first; each trace id
+    /// resolves at `GET /debug/traces/{id}`.
     pub fn slow_json(&self) -> Json {
         let entries = self.entries.lock().expect("trace store poisoned");
-        let mut kept: Vec<(&StoredTrace, &PredictInfo)> = entries
+        let mut served: Vec<&RequestRecord> = entries
             .iter()
-            .filter_map(|t| Some((t, t.predict.as_ref()?)))
+            .map(|t| &t.record)
+            .filter(|r| r.predict.is_some())
             .collect();
         // Stable sort over the newest-first deque: ties list newest first.
-        kept.sort_by_key(|(t, _)| std::cmp::Reverse(t.latency_us));
-        let slow = kept
-            .into_iter()
-            .map(|(t, p)| {
-                Json::obj([
-                    ("latency_us", t.latency_us.into()),
-                    ("model", p.model.as_str().into()),
-                    ("engine", PredictInfo::ENGINE.into()),
-                    ("trace_id", t.tree.trace_id.as_str().into()),
-                    ("tuples", p.tuples.into()),
-                    ("args_sample", t.args_sample.as_str().into()),
-                    ("entries", p.plan.entries.into()),
-                    ("candidates", p.plan.candidates.into()),
-                    ("rejected", p.plan.rejected.into()),
-                    ("backtracks", p.plan.backtracks.into()),
-                    ("node_limit_hits", p.plan.node_limit_hits.into()),
-                    ("max_qerror", p.max_qerror.map_or(Json::Null, Json::Num)),
-                ])
-            })
-            .collect();
+        served.sort_by_key(|r| std::cmp::Reverse(r.latency_us));
+        let slow = served.into_iter().map(RequestRecord::to_json).collect();
         Json::obj([("cap", self.cap.into()), ("slow", Json::Arr(slow))])
     }
 
-    /// The `GET /debug/traces/{id}` body: the stored span tree with its
-    /// request context, from memory or (for evicted traces) from disk.
+    /// The `GET /debug/traces/{id}` body: the kept request's record with
+    /// its span tree as `tree`, from memory or (for evicted traces) disk.
     /// `None` when the id was never kept or has been pruned everywhere.
     pub fn get_json(&self, trace_id: &str) -> Option<Json> {
         {
             let entries = self.entries.lock().expect("trace store poisoned");
             if let Some(t) = entries.iter().find(|t| t.tree.trace_id == trace_id) {
-                return Some(stored_trace_json(t));
+                return Some(t.to_json_with("tree", t.tree.to_json()));
             }
         }
         Json::parse(&self.read_disk(trace_id, "json")?).ok()
@@ -380,18 +396,6 @@ impl TraceStore {
     }
 }
 
-/// Serializes one stored trace: request context wrapping the span tree.
-fn stored_trace_json(t: &StoredTrace) -> Json {
-    Json::obj([
-        ("trace_id", t.tree.trace_id.as_str().into()),
-        ("route", t.route.into()),
-        ("status", u64::from(t.status).into()),
-        ("latency_us", t.latency_us.into()),
-        ("reason", t.reason.as_str().into()),
-        ("tree", t.tree.to_json()),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,6 +408,22 @@ mod tests {
             let _sp = obs::span!(name_suffix);
         }
         ctx.finish()
+    }
+
+    /// A kept trace of a request with no `/predict` context.
+    fn kept(route: &'static str, status: u16, latency_us: u64, reason: KeepReason) -> StoredTrace {
+        let tree = tree_with_one_span("test.store_span");
+        StoredTrace {
+            record: RequestRecord {
+                trace_id: tree.trace_id.clone(),
+                route,
+                status,
+                latency_us,
+                reason: Some(reason),
+                ..RequestRecord::default()
+            },
+            tree,
+        }
     }
 
     fn fresh_store() -> TraceStore {
@@ -468,15 +488,9 @@ mod tests {
         let s = fresh_store();
         let mut ids = Vec::new();
         for _ in 0..6 {
-            let tree = tree_with_one_span("test.store_span");
-            ids.push(tree.trace_id.clone());
-            s.keep(StoredTrace::new(
-                "predict",
-                200,
-                123,
-                KeepReason::Slow,
-                tree,
-            ));
+            let t = kept("predict", 200, 123, KeepReason::Slow);
+            ids.push(t.tree.trace_id.clone());
+            s.keep(t);
         }
         let listed = Json::parse(&s.list_json().to_string()).unwrap();
         let traces = listed.get("traces").unwrap().as_arr().unwrap();
@@ -505,14 +519,8 @@ mod tests {
     fn slow_view_lists_kept_predictions_worst_first() {
         let s = fresh_store();
         let predict = |latency_us: u64, model: &str| {
-            let mut t = StoredTrace::new(
-                "predict",
-                200,
-                latency_us,
-                KeepReason::Slow,
-                tree_with_one_span("test.slow_span"),
-            );
-            t.predict = Some(PredictInfo {
+            let mut t = kept("predict", 200, latency_us, KeepReason::Slow);
+            t.record.predict = Some(PredictInfo {
                 model: model.to_string(),
                 tuples: 3,
                 interpreter_fallback: false,
@@ -525,17 +533,11 @@ mod tests {
                 },
                 max_qerror: Some(2.5),
             });
-            t.args_sample = truncate_sample(&"x".repeat(500));
+            t.record.args_sample = truncate_sample(&"x".repeat(500));
             t
         };
         s.keep(predict(20, "fast"));
-        s.keep(StoredTrace::new(
-            "metrics",
-            500,
-            90,
-            KeepReason::Error,
-            tree_with_one_span("test.other_span"),
-        ));
+        s.keep(kept("metrics", 500, 90, KeepReason::Error));
         s.keep(predict(50, "worst"));
         s.keep(predict(30, "middle"));
 
@@ -552,7 +554,10 @@ mod tests {
         let worst = &slow[0];
         assert_eq!(worst.get("latency_us").unwrap().as_f64(), Some(50.0));
         assert_eq!(worst.get("engine").unwrap().as_str(), Some("compiled"));
-        assert_eq!(worst.get("candidates").unwrap().as_f64(), Some(12.0));
+        assert_eq!(
+            worst.path(&["plan", "candidates"]).unwrap().as_f64(),
+            Some(12.0)
+        );
         assert_eq!(worst.get("max_qerror").unwrap().as_f64(), Some(2.5));
         assert!(worst.get("seq").is_none(), "the trace id is the identity");
         let id = worst.get("trace_id").unwrap().as_str().unwrap();
@@ -581,9 +586,9 @@ mod tests {
         s.dir = Some(dir.clone());
         let mut ids = Vec::new();
         for _ in 0..6 {
-            let tree = tree_with_one_span("test.disk_span");
-            ids.push(tree.trace_id.clone());
-            s.keep(StoredTrace::new("predict", 500, 9, KeepReason::Error, tree));
+            let t = kept("predict", 500, 9, KeepReason::Error);
+            ids.push(t.tree.trace_id.clone());
+            s.keep(t);
         }
         // disk_cap = 2: only the newest two pairs remain on disk.
         let remaining: Vec<_> = std::fs::read_dir(&dir)

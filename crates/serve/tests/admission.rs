@@ -1,7 +1,7 @@
 //! Serve-side admission tests: `POST /models/{name}` uploads run the static
 //! verifier and reject Error-verdict models with 422 + JSON diagnostics,
 //! bumping `autobias_model_rejections_total`; directory reloads apply the
-//! same bar.
+//! same bar; and every route answers with its pinned content type.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
@@ -9,7 +9,7 @@ use autobias_serve::{serve, ServeConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One-shot HTTP client: sends a request, returns `(status, headers, body)`.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
@@ -150,6 +150,64 @@ fn upload_admission_and_rejection() {
     let (_, _, listing) = request(addr, "GET", "/models", "");
     assert!(!listing.contains("corrupt"), "{listing}");
     assert_eq!(rejections_from_metrics(addr), after + 1);
+
+    // Every route pins its content type: the JSON routes (errors included)
+    // answer `application/json`, the rest `text/plain`.
+    let (status, _, body) = request(addr, "POST", "/jobs/learn", "name learned\nbias manual\n");
+    assert_eq!(status, 202, "{body}");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !request(addr, "GET", "/jobs/1", "").2.contains("state done") {
+        assert!(Instant::now() < deadline, "job 1 did not finish");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (_, _, listing) = request(addr, "GET", "/debug/traces", "");
+    let listing = obs::json::Json::parse(&listing).unwrap();
+    let kept = listing.path(&["traces"]).unwrap().as_arr().unwrap()[0]
+        .get("trace_id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    const JSON: &str = "application/json";
+    const TEXT: &str = "text/plain; charset=utf-8";
+    let probes: &[(&str, &str, &str, u16, &str)] = &[
+        ("GET", "/models/coauthor/plan", "", 200, JSON),
+        ("GET", "/models/nosuch/plan", "", 404, JSON),
+        ("GET", "/debug/slow", "", 200, JSON),
+        ("GET", "/debug/traces", "", 200, JSON),
+        ("GET", &format!("/debug/traces/{kept}"), "", 200, JSON),
+        ("GET", "/debug/traces/0000dead", "", 404, JSON),
+        ("GET", "/runs/1", "", 200, JSON),
+        ("GET", "/runs/9999", "", 404, JSON),
+        ("GET", "/runs/one", "", 400, JSON),
+        ("POST", "/models/broken", bad, 422, JSON),
+        ("POST", "/models/bad%2Fname", good, 400, JSON),
+        ("GET", "/healthz", "", 200, TEXT),
+        ("GET", "/models", "", 200, TEXT),
+        ("GET", "/jobs", "", 200, TEXT),
+        ("GET", "/jobs/1", "", 200, TEXT),
+        ("GET", "/runs", "", 200, TEXT),
+        ("POST", "/predict", "model coauthor\ns0,f0\n", 200, TEXT),
+        ("GET", "/nosuch", "", 404, TEXT),
+    ];
+    for &(method, path, body, want_status, want_type) in probes {
+        let (status, headers, text) = request(addr, method, path, body);
+        assert_eq!(status, want_status, "{method} {path}: {text}");
+        let content_type = headers
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Type: "))
+            .unwrap_or_else(|| panic!("{method} {path}: no Content-Type in {headers}"));
+        assert_eq!(content_type, want_type, "{method} {path}");
+        if want_type == JSON {
+            obs::json::Json::parse(&text).unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+        }
+    }
+    let (_, _, text) = request(addr, "GET", "/runs/9999", "");
+    let missing = obs::json::Json::parse(&text).unwrap();
+    assert_eq!(
+        missing.get("error").and_then(|v| v.as_str()),
+        Some("no run 9999")
+    );
 
     let (status, _, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);

@@ -2,7 +2,8 @@
 //! `?analyze=1` (EXPLAIN ANALYZE with live per-operator counters), the
 //! q-error / per-model plan series on `GET /metrics`, and a model whose
 //! declined clause is served by the interpreter — its verdicts, its
-//! interpreter counter, its kept trace, and its `GET /debug/slow` entry.
+//! interpreter counter, its kept trace, and its `GET /debug/slow` entry —
+//! one request record that the access log and every trace view render alike.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
@@ -238,12 +239,13 @@ fn declined_clause_is_served_by_the_interpreter_and_kept() {
     let (data, models) = setup_dirs("plan_fallback");
     let mixed = mixed_model();
     std::fs::write(models.join("mixed.model"), &mixed).unwrap();
+    let access_log = data.parent().unwrap().join("access.jsonl");
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         data_dir: data.clone(),
         models_dir: models.clone(),
         threads: 2,
-        access_log: None,
+        access_log: Some(access_log.clone()),
         request_trace: true,
     };
     let (handle, report) = serve(&cfg).expect("server boots");
@@ -300,8 +302,15 @@ fn declined_clause_is_served_by_the_interpreter_and_kept() {
         .unwrap_or_else(|| panic!("fallback batch listed: {body}"));
     assert_eq!(entry.get("engine").unwrap().as_str(), Some("compiled"));
     assert_eq!(entry.get("tuples").unwrap().as_f64(), Some(n_tuples as f64));
-    assert!(entry.get("entries").unwrap().as_f64().unwrap() > 0.0);
-    assert!(entry.get("candidates").unwrap().as_f64().unwrap() > 0.0);
+    assert!(entry.path(&["plan", "entries"]).unwrap().as_f64().unwrap() > 0.0);
+    assert!(
+        entry
+            .path(&["plan", "candidates"])
+            .unwrap()
+            .as_f64()
+            .unwrap()
+            > 0.0
+    );
     let first = tuples.lines().next().unwrap();
     assert_eq!(entry.get("args_sample").unwrap().as_str(), Some(first));
     let id = entry.get("trace_id").unwrap().as_str().unwrap();
@@ -313,10 +322,46 @@ fn declined_clause_is_served_by_the_interpreter_and_kept() {
         Some("interpreter_fallback")
     );
     assert_eq!(trace.get("route").unwrap().as_str(), Some("predict"));
+    let (_, listing) = request(addr, "GET", "/debug/traces", "");
+    let listing = Json::parse(&listing).unwrap();
+    let listed = listing
+        .get("traces")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .find(|t| t.get("trace_id").unwrap().as_str() == Some(id))
+        .unwrap_or_else(|| panic!("{id} listed"))
+        .clone();
 
     let (status, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     handle.join();
+
+    // One record, four renderings: the access-log line, the listing entry,
+    // the kept trace and the `/debug/slow` entry agree on every value.
+    let access = std::fs::read_to_string(&access_log).unwrap();
+    let logged = access
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .find(|l| l.get("trace_id").unwrap().as_str() == Some(id))
+        .unwrap_or_else(|| panic!("{id} logged:\n{access}"));
+    for key in [
+        "trace_id",
+        "route",
+        "status",
+        "latency_us",
+        "reason",
+        "model",
+        "tuples",
+        "plan",
+    ] {
+        let value = logged.get(key);
+        assert!(value.is_some(), "access log lacks {key}");
+        for (view, doc) in [("listing", &listed), ("trace", &trace), ("slow", entry)] {
+            assert_eq!(doc.get(key), value, "{view} disagrees on {key}");
+        }
+    }
     let _ = std::fs::remove_dir_all(data.parent().unwrap());
 }
 
