@@ -224,13 +224,10 @@ impl CoverageEngine {
             .take(threads.max(1))
             .collect();
         let pos = parallel_map_in(&mut scratches, &train.pos, |s, i, e| {
-            let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            build_ground_clause_in(s, db, bias, e, bc_cfg, &mut rng)
+            build_ground_clause_in(s, db, bias, e, bc_cfg, &mut example_rng(seed, false, i))
         });
         let neg = parallel_map_in(&mut scratches, &train.neg, |s, i, e| {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ 0xdead_beef ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            build_ground_clause_in(s, db, bias, e, bc_cfg, &mut rng)
+            build_ground_clause_in(s, db, bias, e, bc_cfg, &mut example_rng(seed, true, i))
         });
         Self {
             pos,
@@ -414,6 +411,16 @@ impl CoverageEngine {
         let n = self.count_neg_budget(&canon, None).value();
         (p as i64 - n as i64, p, n)
     }
+}
+
+/// The RNG that builds the ground bottom clause of positive (`negative`
+/// false) or negative example `i` under run seed `seed`. Each example has
+/// its own stream, so a clause does not depend on which worker builds it or
+/// on what that worker built before; the engine and evaluation both build
+/// through this one derivation.
+pub(crate) fn example_rng(seed: u64, negative: bool, i: usize) -> StdRng {
+    let salt = if negative { 0xdead_beef } else { 0 };
+    StdRng::seed_from_u64(seed ^ salt ^ (i as u64).wrapping_mul(0x9e37_79b9))
 }
 
 /// The default worker-thread count: `AUTOBIAS_THREADS` when it is a

@@ -10,11 +10,11 @@
 //! ```
 
 use crate::bias::LanguageBias;
-use crate::bottom::{BcConfig, SamplingStrategy};
+use crate::bottom::{build_ground_clause_in, BcConfig, BcScratch, SamplingStrategy};
 use crate::clause::Definition;
-use crate::coverage::CoverageEngine;
+use crate::coverage::{example_rng, parallel_map_in, worker_threads};
 use crate::example::{Example, TrainingSet};
-use crate::learn::{definition_covers_neg_in, definition_covers_pos_in, prepare_definition};
+use crate::learn::prepare_definition;
 use crate::subsume::{SubsumeConfig, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -70,6 +70,13 @@ impl Metrics {
 /// (depth `depth`), so sampling during learning cannot silently inflate the
 /// measured quality: a clause covers a test example iff it θ-subsumes the
 /// example's full neighbourhood.
+///
+/// The pass streams: each worker builds one test example's full ground
+/// clause, tests the definition against it clause by clause until one
+/// covers, and drops it before the next, so a worker holds at most one test
+/// clause at a time. The clauses, seeds and subsumption budget are those of
+/// a [`crate::coverage::CoverageEngine`] built over `test`, so the answers
+/// are the engine's.
 pub fn evaluate_definition(
     db: &Database,
     bias: &LanguageBias,
@@ -78,23 +85,46 @@ pub fn evaluate_definition(
     depth: usize,
     seed: u64,
 ) -> Metrics {
+    evaluate_in(db, bias, def, test, depth, seed, worker_threads())
+}
+
+/// [`evaluate_definition`] on `threads` workers (at least one).
+fn evaluate_in(
+    db: &Database,
+    bias: &LanguageBias,
+    def: &Definition,
+    test: &TrainingSet,
+    depth: usize,
+    seed: u64,
+    threads: usize,
+) -> Metrics {
     let cfg = BcConfig {
         depth,
         strategy: SamplingStrategy::Full,
         max_body_literals: 100_000,
         max_tuples: 100_000,
     };
-    let engine = CoverageEngine::build(db, bias, test, &cfg, SubsumeConfig::default(), seed);
-    // One subsumption workspace serves every test of the pass, and each
-    // clause is prepared once for all of them.
-    let mut ws = Workspace::default();
+    let scfg = SubsumeConfig::default();
+    // Each clause is prepared once for every test; each worker owns one
+    // construction scratch and one subsumption workspace.
     let prepared = prepare_definition(def);
-    let tp = (0..test.pos.len())
-        .filter(|&i| definition_covers_pos_in(&mut ws, &prepared, &engine, i))
-        .count();
-    let fp = (0..test.neg.len())
-        .filter(|&i| definition_covers_neg_in(&mut ws, &prepared, &engine, i))
-        .count();
+    let mut workers: Vec<(BcScratch, Workspace)> = std::iter::repeat_with(Default::default)
+        .take(threads.max(1))
+        .collect();
+    let mut covered = |examples: &[Example], negative: bool| {
+        parallel_map_in(&mut workers, examples, |(scratch, ws), i, e| {
+            let mut rng = example_rng(seed, negative, i);
+            let ground = build_ground_clause_in(scratch, db, bias, e, &cfg, &mut rng);
+            prepared
+                .iter()
+                .any(|c| ws.theta_subsumes_prepared(c, &ground, &scfg))
+        })
+        .into_iter()
+        .filter(|&hit| hit)
+        .count()
+    };
+    let tp = covered(&test.pos, false);
+    let fp = covered(&test.neg, true);
     Metrics {
         tp,
         fp,
@@ -220,6 +250,63 @@ mod tests {
         let c = kfold_splits(&pos, &neg, 5, 2);
         assert_eq!(a[0].1.pos, b[0].1.pos);
         assert_ne!(a[0].1.pos, c[0].1.pos);
+    }
+
+    /// A world of `n` chains `r(a, m), s(m, b)` with crossed negatives and
+    /// the definition `t(x, y) ← r(x, z), s(z, y)`, which covers exactly
+    /// the positives.
+    fn chain_world(n: usize) -> (Database, LanguageBias, TrainingSet, Definition) {
+        use crate::clause::{Clause, Literal, Term, VarId};
+        let mut db = Database::new();
+        let r = db.add_relation("r", &["a", "b"]);
+        let s = db.add_relation("s", &["a", "b"]);
+        let t = db.add_relation("t", &["a", "b"]);
+        for i in 0..n {
+            db.insert(r, &[&format!("a{i}"), &format!("m{i}")]);
+            db.insert(s, &[&format!("m{i}"), &format!("b{i}")]);
+        }
+        let pair = |a: usize, b: usize| {
+            let id = |name: String| db.lookup(&name).expect("interned");
+            Example::new(t, vec![id(format!("a{a}")), id(format!("b{b}"))])
+        };
+        let pos = (0..n).map(|i| pair(i, i)).collect();
+        let neg = (0..n).map(|i| pair(i, (i + 1) % n)).collect();
+        let bias = crate::bias::parse::parse_bias(
+            &db,
+            t,
+            "pred r(T1, T1)\npred s(T1, T1)\npred t(T1, T1)\nmode r(+, -)\nmode s(+, -)\n",
+        )
+        .expect("bias parses");
+        let v = |n| Term::Var(VarId(n));
+        let def = Definition {
+            clauses: vec![Clause::new(
+                Literal::new(t, vec![v(0), v(1)]),
+                vec![
+                    Literal::new(r, vec![v(0), v(2)]),
+                    Literal::new(s, vec![v(2), v(1)]),
+                ],
+            )],
+        };
+        (db, bias, TrainingSet::new(pos, neg), def)
+    }
+
+    /// The streaming pass answers alike on one worker and on several: each
+    /// example's clause comes from its own seed, whichever worker builds it.
+    #[test]
+    fn evaluation_is_worker_count_independent() {
+        let (db, bias, test, def) = chain_world(40);
+        let one = evaluate_in(&db, &bias, &def, &test, 2, 7, 1);
+        assert_eq!(
+            one,
+            Metrics {
+                tp: 40,
+                fp: 0,
+                fn_: 0
+            }
+        );
+        for threads in [3, 8] {
+            assert_eq!(evaluate_in(&db, &bias, &def, &test, 2, 7, threads), one);
+        }
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! learning with any `LearnerConfig::threads` value must produce the same
 //! definition. Coverage RNG streams are per-example, and the monotone
 //! negative cutoff counts in fixed chunks and only skips candidates that
-//! could never enter the beam (see DESIGN.md §10).
+//! could never enter the beam (see DESIGN.md §10). Evaluation, which
+//! streams its test bottom clauses across the workers, must count what a
+//! coverage engine built over the whole test set counts.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 #![cfg(not(miri))] // proptest-heavy: hundreds of cases, far too slow under miri
 
+use autobias::learn::{definition_covers_neg, definition_covers_pos};
 use autobias::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -100,5 +103,80 @@ proptest! {
             eight.render(&db)
         );
         prop_assert!(!one.is_empty(), "seed {}: nothing learned", seed);
+    }
+}
+
+/// The reference evaluation: a [`CoverageEngine`] over the whole test set,
+/// with evaluation's full bottom-clause settings, asked example by example.
+fn engine_metrics(
+    db: &Database,
+    bias: &LanguageBias,
+    def: &Definition,
+    test: &TrainingSet,
+    seed: u64,
+) -> Metrics {
+    let cfg = BcConfig {
+        depth: 2,
+        strategy: SamplingStrategy::Full,
+        max_body_literals: 100_000,
+        max_tuples: 100_000,
+    };
+    let engine = CoverageEngine::build(db, bias, test, &cfg, SubsumeConfig::default(), seed);
+    let tp = (0..test.pos.len())
+        .filter(|&i| definition_covers_pos(def, &engine, i))
+        .count();
+    let fp = (0..test.neg.len())
+        .filter(|&i| definition_covers_neg(def, &engine, i))
+        .count();
+    Metrics {
+        tp,
+        fp,
+        fn_: test.pos.len() - tp,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// `evaluate_definition` builds each test example's full bottom clause
+    /// on some worker and drops it after testing; its counts equal the
+    /// engine reference for a learned definition, the empty definition
+    /// (covers nothing) and a definition holding an empty-body clause
+    /// (covers everything). The held-out fold has at least 16 positives
+    /// and 16 negatives, so the pass spreads over every worker.
+    #[test]
+    fn streamed_evaluation_matches_the_engine(
+        seed in 0u64..u64::MAX / 2,
+        n_chains in 32usize..40,
+        n_noise in 0usize..12,
+    ) {
+        let (db, all) = build_world(seed, n_chains, n_noise);
+        let (train, test) = kfold_splits(&all.pos, &all.neg, 2, seed).swap_remove(0);
+        let t = db.rel_id("t").unwrap();
+        let bias = parse_bias(&db, t, BIAS_TEXT).unwrap();
+        let learned = learn(LearnerConfig::default(), seed, &db, &train);
+        prop_assert!(!learned.is_empty(), "seed {}: nothing learned", seed);
+        let head = Literal::new(t, vec![Term::Var(VarId(0)), Term::Var(VarId(1))]);
+        let everything = Definition {
+            clauses: vec![Clause::new(head, Vec::new())],
+        };
+        let (p, n) = (test.pos.len(), test.neg.len());
+        for (def, expected) in [
+            (&learned, None),
+            (&Definition::new(), Some((0, 0))),
+            (&everything, Some((p, n))),
+        ] {
+            let streamed = evaluate_definition(&db, &bias, def, &test, 2, seed);
+            prop_assert_eq!(
+                streamed,
+                engine_metrics(&db, &bias, def, &test, seed),
+                "seed {}: {:?}",
+                seed,
+                def.render(&db)
+            );
+            if let Some((tp, fp)) = expected {
+                prop_assert_eq!((streamed.tp, streamed.fp), (tp, fp));
+            }
+        }
     }
 }

@@ -216,9 +216,7 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
         let req = match read_request_from(&mut reader) {
             Ok(r) => r,
             Err(HttpError::Bad(m)) => {
-                state
-                    .metrics
-                    .observe(Endpoint::Other, t_read.elapsed(), true);
+                state.finish_unrouted(Endpoint::Other, None, 400, t_read.elapsed());
                 let _ = write_response(&mut conn, 400, "Bad Request", &format!("{m}\n"));
                 return;
             }
@@ -374,24 +372,54 @@ impl Routed {
     }
 }
 
+impl AppState {
+    /// Accounts a request answered outside [`route`]: an SSE stream, or a
+    /// request whose head did not parse (`req` is `None`, so its method and
+    /// path are unknown). Such a request is never traced, so it gets a
+    /// record only when there is an access log to write it to.
+    fn finish_unrouted(
+        &self,
+        endpoint: Endpoint,
+        req: Option<&Request>,
+        status: u16,
+        latency: Duration,
+    ) {
+        self.metrics.observe(endpoint, latency, status >= 400);
+        if let Some(log) = &self.access_log {
+            log.log(&RequestRecord {
+                trace_id: String::new(),
+                route: endpoint_name(endpoint),
+                method: req.map_or_else(String::new, |r| r.method.clone()),
+                path: req.map_or_else(String::new, |r| r.path.clone()),
+                status,
+                latency_us: latency.as_micros() as u64,
+                predict: None,
+                args_sample: String::new(),
+                reason: None,
+            });
+        }
+    }
+}
+
 /// `GET /jobs/{id}/events`: replays the job's event log as an SSE stream
 /// over chunked transfer, then follows it live until the job terminates.
 /// A client hanging up mid-stream is normal operation — it bumps
 /// `client_disconnects_total` and the request still counts as a success.
 fn handle_events_stream(state: &Arc<AppState>, conn: &mut TcpStream, req: &Request, t0: Instant) {
+    let finish = |status| state.finish_unrouted(Endpoint::Events, Some(req), status, t0.elapsed());
     let Some(id) = parse_job_id(&req.path, "/events") else {
-        state.metrics.observe(Endpoint::Events, t0.elapsed(), true);
+        finish(400);
         let _ = write_response(conn, 400, "Bad Request", "expected /jobs/{id}/events\n");
         return;
     };
     let Some(job) = state.jobs.get(id) else {
-        state.metrics.observe(Endpoint::Events, t0.elapsed(), true);
+        finish(404);
         let _ = write_response(conn, 404, "Not Found", &format!("no job {id}\n"));
         return;
     };
     if write_stream_head(conn, 200, "OK", "text/event-stream").is_err() {
         state.metrics.disconnect();
-        state.metrics.observe(Endpoint::Events, t0.elapsed(), false);
+        finish(200);
         return;
     }
     // Lead with the job's trace id so a watcher can correlate the stream
@@ -406,7 +434,7 @@ fn handle_events_stream(state: &Arc<AppState>, conn: &mut TcpStream, req: &Reque
     );
     if write_chunk(conn, trace_frame.as_bytes()).is_err() {
         state.metrics.disconnect();
-        state.metrics.observe(Endpoint::Events, t0.elapsed(), false);
+        finish(200);
         return;
     }
     let mut disconnected = false;
@@ -451,7 +479,7 @@ fn handle_events_stream(state: &Arc<AppState>, conn: &mut TcpStream, req: &Reque
     if disconnected || finish_chunked(conn).is_err() {
         state.metrics.disconnect();
     }
-    state.metrics.observe(Endpoint::Events, t0.elapsed(), false);
+    finish(200);
 }
 
 const API_HELP: &str = "\

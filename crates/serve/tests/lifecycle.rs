@@ -268,6 +268,17 @@ fn full_server_lifecycle() {
         Some(job_trace.as_str()),
         "{run_report}"
     );
+    // --- requests answered outside the router: the job's SSE stream, an
+    // unknown job's stream and a request line that does not parse ---
+    let (status, events) = request(addr, "GET", &format!("/jobs/{id}/events"), "");
+    assert_eq!(status, 200, "{events}");
+    let (status, body) = request(addr, "GET", "/jobs/99/events", "");
+    assert_eq!(status, 404, "{body}");
+    let mut broken = TcpStream::connect(addr).unwrap();
+    broken.write_all(b"BROKEN\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    broken.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
     let (_, body) = request(addr, "GET", "/models", "");
     assert!(body.contains("learned\t"), "{body}");
     assert!(models.join("learned.model").exists());
@@ -373,6 +384,31 @@ fn full_server_lifecycle() {
         access.lines().any(|l| l.contains("\"status\":404")),
         "{access}"
     );
+    // Requests answered outside the router get one record each, naming
+    // the method and path when the head parsed.
+    let records: Vec<obs::json::Json> = access
+        .lines()
+        .map(|l| obs::json::Json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect();
+    let logged = |route: &str, method: &str, path: &str, status: f64| {
+        records
+            .iter()
+            .filter(|r| {
+                let text = |k: &str| r.get(k).and_then(|v| v.as_str());
+                [text("route"), text("method"), text("path")]
+                    == [Some(route), Some(method), Some(path)]
+                    && r.get("status").and_then(|v| v.as_f64()) == Some(status)
+            })
+            .count()
+    };
+    let stream = format!("/jobs/{id}/events");
+    assert_eq!(logged("events", "GET", &stream, 200.0), 1, "{access}");
+    assert_eq!(
+        logged("events", "GET", "/jobs/99/events", 404.0),
+        1,
+        "{access}"
+    );
+    assert_eq!(logged("other", "", "", 400.0), 1, "{access}");
 
     let _ = std::fs::remove_dir_all(data.parent().unwrap());
 }
