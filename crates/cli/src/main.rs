@@ -460,8 +460,7 @@ fn cmd_predict(args: &Args) -> Result<(), String> {
     let raw = args.get_str("--args").ok_or("missing --args \"v1,v2\"")?;
     let mut ds = load(args)?;
     let def = load_model(args, &mut ds)?;
-    let fields = autobias::example::parse_arg_tuple(raw)?;
-    let fields: Vec<&str> = fields.iter().map(String::as_str).collect();
+    let fields: Vec<&str> = autobias::example::split_arg_tuple(raw)?.collect();
     let arity = ds.db.catalog().schema(ds.target).arity();
     if fields.len() != arity {
         return Err(format!(

@@ -86,7 +86,7 @@ pub mod prelude {
     };
     pub use crate::coverage::{worker_threads, Bitset, Canonical, CoverageEngine, NegCount};
     pub use crate::eval::{evaluate_definition, kfold_splits, Metrics};
-    pub use crate::example::{parse_arg_tuple, Example, TrainingSet};
+    pub use crate::example::{parse_arg_tuple, split_arg_tuple, Example, TrainingSet};
     pub use crate::generalize::{armg, learn_clause, reduce_clause, GenConfig};
     pub use crate::learn::{LearnStats, Learner, LearnerConfig, MinCriterion};
     pub use crate::query::{clause_covers, definition_covers, QueryConfig};

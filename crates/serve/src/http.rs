@@ -24,8 +24,10 @@ pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// anyway — bounds how long a single client can pin a worker thread.
 pub const MAX_REQUESTS_PER_CONN: usize = 1024;
 
-/// One parsed request.
-#[derive(Debug)]
+/// One parsed request. A connection reads every request into one
+/// `Request` ([`read_request_from`]), so its buffers are reused across
+/// keep-alive requests.
+#[derive(Debug, Default)]
 pub struct Request {
     /// Uppercase method, e.g. `GET`.
     pub method: String,
@@ -42,6 +44,8 @@ pub struct Request {
     /// Raw `traceparent` header value, if the client sent one (W3C Trace
     /// Context). Parsed later by `obs::trace::parse_traceparent`.
     pub traceparent: Option<String>,
+    /// The raw request line and headers.
+    head: String,
 }
 
 /// Protocol-level failures while reading a request.
@@ -69,28 +73,36 @@ impl std::fmt::Display for HttpError {
 }
 
 /// Reads one request from a persistent buffered reader — the keep-alive
-/// form. `Err(Io(UnexpectedEof))` on a cleanly closed idle connection.
-pub fn read_request_from(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-    let mut head = String::new();
-    let mut line = String::new();
+/// form — into `req`, overwriting every field and reusing its buffers.
+/// `Err(Io(UnexpectedEof))` on a cleanly closed idle connection.
+pub fn read_request_from(reader: &mut impl BufRead, req: &mut Request) -> Result<(), HttpError> {
+    let Request {
+        method,
+        path,
+        query,
+        body,
+        keep_alive,
+        traceparent,
+        head,
+    } = req;
+    head.clear();
 
     // Request line + headers, terminated by an empty line.
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
+        let start = head.len();
+        let n = reader.read_line(head)?;
         if n == 0 {
-            if head.is_empty() {
+            if start == 0 {
                 // Clean close between keep-alive requests: an i/o-level end
                 // of stream, not a malformed request.
                 return Err(HttpError::Io(io::Error::from(io::ErrorKind::UnexpectedEof)));
             }
             return Err(HttpError::Bad("connection closed mid-headers".into()));
         }
-        head.push_str(&line);
         if head.len() > MAX_HEAD_BYTES {
             return Err(HttpError::Bad("header block too large".into()));
         }
-        if line == "\r\n" || line == "\n" {
+        if matches!(&head[start..], "\r\n" | "\n") {
             break;
         }
     }
@@ -100,25 +112,28 @@ pub fn read_request_from(reader: &mut impl BufRead) -> Result<Request, HttpError
         .next()
         .ok_or_else(|| HttpError::Bad("empty request".into()))?;
     let mut parts = request_line.split_whitespace();
-    let method = parts
+    let m = parts
         .next()
-        .ok_or_else(|| HttpError::Bad("missing method".into()))?
-        .to_ascii_uppercase();
+        .ok_or_else(|| HttpError::Bad("missing method".into()))?;
+    method.clear();
+    method.push_str(m);
+    method.make_ascii_uppercase();
     let target = parts
         .next()
         .ok_or_else(|| HttpError::Bad("missing request target".into()))?;
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
+    let (p, q) = target.split_once('?').unwrap_or((target, ""));
+    path.clear();
+    path.push_str(p);
+    query.clear();
+    query.push_str(q);
     // HTTP/1.1 (and anything newer/absent) defaults to persistent
     // connections; HTTP/1.0 defaults to close.
-    let mut keep_alive = !parts
+    *keep_alive = !parts
         .next()
         .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.0"));
 
     let mut content_length = 0usize;
-    let mut traceparent = None;
+    *traceparent = None;
     for h in lines {
         if h.is_empty() {
             break;
@@ -132,12 +147,12 @@ pub fn read_request_from(reader: &mut impl BufRead) -> Result<Request, HttpError
             } else if name.eq_ignore_ascii_case("connection") {
                 let value = value.trim();
                 if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
+                    *keep_alive = false;
                 } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
+                    *keep_alive = true;
                 }
             } else if name.eq_ignore_ascii_case("traceparent") {
-                traceparent = Some(value.trim().to_string());
+                *traceparent = Some(value.trim().to_string());
             }
         }
     }
@@ -147,19 +162,13 @@ pub fn read_request_from(reader: &mut impl BufRead) -> Result<Request, HttpError
         )));
     }
 
-    let mut body_bytes = vec![0u8; content_length];
-    reader.read_exact(&mut body_bytes)?;
-    let body = String::from_utf8(body_bytes)
-        .map_err(|_| HttpError::Bad("body is not valid UTF-8".into()))?;
-
-    Ok(Request {
-        method,
-        path,
-        query,
-        body,
-        keep_alive,
-        traceparent,
-    })
+    let mut bytes = std::mem::take(body).into_bytes();
+    bytes.clear();
+    bytes.resize(content_length, 0);
+    reader.read_exact(&mut bytes)?;
+    *body =
+        String::from_utf8(bytes).map_err(|_| HttpError::Bad("body is not valid UTF-8".into()))?;
+    Ok(())
 }
 
 /// Writes one `text/plain` response that closes the connection, and flushes.
@@ -170,18 +179,29 @@ pub fn write_response(
     body: &str,
 ) -> io::Result<()> {
     let plain = "text/plain; charset=utf-8";
-    write_response_extra(stream, status, reason, plain, body, false, &[])
+    write_response_extra(
+        stream,
+        &mut Vec::new(),
+        status,
+        reason,
+        plain,
+        body,
+        false,
+        &[],
+    )
 }
 
 /// Writes one response and flushes, advertising whether the server will
 /// keep the connection open for another request (`Connection: keep-alive`)
 /// or close it after this response (`Connection: close`), plus `extra`
 /// headers — the server uses these to stamp `x-autobias-trace-id` on every
-/// routed response. Header names and values must be pre-sanitized (no
-/// CR/LF).
+/// routed response. The response is assembled in `buf`, which a connection
+/// reuses across its responses. Header names and values must be
+/// pre-sanitized (no CR/LF).
 #[allow(clippy::too_many_arguments)]
 pub fn write_response_extra(
     stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
     status: u16,
     reason: &str,
     content_type: &str,
@@ -193,22 +213,21 @@ pub fn write_response_extra(
     // Head and body go out in one write: a split write puts the tiny head
     // packet on the wire alone, and Nagle then holds the body back until the
     // client ACKs it — up to 40 ms per response under delayed ACK.
-    let mut response = format!(
+    buf.clear();
+    write!(
+        buf,
         "HTTP/1.1 {status} {reason}\r\n\
          Content-Type: {content_type}\r\n\
          Content-Length: {}\r\n\
          Connection: {connection}\r\n",
         body.len()
-    );
+    )?;
     for (name, value) in extra {
-        response.push_str(name);
-        response.push_str(": ");
-        response.push_str(value);
-        response.push_str("\r\n");
+        write!(buf, "{name}: {value}\r\n")?;
     }
-    response.push_str("\r\n");
-    response.push_str(body);
-    stream.write_all(response.as_bytes())?;
+    buf.extend_from_slice(b"\r\n");
+    buf.extend_from_slice(body.as_bytes());
+    stream.write_all(buf)?;
     stream.flush()
 }
 
@@ -339,6 +358,12 @@ mod tests {
     use std::net::TcpListener;
     use std::thread;
 
+    /// Reads one request into a fresh `Request`.
+    fn read_one(reader: &mut impl BufRead) -> Result<Request, HttpError> {
+        let mut req = Request::default();
+        read_request_from(reader, &mut req).map(|()| req)
+    }
+
     fn roundtrip(raw: &str) -> Result<Request, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -352,7 +377,7 @@ mod tests {
             let _ = s.read_to_end(&mut buf);
         });
         let (mut conn, _) = listener.accept().unwrap();
-        let req = read_request_from(&mut std::io::BufReader::new(&mut conn));
+        let req = read_one(&mut std::io::BufReader::new(&mut conn));
         drop(conn);
         client.join().unwrap();
         req
@@ -405,13 +430,13 @@ mod tests {
     fn persistent_reader_parses_back_to_back_requests() {
         let wire = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /b HTTP/1.1\r\n\r\n";
         let mut reader = std::io::BufReader::new(&wire[..]);
-        let first = read_request_from(&mut reader).unwrap();
+        let first = read_one(&mut reader).unwrap();
         assert_eq!((first.path.as_str(), first.body.as_str()), ("/a", "hi"));
-        let second = read_request_from(&mut reader).unwrap();
+        let second = read_one(&mut reader).unwrap();
         assert_eq!(second.path, "/b");
         assert!(second.body.is_empty());
         // Clean close between requests surfaces as an i/o EOF, not Bad.
-        match read_request_from(&mut reader).unwrap_err() {
+        match read_one(&mut reader).unwrap_err() {
             HttpError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
             HttpError::Bad(m) => panic!("expected Io(UnexpectedEof), got Bad({m})"),
         }
@@ -423,7 +448,17 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
-            write_response_extra(&mut conn, 200, "OK", "text/plain", "ok", true, &[]).unwrap();
+            write_response_extra(
+                &mut conn,
+                &mut Vec::new(),
+                200,
+                "OK",
+                "text/plain",
+                "ok",
+                true,
+                &[],
+            )
+            .unwrap();
         });
         let s = TcpStream::connect(addr).unwrap();
         let mut r = std::io::BufReader::new(s);
@@ -458,6 +493,7 @@ mod tests {
             let (mut conn, _) = listener.accept().unwrap();
             write_response_extra(
                 &mut conn,
+                &mut Vec::new(),
                 200,
                 "OK",
                 "text/plain",
@@ -485,6 +521,169 @@ mod tests {
         let err =
             roundtrip("POST /predict HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n").unwrap_err();
         assert!(matches!(err, HttpError::Bad(_)));
+    }
+
+    /// SplitMix64: a seeded generator for the property tests below, so they
+    /// need no dependency and every failure replays.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.below(items.len() as u64) as usize]
+        }
+
+        fn string(&mut self, alphabet: &[char], max_len: u64) -> String {
+            let len = self.below(max_len + 1);
+            (0..len).map(|_| *self.pick(alphabet)).collect()
+        }
+    }
+
+    /// A well-formed request and the fields it must parse back to.
+    struct Wire {
+        bytes: Vec<u8>,
+        method: String,
+        path: String,
+        query: String,
+        body: String,
+        keep_alive: bool,
+        traceparent: Option<String>,
+    }
+
+    fn gen_request(rng: &mut Rng) -> Wire {
+        let method = rng.pick(&["GET", "POST", "PUT", "DELETE", "PATCH"]);
+        let path_chars: Vec<char> = "abcXYZ019-_./%~é".chars().collect();
+        let path = format!("/{}", rng.string(&path_chars, 12));
+        let query_chars: Vec<char> = "ab1=&?%+/".chars().collect();
+        let query = match rng.below(3) {
+            0 => String::new(),
+            _ => rng.string(&query_chars, 10),
+        };
+        let target = if query.is_empty() {
+            path.clone()
+        } else {
+            format!("{path}?{query}")
+        };
+        let http10 = rng.below(3) == 0;
+        let connection = *rng.pick(&[None, Some("close"), Some("Keep-Alive"), Some("CLOSE")]);
+        let keep_alive = match connection {
+            Some(c) => c.eq_ignore_ascii_case("keep-alive"),
+            None => !http10,
+        };
+        let body_chars: Vec<char> = "ab ,\t\r\n#é中😀\u{0}".chars().collect();
+        let body = rng.string(&body_chars, 40);
+        let eol = *rng.pick(&["\r\n", "\n"]);
+        let mut head = format!(
+            "{method} {target} HTTP/1.{}{eol}",
+            if http10 { 0 } else { 1 }
+        );
+        let mut headers = vec![
+            format!("Host: fuzz{eol}"),
+            format!("Content-Length: {}{eol}", body.len()),
+            format!("X-Filler: {}{eol}", "f".repeat(rng.below(20) as usize)),
+        ];
+        if let Some(c) = connection {
+            headers.push(format!("Connection: {c}{eol}"));
+        }
+        let traceparent =
+            (rng.below(2) == 0).then(|| format!("00-{:032x}-{:016x}-01", rng.next(), rng.next()));
+        if let Some(t) = &traceparent {
+            headers.push(format!("traceparent:  {t} {eol}"));
+        }
+        // Header order is free.
+        for i in (1..headers.len()).rev() {
+            headers.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        head.extend(headers);
+        head.push_str(eol);
+        let mut bytes = head.into_bytes();
+        bytes.extend_from_slice(body.as_bytes());
+        Wire {
+            bytes,
+            method: (*method).to_string(),
+            path,
+            query,
+            body,
+            keep_alive,
+            traceparent,
+        }
+    }
+
+    #[test]
+    fn well_formed_requests_parse_back_to_their_fields() {
+        let mut rng = Rng(0x5eed_0004);
+        for case in 0..2_000 {
+            // Several requests back to back on one reader, as keep-alive
+            // connections deliver them.
+            let wires: Vec<Wire> = (0..1 + rng.below(3))
+                .map(|_| gen_request(&mut rng))
+                .collect();
+            let stream: Vec<u8> = wires.iter().flat_map(|w| w.bytes.clone()).collect();
+            let mut reader = std::io::BufReader::with_capacity(16, &stream[..]);
+            // One `Request` for the whole stream, as a connection keeps it.
+            let mut req = Request::default();
+            for w in &wires {
+                let text = String::from_utf8_lossy(&w.bytes);
+                read_request_from(&mut reader, &mut req)
+                    .unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+                assert_eq!(req.method, w.method, "case {case}: {text}");
+                assert_eq!(req.path, w.path, "case {case}: {text}");
+                assert_eq!(req.query, w.query, "case {case}: {text}");
+                assert_eq!(req.body, w.body, "case {case}: {text}");
+                assert_eq!(req.keep_alive, w.keep_alive, "case {case}: {text}");
+                assert_eq!(req.traceparent, w.traceparent, "case {case}: {text}");
+            }
+            assert!(matches!(
+                read_request_from(&mut reader, &mut req),
+                Err(HttpError::Io(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn read_request_never_panics_on_arbitrary_bytes() {
+        let mut rng = Rng(0x5eed_0005);
+        let alphabet =
+            b"GETPOST /?:\r\n\r\nContent-Length: 12connection: closeHTTP/1.0\xff\xc3\x00";
+        for _ in 0..20_000 {
+            let len = rng.below(80) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match rng.below(3) {
+                    0 => rng.next() as u8,
+                    _ => *rng.pick(alphabet),
+                })
+                .collect();
+            let mut reader = std::io::BufReader::new(&bytes[..]);
+            // Whatever it returns, reading stops: every call consumes input
+            // or fails.
+            for _ in 0..=len {
+                if read_one(&mut reader).is_err() {
+                    break;
+                }
+            }
+        }
+        // Every truncation and single-byte corruption of a valid request.
+        for _ in 0..300 {
+            let wire = gen_request(&mut rng).bytes;
+            for cut in 0..=wire.len() {
+                let _ = read_one(&mut std::io::BufReader::new(&wire[..cut]));
+            }
+            let mut bad = wire.clone();
+            let at = rng.below(bad.len() as u64) as usize;
+            bad[at] = rng.next() as u8;
+            let _ = read_one(&mut std::io::BufReader::new(&bad[..]));
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::metrics::{endpoint_name, Endpoint, GaugeSample, Metrics};
 use crate::pool::WorkerPool;
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::trace::{truncate_sample, PredictInfo, RequestRecord, StoredTrace, TraceStore};
-use autobias::example::parse_arg_tuple;
+use autobias::example::split_arg_tuple;
 use autobias::query::{clause_covers_args, EvalScratch, QueryConfig};
 use datasets::io::load_dataset;
 use datasets::Dataset;
@@ -210,11 +210,15 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
         return;
     };
     let mut reader = BufReader::new(read_half);
+    // The request and the response bytes reuse their buffers across the
+    // connection's requests.
+    let mut req = Request::default();
+    let mut out = Vec::new();
     let mut served = 0usize;
     loop {
         let t_read = Instant::now();
-        let req = match read_request_from(&mut reader) {
-            Ok(r) => r,
+        match read_request_from(&mut reader, &mut req) {
+            Ok(()) => {}
             Err(HttpError::Bad(m)) => {
                 state.finish_unrouted(Endpoint::Other, None, 400, t_read.elapsed());
                 let _ = write_response(&mut conn, 400, "Bad Request", &format!("{m}\n"));
@@ -223,7 +227,7 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
             // Client went away, or an idle keep-alive connection timed out
             // or closed cleanly between requests; nothing to say.
             Err(HttpError::Io(_)) => return,
-        };
+        }
         // Latency clock starts once the request is fully read: time a
         // keep-alive connection spends idle between requests is the
         // client's, not ours.
@@ -305,6 +309,7 @@ fn handle_connection(state: &Arc<AppState>, mut conn: TcpStream) {
         };
         let wrote = write_response_extra(
             &mut conn,
+            &mut out,
             r.status,
             r.reason,
             r.content_type,
@@ -914,19 +919,41 @@ fn first_tuple(body: &str) -> String {
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .nth(1)
         .unwrap_or_default();
-    parse_arg_tuple(line).map_or_else(|_| line.to_string(), |fields| fields.join(","))
+    split_arg_tuple(line).map_or_else(
+        |_| line.to_string(),
+        |fields| {
+            let mut echo = String::with_capacity(line.len());
+            push_echo(&mut echo, fields);
+            echo
+        },
+    )
+}
+
+/// Appends a tuple's echo: its trimmed fields joined by bare commas, so
+/// `" a , b "` echoes `a,b`.
+fn push_echo<'a>(out: &mut String, fields: impl Iterator<Item = &'a str>) {
+    for (k, field) in fields.enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        out.push_str(field);
+    }
 }
 
 /// `POST /predict` body: a `model NAME` line, then one comma-separated tuple
-/// per line. The response has one `TUPLE\tpositive|negative` line per input
-/// tuple, in order.
+/// per line in the grammar of [`split_arg_tuple`]. The response has one
+/// `TUPLE\tpositive|negative` line per input tuple, in order, where `TUPLE`
+/// is the tuple's trimmed fields joined by bare commas.
 ///
-/// The whole batch is parsed up front into one flat constants buffer, then
-/// evaluated in one pass: each tuple runs the model's compiled plans first,
-/// and only a tuple no compiled clause covers runs the clauses the compiler
-/// declined, through the interpreter with scratch buffers reused across
-/// tuples. The verdicts equal the interpreter's over the whole definition —
-/// the differential suites hold them to that.
+/// The batch allocates per batch, never per tuple. One pass splits each
+/// line into fields borrowed from the body and resolves them straight into
+/// one flat constants buffer; the split fields stay behind, still borrowed,
+/// as the tuple's echo. Evaluation then runs each tuple through the model's
+/// compiled plans first, and only a tuple no compiled clause covers runs
+/// the clauses the compiler declined, through the interpreter with scratch
+/// buffers reused across tuples. The verdicts equal the interpreter's over
+/// the whole definition — the differential suites hold them to that. Last,
+/// every response line is appended to one buffer sized for the batch.
 fn handle_predict(state: &Arc<AppState>, body: &str, trace_id: Option<&str>) -> Routed {
     let bad = |msg: String| Routed::text(Endpoint::Predict, 400, "Bad Request", msg);
     let mut lines = body
@@ -970,33 +997,38 @@ fn handle_predict(state: &Arc<AppState>, body: &str, trace_id: Option<&str>) -> 
         .unwrap_or(state.ds.target);
     let arity = db.catalog().schema(rel).arity();
 
-    // Parse the batch: echo strings per tuple plus one flat `Const` buffer
-    // with stride `arity` (no per-tuple allocation on the eval path).
-    let mut echo: Vec<String> = Vec::new();
+    // Parse and resolve in one pass: `consts` holds every tuple's constants
+    // with stride `arity`, and `echoes` each tuple's fields, still borrowed
+    // from the body, for the response.
+    let mut echoes = Vec::new();
     let mut consts: Vec<relstore::Const> = Vec::new();
+    // Response bytes: an echo is never longer than its line.
+    let mut out_len = 0;
     for (i, line) in lines.enumerate() {
-        let fields = match parse_arg_tuple(line) {
+        let fields = match split_arg_tuple(line) {
             Ok(fields) => fields,
             Err(e) => return bad(format!("tuple {}: {e}\n", i + 1)),
         };
-        if fields.len() != arity {
+        let start = consts.len();
+        consts.extend(fields.clone().map(|f| resolver.resolve(f)));
+        let got = consts.len() - start;
+        if got != arity {
             return bad(format!(
-                "tuple {}: target takes {arity} arguments, got {}\n",
-                i + 1,
-                fields.len()
+                "tuple {}: target takes {arity} arguments, got {got}\n",
+                i + 1
             ));
         }
-        consts.extend(fields.iter().map(|f| resolver.resolve(f)));
-        echo.push(fields.join(","));
+        echoes.push(fields);
+        out_len += line.len() + "\tnegative\n".len();
     }
-    if echo.is_empty() {
+    if echoes.is_empty() {
         return bad("no tuples: expected one CSV tuple per line after `model NAME`\n".to_string());
     }
 
     let qcfg = QueryConfig::default();
-    let mut verdicts = vec![false; echo.len()];
+    let mut verdicts = vec![false; echoes.len()];
     let plans = &entry.plan;
-    crate::metrics::PREDICT_TUPLES.add(echo.len() as u64);
+    crate::metrics::PREDICT_TUPLES.add(echoes.len() as u64);
     let mut sp = obs::span!("predict.compiled_batch");
     let mut scratch = EvalScratch::default();
     let mut exec = plan::ExecScratch::default();
@@ -1004,8 +1036,7 @@ fn handle_predict(state: &Arc<AppState>, body: &str, trace_id: Option<&str>) -> 
     // One plain-counter tally for the whole batch, flushed into the model's
     // atomics once at the end.
     let mut tally = plan::BatchTally::for_definition(plans);
-    for (t, verdict) in verdicts.iter_mut().enumerate() {
-        let args = &consts[t * arity..(t + 1) * arity];
+    for (args, verdict) in consts.chunks_exact(arity).zip(&mut verdicts) {
         let mut covered = plans.covers_compiled_tallied(db, args, &mut exec, &mut tally);
         // Clauses the compiler declined still participate in the
         // definition's disjunction — interpret them for tuples no compiled
@@ -1025,7 +1056,15 @@ fn handle_predict(state: &Arc<AppState>, body: &str, trace_id: Option<&str>) -> 
         }
         *verdict = covered;
     }
-    sp.note("tuples", echo.len() as u64);
+    // The batch's plan summary rides on its span, so a kept trace's tree
+    // carries it next to the request record's `plan` object.
+    let totals = tally.totals();
+    sp.note("tuples", echoes.len() as u64);
+    sp.note("entries", totals.entries);
+    sp.note("candidates", totals.candidates);
+    sp.note("rejected", totals.rejected);
+    sp.note("backtracks", totals.backtracks);
+    sp.note("node_limit_hits", totals.node_limit_hits);
     crate::metrics::PREDICT_INTERPRETED_TUPLES.add(interpreted);
     entry.stats.absorb(&tally);
     let q_errors = plan::step_q_errors(plans, &tally);
@@ -1035,18 +1074,21 @@ fn handle_predict(state: &Arc<AppState>, body: &str, trace_id: Option<&str>) -> 
     crate::metrics::PLAN_VARIANT_SELECTIONS.add(tally.multi_variant_selections());
     drop(sp);
 
-    let mut out = String::with_capacity(echo.len() * 24);
-    for (fields, covered) in echo.iter().zip(&verdicts) {
-        out.push_str(&format!(
-            "{fields}\t{}\n",
-            if *covered { "positive" } else { "negative" }
-        ));
+    let tuples = echoes.len() as u64;
+    let mut out = String::with_capacity(out_len);
+    for (fields, covered) in echoes.into_iter().zip(verdicts) {
+        push_echo(&mut out, fields);
+        out.push_str(if covered {
+            "\tpositive\n"
+        } else {
+            "\tnegative\n"
+        });
     }
     let info = PredictInfo {
         model: name.to_string(),
-        tuples: echo.len() as u64,
+        tuples,
         interpreter_fallback: interpreted > 0,
-        plan: tally.totals(),
+        plan: totals,
         max_qerror: q_errors.into_iter().reduce(f64::max),
     };
     Routed {

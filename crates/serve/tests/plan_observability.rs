@@ -322,6 +322,26 @@ fn declined_clause_is_served_by_the_interpreter_and_kept() {
         Some("interpreter_fallback")
     );
     assert_eq!(trace.get("route").unwrap().as_str(), Some("predict"));
+    // The kept tree carries the batch's plan summary as notes on its
+    // `predict.compiled_batch` span, equal to the record's `plan` object.
+    let spans = trace.path(&["tree", "spans"]).unwrap().as_arr().unwrap();
+    let batch = spans
+        .iter()
+        .find(|s| s.get("name").unwrap().as_str() == Some("predict.compiled_batch"))
+        .unwrap_or_else(|| panic!("batch span kept: {body}"));
+    let notes = batch.get("notes").unwrap();
+    assert_eq!(notes.get("tuples").unwrap().as_f64(), Some(n_tuples as f64));
+    for key in [
+        "entries",
+        "candidates",
+        "rejected",
+        "backtracks",
+        "node_limit_hits",
+    ] {
+        let noted = notes.get(key).unwrap_or_else(|| panic!("no {key} note"));
+        assert_eq!(Some(noted), trace.path(&["plan", key]), "{key}");
+    }
+    assert!(notes.get("entries").unwrap().as_f64().unwrap() > 0.0);
     let (_, listing) = request(addr, "GET", "/debug/traces", "");
     let listing = Json::parse(&listing).unwrap();
     let listed = listing

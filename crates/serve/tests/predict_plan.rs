@@ -7,16 +7,21 @@
 //! evaluated by `definition_covers_args`. Covers a hand-written model and a
 //! model learned by a background job, across 1 and 8 worker threads. Also
 //! drives several requests down one keep-alive connection and checks the
-//! reuse counter on `/metrics`.
+//! reuse counter on `/metrics`. A second test holds every status and body
+//! of the batch path — padded fields, CRLF, comments, constants the data
+//! lacks, and each 400 — to a reference built on `parse_arg_tuple`.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
 use autobias::clause_text::parse_definition_frozen;
+use autobias::example::parse_arg_tuple;
 use autobias::query::{definition_covers_args, EvalScratch, QueryConfig};
 use autobias_serve::http::read_response_head;
 use autobias_serve::{serve, ServeConfig};
 use datasets::io::save_dataset;
 use datasets::Dataset;
+use obs::json::Json;
+use relstore::ConstResolver;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -301,4 +306,198 @@ fn served_predictions_match_the_interpreter_byte_for_byte() {
         assert_eq!(status, 200);
         h.join();
     }
+}
+
+/// A model whose head names a constant the data lacks: `ghost` gets an
+/// ephemeral id at load, and a request mentioning `ghost` must resolve to
+/// that same id.
+const GHOST_MODEL: &str = "advisedBy(x, ghost) ← publication(z, x)\n";
+
+/// The `/predict` contract computed in process, the way the batch path
+/// computed it before it stopped allocating per tuple: header checks, then
+/// every tuple split by `parse_arg_tuple`, checked for arity, echoed as
+/// `fields.join(",")`, resolved through a `ConstResolver` seeded with the
+/// model's unknown constants, and evaluated by the interpreter.
+fn reference_predict(ds: &Dataset, models: &[(&str, &str)], body: &str) -> (u16, String) {
+    let mut lines = body
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    let Some(header) = lines.next() else {
+        return (400, "empty body: expected `model NAME`\n".to_string());
+    };
+    let Some(name) = header
+        .strip_prefix("model ")
+        .map(str::trim)
+        .filter(|n| !n.is_empty())
+    else {
+        return (
+            400,
+            format!("first line must be `model NAME`, got {header:?}\n"),
+        );
+    };
+    let Some(&(_, text)) = models.iter().find(|(n, _)| *n == name) else {
+        return (404, format!("no model {name:?} (see GET /models)\n"));
+    };
+    let (def, unknown) = parse_definition_frozen(&ds.db, text).expect("model parses");
+    let mut resolver = ConstResolver::new(ds.db.dict());
+    for s in &unknown {
+        resolver.resolve(s);
+    }
+    let rel = def.clauses[0].head.rel;
+    let arity = ds.db.catalog().schema(rel).arity();
+    let mut tuples = Vec::new();
+    for (i, line) in lines.enumerate() {
+        let fields = match parse_arg_tuple(line) {
+            Ok(fields) => fields,
+            Err(e) => return (400, format!("tuple {}: {e}\n", i + 1)),
+        };
+        if fields.len() != arity {
+            return (
+                400,
+                format!(
+                    "tuple {}: target takes {arity} arguments, got {}\n",
+                    i + 1,
+                    fields.len()
+                ),
+            );
+        }
+        tuples.push(fields);
+    }
+    if tuples.is_empty() {
+        return (
+            400,
+            "no tuples: expected one CSV tuple per line after `model NAME`\n".to_string(),
+        );
+    }
+    let args: Vec<Vec<relstore::Const>> = tuples
+        .iter()
+        .map(|fields| fields.iter().map(|f| resolver.resolve(f)).collect())
+        .collect();
+    let qcfg = QueryConfig::default();
+    let mut scratch = EvalScratch::default();
+    let mut out = String::new();
+    for (fields, args) in tuples.iter().zip(&args) {
+        let covered = definition_covers_args(&ds.db, &def, rel, args, &qcfg, &mut scratch);
+        let verdict = if covered { "positive" } else { "negative" };
+        out.push_str(&format!("{}\t{verdict}\n", fields.join(",")));
+    }
+    (200, out)
+}
+
+#[test]
+fn batch_bytes_match_the_reference_parser() {
+    let (data, models) = setup_dirs("predict_bytes");
+    std::fs::write(models.join("ghost.model"), GHOST_MODEL).unwrap();
+    let access_log = data.parent().unwrap().join("access.jsonl");
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        data_dir: data.clone(),
+        models_dir: models.clone(),
+        threads: 1,
+        access_log: Some(access_log.clone()),
+        request_trace: true,
+    };
+    let (handle, report) = serve(&cfg).expect("server boots");
+    assert_eq!(
+        report.loaded,
+        vec!["coauthor", "ghost"],
+        "{:?}",
+        report.errors
+    );
+    let addr = handle.addr();
+    let ds = datasets::io::load_dataset(&data).expect("load");
+    let model_texts = [("coauthor", COAUTHOR_MODEL), ("ghost", GHOST_MODEL)];
+
+    // Real tuples, each padded a different way: spaces, tabs, both, and a
+    // non-breaking space, which `str::trim` also strips.
+    let tuples = example_tuples(&ds);
+    let pads = [
+        (" ", " "),
+        ("", ""),
+        ("\t", "\t"),
+        ("  \t", " \t "),
+        ("\u{a0}", ""),
+    ];
+    let padded: String = tuples
+        .lines()
+        .enumerate()
+        .map(|(i, line)| {
+            let (l, r) = pads[i % pads.len()];
+            let fields: Vec<String> = line.split(',').map(|f| format!("{l}{f}{r}")).collect();
+            format!("{l}{}{r}\n", fields.join(","))
+        })
+        .collect();
+    let first_padded = padded.lines().next().unwrap().to_string();
+    let crlf: String = tuples
+        .lines()
+        .enumerate()
+        .map(|(i, line)| match i % 4 {
+            0 => format!("{line}\r\n\r\n"),
+            1 => format!("# comment {i}\r\n {line} \r\n"),
+            2 => format!("\t\r\n{line}\r\n"),
+            _ => format!("{line}\n   # indented comment\n"),
+        })
+        .collect();
+    let a_student = ds.db.const_name(ds.pos[0].args[0]).to_string();
+    let a_prof = ds.db.const_name(ds.pos[0].args[1]).to_string();
+    let unknown = format!(
+        "ghost, {a_prof}\n{a_student},ghost\n nobody ,  {a_prof}\n{a_student}, nobody\n\
+         s 1,prof 2\nghost,ghost\n{a_student},{a_prof}\n"
+    );
+
+    let bodies: Vec<String> = vec![
+        format!("model coauthor\n{padded}"),
+        format!("  model   coauthor  \n{padded}"),
+        format!("# leading comment\r\nmodel coauthor\r\n\r\n{crlf}"),
+        format!("model coauthor\n{unknown}"),
+        format!("model ghost\n{unknown}{tuples}"),
+        format!("model ghost\r\n{crlf}"),
+        // Each 400 the batch path can answer, and the 404.
+        format!("model coauthor\n{a_student},,{a_prof}\n"),
+        format!("model coauthor\n{a_student}, \t ,{a_prof}\n"),
+        format!("model coauthor\n{tuples}{a_student},{a_prof},\n"),
+        format!("model coauthor\n,{a_prof}\n"),
+        format!("model coauthor\n{a_student}\n"),
+        format!("model coauthor\n{tuples}{a_student},{a_prof},{a_prof}\n"),
+        "model coauthor\n".to_string(),
+        "model coauthor\n# only a comment\n\r\n  \n".to_string(),
+        String::new(),
+        " \r\n\t\n".to_string(),
+        format!("modl coauthor\n{tuples}"),
+        format!("model \n{tuples}"),
+        format!("coauthor\n{tuples}"),
+        format!("model nope\n{tuples}"),
+    ];
+    for (k, body) in bodies.iter().enumerate() {
+        let want = reference_predict(&ds, &model_texts, body);
+        let got = request(addr, "POST", "/predict", body);
+        assert_eq!(got, want, "body {k}: {body:?}");
+    }
+    // The differential must see both verdicts and ephemeral constants
+    // matching the model's: `ghost` in the second field is a positive.
+    let (_, ghost) = request(addr, "POST", "/predict", &bodies[4]);
+    assert!(
+        ghost
+            .lines()
+            .any(|l| l == format!("{a_student},ghost\tpositive")),
+        "{ghost}"
+    );
+    assert!(ghost.lines().any(|l| l.ends_with("\tnegative")), "{ghost}");
+
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    handle.join();
+
+    // The access log samples the first tuple as the response echoes it.
+    let access = std::fs::read_to_string(&access_log).unwrap();
+    let first = access
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .find(|l| l.get("route").unwrap().as_str() == Some("predict"))
+        .unwrap_or_else(|| panic!("a predict line logged:\n{access}"));
+    let want = parse_arg_tuple(&first_padded).unwrap().join(",");
+    assert_ne!(want, first_padded.trim(), "the first tuple is padded");
+    assert_eq!(first.get("args_sample").unwrap().as_str(), Some(&*want));
+    let _ = std::fs::remove_dir_all(data.parent().unwrap());
 }
