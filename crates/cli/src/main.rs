@@ -306,15 +306,7 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
         let bias = pick_bias(args, &ds)?;
         t0 = std::time::Instant::now();
         let never = std::sync::atomic::AtomicBool::new(false);
-        learn_model(
-            &ds,
-            &bias,
-            &opts,
-            ds.name.to_string(),
-            &report,
-            &obs::progress::NullSink,
-            &never,
-        )
+        learn_model(&ds, &bias, &opts, ds.name.to_string(), &report, &never)
     };
     // Verification findings go to stderr and never alter the model output;
     // Error findings fail the command.
@@ -716,7 +708,6 @@ fn render_event(event: &str, data: &str) -> Option<String> {
             num("covered_neg")
         ),
         "clause_searched" => return None,
-        "dropped" => format!("(stream fell behind: {} event(s) missed)", num("missed")),
         "finished" => {
             let tail = if json.get("cancelled").and_then(|v| v.as_bool()) == Some(true) {
                 " [cancelled]"

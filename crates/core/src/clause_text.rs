@@ -93,12 +93,13 @@ fn is_var_token(tok: &str) -> bool {
         || (tok.starts_with('v') && tok.len() > 1 && tok[1..].chars().all(|c| c.is_ascii_digit()))
 }
 
-fn var_id(tok: &str) -> u32 {
+/// The variable a label names; `None` for a `v<N>` whose `N` overflows.
+fn var_id(tok: &str) -> Option<u32> {
     match tok {
-        "x" => 0,
-        "y" => 1,
-        "z" => 2,
-        _ => tok[1..].parse().expect("checked by is_var_token"),
+        "x" => Some(0),
+        "y" => Some(1),
+        "z" => Some(2),
+        _ => tok[1..].parse().ok(),
     }
 }
 
@@ -108,10 +109,13 @@ fn split_call(s: &str, line: usize) -> Result<(&str, Vec<&str>), ClauseParseErro
         line,
         message: format!("expected `rel(args)` in {s:?}"),
     })?;
-    let close = s.rfind(')').ok_or_else(|| ClauseParseError::Malformed {
-        line,
-        message: format!("missing `)` in {s:?}"),
-    })?;
+    let close =
+        s.rfind(')')
+            .filter(|&close| close > open)
+            .ok_or_else(|| ClauseParseError::Malformed {
+                line,
+                message: format!("missing `)` in {s:?}"),
+            })?;
     let name = s[..open].trim();
     let inner = &s[open + 1..close];
     let args = if inner.trim().is_empty() {
@@ -188,13 +192,17 @@ fn parse_raw<'s>(
         let args = args
             .iter()
             .map(|a| {
-                if is_var_token(a) {
-                    RawTerm::Var(var_id(a))
-                } else {
-                    RawTerm::Const(a)
+                if !is_var_token(a) {
+                    return Ok(RawTerm::Const(a));
                 }
+                var_id(a)
+                    .map(RawTerm::Var)
+                    .ok_or_else(|| ClauseParseError::Malformed {
+                        line: line_no,
+                        message: format!("variable label {a:?} out of range"),
+                    })
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         Ok(RawLiteral { rel, args })
     };
 
@@ -325,6 +333,9 @@ pub fn parse_definition_frozen(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
     use relstore::fixtures::uw_fragment;
 
     fn setup() -> Database {
@@ -446,6 +457,137 @@ advisedBy(x, y) ← publication(v12, x), publication(v12, y), professor(y)";
             &crate::query::QueryConfig::default(),
         );
         assert!(covered, "second clause (student(x)) should still fire");
+    }
+
+    /// Texts that used to panic the parser (a `)` before the `(`, a
+    /// variable label past `u32`) are malformed lines.
+    #[test]
+    fn misplaced_parenthesis_and_huge_label_are_malformed() {
+        let mut db = setup();
+        for text in ["advisedBy)x, y(", "advisedBy(x, v99999999999)"] {
+            let err = parse_definition(&mut db, text).unwrap_err();
+            assert!(
+                matches!(err, ClauseParseError::Malformed { line: 1, .. }),
+                "{text}: {err}"
+            );
+            assert!(parse_definition_frozen(&db, text).is_err(), "{text}");
+        }
+        // The largest label still parses.
+        assert!(parse_definition(&mut db, "advisedBy(x, v4294967295)").is_ok());
+    }
+
+    /// A string of up to `max_len` characters drawn from `alphabet`.
+    fn random_string(rng: &mut StdRng, alphabet: &[&str], max_len: usize) -> String {
+        let len = rng.random_range(0..=max_len);
+        (0..len).map(|_| *alphabet.choose(rng).unwrap()).collect()
+    }
+
+    #[test]
+    fn parsers_never_panic_on_arbitrary_strings() {
+        // Clause syntax, both arrows (and their halves), relation names of
+        // the fixture, variable labels (one past `u32`), and multi-byte
+        // characters.
+        let alphabet = [
+            "(",
+            ")",
+            ",",
+            " ",
+            "←",
+            "<-",
+            "<",
+            "-",
+            "\n",
+            "#",
+            "true",
+            "x",
+            "y",
+            "z",
+            "v",
+            "v12",
+            "v99999999999",
+            "advisedBy",
+            "publication",
+            "student",
+            "inPhase",
+            "é",
+            "😀",
+            "\"",
+            "0",
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5eed_0008);
+        for _ in 0..20_000 {
+            let text = random_string(&mut rng, &alphabet, 16);
+            let mut db = setup();
+            if let Ok((frozen, _)) = parse_definition_frozen(&db, &text) {
+                // The two parsers accept the same texts, with the same
+                // structure.
+                let interned = parse_definition(&mut db, &text)
+                    .unwrap_or_else(|e| panic!("{text:?}: frozen parse ok, interning: {e}"));
+                assert_eq!(interned.len(), frozen.len(), "{text:?}");
+            } else {
+                assert!(parse_definition(&mut db, &text).is_err(), "{text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn rendered_definitions_parse_back() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0009);
+        // Constant names the renderer prints verbatim and the parser reads
+        // back as constants: no separators, no surrounding whitespace, and
+        // never a variable label.
+        let first = ["c", "K", "7", "_", "é"];
+        let rest = [
+            "a", "b", "0", "9", "_", "-", ".", "\"", "'", "é", "中", "x", "v",
+        ];
+        for case in 0..2_000 {
+            let mut db = setup();
+            let target = db.rel_id("advisedBy").unwrap();
+            let rels: Vec<_> = ["publication", "student", "professor", "inPhase"]
+                .iter()
+                .map(|r| db.rel_id(r).unwrap())
+                .chain([target])
+                .collect();
+            let term = |db: &mut Database, rng: &mut StdRng| {
+                if rng.random_range(0..3) == 0 {
+                    let name = format!(
+                        "{}{}",
+                        first.choose(rng).unwrap(),
+                        random_string(rng, &rest, 6)
+                    );
+                    Term::Const(db.intern(&name))
+                } else {
+                    Term::Var(VarId(rng.random_range(0..40)))
+                }
+            };
+            let mut def = Definition::new();
+            for _ in 0..rng.random_range(0..4) {
+                let literal = |db: &mut Database, rng: &mut StdRng, rel| {
+                    let arity = db.catalog().schema(rel).arity();
+                    let args: Vec<Term> = (0..arity).map(|_| term(db, rng)).collect();
+                    Literal::new(rel, args)
+                };
+                let head = literal(&mut db, &mut rng, target);
+                let body = (0..rng.random_range(0..5))
+                    .map(|_| {
+                        let rel = *rels.choose(&mut rng).unwrap();
+                        literal(&mut db, &mut rng, rel)
+                    })
+                    .collect();
+                let mut clause = Clause::new(head, body);
+                clause.canonicalize_vars();
+                def.clauses.push(clause);
+            }
+            let text = def.render(&db);
+            let parsed = parse_definition(&mut db, &text)
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            assert_eq!(parsed, def, "case {case}: {text}");
+            assert_eq!(parsed.render(&db), text, "case {case}");
+            let (frozen, unknown) = parse_definition_frozen(&db, &text)
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            assert_eq!(frozen, def, "case {case}: {text}");
+            assert!(unknown.is_empty(), "case {case}: {unknown:?}");
+        }
     }
 
     #[test]

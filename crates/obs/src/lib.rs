@@ -40,11 +40,11 @@
 //! - [`progress`] — the structured [`progress::ProgressEvent`] channel a
 //!   learning run emits (iteration started, clause accepted, …) and the
 //!   [`progress::ProgressSink`] trait its consumers implement.
-//! - [`report`] — one learn run's record: the builder owns the run's trace
-//!   tree and folds it, the run's progress events and the counter deltas
-//!   into a versioned JSON [`report::RunReport`] — the artifact behind
-//!   `autobias learn --report-out`/`--profile`/`--trace-out`, a server
-//!   job's status page and the server's run ledger.
+//! - [`report`] — one learn run's record: the builder keeps the run's
+//!   progress events and owns its trace tree, and folds them and the
+//!   counter deltas into a versioned JSON [`report::RunReport`] — the
+//!   artifact behind `autobias learn --report-out`/`--profile`/`--trace-out`,
+//!   a server job's status page, event stream and the server's run ledger.
 //! - [`json`] — the workspace's one JSON value: parse and render. Every
 //!   JSON document the workspace emits (run reports, progress events,
 //!   diagnostics, traces, server bodies) is a [`json::Json`] rendered by

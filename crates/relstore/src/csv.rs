@@ -122,7 +122,9 @@ pub fn load_csv<R: Read>(db: &mut Database, rel: RelId, reader: R) -> Result<usi
     Ok(count)
 }
 
-/// Writes relation `rel` of `db` as CSV to `writer`.
+/// Writes relation `rel` of `db` as CSV to `writer`. A value holding a
+/// comma or a quote is quoted, and so is a blank one, whose line
+/// [`load_csv`] would otherwise skip. Values must not hold line breaks.
 pub fn write_csv<W: Write>(db: &Database, rel: RelId, writer: W) -> Result<(), CsvError> {
     let mut out = BufWriter::new(writer);
     let relation = db.relation(rel);
@@ -134,7 +136,7 @@ pub fn write_csv<W: Write>(db: &Database, rel: RelId, writer: W) -> Result<(), C
             }
             first = false;
             let name = db.const_name(c);
-            if name.contains(',') || name.contains('"') {
+            if name.contains([',', '"']) || name.trim().is_empty() {
                 write!(out, "\"{}\"", name.replace('"', "\"\""))?;
             } else {
                 out.write_all(name.as_bytes())?;
@@ -149,6 +151,9 @@ pub fn write_csv<W: Write>(db: &Database, rel: RelId, writer: W) -> Result<(), C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn load_simple_csv() {
@@ -201,6 +206,72 @@ mod tests {
                 assert_eq!((line, found, expected), (2, 1, 2));
             }
             other => panic!("unexpected error: {other}"),
+        }
+    }
+
+    /// A string of up to `max_len` characters drawn from `alphabet`.
+    fn random_string(rng: &mut StdRng, alphabet: &[char], max_len: usize) -> String {
+        let len = rng.random_range(0..=max_len);
+        (0..len).map(|_| *alphabet.choose(rng).unwrap()).collect()
+    }
+
+    #[test]
+    fn load_never_panics_on_arbitrary_bytes() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_000a);
+        let alphabet = b"ab,,\"\"\n\r \t\xff\xc3\x00";
+        for _ in 0..20_000 {
+            let len = rng.random_range(0..60);
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match rng.random_range(0..3) {
+                    0 => rng.random_range(0..=255u8),
+                    _ => *alphabet.choose(&mut rng).unwrap(),
+                })
+                .collect();
+            let mut db = Database::new();
+            let attrs = ["a", "b", "c"];
+            let r = db.add_relation("t", &attrs[..rng.random_range(1..=3)]);
+            if let Ok(n) = load_csv(&mut db, r, bytes.as_slice()) {
+                assert_eq!(db.relation(r).len(), n);
+            }
+        }
+    }
+
+    #[test]
+    fn written_relations_load_back() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_000b);
+        // Separators, quotes, whitespace and multi-byte characters; a line
+        // break cannot be carried by a line-per-tuple format.
+        let alphabet = [
+            ',', '"', ' ', '\t', 'a', 'b', '0', ';', '\'', 'é', '中', '😀',
+        ];
+        for case in 0..2_000 {
+            let attrs = ["a", "b", "c"];
+            let arity = rng.random_range(1..=3);
+            let mut db = Database::new();
+            let r = db.add_relation("t", &attrs[..arity]);
+            let rows: Vec<Vec<String>> = (0..rng.random_range(0..8))
+                .map(|_| {
+                    (0..arity)
+                        .map(|_| random_string(&mut rng, &alphabet, 6))
+                        .collect()
+                })
+                .collect();
+            for row in &rows {
+                let refs: Vec<&str> = row.iter().map(String::as_str).collect();
+                db.insert(r, &refs);
+            }
+            let mut out = Vec::new();
+            write_csv(&db, r, &mut out).unwrap();
+            let text = String::from_utf8_lossy(&out);
+            let mut db2 = Database::new();
+            let r2 = db2.add_relation("t", &attrs[..arity]);
+            let n = load_csv(&mut db2, r2, out.as_slice())
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            assert_eq!(n, rows.len(), "case {case}: {text}");
+            for ((_, t), row) in db2.relation(r2).iter().zip(&rows) {
+                let names: Vec<&str> = t.iter().map(|&c| db2.const_name(c)).collect();
+                assert_eq!(names, *row, "case {case}: {text}");
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 //! auditable and dependency-free — the same idiom as the rest of the
 //! workspace.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 
 /// Largest accepted header block.
@@ -315,34 +315,43 @@ impl<R: BufRead> ChunkedReader<R> {
     }
 
     /// Reads the next chunk; `Ok(None)` after the terminating zero chunk.
+    /// A chunk-size line longer than a request head may be, or chunk data
+    /// not followed by CRLF, is `InvalidData`.
     pub fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
         if self.done {
             return Ok(None);
         }
+        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let mut size_line = String::new();
-        if self.inner.read_line(&mut size_line)? == 0 {
+        let n = (&mut self.inner)
+            .take(MAX_HEAD_BYTES as u64)
+            .read_line(&mut size_line)?;
+        if n == 0 {
             // Peer closed without the zero chunk (e.g. server shutdown
             // mid-stream); treat as end of stream.
             self.done = true;
             return Ok(None);
         }
+        if n == MAX_HEAD_BYTES && !size_line.ends_with('\n') {
+            return Err(bad(format!(
+                "chunk-size line exceeds {MAX_HEAD_BYTES} bytes"
+            )));
+        }
         let size_str = size_line.trim().split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_str, 16).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad chunk size {size_line:?}"),
-            )
-        })?;
+        let size = usize::from_str_radix(size_str, 16)
+            .map_err(|_| bad(format!("bad chunk size {size_line:?}")))?;
         if size > MAX_BODY_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("chunk of {size} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
-            ));
+            return Err(bad(format!(
+                "chunk of {size} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )));
         }
         let mut data = vec![0u8; size];
         self.inner.read_exact(&mut data)?;
         let mut crlf = [0u8; 2];
         self.inner.read_exact(&mut crlf)?;
+        if &crlf != b"\r\n" {
+            return Err(bad(format!("chunk data not followed by CRLF: {crlf:?}")));
+        }
         if size == 0 {
             self.done = true;
             return Ok(None);
@@ -733,5 +742,135 @@ mod tests {
         let wire = b"zzz\r\n";
         let mut chunks = ChunkedReader::new(std::io::BufReader::new(&wire[..]));
         assert!(chunks.next_chunk().is_err());
+    }
+
+    #[test]
+    fn chunked_reader_rejects_data_not_followed_by_crlf() {
+        let wire = b"3\r\nabcXY0\r\n\r\n";
+        let mut chunks = ChunkedReader::new(&wire[..]);
+        let err = chunks.next_chunk().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // The zero chunk's own CRLF is checked too.
+        let mut chunks = ChunkedReader::new(&b"0\r\nXY"[..]);
+        assert_eq!(
+            chunks.next_chunk().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn chunked_reader_caps_the_size_line() {
+        // An endless size line stops at the cap instead of filling memory.
+        let mut endless = std::io::repeat(b'0');
+        let mut chunks = ChunkedReader::new(std::io::BufReader::new(&mut endless));
+        let err = chunks.next_chunk().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // Just under the cap still parses (leading zeros, then `5`).
+        let mut wire = "0".repeat(MAX_HEAD_BYTES - 3).into_bytes();
+        wire.extend_from_slice(b"5\r\nhello\r\n0\r\n\r\n");
+        let mut chunks = ChunkedReader::new(&wire[..]);
+        assert_eq!(chunks.next_chunk().unwrap().as_deref(), Some(&b"hello"[..]));
+        assert_eq!(chunks.next_chunk().unwrap(), None);
+    }
+
+    /// Every chunk `ChunkedReader` returns from `wire`, up to the first
+    /// error.
+    fn read_chunks(wire: &[u8]) -> io::Result<Vec<Vec<u8>>> {
+        let mut chunks = ChunkedReader::new(wire);
+        let mut out = Vec::new();
+        while let Some(chunk) = chunks.next_chunk()? {
+            out.push(chunk);
+        }
+        Ok(out)
+    }
+
+    /// Random chunk payloads, SSE frames of every progress-event kind among
+    /// them, and the chunked stream the server writes for them.
+    fn gen_chunked(rng: &mut Rng) -> (Vec<Vec<u8>>, Vec<u8>) {
+        let frames = [
+            crate::server::sse_frame(
+                "trace",
+                &obs::json::Json::obj([("event", "trace".into()), ("trace_id", "0af7".into())]),
+            ),
+            crate::server::sse_frame(
+                "clause_accepted",
+                &obs::progress::ProgressEvent::ClauseAccepted {
+                    iteration: 1,
+                    covered_pos: 6,
+                    covered_neg: 0,
+                    precision: 1.0,
+                    literals: 2,
+                    uncovered_after: 4,
+                    clause: "t(x) ← r(x, \"y\r\n0\r\n\")".to_string(),
+                }
+                .to_json(),
+            ),
+            ": keep-alive\n\n".to_string(),
+        ];
+        let chars: Vec<char> = "ab0\r\n;:é😀".chars().collect();
+        let chunks: Vec<Vec<u8>> = (0..rng.below(6))
+            .map(|_| match rng.below(3) {
+                0 => rng.pick(&frames).clone().into_bytes(),
+                1 => rng.string(&chars, 40).into_bytes(),
+                _ => (0..rng.below(300)).map(|_| rng.next() as u8).collect(),
+            })
+            .filter(|c| !c.is_empty())
+            .collect();
+        let mut wire = Vec::new();
+        for chunk in &chunks {
+            write_chunk(&mut wire, chunk).unwrap();
+        }
+        finish_chunked(&mut wire).unwrap();
+        (chunks, wire)
+    }
+
+    #[test]
+    fn written_chunked_streams_read_back_chunk_for_chunk() {
+        let mut rng = Rng(0x5eed_0006);
+        for case in 0..2_000 {
+            let (chunks, wire) = gen_chunked(&mut rng);
+            let mut full = Vec::new();
+            write_stream_head(&mut full, 200, "OK", "text/event-stream").unwrap();
+            full.extend_from_slice(&wire);
+            let mut r = std::io::BufReader::with_capacity(16, &full[..]);
+            assert_eq!(read_response_head(&mut r).unwrap().0, 200);
+            let mut reader = ChunkedReader::new(r);
+            for (i, chunk) in chunks.iter().enumerate() {
+                let got = reader.next_chunk();
+                assert_eq!(got.unwrap().as_ref(), Some(chunk), "case {case} chunk {i}");
+            }
+            assert_eq!(reader.next_chunk().unwrap(), None, "case {case}");
+        }
+    }
+
+    #[test]
+    fn chunked_reader_never_panics_on_arbitrary_bytes() {
+        let mut rng = Rng(0x5eed_0007);
+        let alphabet = b"0123456789abcdefABCDEF;\r\n\r\n \xff\x00";
+        for _ in 0..20_000 {
+            let len = rng.below(80) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match rng.below(3) {
+                    0 => rng.next() as u8,
+                    _ => *rng.pick(alphabet),
+                })
+                .collect();
+            // Every call consumes input or ends the stream, so this stops.
+            let _ = read_chunks(&bytes);
+        }
+        // Every truncation and a corruption of valid streams: a truncated
+        // stream never reads back a chunk it did not hold in full.
+        for _ in 0..300 {
+            let (chunks, wire) = gen_chunked(&mut rng);
+            for cut in 0..=wire.len() {
+                if let Ok(got) = read_chunks(&wire[..cut]) {
+                    assert!(chunks.starts_with(&got), "cut {cut}");
+                }
+            }
+            let mut bad = wire.clone();
+            let at = rng.below(bad.len() as u64) as usize;
+            bad[at] = rng.next() as u8;
+            let _ = read_chunks(&bad);
+        }
     }
 }

@@ -4,13 +4,13 @@
 //!
 //! A `POST /jobs/learn` request returns immediately with a job id; the run
 //! happens on its own thread against the shared read-only
-//! [`relstore::Database`], and clients poll `GET /jobs/{id}`, a view over
-//! the job's run report ([`Job::report`]). Cancellation is cooperative —
+//! [`relstore::Database`], and clients poll `GET /jobs/{id}` or follow
+//! `GET /jobs/{id}/events`, both views over the job's one record, its run
+//! report ([`Job::report`]). Cancellation is cooperative —
 //! the flag is polled by [`autobias::learn::Learner::learn_with_progress`]
 //! once per covering-loop iteration, so a cancelled job still returns the
 //! clauses accepted so far.
 
-use crate::events::EventLog;
 use crate::ledger::RunLedger;
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::trace::{KeepReason, RequestRecord, StoredTrace};
@@ -20,7 +20,6 @@ use autobias::bottom::{BcConfig, SamplingStrategy};
 use autobias::example::TrainingSet;
 use autobias::learn::{LearnStats, Learner, LearnerConfig};
 use datasets::Dataset;
-use obs::progress::{ProgressSink, Tee};
 use obs::report::{PlanReport, ReportBuilder};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -169,10 +168,10 @@ pub struct LearnedModel {
 }
 
 /// The one learning run behind `autobias learn` and `POST /jobs/learn`.
-/// Learns from `ds` under `bias` with every progress event going to both
-/// `report` and `progress`, checks the definition with the static verifier,
-/// compiles it the way the registry loads a model (named `name`), and
-/// records the compile outcome in `report`. `cancel` stops the covering
+/// Learns from `ds` under `bias` with every progress event kept by
+/// `report`, the run's one record, checks the definition with the static
+/// verifier, compiles it the way the registry loads a model (named `name`),
+/// and records the compile outcome in `report`. `cancel` stops the covering
 /// loop early, keeping the clauses accepted so far.
 pub fn learn_model(
     ds: &Dataset,
@@ -180,13 +179,11 @@ pub fn learn_model(
     opts: &LearnOptions,
     name: String,
     report: &ReportBuilder,
-    progress: &dyn ProgressSink,
     cancel: &AtomicBool,
 ) -> LearnedModel {
     let train = TrainingSet::new(ds.pos.clone(), ds.neg.clone());
-    let sinks = Tee::new(vec![report, progress]);
     let (definition, stats) = Learner::new(opts.learner_config())
-        .learn_with_progress(&ds.db, bias, &train, cancel, &sinks);
+        .learn_with_progress(&ds.db, bias, &train, cancel, report);
     let verdict = analyze::check_definition(&ds.db, &definition, Some(bias));
     let model = ModelEntry::new(&ds.db, name, definition, vec![], None);
     report.set_plan(PlanReport {
@@ -331,13 +328,12 @@ pub struct Job {
     pub trace_id: String,
     /// Positive training examples the job learns from.
     pub pos_total: usize,
-    /// The job's one record of its run: owns the run's span tree and is fed
-    /// every progress event, read live by `GET /jobs/{id}` and archived in
-    /// the run ledger once the job completes.
+    /// The job's one record of its run: owns the run's span tree and keeps
+    /// every progress event. `GET /jobs/{id}` reads it folded and
+    /// `GET /jobs/{id}/events` replays its events; the run ledger archives
+    /// it once the job completes. The job thread closes it after the
+    /// terminal status is set, ending every event stream.
     pub report: ReportBuilder,
-    /// Live SSE frames of this job's progress events; closed once the job
-    /// is terminal, ending any `GET /jobs/{id}/events` streams.
-    pub events: Arc<EventLog>,
     status: Mutex<JobStatus>,
     cancel: AtomicBool,
     handle: Mutex<Option<JoinHandle<()>>>,
@@ -418,7 +414,6 @@ impl JobManager {
             trace_id: report.trace().trace_id_hex(),
             pos_total: ds.pos.len(),
             report,
-            events: Arc::new(EventLog::default()),
             status: Mutex::new(JobStatus {
                 state: JobState::Queued,
                 detail: String::new(),
@@ -472,7 +467,7 @@ impl JobManager {
                 });
                 // Close after the terminal status is visible, so a watcher
                 // whose stream just ended polls a final, settled state.
-                worker_job.events.close();
+                worker_job.report.close();
             })
             .expect("spawning a job thread");
         *job.handle.lock().expect("job lock poisoned") = Some(handle);
@@ -534,8 +529,8 @@ impl JobManager {
 
 /// Drops the oldest terminal jobs past [`RunLedger::DEFAULT_CAP`] from
 /// `jobs` and returns them. A finished job still holds its run record (up
-/// to 262,144 spans) and event log, so the table keeps no more of them than
-/// the ledger archives. Running and queued jobs always stay.
+/// to 262,144 spans and every progress event), so the table keeps no more
+/// of them than the ledger archives. Running and queued jobs always stay.
 fn evict_oldest_terminal(jobs: &mut HashMap<u64, Arc<Job>>) -> Vec<Arc<Job>> {
     let mut terminal: Vec<u64> = jobs
         .values()
@@ -573,7 +568,6 @@ fn run_learn(
         opts,
         job.model_name.clone(),
         &job.report,
-        job.events.as_ref(),
         &job.cancel,
     );
     // Learned models are verified observationally (warnings logged, never
@@ -620,7 +614,9 @@ fn run_learn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::progress::ProgressEvent;
+    use obs::progress::{ProgressEvent, ProgressSink};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// A job that never spawned a thread, for driving `render_job` by hand.
     fn fixture_job(pos_total: usize) -> Job {
@@ -630,7 +626,6 @@ mod tests {
             trace_id: "0af7651916cd43dd8448eb211c80319c".to_string(),
             pos_total,
             report: ReportBuilder::new("UW", vec![]),
-            events: Arc::new(EventLog::default()),
             status: Mutex::new(JobStatus {
                 state: JobState::Queued,
                 detail: String::new(),
@@ -643,7 +638,7 @@ mod tests {
 
     /// Delivers one progress event the way `learn_model` does.
     fn feed(job: &Job, ev: ProgressEvent) {
-        Tee::new(vec![&job.report, job.events.as_ref()]).on_event(&ev);
+        job.report.on_event(&ev);
     }
 
     /// Settles a job the way its thread does once `run_learn` returns:
@@ -791,8 +786,8 @@ mod tests {
                  detail 2 clause(s), 1 uncovered positive(s), bc 1.234ms, search 56.789ms\n"
             )
         );
-        let batch = job.events.wait_from(0, std::time::Duration::ZERO);
-        assert_eq!(batch.frames.len(), 8, "every event reaches the SSE log");
+        let (events, _) = job.report.events_from(0, Duration::ZERO);
+        assert_eq!(events.len(), 8, "the report keeps every event");
 
         let failed = fixture_job(10);
         failed.set_status(|s| s.state = JobState::Running);
@@ -811,6 +806,158 @@ mod tests {
                  elapsed 0.012\ndetail bias induction: no modes\n"
             )
         );
+    }
+
+    /// The `(event, data)` frames of one `GET /jobs/{id}/events` body, as a
+    /// watcher decodes them; keep-alive comments are not frames.
+    fn sse_frames(body: &[u8]) -> Vec<(String, String)> {
+        let mut chunks = crate::http::ChunkedReader::new(body);
+        let mut frames = Vec::new();
+        while let Some(chunk) = chunks.next_chunk().unwrap() {
+            let text = String::from_utf8(chunk).unwrap();
+            if text.starts_with(':') {
+                continue;
+            }
+            let field = |name: &str| {
+                text.lines()
+                    .find_map(|l| l.strip_prefix(name))
+                    .unwrap_or_else(|| panic!("no {name:?} in {text:?}"))
+                    .to_string()
+            };
+            frames.push((field("event: "), field("data: ")));
+        }
+        frames
+    }
+
+    /// The SSE stream is a view of the report: a watcher attaching after
+    /// the job closed its report receives exactly the frames a watcher
+    /// following the run live received, one per kept event after the
+    /// leading `trace` frame, and the `clause_accepted` frames are the
+    /// report's accepted iterations.
+    #[test]
+    fn event_stream_replays_the_report() {
+        let job = fixture_job(10);
+        let mut events = vec![ProgressEvent::BcBuildFinished {
+            pos_examples: 10,
+            neg_examples: 20,
+            ground_literals: 345,
+            elapsed_us: 1_234,
+        }];
+        for (iteration, accepted) in [(1, true), (2, false), (3, true)] {
+            events.push(ProgressEvent::IterationStarted {
+                iteration,
+                uncovered_pos: 10 - iteration,
+                clauses_so_far: iteration / 2,
+                seed_bc_literals: 17,
+            });
+            events.push(ProgressEvent::ClauseSearched {
+                iteration,
+                beam_iterations: 3,
+                candidates_generated: 12,
+                candidates_pruned: 4,
+                armg_calls: 9,
+            });
+            events.push(if accepted {
+                ProgressEvent::ClauseAccepted {
+                    iteration,
+                    covered_pos: 3,
+                    covered_neg: 0,
+                    precision: 1.0,
+                    literals: 2,
+                    uncovered_after: 7 - iteration,
+                    clause: format!("advisedBy(x, y) ← publication(z{iteration}, \"x\")"),
+                }
+            } else {
+                ProgressEvent::ClauseRejected {
+                    iteration,
+                    covered_pos: 1,
+                    covered_neg: 3,
+                    precision: 0.25,
+                }
+            });
+        }
+        // The live watcher's writer hands over each flushed chunk, so the
+        // test feeds the next event only once the watcher has sent the
+        // previous one's frame.
+        struct Flushed(Vec<u8>, mpsc::Sender<Vec<u8>>);
+        impl std::io::Write for Flushed {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                self.1.send(std::mem::take(&mut self.0)).unwrap();
+                Ok(())
+            }
+        }
+        let (tx, rx) = mpsc::channel::<Vec<u8>>();
+        let mut live = Vec::new();
+        let mut next_frame = || loop {
+            let chunk = rx.recv().unwrap();
+            live.extend_from_slice(&chunk);
+            if !chunk.ends_with(b": keep-alive\n\n\r\n") {
+                return chunk;
+            }
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut w = Flushed(Vec::new(), tx);
+                crate::server::write_events(&mut w, &job, &AtomicBool::new(false)).unwrap();
+            });
+            next_frame(); // `trace`: the watcher is attached.
+            for ev in &events {
+                job.report.on_event(ev);
+                let frame = String::from_utf8(next_frame()).unwrap();
+                assert!(
+                    frame.contains(&format!("event: {}\n", ev.kind())),
+                    "{frame}"
+                );
+            }
+            settle(&job, JobState::Done, "done", 0.1, None, Some((2, 0)));
+            job.report.close();
+            assert_eq!(next_frame(), b"0\r\n\r\n", "the stream ends cleanly");
+        });
+        let mut late = Vec::new();
+        crate::server::write_events(&mut late, &job, &AtomicBool::new(false)).unwrap();
+        let frames = sse_frames(&live);
+        assert_eq!(
+            frames,
+            sse_frames(&late),
+            "a late watcher sees the same run"
+        );
+
+        assert_eq!(frames[0].0, "trace");
+        let trace = obs::json::Json::parse(&frames[0].1).unwrap();
+        assert_eq!(
+            trace.get("trace_id").unwrap().as_str(),
+            Some(job.trace_id.as_str())
+        );
+        assert_eq!(frames.len(), 1 + events.len());
+        for ((event, data), ev) in frames[1..].iter().zip(&events) {
+            assert_eq!(event, ev.kind());
+            assert_eq!(obs::json::Json::parse(data).unwrap(), ev.to_json());
+        }
+
+        let accepted_frames: Vec<(usize, String)> = frames
+            .iter()
+            .filter(|(event, _)| event == "clause_accepted")
+            .map(|(_, data)| {
+                let json = obs::json::Json::parse(data).unwrap();
+                let iteration = json.get("iteration").unwrap().as_f64().unwrap() as usize;
+                let clause = json.get("clause").unwrap().as_str().unwrap().to_string();
+                (iteration, clause)
+            })
+            .collect();
+        let accepted_iterations: Vec<(usize, String)> = job
+            .report
+            .finish()
+            .iterations
+            .into_iter()
+            .filter(|it| it.accepted)
+            .map(|it| (it.iteration, it.clause.unwrap()))
+            .collect();
+        assert_eq!(accepted_frames.len(), 2);
+        assert_eq!(accepted_frames, accepted_iterations);
     }
 
     #[test]
@@ -932,23 +1079,16 @@ mod tests {
             "at least one iteration recorded"
         );
 
-        // The event log replayed the whole run and is closed.
-        assert!(job.events.is_closed());
-        let batch = job
-            .events
-            .wait_from(0, std::time::Duration::from_millis(10));
-        assert!(batch.closed);
+        // The report kept the whole run's events and is closed.
+        let (events, closed) = job.report.events_from(0, Duration::from_millis(10));
+        assert!(closed);
         assert!(
-            batch.frames.len() >= 3,
+            events.len() >= 3,
             "bc build + iterations + finished, got {}",
-            batch.frames.len()
+            events.len()
         );
-        assert!(batch.frames[0].starts_with("event: bc_build_finished\n"));
-        assert!(batch
-            .frames
-            .last()
-            .unwrap()
-            .starts_with("event: finished\n"));
+        assert_eq!(events[0].kind(), "bc_build_finished");
+        assert_eq!(events.last().unwrap().kind(), "finished");
 
         // The run report landed in the ledger and matches the outcome.
         let json = ledger.get(job.id).expect("archived report");
@@ -983,7 +1123,10 @@ mod tests {
             "cancelled job must terminate, got {:?}",
             status.state
         );
-        assert!(job2.events.is_closed(), "terminal job closes its event log");
+        assert!(
+            job2.report.events_from(0, Duration::ZERO).1,
+            "terminal job closes its report"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

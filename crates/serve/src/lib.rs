@@ -26,8 +26,8 @@
 //!   counters in the Prometheus text format ([`metrics`]). Every learning
 //!   job additionally keeps one run report: `GET /jobs/{id}` is a live
 //!   view over it, the bounded on-disk ledger archives it for
-//!   `GET /runs/{id}` ([`ledger`]), and the same progress events stream
-//!   as SSE on `GET /jobs/{id}/events` ([`events`]).
+//!   `GET /runs/{id}` ([`ledger`]), and `GET /jobs/{id}/events` replays
+//!   the progress events it keeps as SSE ([`server`]).
 //! - **Traceable.** Every request runs under an [`obs::trace::TraceCtx`]
 //!   (W3C `traceparent` in, `x-autobias-trace-id` out); requests that
 //!   error, fall back to the interpreter, or land above a rolling latency
@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod access_log;
-pub mod events;
 pub mod http;
 pub mod jobs;
 pub mod ledger;

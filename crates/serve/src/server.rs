@@ -11,7 +11,6 @@
 //! connections finish, job threads are cancelled and joined.
 
 use crate::access_log::AccessLog;
-use crate::events::sse_frame;
 use crate::http::{
     finish_chunked, read_request_from, write_chunk, write_response, write_response_extra,
     write_stream_head, HttpError, Request, MAX_REQUESTS_PER_CONN,
@@ -28,7 +27,7 @@ use datasets::io::load_dataset;
 use datasets::Dataset;
 use obs::json::Json;
 use relstore::ConstResolver;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -406,10 +405,16 @@ impl AppState {
     }
 }
 
-/// `GET /jobs/{id}/events`: replays the job's event log as an SSE stream
-/// over chunked transfer, then follows it live until the job terminates.
-/// A client hanging up mid-stream is normal operation — it bumps
-/// `client_disconnects_total` and the request still counts as a success.
+/// One server-sent-events frame: `event: {kind}`, then `data` as one line
+/// of JSON. Every frame `GET /jobs/{id}/events` sends is written here.
+pub(crate) fn sse_frame(kind: &str, data: &Json) -> String {
+    format!("event: {kind}\ndata: {data}\n\n")
+}
+
+/// `GET /jobs/{id}/events`: the job's progress events as an SSE stream
+/// over chunked transfer ([`write_events`]). A client hanging up
+/// mid-stream is normal operation — it bumps `client_disconnects_total` and
+/// the request still counts as a success.
 fn handle_events_stream(state: &Arc<AppState>, conn: &mut TcpStream, req: &Request, t0: Instant) {
     let finish = |status| state.finish_unrouted(Endpoint::Events, Some(req), status, t0.elapsed());
     let Some(id) = parse_job_id(&req.path, "/events") else {
@@ -422,69 +427,50 @@ fn handle_events_stream(state: &Arc<AppState>, conn: &mut TcpStream, req: &Reque
         let _ = write_response(conn, 404, "Not Found", &format!("no job {id}\n"));
         return;
     };
-    if write_stream_head(conn, 200, "OK", "text/event-stream").is_err() {
+    if write_stream_head(conn, 200, "OK", "text/event-stream").is_err()
+        || write_events(conn, &job, &state.shutting_down).is_err()
+    {
         state.metrics.disconnect();
-        finish(200);
-        return;
     }
+    finish(200);
+}
+
+/// Writes the chunked SSE body of `GET /jobs/{id}/events`: a leading
+/// `trace` frame, then one frame per progress event the job's run report
+/// keeps — replayed from the first, then followed live — and the closing
+/// chunk once the report is closed. Idle 500 ms ticks write a `: keep-alive`
+/// comment, which is also how a dead client is noticed between events, and
+/// re-check `shutting_down`. An error means the client hung up.
+pub(crate) fn write_events(
+    w: &mut impl Write,
+    job: &crate::jobs::Job,
+    shutting_down: &AtomicBool,
+) -> std::io::Result<()> {
     // Lead with the job's trace id so a watcher can correlate the stream
     // with the archived trace (`GET /debug/traces/{trace_id}`) before any
     // progress event arrives.
-    let trace_frame = sse_frame(
-        "trace",
-        &Json::obj([
-            ("event", "trace".into()),
-            ("trace_id", job.trace_id.as_str().into()),
-        ]),
-    );
-    if write_chunk(conn, trace_frame.as_bytes()).is_err() {
-        state.metrics.disconnect();
-        finish(200);
-        return;
-    }
-    let mut disconnected = false;
+    let trace = Json::obj([
+        ("event", "trace".into()),
+        ("trace_id", job.trace_id.as_str().into()),
+    ]);
+    write_chunk(w, sse_frame("trace", &trace).as_bytes())?;
     let mut next = 0usize;
-    'stream: loop {
-        let batch = job.events.wait_from(next, Duration::from_millis(500));
-        next = batch.next;
-        if batch.missed > 0 {
-            let frame = sse_frame(
-                "dropped",
-                &Json::obj([("event", "dropped".into()), ("missed", batch.missed.into())]),
-            );
-            if write_chunk(conn, frame.as_bytes()).is_err() {
-                disconnected = true;
-                break 'stream;
-            }
-        }
-        for frame in &batch.frames {
-            if write_chunk(conn, frame.as_bytes()).is_err() {
-                disconnected = true;
-                break 'stream;
-            }
-        }
-        if batch.closed {
-            break;
+    loop {
+        let (events, closed) = job.report.events_from(next, Duration::from_millis(500));
+        next += events.len();
+        for ev in &events {
+            write_chunk(w, sse_frame(ev.kind(), &ev.to_json()).as_bytes())?;
         }
         // Worker threads must stay joinable during drain: a stream over a
         // job the drain has not yet cancelled would otherwise block
         // `pool.shutdown()` forever.
-        if state.shutting_down.load(Ordering::SeqCst) {
-            break;
+        if closed || shutting_down.load(Ordering::SeqCst) {
+            return finish_chunked(w);
         }
-        if batch.frames.is_empty() {
-            // SSE comment as keep-alive; also how a dead client is noticed
-            // between events.
-            if write_chunk(conn, b": keep-alive\n\n").is_err() {
-                disconnected = true;
-                break 'stream;
-            }
+        if events.is_empty() {
+            write_chunk(w, b": keep-alive\n\n")?;
         }
     }
-    if disconnected || finish_chunked(conn).is_err() {
-        state.metrics.disconnect();
-    }
-    finish(200);
 }
 
 const API_HELP: &str = "\
