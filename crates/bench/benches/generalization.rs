@@ -1,5 +1,5 @@
-//! Bench: the armg operator (paper §2.3.2) — blocking-atom binary search and
-//! armg cost vs bottom-clause size.
+//! Bench: the armg operator (paper §2.3.2) — the galloping blocking-atom
+//! search and armg cost vs bottom-clause size.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 
@@ -46,7 +46,7 @@ fn bench_blocking_atom(c: &mut Criterion) {
     let (engine, clause, target) = engine_with(20);
     let mut group = c.benchmark_group("generalization/blocking_atom");
     group.sample_size(20);
-    group.bench_function("binary_search", |b| {
+    group.bench_function("gallop", |b| {
         b.iter(|| black_box(blocking_atom(black_box(&clause), &engine, target)))
     });
     group.finish();

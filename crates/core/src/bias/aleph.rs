@@ -148,10 +148,13 @@ pub fn parse_aleph_bias(
             line: line_no,
             message: format!("expected an atom in {atom:?}"),
         })?;
-        let close = atom.rfind(')').ok_or_else(|| AlephParseError::Malformed {
-            line: line_no,
-            message: format!("missing `)` in {atom:?}"),
-        })?;
+        let close = atom
+            .rfind(')')
+            .filter(|&close| close > open)
+            .ok_or_else(|| AlephParseError::Malformed {
+                line: line_no,
+                message: format!("missing `)` in {atom:?}"),
+            })?;
         let name = atom[..open].trim();
         let rel = db
             .rel_id(name)
@@ -173,18 +176,20 @@ pub fn parse_aleph_bias(
         let mut arg_modes = Vec::with_capacity(args.len());
         let mut arg_types = Vec::with_capacity(args.len());
         for a in &args {
-            let (symbol, tname) = a.split_at(1);
-            let mode = match symbol {
-                "+" => ArgMode::Plus,
-                "-" => ArgMode::Minus,
-                "#" => ArgMode::Hash,
+            let mut chars = a.chars();
+            let mode = match chars.next() {
+                Some('+') => ArgMode::Plus,
+                Some('-') => ArgMode::Minus,
+                Some('#') => ArgMode::Hash,
                 other => {
+                    let other = other.map(String::from).unwrap_or_default();
                     return Err(AlephParseError::Malformed {
                         line: line_no,
                         message: format!("argument {a:?}: unknown symbol {other:?}"),
-                    })
+                    });
                 }
             };
+            let tname = chars.as_str();
             arg_modes.push(mode);
             arg_types.push(intern(tname, &mut type_ids));
         }
@@ -267,6 +272,86 @@ mod tests {
 :- modeb(1, professor(+professor)).
 :- determination(advisedBy/2, publication/2).
 ";
+
+    /// Arguments with no mode symbol, or a multi-byte first character, are
+    /// malformed declarations (both used to panic splitting off the
+    /// symbol).
+    #[test]
+    fn an_argument_without_a_symbol_is_malformed() {
+        let (db, target) = setup();
+        for decl in [":- modeb(*, student()).", ":- modeb(*, student(ést))."] {
+            let text = format!("{ALEPH}{decl}\n");
+            let err = parse_aleph_bias(&db, target, &text).unwrap_err();
+            assert!(
+                matches!(err, AlephParseError::Malformed { line: 11, .. }),
+                "{decl}: {err}"
+            );
+        }
+    }
+
+    /// Random Aleph texts: each line is either tokens drawn from the
+    /// whole syntax, or a declaration built slot by slot, each slot a
+    /// well-formed piece or a broken one, so most lines get deep into the
+    /// parser before they fail.
+    #[test]
+    fn parser_never_panics_on_arbitrary_strings() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let slots: [&[&str]; 6] = [
+            &[":- ", ":-", "", "%", " :- "],
+            &["modeh(", "modeb(", "mode(", "modeb", "modeb(("],
+            &["1, ", "*, ", "", "1", ",", "*,"],
+            &[
+                "advisedBy(",
+                "student(",
+                "publication(",
+                "inPhase(",
+                "nosuch(",
+                "student",
+                ")",
+            ],
+            &[
+                "+student",
+                "+student, -title",
+                "-title, +professor",
+                "#phase",
+                "",
+                ",",
+                "+",
+                "é",
+                "😀x",
+                "+student, ",
+                " , ",
+                "(",
+                ")(",
+            ],
+            &[")).", "))", ").", ")", "", ")).x", ". )", "))..", "(("],
+        ];
+        let tokens: Vec<&str> = slots.iter().flat_map(|s| s.iter().copied()).collect();
+        let (db, target) = setup();
+        let mut rng = StdRng::seed_from_u64(0x5eed_a1e9);
+        for case in 0..20_000 {
+            let mut text = if case % 2 == 0 {
+                ALEPH.to_string()
+            } else {
+                String::new()
+            };
+            for _ in 0..rng.random_range(1..=4) {
+                if rng.random_range(0..4) == 0 {
+                    for _ in 0..rng.random_range(0..=12) {
+                        text.push_str(tokens.choose(&mut rng).unwrap());
+                    }
+                } else {
+                    for slot in &slots {
+                        text.push_str(slot.choose(&mut rng).unwrap());
+                    }
+                }
+                text.push('\n');
+            }
+            let _ = parse_aleph_bias(&db, target, &text);
+        }
+    }
 
     #[test]
     fn parses_modeh_and_modeb() {

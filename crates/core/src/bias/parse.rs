@@ -259,6 +259,59 @@ mode publication(-, +)
         assert!(matches!(err, BiasParseError::BadLine { line: 1, .. }));
     }
 
+    /// Random bias texts: each line is either tokens drawn from the whole
+    /// syntax, or a declaration built slot by slot, each slot a
+    /// well-formed piece or a broken one, so most lines get deep into the
+    /// parser (and validation) before they fail.
+    #[test]
+    fn parser_never_panics_on_arbitrary_strings() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let slots: [&[&str]; 4] = [
+            &["pred ", "mode ", "pred", "mode\t", "# ", "", "frob "],
+            &[
+                "student(",
+                "professor(",
+                "inPhase(",
+                "publication(",
+                "advisedBy(",
+                "nosuch(",
+                "(",
+                "student",
+                ")",
+            ],
+            &[
+                "T1", "T1, T3", "T5, T1", "+", "+, -", "+, #", "-, +", "*", "", ",", " , ", "é",
+                "😀", "(", ")(",
+            ],
+            &[")", "", "))", ")x", " )", "(", ")\t"],
+        ];
+        let tokens: Vec<&str> = slots.iter().flat_map(|s| s.iter().copied()).collect();
+        let (db, target) = db_with_target();
+        let mut rng = StdRng::seed_from_u64(0x5eed_b1a5);
+        for case in 0..20_000 {
+            let mut text = if case % 2 == 0 {
+                UW_BIAS.to_string()
+            } else {
+                String::new()
+            };
+            for _ in 0..rng.random_range(1..=4) {
+                if rng.random_range(0..4) == 0 {
+                    for _ in 0..rng.random_range(0..=12) {
+                        text.push_str(tokens.choose(&mut rng).unwrap());
+                    }
+                } else {
+                    for slot in &slots {
+                        text.push_str(slot.choose(&mut rng).unwrap());
+                    }
+                }
+                text.push('\n');
+            }
+            let _ = parse_bias(&db, target, &text);
+        }
+    }
+
     #[test]
     fn missing_target_pred_fails_validation() {
         let (db, target) = db_with_target();

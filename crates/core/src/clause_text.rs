@@ -116,6 +116,13 @@ fn split_call(s: &str, line: usize) -> Result<(&str, Vec<&str>), ClauseParseErro
                 line,
                 message: format!("missing `)` in {s:?}"),
             })?;
+    let trailing = s[close + 1..].trim();
+    if !trailing.is_empty() {
+        return Err(ClauseParseError::Malformed {
+            line,
+            message: format!("unexpected {trailing:?} after `)` in {s:?}"),
+        });
+    }
     let name = s[..open].trim();
     let inner = &s[open + 1..close];
     let args = if inner.trim().is_empty() {
@@ -474,6 +481,29 @@ advisedBy(x, y) ← publication(v12, x), publication(v12, y), professor(y)";
         }
         // The largest label still parses.
         assert!(parse_definition(&mut db, "advisedBy(x, v4294967295)").is_ok());
+    }
+
+    /// Text after a literal's `)` is a malformed line, in the head and in
+    /// the body, for both parsers; blanks after it are fine.
+    #[test]
+    fn text_after_a_literal_is_malformed() {
+        let mut db = setup();
+        for text in [
+            "advisedBy(x, y)junk ← student(x) extra words",
+            "advisedBy(x, y)junk ← student(x)",
+            "advisedBy(x, y) ← student(x) extra words",
+            "advisedBy(x, y) ← student(x)x, student(y)",
+        ] {
+            let err = parse_definition(&mut db, text).unwrap_err();
+            assert!(
+                matches!(err, ClauseParseError::Malformed { line: 1, .. }),
+                "{text}: {err}"
+            );
+            assert!(parse_definition_frozen(&db, text).is_err(), "{text}");
+        }
+        let def =
+            parse_definition(&mut db, "advisedBy(x, y) \t ← student(x)  , student(y) ").unwrap();
+        assert_eq!(def.clauses[0].body.len(), 2);
     }
 
     /// A string of up to `max_len` characters drawn from `alphabet`.

@@ -9,7 +9,7 @@
 
 use crate::clause::{Clause, Literal};
 use crate::coverage::{Canonical, CoverageEngine};
-use crate::subsume::{PrefixProbe, PreparedClause, Workspace};
+use crate::subsume::{PrefixProbe, PreparedClause, Witness, Workspace};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -48,53 +48,85 @@ impl Default for GenConfig {
 /// fails to cover the example. Returns `None` when the full clause covers it.
 ///
 /// Prefix coverage is antitone in the prefix length (literals only constrain),
-/// so a binary search over prefix lengths finds the blocking atom with
-/// `O(log n)` subsumption tests, all sharing one [`PrefixProbe`].
+/// so a galloping search over prefix lengths finds the blocking atom with
+/// `O(log i)` subsumption tests, all sharing one [`PrefixProbe`] and one
+/// [`Witness`].
 pub fn blocking_atom(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<usize> {
     let mut probe = PrefixProbe::new(clause, &engine.pos[pos_idx]);
+    let mut witness = Witness::default();
     let cfg = engine.subsume_config();
-    search_blocking_atom(clause.body.len(), |len| probe.covers(len, cfg))
+    search_blocking_atom(clause.body.len(), 0, |len, _| {
+        probe.covers_from(len, &mut witness, cfg)
+    })
 }
 
-/// The blocking-atom binary search over prefix lengths `0..=n`, asking
-/// `covers(len)` whether the prefix of length `len` covers the example.
-/// Returns the zero-based index of the blocking literal, or `None` when the
-/// full prefix (`n`) covers.
-fn search_blocking_atom(n: usize, mut covers: impl FnMut(usize) -> bool) -> Option<usize> {
-    if covers(n) {
-        return None;
-    }
-    // Invariant: prefix of length `lo` covers, prefix of length `hi` does not.
-    let mut lo = 0usize;
-    let mut hi = n;
+/// The blocking-atom search over prefix lengths `proven..=n`, given that
+/// the prefix of length `proven` covers. `covers(len, lo)` asks whether the
+/// prefix of length `len` covers the example, where `lo < len` is the
+/// longest prefix known to cover so far. Returns the zero-based index of
+/// the blocking literal, or `None` when the full prefix (`n`) covers.
+///
+/// The search gallops: it asks `proven + 1`, `proven + 2`, `proven + 4`, …
+/// (capped at `n`) until a prefix fails, then bisects the gap between the
+/// last covered length and the failed one. A blocking atom `d` literals
+/// past `proven` costs about `2 log₂ d` tests, and one right at `proven`,
+/// the commonest case in armg, costs one.
+fn search_blocking_atom(
+    n: usize,
+    proven: usize,
+    mut covers: impl FnMut(usize, usize) -> bool,
+) -> Option<usize> {
+    // Invariant: the prefix of length `lo` covers, and (once found) the
+    // prefix of length `hi` does not.
+    let mut lo = proven;
+    let mut step = 1;
+    let mut hi = loop {
+        if lo >= n {
+            return None;
+        }
+        let len = (proven + step).min(n);
+        if !covers(len, lo) {
+            break len;
+        }
+        lo = len;
+        step *= 2;
+    };
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if covers(mid) {
+        if covers(mid, lo) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    Some(hi - 1) // zero-based index of the blocking literal
+    Some(lo) // zero-based index of the blocking literal
 }
 
 /// Applies armg: generalizes `clause` until it covers positive `pos_idx`.
 /// Returns `None` if generalization degenerates to an empty body (the clause
 /// would cover everything — never useful as a candidate).
 ///
-/// Each step's binary search ends with `lo` = the blocking index: the prefix
-/// `body[..lo]` was proven (by a test that answered "covered", or trivially
-/// for `lo = 0`) to cover the example. Removing the blocking literal keeps
-/// that prefix in place, and head-connectivity pruning only deletes
-/// literals, so the first `proven` literals of the next clause — those the
-/// pruning kept from the proven prefix — form a sub-body of a clause known
-/// to cover the example, and cover it too. Probes of length `≤ proven`
-/// therefore answer "covered" without a test, and longer probes skip the
-/// components that lie wholly inside the proven prefix
-/// ([`PrefixProbe::covers_given`]). The binary search still asks the same
-/// lengths in the same order; a skipped test or component could only have
-/// answered "not covered" through budget exhaustion, so the reuse never
-/// claims "covered" wrongly.
+/// Each step's galloping search ([`search_blocking_atom`]) ends with `lo`
+/// = the blocking index: the prefix `body[..lo]` was proven (by a test
+/// that answered "covered", or trivially for `lo = 0`) to cover the
+/// example. Removing the blocking literal keeps that prefix in place, and
+/// head-connectivity pruning only deletes literals, so the first `proven`
+/// literals of the next clause (those the pruning kept from the proven
+/// prefix) form a sub-body of a clause known to cover the example, and
+/// cover it too. The next step's search therefore starts at `proven`.
+///
+/// The proof is kept, not just its length: armg owns a [`Witness`], a θ
+/// that maps the proven prefix into the example, and mirrors each step's
+/// deletions on it (a θ for a body is one for every sub-body). Each probe
+/// ([`PrefixProbe::covers_from`]) first tries to extend that θ in order
+/// over the literals past the prefix, and answers "covered" when the
+/// extension maps them all; most covered probes end there. Otherwise it
+/// searches, skipping the components that lie wholly inside the proven
+/// prefix, and keeps the search's θ when it covers. Every "covered" comes
+/// with a substitution, so the reuse never claims "covered" wrongly: a
+/// skipped test or component could only have answered "not covered"
+/// through budget exhaustion. Under an unbounded budget every answer, and
+/// so the result, equals a bisection of from-scratch tests.
 ///
 /// One [`Workspace`] serves the whole call, and so does its candidate
 /// table: the lists depend only on a literal, the head binding and the
@@ -115,30 +147,35 @@ pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<
     let mut current = clause.clone();
     let mut ws = Workspace::default();
     let mut reach = HeadReach::new(clause.num_vars() as usize);
+    let mut witness = Witness::default();
     let mut proven = 0usize;
-    let (mut steps, mut probes, mut proven_probes, mut skipped) = (0u64, 0u64, 0u64, 0u64);
-    let mut rescans = 0u64;
+    let (mut steps, mut probes, mut skipped, mut rescans) = (0u64, 0u64, 0u64, 0u64);
+    let (mut extensions, mut searches) = (0u64, 0u64);
     let result = loop {
         let mut probe = if steps == 0 {
             PrefixProbe::with_workspace(&current, ground, &mut ws)
         } else {
             PrefixProbe::resume(&current, ground, &mut ws)
         };
-        let block = search_blocking_atom(current.body.len(), |len| {
-            if len <= proven {
-                proven_probes += 1;
-                return true;
-            }
+        let block = search_blocking_atom(current.body.len(), proven, |len, lo| {
+            debug_assert_eq!(
+                lo,
+                witness.len(),
+                "the witness proves the longest covered prefix"
+            );
             probes += 1;
-            probe.covers_given(len, proven, cfg)
+            probe.covers_from(len, &mut witness, cfg)
         });
         skipped += probe.skipped_components();
+        extensions += probe.witness_extensions();
+        searches += probe.full_searches();
         let Some(block) = block else {
             break Some(current);
         };
         steps += 1;
         let removed = current.body.remove(block);
         ws.remove_literal(block);
+        witness.remove_literal(block);
         if steps > 1 && reach.keeps_all(&current, &removed) {
             proven = block;
         } else {
@@ -147,15 +184,18 @@ pub fn armg(clause: &Clause, engine: &CoverageEngine, pos_idx: usize) -> Option<
             proven = kept.partition_point(|&i| i < block);
             current.keep_body(&kept);
             ws.keep_literals(&kept);
+            witness.keep_literals(&kept);
         }
         if current.body.is_empty() {
             break None;
         }
     };
+    crate::instrument::ARMG_WITNESS_EXTENSIONS.add(extensions);
     if sp.is_active() {
         sp.note("steps", steps);
         sp.note("probes", probes);
-        sp.note("proven_probes", proven_probes);
+        sp.note("witness_extensions", extensions);
+        sp.note("full_searches", searches);
         sp.note("skipped_components", skipped);
         sp.note("rescans", rescans);
     }
@@ -644,6 +684,87 @@ mode publication(-, +)
                 );
             }
         }
+    }
+
+    /// On an antitone predicate over prefix lengths `0..=n` (covered up to
+    /// the longest covering length `k`), galloping from any covered
+    /// `proven` finds what a linear scan finds. Each ask is of an unasked
+    /// length past the `lo` it is given, and that `lo` is the longest
+    /// length seen covered so far. A block `d` literals past `proven` costs
+    /// at most `2 log₂(d + 1) + 2` asks. The antitone predicates on
+    /// `0..=n` are exactly these thresholds, so every `n ≤ 64`, every `k`
+    /// and every `proven ≤ k` is checked.
+    #[test]
+    fn galloping_matches_a_linear_scan() {
+        for n in 0..=64 {
+            for k in 0..=n {
+                for proven in 0..=k {
+                    check_gallop(n, k, proven);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Budget cutoffs can make prefix answers non-monotone. On random
+        /// answers, the gallop still asks each length at most once, past
+        /// the `lo` it is given, and returns a literal whose prefix was
+        /// proven or answered covered and whose one-longer prefix was
+        /// answered not covered (or `None` only after the full prefix was
+        /// answered covered).
+        #[test]
+        fn galloping_on_non_monotone_answers_returns_an_answered_boundary(
+            answers in proptest::collection::vec(0u8..2, 1..66),
+            proven in 0usize..65,
+        ) {
+            let answers: Vec<bool> = answers.into_iter().map(|a| a == 1).collect();
+            let n = answers.len() - 1;
+            let proven = proven.min(n);
+            let mut seen: Vec<Option<bool>> = vec![None; n + 1];
+            seen[proven] = Some(true);
+            let got = search_blocking_atom(n, proven, |len, lo| {
+                assert!(lo < len && len <= n && seen[len].is_none(), "asked {len} given {lo}");
+                assert_eq!(seen[lo], Some(true), "lo {lo} was not covered");
+                seen[len] = Some(answers[len]);
+                answers[len]
+            });
+            match got {
+                Some(b) => {
+                    proptest::prop_assert_eq!(seen[b], Some(true));
+                    proptest::prop_assert_eq!(seen[b + 1], Some(false));
+                }
+                None => proptest::prop_assert_eq!(seen[n], Some(true)),
+            }
+        }
+    }
+
+    /// Gallops over `covers(len) = len <= k` from `proven` and checks the
+    /// answer and every ask against a linear scan.
+    fn check_gallop(n: usize, k: usize, proven: usize) {
+        let linear = (proven..n).find(|&len| len + 1 > k);
+        let mut asked = Vec::new();
+        let mut best = proven;
+        let got = search_blocking_atom(n, proven, |len, lo| {
+            assert!(lo < len && len <= n, "asked {len} given {lo} of {n}");
+            assert_eq!(lo, best, "lo is not the longest covered length");
+            assert!(!asked.contains(&len), "asked {len} twice");
+            asked.push(len);
+            let covered = len <= k;
+            if covered {
+                best = len;
+            }
+            covered
+        });
+        assert_eq!(got, linear, "n {n}, k {k}, proven {proven}");
+        let d = (k - proven + 1) as f64;
+        assert!(
+            asked.len() as f64 <= 2.0 * d.log2() + 2.0,
+            "{} asks for a block {} past {proven}",
+            asked.len(),
+            k - proven
+        );
     }
 
     #[test]

@@ -91,6 +91,6 @@ pub mod prelude {
     pub use crate::learn::{LearnStats, Learner, LearnerConfig, MinCriterion};
     pub use crate::query::{clause_covers, definition_covers, QueryConfig};
     pub use crate::subsume::{
-        theta_subsumes, PrefixProbe, PreparedClause, SubsumeConfig, Workspace,
+        theta_subsumes, PrefixProbe, PreparedClause, SubsumeConfig, Witness, Workspace,
     };
 }

@@ -46,11 +46,22 @@
 //! functions. Only the head binding, the candidate lists
 //! and the search depend on the example.
 //!
+//! armg asks its prefixes from a [`Witness`] it owns: a θ that maps the
+//! longest prefix proven so far into the example. A probe of a longer
+//! prefix ([`PrefixProbe::covers_from`]) first extends that θ in order over
+//! the new literals, and answers "covered" without a search when every one
+//! maps; otherwise it searches the components that reach past the proven
+//! prefix and, on "covered", keeps the search's θ as the new witness.
+//! Every "covered" comes with a substitution for the whole prefix, so
+//! budgets stay one-sided.
+//!
 //! Every buffer a test needs lives in a caller-owned [`Workspace`], cleared
 //! between tests and never shrunk, so a caller that runs many tests (armg's
 //! probes, a coverage worker's chunk, an evaluation pass) allocates nothing
 //! per test once the buffers have grown. The answer is a pure function of
 //! `(clause, ground, cfg)`: which tests a workspace ran before never shows.
+//! (A witness probe's answer also depends on its witness, which is why the
+//! witness lives with the caller and never in the workspace.)
 //! Exact SPJ evaluation ([`crate::query::clause_covers`]) is the reference
 //! the differential suite (`tests/differential_subsume.rs`) checks this
 //! search against.
@@ -223,6 +234,10 @@ struct PerExample {
     trial_binding: Vec<Option<Const>>,
     /// Per-literal "assigned or outside the active component" flags.
     assigned: Vec<bool>,
+    /// Witness-extension scratch: the variables it bound, in order, and per
+    /// extended literal the next candidate to try and the trail mark.
+    ext_trail: Vec<VarId>,
+    ext_frames: Vec<(u32, u32)>,
 }
 
 impl Workspace {
@@ -262,7 +277,7 @@ impl Workspace {
         if !ex.cands.fill(&clause.body, layout, &ex.binding, ground) {
             return false;
         }
-        bitset_subsumes(ex, &clause.body, layout, core, ground, cfg, 0).0
+        bitset_subsumes(ex, &clause.body, layout, core, ground, cfg, 0, None).0
     }
 
     /// Mirrors `body.remove(i)` on the probed body's layout and candidate
@@ -331,8 +346,68 @@ pub struct PrefixProbe<'a, W: BorrowMut<Workspace> = Workspace> {
     /// Whether the head binds the example; when it cannot, every prefix is
     /// refuted.
     head_matches: bool,
-    /// Components [`PrefixProbe::covers_given`] skipped as proven so far.
+    /// Components the probe skipped as proven so far.
     skipped: u64,
+    /// Probes [`PrefixProbe::covers_from`] answered by extending the
+    /// witness, and probes it answered by the component search.
+    extended: u64,
+    searched: u64,
+}
+
+/// Literal-to-candidate tries one witness extension may spend before
+/// [`PrefixProbe::covers_from`] falls back to the component search. The
+/// extension is a plain in-order search with no propagation, meant for
+/// the common case where the next literals map at once; a hard extension
+/// is better left to the search.
+const EXTEND_TRIES: usize = 64;
+
+/// A substitution that maps a covered prefix of a [`PrefixProbe`]'s body
+/// into the probe's example: the *witness* that the prefix covers. Its
+/// owner passes it to every [`PrefixProbe::covers_from`] of one clause
+/// against one example (armg keeps one per call, across steps) and mirrors
+/// the clause's body edits on it ([`Witness::remove_literal`],
+/// [`Witness::keep_literals`]).
+///
+/// A witness belongs to its clause and example. Start each new pair from
+/// `Witness::default()`, which proves only the empty prefix.
+#[derive(Debug, Default, Clone)]
+pub struct Witness {
+    /// Variable → constant, the head binding included. It maps every
+    /// literal of `body[..len]` onto a ground literal; it may also bind
+    /// variables that no longer occur in that prefix, which only narrows
+    /// later extensions.
+    theta: Vec<Option<Const>>,
+    /// The length of the prefix `theta` is a θ for.
+    len: usize,
+    /// Where a component search collects its θ; swapped in when it covers.
+    staged: Vec<Option<Const>>,
+}
+
+impl Witness {
+    /// The length of the prefix this witness proves covered.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the witness proves only the empty prefix.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Mirrors `body.remove(i)`: a θ for a body is one for each of its
+    /// sub-bodies, so the witness proves its prefix without literal `i`.
+    pub(crate) fn remove_literal(&mut self, i: usize) {
+        if i < self.len {
+            self.len -= 1;
+        }
+    }
+
+    /// Mirrors keeping only the body literals at the ascending positions
+    /// `kept` (`Clause::keep_body`): the witness proves the kept literals
+    /// of its prefix.
+    pub(crate) fn keep_literals(&mut self, kept: &[usize]) {
+        self.len = kept.partition_point(|&i| i < self.len);
+    }
 }
 
 impl<'a> PrefixProbe<'a> {
@@ -368,13 +443,27 @@ impl<'a, W: BorrowMut<Workspace>> PrefixProbe<'a, W> {
             ws,
             head_matches,
             skipped: 0,
+            extended: 0,
+            searched: 0,
         }
     }
 
-    /// Components skipped as proven by [`PrefixProbe::covers_given`] over
-    /// this probe's lifetime.
+    /// Components skipped as proven by [`PrefixProbe::covers_given`] and
+    /// [`PrefixProbe::covers_from`] over this probe's lifetime.
     pub(crate) fn skipped_components(&self) -> u64 {
         self.skipped
+    }
+
+    /// Probes [`PrefixProbe::covers_from`] answered "covered" by extending
+    /// its witness, over this probe's lifetime.
+    pub fn witness_extensions(&self) -> u64 {
+        self.extended
+    }
+
+    /// Probes [`PrefixProbe::covers_from`] answered by the component
+    /// search, over this probe's lifetime.
+    pub fn full_searches(&self) -> u64 {
+        self.searched
     }
 
     /// Whether the prefix clause `T ← body[..len]` θ-subsumes the ground
@@ -405,10 +494,157 @@ impl<'a, W: BorrowMut<Workspace>> PrefixProbe<'a, W> {
             return false;
         }
         core.build(body, layout);
-        let (covered, skipped) = bitset_subsumes(ex, body, layout, core, self.ground, cfg, proven);
+        let (covered, skipped) =
+            bitset_subsumes(ex, body, layout, core, self.ground, cfg, proven, None);
         self.skipped += skipped;
         covered
     }
+
+    /// [`PrefixProbe::covers`] from a witness that the prefix
+    /// `body[..witness.len()]` covers the example. A longer prefix is first
+    /// extended: an in-order search over `body[witness.len()..len]` that
+    /// keeps the witness's bindings and gives up after a few candidate
+    /// tries. When it maps every literal, the extended witness proves the
+    /// prefix covered without a component search. Otherwise the search runs
+    /// as [`PrefixProbe::covers_given`] with `witness.len()` proven, and a
+    /// covered answer leaves the search's θ in the witness. Either way a
+    /// covered answer makes the witness prove `body[..len]`, and a refuted
+    /// one leaves it as it was. A prefix no longer than the witness's is
+    /// covered without a test.
+    ///
+    /// Every "covered" comes with a substitution that maps the whole prefix
+    /// into the example, so the answer is one-sided under any budget, as
+    /// [`PrefixProbe::covers_given`]'s is; under an unbounded budget it
+    /// equals [`PrefixProbe::covers`]. Panics when `len` exceeds the body.
+    pub fn covers_from(&mut self, len: usize, witness: &mut Witness, cfg: &SubsumeConfig) -> bool {
+        crate::instrument::SUBSUMPTION_TESTS.bump();
+        if !self.head_matches {
+            return false;
+        }
+        let from = witness.len;
+        if len <= from {
+            return true;
+        }
+        let body = &self.body[..len];
+        let Workspace { layout, core, ex } = self.ws.borrow_mut();
+        if !ex.cands.fill(body, layout, &ex.binding, self.ground) {
+            return false;
+        }
+        if from == 0 {
+            witness.theta.clone_from(&ex.binding);
+        }
+        let Witness { theta, staged, .. } = witness;
+        let scratch = (&mut ex.ext_trail, &mut ex.ext_frames);
+        if extend_witness(body, from, &ex.cands, self.ground, theta, scratch) {
+            self.extended += 1;
+            witness.len = len;
+            return true;
+        }
+        self.searched += 1;
+        core.build(body, layout);
+        staged.clone_from(theta);
+        let (covered, skipped) =
+            bitset_subsumes(ex, body, layout, core, self.ground, cfg, from, Some(staged));
+        self.skipped += skipped;
+        if covered {
+            std::mem::swap(theta, staged);
+            witness.len = len;
+            debug_assert!(maps_into(body, &ex.cands, self.ground, &witness.theta));
+        }
+        covered
+    }
+}
+
+/// Extends `theta`, a θ for `body[..from]` that binds the head, to a θ for
+/// the whole of `body`: a depth-first search that maps the literals in
+/// order, each onto a candidate of its list consistent with the bindings
+/// so far, within [`EXTEND_TRIES`] candidate tries. On failure `theta` is
+/// as it was. `(trail, frames)` is the extension scratch of a
+/// [`PerExample`].
+fn extend_witness(
+    body: &[Literal],
+    from: usize,
+    cands: &CandTable,
+    ground: &GroundClause,
+    theta: &mut [Option<Const>],
+    (trail, frames): (&mut Vec<VarId>, &mut Vec<(u32, u32)>),
+) -> bool {
+    trail.clear();
+    frames.clear();
+    let undo = |theta: &mut [Option<Const>], trail: &mut Vec<VarId>, mark: usize| {
+        for v in trail.drain(mark..) {
+            theta[v.index()] = None;
+        }
+    };
+    let (mut li, mut next, mut tries) = (from, 0usize, 0usize);
+    while li < body.len() {
+        let list = cands.list(li);
+        let mark = trail.len();
+        let mut mapped = false;
+        while next < list.len() && !mapped {
+            if tries == EXTEND_TRIES {
+                undo(theta, trail, 0);
+                return false;
+            }
+            tries += 1;
+            let g = ground.vals(list[next] as usize);
+            next += 1;
+            mapped = true;
+            for (t, &gv) in body[li].args.iter().zip(g.iter()) {
+                if let Term::Var(v) = *t {
+                    match theta[v.index()] {
+                        None => {
+                            theta[v.index()] = Some(gv);
+                            trail.push(v);
+                        }
+                        Some(b) if b == gv => {}
+                        Some(_) => {
+                            mapped = false;
+                            break;
+                        }
+                    }
+                }
+            }
+            if !mapped {
+                undo(theta, trail, mark);
+            }
+        }
+        if mapped {
+            frames.push((next as u32, mark as u32));
+            li += 1;
+            next = 0;
+        } else {
+            // Every candidate of `li` is refuted under the bindings so far:
+            // retry the previous extended literal's next candidate.
+            let Some((n, m)) = frames.pop() else {
+                return false;
+            };
+            undo(theta, trail, m as usize);
+            li -= 1;
+            next = n as usize;
+        }
+    }
+    true
+}
+
+/// Whether `theta` maps every literal of `body` onto one of its candidates
+/// (the lists in `cands` are filled for `body`): the witness invariant,
+/// checked in debug builds after each commit of a searched θ.
+fn maps_into(
+    body: &[Literal],
+    cands: &CandTable,
+    ground: &GroundClause,
+    theta: &[Option<Const>],
+) -> bool {
+    body.iter().enumerate().all(|(li, lit)| {
+        cands.list(li).iter().any(|&gi| {
+            let g = ground.vals(gi as usize);
+            lit.args.iter().zip(g.iter()).all(|(t, &gv)| match *t {
+                Term::Var(v) => theta[v.index()] == Some(gv),
+                Term::Const(_) => true,
+            })
+        })
+    })
 }
 
 /// Static candidate lists per body literal: ground literals of the same
@@ -701,6 +937,9 @@ struct Core {
     /// A folded literal has no domain, appears in no variable's literal
     /// list and belongs to no component.
     folded: Vec<bool>,
+    /// Per folded body literal: the unfolded literal it folds onto (read by
+    /// [`PrefixProbe::covers_from`] to bind its private variables).
+    onto: Vec<u32>,
     /// Var index → unfolded body literals containing it (forward-checking
     /// targets), CSR layout: `lbv_off[v]..lbv_off[v + 1]` indexes
     /// `lbv_flat`.
@@ -804,6 +1043,7 @@ impl Core {
         self.neighbors.take();
         let Core {
             folded,
+            onto,
             lbv_off,
             lbv_flat,
             comp_off,
@@ -837,6 +1077,8 @@ impl Core {
         // newest first, over the per-variable literal counts just made.
         folded.clear();
         folded.resize(n_body, false);
+        onto.clear();
+        onto.resize(n_body, u32::MAX);
         same_prev.clear();
         same_prev.resize(n_body, u32::MAX);
         for (li, lit) in body.iter().enumerate() {
@@ -851,6 +1093,7 @@ impl Core {
                 while lj != u32::MAX && walked < FOLD_WALK {
                     if folds_onto(lit, private, &body[lj as usize]) {
                         folded[li] = true;
+                        onto[li] = lj;
                         break;
                     }
                     lj = same_prev[lj as usize];
@@ -1635,6 +1878,13 @@ impl BitsetSearch {
 /// [`PrefixProbe::covers_given`]), with `ex`, whose head binding and
 /// candidate table are filled for `body`. Returns the answer and the number
 /// of components skipped.
+///
+/// With `collect`, a substitution for `body[..proven]` that binds the
+/// head, a covered answer leaves in it a θ for the whole of `body`: each
+/// solved component's bindings, the skipped components' as they were, and
+/// each folded literal's private variables bound from the literal it folds
+/// onto. A refuted answer leaves it partly overwritten.
+#[allow(clippy::too_many_arguments)]
 fn bitset_subsumes(
     ex: &mut PerExample,
     body: &[Literal],
@@ -1643,6 +1893,7 @@ fn bitset_subsumes(
     ground: &GroundClause,
     cfg: &SubsumeConfig,
     proven: usize,
+    mut collect: Option<&mut [Option<Const>]>,
 ) -> (bool, u64) {
     let PerExample {
         binding,
@@ -1650,6 +1901,7 @@ fn bitset_subsumes(
         search,
         trial_binding,
         assigned,
+        ..
     } = ex;
     crate::instrument::SUBSUME_COMPONENTS_SPLIT.add(core.n_split);
     crate::instrument::SUBSUME_LITERALS_FOLDED.add(core.n_folded);
@@ -1695,7 +1947,15 @@ fn bitset_subsumes(
             out => out,
         };
         match out {
-            Outcome::Found => {}
+            Outcome::Found => {
+                if let Some(theta) = collect.as_deref_mut() {
+                    for &li in comp {
+                        for &(v, _) in layout.vars_of(li as usize) {
+                            theta[v.index()] = trial_binding[v.index()];
+                        }
+                    }
+                }
+            }
             Outcome::Exhausted => {
                 covered = false; // complete: truly no θ
                 break;
@@ -1708,6 +1968,26 @@ fn bitset_subsumes(
         }
     }
     crate::instrument::SUBSUME_DOMAIN_WORDS.add(search.words);
+    if let Some(theta) = collect.filter(|_| covered) {
+        // A folded literal agrees with the unfolded literal it folds onto
+        // outside its private positions, so mapping each of its variables
+        // to the other literal's term at the same position maps it onto
+        // that literal's image.
+        for (li, lit) in body.iter().enumerate() {
+            if !core.folded[li] {
+                continue;
+            }
+            let onto = &body[core.onto[li] as usize];
+            for (t, u) in lit.args.iter().zip(&onto.args) {
+                if let Term::Var(v) = *t {
+                    theta[v.index()] = match *u {
+                        Term::Var(w) => theta[w.index()],
+                        Term::Const(c) => Some(c),
+                    };
+                }
+            }
+        }
+    }
     (covered, skipped)
 }
 
@@ -2286,6 +2566,99 @@ mod tests {
             );
             assert_eq!(layout.len(), clause.body.len());
         }
+    }
+
+    /// Whether the witness's θ maps every literal of `clause.body[..witness
+    /// .len()]` onto a literal of `ground`.
+    fn proves(clause: &Clause, ground: &GroundClause, witness: &Witness) -> bool {
+        clause.body[..witness.len()].iter().all(|lit| {
+            ground.literals_of(lit.rel).iter().any(|&gi| {
+                let g = ground.vals(gi as usize);
+                lit.args.len() == g.len()
+                    && lit.args.iter().zip(g).all(|(t, &gv)| match *t {
+                        Term::Var(x) => witness.theta[x.index()] == Some(gv),
+                        Term::Const(k) => k == gv,
+                    })
+            })
+        })
+    }
+
+    /// `t(V0, V1) ← u(V0), r(V0, V2), r(V0, V3), r(V0, V4), s(V2)` against
+    /// 70 `r(1, _)` facts of which only the last reaches an `s`: an
+    /// in-order extension runs out of tries, so the probe searches, skips
+    /// the proven `u(V0)`, and binds the folded leaves `V3` and `V4` from
+    /// `r(V0, V2)`.
+    fn needle_instance() -> (Clause, GroundClause) {
+        let clause = t_clause(vec![
+            lit(2, &[v(0)]),
+            lit(0, &[v(0), v(2)]),
+            lit(0, &[v(0), v(3)]),
+            lit(0, &[v(0), v(4)]),
+            lit(1, &[v(2)]),
+        ]);
+        let mut body: Vec<GroundLiteral> = (100..170).map(|k| glit(0, &[1, k])).collect();
+        body.push(glit(1, &[169]));
+        body.push(glit(2, &[1]));
+        let ground = GroundClause::new(Example::new(RelId(9), vec![c(1), c(2)]), body);
+        (clause, ground)
+    }
+
+    #[test]
+    fn a_searched_witness_binds_folded_literals_and_keeps_skipped_ones() {
+        let (clause, ground) = needle_instance();
+        let cfg = SubsumeConfig::default();
+        let mut probe = PrefixProbe::new(&clause, &ground);
+        let mut witness = Witness::default();
+        assert!(probe.covers_from(1, &mut witness, &cfg));
+        assert_eq!((probe.witness_extensions(), probe.full_searches()), (1, 0));
+        assert!(probe.covers_from(5, &mut witness, &cfg));
+        assert_eq!((probe.witness_extensions(), probe.full_searches()), (1, 1));
+        assert_eq!(probe.skipped_components(), 1);
+        assert_eq!(witness.len(), 5);
+        assert!(proves(&clause, &ground, &witness));
+        for x in [2, 3, 4] {
+            assert_eq!(witness.theta[x], Some(c(169)), "V{x}");
+        }
+        // Shorter prefixes are covered without a test; a refuted probe
+        // leaves the witness alone.
+        assert!(probe.covers_from(3, &mut witness, &cfg));
+        let mut blocked = clause.clone();
+        blocked.body.push(lit(1, &[v(3)]));
+        blocked.body.push(lit(1, &[Term::Const(c(7))]));
+        let mut probe = PrefixProbe::new(&blocked, &ground);
+        let mut witness = Witness::default();
+        assert!(probe.covers_from(6, &mut witness, &cfg));
+        assert!(!probe.covers_from(7, &mut witness, &cfg));
+        assert_eq!(witness.len(), 6);
+        assert!(proves(&blocked, &ground, &witness));
+    }
+
+    /// armg's body edits mirrored on a witness leave a θ for the edited
+    /// prefix.
+    #[test]
+    fn a_witness_survives_mirrored_body_edits() {
+        let (mut clause, ground) = needle_instance();
+        let mut witness = Witness::default();
+        let n = clause.body.len();
+        assert!(PrefixProbe::new(&clause, &ground).covers_from(
+            n,
+            &mut witness,
+            &SubsumeConfig::default()
+        ));
+        for (edit, len) in [(&[2usize][..], 4), (&[0, 1, 3], 3), (&[1], 2), (&[0], 1)] {
+            if let [i] = edit {
+                clause.body.remove(*i);
+                witness.remove_literal(*i);
+            } else {
+                clause.keep_body(edit);
+                witness.keep_literals(edit);
+            }
+            assert_eq!(witness.len(), len, "after {edit:?}");
+            assert!(proves(&clause, &ground, &witness), "after {edit:?}");
+        }
+        // An edit past the proven prefix keeps its length.
+        witness.remove_literal(1);
+        assert_eq!(witness.len(), 1);
     }
 
     #[test]

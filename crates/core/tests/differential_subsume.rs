@@ -15,6 +15,9 @@
 //! constants — so the private-variable fold is held to the same oracle.
 //! A clause prepared once ([`PreparedClause`]) and shared by several
 //! workers must answer every example of a batch as a fresh test does.
+//! Probes from a [`Witness`] (armg's blocking-atom search) may only gain
+//! "covered" answers the exact relation grants, and answer exactly under
+//! an unbounded budget.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point
 #![cfg(not(miri))] // proptest-heavy: hundreds of cases, far too slow under miri
@@ -936,4 +939,126 @@ fn star_clauses_fold_literals() {
         }
     }
     assert!(autobias::instrument::SUBSUME_LITERALS_FOLDED.get() > before);
+}
+
+// ---------------------------------------------------------------------------
+// Probes from a witness: armg's blocking-atom search.
+// ---------------------------------------------------------------------------
+
+/// What one stream of witness probes saw: probes the witness extension
+/// answered, and probes the component search answered "covered".
+#[derive(Default)]
+struct WitnessTally {
+    extended: u64,
+    searched_covered: u64,
+}
+
+/// Asks `clause`'s prefixes of `bc` through one probe and one [`Witness`],
+/// in a random order of lengths (`rng`), as armg does within a step. Each
+/// answer lies between the materialized prefix's answer under `cfg` and the
+/// exact one, and one the witness extension gave is exactly covered. Under
+/// the unbounded budget each answer equals `covers_given`'s with nothing
+/// proven. A covered answer makes the witness prove the prefix; a refuted
+/// one leaves it alone.
+fn assert_witness_probes(
+    clause: &Clause,
+    bc: &GroundClause,
+    cfg: &SubsumeConfig,
+    rng: &mut StdRng,
+    tally: &mut WitnessTally,
+) {
+    let n = clause.body.len();
+    let answers = |cfg: &SubsumeConfig| -> Vec<bool> {
+        (0..=n)
+            .map(|len| {
+                let prefix = Clause::new(clause.head.clone(), clause.body[..len].to_vec());
+                theta_subsumes(&prefix, bc, cfg)
+            })
+            .collect()
+    };
+    let exact = answers(&SubsumeConfig::unbounded());
+    let budgeted = answers(cfg);
+    let mut probe = PrefixProbe::new(clause, bc);
+    let mut witness = Witness::default();
+    for _ in 0..2 * n + 2 {
+        let len = rng.random_range(0..=n);
+        let (from, extended) = (witness.len(), probe.witness_extensions());
+        let searched = probe.full_searches();
+        let got = probe.covers_from(len, &mut witness, cfg);
+        let what = format!("prefix {len} of {n} from a witness of {from} under {cfg:?}");
+        assert!(
+            budgeted[len] <= got && got <= exact[len],
+            "{what}: got {got}"
+        );
+        if probe.witness_extensions() > extended {
+            assert!(
+                got && exact[len],
+                "{what}: extension claimed a refuted prefix"
+            );
+            tally.extended += 1;
+        } else if got && probe.full_searches() > searched {
+            tally.searched_covered += 1;
+        }
+        if cfg.node_limit == usize::MAX {
+            let fresh = PrefixProbe::new(clause, bc).covers_given(len, 0, cfg);
+            assert_eq!(got, fresh, "{what}");
+        }
+        let expect_len = if got { from.max(len) } else { from };
+        assert_eq!(witness.len(), expect_len, "{what}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// On the plain and star families, every probe from a witness answers
+    /// one-sidedly under tight and default budgets, every covered answer
+    /// the witness extension gives is exactly covered, and the unbounded
+    /// answers equal `covers_given`'s.
+    #[test]
+    fn witness_probes_are_one_sided_and_exact_unbounded(
+        seed in 0u64..u64::MAX / 2,
+        n_consts in 3usize..8,
+        n_edges in 0usize..16,
+        node_limit in 1usize..40,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x3a17);
+        let plain = build_world(seed, n_consts, n_edges, n_edges);
+        let star = build_star_world(seed, n_consts, n_edges);
+        let mut tally = WitnessTally::default();
+        for world in [&plain, &star] {
+            for example in &world.examples {
+                let bc = full_bc(world, example, &mut rng);
+                for clause in &world.clauses {
+                    for cfg in [
+                        SubsumeConfig { node_limit },
+                        SubsumeConfig::default(),
+                        SubsumeConfig::unbounded(),
+                    ] {
+                        assert_witness_probes(clause, &bc, &cfg, &mut rng, &mut tally);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The property above is not vacuous: on star worlds both answer paths
+/// run, the witness extension and a component search that covers.
+#[test]
+fn witness_probes_take_both_paths() {
+    let mut tally = WitnessTally::default();
+    let mut rng = StdRng::seed_from_u64(0x3a17);
+    for seed in 0..6 {
+        let world = build_star_world(seed, 5, 12);
+        for example in &world.examples {
+            let bc = full_bc(&world, example, &mut rng);
+            for clause in &world.clauses {
+                let cfg = SubsumeConfig::unbounded();
+                assert_witness_probes(clause, &bc, &cfg, &mut rng, &mut tally);
+            }
+        }
+    }
+    assert!(tally.extended > 0, "no probe was answered by extension");
+    assert!(tally.searched_covered > 0, "no searched probe covered");
 }

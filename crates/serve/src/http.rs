@@ -87,10 +87,21 @@ pub fn read_request_from(reader: &mut impl BufRead, req: &mut Request) -> Result
     } = req;
     head.clear();
 
-    // Request line + headers, terminated by an empty line.
+    // Request line + headers, terminated by an empty line. Each line is
+    // read through `take` with what is left of the head's budget (plus one
+    // byte, to tell a full head from an oversized one), so a line without a
+    // newline stops at the cap instead of growing `head` until one comes.
     loop {
         let start = head.len();
-        let n = reader.read_line(head)?;
+        let mut line = (&mut *reader).take((MAX_HEAD_BYTES + 1 - start) as u64);
+        let n = match line.read_line(head) {
+            // The cap cut a multi-byte character: the head is too large,
+            // not malformed.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData && line.limit() == 0 => {
+                return Err(HttpError::Bad("header block too large".into()));
+            }
+            r => r?,
+        };
         if n == 0 {
             if start == 0 {
                 // Clean close between keep-alive requests: an i/o-level end
@@ -756,6 +767,39 @@ mod tests {
             chunks.next_chunk().unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    #[test]
+    fn a_head_line_without_a_newline_stops_at_the_cap() {
+        // 64 MiB of one header line and no newline: refused once the head
+        // passes its cap, without buffering the rest.
+        let probe = b"GET / HTTP/1.1\r\nX-Long: ".chain(std::io::repeat(b'a').take(64 << 20));
+        let mut reader = std::io::BufReader::new(probe);
+        let mut req = Request::default();
+        match read_request_from(&mut reader, &mut req) {
+            Err(HttpError::Bad(m)) => assert_eq!(m, "header block too large"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert!(
+            req.head.capacity() <= 4 * MAX_HEAD_BYTES,
+            "head grew to {} bytes of capacity",
+            req.head.capacity()
+        );
+        // A two-byte character cut by the cap (the header line gets an odd
+        // number of bytes): still too large, not a UTF-8 error.
+        let mut wire = b"GET / HTTP/1.1\r\nX-Long: ".to_vec();
+        wire.extend("é".repeat(MAX_HEAD_BYTES).bytes());
+        match read_request_from(&mut &wire[..], &mut Request::default()) {
+            Err(HttpError::Bad(m)) => assert_eq!(m, "header block too large"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // A head of exactly the cap still parses.
+        let mut wire = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        wire.resize(MAX_HEAD_BYTES - 4, b'p');
+        wire.extend_from_slice(b"\r\n\r\n");
+        let mut req = Request::default();
+        read_request_from(&mut &wire[..], &mut req).unwrap();
+        assert_eq!(req.path, "/");
     }
 
     #[test]
