@@ -329,9 +329,10 @@ fn cmd_learn(args: &Args) -> Result<(), String> {
         None => println!("{text}"),
     }
     obs::info!(
-        "learned in {:?} ({} uncovered positives, BC time {:?})",
+        "learned in {:?} ({} uncovered positives, {} rejected clauses, BC time {:?})",
         t0.elapsed(),
         run.stats.uncovered_pos,
+        run.stats.rejected_clauses,
         run.stats.bc_time
     );
     let record = report.finish();
@@ -717,9 +718,11 @@ fn render_event(event: &str, data: &str) -> Option<String> {
                 ""
             };
             format!(
-                "finished: {} clause(s), {} uncovered positives (bc {:.2}s, search {:.2}s){tail}",
+                "finished: {} clause(s), {} uncovered positives, {} rejected clauses \
+                 (bc {:.2}s, search {:.2}s){tail}",
                 num("clauses"),
                 num("uncovered_pos"),
+                num("rejected_clauses"),
                 secs("bc_us"),
                 secs("search_us")
             )

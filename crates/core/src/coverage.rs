@@ -14,16 +14,15 @@
 //!   canonical form ([`crate::canon`]), so α-equivalent armg duplicates get
 //!   one *answer*: θ-subsumption is approximate and its search depends on
 //!   literal order, so two α-variants could otherwise get different answers;
-//! - positive coverage of a batch of clauses is one parallel map over the
-//!   `(clause, requested example)` pairs;
-//! - each clause is prepared for θ-subsumption once per batch
+//! - scoring runs on the calling thread, every θ-test of a call in one
+//!   [`Workspace`]: a test takes about 10 µs, far below what forking
+//!   workers costs, so only the ground-BC build fans out;
+//! - each clause is prepared for θ-subsumption once per call
 //!   ([`crate::subsume::PreparedClause`]: its fold, index, components and
-//!   literal shapes), and every worker reads that one preparation, so a
-//!   test does only the per-example work;
+//!   literal shapes), so a test does only the per-example work;
 //! - negative counting is *monotone*: [`CoverageEngine::count_neg_budget`]
-//!   accepts a cutoff and stops (in fixed 256-example chunks, so the tested
-//!   prefix is independent of the worker-thread count) as soon as the count
-//!   provably exceeds it, returning a [`NegCount::AtLeast`] lower bound.
+//!   accepts a cutoff and stops at the first negative that takes the count
+//!   past it, returning a [`NegCount::AtLeast`] lower bound.
 
 use crate::bias::LanguageBias;
 use crate::bottom::{build_ground_clause_in, BcConfig, BcScratch, GroundClause};
@@ -172,12 +171,6 @@ impl std::ops::Deref for Canonical {
 /// the clause, so every query about one clause searches the same α-variant.
 const CANON_MAX_LITERALS: usize = 512;
 
-/// Negative counting proceeds in fixed chunks of this many examples between
-/// cutoff checks. A fixed chunk (rather than "one chunk per worker") keeps
-/// the set of examples actually tested — and therefore every observable
-/// count — independent of the worker-thread count.
-const NEG_CHUNK: usize = 256;
-
 /// Ground BCs for every training example plus the subsumption budget.
 #[derive(Debug)]
 pub struct CoverageEngine {
@@ -186,8 +179,6 @@ pub struct CoverageEngine {
     /// Ground BCs for the negatives.
     pub neg: Vec<GroundClause>,
     scfg: SubsumeConfig,
-    /// Worker threads for every parallel map this engine runs.
-    threads: usize,
 }
 
 impl CoverageEngine {
@@ -211,7 +202,8 @@ impl CoverageEngine {
     }
 
     /// Builds the engine a learner configured by `cfg` runs on: its BC
-    /// settings, subsumption budget and seed, and worker threads.
+    /// settings, subsumption budget and seed, with the ground clauses built
+    /// on `cfg.threads` workers.
     pub fn for_learner(
         db: &Database,
         bias: &LanguageBias,
@@ -233,7 +225,6 @@ impl CoverageEngine {
             pos,
             neg,
             scfg: cfg.subsume,
-            threads,
         }
     }
 
@@ -300,13 +291,6 @@ impl CoverageEngine {
         ws.theta_subsumes_prepared(clause, &self.neg[i], &self.scfg)
     }
 
-    /// One subsumption workspace per worker thread, for a parallel map.
-    fn workspaces(&self) -> Vec<Workspace> {
-        std::iter::repeat_with(Workspace::default)
-            .take(self.threads.max(1))
-            .collect()
-    }
-
     /// Positives among `candidates` covered by `clause`, as a bitset over
     /// all positives.
     pub fn covered_pos_mask(&self, clause: &Canonical, candidates: &Bitset) -> Bitset {
@@ -327,9 +311,7 @@ impl CoverageEngine {
     }
 
     /// Positive-coverage counts for a batch of candidate clauses over one
-    /// candidate set, evaluated as a **single** parallel map over the
-    /// `(candidate × example)` pairs — so a narrow beam with one expensive
-    /// clause does not serialize scoring. Returns one count per clause.
+    /// candidate set. Returns one count per clause.
     pub fn batch_covered_pos(&self, clauses: &[Canonical], candidates: &[usize]) -> Vec<usize> {
         let cand_mask = Bitset::from_indices(self.pos.len(), candidates);
         self.batch_pos_masks(clauses, &cand_mask)
@@ -338,62 +320,54 @@ impl CoverageEngine {
             .collect()
     }
 
-    /// Shared positive-coverage core: one parallel map over every
-    /// `(clause, requested example)` pair, returning one mask per clause.
-    /// Each clause is prepared once, and every worker reads the prepared
-    /// clauses.
+    /// Shared positive-coverage core: tests every `(clause, requested
+    /// example)` pair in one workspace, returning one mask per clause. Each
+    /// clause is prepared once for all its examples.
     fn batch_pos_masks(&self, canons: &[Canonical], candidates: &Bitset) -> Vec<Bitset> {
         debug_assert_eq!(candidates.len(), self.pos.len());
         let mut sp = obs::span!("coverage.theta", "pos");
-        let prepared: Vec<PreparedClause> = canons.iter().map(|c| PreparedClause::new(c)).collect();
-        let pairs: Vec<(usize, usize)> = (0..canons.len())
-            .flat_map(|ci| candidates.ones().map(move |i| (ci, i)))
-            .collect();
-        sp.note("examples", pairs.len() as u64);
-        let hits = parallel_map_in(&mut self.workspaces(), &pairs, |ws, _, &(ci, i)| {
-            self.covers_pos_prepared(ws, &prepared[ci], i)
-        });
-        let mut covered = vec![Bitset::new(self.pos.len()); canons.len()];
-        for (&(ci, i), hit) in pairs.iter().zip(hits) {
-            if hit {
-                covered[ci].set(i);
-            }
-        }
-        covered
+        sp.note("examples", (canons.len() * candidates.count_ones()) as u64);
+        let mut ws = Workspace::default();
+        canons
+            .iter()
+            .map(|canon| {
+                let prepared = PreparedClause::new(canon);
+                let mut covered = Bitset::new(self.pos.len());
+                for i in candidates.ones() {
+                    if self.covers_pos_prepared(&mut ws, &prepared, i) {
+                        covered.set(i);
+                    }
+                }
+                covered
+            })
+            .collect()
     }
 
-    /// Number of negatives covered by `clause` (parallel, exact).
-    /// Canonicalizes `clause` once.
+    /// Number of negatives covered by `clause` (exact). Canonicalizes
+    /// `clause` once.
     pub fn count_neg(&self, clause: &Clause) -> usize {
         self.count_neg_budget(&self.canonical(clause), None).value()
     }
 
     /// Negative count with a monotone cutoff: with `Some(c)`, counting stops
-    /// once the count provably exceeds `c` and a [`NegCount::AtLeast`] lower
-    /// bound is returned; with `None` the count is exact. Counting proceeds
-    /// in fixed 256-example (`NEG_CHUNK`) chunks over the index range, so
-    /// which examples get tested — and every value this can return — is a
-    /// pure function of the clause and cutoff, independent of thread count.
-    /// The clause is prepared once for every chunk and worker.
+    /// at the negative that takes the count to `c + 1` and returns
+    /// [`NegCount::AtLeast`]`(c + 1)`; with `None` the count is exact.
+    /// Negatives are tested in index order, so which get tested, and every
+    /// value this can return, is a pure function of the clause and cutoff.
     pub fn count_neg_budget(&self, canon: &Canonical, cutoff: Option<usize>) -> NegCount {
         let mut sp = obs::span!("coverage.theta", "neg");
         let prepared = PreparedClause::new(canon);
+        let mut ws = Workspace::default();
         let total = self.neg.len();
         let mut count = 0usize;
-        let mut start = 0usize;
-        let mut spaces = self.workspaces();
-        while start < total {
-            let end = (start + NEG_CHUNK).min(total);
-            count += parallel_map_range_in(&mut spaces, start, end, |ws, i| {
-                self.covers_neg_prepared(ws, &prepared, i)
-            })
-            .into_iter()
-            .filter(|&b| b)
-            .count();
-            start = end;
+        for i in 0..total {
+            if !self.covers_neg_prepared(&mut ws, &prepared, i) {
+                continue;
+            }
+            count += 1;
             if cutoff.is_some_and(|c| count > c) {
-                instrument::NEG_TESTS_SKIPPED.add((total - end) as u64);
-                sp.note("examples", end as u64);
+                instrument::NEG_TESTS_SKIPPED.add((total - i - 1) as u64);
+                sp.note("examples", (i + 1) as u64);
                 return NegCount::AtLeast(count);
             }
         }
@@ -453,32 +427,25 @@ fn parse_threads(v: &str) -> Option<usize> {
 /// Maps `f` over `items` with indices, one worker per element of `states`
 /// (at least one), in parallel when the collection is large enough to
 /// amortize thread spawn cost. Each worker hands its own state to `f`, so
-/// per-item scratch such as a subsumption [`Workspace`] or a construction
-/// [`BcScratch`] is reused across the worker's chunk.
+/// per-item scratch such as a construction [`BcScratch`] or a subsumption
+/// [`Workspace`] is reused across the worker's chunk. Workers record their
+/// spans into the caller's trace context, if one is installed, under the
+/// caller's open span. Learning forks only here, once per ground-BC build;
+/// evaluation's streaming pass is the other caller.
 pub(crate) fn parallel_map_in<S: Send, T: Sync, U: Send>(
     states: &mut [S],
     items: &[T],
     f: impl Fn(&mut S, usize, &T) -> U + Sync,
 ) -> Vec<U> {
-    parallel_map_range_in(states, 0, items.len(), |s, i| f(s, i, &items[i]))
-}
-
-/// Maps `f` over the index range `start..end` in parallel, one worker per
-/// element of `states` — the rangewise sibling of [`parallel_map_in`], so
-/// callers counting over `0..n` do not allocate an index `Vec` per call.
-/// Workers record their spans into the caller's trace context, if one is
-/// installed, under the caller's open span.
-pub(crate) fn parallel_map_range_in<S: Send, U: Send>(
-    states: &mut [S],
-    start: usize,
-    end: usize,
-    f: impl Fn(&mut S, usize) -> U + Sync,
-) -> Vec<U> {
     let threads = states.len();
-    let len = end.saturating_sub(start);
+    let len = items.len();
     if threads <= 1 || len < 16 {
         let state = &mut states[0];
-        return (start..end).map(|i| f(state, i)).collect();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| f(state, i, x))
+            .collect();
     }
     let chunk = len.div_ceil(threads);
     let mut out: Vec<Option<U>> = Vec::with_capacity(len);
@@ -488,11 +455,11 @@ pub(crate) fn parallel_map_range_in<S: Send, U: Send>(
         for ((ti, out_chunk), state) in out.chunks_mut(chunk).enumerate().zip(states.iter_mut()) {
             let f = &f;
             let handoff = &handoff;
-            let base = start + ti * chunk;
+            let base = ti * chunk;
             s.spawn(move |_| {
                 let _traced = handoff.as_ref().map(obs::trace::Handoff::install);
                 for (j, slot) in out_chunk.iter_mut().enumerate() {
-                    *slot = Some(f(state, base + j));
+                    *slot = Some(f(state, base + j, &items[base + j]));
                 }
             });
         }
@@ -667,6 +634,73 @@ mode publication(-, +)
         }
     }
 
+    /// The serial cutoff stops at the negative that crosses it: for every
+    /// cutoff below the exact count the answer is `AtLeast(cutoff + 1)`, and
+    /// from the exact count up it is `Exact`, equal to a brute-force count.
+    #[test]
+    fn count_neg_budget_stops_exactly_one_past_the_cutoff() {
+        use crate::clause::{Literal, Term, VarId};
+        let mut db = Database::new();
+        let r = db.add_relation("r", &["a"]);
+        let q = db.add_relation("q", &["a"]);
+        let target = db.add_relation("t", &["a"]);
+        let mut examples = Vec::new();
+        for i in 0..260 {
+            let name = format!("x{i}");
+            if i % 3 == 0 {
+                db.insert(r, &[&name]);
+            }
+            if i % 5 == 0 {
+                db.insert(q, &[&name]);
+            }
+            examples.push(Example::new(target, vec![db.intern(&name)]));
+        }
+        let bias = parse_bias(
+            &db,
+            target,
+            "
+pred r(T1)
+pred q(T1)
+pred t(T1)
+mode r(+)
+mode q(+)
+",
+        )
+        .unwrap();
+        let train = TrainingSet::new(examples[..2].to_vec(), examples);
+        let cfg = BcConfig {
+            depth: 1,
+            strategy: SamplingStrategy::Full,
+            max_body_literals: 100,
+            max_tuples: 100,
+        };
+        let eng = CoverageEngine::build(&db, &bias, &train, &cfg, SubsumeConfig::default(), 1);
+        let x = Term::Var(VarId(0));
+        let lit = |rel| Literal::new(rel, vec![x]);
+        let bodies = [vec![], vec![lit(r)], vec![lit(q)], vec![lit(r), lit(q)]];
+        for body in bodies {
+            let clause = Clause::new(lit(target), body);
+            let canon = eng.canonical(&clause);
+            let exact = (0..eng.neg.len())
+                .filter(|&i| eng.covers_neg(&canon, i))
+                .count();
+            assert_eq!(eng.count_neg_budget(&canon, None), NegCount::Exact(exact));
+            for cutoff in 0..=exact + 1 {
+                let expected = if cutoff < exact {
+                    NegCount::AtLeast(cutoff + 1)
+                } else {
+                    NegCount::Exact(exact)
+                };
+                assert_eq!(
+                    eng.count_neg_budget(&canon, Some(cutoff)),
+                    expected,
+                    "{} at cutoff {cutoff}",
+                    clause.render(&db)
+                );
+            }
+        }
+    }
+
     #[test]
     fn bitset_ops() {
         let mut a = Bitset::new(130);
@@ -705,17 +739,19 @@ mode publication(-, +)
 
     #[test]
     fn parallel_map_range_matches_sequential() {
+        let items: Vec<usize> = (10..310).collect();
         for threads in [1, 3, 16] {
             let mut states = vec![0usize; threads];
-            let out = parallel_map_range_in(&mut states, 10, 310, |n, i| {
+            let out = parallel_map_in(&mut states, &items, |n, i, &x| {
                 *n += 1;
-                i * 3
+                assert_eq!(x, i + 10);
+                x * 3
             });
             assert_eq!(out, (10..310).map(|i| i * 3).collect::<Vec<_>>());
             // Every index ran on exactly one worker's state.
             assert_eq!(states.iter().sum::<usize>(), 300);
             assert_eq!(
-                parallel_map_range_in(&mut states, 5, 5, |_, i| i),
+                parallel_map_in(&mut states, &items[5..5], |_, i, _| i),
                 Vec::<usize>::new()
             );
         }
@@ -729,7 +765,8 @@ mode publication(-, +)
         {
             let _traced = ctx.install();
             let _caller = obs::span!("test.fan_out");
-            let out = parallel_map_range_in(&mut [(), ()], 0, 32, |_, i| {
+            let items: Vec<usize> = (0..32).collect();
+            let out = parallel_map_in(&mut [(), ()], &items, |_, i, _| {
                 let _sp = obs::span!("test.fan_out_item");
                 i
             });

@@ -432,9 +432,8 @@ pub fn learn_clause<R: Rng>(
         stats.candidates_generated += unique.len();
         let score_sp = obs::span!("learn.score");
 
-        // Positive halves of all candidates scored as one batched parallel
-        // map over (candidate × example) pairs — balanced even when the
-        // beam holds one expensive clause and several cheap ones.
+        // Positive halves of all candidates, scored in one batch (each
+        // candidate prepared once) on this thread.
         let ps = engine.batch_covered_pos(&unique, uncovered);
         let mut with_p: Vec<(Canonical, usize)> = unique.into_iter().zip(ps).collect();
         with_p.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.len().cmp(&b.0.len())));

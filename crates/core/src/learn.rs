@@ -60,7 +60,7 @@ pub struct LearnerConfig {
     /// coverage, far more readable clauses. Off by default to keep timing
     /// comparable with the paper's pipeline.
     pub reduce_clauses: bool,
-    /// Worker threads for BC construction and coverage testing. Learned
+    /// Worker threads for ground bottom-clause construction. Learned
     /// definitions do not depend on it.
     pub threads: usize,
 }
@@ -88,7 +88,9 @@ pub struct LearnStats {
     pub bc_time: Duration,
     /// Wall-clock time in the covering loop (generalization + scoring).
     pub search_time: Duration,
-    /// Positives left uncovered when the loop stopped.
+    /// Positives the learned definition leaves uncovered when the loop
+    /// stopped, given-up seeds included: a rejected seed counts unless a
+    /// clause accepted later covers it.
     pub uncovered_pos: usize,
     /// Whether the time budget expired before the loop finished.
     pub timed_out: bool,
@@ -154,6 +156,7 @@ impl Learner {
         let finished = |definition: &Definition, stats: &LearnStats| ProgressEvent::Finished {
             clauses: definition.len(),
             uncovered_pos: stats.uncovered_pos,
+            rejected_clauses: stats.rejected_clauses,
             timed_out: stats.timed_out,
             cancelled: stats.cancelled,
             bc_us: stats.bc_time.as_micros() as u64,
@@ -189,6 +192,9 @@ impl Learner {
         let deadline = self.cfg.time_budget.map(|b| t0 + b);
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut uncovered: Vec<usize> = (0..train.pos.len()).collect();
+        // Seeds whose clause was rejected: dropped from `uncovered` so the
+        // loop makes progress, yet not covered by anything accepted so far.
+        let mut given_up: Vec<usize> = Vec::new();
         let mut definition = Definition::new();
         let mut iteration = 0usize;
 
@@ -241,7 +247,7 @@ impl Learner {
                 stats.rejected_clauses += 1;
                 // The seed example is unlearnable under the current budget;
                 // drop it so the loop can make progress on the rest.
-                uncovered.remove(0);
+                given_up.push(uncovered.remove(0));
                 sink.on_event(&ProgressEvent::ClauseRejected {
                     iteration,
                     covered_pos: covered_len,
@@ -289,7 +295,15 @@ impl Learner {
         }
 
         stats.search_time = t1.elapsed();
-        stats.uncovered_pos = uncovered.len();
+        // Acceptance only ever tested the seeds still uncovered, so a
+        // given-up seed is tested once here against the final definition.
+        let prepared = prepare_definition(&definition);
+        let mut ws = Workspace::default();
+        stats.uncovered_pos = uncovered.len()
+            + given_up
+                .iter()
+                .filter(|&&i| !definition_covers_pos_in(&mut ws, &prepared, &engine, i))
+                .count();
         if sp.is_active() {
             sp.note("clauses", definition.len() as u64);
             sp.note("rejected_clauses", stats.rejected_clauses as u64);
@@ -517,6 +531,43 @@ mode taughtBy(+, -)
         let (def, stats) = Learner::new(cfg).learn(&db, &bias, &train);
         assert!(stats.rejected_clauses >= 1 || stats.uncovered_pos >= 1);
         assert!(!def.is_empty(), "the real examples are still learnable");
+    }
+
+    /// A rejected seed is given up, not covered: `uncovered_pos` counts
+    /// every positive the final definition misses on the learner's engine.
+    #[test]
+    fn rejected_seeds_count_as_uncovered() {
+        let (db, mut train, bias) = two_rule_world();
+        // s1 co-authors only with f1 and f6 TAs nothing, so no clause over
+        // their bottom clause separates (s1, f6) from the negatives.
+        let target = db.rel_id("advisedBy").unwrap();
+        let (s1, f6) = (db.lookup("s1").unwrap(), db.lookup("f6").unwrap());
+        train.pos.insert(0, Example::new(target, vec![s1, f6]));
+        let cfg = LearnerConfig {
+            bc: BcConfig {
+                depth: 2,
+                strategy: SamplingStrategy::Full,
+                max_body_literals: 100_000,
+                max_tuples: 2000,
+            },
+            min: MinCriterion {
+                min_precision: 1.0,
+                min_pos_covered: 1,
+            },
+            ..LearnerConfig::default()
+        };
+        let (def, stats) = Learner::new(cfg).learn(&db, &bias, &train);
+        assert!(stats.rejected_clauses >= 1, "the seed (s1, f6) is rejected");
+        let engine = CoverageEngine::for_learner(&db, &bias, &train, &cfg);
+        let recount = (0..train.pos.len())
+            .filter(|&i| !definition_covers_pos(&def, &engine, i))
+            .count();
+        assert!(
+            recount >= 1,
+            "(s1, f6) stays uncovered:\n{}",
+            def.render(&db)
+        );
+        assert_eq!(stats.uncovered_pos, recount);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! arc-consistency neighbours — is prepared once per clause in a
 //! [`PreparedClause`] that every example of a batch and every worker reads
 //! ([`Workspace::theta_subsumes_prepared`]); the coverage engine prepares
-//! each scored clause once per batch, evaluation each definition clause
+//! each scored clause once per call, evaluation each definition clause
 //! once per pass. armg lays its clause out once per call, mirrors each
 //! deletion on that layout, and has its [`PrefixProbe`]s rebuild only the
 //! prefix's fold, index and components per test, through the same
@@ -57,7 +57,7 @@
 //!
 //! Every buffer a test needs lives in a caller-owned [`Workspace`], cleared
 //! between tests and never shrunk, so a caller that runs many tests (armg's
-//! probes, a coverage worker's chunk, an evaluation pass) allocates nothing
+//! probes, a coverage count, an evaluation pass) allocates nothing
 //! per test once the buffers have grown. The answer is a pure function of
 //! `(clause, ground, cfg)`: which tests a workspace ran before never shows.
 //! (A witness probe's answer also depends on its witness, which is why the
@@ -206,8 +206,8 @@ impl<'c> PreparedClause<'c> {
 /// prepared.
 ///
 /// The caller owns the workspace and decides how long it lives: armg keeps
-/// one per call, the coverage engine one per worker in each batched map,
-/// evaluation one per pass. A workspace is never shared between threads while in use and
+/// one per call, the coverage engine one per scoring call, evaluation one
+/// per worker of its pass. A workspace is never shared between threads while in use and
 /// never kept in a global or thread-local pool.
 #[derive(Debug, Default)]
 pub struct Workspace {

@@ -664,7 +664,7 @@ fn reused_workspace_matches_fresh_tests() {
 
 /// The answers of one prepared clause for every ground clause of a batch,
 /// split across `workers` threads that each own a workspace and all read
-/// the one [`PreparedClause`], the way the coverage engine's workers do.
+/// the one [`PreparedClause`], the way evaluation's streaming workers do.
 fn prepared_batch(
     clause: &Clause,
     grounds: &[GroundClause],

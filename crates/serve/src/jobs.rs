@@ -770,6 +770,7 @@ mod tests {
             Some(ProgressEvent::Finished {
                 clauses: 2,
                 uncovered_pos: 1,
+                rejected_clauses: 0,
                 timed_out: false,
                 cancelled: false,
                 bc_us: 1_234,
