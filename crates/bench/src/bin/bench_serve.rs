@@ -25,7 +25,7 @@
 
 #![allow(clippy::unwrap_used)] // bench harness: fail fast on broken setup
 
-use autobias::query::{clause_covers_args, definition_covers_args, EvalScratch, QueryConfig};
+use autobias::query::{definition_covers_args, EvalScratch, QueryConfig};
 use autobias_bench::harness::Args;
 use autobias_serve::http::read_response_head;
 use autobias_serve::{serve, ServeConfig};
@@ -222,25 +222,12 @@ fn main() -> ExitCode {
     });
     let interpreted_pps = n_int as f64 / t_int.as_secs_f64();
 
-    // The exact /predict recipe: compiled disjunction first, interpreter
-    // only for clauses the compiler declined.
+    // The exact /predict recipe: the compiled disjunction is the verdict
+    // (the server loads only fully compiled models).
     let mut exec = plan::ExecScratch::default();
     let (n_cmp, t_cmp) = measure_passes(pool.len(), measure_secs, || {
         for args in &pool {
-            let mut covered = plans.covers_compiled_with(&ds.db, args, &mut exec);
-            if !covered && !plans.is_fully_compiled() {
-                covered = plans.declined().iter().any(|&(i, _)| {
-                    clause_covers_args(
-                        &ds.db,
-                        &definition.clauses[i],
-                        rel,
-                        args,
-                        &qcfg,
-                        &mut scratch,
-                    )
-                });
-            }
-            std::hint::black_box(covered);
+            std::hint::black_box(plans.covers_compiled_with(&ds.db, args, &mut exec));
         }
     });
     let compiled_pps = n_cmp as f64 / t_cmp.as_secs_f64();

@@ -115,8 +115,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// EXPLAIN and EXPLAIN ANALYZE emit canonical JSON: parsing with
-    /// `obs::json` and re-rendering reproduces the exact bytes. Runs under
-    /// both a default and a deliberately tight compile config so the
+    /// `obs::json` and re-rendering reproduces the exact bytes. Runs on the
+    /// world's definition and on a copy with an arity-mismatched clause
+    /// spliced in — the decline the compiler can still produce — so the
     /// document mixes compiled and declined clauses.
     #[test]
     fn explain_json_round_trips_byte_identically(
@@ -126,9 +127,20 @@ proptest! {
         n_s in 0usize..16,
     ) {
         let world = build_world(seed, n_consts, n_r, n_s);
-        let tight = CompileConfig { max_slots: 4, ..CompileConfig::default() };
-        for cfg in [CompileConfig::default(), tight] {
-            let plans = compile_definition(&world.db, &world.definition, &cfg);
+        let (u, t) = (world.db.rel_id("u").unwrap(), world.db.rel_id("t").unwrap());
+        let head = Literal::new(t, vec![Term::Var(VarId(0)), Term::Var(VarId(1))]);
+        let unary_used_binary = Literal::new(u, vec![Term::Var(VarId(0)), Term::Var(VarId(1))]);
+        let mut mixed = world.definition.clone();
+        mixed.clauses.insert(
+            mixed.clauses.len() / 2,
+            Clause::new(head, vec![unary_used_binary]),
+        );
+        for definition in [&world.definition, &mixed] {
+            let plans = compile_definition(&world.db, definition, &CompileConfig::default());
+            prop_assert_eq!(
+                plans.num_declined(),
+                definition.clauses.len() - world.definition.clauses.len()
+            );
             let mut tally = BatchTally::for_definition(&plans);
             let mut scratch = ExecScratch::default();
             for args in &world.tuples {
@@ -136,7 +148,7 @@ proptest! {
             }
             for analyzed in [None, Some(Analyzed { tally: &tally, batches: 1 })] {
                 let json = plan::explain(
-                    &world.db, Some("w"), &[], &world.definition, &plans, analyzed,
+                    &world.db, Some("w"), &[], definition, &plans, analyzed,
                 ).to_string();
                 let parsed = Json::parse(&json)
                     .unwrap_or_else(|e| panic!("seed {}: invalid JSON: {e}", world.seed));
@@ -145,7 +157,7 @@ proptest! {
                     "seed {} does not round-trip", world.seed
                 );
                 let clauses = parsed.get("clauses").unwrap().as_arr().unwrap();
-                prop_assert_eq!(clauses.len(), world.definition.clauses.len());
+                prop_assert_eq!(clauses.len(), definition.clauses.len());
             }
         }
     }

@@ -1,9 +1,8 @@
 //! Public-API property suite for the plan soundness verifier: on random
 //! worlds, every definition compiled through [`plan::compile_definition`]
 //! carries a clean verification report, the offline re-run
-//! ([`plan::verify_definition`]) agrees, and — since verification declines
-//! rather than fails — the compiled-plus-fallback evaluation still matches
-//! the interpreter. The randomized mutation-kill half of the suite lives in
+//! ([`plan::verify_definition`]) agrees, and the compiled evaluation
+//! matches the interpreter. The randomized mutation-kill half of the suite lives in
 //! `src/verify.rs` unit tests, where plan internals are reachable.
 
 #![allow(clippy::unwrap_used)] // tests assert; unwraps are the point

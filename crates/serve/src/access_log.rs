@@ -121,7 +121,6 @@ mod tests {
             predict: Some(PredictInfo {
                 model: "uw_coauthor".to_string(),
                 tuples: 3,
-                interpreter_fallback: false,
                 plan: plan::TallyTotals {
                     entries: 4,
                     candidates: 12,

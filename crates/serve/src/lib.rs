@@ -30,7 +30,7 @@
 //!   the progress events it keeps as SSE ([`server`]).
 //! - **Traceable.** Every request runs under an [`obs::trace::TraceCtx`]
 //!   (W3C `traceparent` in, `x-autobias-trace-id` out); requests that
-//!   error, fall back to the interpreter, or land above a rolling latency
+//!   error or land above a rolling latency
 //!   threshold keep their full span tree in a bounded store behind
 //!   `GET /debug/traces` ([`trace`]); `GET /debug/slow` is the same store's
 //!   kept predictions, worst latency first, with their batch context. An

@@ -73,17 +73,10 @@ pub static HANDLER_PANICS: obs::metrics::Counter = obs::metrics::Counter::new(
     "Connection handler panics caught by a pool worker (connection dropped, worker kept).",
 );
 
-/// Tuples classified by `POST /predict`, over both evaluation paths.
+/// Tuples classified by `POST /predict`.
 pub static PREDICT_TUPLES: obs::metrics::Counter = obs::metrics::Counter::new(
     "autobias_predict_tuples_total",
-    "Tuples classified by POST /predict (compiled and interpreted paths).",
-);
-
-/// Tuples no compiled plan covered that then ran the model's declined
-/// clauses through the clause interpreter.
-pub static PREDICT_INTERPRETED_TUPLES: obs::metrics::Counter = obs::metrics::Counter::new(
-    "autobias_predict_interpreted_tuples_total",
-    "Predict tuple evaluations that ran declined clauses through the interpreter.",
+    "Tuples classified by POST /predict.",
 );
 
 /// Predict batches where runtime variant selection chose between multiple
@@ -152,17 +145,16 @@ pub fn qerror_count() -> u64 {
     QERROR_COUNT.load(Ordering::Relaxed)
 }
 
-/// Per-model compile outcome for labeled `autobias_plan_*_total` samples,
-/// built from the live registry at scrape time — rotated models simply stop
-/// appearing, so the label set is always the current registry names.
+/// Per-model compile outcome for labeled `autobias_plan_compiled_total`
+/// samples, built from the live registry at scrape time — rotated models
+/// simply stop appearing, so the label set is always the current registry
+/// names. A loaded model declined no clause, so it has no fallback sample.
 #[derive(Debug, Clone)]
 pub struct ModelPlanSample {
     /// Registry name (the `model` label value).
     pub name: String,
     /// Clauses compiled for this model.
     pub compiled: u64,
-    /// Clauses declined to the interpreter for this model.
-    pub fallback: u64,
 }
 
 /// The endpoints we track. `Other` buckets everything unrecognized so the
@@ -555,7 +547,6 @@ fn render_registered_counters(out: &mut String, models: &[ModelPlanSample]) {
     obs::metrics::register(&KEEPALIVE_REUSES);
     obs::metrics::register(&HANDLER_PANICS);
     obs::metrics::register(&PREDICT_TUPLES);
-    obs::metrics::register(&PREDICT_INTERPRETED_TUPLES);
     obs::metrics::register(&PLAN_VARIANT_SELECTIONS);
     obs::metrics::register(&obs::trace::DROPPED_SPANS);
     for c in obs::metrics::registered() {
@@ -567,18 +558,13 @@ fn render_registered_counters(out: &mut String, models: &[ModelPlanSample]) {
             c.name(),
             c.get()
         ));
-        let per_model: Option<fn(&ModelPlanSample) -> u64> = match c.name() {
-            "autobias_plan_compiled_total" => Some(|m| m.compiled),
-            "autobias_plan_fallback_total" => Some(|m| m.fallback),
-            _ => None,
-        };
-        if let Some(value_of) = per_model {
+        if c.name() == "autobias_plan_compiled_total" {
             for m in models {
                 out.push_str(&format!(
                     "{}{{model=\"{}\"}} {}\n",
                     c.name(),
                     escape_label_value(&m.name),
-                    value_of(m)
+                    m.compiled
                 ));
             }
         }
@@ -629,7 +615,6 @@ mod tests {
         assert!(text.contains("autobias_http_keepalive_reuses_total"));
         assert!(text.contains("autobias_handler_panics_total"));
         assert!(text.contains("autobias_predict_tuples_total"));
-        assert!(text.contains("autobias_predict_interpreted_tuples_total"));
         assert!(text.contains("autobias_plan_compiled_total"));
         assert!(text.contains("autobias_plan_fallback_total"));
         assert!(text.contains("autobias_plan_variant_selections_total"));
@@ -645,11 +630,9 @@ mod tests {
             &[ModelPlanSample {
                 name: "uw_coauthor".into(),
                 compiled: 2,
-                fallback: 1,
             }],
         );
         assert!(text.contains("autobias_plan_compiled_total{model=\"uw_coauthor\"} 2"));
-        assert!(text.contains("autobias_plan_fallback_total{model=\"uw_coauthor\"} 1"));
 
         // Rotation: the samples come from the registry snapshot passed per
         // scrape, so a replaced model's series vanishes instead of going
@@ -659,7 +642,6 @@ mod tests {
             &[ModelPlanSample {
                 name: "uw_v2".into(),
                 compiled: 3,
-                fallback: 0,
             }],
         );
         assert!(!text.contains("model=\"uw_coauthor\""));
@@ -745,7 +727,6 @@ mod tests {
             &[ModelPlanSample {
                 name: hostile.into(),
                 compiled: 4,
-                fallback: 2,
             }],
         );
         // One physical line per sample — the newline must have been escaped.
@@ -891,7 +872,6 @@ mod tests {
             &[ModelPlanSample {
                 name: "uw".into(),
                 compiled: 1,
-                fallback: 0,
             }],
         );
 

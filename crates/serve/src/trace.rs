@@ -7,7 +7,6 @@
 //! postmortem:
 //!
 //! - it **errored** (status ≥ 400),
-//! - it **fell back** to the clause interpreter (a compiled plan declined),
 //! - or it landed **above a rolling latency threshold** — an EWMA of recent
 //!   request latencies times a multiplier, with a floor so quiet servers
 //!   don't archive every request (`AUTOBIAS_TRACE_SLOW_US` pins the floor,
@@ -36,8 +35,6 @@ use obs::trace::TraceTree;
 pub enum KeepReason {
     /// The request answered with status ≥ 400.
     Error,
-    /// A compiled plan declined and the interpreter ran instead.
-    InterpreterFallback,
     /// Latency landed above the rolling threshold.
     Slow,
     /// Kept unconditionally (learn jobs archive their tree).
@@ -49,7 +46,6 @@ impl KeepReason {
     pub fn as_str(self) -> &'static str {
         match self {
             KeepReason::Error => "error",
-            KeepReason::InterpreterFallback => "interpreter_fallback",
             KeepReason::Slow => "slow",
             KeepReason::Job => "job",
         }
@@ -64,9 +60,6 @@ pub struct PredictInfo {
     pub model: String,
     /// Tuples in the batch.
     pub tuples: u64,
-    /// A declined clause ran through the interpreter for at least one tuple
-    /// — one of the tail sampler's keep triggers.
-    pub interpreter_fallback: bool,
     /// Plan-tally totals of the batch's compiled clauses.
     pub plan: plan::TallyTotals,
     /// Worst per-step q-error in the batch, if any compiled step ran.
@@ -74,8 +67,8 @@ pub struct PredictInfo {
 }
 
 impl PredictInfo {
-    /// The `engine` label of a served prediction's record. Every batch runs
-    /// the compiled loop; declined clauses are interpreted inside it.
+    /// The `engine` label of a served prediction's record: every batch runs
+    /// compiled plans only.
     pub const ENGINE: &'static str = "compiled";
 }
 
@@ -255,12 +248,7 @@ impl TraceStore {
     /// Feeds one finished request into the rolling latency estimate and
     /// decides whether its trace should be kept. Called for every request,
     /// kept or not, so the threshold tracks real traffic.
-    pub fn keep_reason(
-        &self,
-        status: u16,
-        interpreter_fallback: bool,
-        latency_us: u64,
-    ) -> Option<KeepReason> {
+    pub fn keep_reason(&self, status: u16, latency_us: u64) -> Option<KeepReason> {
         self.observed.fetch_add(1, Ordering::Relaxed);
         let threshold = self.slow_threshold_us();
         // EWMA update after the threshold read: the request that first
@@ -277,8 +265,6 @@ impl TraceStore {
         self.ewma_us_scaled.store(next, Ordering::Relaxed);
         if status >= 400 {
             Some(KeepReason::Error)
-        } else if interpreter_fallback {
-            Some(KeepReason::InterpreterFallback)
         } else if latency_us >= threshold {
             Some(KeepReason::Slow)
         } else {
@@ -441,15 +427,11 @@ mod tests {
     }
 
     #[test]
-    fn errors_and_fallbacks_always_keep() {
+    fn errors_always_keep() {
         let s = fresh_store();
-        assert_eq!(s.keep_reason(500, false, 10), Some(KeepReason::Error));
-        assert_eq!(s.keep_reason(422, false, 10), Some(KeepReason::Error));
-        assert_eq!(
-            s.keep_reason(200, true, 10),
-            Some(KeepReason::InterpreterFallback)
-        );
-        assert_eq!(s.keep_reason(200, false, 10), None);
+        assert_eq!(s.keep_reason(500, 10), Some(KeepReason::Error));
+        assert_eq!(s.keep_reason(422, 10), Some(KeepReason::Error));
+        assert_eq!(s.keep_reason(200, 10), None);
     }
 
     #[test]
@@ -457,19 +439,19 @@ mod tests {
         let s = fresh_store();
         // Fast traffic: never slow (under the floor).
         for _ in 0..50 {
-            assert_eq!(s.keep_reason(200, false, 100), None);
+            assert_eq!(s.keep_reason(200, 100), None);
         }
         // The floor dominates while the mean is tiny.
         assert_eq!(s.slow_threshold_us(), TraceStore::DEFAULT_SLOW_FLOOR_US);
         // A genuine outlier above the floor is kept.
         assert_eq!(
-            s.keep_reason(200, false, 50_000),
+            s.keep_reason(200, 50_000),
             Some(KeepReason::Slow),
             "outlier above the floor"
         );
         // Sustained slow traffic raises the mean and thus the threshold.
         for _ in 0..200 {
-            let _ = s.keep_reason(200, false, 200_000);
+            let _ = s.keep_reason(200, 200_000);
         }
         assert!(
             s.slow_threshold_us() > 400_000,
@@ -477,7 +459,7 @@ mod tests {
             s.slow_threshold_us()
         );
         assert_eq!(
-            s.keep_reason(200, false, 250_000),
+            s.keep_reason(200, 250_000),
             None,
             "no longer an outlier once the fleet is slow"
         );
@@ -523,7 +505,6 @@ mod tests {
             t.record.predict = Some(PredictInfo {
                 model: model.to_string(),
                 tuples: 3,
-                interpreter_fallback: false,
                 plan: plan::TallyTotals {
                     entries: 4,
                     candidates: 12,
