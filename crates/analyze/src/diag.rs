@@ -142,7 +142,9 @@ rules! {
     PlanHeadMismatch => ("AB209", "plan-head-mismatch", Error,
         "head ops do not reproduce the head literal's binding pattern"),
     PlanIndexOverflow => ("AB210", "plan-index-overflow", Error,
-        "an op addresses a slot or position outside the executor's fixed buffers"),
+        "an op addresses a slot or position outside the plan's buffers"),
+    PlanBackjumpMismatch => ("AB211", "plan-backjump-mismatch", Error,
+        "a step's backjump set is not exactly the earlier steps binding the slots it reads"),
 }
 
 /// What a finding points at, used by the source-level entry points to
